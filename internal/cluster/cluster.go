@@ -388,6 +388,11 @@ func (c *Cluster) MultiDelete(keys []uint64) (int, []ShardLSN, error) {
 	return removed, lsns, firstErr
 }
 
+// Writable reports why the cluster refuses writes wholesale: never — it
+// fronts primaries (a fenced one refuses per write with ErrFenced). The
+// serving layer's store contract asks, because a follower replica does.
+func (c *Cluster) Writable() error { return nil }
+
 // Flush applies every partition's queued async writes.
 func (c *Cluster) Flush() int {
 	total := 0

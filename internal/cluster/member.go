@@ -180,7 +180,7 @@ func (m *Member) MultiPut(keys []uint64, values [][]byte, ttl time.Duration, lsn
 		} else {
 			m.engine.MultiPut(keys, values)
 		}
-		lsns = m.appendCommitLSNs(lsns, keys)
+		lsns = CommitLSNs(lsns, m.engine, keys, m.epoch)
 	})
 	return lsns, err
 }
@@ -191,7 +191,7 @@ func (m *Member) MultiDelete(keys []uint64, lsns []ShardLSN) (int, []ShardLSN, e
 	var removed int
 	err := m.write(func() {
 		removed = m.engine.MultiDelete(keys)
-		lsns = m.appendCommitLSNs(lsns, keys)
+		lsns = CommitLSNs(lsns, m.engine, keys, m.epoch)
 	})
 	return removed, lsns, err
 }
@@ -221,7 +221,7 @@ func (m *Member) Txn(keys []uint64, fn func(*kvs.Tx) error, lsns []ShardLSN) ([]
 	gerr := m.write(func() {
 		txErr = m.engine.Txn(keys, fn)
 		if txErr == nil {
-			lsns = m.appendCommitLSNs(lsns, keys)
+			lsns = CommitLSNs(lsns, m.engine, keys, m.epoch)
 		}
 	})
 	if gerr != nil {
@@ -244,25 +244,4 @@ func (m *Member) Reap(budget int) (int, error) {
 	var n int
 	err := m.write(func() { n = m.engine.Reap(budget) })
 	return n, err
-}
-
-// appendCommitLSNs appends one (shard, lsn, epoch) triple per distinct
-// shard the keys touch, read after the write applied.
-func (m *Member) appendCommitLSNs(dst []ShardLSN, keys []uint64) []ShardLSN {
-	base := len(dst)
-	for _, k := range keys {
-		sh := m.engine.ShardOf(k)
-		dup := false
-		for _, t := range dst[base:] {
-			if int(t.Shard) == sh {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		dst = append(dst, ShardLSN{Shard: uint32(sh), LSN: m.engine.ShardLSN(sh), Epoch: m.epoch})
-	}
-	return dst
 }

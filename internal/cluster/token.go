@@ -1,24 +1,52 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/bravolock/bravo/internal/kvs"
+	"github.com/bravolock/bravo/internal/wire"
+)
 
 // ShardLSN is one global shard's commit position: the cluster's
-// read-your-writes token, an (epoch, shard, lsn) triple. Shard is global —
-// partition*ShardsPerPartition + the engine-local shard — so a token names
-// both the partition that issued it and the WAL sequence it refers to.
-// Epoch is the issuing primary's fencing epoch; a token survives a
-// failover iff its LSN is inside the surviving-history prefix the
-// promotion cut recorded.
-type ShardLSN struct {
-	Shard uint32
-	LSN   uint64
-	Epoch uint64
+// read-your-writes token, an (epoch, shard, lsn) triple — the same type the
+// wire carries, so a token crosses cluster, serving layer and codec without
+// conversion. Shard is global — partition*ShardsPerPartition + the
+// engine-local shard — so a token names both the partition that issued it
+// and the WAL sequence it refers to. Epoch is the issuing primary's fencing
+// epoch (0 only on tokens a bare engine stamps); a token survives a failover
+// iff its LSN is inside the surviving-history prefix the promotion cut
+// recorded.
+type ShardLSN = wire.ShardLSN
+
+// CommitLSNs appends one (shard, lsn, epoch) token per distinct shard of e
+// that keys touch, read after the write applied — so each is at least the
+// write's own record (concurrent writers can only push it later: still a
+// covering token). Shard is e-local; the one place "write, then read the
+// shard's commit LSN" is spelled for batches, shared with the serving
+// layer's single-engine store.
+func CommitLSNs(dst []ShardLSN, e *kvs.Sharded, keys []uint64, epoch uint64) []ShardLSN {
+	base := len(dst)
+	for _, k := range keys {
+		sh := uint32(e.ShardOf(k))
+		dup := false
+		for _, t := range dst[base:] {
+			if t.Shard == sh {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			dst = append(dst, ShardLSN{Shard: sh, LSN: e.ShardLSN(int(sh)), Epoch: epoch})
+		}
+	}
+	return dst
 }
 
-// TokenError is a read token the cluster cannot honor. Conflict
-// distinguishes "the history this token names was lost or superseded"
-// (HTTP 409, wire StatusConflict — the client should re-read and
-// re-establish its session) from a malformed or impossible token (400).
+// TokenError is a read token the serving side cannot honor. Conflict
+// distinguishes "the history this token names was lost, superseded or not
+// yet replicated" (HTTP 409, wire StatusConflict — the client should retry
+// or re-read and re-establish its session) from a malformed or impossible
+// token (400).
 type TokenError struct {
 	Msg      string
 	Conflict bool
@@ -27,8 +55,7 @@ type TokenError struct {
 func (e *TokenError) Error() string { return e.Msg }
 
 // CheckToken adjudicates a read's (epoch, minLSN) token against every
-// shard the keys touch — the cluster form of kvserv's checkMinLSN. For
-// each touched (partition, shard):
+// shard the keys touch. For each touched (partition, shard):
 //
 //   - token epoch == partition epoch: the current primary issued it, so
 //     its log must cover the LSN (it always does for genuine tokens; a

@@ -88,13 +88,13 @@ func BenchmarkHTTPStats(b *testing.B) {
 func BenchmarkWireGet(b *testing.B) {
 	srv := New(benchEngine(b), Config{ReapInterval: -1})
 	reader := rwl.NewReader()
-	scratch := newWireScratch(8)
+	sc := new(scratch)
 	req := wire.Request{Op: wire.OpGet, ID: 1, Key: 42}
 	var out []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := srv.serveWireRequest(reader, &req, scratch)
+		resp := srv.execute(reader, &req, sc)
 		out = wire.AppendResponse(out[:0], &resp)
 	}
 	_ = out
@@ -103,7 +103,7 @@ func BenchmarkWireGet(b *testing.B) {
 func BenchmarkWireMGet(b *testing.B) {
 	srv := New(benchEngine(b), Config{ReapInterval: -1})
 	reader := rwl.NewReader()
-	scratch := newWireScratch(8)
+	sc := new(scratch)
 	keys := make([]uint64, 16)
 	for i := range keys {
 		keys[i] = uint64(i)
@@ -113,7 +113,7 @@ func BenchmarkWireMGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := srv.serveWireRequest(reader, &req, scratch)
+		resp := srv.execute(reader, &req, sc)
 		out = wire.AppendResponse(out[:0], &resp)
 	}
 	_ = out
@@ -122,7 +122,7 @@ func BenchmarkWireMGet(b *testing.B) {
 func BenchmarkWireMPut(b *testing.B) {
 	srv := New(benchEngine(b), Config{ReapInterval: -1})
 	reader := rwl.NewReader()
-	scratch := newWireScratch(8)
+	sc := new(scratch)
 	keys := make([]uint64, 16)
 	vals := make([][]byte, 16)
 	value := make([]byte, 128)
@@ -135,7 +135,7 @@ func BenchmarkWireMPut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := srv.serveWireRequest(reader, &req, scratch)
+		resp := srv.execute(reader, &req, sc)
 		out = wire.AppendResponse(out[:0], &resp)
 	}
 	_ = out
@@ -145,13 +145,13 @@ func BenchmarkWireMPut(b *testing.B) {
 func BenchmarkWireStats(b *testing.B) {
 	srv := New(benchEngine(b), Config{ReapInterval: -1})
 	reader := rwl.NewReader()
-	scratch := newWireScratch(8)
+	sc := new(scratch)
 	req := wire.Request{Op: wire.OpStats, ID: 1}
 	var out []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := srv.serveWireRequest(reader, &req, scratch)
+		resp := srv.execute(reader, &req, sc)
 		out = wire.AppendResponse(out[:0], &resp)
 	}
 	_ = out

@@ -1,12 +1,29 @@
-// Package kvserv is the HTTP front-end over the sharded KV engine: the
-// serving layer that turns the repository's lock work into a system that
-// answers traffic. Every read a connection performs goes through one pinned
-// rwl.Reader handle attached to that connection, so a client's steady-state
-// read path — socket to shard map — costs one cached-slot CAS on the shard
-// lock, with no per-request identity derivation or hashing.
+// Package kvserv is the serving layer: it turns the repository's lock work
+// into a system that answers traffic, in three pieces that each exist once.
 //
-// Endpoints (keys are decimal uint64, values are raw bytes; batched bodies
-// are JSON with values base64-encoded, encoding/json's []byte convention):
+//	store     what an operation needs from whatever holds the data
+//	          (store.go). Two implementations: *cluster.Cluster, and
+//	          engineStore over one *kvs.Sharded — a primary's engine or a
+//	          repl.Follower's read-only replica.
+//	executor  Server.execute (exec.go): one wire.Request in, one
+//	          wire.Response out. Every semantic step of every operation —
+//	          write admission, value caps, ttl/async exclusivity, the
+//	          read-your-writes token check, the store call, conditional-txn
+//	          planning, error→status classification — is written there and
+//	          nowhere else.
+//	codecs    HTTP (http.go) and the pipelined binary protocol (wire.go).
+//	          Each parses its transport into a wire.Request and renders the
+//	          wire.Response back; neither knows which store it fronts.
+//
+// Every read a connection performs goes through one pinned rwl.Reader handle
+// attached to that connection, so a client's steady-state read path — socket
+// to shard map — costs one cached-slot CAS on the shard lock, with no
+// per-request identity derivation or hashing.
+//
+// HTTP endpoints (keys are decimal uint64, values are raw bytes; batched
+// bodies are JSON with values base64-encoded, encoding/json's []byte
+// convention); the wire front-end serves the same operations, plus MDELETE,
+// as internal/wire's binary frames:
 //
 //	GET    /kv/{key}            value bytes, 404 on miss or TTL expiry
 //	PUT    /kv/{key}[?ttl=1s]   store body; ttl attaches an expiry;
@@ -15,20 +32,31 @@
 //	GET    /mget?keys=1,2,3     {"values": [b64|null, ...]} parallel to keys
 //	POST   /mput                {"entries":[{"key":1,"value":b64},...],
 //	                             "ttl":"1s"?} applied as one MultiPut
+//	POST   /cas                 {"key":1,"old":b64|null,"new":b64|null}
+//	POST   /txn                 {"if":[...],"ops":[...]}: a conditional
+//	                            atomic batch
 //	POST   /flush               apply queued async writes: {"flushed":n}
-//	POST   /checkpoint          durable engines: snapshot every shard and
-//	                            truncate its WAL; 409 on volatile engines
-//	GET    /stats               engine ShardedStats + totals + durability
-//	                            (+ replication posture when replicating)
+//	POST   /checkpoint          snapshot every shard and truncate its WAL;
+//	                            409 on a volatile engine
+//	GET    /stats               shard counters + totals + durability, plus
+//	                            the replication or cluster posture
+//	POST   /failover/{p}        cluster servers: promote partition p
 //
-// Replication: a durable server is automatically a replication primary —
-// it mounts internal/repl's GET /repl/stream and /repl/status, and every
-// write answers with X-Commit-Lsn and X-Commit-Shard headers (batched
-// /mput returns a per-shard "lsns" map): the read-your-writes token.
-// NewFollower serves a repl.Follower's replica read-only: the read
-// endpoints work (plus ?min_lsn=, which waits for the token's LSN or
-// answers 409), writes answer 403, and /stats carries per-shard
-// applied_lsn and lag against the primary.
+// Statuses are decided once, as a wire.Status, and HTTP maps them through
+// one table: 404 miss, 400 malformed or impossible, 403 write to a follower,
+// 409 token not covered or checkpoint of a volatile engine, 413 value or
+// body over its cap, 503 partition mid-failover.
+//
+// Read-your-writes tokens are (epoch, shard, lsn) triples end to end. A
+// single engine stamps epoch 0, which HTTP spells the original way —
+// X-Commit-Shard / X-Commit-Lsn headers, a per-shard "lsns" map on batches;
+// a cluster's nonzero epoch adds X-Commit-Epoch and turns the map into
+// "commits" triples; a volatile engine stamps nothing. A read presents a
+// token back as ?min_lsn=[&epoch=]: a follower waits up to MinLSNWait for
+// replication to cover it, a cluster adjudicates it against its failover
+// history. A durable engine's server is also a replication primary (it
+// mounts internal/repl's /repl/stream and /repl/status); NewFollower serves
+// a repl.Follower's replica, with /repl/status and /stats reporting lag.
 //
 // The per-connection handle relies on HTTP/1.x serving a connection's
 // requests sequentially; the server does not enable h2, where concurrent
@@ -37,14 +65,8 @@ package kvserv
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,11 +81,11 @@ import (
 // request into a stop-the-world for its shard.
 const MaxValueBytes = 1 << 20
 
-// MaxMPutBodyBytes caps the whole /mput JSON body — the aggregate batch
-// ceiling, on top of the per-entry MaxValueBytes check (base64 plus JSON
-// framing inflate values by ~4/3, so this admits batches of several
-// maximum-size entries or thousands of small ones). Oversize batches get
-// 413; split them.
+// MaxMPutBodyBytes caps a whole JSON body (/mput, /cas, /txn) — the
+// aggregate batch ceiling, on top of the per-value MaxValueBytes check
+// (base64 plus JSON framing inflate values by ~4/3, so this admits batches
+// of several maximum-size entries or thousands of small ones). Oversize
+// bodies get 413; split the batch.
 const MaxMPutBodyBytes = 16 << 20
 
 // DefaultReapInterval and DefaultReapBudget pace the background TTL reaper:
@@ -102,23 +124,23 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
-// Server serves a kvs.Sharded engine over HTTP.
+// Server serves one store over HTTP (Serve) and the binary wire protocol
+// (ServeWire).
 type Server struct {
-	engine *kvs.Sharded
-	cfg    Config
-	http   *http.Server
-	done   chan struct{}
-	wg     sync.WaitGroup
+	store store
+	stats func() statsResponse // assembles the /stats document
+	cfg   Config
+	http  *http.Server
+	done  chan struct{}
+	wg    sync.WaitGroup
 
-	// primary is the replication server side, mounted when the engine is
-	// durable (its WAL is the stream); nil otherwise.
-	primary *repl.Primary
-	// follower is set by NewFollower: the server serves its replica
-	// read-only and rejects writes.
+	// What the HTTP-only routes mount, set by the constructor that applies:
+	// primary is the replication server side of a durable engine (its WAL is
+	// the stream), follower the replica NewFollower serves (its own
+	// /repl/status), clu the cluster NewClusterServer fronts (/failover).
+	primary  *repl.Primary
 	follower *repl.Follower
-	// clu is set by NewClusterServer: the server fronts a whole cluster
-	// (engine is nil; every op routes through the cluster's partitions).
-	clu *cluster.Cluster
+	clu      *cluster.Cluster
 
 	// Wire front-end state: the listeners ServeWire is accepting on and
 	// the connections currently being served, so Close can stop the former
@@ -127,17 +149,19 @@ type Server struct {
 	wireLns   map[net.Listener]bool
 	wireConns map[net.Conn]bool
 
-	closeOnce sync.Once
+	mountOnce, closeOnce sync.Once
 }
 
 // New returns a server over engine. Serve starts it; Close stops it.
 // A durable engine's server doubles as a replication primary.
 func New(engine *kvs.Sharded, cfg Config) *Server {
-	s := newServer(engine, cfg)
+	s := newServer(cfg)
+	es := &engineStore{e: engine, wait: s.cfg.MinLSNWait}
 	if engine.Durable() {
-		s.primary = repl.NewPrimary(engine)
+		es.primary = repl.NewPrimary(engine)
+		s.primary = es.primary
 	}
-	s.buildHTTP()
+	s.store, s.stats = es, es.stats
 	return s
 }
 
@@ -145,28 +169,28 @@ func New(engine *kvs.Sharded, cfg Config) *Server {
 // endpoints (with ?min_lsn= honored against f's applied LSNs), /stats
 // with replication lag, and 403 on every mutating endpoint.
 func NewFollower(f *repl.Follower, cfg Config) *Server {
-	s := newServer(f.Engine(), cfg)
-	s.follower = f
-	s.buildHTTP()
+	s := newServer(cfg)
+	es := &engineStore{e: f.Engine(), follower: f, wait: s.cfg.MinLSNWait}
+	s.store, s.stats, s.follower = es, es.stats, f
 	return s
 }
 
 // NewClusterServer returns a server fronting c: the same endpoints and
 // wire ops as a single-primary server, routed per key across the
-// cluster's partitions, with read-your-writes tokens widened to (epoch,
-// shard, lsn) triples and POST /failover/{partition} for operator-driven
+// cluster's partitions, with read-your-writes tokens carrying the issuing
+// partition's epoch and POST /failover/{partition} for operator-driven
 // promotion. Closing the server does not close the cluster — the caller
 // owns that lifecycle, like the engine's.
 func NewClusterServer(c *cluster.Cluster, cfg Config) *Server {
-	s := newServer(nil, cfg)
-	s.clu = c
-	s.buildHTTP()
+	s := newServer(cfg)
+	s.store, s.clu = c, c
+	s.stats = func() statsResponse { return clusterStats(c) }
 	return s
 }
 
-// newServer holds the mode-independent setup; the route table is built by
-// buildHTTP once the constructor has settled the mode fields.
-func newServer(engine *kvs.Sharded, cfg Config) *Server {
+// newServer holds the store-independent setup; each constructor then
+// settles the store.
+func newServer(cfg Config) *Server {
 	if cfg.ReapInterval == 0 {
 		cfg.ReapInterval = DefaultReapInterval
 	}
@@ -180,81 +204,24 @@ func newServer(engine *kvs.Sharded, cfg Config) *Server {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	return &Server{
-		engine:    engine,
 		cfg:       cfg,
 		done:      make(chan struct{}),
 		wireLns:   make(map[net.Listener]bool),
 		wireConns: make(map[net.Conn]bool),
-	}
-}
-
-func (s *Server) buildHTTP() {
-	s.http = &http.Server{
-		Handler: s.Handler(),
-		// Slow-client bounds: a connection that trickles header bytes or
-		// sits idle is reclaimed, rather than pinning a goroutine (and its
-		// reader handle) forever.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		// One pinned reader handle per connection: HTTP/1.x serves a
-		// connection's requests sequentially on one goroutine, so the
-		// handle's single-goroutine contract holds.
-		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
-			return context.WithValue(ctx, readerKey{}, rwl.NewReader())
+		http: &http.Server{
+			// Slow-client bounds: a connection that trickles header bytes or
+			// sits idle is reclaimed, rather than pinning a goroutine (and its
+			// reader handle) forever.
+			ReadHeaderTimeout: 10 * time.Second,
+			IdleTimeout:       2 * time.Minute,
+			// One pinned reader handle per connection: HTTP/1.x serves a
+			// connection's requests sequentially on one goroutine, so the
+			// handle's single-goroutine contract holds.
+			ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
+				return context.WithValue(ctx, readerKey{}, rwl.NewReader())
+			},
 		},
 	}
-}
-
-// readerKey carries the per-connection reader handle in the request context.
-type readerKey struct{}
-
-// connReader returns the request's connection-pinned reader handle, nil
-// when the request did not come through Serve's ConnContext (e.g. direct
-// Handler tests); the engine's read paths degrade gracefully on nil.
-func connReader(r *http.Request) *rwl.Reader {
-	h, _ := r.Context().Value(readerKey{}).(*rwl.Reader)
-	return h
-}
-
-// Handler returns the route table. It is usable standalone (httptest), but
-// only connections served via Serve get per-connection reader handles.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	if s.clu != nil {
-		s.registerClusterRoutes(mux)
-		return mux
-	}
-	mux.HandleFunc("GET /kv/{key}", s.handleGet)
-	mux.HandleFunc("GET /mget", s.handleMGet)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	if s.follower != nil {
-		// Read-only replica: every mutating endpoint answers 403, naming
-		// the primary so a misrouted client can fix itself.
-		for _, route := range []string{
-			"PUT /kv/{key}", "DELETE /kv/{key}", "POST /mput",
-			"POST /cas", "POST /txn", "POST /flush", "POST /checkpoint",
-		} {
-			mux.HandleFunc(route, s.handleReadOnly)
-		}
-		mux.HandleFunc("GET /repl/status", s.handleFollowerStatus)
-		return mux
-	}
-	mux.HandleFunc("PUT /kv/{key}", s.handlePut)
-	mux.HandleFunc("DELETE /kv/{key}", s.handleDelete)
-	mux.HandleFunc("POST /mput", s.handleMPut)
-	mux.HandleFunc("POST /cas", s.handleCas)
-	mux.HandleFunc("POST /txn", s.handleTxn)
-	mux.HandleFunc("POST /flush", s.handleFlush)
-	mux.HandleFunc("POST /checkpoint", s.handleCheckpoint)
-	if s.primary != nil {
-		s.primary.Register(mux)
-	}
-	return mux
-}
-
-// handleReadOnly rejects writes on a follower.
-func (s *Server) handleReadOnly(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, fmt.Sprintf("read-only follower: write to the primary at %s", s.follower.Primary()), http.StatusForbidden)
 }
 
 // Serve accepts connections on l until Close. It also runs the background
@@ -266,6 +233,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.wg.Add(1)
 		go s.reapLoop()
 	}
+	s.mountOnce.Do(func() { s.http.Handler = s.Handler() })
 	return s.http.Serve(l)
 }
 
@@ -273,11 +241,11 @@ func (s *Server) Serve(l net.Listener) error {
 // immediately; wire listeners close and each wire connection gets
 // DrainTimeout to finish answering the pipelined requests its client
 // already sent (the read deadline cuts the stream, buffered frames are
-// still served — see ServeWire). Then the reaper stops and the engine's
+// still served — see ServeWire). Then the reaper stops and the store's
 // queued async writes flush so nothing accepted with a 202 is left
 // invisible (or, on durable engines, unlogged). It does not Close the
-// engine itself — the caller owns that lifecycle (see cmd/kvserv's
-// shutdown path).
+// engine or cluster itself — the caller owns that lifecycle (see
+// cmd/kvserv's shutdown path).
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -293,17 +261,13 @@ func (s *Server) Close() error {
 		}
 		s.wireMu.Unlock()
 		s.wg.Wait()
-		if s.clu != nil {
-			s.clu.Flush()
-		} else {
-			s.engine.Flush()
-		}
+		s.store.Flush()
 	})
 	return err
 }
 
 // reapLoop is the incremental background TTL reaper: one bounded Reap per
-// tick, under the engine's ordinary shard write locks.
+// tick, under the store's ordinary shard write locks.
 func (s *Server) reapLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.ReapInterval)
@@ -313,504 +277,7 @@ func (s *Server) reapLoop() {
 		case <-s.done:
 			return
 		case <-t.C:
-			if s.clu != nil {
-				s.clu.Reap(s.cfg.ReapBudget)
-			} else {
-				s.engine.Reap(s.cfg.ReapBudget)
-			}
+			s.store.Reap(s.cfg.ReapBudget)
 		}
 	}
-}
-
-func parseKey(r *http.Request) (uint64, error) {
-	k, err := strconv.ParseUint(r.PathValue("key"), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad key %q: want decimal uint64", r.PathValue("key"))
-	}
-	return k, nil
-}
-
-// minLSNError is a read-your-writes token the serving side cannot honor:
-// Conflict reports 409-vs-400 (retryable lag vs a token that can never be
-// valid here).
-type minLSNError struct {
-	Msg      string
-	Conflict bool
-}
-
-func (e *minLSNError) Error() string { return e.Msg }
-
-// checkMinLSN enforces a read's min_lsn read-your-writes token: every
-// shard the read touches must have applied at least that LSN. Followers
-// wait up to MinLSNWait for replication to cover the token; a durable
-// primary's position always covers the tokens it handed out, so a lagging
-// token there means a client confused about who it wrote to. The
-// transport-independent core of the HTTP ?min_lsn= and the wire MinLSN
-// field — nil means the read may proceed.
-func (s *Server) checkMinLSN(lsn uint64, keys []uint64) *minLSNError {
-	if lsn == 0 {
-		return nil
-	}
-	if s.follower == nil && !s.engine.Durable() {
-		return &minLSNError{Msg: "min_lsn on a volatile server: it has no LSNs"}
-	}
-	shards := map[int]bool{}
-	for _, k := range keys {
-		shards[s.engine.ShardOf(k)] = true
-	}
-	deadline := time.Now().Add(s.cfg.MinLSNWait)
-	for sh := range shards {
-		if s.follower != nil {
-			if s.follower.WaitMinLSN(sh, lsn, time.Until(deadline)) {
-				continue
-			}
-			return &minLSNError{
-				Msg:      fmt.Sprintf("replica shard %d at LSN %d, need %d: retry, or read the primary", sh, s.follower.AppliedLSN(sh), lsn),
-				Conflict: true,
-			}
-		}
-		if s.engine.ShardLSN(sh) < lsn {
-			return &minLSNError{
-				Msg:      fmt.Sprintf("shard %d at LSN %d, token says %d: this primary never issued it", sh, s.engine.ShardLSN(sh), lsn),
-				Conflict: true,
-			}
-		}
-	}
-	return nil
-}
-
-// honorMinLSN is checkMinLSN's HTTP face: parse ?min_lsn=, write the error
-// response on failure, report whether the read may proceed.
-func (s *Server) honorMinLSN(w http.ResponseWriter, r *http.Request, keys ...uint64) bool {
-	// Query() builds a map per call; the hot read path carries no token at
-	// all, and a plain substring probe keeps it allocation-free.
-	if !strings.Contains(r.URL.RawQuery, "min_lsn") {
-		return true
-	}
-	raw := r.URL.Query().Get("min_lsn")
-	if raw == "" {
-		return true
-	}
-	lsn, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad min_lsn %q: want a decimal LSN", raw), http.StatusBadRequest)
-		return false
-	}
-	if merr := s.checkMinLSN(lsn, keys); merr != nil {
-		code := http.StatusBadRequest
-		if merr.Conflict {
-			code = http.StatusConflict
-		}
-		http.Error(w, merr.Msg, code)
-		return false
-	}
-	return true
-}
-
-// writeCommitHeaders stamps a write response with the shard's commit LSN:
-// the read-your-writes token a client hands to a follower as ?min_lsn=.
-// The LSN is read after the write applied, so it is at least the write's
-// own record (concurrent writers can only push it later — still a
-// covering token). Volatile engines stamp nothing.
-func (s *Server) writeCommitHeaders(w http.ResponseWriter, key uint64) {
-	if !s.engine.Durable() {
-		return
-	}
-	sh := s.engine.ShardOf(key)
-	w.Header().Set("X-Commit-Shard", strconv.Itoa(sh))
-	w.Header().Set("X-Commit-Lsn", strconv.FormatUint(s.engine.ShardLSN(sh), 10))
-}
-
-// getBufPool recycles GET value buffers across requests (and goroutines —
-// HTTP handlers run one per connection). The engine appends into the
-// buffer and the handler writes it out before putting it back, so
-// steady-state point reads skip the per-request value-copy allocation.
-// Pointer-typed so Put does not box a fresh slice header each time.
-var getBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.honorMinLSN(w, r, key) {
-		return
-	}
-	bp := getBufPool.Get().(*[]byte)
-	v, ok := s.engine.GetIntoH(connReader(r), key, (*bp)[:0])
-	*bp = v[:0] // keep the possibly-grown buffer
-	if !ok {
-		getBufPool.Put(bp)
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(v)
-	getBufPool.Put(bp)
-}
-
-// readPutBody reads a PUT value under the per-value cap, answering the
-// error response itself; ok reports whether the handler may proceed.
-func readPutBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxValueBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", MaxValueBytes), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, fmt.Sprintf("body: %v", err), http.StatusBadRequest)
-		}
-		return nil, false
-	}
-	return body, true
-}
-
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	body, ok := readPutBody(w, r)
-	if !ok {
-		return
-	}
-	q := r.URL.Query()
-	if av := q.Get("async"); av != "" {
-		async, err := strconv.ParseBool(av)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad async %q: want a boolean", av), http.StatusBadRequest)
-			return
-		}
-		if async {
-			if q.Get("ttl") != "" {
-				http.Error(w, "ttl and async are exclusive: the queue applies without TTL", http.StatusBadRequest)
-				return
-			}
-			s.engine.PutAsync(key, body)
-			w.WriteHeader(http.StatusAccepted)
-			return
-		}
-	}
-	if ttlStr := q.Get("ttl"); ttlStr != "" {
-		ttl, err := parseTTL(ttlStr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.engine.PutTTL(key, body, ttl)
-	} else {
-		s.engine.Put(key, body)
-	}
-	s.writeCommitHeaders(w, key)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// parseTTL parses and validates a TTL parameter. Only strictly positive
-// durations make sense as expiries: zero and negatives would store a key
-// already expired (or, in an earlier bug, a non-expiring one), and
-// durations beyond ParseDuration's int64 range already fail the parse.
-// Rejecting them here turns a silent data-shape surprise into a 400.
-func parseTTL(raw string) (time.Duration, error) {
-	ttl, err := time.ParseDuration(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad ttl %q: %v", raw, err)
-	}
-	if ttl <= 0 {
-		return 0, fmt.Errorf("bad ttl %q: must be positive", raw)
-	}
-	return ttl, nil
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ok := s.engine.Delete(key)
-	// Even a miss appended a record (the delete is logged regardless), so
-	// the token is stamped on both outcomes.
-	s.writeCommitHeaders(w, key)
-	if !ok {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// mgetResponse answers /mget: values is parallel to the requested keys,
-// null marking absent (or expired) keys; []byte values render as base64.
-type mgetResponse struct {
-	Values [][]byte `json:"values"`
-}
-
-// parseMGetKeys parses ?keys=1,2,3, answering the error response itself.
-func parseMGetKeys(w http.ResponseWriter, r *http.Request) ([]uint64, bool) {
-	raw := r.URL.Query().Get("keys")
-	if raw == "" {
-		http.Error(w, "missing keys=1,2,3", http.StatusBadRequest)
-		return nil, false
-	}
-	parts := strings.Split(raw, ",")
-	keys := make([]uint64, len(parts))
-	for i, p := range parts {
-		k, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad key %q: want decimal uint64", p), http.StatusBadRequest)
-			return nil, false
-		}
-		keys[i] = k
-	}
-	return keys, true
-}
-
-func (s *Server) handleMGet(w http.ResponseWriter, r *http.Request) {
-	keys, ok := parseMGetKeys(w, r)
-	if !ok {
-		return
-	}
-	if !s.honorMinLSN(w, r, keys...) {
-		return
-	}
-	writeJSON(w, mgetResponse{Values: s.engine.MultiGetH(connReader(r), keys)})
-}
-
-// mputRequest is /mput's body: a batch applied as one MultiPut (each
-// shard's group under a single write-lock acquisition), optionally with
-// one TTL covering the batch.
-type mputRequest struct {
-	Entries []mputEntry `json:"entries"`
-	TTL     string      `json:"ttl,omitempty"`
-}
-
-type mputEntry struct {
-	Key   uint64 `json:"key"`
-	Value []byte `json:"value"`
-}
-
-// readMPutBody decodes /mput's JSON body under the batch cap, validating
-// per-entry sizes and the optional batch TTL; it answers the error
-// response itself.
-func readMPutBody(w http.ResponseWriter, r *http.Request) (keys []uint64, vals [][]byte, ttl time.Duration, ok bool) {
-	var req mputRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxMPutBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("batch body exceeds %d bytes: split the batch", MaxMPutBodyBytes), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, fmt.Sprintf("body: %v", err), http.StatusBadRequest)
-		}
-		return nil, nil, 0, false
-	}
-	if req.TTL != "" {
-		var err error
-		if ttl, err = parseTTL(req.TTL); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return nil, nil, 0, false
-		}
-	}
-	keys = make([]uint64, len(req.Entries))
-	vals = make([][]byte, len(req.Entries))
-	for i, e := range req.Entries {
-		if len(e.Value) > MaxValueBytes {
-			http.Error(w, fmt.Sprintf("entry %d: value exceeds %d bytes", i, MaxValueBytes), http.StatusRequestEntityTooLarge)
-			return nil, nil, 0, false
-		}
-		keys[i] = e.Key
-		vals[i] = e.Value
-	}
-	return keys, vals, ttl, true
-}
-
-func (s *Server) handleMPut(w http.ResponseWriter, r *http.Request) {
-	keys, vals, ttl, ok := readMPutBody(w, r)
-	if !ok {
-		return
-	}
-	if ttl > 0 {
-		s.engine.MultiPutTTL(keys, vals, ttl)
-	} else {
-		s.engine.MultiPut(keys, vals)
-	}
-	resp := mputResponse{Applied: len(keys)}
-	if s.engine.Durable() {
-		// One commit LSN per shard the batch touched: the batch's
-		// read-your-writes tokens.
-		resp.LSNs = map[string]uint64{}
-		for _, k := range keys {
-			sh := s.engine.ShardOf(k)
-			shs := strconv.Itoa(sh)
-			if _, done := resp.LSNs[shs]; !done {
-				resp.LSNs[shs] = s.engine.ShardLSN(sh)
-			}
-		}
-	}
-	writeJSON(w, resp)
-}
-
-// mputResponse is /mput's reply: the applied count and, on durable
-// engines, the commit LSN of every shard the batch touched (keys are
-// decimal shard indices).
-type mputResponse struct {
-	Applied int               `json:"applied"`
-	LSNs    map[string]uint64 `json:"lsns,omitempty"`
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]int{"flushed": s.engine.Flush()})
-}
-
-// handleCheckpoint snapshots every shard and truncates its log. Volatile
-// engines answer 409 (the operator asked for durability the server was not
-// started with); real checkpoint IO failures are the one honest 500 here.
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.engine.Durable() {
-		http.Error(w, "engine is volatile: start kvserv with -data-dir", http.StatusConflict)
-		return
-	}
-	if err := s.engine.Checkpoint(); err != nil {
-		http.Error(w, fmt.Sprintf("checkpoint: %v", err), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]int{"checkpointed": s.engine.NumShards()})
-}
-
-// statsResponse is /stats: the engine's per-shard counters plus the fold
-// and the durability posture. WALError carries the first WAL failure so a
-// monitor can tell "serving but no longer durable" from healthy. Primaries
-// include their replication posture under "repl", followers their
-// per-shard positions and lag under "follower".
-type statsResponse struct {
-	NumShards     int  `json:"num_shards"`
-	HandleCapable bool `json:"handle_capable"`
-	// SeqReadAttempts is the engine's optimistic read budget: how many
-	// lock-free seqlock read attempts a Get makes before falling back to
-	// the shard's BRAVO read lock (0 = optimistic path disabled). The
-	// per-path outcome counters are seq_reads/seq_retries/seq_fallbacks
-	// in the shard stats below.
-	SeqReadAttempts int              `json:"seq_read_attempts"`
-	Durable         bool             `json:"durable"`
-	SyncPolicy      string           `json:"sync_policy,omitempty"`
-	WALError        string           `json:"wal_error,omitempty"`
-	Total           kvs.ShardStats   `json:"total"`
-	Shards          []kvs.ShardStats `json:"shards"`
-	Repl            *repl.Status     `json:"repl,omitempty"`
-	Follower        *followerStatus  `json:"follower,omitempty"`
-	Cluster         *cluster.Status  `json:"cluster,omitempty"`
-}
-
-// followerStatus is a follower's replication view: where each shard is,
-// and — when the primary answers — how far behind.
-type followerStatus struct {
-	Primary      string               `json:"primary"`
-	Reconnects   uint64               `json:"reconnects"`
-	PrimaryError string               `json:"primary_error,omitempty"`
-	Shards       []followerShardStats `json:"shards"`
-}
-
-type followerShardStats struct {
-	AppliedLSN uint64 `json:"applied_lsn"`
-	Records    uint64 `json:"records"`
-	Snapshots  uint64 `json:"snapshots"`
-	// PrimaryLSN and Lag (primary minus applied, in records) are present
-	// when the primary's status was reachable.
-	PrimaryLSN uint64 `json:"primary_lsn,omitempty"`
-	Lag        uint64 `json:"lag,omitempty"`
-}
-
-// buildFollowerStatus folds the follower's local progress with the
-// primary's live LSNs into the lag view. A dead primary degrades to
-// positions-only plus the fetch error.
-func (s *Server) buildFollowerStatus() *followerStatus {
-	fst := s.follower.Stats()
-	out := &followerStatus{
-		Primary:    fst.Primary,
-		Reconnects: fst.Reconnects,
-		Shards:     make([]followerShardStats, len(fst.Shards)),
-	}
-	for i, sp := range fst.Shards {
-		out.Shards[i] = followerShardStats{
-			AppliedLSN: sp.AppliedLSN,
-			Records:    sp.Records,
-			Snapshots:  sp.Snapshots,
-		}
-	}
-	pst, err := s.follower.PrimaryStatus()
-	if err != nil {
-		out.PrimaryError = err.Error()
-		return out
-	}
-	for i := range out.Shards {
-		if i >= len(pst.LSNs) {
-			break
-		}
-		out.Shards[i].PrimaryLSN = pst.LSNs[i]
-		if pst.LSNs[i] > out.Shards[i].AppliedLSN {
-			out.Shards[i].Lag = pst.LSNs[i] - out.Shards[i].AppliedLSN
-		}
-	}
-	return out
-}
-
-// handleFollowerStatus is the follower's /repl/status: its own positions
-// and lag (the primary's /repl/status, same path, reports the other end).
-func (s *Server) handleFollowerStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.buildFollowerStatus())
-}
-
-// buildStats assembles the stats document both front-ends serve (HTTP
-// GET /stats, wire STATS).
-func (s *Server) buildStats() statsResponse {
-	if s.clu != nil {
-		cst := s.clu.Stats()
-		resp := statsResponse{
-			NumShards: cst.Partitions * cst.ShardsPerPartition,
-			Durable:   true, // cluster primaries are always durable
-			Cluster:   &cst,
-		}
-		for _, ps := range cst.Members {
-			resp.Total.Add(ps.Total)
-		}
-		return resp
-	}
-	st := s.engine.Stats()
-	resp := statsResponse{
-		NumShards:       s.engine.NumShards(),
-		HandleCapable:   s.engine.HandleCapable(),
-		SeqReadAttempts: s.engine.SeqReadAttempts(),
-		Durable:         s.engine.Durable(),
-		Total:           st.Total(),
-		Shards:          st.Shards,
-	}
-	if resp.Durable {
-		resp.SyncPolicy = s.engine.SyncPolicy().String()
-		if err := s.engine.WALError(); err != nil {
-			resp.WALError = err.Error()
-		}
-	}
-	if s.primary != nil {
-		pst := s.primary.Status()
-		resp.Repl = &pst
-	}
-	if s.follower != nil {
-		resp.Follower = s.buildFollowerStatus()
-	}
-	return resp
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.buildStats())
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	// Encode errors here mean the client went away mid-response; the status
-	// header is already out, so there is nothing useful left to report.
-	_ = json.NewEncoder(w).Encode(v)
 }

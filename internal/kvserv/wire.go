@@ -1,12 +1,11 @@
-// The wire front-end: the same engine and serving semantics as the HTTP
-// handlers, over internal/wire's pipelined binary protocol. The point is
-// lock amortization end to end — a client batches N keys into one MPUT/
-// MGET frame, the server decodes it straight into the engine's MultiPut/
-// MultiGet, and the engine's shard-grouping pass makes the whole network
-// batch cost one write-lock acquisition (one bias revocation, one WAL
-// group commit) per shard it touches. HTTP answers one op per round trip
-// and spends its time in text parsing and header allocation; the wire path
-// spends its time in the engine.
+// The wire codec: internal/wire's pipelined binary protocol in front of the
+// executor. Frames decode into the wire.Request the executor takes and its
+// wire.Response encodes straight back, so this file is only connection
+// handling. The protocol's point is lock amortization end to end — a client
+// batches N keys into one MPUT/MGET frame, the store's MultiPut/MultiGet
+// takes it whole, and the engine's shard-grouping pass makes the network
+// batch cost one write-lock acquisition (one bias revocation, one WAL group
+// commit) per shard it touches.
 //
 // Each connection is served by one goroutine holding one pinned
 // rwl.Reader, the same contract the HTTP front-end gets from HTTP/1.x
@@ -20,13 +19,9 @@ package kvserv
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
-	"os"
 
 	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/wire"
@@ -38,7 +33,7 @@ var ErrServerClosed = errors.New("kvserv: server closed")
 
 // ServeWire accepts wire-protocol connections on l until Close. It may
 // run alongside Serve (the HTTP front-end) on a different listener; both
-// serve the same engine with the same semantics. Like Serve, it always
+// serve the same store through the same executor. Like Serve, it always
 // returns a non-nil error; after Close that error is ErrServerClosed.
 func (s *Server) ServeWire(l net.Listener) error {
 	s.wireMu.Lock()
@@ -77,8 +72,8 @@ func (s *Server) ServeWire(l net.Listener) error {
 	}
 }
 
-// serveWireConn runs one connection: decode request frames, serve each
-// through the engine, batch responses until the request backlog drains.
+// serveWireConn runs one connection: decode request frames, execute each,
+// batch responses until the request backlog drains.
 // A protocol error (corrupt frame, undecodable header) closes the
 // connection — frame boundaries are gone, nothing more can be answered.
 func (s *Server) serveWireConn(nc net.Conn) {
@@ -95,7 +90,7 @@ func (s *Server) serveWireConn(nc net.Conn) {
 	reader := rwl.NewReader()
 	dec := wire.NewStreamDecoder(nc, wire.DefaultMaxFrame)
 	bw := bufio.NewWriterSize(nc, 64<<10)
-	scratch := newWireScratch(s.numWireShards())
+	sc := new(scratch)
 	var out []byte // response encode scratch, reused across requests
 
 	for {
@@ -109,7 +104,7 @@ func (s *Server) serveWireConn(nc net.Conn) {
 		req, ok := wire.DecodeRequest(payload)
 		var resp wire.Response
 		if ok {
-			resp = s.serveWireRequest(reader, &req, scratch)
+			resp = s.execute(reader, &req, sc)
 		} else if op, id, headerOK := wireHeader(payload); headerOK {
 			// The frame's envelope was sound and its header parsed — the
 			// client can be told which request was malformed, and the
@@ -141,263 +136,4 @@ func wireHeader(p []byte) (wire.Op, uint64, bool) {
 		return 0, 0, false
 	}
 	return wire.Op(p[1]), binary.LittleEndian.Uint64(p[3:]), true
-}
-
-// wireScratch is a connection's reusable serving memory. Responses alias
-// it, which is safe because serveWireConn encodes each response into the
-// output buffer before decoding the next request — the scratch is never
-// live across two requests. It exists because the wire path's whole point
-// is being cheaper than HTTP: without it every GET paid a value-copy
-// allocation and every durable write a map plus slice for its commit LSNs.
-type wireScratch struct {
-	val  []byte          // GET value buffer, grown to the largest value served
-	vals [][]byte        // MGET result slice (the values are fresh copies)
-	lsns []wire.ShardLSN // commit-LSN stamp under construction
-	seen []bool          // per-shard dedup for lsns, cleared after each use
-	doc  []byte          // STATS JSON document buffer
-}
-
-func newWireScratch(numShards int) *wireScratch {
-	return &wireScratch{seen: make([]bool, numShards)}
-}
-
-// numWireShards sizes a connection's scratch: the engine's shard count, or
-// in cluster mode the global token namespace (partitions × shards).
-func (s *Server) numWireShards() int {
-	if s.clu != nil {
-		return s.clu.NumPartitions() * s.clu.ShardsPerPartition()
-	}
-	return s.engine.NumShards()
-}
-
-// serveWireRequest serves one decoded request through the engine: the wire
-// counterpart of the HTTP handler table, same statuses, same caps, same
-// read-your-writes semantics. The response may alias sc; encode it before
-// the next call.
-func (s *Server) serveWireRequest(reader *rwl.Reader, req *wire.Request, sc *wireScratch) wire.Response {
-	if s.clu != nil {
-		return s.serveClusterWireRequest(reader, req, sc)
-	}
-	resp := wire.Response{Op: req.Op, ID: req.ID}
-	switch req.Op {
-	case wire.OpGet:
-		if !s.wireMinLSN(&resp, req.MinLSN, req.Key) {
-			return resp
-		}
-		v, ok := s.engine.GetIntoH(reader, req.Key, sc.val[:0])
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return resp
-		}
-		sc.val = v
-		resp.Value = v
-
-	case wire.OpMGet:
-		if !s.wireMinLSN(&resp, req.MinLSN, req.Keys...) {
-			return resp
-		}
-		sc.vals = s.engine.MultiGetIntoH(reader, req.Keys, sc.vals)
-		resp.Values = sc.vals
-
-	case wire.OpPut:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		if len(req.Value) > MaxValueBytes {
-			resp.Status = wire.StatusTooLarge
-			resp.Msg = fmt.Sprintf("value exceeds %d bytes", MaxValueBytes)
-			return resp
-		}
-		if req.Async {
-			if req.TTL > 0 {
-				resp.Status = wire.StatusBadRequest
-				resp.Msg = "ttl and async are exclusive: the queue applies without TTL"
-				return resp
-			}
-			// PutAsync keeps the value past the call; the decode buffer is
-			// the connection's, so detach.
-			s.engine.PutAsync(req.Key, append([]byte(nil), req.Value...))
-			return resp // no LSNs: the write has not applied yet
-		}
-		if req.TTL > 0 {
-			s.engine.PutTTL(req.Key, req.Value, req.TTL)
-		} else {
-			s.engine.Put(req.Key, req.Value)
-		}
-		resp.LSNs = s.wireCommitLSNs(sc, req.Key)
-
-	case wire.OpDelete:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		ok := s.engine.Delete(req.Key)
-		// Even a miss appended a record (the delete is logged regardless),
-		// so the token is stamped on both outcomes.
-		resp.LSNs = s.wireCommitLSNs(sc, req.Key)
-		if !ok {
-			resp.Status = wire.StatusNotFound
-		}
-
-	case wire.OpMPut:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		for i, v := range req.Values {
-			if len(v) > MaxValueBytes {
-				resp.Status = wire.StatusTooLarge
-				resp.Msg = fmt.Sprintf("entry %d: value exceeds %d bytes", i, MaxValueBytes)
-				return resp
-			}
-		}
-		if req.TTL > 0 {
-			s.engine.MultiPutTTL(req.Keys, req.Values, req.TTL)
-		} else {
-			s.engine.MultiPut(req.Keys, req.Values)
-		}
-		resp.Applied = uint32(len(req.Keys))
-		resp.LSNs = s.wireCommitLSNs(sc, req.Keys...)
-
-	case wire.OpMDelete:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		resp.Applied = uint32(s.engine.MultiDelete(req.Keys))
-		resp.LSNs = s.wireCommitLSNs(sc, req.Keys...)
-
-	case wire.OpCas:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		if len(req.Old) > MaxValueBytes || len(req.New) > MaxValueBytes {
-			resp.Status = wire.StatusTooLarge
-			resp.Msg = fmt.Sprintf("value exceeds %d bytes", MaxValueBytes)
-			return resp
-		}
-		swapped, err := s.engine.CompareAndSwap(req.Key, req.Old, req.New)
-		if err != nil {
-			resp.Status = wire.StatusBadRequest
-			resp.Msg = err.Error()
-			return resp
-		}
-		resp.Swapped = swapped
-		resp.LSNs = s.wireCommitLSNs(sc, req.Key)
-
-	case wire.OpTxn:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		conds := make([]txnCond, len(req.Conds))
-		for i, c := range req.Conds {
-			if len(c.Value) > MaxValueBytes {
-				resp.Status = wire.StatusTooLarge
-				resp.Msg = fmt.Sprintf("condition %d: value exceeds %d bytes", i, MaxValueBytes)
-				return resp
-			}
-			conds[i] = txnCond{Key: c.Key, Value: c.Value}
-		}
-		ops := make([]txnWireOp, len(req.TxnOps))
-		for i, o := range req.TxnOps {
-			if len(o.Value) > MaxValueBytes {
-				resp.Status = wire.StatusTooLarge
-				resp.Msg = fmt.Sprintf("op %d: value exceeds %d bytes", i, MaxValueBytes)
-				return resp
-			}
-			ops[i] = txnWireOp{del: o.Del, key: o.Key, val: o.Value, ttl: o.TTL}
-		}
-		committed, mismatch, err := runConditionalTxn(s.engine, conds, ops)
-		if err != nil {
-			resp.Status = wire.StatusBadRequest
-			resp.Msg = err.Error()
-			return resp
-		}
-		resp.Committed = committed
-		if !committed {
-			resp.Mismatch = mismatch
-			return resp
-		}
-		opKeys := make([]uint64, len(req.TxnOps))
-		for i, o := range req.TxnOps {
-			opKeys[i] = o.Key
-		}
-		resp.LSNs = s.wireCommitLSNs(sc, opKeys...)
-
-	case wire.OpFlush:
-		if !s.wireWritable(&resp) {
-			return resp
-		}
-		resp.Applied = uint32(s.engine.Flush())
-
-	case wire.OpStats:
-		// Encode into the connection's document buffer: steady-state STATS
-		// polling reuses one allocation instead of re-marshaling ~5KB per
-		// request.
-		buf := bytes.NewBuffer(sc.doc[:0])
-		if err := json.NewEncoder(buf).Encode(s.buildStats()); err != nil {
-			// Stats marshaling cannot fail on the types involved; surfacing
-			// it beats hiding it.
-			fmt.Fprintf(os.Stderr, "kvserv: stats marshal: %v\n", err)
-			resp.Status = wire.StatusBadRequest
-			resp.Msg = "stats marshal failed"
-			return resp
-		}
-		sc.doc = buf.Bytes()
-		// Trim the Encoder's trailing newline: STATS carries the document,
-		// not a stream line.
-		resp.Stats = sc.doc[:len(sc.doc)-1]
-
-	default:
-		resp.Status = wire.StatusUnsupported
-		resp.Msg = "unknown op"
-	}
-	return resp
-}
-
-// wireWritable rejects writes on a follower, mirroring handleReadOnly.
-func (s *Server) wireWritable(resp *wire.Response) bool {
-	if s.follower == nil {
-		return true
-	}
-	resp.Status = wire.StatusReadOnly
-	resp.Msg = fmt.Sprintf("read-only follower: write to the primary at %s", s.follower.Primary())
-	return false
-}
-
-// wireMinLSN enforces a read's MinLSN token, mirroring honorMinLSN.
-func (s *Server) wireMinLSN(resp *wire.Response, lsn uint64, keys ...uint64) bool {
-	merr := s.checkMinLSN(lsn, keys)
-	if merr == nil {
-		return true
-	}
-	if merr.Conflict {
-		resp.Status = wire.StatusConflict
-	} else {
-		resp.Status = wire.StatusBadRequest
-	}
-	resp.Msg = merr.Msg
-	return false
-}
-
-// wireCommitLSNs reads the commit LSN of every shard the write's keys
-// touched — the binary X-Commit-Shard/X-Commit-Lsn. Read after the write
-// applied, so each is at least the write's own record; volatile engines
-// stamp nothing.
-func (s *Server) wireCommitLSNs(sc *wireScratch, keys ...uint64) []wire.ShardLSN {
-	if !s.engine.Durable() || len(keys) == 0 {
-		return nil
-	}
-	lsns := sc.lsns[:0]
-	for _, k := range keys {
-		sh := uint32(s.engine.ShardOf(k))
-		if sc.seen[sh] {
-			continue
-		}
-		sc.seen[sh] = true
-		lsns = append(lsns, wire.ShardLSN{Shard: sh, LSN: s.engine.ShardLSN(int(sh))})
-	}
-	// Reset the dedup marks by walking what was set, not the whole array.
-	for _, l := range lsns {
-		sc.seen[l.Shard] = false
-	}
-	sc.lsns = lsns
-	return lsns
 }

@@ -416,3 +416,27 @@ func Never(t *testing.T, cond func() bool, d time.Duration, msg string) {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
+
+// Within runs storm on at least two Ps and fails the test if it has not
+// returned by d. A lost wakeup parks the storm's goroutines forever, which
+// without a deadline reads as a ten-minute package timeout instead of a
+// failure; and it needs real parallelism to occur at all.
+func Within(t *testing.T, d time.Duration, storm func()) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	done := make(chan struct{})
+	go func() {
+		// A storm may report through t.Fatalf, which off the test goroutine
+		// only exits this one; the deferred close still signals completion
+		// and the failure stays recorded on t.
+		defer close(done)
+		storm()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v: lost wakeup", d)
+	}
+}

@@ -68,12 +68,13 @@ func (l *Lock) RLock() rwl.Token {
 	if w == 0 {
 		return 0
 	}
-	l.rwait()
+	l.rwait(w)
 	return 0
 }
 
-// rwait blocks the calling reader until the current writer phase ends.
-func (l *Lock) rwait() {
+// rwait blocks the calling reader until the writer phase it arrived in —
+// the one whose bits w it observed — ends.
+func (l *Lock) rwait(w uint32) {
 	n := &rnode{}
 	for {
 		old := l.rtail.Load()
@@ -82,11 +83,14 @@ func (l *Lock) rwait() {
 			break
 		}
 	}
-	// Recheck after publication. If a writer is still present, its unlock
-	// (which clears the bits *before* detaching the queue) is in our future,
-	// so a detach-and-release of our node is guaranteed. If no writer is
-	// present we may have enqueued after the final detach: admit ourselves.
-	if l.rin.Load()&wbits == 0 {
+	// Recheck after publication. If the bits are still the ones we arrived
+	// under, that writer's unlock (which clears the bits *before* detaching
+	// the queue) is in our future, so a detach-and-release of our node is
+	// guaranteed. Any other value — clear, or a successor's bits — means our
+	// phase ended and we may have enqueued after its detach: admit ourselves.
+	// Waiting on "no writer at all" instead deadlocks: the successor counted
+	// our arrival and is draining us while we wait for its release.
+	if l.rin.Load()&wbits != w {
 		// Best-effort removal to keep the stale list short.
 		l.rtail.CompareAndSwap(n, n.next)
 		return
@@ -138,6 +142,12 @@ func (l *Lock) beginPhase() {
 // successor if any.
 func (l *Lock) Unlock() {
 	l.endPhase()
+	l.handoff()
+}
+
+// handoff passes write ownership to the queued successor, or empties the
+// queue. Caller must hold write ownership.
+func (l *Lock) handoff() {
 	n := l.whead
 	l.whead = nil
 	if n.next.Load() == nil {
@@ -193,6 +203,11 @@ func (l *Lock) TryRLock() (rwl.Token, bool) {
 }
 
 // TryLock attempts to acquire write permission without joining the queue.
+// It announces with one CAS that succeeds only when no reader is active, so
+// a failed try never exposes writer bits or consumes a phase ID: readers
+// rely on the bits changing exactly once per reader drain (see rwait), and
+// two announce-and-retract tries would flip the one-bit PHID back to the
+// value a slow reader observed.
 func (l *Lock) TryLock() bool {
 	n := wnodePool.Get().(*wnode)
 	n.next.Store(nil)
@@ -203,14 +218,11 @@ func (l *Lock) TryLock() bool {
 	}
 	l.whead = n
 	t := l.phase
-	l.phase = t + 1
-	w := pres | (t & phid)
-	arrivals := (l.rin.Add(w) - w) &^ wbits
-	if l.rout.Load() == arrivals {
+	r := l.rin.Load() // no writer bits: we own the queue
+	if l.rout.Load() == r && l.rin.CompareAndSwap(r, r|pres|(t&phid)) {
+		l.phase = t + 1
 		return true
 	}
-	// Readers are active: retract the announcement and hand off exactly as
-	// a full unlock would (readers may have enqueued in the window).
-	l.Unlock()
+	l.handoff()
 	return false
 }

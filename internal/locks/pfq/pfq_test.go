@@ -3,6 +3,7 @@ package pfq
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/bravolock/bravo/internal/lockcheck"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -126,4 +127,22 @@ func TestTryLockContention(t *testing.T) {
 	// And the lock must be fully functional afterwards.
 	tok = l.RLock()
 	l.RUnlock(tok)
+}
+
+// A reader that observed writer W1's bits and enqueued after W1's detach
+// must admit itself even when successor W2 has already announced: W2 counted
+// the reader's arrival and is waiting for its departure.
+func TestSuccessorWriterDoesNotStrandReader(t *testing.T) {
+	for round := 0; round < 300 && !t.Failed(); round++ {
+		lockcheck.Within(t, 10*time.Second, func() { lockcheck.Exclusion(t, mk, 4, 2, 2000) })
+	}
+}
+
+// Failed TryLocks must not expose writer bits: two announce-and-retract
+// tries used to flip the one-bit phase ID back to the value a slow reader
+// observed, parking it behind a writer that was draining it.
+func TestFailedTryLockDoesNotStrandReader(t *testing.T) {
+	for round := 0; round < 300 && !t.Failed(); round++ {
+		lockcheck.Within(t, 10*time.Second, func() { lockcheck.TryExclusion(t, mk, 6, 1500) })
+	}
 }

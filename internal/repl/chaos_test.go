@@ -154,6 +154,11 @@ func TestChaosStreamCutAtEveryBoundaryAndMidFrame(t *testing.T) {
 		f := openFollower(t, srv, func(c *Config) {
 			c.RetryInterval = 2 * time.Millisecond
 			c.OnApply = oracle.hook
+			// No keep-alive: the stream GET must not reuse the status fetch's
+			// connection, or net/http transparently retries a GET that died
+			// before its first byte (the cut at 0) and the follower never
+			// sees the cut.
+			c.Client = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 		})
 		if err := f.WaitCaughtUp(10 * time.Second); err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)

@@ -191,6 +191,11 @@ func (s *RWSem) downWriteSlow(task uint64) {
 		return
 	}
 	s.enqueueLocked(w)
+	if c := s.count.Load(); c>>readerShift == 0 && c&writerLocked == 0 {
+		// The holder released between the failed CAS and the enqueue: it saw
+		// no hasWaiters and woke nobody, so re-drive the wakeup ourselves.
+		s.wakeLocked()
+	}
 	s.waitLock.unlock()
 	<-w.wake
 	// The waker transferred writerLocked to us (lock handoff).

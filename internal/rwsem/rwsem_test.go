@@ -190,3 +190,33 @@ func TestTryDownWrite(t *testing.T) {
 	}
 	s.UpRead(3)
 }
+
+// Two writers trading the semaphore with no readers: a writer that enqueues
+// just after the holder's UpWrite (which saw no hasWaiters and woke nobody)
+// must re-drive the wakeup itself, or it sleeps forever with count ==
+// hasWaiters and every later writer queues behind it.
+func TestTwoWriterPingPongNoLostWakeup(t *testing.T) {
+	for round := 0; round < 12 && !t.Failed(); round++ {
+		s := New(Config{SpinOnOwner: round%2 == 1})
+		lockcheck.Within(t, 10*time.Second, func() {
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for task := uint64(1); task <= 2; task++ {
+				wg.Add(1)
+				go func(task uint64) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < 1000000; i++ {
+						s.DownWrite(task)
+						s.UpWrite(task)
+					}
+				}(task)
+			}
+			close(start)
+			wg.Wait()
+		})
+		if t.Failed() {
+			t.Logf("SpinOnOwner=%v, count=%#x", round%2 == 1, s.count.Load())
+		}
+	}
+}

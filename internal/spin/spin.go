@@ -39,7 +39,7 @@ func (b *Backoff) Once() {
 	b.i++
 	switch {
 	case b.i <= activeSpins && !singleP:
-		doNotOptimize()
+		pause(uint64(b.i))
 	case b.i <= yieldSpins:
 		runtime.Gosched()
 	default:
@@ -59,15 +59,16 @@ func Until(cond func() bool) {
 	}
 }
 
-// sink defeats dead-code elimination of the active spin phase.
-var sink uint64
-
-func doNotOptimize() {
-	// A handful of arithmetic ops approximates a PAUSE-class delay without
-	// touching shared state.
-	x := sink
+// pause approximates a PAUSE-class delay with a handful of arithmetic ops
+// in registers. It must touch no memory: spinners run concurrently, so a
+// shared sink would be a data race between them and a contended cache line
+// in every wait loop. noinline keeps the call, and so the loop, from being
+// optimized away.
+//
+//go:noinline
+func pause(x uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		x = x*2654435761 + 1
 	}
-	sink = x
+	return x
 }
