@@ -7,7 +7,9 @@
 // policy and write-side behaviour but scalable concurrent reading. Readers
 // publish themselves with a single CAS into a process-wide visible readers
 // table instead of updating A's central reader indicator; writers pass
-// through A and, when reader bias is set, revoke it by scanning the table.
+// through A and, when reader bias is set, revoke it: one swap clears the bias
+// and collects the lock's occupancy summary, then only the table sectors its
+// readers published in are scanned.
 // A built-in policy bounds the worst-case writer slow-down to about
 // 1/(N+1) (N = 9 by default), the paper's primum-non-nocere guarantee.
 //

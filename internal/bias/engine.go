@@ -22,6 +22,23 @@ import (
 // (slot values are compared, never dereferenced), so an Engine must not be
 // copied after first use.
 type Engine struct {
+	// rbias is Listing 1's RBias flag in bit 0 (biasBit) and, above it, this
+	// lock's occupancy summary: bit sectorBase+s is set when some fast
+	// reader may be published in table sector s. Invariants:
+	//
+	//   - A summary bit is set only by a CAS from a word that has biasBit
+	//     (markSector) and cleared only by the revoking Swap(0), so bias off
+	//     ⇒ word == 0, and MaybeEnable's CAS(0, biasBit) is Listing 1's.
+	//   - A fast read succeeds only if, after its slot publication, one
+	//     atomic observation of the word showed biasBit and its sector's bit
+	//     together (publishAt). Bits are cleared only by the Swap, so the
+	//     first Swap after that observation returns the bit, and the
+	//     revoking writer scans the sector the reader is published in: the
+	//     BRAVO safety argument with the mask riding along.
+	//   - The observation follows the publication, never precedes it. A
+	//     reader that saw its bit and only then published could be overtaken
+	//     by a revoke + re-enable that clears the bit in between (ABA on the
+	//     word); checking afterwards, it finds the bit missing and re-marks.
 	rbias atomic.Uint32
 	// epoch counts bias enablements. Reader handles that diverted on a slot
 	// collision remember the epoch and retry their home slot only after the
@@ -41,6 +58,12 @@ type Engine struct {
 	probe2     bool
 	randomized bool
 }
+
+// rbias word layout.
+const (
+	biasBit    = 1                   // reader bias is enabled
+	sectorBase = 32 - summarySectors // bit sectorBase+s summarises table sector s
+)
 
 // ID returns the lock identity installed in table slots.
 func (e *Engine) ID() uintptr { return uintptr(unsafe.Pointer(e)) }
@@ -140,7 +163,7 @@ func (e *Engine) SecondProbe() bool { return e.probe2 }
 func (e *Engine) Randomized() bool { return e.randomized }
 
 // Enabled reports whether reader bias is currently set.
-func (e *Engine) Enabled() bool { return e.rbias.Load() == 1 }
+func (e *Engine) Enabled() bool { return e.rbias.Load()&biasBit != 0 }
 
 // Epoch returns the bias-enable generation counter.
 func (e *Engine) Epoch() uint32 { return e.epoch.Load() }
@@ -181,7 +204,7 @@ func (e *Engine) noteHandle() {
 // handle-free Listing 1 lines 10–23; callers that failed must acquire read
 // permission on the substrate and then call MaybeEnable.
 func (e *Engine) TryFast(selfID uint64) (SlotToken, bool) {
-	if e.rbias.Load() != 1 {
+	if !e.Enabled() {
 		e.NoteDisabled()
 		return 0, false
 	}
@@ -221,7 +244,12 @@ func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
 	}
 	// Store-load fence required on TSO — subsumed by the CAS, and in Go by
 	// the sequentially consistent atomics.
-	if e.rbias.Load() == 1 { // recheck (Listing 1 line 16)
+	//
+	// The recheck (Listing 1 line 16) must show bias and this slot's sector
+	// bit in the same observation; every path — anonymous, handle, second
+	// probe, rwsem — publishes through here, so all share the summary.
+	want := uint32(biasBit | 1<<(sectorBase+e.table.sector(idx)))
+	if w := e.rbias.Load(); w&want == want || (w&biasBit != 0 && e.markSector(want)) {
 		e.noteFast()
 		return makeSlotToken(idx, gen), true, true
 	}
@@ -230,6 +258,25 @@ func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
 	e.table.ClearOwned(idx, gen, e.ID())
 	e.noteRaced()
 	return 0, false, true
+}
+
+// markSector sets a published reader's sector bit in the occupancy summary
+// and reports whether bias was still set when it landed: the winning CAS is
+// itself the reader's one observation of bias and bit together. Cold — taken
+// by the first fast reader of a sector after each re-enable — and kept out
+// of line so publishAt stays a load and a compare.
+//
+//go:noinline
+func (e *Engine) markSector(want uint32) bool {
+	for {
+		w := e.rbias.Load()
+		if w&biasBit == 0 {
+			return false
+		}
+		if w&want == want || e.rbias.CompareAndSwap(w, w|want) {
+			return true
+		}
+	}
 }
 
 // ClearFast releases a fast-path read acquisition made with TryFast or
@@ -250,7 +297,7 @@ func (e *Engine) MaybeEnable() {
 		return
 	}
 	if e.rbias.Load() == 0 && e.policy.ShouldEnable() {
-		if e.rbias.CompareAndSwap(0, 1) {
+		if e.rbias.CompareAndSwap(0, biasBit) {
 			e.epoch.Add(1)
 		}
 	}
@@ -258,12 +305,16 @@ func (e *Engine) MaybeEnable() {
 
 // Revoke disables reader bias and waits for all fast-path readers of this
 // engine to depart (Listing 1 lines 38–49). The caller must hold write
-// permission on the substrate.
+// permission on the substrate. One Swap disables bias and collects and
+// clears the occupancy summary — a Load followed by Store(0) would drop a
+// bit marked in between, and with it a reader — and the scan then visits
+// only the sectors the summary names: none at all for a write that arrives
+// after bias was re-enabled but before any fast reader published.
 func (e *Engine) Revoke() {
-	e.rbias.Store(0)
+	w := e.rbias.Swap(0)
 	// Store-load fence required on TSO — Go atomics are seq-cst.
 	start := clock.Nanos()
-	scanned, conflicts := e.table.WaitEmpty(e.ID())
+	scanned, conflicts := e.table.waitEmptyIn(e.ID(), w>>sectorBase)
 	now := clock.Nanos()
 	// Primum non-nocere: limit and bound the slow-down arising from
 	// revocation overheads.
@@ -283,7 +334,7 @@ func (e *Engine) Revoke() {
 // no-revocation write otherwise. It is the writer's post-acquisition step
 // (Listing 1, Writer).
 func (e *Engine) RevokeIfEnabled() bool {
-	if e.rbias.Load() == 1 {
+	if e.Enabled() {
 		e.Revoke()
 		return true
 	}
@@ -293,13 +344,19 @@ func (e *Engine) RevokeIfEnabled() bool {
 	return false
 }
 
-// forceBias sets or clears the RBias word directly, bypassing policy and
+// forceBias sets or clears the bias bit directly, bypassing policy and
 // revocation. Test hook: used to reproduce the publish/recheck race windows
-// deterministically.
+// deterministically. Clearing zeroes the whole word, as a revoking Swap
+// does (without its scan); setting preserves the occupancy summary.
 func (e *Engine) forceBias(enabled bool) {
-	if enabled {
-		e.rbias.Store(1)
-	} else {
+	if !enabled {
 		e.rbias.Store(0)
+		return
+	}
+	for {
+		w := e.rbias.Load()
+		if e.rbias.CompareAndSwap(w, w|biasBit) {
+			return
+		}
 	}
 }

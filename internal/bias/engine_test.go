@@ -216,8 +216,24 @@ func TestEngineRevokeIfEnabled(t *testing.T) {
 	if e.Enabled() {
 		t.Fatal("bias survived revocation")
 	}
-	if st.WriteRevoke.Load() != 1 || st.RevokeScanned.Load() == 0 {
-		t.Fatalf("revocation not recorded: %s", st.Snapshot())
+	// No fast reader published since bias was enabled: the occupancy summary
+	// is empty and the revocation scans nothing.
+	if st.WriteRevoke.Load() != 1 || st.RevokeScanned.Load() != 0 {
+		t.Fatalf("reader-free revocation: %s, want 1 revoke scanning 0 slots", st.Snapshot())
+	}
+	// A reader that published and left still marks its sector until the next
+	// revocation collects the summary.
+	e.MaybeEnable()
+	tok, ok := e.TryFast(42)
+	if !ok {
+		t.Fatal("fast path failed on biased engine")
+	}
+	e.ClearFast(tok)
+	if !e.RevokeIfEnabled() {
+		t.Fatal("did not revoke with bias on")
+	}
+	if st.WriteRevoke.Load() != 2 || st.RevokeScanned.Load() == 0 {
+		t.Fatalf("revocation after a published reader scanned nothing: %s", st.Snapshot())
 	}
 }
 

@@ -135,7 +135,7 @@ func (r *Reader) alloc(e *Engine) *readerEntry {
 // Callers that failed must acquire read permission on the substrate and
 // then call SlowLockedH followed by MaybeEnable.
 func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
-	if e.rbias.Load() != 1 {
+	if !e.Enabled() {
 		e.NoteDisabled()
 		return 0, false
 	}

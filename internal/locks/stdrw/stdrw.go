@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/spin"
 )
 
 // Lock wraps sync.RWMutex. The zero value is unlocked.
@@ -19,9 +20,18 @@ type Lock struct {
 
 var _ rwl.TryRWLock = (*Lock)(nil)
 
-// RLock acquires read permission.
+// RLock acquires read permission, spin-then-park: sync.RWMutex parks a
+// reader the instant it meets a writer, and on the Go runtime a parked
+// reader costs the writer a futex wake inside Unlock and itself a scheduling
+// delay far longer than the write it waited for (see spin.BeforePark). So a
+// reader that finds a writer first retries TryRLock for a bounded spin.
+// TryRLock fails whenever a writer holds the lock or is queued for it, so
+// spinners never overtake a waiting writer and admission order is that of
+// sync.RWMutex.
 func (l *Lock) RLock() rwl.Token {
-	l.mu.RLock()
+	if !l.mu.TryRLock() && !spin.BeforePark(l.mu.TryRLock) {
+		l.mu.RLock()
+	}
 	return 0
 }
 

@@ -20,6 +20,19 @@ const (
 	activeSpins = 32  // iterations of pure busy work before yielding
 	yieldSpins  = 256 // Gosched calls before starting to sleep
 	maxNapNanos = 64 * 1000
+	// parkSpins is BeforePark's budget: pause+retry rounds a waiter on a
+	// blocking lock spends before it parks. Sized against what parking
+	// costs on the Go runtime (measured at PR 17, 2 CPUs, go1.24): a writer
+	// pays ≈ 12 µs in sync.RWMutex.Unlock to futex-wake one parked reader,
+	// and the reader then waits ≈ 100 µs readied→running when its waker
+	// never blocks. 256 rounds is ≈ 1.9 µs: long enough to outlast a
+	// sector-limited BRAVO revocation (p50 ≈ 1 µs) plus a short critical
+	// section, a sixth of the wake it avoids. Chosen by alternating paired
+	// runs (CHANGES.md, PR 17): at 64 rounds readers still park under most
+	// writes (lock-read write p50 1.71 vs 1.41 µs, write p99 460–1170 vs
+	// 18–117 µs; engine-read 2.27 M vs 3.12 M ops/s, 4/4 pairs); 1024 is
+	// indistinguishable from 256 on lock-read, engine-read and engine-write.
+	parkSpins = 256
 )
 
 var singleP = runtime.GOMAXPROCS(0) == 1
@@ -57,6 +70,25 @@ func Until(cond func() bool) {
 	for !cond() {
 		b.Once()
 	}
+}
+
+// BeforePark is the spin half of spin-then-park, the waiting policy the
+// paper gives its user-space locks: it retries try for a bounded number of
+// rounds and reports whether one succeeded; on false the caller blocks. try
+// must be a non-blocking acquisition that fails while a conflicting holder
+// is present or queued, so that spinning cannot barge past anyone. With one
+// P the holder cannot run while the waiter spins, so nothing is tried.
+func BeforePark(try func() bool) bool {
+	if singleP {
+		return false
+	}
+	for i := uint64(0); i < parkSpins; i++ {
+		pause(i)
+		if try() {
+			return true
+		}
+	}
+	return false
 }
 
 // pause approximates a PAUSE-class delay with a handful of arithmetic ops

@@ -74,3 +74,31 @@ func TestManySpinnersMakeProgressOnOneP(t *testing.T) {
 		}
 	}
 }
+
+func TestBeforeParkSpinsUntilTrySucceeds(t *testing.T) {
+	defer func(p bool) { singleP = p }(singleP)
+	singleP = false
+	calls := 0
+	if !BeforePark(func() bool { calls++; return calls == 3 }) {
+		t.Fatal("BeforePark gave up before try succeeded")
+	}
+	if calls != 3 {
+		t.Fatalf("try called %d times, want 3", calls)
+	}
+	calls = 0
+	if BeforePark(func() bool { calls++; return false }) {
+		t.Fatal("BeforePark reported success for a try that never succeeded")
+	}
+	if calls != parkSpins {
+		t.Fatalf("try called %d times, want the whole budget (%d)", calls, parkSpins)
+	}
+}
+
+func TestBeforeParkSkippedOnOneP(t *testing.T) {
+	// With one P the holder cannot run while the waiter spins: park at once.
+	defer func(p bool) { singleP = p }(singleP)
+	singleP = true
+	if BeforePark(func() bool { t.Error("try called on a single P"); return true }) {
+		t.Fatal("BeforePark spun on a single P")
+	}
+}
