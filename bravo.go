@@ -49,26 +49,26 @@ type Lock = core.Lock
 
 // Table is a visible readers table; all locks in a process share one by
 // default (32KB for the paper's 4096 slots).
-type Table = core.Table
+type Table = bias.Table
 
 // Option configures a Lock at construction.
 type Option = core.Option
 
 // Policy decides when slow-path readers may (re-)enable reader bias.
-type Policy = core.Policy
+type Policy = bias.Policy
 
 // Stats counts BRAVO path events when attached with WithStats.
-type Stats = core.Stats
+type Stats = bias.Stats
 
 // Snapshot is an immutable copy of Stats.
-type Snapshot = core.Snapshot
+type Snapshot = bias.Snapshot
 
 // DefaultTableSize is the paper's visible-readers-table size (4096 slots).
-const DefaultTableSize = core.DefaultTableSize
+const DefaultTableSize = bias.DefaultTableSize
 
 // DefaultInhibitN is the paper's revocation slow-down guard multiplier (9),
 // bounding writer slow-down to about 1/(N+1) ≈ 10%.
-const DefaultInhibitN = core.DefaultInhibitN
+const DefaultInhibitN = bias.DefaultInhibitN
 
 // New wraps an existing reader-writer lock with the BRAVO transformation.
 // The result preserves the underlying lock's admission policy and adds the
@@ -77,14 +77,14 @@ func New(under RWLock, opts ...Option) *Lock { return core.New(under, opts...) }
 
 // NewTable allocates a private flat visible readers table (size must be a
 // power of two). Most programs should use the shared default instead.
-func NewTable(size int) *Table { return core.NewTable(size) }
+func NewTable(size int) *Table { return bias.NewTable(size) }
 
 // NewTable2D allocates a BRAVO-2D sectored table: rows selected by thread,
 // columns by lock, with column-only revocation scans (paper §7).
-func NewTable2D(rows, rowLen int) *Table { return core.NewTable2D(rows, rowLen) }
+func NewTable2D(rows, rowLen int) *Table { return bias.NewTable2D(rows, rowLen) }
 
 // SharedTable returns the process-wide default table.
-func SharedTable() *Table { return core.SharedTable() }
+func SharedTable() *Table { return bias.SharedTable() }
 
 // Configuration options (see the paper sections noted on each).
 var (
@@ -106,7 +106,7 @@ var (
 )
 
 // NewInhibitPolicy returns the paper's default policy with multiplier n.
-func NewInhibitPolicy(n int64) Policy { return core.NewInhibitPolicy(n) }
+func NewInhibitPolicy(n int64) Policy { return bias.NewInhibitPolicy(n) }
 
 // Substrate locks. Each is usable on its own and as a New argument.
 

@@ -1,5 +1,6 @@
 // Command bravobench regenerates the paper's user-space evaluation
-// (Figures 1–6, §5) and runs the repo's forward-looking workloads.
+// (Figures 1–6, §5). The product stack (engine, WAL, wire, cluster) is
+// measured by the separate benchmark/ module: bash benchmark/run.sh.
 //
 // Two figure modes:
 //
@@ -8,75 +9,15 @@
 //	-mode sim      run the deterministic coherence-cost simulator on the
 //	               paper's X5-2 topology (reproduces the figures' shapes)
 //
-// Workloads beyond the paper select with -workload:
-//
-//	-workload figures      the default: regenerate -fig
-//	-workload shardedkv    drive the sharded KV engine across the
-//	                       shards × substrate × threads grid, against the
-//	                       single-lock memtable baseline; -json additionally
-//	                       writes machine-readable BENCH_shardedkv.json
-//	-workload readlatency  compare read-acquisition latency through a reader
-//	                       handle (cached-slot CAS), the anonymous
-//	                       hash-per-acquisition path, and the optimistic
-//	                       seqlock section (zero-CAS, validated, handle
-//	                       fallback) on the same BRAVO lock, at 0% and 10%
-//	                       writes; -json writes BENCH_readlatency.json
-//	-workload kvserv       loadgen for the serving pipeline behind
-//	                       cmd/kvserv: handle-pinned readers stream GETs
-//	                       while writers stream single Puts vs batched
-//	                       MultiPuts (write combining); -json writes
-//	                       BENCH_kvserv.json with the batched-vs-single
-//	                       comparison
-//	-workload wal          the durability axis: batched writers against a
-//	                       volatile engine, a WAL without fsync, and a WAL
-//	                       with one fsync per group-commit batch; -json
-//	                       writes BENCH_wal.json with durable-vs-volatile
-//	                       ratios and achieved group-commit batch sizes
-//	-workload repl         the replication axis: a durable primary behind a
-//	                       real kvserv TCP socket streams its LSN-stamped
-//	                       WAL to -followers in-memory replicas while one
-//	                       writer streams batches and per-follower readers
-//	                       hammer the replicas; -json writes BENCH_repl.json
-//	                       with follower-read scaling, replication lag, and
-//	                       post-storm convergence time
-//	-workload wire         the transport axis: the pipelined binary wire
-//	                       protocol vs HTTP/1.1 over real TCP, same engine,
-//	                       same MPUT/MGET batches, across -conns connection
-//	                       counts and -depths pipeline depths; -json writes
-//	                       BENCH_wire.json with wire-over-HTTP ratios
-//	-workload cluster      the partition axis: hash-routed partitioned
-//	                       primaries under a routed read/write storm across
-//	                       -partitions counts, then a graceful failover of
-//	                       every partition measuring
-//	                       recovery-time-to-first-write; -json writes
-//	                       BENCH_cluster.json
-//	-workload adaptive     the bias-policy axis: the self-tuning adaptive
-//	                       lock vs its static endpoints (always-biased
-//	                       BRAVO, always-fair FIFO) over read-only,
-//	                       zipf-skewed, write-heavy, and phase-shifting
-//	                       mixes; -json writes BENCH_adaptive.json with
-//	                       adaptive-vs-best-static ratios and the
-//	                       acceptance verdict
-//
 // Examples:
 //
 //	bravobench -fig 2                 # alternator, simulated X5-2
 //	bravobench -fig 4 -sub f          # RWBench at 0.01% writes
 //	bravobench -fig all -mode native -interval 100ms
 //	bravobench -scanrate              # revocation scan ns/slot (Table-less §3 claim)
-//	bravobench -workload shardedkv -json
-//	bravobench -workload shardedkv -shards 1,4,16 -locks bravo-ba -threads 8
-//	bravobench -workload readlatency -json -threads 8,16
-//	bravobench -workload kvserv -json -batch 64 -threads 8,16
-//	bravobench -workload wal -json -threads 2,8
-//	bravobench -workload repl -json -followers 1,2,4
-//	bravobench -workload wire -json -conns 64,256 -depths 1,32
-//	bravobench -workload cluster -json -partitions 1,2,4
-//	bravobench -workload adaptive -json -threads 8
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -97,105 +38,6 @@ var (
 	threadsFlag  = flag.String("threads", "1,2,5,10,20,50", "thread counts")
 	locksFlag    = flag.String("locks", "ba,bravo-ba,pthread,bravo-pthread,per-cpu,cohort-rw", "native lock lineup")
 	scanFlag     = flag.Bool("scanrate", false, "measure the revocation scan rate (ns/slot) and exit")
-
-	workloadFlag   = flag.String("workload", "figures", "figures, shardedkv, readlatency, kvserv, wal, repl, wire, cluster, or adaptive")
-	jsonFlag       = flag.Bool("json", false, "shardedkv/readlatency/kvserv/wal/repl/wire: also write machine-readable results")
-	outFlag        = flag.String("out", "BENCH_shardedkv.json", "shardedkv/readlatency/kvserv/wal/repl/wire: -json output path (workload-specific default)")
-	guardBaseFlag  = flag.String("guardbaseline", "", "readlatency: prior BENCH_readlatency.json from a build without the unlock guard; stamps a guard_overhead comparison into the -json output")
-	shardsFlag     = flag.String("shards", "1,2,4,8", "shardedkv/kvserv/wal/repl: shard counts (powers of two)")
-	writeRatioFlag = flag.Float64("writeratio", 0.01, "shardedkv: fraction of operations that write")
-	valueSizeFlag  = flag.Int("valuesize", bench.ShardedKVDefaultValueSize, "shardedkv/kvserv/wal/repl: value payload bytes (sets critical-section length)")
-	batchFlag      = flag.Int("batch", bench.KVServDefaultBatch, "kvserv/wal/repl: MultiPut group size in batched mode")
-	followersFlag  = flag.String("followers", "1,2,4", "repl: follower fleet sizes; cluster: followers per partition (one entry)")
-	readersFlag    = flag.Int("readers", bench.ReplDefaultReaders, "repl: reader goroutines per follower; cluster: total reader goroutines")
-	writeRateFlag  = flag.Int("writerate", bench.ReplDefaultWriteRate, "repl: paced primary write load in keys/sec (0: unpaced)")
-	connsFlag      = flag.String("conns", "64,256,1024,4096", "wire: client connection counts")
-	depthsFlag     = flag.String("depths", "1,8,32", "wire: pipeline depths for the binary protocol")
-	partitionsFlag = flag.String("partitions", "1,2,4", "cluster: partitioned primary counts")
-)
-
-// shardedKVDefaults replace the figure-oriented flag defaults when the
-// shardedkv workload runs and the user did not set the flag explicitly.
-// Blocking substrates behave sanely at thread counts beyond the CPU count,
-// unlike spinning BA; mutex is the lineup's single-lock worst case (every
-// reader serializes, §7's BRAVO-over-mutex motivation), go-rw the Go
-// standard baseline, and bravo-go shows the fast-path hit rate.
-const (
-	shardedKVDefaultLocks   = "mutex,go-rw,bravo-go"
-	shardedKVDefaultThreads = "1,2,4,8,16"
-)
-
-// readLatencyDefaults replace the figure-oriented defaults for the
-// readlatency workload: BRAVO locks only (the comparison is handle vs.
-// anonymous on the same lock), with the goroutine axis crossing the
-// CPU count.
-const (
-	readLatencyDefaultLocks   = "bravo-ba,bravo-go"
-	readLatencyDefaultThreads = "1,4,8,16"
-	readLatencyDefaultOut     = "BENCH_readlatency.json"
-)
-
-// kvservDefaults replace the figure-oriented defaults for the kvserv
-// workload: the serving substrate (bravo-go shows the fast-path rate the
-// acceptance bar reads), the served engine's shard count, a goroutine axis
-// crossing 8 (the write-combining acceptance point), and the serving
-// value size.
-const (
-	kvservDefaultLocks   = "bravo-go"
-	kvservDefaultShards  = "8"
-	kvservDefaultThreads = "2,4,8,16"
-	kvservDefaultOut     = "BENCH_kvserv.json"
-)
-
-// walDefaults replace the figure-oriented defaults for the wal workload:
-// the serving substrate over the served shard count, a goroutine axis with
-// at least two contention levels (the durable-vs-volatile acceptance bar),
-// and the kvserv batch size so the group-commit amortization factor
-// matches the serving pipeline's.
-const (
-	walDefaultLocks   = "bravo-go"
-	walDefaultShards  = "8"
-	walDefaultThreads = "2,8"
-	walDefaultOut     = "BENCH_wal.json"
-)
-
-// replDefaults replace the figure-oriented defaults for the repl workload:
-// the serving substrate on both ends of the wire, the served shard count,
-// and the follower axis the report's read-scaling claim reads.
-const (
-	replDefaultLocks  = "bravo-go"
-	replDefaultShards = "8"
-	replDefaultOut    = "BENCH_repl.json"
-)
-
-// wireDefaults replace the figure-oriented defaults for the wire
-// workload: one serving substrate, one shard count — the sweep's axes are
-// protocol, connection count, and pipeline depth.
-const (
-	wireDefaultLocks  = "bravo-go"
-	wireDefaultShards = "8"
-	wireDefaultOut    = "BENCH_wire.json"
-)
-
-// clusterDefaults replace the figure-oriented defaults for the cluster
-// workload: one serving substrate, a modest per-partition shard count (the
-// sweep's axis is partitions, not shards), one follower per partition (the
-// failover pool the recovery measurement promotes from).
-const (
-	clusterDefaultLocks     = "bravo-go"
-	clusterDefaultShards    = "4"
-	clusterDefaultFollowers = "1"
-	clusterDefaultOut       = "BENCH_cluster.json"
-)
-
-// adaptiveDefaults replace the figure-oriented defaults for the adaptive
-// workload: the settings lineup is fixed inside the sweep (adaptive-go vs
-// bravo-go vs fair), one thread count (the axis is the mix, not threads),
-// and intervals long enough that the phase-shifting rows hold each phase
-// across many adaptor windows.
-const (
-	adaptiveDefaultThreads = "8"
-	adaptiveDefaultOut     = "BENCH_adaptive.json"
 )
 
 // rwbenchSubs maps Figure 4's sub-plots to write probabilities.
@@ -219,126 +61,12 @@ func main() {
 		fmt.Printf("revocation scan rate: %.2f ns/slot over a 4096-entry table (paper: ≈1.1 ns/slot)\n", rate)
 		return
 	}
-	switch *workloadFlag {
-	case "shardedkv":
-		// Contended blocking locks are bistable (sync.Mutex starvation
-		// mode), so this workload needs a longer protocol than the figure
-		// defaults for stable medians.
-		applyWorkloadDefaults(map[string]func(){
-			"locks":    func() { *locksFlag = shardedKVDefaultLocks },
-			"threads":  func() { *threadsFlag = shardedKVDefaultThreads },
-			"interval": func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":     func() { *runsFlag = 5 },
-		})
-	case "readlatency":
-		applyWorkloadDefaults(map[string]func(){
-			"locks":    func() { *locksFlag = readLatencyDefaultLocks },
-			"threads":  func() { *threadsFlag = readLatencyDefaultThreads },
-			"interval": func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":     func() { *runsFlag = 5 },
-			"out":      func() { *outFlag = readLatencyDefaultOut },
-		})
-	case "kvserv":
-		applyWorkloadDefaults(map[string]func(){
-			"locks":     func() { *locksFlag = kvservDefaultLocks },
-			"shards":    func() { *shardsFlag = kvservDefaultShards },
-			"threads":   func() { *threadsFlag = kvservDefaultThreads },
-			"interval":  func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":      func() { *runsFlag = 5 },
-			"valuesize": func() { *valueSizeFlag = bench.KVServDefaultValueSize },
-			"out":       func() { *outFlag = kvservDefaultOut },
-		})
-	case "wal":
-		applyWorkloadDefaults(map[string]func(){
-			"locks":     func() { *locksFlag = walDefaultLocks },
-			"shards":    func() { *shardsFlag = walDefaultShards },
-			"threads":   func() { *threadsFlag = walDefaultThreads },
-			"interval":  func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":      func() { *runsFlag = 5 },
-			"valuesize": func() { *valueSizeFlag = bench.KVServDefaultValueSize },
-			"batch":     func() { *batchFlag = bench.WALDefaultBatch },
-			"out":       func() { *outFlag = walDefaultOut },
-		})
-	case "repl":
-		applyWorkloadDefaults(map[string]func(){
-			"locks":     func() { *locksFlag = replDefaultLocks },
-			"shards":    func() { *shardsFlag = replDefaultShards },
-			"interval":  func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":      func() { *runsFlag = 3 },
-			"valuesize": func() { *valueSizeFlag = bench.KVServDefaultValueSize },
-			"batch":     func() { *batchFlag = bench.WALDefaultBatch },
-			"out":       func() { *outFlag = replDefaultOut },
-		})
-	case "wire":
-		applyWorkloadDefaults(map[string]func(){
-			"locks":     func() { *locksFlag = wireDefaultLocks },
-			"shards":    func() { *shardsFlag = wireDefaultShards },
-			"interval":  func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":      func() { *runsFlag = 3 },
-			"valuesize": func() { *valueSizeFlag = bench.WireDefaultValueSize },
-			"batch":     func() { *batchFlag = bench.WireDefaultBatch },
-			"out":       func() { *outFlag = wireDefaultOut },
-		})
-	case "cluster":
-		applyWorkloadDefaults(map[string]func(){
-			"locks":     func() { *locksFlag = clusterDefaultLocks },
-			"shards":    func() { *shardsFlag = clusterDefaultShards },
-			"followers": func() { *followersFlag = clusterDefaultFollowers },
-			"interval":  func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":      func() { *runsFlag = 3 },
-			"valuesize": func() { *valueSizeFlag = bench.KVServDefaultValueSize },
-			"batch":     func() { *batchFlag = bench.WALDefaultBatch },
-			"out":       func() { *outFlag = clusterDefaultOut },
-		})
-	case "adaptive":
-		applyWorkloadDefaults(map[string]func(){
-			"threads":  func() { *threadsFlag = adaptiveDefaultThreads },
-			"interval": func() { *intervalFlag = 500 * time.Millisecond },
-			"runs":     func() { *runsFlag = 3 },
-			"out":      func() { *outFlag = adaptiveDefaultOut },
-		})
-	}
 	threads, err := cliutil.ParseInts(*threadsFlag)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := bench.Config{Interval: *intervalFlag, Runs: *runsFlag, Threads: threads}
 	locks := cliutil.ParseNames(*locksFlag)
-	if *workloadFlag == "shardedkv" {
-		runShardedKV(cfg, locks)
-		return
-	}
-	if *workloadFlag == "readlatency" {
-		runReadLatency(cfg, locks)
-		return
-	}
-	if *workloadFlag == "kvserv" {
-		runKVServ(cfg, locks)
-		return
-	}
-	if *workloadFlag == "wal" {
-		runWAL(cfg, locks)
-		return
-	}
-	if *workloadFlag == "repl" {
-		runRepl(cfg, locks)
-		return
-	}
-	if *workloadFlag == "wire" {
-		runWire(cfg, locks)
-		return
-	}
-	if *workloadFlag == "cluster" {
-		runCluster(cfg, locks)
-		return
-	}
-	if *workloadFlag == "adaptive" {
-		runAdaptive(cfg)
-		return
-	}
-	if *workloadFlag != "figures" {
-		fatal(fmt.Errorf("unknown workload %q (figures, shardedkv, readlatency, kvserv, wal, repl, wire, cluster, adaptive)", *workloadFlag))
-	}
 	figs := []string{"1", "2", "3", "4", "5", "6"}
 	if *figFlag != "all" {
 		figs = []string{*figFlag}
@@ -380,324 +108,6 @@ func main() {
 			fatal(fmt.Errorf("unknown figure %q", fig))
 		}
 	}
-}
-
-func runShardedKV(cfg bench.Config, locks []string) {
-	shardCounts, err := cliutil.ParseInts(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sc := range shardCounts {
-		// Fail before the sweep spends a minute benchmarking baselines.
-		if sc <= 0 || sc&(sc-1) != 0 {
-			fatal(fmt.Errorf("-shards %d is not a positive power of two", sc))
-		}
-	}
-	if *writeRatioFlag < 0 || *writeRatioFlag > 1 {
-		fatal(fmt.Errorf("-writeratio %v outside [0, 1]", *writeRatioFlag))
-	}
-	results, err := bench.ShardedKVSweep(locks, shardCounts, cfg.Threads, *writeRatioFlag, *valueSizeFlag, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# shardedkv: %d keys, %dB values, %.1f%% writes, interval %v, median of %d\n",
-		bench.ShardedKVKeys, *valueSizeFlag, 100**writeRatioFlag, cfg.Interval, cfg.Runs)
-	bench.WriteShardedKVTable(os.Stdout, results)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewShardedKVReport(cfg, results)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results)\n", *outFlag, len(results))
-}
-
-func runKVServ(cfg bench.Config, locks []string) {
-	shardCounts, err := cliutil.ParseInts(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sc := range shardCounts {
-		if sc <= 0 || sc&(sc-1) != 0 {
-			fatal(fmt.Errorf("-shards %d is not a positive power of two", sc))
-		}
-	}
-	results, comps, err := bench.KVServSweep(locks, shardCounts, cfg.Threads, *batchFlag, *valueSizeFlag, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# kvserv: %d keys, %dB values, batch %d, interval %v, median of %d\n",
-		bench.KVServKeys, *valueSizeFlag, *batchFlag, cfg.Interval, cfg.Runs)
-	bench.WriteKVServTable(os.Stdout, results)
-	fmt.Println()
-	fmt.Println("# batched MultiPut vs single Put (write combining)")
-	bench.WriteKVServComparisons(os.Stdout, comps)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewKVServReport(cfg, results, comps)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results, %d comparisons)\n", *outFlag, len(results), len(comps))
-}
-
-func runWAL(cfg bench.Config, locks []string) {
-	shardCounts, err := cliutil.ParseInts(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sc := range shardCounts {
-		if sc <= 0 || sc&(sc-1) != 0 {
-			fatal(fmt.Errorf("-shards %d is not a positive power of two", sc))
-		}
-	}
-	results, comps, err := bench.WALSweep(locks, shardCounts, cfg.Threads, *batchFlag, *valueSizeFlag, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# wal: %d keys, %dB values, batch %d, interval %v, median of %d\n",
-		bench.WALWorkloadKeys, *valueSizeFlag, *batchFlag, cfg.Interval, cfg.Runs)
-	bench.WriteWALTable(os.Stdout, results)
-	fmt.Println()
-	fmt.Println("# durable (group-commit WAL) vs volatile writes")
-	bench.WriteWALComparisons(os.Stdout, comps)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewWALReport(cfg, *batchFlag, results, comps)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results, %d comparisons)\n", *outFlag, len(results), len(comps))
-}
-
-func runRepl(cfg bench.Config, locks []string) {
-	shardCounts, err := cliutil.ParseInts(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sc := range shardCounts {
-		if sc <= 0 || sc&(sc-1) != 0 {
-			fatal(fmt.Errorf("-shards %d is not a positive power of two", sc))
-		}
-	}
-	followerCounts, err := cliutil.ParseInts(*followersFlag)
-	if err != nil {
-		fatal(err)
-	}
-	results, err := bench.ReplSweep(locks, shardCounts, followerCounts, *readersFlag, *batchFlag, *valueSizeFlag, *writeRateFlag, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# repl: %d keys, %dB values, batch %d, %d readers/follower, write rate %d keys/s, interval %v, median of %d\n",
-		bench.ReplWorkloadKeys, *valueSizeFlag, *batchFlag, *readersFlag, *writeRateFlag, cfg.Interval, cfg.Runs)
-	bench.WriteReplTable(os.Stdout, results)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewReplReport(cfg, *batchFlag, results)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results)\n", *outFlag, len(results))
-}
-
-func runWire(cfg bench.Config, locks []string) {
-	if len(locks) != 1 {
-		fatal(fmt.Errorf("wire workload takes exactly one -locks entry (the serving substrate), got %q", *locksFlag))
-	}
-	shardCounts, err := cliutil.ParseInts(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	if len(shardCounts) != 1 || shardCounts[0] <= 0 || shardCounts[0]&(shardCounts[0]-1) != 0 {
-		fatal(fmt.Errorf("wire workload takes exactly one power-of-two -shards entry, got %q", *shardsFlag))
-	}
-	connCounts, err := cliutil.ParseInts(*connsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	depths, err := cliutil.ParseInts(*depthsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	results, comps, err := bench.WireSweep(locks[0], shardCounts[0], connCounts, depths, *batchFlag, *valueSizeFlag, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# wire: %d keys, %dB values, batch %d, %d×%s shards, interval %v, median of %d\n",
-		bench.WireKeys, *valueSizeFlag, *batchFlag, shardCounts[0], locks[0], cfg.Interval, cfg.Runs)
-	bench.WriteWireTable(os.Stdout, results)
-	fmt.Println()
-	fmt.Println("# binary wire protocol vs HTTP/1.1 (same engine, same batches)")
-	bench.WriteWireComparisons(os.Stdout, comps)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewWireReport(cfg, locks[0], shardCounts[0], *batchFlag, *valueSizeFlag, results, comps)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results, %d comparisons)\n", *outFlag, len(results), len(comps))
-}
-
-func runCluster(cfg bench.Config, locks []string) {
-	shardCounts, err := cliutil.ParseInts(*shardsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	if len(shardCounts) != 1 || shardCounts[0] <= 0 || shardCounts[0]&(shardCounts[0]-1) != 0 {
-		fatal(fmt.Errorf("cluster workload takes exactly one power-of-two -shards entry (per-partition shard count), got %q", *shardsFlag))
-	}
-	followerCounts, err := cliutil.ParseInts(*followersFlag)
-	if err != nil {
-		fatal(err)
-	}
-	if len(followerCounts) != 1 || followerCounts[0] < 1 {
-		fatal(fmt.Errorf("cluster workload takes exactly one -followers entry >= 1 (the failover pool), got %q", *followersFlag))
-	}
-	partitionCounts, err := cliutil.ParseInts(*partitionsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	results, err := bench.ClusterSweep(locks, partitionCounts, shardCounts[0], followerCounts[0], *readersFlag, *batchFlag, *valueSizeFlag, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# cluster: %d keys, %dB values, batch %d, %d readers, %d shards/partition, %d followers/partition, interval %v, median of %d\n",
-		bench.ClusterWorkloadKeys, *valueSizeFlag, *batchFlag, *readersFlag, shardCounts[0], followerCounts[0], cfg.Interval, cfg.Runs)
-	bench.WriteClusterTable(os.Stdout, results)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewClusterReport(cfg, *batchFlag, results)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results)\n", *outFlag, len(results))
-}
-
-func runAdaptive(cfg bench.Config) {
-	if len(cfg.Threads) != 1 || cfg.Threads[0] < 1 {
-		fatal(fmt.Errorf("adaptive workload takes exactly one -threads entry >= 1, got %q", *threadsFlag))
-	}
-	results, comps, acc, err := bench.AdaptiveSweep(cfg.Threads[0], cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# adaptive: %d keys, %d shards, %d threads, interval %v, median of %d\n",
-		bench.AdaptiveKeys, bench.AdaptiveShards, cfg.Threads[0], cfg.Interval, cfg.Runs)
-	bench.WriteAdaptiveTable(os.Stdout, results, comps)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewAdaptiveReport(cfg, results, comps, acc)
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results, %d comparisons)\n", *outFlag, len(results), len(comps))
-}
-
-// applyWorkloadDefaults runs each override whose flag the user did not set
-// explicitly, so workload-specific defaults never clobber the command line.
-func applyWorkloadDefaults(overrides map[string]func()) {
-	flag.Visit(func(f *flag.Flag) { delete(overrides, f.Name) })
-	for _, apply := range overrides {
-		apply()
-	}
-}
-
-func runReadLatency(cfg bench.Config, locks []string) {
-	results, err := bench.ReadLatencySweep(locks, cfg.Threads, bench.DefaultReadLatencyWriteRatios, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# readlatency: handle (cached-slot) vs anonymous (hash-per-read) vs seq (optimistic zero-CAS), write ratios %v, interval %v × %d runs per mode\n",
-		bench.DefaultReadLatencyWriteRatios, cfg.Interval, cfg.Runs)
-	bench.WriteHandleLatencyTable(os.Stdout, results)
-	if !*jsonFlag {
-		return
-	}
-	f, err := os.Create(*outFlag)
-	if err != nil {
-		fatal(err)
-	}
-	rep := bench.NewHandleLatencyReport(cfg, results)
-	if *guardBaseFlag != "" {
-		data, err := os.ReadFile(*guardBaseFlag)
-		if err != nil {
-			fatal(err)
-		}
-		var base bench.HandleLatencyReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			fatal(fmt.Errorf("guardbaseline %s: %w", *guardBaseFlag, err))
-		}
-		g, err := bench.CompareGuardOverhead(base, rep)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Guard = &g
-		fmt.Printf("# guard overhead vs %s: %d rows, handle p50 ratio max %.3f, mean ratio geomean %.3f, within 2%%: %v\n",
-			g.BaselineCommit, g.RowsCompared, g.MaxHandleP50Ratio, g.GeoMeanHandleMeanRatio, g.HandleP50Within2Pct)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d results)\n", *outFlag, len(results))
 }
 
 func runFigure1(cfg bench.Config) {

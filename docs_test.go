@@ -1,0 +1,55 @@
+package bravo_test
+
+import (
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDocsPointAtLiveFiles keeps the documents honest about the tree: every
+// cmd/…, examples/…, internal/…, benchmark/… path and every root-level
+// *.json / *.md name they mention must exist, and every `bravobench -flag`
+// they show must be one cmd/bravobench defines. CHANGES.md and ROADMAP.md
+// are history and exempt.
+func TestDocsPointAtLiveFiles(t *testing.T) {
+	pathRE := regexp.MustCompile(`\b(?:cmd|examples|internal|benchmark)/[\w./-]*`)
+	rootFileRE := regexp.MustCompile(`(^|[^\w/.*-])([\w-]+\.(?:json|md))\b`)
+	flagUseRE := regexp.MustCompile("bravobench((?:\\s+-[a-z]+(?:\\s+[^-\\s`][^\\s`]*)?)+)")
+	flagRE := regexp.MustCompile(`\s-([a-z]+)`)
+
+	main, err := os.ReadFile("cmd/bravobench/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z]+)"`).FindAllStringSubmatch(string(main), -1) {
+		defined[m[1]] = true
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		exists := func(kind, path string) {
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s mentions %s %q, which is not in the tree", doc, kind, path)
+			}
+		}
+		for _, p := range pathRE.FindAllString(text, -1) {
+			exists("path", strings.TrimRight(p, "./"))
+		}
+		for _, m := range rootFileRE.FindAllStringSubmatch(text, -1) {
+			exists("root file", m[2])
+		}
+		for _, use := range flagUseRE.FindAllStringSubmatch(text, -1) {
+			for _, f := range flagRE.FindAllStringSubmatch(use[1], -1) {
+				if !defined[f[1]] {
+					t.Errorf("%s shows `bravobench -%s`, which cmd/bravobench does not define", doc, f[1])
+				}
+			}
+		}
+	}
+}

@@ -104,6 +104,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("All BRAVO shard locks share one 32KB visible-readers table, so the")
 	fmt.Println("read fast path stays one CAS no matter how many shards exist. On a")
-	fmt.Println("many-core NUMA machine the gaps widen with reader count; see")
-	fmt.Println("`bravobench -workload shardedkv` for the full scenario grid.")
+	fmt.Println("many-core NUMA machine the gaps widen with reader count; the engine")
+	fmt.Println("is measured end to end by `bash benchmark/run.sh --workload engine-read`.")
 }

@@ -44,16 +44,6 @@ type Config struct {
 	Threads []int
 }
 
-// DefaultConfig returns a laptop-scale protocol: 200ms intervals, median of
-// 3, the paper's user-space thread counts.
-func DefaultConfig() Config {
-	return Config{
-		Interval: 200 * time.Millisecond,
-		Runs:     3,
-		Threads:  []int{1, 2, 5, 10, 20, 50},
-	}
-}
-
 // Median reports the median of one metric over cfg.Runs executions of run.
 func (cfg Config) Median(run func() float64) float64 {
 	n := cfg.Runs

@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bravolock/bravo/internal/core"
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/rwsem"
 	"github.com/bravolock/bravo/internal/vm"
 	"github.com/bravolock/bravo/internal/xrand"
@@ -25,7 +25,7 @@ const (
 func newMMapSem(k Kernel) vm.MMapSem {
 	if k == Bravo {
 		b := rwsem.NewBravo(rwsem.DefaultConfig())
-		b.SetTable(core.NewTable(core.DefaultTableSize))
+		b.SetTable(bias.NewTable(bias.DefaultTableSize))
 		return vm.BravoSem{S: b}
 	}
 	return vm.StockSem{S: rwsem.New(rwsem.DefaultConfig())}

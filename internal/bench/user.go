@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"github.com/bravolock/bravo/internal/arch"
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/locks/pfq"
@@ -12,11 +12,6 @@ import (
 	"github.com/bravolock/bravo/internal/spin"
 	"github.com/bravolock/bravo/internal/xrand"
 )
-
-// DefaultUserLocks is the lock lineup of the paper's user-space figures.
-var DefaultUserLocks = []string{
-	"ba", "bravo-ba", "pthread", "bravo-pthread", "per-cpu", "cohort-rw",
-}
 
 // mustLock instantiates a registered lock or panics (harness wiring error).
 func mustLock(name string) rwl.RWLock {
@@ -134,12 +129,12 @@ func RWBench(lockName string, threads int, writeProb float64, cfg Config) float6
 func Interference(nlocks, threads int, cfg Config) float64 {
 	run := func(private bool) float64 {
 		return cfg.Median(func() float64 {
-			shared := core.NewTable(core.DefaultTableSize)
+			shared := bias.NewTable(bias.DefaultTableSize)
 			locks := make([]*core.Lock, nlocks)
 			for i := range locks {
 				tab := shared
 				if private {
-					tab = core.NewTable(core.DefaultTableSize)
+					tab = bias.NewTable(bias.DefaultTableSize)
 				}
 				locks[i] = core.New(new(pfq.Lock), core.WithTable(tab))
 			}
@@ -181,7 +176,7 @@ func SweepLocks(locks []string, cfg Config, fn func(lockName string, threads int
 // primitive directly: a deployed revocation scans only the sectors its
 // readers touched, and none at all on a reader-free lock.
 func RevocationScanRate(tableSize, iterations int) float64 {
-	tab := core.NewTable(tableSize)
+	tab := bias.NewTable(tableSize)
 	var nanos, slots int64
 	for i := 0; i < iterations; i++ {
 		start := clock.Nanos()
@@ -193,13 +188,4 @@ func RevocationScanRate(tableSize, iterations int) float64 {
 		return 0
 	}
 	return float64(nanos) / float64(slots)
-}
-
-// SizeReport returns the paper's §5 footprint table for this
-// implementation's locks.
-func SizeReport() string {
-	return fmt.Sprintf(
-		"lock sizes (bytes): ba≈%d pf-t≈%d bravo adds RBias+policy fields; "+
-			"per-cpu=%d cohort≈%d shared-table=%d",
-		64, 16, 72*arch.SectorSize, 7*arch.SectorSize, core.DefaultTableSize*8)
 }

@@ -1,3 +1,19 @@
+// Package core implements the BRAVO transformation (paper §3, Listing 1):
+// a wrapper that augments any existing reader-writer lock with a biased
+// reader fast path backed by a shared visible readers table.
+//
+// Readers make their presence known to writers by hashing their thread's
+// identity with the lock address, forming an index into the visible readers
+// table, and installing the lock address into that element with a CAS. All
+// locks and threads in an address space can share one table; readers of the
+// same lock tend to write to different locations in it, which is what
+// removes the reader-indicator coherence hot spot of compact locks.
+//
+// The protocol itself — the RBias word, the publish/recheck/undo fast path,
+// the revocation scan, the inhibit policies, the stats, and the slot-caching
+// reader handles — lives in internal/bias and is shared with the rwsem
+// integration (internal/rwsem); this package contributes the generic
+// wrap-any-rwl-lock shape.
 package core
 
 import (
@@ -57,16 +73,16 @@ type Option func(*Lock)
 // WithTable directs the lock at a specific visible readers table — e.g. a
 // private per-lock table (the idealized interference-immune variant of
 // Figure 1) or a BRAVO-2D sectored table.
-func WithTable(t *Table) Option { return func(l *Lock) { l.eng.SetTable(t) } }
+func WithTable(t *bias.Table) Option { return func(l *Lock) { l.eng.SetTable(t) } }
 
 // WithPolicy installs a bias-enabling policy. It composes with WithInhibitN
 // in either order: the multiplier tunes the policy when it accepts one and
 // never replaces it.
-func WithPolicy(p Policy) Option { return func(l *Lock) { l.eng.SetPolicy(p) } }
+func WithPolicy(p bias.Policy) Option { return func(l *Lock) { l.eng.SetPolicy(p) } }
 
 // WithStats attaches an event counter set. Counting adds shared-memory
 // traffic; leave nil for performance runs.
-func WithStats(s *Stats) Option { return func(l *Lock) { l.eng.SetStats(s) } }
+func WithStats(s *bias.Stats) Option { return func(l *Lock) { l.eng.SetStats(s) } }
 
 // WithInhibitN sets the paper's N multiplier (worst-case writer slow-down
 // ≈ 1/(N+1)). It tunes the default InhibitPolicy — or one installed with
@@ -104,7 +120,7 @@ func New(under rwl.RWLock, opts ...Option) *Lock {
 func (l *Lock) Underlying() rwl.RWLock { return l.under }
 
 // TableInUse returns the visible readers table this lock publishes into.
-func (l *Lock) TableInUse() *Table { return l.eng.Table() }
+func (l *Lock) TableInUse() *bias.Table { return l.eng.Table() }
 
 // Engine exposes the embedded biasing engine (diagnostics and tests).
 func (l *Lock) Engine() *bias.Engine { return &l.eng }

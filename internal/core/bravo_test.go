@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/locks/mutexrw"
 	"github.com/bravolock/bravo/internal/locks/pfq"
@@ -15,12 +16,12 @@ import (
 
 // newBiased returns a BRAVO-BA lock with bias pre-enabled (one slow read
 // under AlwaysPolicy), its stats, and a private table to keep tests isolated.
-func newBiased(t *testing.T, opts ...Option) (*Lock, *Stats) {
+func newBiased(t *testing.T, opts ...Option) (*Lock, *bias.Stats) {
 	t.Helper()
-	st := &Stats{}
+	st := &bias.Stats{}
 	opts = append([]Option{
-		WithTable(NewTable(DefaultTableSize)),
-		WithPolicy(AlwaysPolicy{}),
+		WithTable(bias.NewTable(bias.DefaultTableSize)),
+		WithPolicy(bias.AlwaysPolicy{}),
 		WithStats(st),
 	}, opts...)
 	l := New(new(pfq.Lock), opts...)
@@ -33,8 +34,8 @@ func newBiased(t *testing.T, opts ...Option) (*Lock, *Stats) {
 }
 
 func TestBiasInitiallyDisabled(t *testing.T) {
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(NewTable(64)), WithStats(st))
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithStats(st))
 	if l.Biased() {
 		t.Fatal("fresh lock is biased")
 	}
@@ -121,10 +122,10 @@ func TestRevocationWaitsForFastReaders(t *testing.T) {
 
 func TestCollisionFallsBack(t *testing.T) {
 	// Force a true collision with a one-slot table shared by two locks.
-	tab := NewTable(1)
-	st1, st2 := &Stats{}, &Stats{}
-	l1 := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}), WithStats(st1))
-	l2 := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}), WithStats(st2))
+	tab := bias.NewTable(1)
+	st1, st2 := &bias.Stats{}, &bias.Stats{}
+	l1 := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}), WithStats(st1))
+	l2 := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}), WithStats(st2))
 	for _, l := range []*Lock{l1, l2} {
 		tok := l.RLock()
 		l.RUnlock(tok)
@@ -144,9 +145,9 @@ func TestCollisionFallsBack(t *testing.T) {
 func TestSecondProbeRescuesCollision(t *testing.T) {
 	// With a 2-slot table and double probing, a colliding reader lands in
 	// the alternate slot instead of diverting.
-	tab := NewTable(2)
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}),
+	tab := bias.NewTable(2)
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}),
 		WithStats(st), WithSecondProbe())
 	tok := l.RLock()
 	l.RUnlock(tok)
@@ -174,9 +175,9 @@ func TestSecondProbeRescuesCollision(t *testing.T) {
 func TestInhibitPreventsImmediateRebias(t *testing.T) {
 	// After a revocation with a long measured duration, slow readers must
 	// not re-enable bias until the inhibit window passes.
-	st := &Stats{}
-	pol := NewInhibitPolicy(9)
-	l := New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(pol), WithStats(st))
+	st := &bias.Stats{}
+	pol := bias.NewInhibitPolicy(9)
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(pol), WithStats(st))
 	tok := l.RLock()
 	l.RUnlock(tok)
 	if !l.Biased() {
@@ -203,8 +204,8 @@ func TestInhibitPreventsImmediateRebias(t *testing.T) {
 
 func TestUnbiasedLockBehavesLikeUnderlying(t *testing.T) {
 	// With NeverPolicy, BRAVO-A must be a pass-through to A.
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(NeverPolicy{}), WithStats(st))
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}), WithStats(st))
 	for i := 0; i < 50; i++ {
 		tok := l.RLock()
 		l.RUnlock(tok)
@@ -232,8 +233,8 @@ func TestTryRLockFastPath(t *testing.T) {
 }
 
 func TestTryRLockSlowFallback(t *testing.T) {
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}), WithStats(st))
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithStats(st))
 	tok, ok := l.TryRLock() // bias off → underlying try
 	if !ok {
 		t.Fatal("TryRLock failed on free lock")
@@ -285,7 +286,7 @@ func TestTryLockWaitsForFastReaders(t *testing.T) {
 func TestMutexUnderlyingNoTrySupport(t *testing.T) {
 	// ptl implements TryRWLock; ensure the non-try substrate path degrades
 	// gracefully (pfq has try; use a bare non-try wrapper).
-	l := New(nonTry{inner: new(pfq.Lock)}, WithTable(NewTable(64)))
+	l := New(nonTry{inner: new(pfq.Lock)}, WithTable(bias.NewTable(64)))
 	if _, ok := l.TryRLock(); ok {
 		t.Fatal("TryRLock succeeded without substrate support and without bias")
 	}
@@ -305,8 +306,8 @@ func (n nonTry) Unlock()             { n.inner.Unlock() }
 func TestRevocationMutexAllowsReadersDuringScan(t *testing.T) {
 	// Future-work variant (§7): with the revocation mutex, a reader arriving
 	// during a (long) revocation scan is admitted via the slow path.
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}),
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}),
 		WithStats(st), WithRevocationMutex())
 	tok := l.RLock()
 	l.RUnlock(tok)
@@ -335,7 +336,7 @@ func TestRevocationMutexAllowsReadersDuringScan(t *testing.T) {
 func TestBravoOverMutexGivesReadConcurrency(t *testing.T) {
 	// BRAVO-mutex (§7): the fast path is the sole source of read-read
 	// concurrency. Two fast readers must coexist.
-	l := New(new(mutexrw.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}))
+	l := New(new(mutexrw.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 	tok := l.RLock() // slow (exclusive) read, enables bias
 	l.RUnlock(tok)
 	t1 := l.RLock()
@@ -355,11 +356,11 @@ func TestPreferenceTransparency(t *testing.T) {
 	// properties then BRAVO-A will exhibit the same properties". With bias
 	// disabled (NeverPolicy) the wrapper must be admission-transparent.
 	t.Run("phase-fair substrate", func(t *testing.T) {
-		l := New(new(pft.Lock), WithTable(NewTable(64)), WithPolicy(NeverPolicy{}))
+		l := New(new(pft.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}))
 		checkWaitingWriterBlocks(t, l)
 	})
 	t.Run("reader-preference substrate", func(t *testing.T) {
-		l := New(ptl.New(), WithTable(NewTable(64)), WithPolicy(NeverPolicy{}))
+		l := New(ptl.New(), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}))
 		checkReaderBargesPastWriter(t, l)
 	})
 }
@@ -434,7 +435,7 @@ func waitTrue(t *testing.T, cond func() bool, msg string) {
 }
 
 func TestStatsSnapshotArithmetic(t *testing.T) {
-	st := &Stats{}
+	st := &bias.Stats{}
 	st.FastRead.Store(90)
 	st.SlowDisabled.Store(5)
 	st.SlowCollision.Store(3)
@@ -448,7 +449,7 @@ func TestStatsSnapshotArithmetic(t *testing.T) {
 	if f := snap.FastFraction(); f != 0.9 {
 		t.Fatalf("fast fraction = %f, want 0.9", f)
 	}
-	if (Snapshot{}).FastFraction() != 0 {
+	if (bias.Snapshot{}).FastFraction() != 0 {
 		t.Fatal("empty snapshot fast fraction should be 0")
 	}
 	if snap.String() == "" {
@@ -459,11 +460,11 @@ func TestStatsSnapshotArithmetic(t *testing.T) {
 func TestHoldingMultipleLocks(t *testing.T) {
 	// §3: "BRAVO fully supports the case where a thread holds multiple
 	// locks at the same time."
-	tab := NewTable(DefaultTableSize)
+	tab := bias.NewTable(bias.DefaultTableSize)
 	var locks []*Lock
 	var toks []rwl.Token
 	for i := 0; i < 8; i++ {
-		l := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}))
+		l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}))
 		tok := l.RLock()
 		l.RUnlock(tok)
 		locks = append(locks, l)

@@ -15,26 +15,26 @@ import (
 func TestWithInhibitNDoesNotReplacePolicy(t *testing.T) {
 	// Regression: WithInhibitN after WithPolicy used to silently discard
 	// the installed policy; the reverse order silently discarded N.
-	l1 := New(new(pfq.Lock), WithPolicy(AlwaysPolicy{}), WithInhibitN(5))
-	if _, ok := l1.Engine().PolicyInUse().(AlwaysPolicy); !ok {
+	l1 := New(new(pfq.Lock), WithPolicy(bias.AlwaysPolicy{}), WithInhibitN(5))
+	if _, ok := l1.Engine().PolicyInUse().(bias.AlwaysPolicy); !ok {
 		t.Fatalf("WithInhibitN replaced WithPolicy: %#v", l1.Engine().PolicyInUse())
 	}
-	l2 := New(new(pfq.Lock), WithInhibitN(5), WithPolicy(AlwaysPolicy{}))
-	if _, ok := l2.Engine().PolicyInUse().(AlwaysPolicy); !ok {
+	l2 := New(new(pfq.Lock), WithInhibitN(5), WithPolicy(bias.AlwaysPolicy{}))
+	if _, ok := l2.Engine().PolicyInUse().(bias.AlwaysPolicy); !ok {
 		t.Fatalf("WithPolicy lost to earlier WithInhibitN: %#v", l2.Engine().PolicyInUse())
 	}
 	// With an inhibit policy in play, N lands on it regardless of order.
-	l3 := New(new(pfq.Lock), WithPolicy(NewInhibitPolicy(0)), WithInhibitN(5))
-	if p := l3.Engine().PolicyInUse().(*InhibitPolicy); p.N != 5 {
+	l3 := New(new(pfq.Lock), WithPolicy(bias.NewInhibitPolicy(0)), WithInhibitN(5))
+	if p := l3.Engine().PolicyInUse().(*bias.InhibitPolicy); p.N != 5 {
 		t.Fatalf("policy-then-N: N = %d, want 5", p.N)
 	}
-	l4 := New(new(pfq.Lock), WithInhibitN(5), WithPolicy(NewInhibitPolicy(0)))
-	if p := l4.Engine().PolicyInUse().(*InhibitPolicy); p.N != 5 {
+	l4 := New(new(pfq.Lock), WithInhibitN(5), WithPolicy(bias.NewInhibitPolicy(0)))
+	if p := l4.Engine().PolicyInUse().(*bias.InhibitPolicy); p.N != 5 {
 		t.Fatalf("N-then-policy: N = %d, want 5", p.N)
 	}
 	// WithInhibitN alone still tunes the default policy.
 	l5 := New(new(pfq.Lock), WithInhibitN(5))
-	if p := l5.Engine().PolicyInUse().(*InhibitPolicy); p.N != 5 {
+	if p := l5.Engine().PolicyInUse().(*bias.InhibitPolicy); p.N != 5 {
 		t.Fatalf("N alone: N = %d, want 5", p.N)
 	}
 }
@@ -44,7 +44,7 @@ func TestWithInhibitNDoesNotReplacePolicy(t *testing.T) {
 // collidingIDs returns two reader identities whose primary probes for l
 // land in the same slot of tab. wantProbe2Free additionally demands the
 // second identity's alternate probe be a different slot.
-func collidingIDs(t *testing.T, tab *Table, l *Lock, wantProbe2Free bool) (uint64, uint64) {
+func collidingIDs(t *testing.T, tab *bias.Table, l *Lock, wantProbe2Free bool) (uint64, uint64) {
 	t.Helper()
 	lockID := l.Engine().ID()
 	id1 := uint64(1)
@@ -63,9 +63,9 @@ func collidingIDs(t *testing.T, tab *Table, l *Lock, wantProbe2Free bool) (uint6
 }
 
 func TestDeterministicCollisionDivertsToSlowPath(t *testing.T) {
-	tab := NewTable(64)
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}), WithStats(st))
+	tab := bias.NewTable(64)
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}), WithStats(st))
 	tok := l.RLock() // slow read enables bias
 	l.RUnlock(tok)
 	id1, id2 := collidingIDs(t, tab, l, false)
@@ -88,9 +88,9 @@ func TestDeterministicCollisionDivertsToSlowPath(t *testing.T) {
 }
 
 func TestDeterministicCollisionRescuedBySecondProbe(t *testing.T) {
-	tab := NewTable(64)
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}),
+	tab := bias.NewTable(64)
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}),
 		WithStats(st), WithSecondProbe())
 	tok := l.RLock()
 	l.RUnlock(tok)
@@ -117,9 +117,9 @@ func TestDeterministicCollisionRescuedBySecondProbe(t *testing.T) {
 // --- Handle-accepting read paths ---
 
 func TestHandleSteadyStateReusesCachedSlot(t *testing.T) {
-	tab := NewTable(DefaultTableSize)
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}), WithStats(st))
+	tab := bias.NewTable(bias.DefaultTableSize)
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}), WithStats(st))
 	h := rwl.NewReaderWithID(42)
 	// First read is slow (bias off) and tracked on the handle.
 	tok := l.RLockH(h)
@@ -147,9 +147,9 @@ func TestHandleSteadyStateReusesCachedSlot(t *testing.T) {
 }
 
 func TestHandleCollisionMemoryRetriesAfterBiasFlip(t *testing.T) {
-	tab := NewTable(64)
-	st := &Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}), WithStats(st))
+	tab := bias.NewTable(64)
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}), WithStats(st))
 	tok := l.RLock()
 	l.RUnlock(tok)
 	h := rwl.NewReaderWithID(7)
@@ -187,7 +187,7 @@ func TestHandleCollisionMemoryRetriesAfterBiasFlip(t *testing.T) {
 }
 
 func TestHandleAndAnonymousReadersCoexist(t *testing.T) {
-	l := New(new(pfq.Lock), WithTable(NewTable(DefaultTableSize)), WithPolicy(AlwaysPolicy{}))
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)), WithPolicy(bias.AlwaysPolicy{}))
 	tok := l.RLock()
 	l.RUnlock(tok)
 	h := rwl.NewReader()
@@ -208,22 +208,22 @@ func TestHandleStorm(t *testing.T) {
 	// across table geometries and policies.
 	variants := map[string]func() rwl.HandleRWLock{
 		"aggressive": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"tiny-table": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(2)), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(2)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"probe2": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(4)), WithPolicy(AlwaysPolicy{}), WithSecondProbe())
+			return New(new(pfq.Lock), WithTable(bias.NewTable(4)), WithPolicy(bias.AlwaysPolicy{}), WithSecondProbe())
 		},
 		"2d": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(NewTable2D(8, 32)), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"randomized": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}), WithRandomizedIndex())
+			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithRandomizedIndex())
 		},
 		"default-policy": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(64)))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(64)))
 		},
 	}
 	for name, mk := range variants {
@@ -235,7 +235,7 @@ func TestHandleStorm(t *testing.T) {
 
 func TestHandleMixedWithAnonymousStorm(t *testing.T) {
 	// Handle readers, anonymous readers and writers share one lock.
-	l := New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}))
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -279,11 +279,11 @@ func TestUnbalancedRUnlockDetected(t *testing.T) {
 	// unlock-without-lock on both the biased and unbiased read paths.
 	t.Run("biased", func(t *testing.T) {
 		lockcheck.UnbalancedRUnlock(t, New(new(pfq.Lock),
-			WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{})))
+			WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{})))
 	})
 	t.Run("unbiased", func(t *testing.T) {
 		lockcheck.UnbalancedRUnlock(t, New(new(pfq.Lock),
-			WithTable(NewTable(64)), WithPolicy(NeverPolicy{})))
+			WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{})))
 	})
 }
 
@@ -291,21 +291,21 @@ func TestUnbalancedAnonymousRUnlockDetected(t *testing.T) {
 	// The always-on table guard must catch fast-path misuse on the
 	// anonymous token-passing paths too — no handle bookkeeping involved.
 	t.Run("shared-table", func(t *testing.T) {
-		tab := NewTable(64)
+		tab := bias.NewTable(64)
 		lockcheck.UnbalancedAnonymousRUnlock(t, func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}))
 		})
 	})
 	t.Run("2d", func(t *testing.T) {
-		tab := NewTable2D(8, 32)
+		tab := bias.NewTable2D(8, 32)
 		lockcheck.UnbalancedAnonymousRUnlock(t, func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}))
 		})
 	})
 }
 
 func TestHandleWorksOn2DTable(t *testing.T) {
-	l := New(new(pfq.Lock), WithTable(NewTable2D(8, 32)), WithPolicy(AlwaysPolicy{}))
+	l := New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
 	tok := l.RLock()
 	l.RUnlock(tok)
 	h := rwl.NewReader()

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/lockcheck"
 	"github.com/bravolock/bravo/internal/locks/mutexrw"
 	"github.com/bravolock/bravo/internal/locks/pfq"
@@ -20,42 +21,42 @@ import (
 func stormVariants() map[string]func() rwl.RWLock {
 	return map[string]func() rwl.RWLock{
 		"bravo-ba": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(DefaultTableSize)))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-pf-t": func() rwl.RWLock {
-			return New(new(pft.Lock), WithTable(NewTable(DefaultTableSize)))
+			return New(new(pft.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-pthread": func() rwl.RWLock {
-			return New(ptl.New(), WithTable(NewTable(DefaultTableSize)))
+			return New(ptl.New(), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-go": func() rwl.RWLock {
-			return New(new(stdrw.Lock), WithTable(NewTable(DefaultTableSize)))
+			return New(new(stdrw.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-mutex": func() rwl.RWLock {
-			return New(new(mutexrw.Lock), WithTable(NewTable(DefaultTableSize)))
+			return New(new(mutexrw.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-ba-aggressive": func() rwl.RWLock {
 			// AlwaysPolicy maximizes bias flapping and revocation frequency.
-			return New(new(pfq.Lock), WithTable(NewTable(DefaultTableSize)), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-tiny-table": func() rwl.RWLock {
 			// A 2-slot table maximizes collisions and slow-path mixing.
-			return New(new(pfq.Lock), WithTable(NewTable(2)), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(2)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-2d": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(NewTable2D(8, 32)), WithPolicy(AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-probe2": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(4)), WithPolicy(AlwaysPolicy{}), WithSecondProbe())
+			return New(new(pfq.Lock), WithTable(bias.NewTable(4)), WithPolicy(bias.AlwaysPolicy{}), WithSecondProbe())
 		},
 		"bravo-ba-random": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}), WithRandomizedIndex())
+			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithRandomizedIndex())
 		},
 		"bravo-ba-revmu": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(AlwaysPolicy{}), WithRevocationMutex())
+			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithRevocationMutex())
 		},
 		"bravo-ba-bernoulli": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(NewTable(64)), WithPolicy(&BernoulliPolicy{P: 4}))
+			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(&bias.BernoulliPolicy{P: 4}))
 		},
 	}
 }
@@ -93,11 +94,11 @@ func TestStormSharedTableManyLocks(t *testing.T) {
 	// Multiple BRAVO locks sharing one table, stormed together: inter-lock
 	// collisions must never compromise exclusion (the paper: "collisions
 	// are benign, and impact performance but not correctness").
-	tab := NewTable(8) // deliberately tiny: constant inter-lock collisions
+	tab := bias.NewTable(8) // deliberately tiny: constant inter-lock collisions
 	const nlocks = 4
 	locks := make([]*Lock, nlocks)
 	for i := range locks {
-		locks[i] = New(new(pfq.Lock), WithTable(tab), WithPolicy(AlwaysPolicy{}))
+		locks[i] = New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}))
 	}
 	states := make([]struct {
 		mu      sync.Mutex

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -14,7 +15,7 @@ import (
 func baFactory() rwl.RWLock { return new(pfq.Lock) }
 
 func bravoFactory() rwl.RWLock {
-	return core.New(new(pfq.Lock), core.WithTable(core.NewTable(core.DefaultTableSize)))
+	return core.New(new(pfq.Lock), core.WithTable(bias.NewTable(bias.DefaultTableSize)))
 }
 
 func TestMemtableValidation(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 )
 
 func newAdaptive() *Lock {
-	return New(core.New(new(stdrw.Lock), core.WithTable(core.NewTable(core.DefaultTableSize))))
+	return New(core.New(new(stdrw.Lock), core.WithTable(bias.NewTable(bias.DefaultTableSize))))
 }
 
 // TestAdaptorWiredIntoEngine verifies the construction contract: the inner

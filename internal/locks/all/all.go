@@ -13,6 +13,7 @@
 package all
 
 import (
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/locks/adaptive"
 	"github.com/bravolock/bravo/internal/locks/cohort"
@@ -60,10 +61,10 @@ func init() {
 		for p < rows {
 			p <<= 1
 		}
-		return core.New(new(pfq.Lock), core.WithTable(core.NewTable2D(p, core.DefaultRowLen)))
+		return core.New(new(pfq.Lock), core.WithTable(bias.NewTable2D(p, bias.DefaultRowLen)))
 	})
 	rwl.Register("bravo-ba-private", func() rwl.RWLock {
-		return core.New(new(pfq.Lock), core.WithTable(core.NewTable(core.DefaultTableSize)))
+		return core.New(new(pfq.Lock), core.WithTable(bias.NewTable(bias.DefaultTableSize)))
 	})
 	rwl.Register("bravo-ba-probe2", func() rwl.RWLock {
 		return core.New(new(pfq.Lock), core.WithSecondProbe())

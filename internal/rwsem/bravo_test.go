@@ -6,13 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bravolock/bravo/internal/core"
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/lockcheck"
 )
 
 func newBravoPrivate() *Bravo {
 	b := NewBravo(DefaultConfig())
-	b.SetTable(core.NewTable(core.DefaultTableSize))
+	b.SetTable(bias.NewTable(bias.DefaultTableSize))
 	return b
 }
 
@@ -72,7 +72,7 @@ func TestBravoRevocationWaitsForFastReader(t *testing.T) {
 
 func TestBravoSameTaskMultipleSems(t *testing.T) {
 	// One task holding several BRAVO semaphores at once (§3: supported).
-	tab := core.NewTable(core.DefaultTableSize)
+	tab := bias.NewTable(bias.DefaultTableSize)
 	task := NewTask()
 	sems := make([]*Bravo, 4)
 	for i := range sems {
@@ -99,7 +99,7 @@ func TestBravoSameTaskMultipleSems(t *testing.T) {
 }
 
 func TestBravoHeldOverflowDivertsToSlowPath(t *testing.T) {
-	tab := core.NewTable(core.DefaultTableSize)
+	tab := bias.NewTable(bias.DefaultTableSize)
 	task := NewTask()
 	sems := make([]*Bravo, maxHeld+2)
 	for i := range sems {

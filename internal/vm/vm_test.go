@@ -4,7 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/bravolock/bravo/internal/core"
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/rwsem"
 )
 
@@ -14,7 +14,7 @@ func newStockAS() *AddressSpace {
 
 func newBravoAS() *AddressSpace {
 	b := rwsem.NewBravo(rwsem.DefaultConfig())
-	b.SetTable(core.NewTable(core.DefaultTableSize))
+	b.SetTable(bias.NewTable(bias.DefaultTableSize))
 	return NewAddressSpace(BravoSem{S: b})
 }
 
