@@ -10,13 +10,16 @@ import (
 // TestDocsPointAtLiveFiles keeps the documents honest about the tree: every
 // cmd/…, examples/…, internal/…, benchmark/… path and every root-level
 // *.json / *.md name they mention must exist, and every `bravobench -flag`
-// they show must be one cmd/bravobench defines. CHANGES.md and ROADMAP.md
-// are history and exempt.
+// they show must be one cmd/bravobench defines, and none may cite
+// `shardedkv` or `readlatency`, workloads of the -workload switch PR 18
+// deleted (the instrument now is a BENCHMARK.json metric). CHANGES.md and
+// ROADMAP.md are history and exempt.
 func TestDocsPointAtLiveFiles(t *testing.T) {
 	pathRE := regexp.MustCompile(`\b(?:cmd|examples|internal|benchmark)/[\w./-]*`)
 	rootFileRE := regexp.MustCompile(`(^|[^\w/.*-])([\w-]+\.(?:json|md))\b`)
 	flagUseRE := regexp.MustCompile("bravobench((?:\\s+-[a-z]+(?:\\s+[^-\\s`][^\\s`]*)?)+)")
 	flagRE := regexp.MustCompile(`\s-([a-z]+)`)
+	deadWorkloadRE := regexp.MustCompile(`\b(?:shardedkv|readlatency)\b`)
 
 	main, err := os.ReadFile("cmd/bravobench/main.go")
 	if err != nil {
@@ -43,6 +46,9 @@ func TestDocsPointAtLiveFiles(t *testing.T) {
 		}
 		for _, m := range rootFileRE.FindAllStringSubmatch(text, -1) {
 			exists("root file", m[2])
+		}
+		for _, w := range deadWorkloadRE.FindAllString(text, -1) {
+			t.Errorf("%s cites the %q workload, which no longer exists; name a BENCHMARK.json metric", doc, w)
 		}
 		for _, use := range flagUseRE.FindAllStringSubmatch(text, -1) {
 			for _, f := range flagRE.FindAllStringSubmatch(use[1], -1) {

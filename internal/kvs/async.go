@@ -110,12 +110,12 @@ func (sh *kvShard) applyBatch(keys []uint64, vals [][]byte) {
 		}
 		w.commit(len(keys))
 	}
-	sh.lock.Lock()
+	sh.wlock()
 	sh.ops.puts.Add(uint64(len(keys))) // total before rare, as in Put
 	for i, k := range keys {
 		sh.putCounted(k, vals[i], 0)
 	}
-	sh.lock.Unlock()
+	sh.wunlock()
 	w.unlock()
 	sh.ops.wbatches.Add(1)
 	sh.ops.wbatchKeys.Add(uint64(len(keys)))

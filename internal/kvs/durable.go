@@ -400,10 +400,10 @@ func (s *Sharded) rollForwardTxns(txns map[walPart]*txnRecovery) error {
 }
 
 // recover applies decoded entries to a shard during single-threaded
-// recovery, through the same putLocked/deleteLocked the live paths use —
-// including seq index maintenance, so the optimistic read path is coherent
-// from the first post-recovery read. No bracketing is needed here: the
-// engine is not yet shared, so no optimistic reader exists to mislead.
+// recovery, through the same putLocked/deleteLocked the live paths use, so
+// the optimistic read path is coherent from the first post-recovery read.
+// No lock and no wlock/wunlock bracket is needed here: the engine is not
+// yet shared, so no optimistic reader exists to mislead.
 func (sh *kvShard) recover(entries []walEntry) {
 	for _, e := range entries {
 		sh.recoverEntry(e)

@@ -11,40 +11,36 @@
 // reader-writer lock — precisely the centralized-reader-indicator bottleneck
 // BRAVO removes. Both structures are parameterized by the lock constructor,
 // which is how the benchmarks interpose different locks, LD_PRELOAD-style.
+//
+// A Sharded shard keeps one of each: the lock its factory built, called
+// directly; one key→cell table (seqIndex) serving locked reads, lock-free
+// reads and iteration; one TTL set. Every write section opens and closes
+// through kvShard.wlock/wunlock, whose sequence bump is what lets reads
+// skip the lock (DESIGN.md, "Optimistic reads").
 package kvs
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/bravolock/bravo/internal/hash"
-	"github.com/bravolock/bravo/internal/locks/seq"
 	"github.com/bravolock/bravo/internal/rwl"
 )
 
 // Memtable is a rocksdb-style in-memory table with in-place value updates
-// guarded by striped reader-writer locks.
-//
-// Like the Sharded engine, every stripe's write section is bracketed by a
-// sequence counter, so the table supports the optimistic zero-CAS read
-// path — but here it is opt-in (SetSeqReadAttempts, default 0): the
-// Memtable is the paper-figure substrate, and its benchmarks compare lock
-// implementations, which requires reads to actually take the lock.
+// guarded by striped reader-writer locks. It is the paper-figure substrate
+// (Figure 5): its benchmarks compare lock implementations, so every read
+// takes the stripe lock — there is no optimistic path here.
 type Memtable struct {
 	stripes []stripe
 	mask    uint64
-	// seqAttempts is the optimistic read attempt budget per Get; 0 (the
-	// default) disables the optimistic path and keeps reads on the lock.
-	seqAttempts atomic.Int32
 }
 
 type stripe struct {
 	lock rwl.RWLock
-	seqc *seq.Count
-	// seqStore is the stripe's keyed storage (cell map + TTL deadlines +
-	// seq index); Memtable expiry is lazy-only (no reaper): expired
+	// seqStore is the stripe's keyed storage (key→cell table + TTL
+	// deadlines); Memtable expiry is lazy-only (no reaper): expired
 	// entries stay resident but invisible until overwritten.
 	seqStore
 }
@@ -57,22 +53,9 @@ func NewMemtable(stripes int, mkLock rwl.Factory) (*Memtable, error) {
 	}
 	m := &Memtable{stripes: make([]stripe, stripes), mask: uint64(stripes - 1)}
 	for i := range m.stripes {
-		wrapped := rwl.WrapOptimistic(mkLock())
-		m.stripes[i].lock = wrapped
-		m.stripes[i].seqc = wrapped.Seq()
-		m.stripes[i].data = make(map[uint64]*seqCell)
+		m.stripes[i].lock = mkLock()
 	}
 	return m, nil
-}
-
-// SetSeqReadAttempts sets the optimistic read attempt budget per Get
-// (n <= 0 disables the optimistic path — the default, preserving the
-// lock-comparison character of the paper-figure benchmarks).
-func (m *Memtable) SetSeqReadAttempts(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.seqAttempts.Store(int32(n))
 }
 
 func (m *Memtable) stripeOf(key uint64) *stripe {
@@ -92,16 +75,10 @@ func (m *Memtable) Get(key uint64) ([]byte, bool) {
 // reused buffer makes reads allocation-free.
 func (m *Memtable) GetInto(key uint64, buf []byte) ([]byte, bool) {
 	s := m.stripeOf(key)
-	if att := int(m.seqAttempts.Load()); att > 0 {
-		if out, ok, _, _, done := s.seqGetInto(s.seqc, key, buf, att); done {
-			return out, ok
-		}
-	}
 	tok := s.lock.RLock()
-	v, ok := s.data[key]
-	if ok && s.exp.expired(key) {
-		ok = false // lazy expiry, inclusive at the deadline
-	}
+	v := s.idx.lookup(key)
+	// Lazy expiry, inclusive at the deadline.
+	ok := v != nil && !s.exp.expired(key)
 	out := buf[:0]
 	if ok {
 		out = v.appendTo(out)
@@ -139,7 +116,7 @@ func (m *Memtable) Len() int {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		tok := s.lock.RLock()
-		n += len(s.data)
+		n += s.idx.live
 		s.lock.RUnlock(tok)
 	}
 	return n

@@ -44,17 +44,7 @@ func SeedSnapshotDir(dir string, src *Sharded, lsns []uint64) error {
 		// against in-place value updates; a quiesced replica (pullers
 		// stopped) makes the LSN stamp exact.
 		tok := sh.lock.RLock()
-		data := make(map[uint64][]byte, len(sh.data))
-		for k, v := range sh.data {
-			data[k] = v.bytes()
-		}
-		var exp ttlMap
-		if len(sh.exp) > 0 {
-			exp = make(ttlMap, len(sh.exp))
-			for k, d := range sh.exp {
-				exp[k] = d
-			}
-		}
+		data, exp := sh.copyLocked()
 		sh.lock.RUnlock(tok)
 		path := filepath.Join(dir, fmt.Sprintf("shard-%04d.snap", i))
 		if err := writeSnapshotFile(path, data, exp, lsns[i]); err != nil {

@@ -357,10 +357,10 @@ func (s *Sharded) ReplSnapshotFrame(shard int) ([]byte, uint64, error) {
 	countOff := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
 	count := 0
-	for k, v := range sh.data {
+	sh.idx.each(func(k uint64, v *seqCell) bool {
 		d, hasTTL := sh.exp[k]
 		if hasTTL && now >= d {
-			continue // compaction: expired residue is not shipped
+			return true // compaction: expired residue is not shipped
 		}
 		if hasTTL {
 			buf = append(buf, walOpPutTTL)
@@ -373,7 +373,8 @@ func (s *Sharded) ReplSnapshotFrame(shard int) ([]byte, uint64, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.length()))
 		buf = v.appendTo(buf)
 		count++
-	}
+		return true
+	})
 	sh.lock.RUnlock(tok)
 	w.mu.Unlock()
 	binary.LittleEndian.PutUint32(buf[countOff:], uint32(count))
@@ -422,13 +423,12 @@ func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 		}
 	}
 	sh := &s.shards[shard]
-	sh.lock.Lock()
+	sh.wlock()
 	if rec.Snapshot {
 		// Wholesale replacement is a mutation site like any other: it runs
-		// inside the wrapped lock's write section, and replaceLocked resets
-		// the seq index with the map so optimistic readers never probe a
+		// inside the write section, so optimistic readers never probe a
 		// table pointing at discarded cells as current.
-		sh.replaceLocked(len(rec.Entries))
+		sh.replaceLocked()
 	}
 	// Totals before rares, as in multiPut: see the Stats load-order note.
 	if puts > 0 {
@@ -454,7 +454,7 @@ func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 			}
 		}
 	}
-	sh.lock.Unlock()
+	sh.wunlock()
 	if misses > 0 {
 		sh.ops.delMisses.Add(uint64(misses))
 	}

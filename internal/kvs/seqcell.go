@@ -16,7 +16,7 @@ import (
 // The word array's size is fixed at allocation: an update that fits is
 // applied in place (the engine's rocksdb-style in-place update, at word
 // granularity), one that does not allocates a replacement cell which the
-// writer republishes in the shard map and seq index. Readers therefore
+// writer republishes in the shard's table (seqIndex). Readers therefore
 // always have len(words) as a stable bound — a torn length can misreport
 // the payload, never send a copy out of bounds.
 type seqCell struct {

@@ -6,21 +6,21 @@ import (
 	"github.com/bravolock/bravo/internal/hash"
 )
 
-// seqIndex is the optimistic read path's key→cell lookup structure: an
-// open-addressed hash table whose every slot word is atomic, so a reader
-// can probe it with no lock held while a writer (under the shard write
-// lock) mutates it. Go's built-in map cannot play this role — the runtime
-// faults on a map read concurrent with a write — so the shard keeps both:
-// the map stays the authoritative store driving iteration, snapshots and
-// Len, and this index shadows it with the same *seqCell pointers for
-// lock-free probes.
+// seqIndex is a shard's key→cell table, for locked and optimistic reads
+// alike: an open-addressed hash table whose every slot word is atomic, so a
+// reader can probe it with no lock held while a writer (under the shard
+// write lock) mutates it. Go's built-in map cannot play this role — the
+// runtime faults on a map read concurrent with a write — so the shard keeps
+// no map: lookup serves Get, each serves iteration (Range, snapshots,
+// checkpoints), live serves Len.
 //
-// Consistency contract: the index is only guaranteed coherent when the
-// shard's write-section sequence is even. A reader that probes mid-write
-// can see a slot half-claimed, a key republished, or a stale table — all
-// benign, because the surrounding seq validation discards the read. What
-// the atomics buy is memory safety and race-detector cleanliness, not
-// ordering; what the seq bracket buys is ordering.
+// Consistency contract: the table is only guaranteed coherent when the
+// shard's write-section sequence is even, or under the shard lock. A reader
+// that probes mid-write can see a slot half-claimed, a key republished, or
+// a stale table — all benign, because the surrounding seq validation
+// discards the read. What the atomics buy is memory safety and
+// race-detector cleanliness, not ordering; what the seq bracket buys is
+// ordering.
 //
 // Writer-side discipline (all under the shard write lock):
 //
@@ -28,15 +28,17 @@ import (
 //     table is rebuilt; deletion just nils the cell pointer (a tombstone).
 //     Probe chains therefore only terminate at never-claimed slots, the
 //     standard tombstone rule.
-//   - The table grows (and purges tombstones) by rebuilding from the
-//     authoritative map into a fresh table published with one atomic
-//     pointer store; a reader mid-probe on the old table finishes its
-//     probe on a stale but internally-safe view and is invalidated.
+//   - The table grows (and purges tombstones) by copying its live slots
+//     into a fresh table published with one atomic pointer store; a reader
+//     mid-probe on the old table finishes its probe on a stale but
+//     internally-safe view and is invalidated.
 type seqIndex struct {
 	tab atomic.Pointer[seqTable]
 	// used counts claimed slots, tombstones included — the load factor
-	// driver. Writer-only, under the shard write lock.
-	used int
+	// driver; live counts the slots holding a cell, i.e. resident keys.
+	// Writer-only, under the shard write lock (live is read under the read
+	// lock too, which excludes the writer).
+	used, live int
 }
 
 type seqTable struct {
@@ -63,9 +65,9 @@ const seqIndexMinSize = 16
 // index homes on the high bits to stay uniform.
 func seqHome(key uint64) uint64 { return hash.Mix64(key) >> 32 }
 
-// lookup probes for key with no lock held. It returns the published cell,
-// nil for absent (or tombstoned) keys. The result is only trustworthy
-// under a validated seq section.
+// lookup probes for key, with or without the shard lock. It returns the
+// published cell, nil for absent (or tombstoned) keys. Without the lock the
+// result is only trustworthy under a validated seq section.
 func (ix *seqIndex) lookup(key uint64) *seqCell {
 	t := ix.tab.Load()
 	if t == nil {
@@ -84,45 +86,85 @@ func (ix *seqIndex) lookup(key uint64) *seqCell {
 	return nil // saturated table (transient mid-rebuild view); a miss is safe
 }
 
-// put publishes key→cell, claiming a slot on first insert and reusing the
-// key's claimed slot (or a tombstone) afterwards. Caller holds the shard
-// write lock inside an open write section.
-func (ix *seqIndex) put(data map[uint64]*seqCell, key uint64, cell *seqCell) {
+// each calls fn for every resident key and its cell, in slot order, until fn
+// returns false; it reports whether the walk ran to the end. Caller holds
+// the shard lock (read or write).
+func (ix *seqIndex) each(fn func(key uint64, c *seqCell) bool) bool {
 	t := ix.tab.Load()
-	if t == nil || (ix.used+1)*4 > len(t.slots)*3 {
-		ix.rebuild(data, key, cell)
+	if t == nil {
+		return true
+	}
+	for i := range t.slots {
+		s := &t.slots[i]
+		if c := s.cell.Load(); c != nil && !fn(s.key.Load(), c) {
+			return false
+		}
+	}
+	return true
+}
+
+// put publishes key→cell, claiming a slot on first insert and reusing the
+// key's claimed slot (or a tombstone) afterwards. A table that would pass
+// 3/4 claimed is first replaced by a copy of its live slots (tombstones
+// dropped), published only once it holds the entry. The copy is sized to
+// be at most half claimed, so a quarter of it must be claimed afresh
+// before the next copy: however inserts and deletes interleave, copying
+// stays amortized O(1) per insert. Caller holds the shard write lock
+// inside an open write section.
+func (ix *seqIndex) put(key uint64, cell *seqCell) {
+	t := ix.tab.Load()
+	if t != nil && (ix.used+1)*4 <= len(t.slots)*3 {
+		ix.insert(t, key, cell)
 		return
 	}
+	size := seqIndexMinSize
+	for size < (ix.live+1)*2 {
+		size *= 2
+	}
+	t = &seqTable{mask: uint64(size - 1), slots: make([]seqSlot, size)}
+	ix.used, ix.live = 0, 0
+	ix.each(func(k uint64, c *seqCell) bool {
+		ix.insert(t, k, c)
+		return true
+	})
+	ix.insert(t, key, cell)
+	ix.tab.Store(t)
+}
+
+// insert stores key→cell in t and keeps used and live exact. The load
+// factor bound in put leaves every probe chain an empty slot to end at.
+func (ix *seqIndex) insert(t *seqTable, key uint64, cell *seqCell) {
 	h := seqHome(key)
 	tomb := -1
-	for i := uint64(0); i <= t.mask; i++ {
+	for i := uint64(0); ; i++ {
 		p := int((h + i) & t.mask)
 		s := &t.slots[p]
 		if s.state.Load() == slotEmpty {
 			if tomb >= 0 {
-				p, s = tomb, &t.slots[tomb]
+				s = &t.slots[tomb]
 			} else {
 				ix.used++
 			}
+			ix.live++
 			s.key.Store(key)
 			s.cell.Store(cell)
 			s.state.Store(slotClaimed)
 			return
 		}
 		if s.key.Load() == key {
-			s.cell.Store(cell)
+			if s.cell.Swap(cell) == nil {
+				ix.live++ // the key's own tombstone, revived
+			}
 			return
 		}
 		if tomb < 0 && s.cell.Load() == nil {
 			tomb = p
 		}
 	}
-	// No empty slot on the whole chain (tombstone-saturated): rebuild.
-	ix.rebuild(data, key, cell)
 }
 
-// del tombstones key's slot. Caller holds the shard write lock inside an
-// open write section.
+// del tombstones key's slot; an absent key is a no-op. Caller holds the
+// shard write lock inside an open write section.
 func (ix *seqIndex) del(key uint64) {
 	t := ix.tab.Load()
 	if t == nil {
@@ -135,61 +177,17 @@ func (ix *seqIndex) del(key uint64) {
 			return
 		}
 		if s.key.Load() == key {
-			s.cell.Store(nil)
+			if s.cell.Swap(nil) != nil {
+				ix.live--
+			}
 			return
 		}
 	}
 }
 
-// rebuild publishes a fresh table sized for the authoritative map plus the
-// entry being inserted, copying the live cells over (and dropping
-// tombstones). extraKey's mapping is taken from extraCell, covering the
-// caller that rebuilds mid-put before the map insert lands.
-func (ix *seqIndex) rebuild(data map[uint64]*seqCell, extraKey uint64, extraCell *seqCell) {
-	need := len(data)
-	if extraCell != nil {
-		need++
-	}
-	size := seqIndexMinSize
-	for size*3 < need*4 { // keep the rebuilt table under 3/4 full
-		size *= 2
-	}
-	t := &seqTable{mask: uint64(size - 1), slots: make([]seqSlot, size)}
-	ins := func(k uint64, c *seqCell) {
-		h := seqHome(k)
-		for i := uint64(0); ; i++ {
-			s := &t.slots[(h+i)&t.mask]
-			if s.state.Load() == slotEmpty {
-				s.key.Store(k)
-				s.cell.Store(c)
-				s.state.Store(slotClaimed)
-				return
-			}
-			if s.key.Load() == k {
-				s.cell.Store(c)
-				return
-			}
-		}
-	}
-	used := 0
-	for k, c := range data {
-		if extraCell != nil && k == extraKey {
-			continue
-		}
-		ins(k, c)
-		used++
-	}
-	if extraCell != nil {
-		ins(extraKey, extraCell)
-		used++
-	}
-	ix.used = used
-	ix.tab.Store(t)
-}
-
-// reset drops the table; the next put rebuilds from the (replaced) map.
-// Caller holds the shard write lock inside an open write section.
+// reset drops the table and every key in it. Caller holds the shard write
+// lock inside an open write section.
 func (ix *seqIndex) reset() {
 	ix.tab.Store(nil)
-	ix.used = 0
+	ix.used, ix.live = 0, 0
 }

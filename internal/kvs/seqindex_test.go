@@ -1,20 +1,19 @@
 package kvs
 
 import (
+	"math/rand"
 	"testing"
 )
 
 func TestSeqIndexPutLookupDelete(t *testing.T) {
 	var st seqStore
-	st.data = make(map[uint64]*seqCell)
 	if c := st.idx.lookup(7); c != nil {
 		t.Fatal("lookup on empty index hit")
 	}
 	cells := map[uint64]*seqCell{}
 	for k := uint64(0); k < 200; k++ {
 		c := newSeqCell([]byte{byte(k)}, 0)
-		st.data[k] = c
-		st.idx.put(st.data, k, c)
+		st.idx.put(k, c)
 		cells[k] = c
 	}
 	for k := uint64(0); k < 200; k++ {
@@ -27,7 +26,6 @@ func TestSeqIndexPutLookupDelete(t *testing.T) {
 	}
 	// Delete half; survivors must stay reachable through the tombstones.
 	for k := uint64(0); k < 200; k += 2 {
-		delete(st.data, k)
 		st.idx.del(k)
 	}
 	for k := uint64(0); k < 200; k++ {
@@ -43,28 +41,26 @@ func TestSeqIndexPutLookupDelete(t *testing.T) {
 
 func TestSeqIndexUpdateRepublishesCell(t *testing.T) {
 	var st seqStore
-	st.data = make(map[uint64]*seqCell)
 	c1 := newSeqCell([]byte("one"), 0)
-	st.data[5] = c1
-	st.idx.put(st.data, 5, c1)
+	st.idx.put(5, c1)
 	c2 := newSeqCell([]byte("twotwotwo"), 0) // outgrows c1: replacement cell
-	st.data[5] = c2
-	st.idx.put(st.data, 5, c2)
+	st.idx.put(5, c2)
 	if got := st.idx.lookup(5); got != c2 {
 		t.Fatal("index still resolves the outgrown cell")
+	}
+	if st.idx.live != 1 {
+		t.Fatalf("live = %d after republishing one key, want 1", st.idx.live)
 	}
 }
 
 func TestSeqIndexTombstoneReuseAndRebuild(t *testing.T) {
 	var st seqStore
-	st.data = make(map[uint64]*seqCell)
 	// Churn keys through insert/delete cycles well past the minimum table
 	// size: tombstone accumulation must trigger rebuilds, not lookup decay.
 	for round := 0; round < 50; round++ {
 		for k := uint64(0); k < 40; k++ {
 			c := newSeqCell([]byte{byte(round)}, 0)
-			st.data[k] = c
-			st.idx.put(st.data, k, c)
+			st.idx.put(k, c)
 		}
 		for k := uint64(0); k < 40; k++ {
 			if got := st.idx.lookup(k); got == nil || got.bytes()[0] != byte(round) {
@@ -72,7 +68,6 @@ func TestSeqIndexTombstoneReuseAndRebuild(t *testing.T) {
 			}
 		}
 		for k := uint64(0); k < 40; k++ {
-			delete(st.data, k)
 			st.idx.del(k)
 		}
 	}
@@ -92,18 +87,155 @@ func TestSeqIndexTombstoneReuseAndRebuild(t *testing.T) {
 
 func TestSeqStoreResetDropsIndex(t *testing.T) {
 	var st seqStore
-	st.data = make(map[uint64]*seqCell)
 	st.putLocked(1, []byte("a"), 0)
-	st.replaceLocked(0)
+	st.replaceLocked()
 	if st.idx.lookup(1) != nil {
 		t.Fatal("index survived replaceLocked")
 	}
-	if len(st.data) != 0 {
-		t.Fatal("map survived replaceLocked")
+	if st.idx.live != 0 {
+		t.Fatalf("live = %d after replaceLocked, want 0", st.idx.live)
 	}
 	// The store must be fully usable after the reset.
 	st.putLocked(2, []byte("b"), 0)
 	if c := st.idx.lookup(2); c == nil || string(c.bytes()) != "b" {
 		t.Fatal("post-reset insert not indexed")
+	}
+}
+
+// TestSeqIndexMatchesMapModel drives the index — the shard's only key table
+// — with seeded random ops over a small key space against a Go map, the
+// reference it replaced: put, put that outgrows its cell (republish),
+// delete, double delete, delete of a never-inserted key, and reset. After
+// every op lookup, live and each must agree with the model exactly.
+func TestSeqIndexMatchesMapModel(t *testing.T) {
+	const keySpace, never = 96, 1 << 40 // keys >= never are never inserted
+	rng := rand.New(rand.NewSource(19))
+	var st seqStore
+	model := map[uint64]string{}
+	words := map[uint64]int{} // each resident key's cell capacity
+	check := func(op int, what string) {
+		t.Helper()
+		if st.idx.live != len(model) {
+			t.Fatalf("op %d (%s): live = %d, model has %d", op, what, st.idx.live, len(model))
+		}
+		for k := uint64(0); k < keySpace; k++ {
+			c, want := st.idx.lookup(k), model[k]
+			if _, in := model[k]; in != (c != nil) || (in && string(c.bytes()) != want) {
+				t.Fatalf("op %d (%s): lookup(%d) = %v, model %q (present %v)", op, what, k, c, want, in)
+			}
+		}
+		seen := map[uint64]bool{}
+		st.idx.each(func(k uint64, c *seqCell) bool {
+			if seen[k] || string(c.bytes()) != model[k] {
+				t.Fatalf("op %d (%s): each visited key %d twice or with a stale cell", op, what, k)
+			}
+			seen[k] = true
+			return true
+		})
+		if len(seen) != len(model) {
+			t.Fatalf("op %d (%s): each visited %d keys, model has %d", op, what, len(seen), len(model))
+		}
+		visits := 0
+		done := st.idx.each(func(uint64, *seqCell) bool { visits++; return false })
+		if want := min(len(model), 1); visits != want || done != (want == 0) {
+			t.Fatalf("op %d (%s): early stop visited %d entries (ran to end: %v), want %d", op, what, visits, done, want)
+		}
+	}
+	for op := 0; op < 12000; op++ {
+		k := uint64(rng.Intn(keySpace))
+		switch r := rng.Intn(100); {
+		case r < 45: // put; the length varies, so some puts outgrow their cell
+			v := make([]byte, 1+rng.Intn(40))
+			rng.Read(v)
+			// Fresh means a cell was allocated: the key was absent, or the
+			// value needs more words than the key's cell was built with.
+			need := (len(v) + 7) / 8
+			had, in := words[k]
+			if fresh := st.putLocked(k, v, 0); fresh != (!in || need > had) {
+				t.Fatalf("op %d: put(%d) of %d words over a %d-word cell (present %v) reported fresh=%v", op, k, need, had, in, fresh)
+			} else if fresh {
+				words[k] = need
+			}
+			model[k] = string(v)
+			check(op, "put")
+		case r < 85: // delete, then delete again
+			_, in := model[k]
+			if ok, _ := st.deleteLocked(k); ok != in {
+				t.Fatalf("op %d: delete(%d) = %v, model present %v", op, k, ok, in)
+			}
+			delete(model, k)
+			delete(words, k)
+			check(op, "delete")
+			// removeLocked does not look first, so the second delete reaches
+			// the key's own tombstone in the table.
+			st.removeLocked(k)
+			check(op, "double delete")
+		case r < 99: // delete of a key no put ever names
+			if ok, _ := st.deleteLocked(never + k); ok {
+				t.Fatalf("op %d: delete of never-inserted key hit", op)
+			}
+			st.removeLocked(never + k)
+			check(op, "delete absent")
+		default:
+			st.replaceLocked()
+			clear(model)
+			clear(words)
+			check(op, "reset")
+		}
+	}
+}
+
+// TestSeqIndexChurnStaysBounded is the tombstone-leak bound with no map to
+// rebuild from: rounds of inserting and deleting keys no earlier round used
+// leave nothing but foreign tombstones behind, and the table must shed them
+// from its own slots instead of growing.
+func TestSeqIndexChurnStaysBounded(t *testing.T) {
+	var st seqStore
+	for _, peak := range []int{5, 40, 300} {
+		st.replaceLocked()
+		for round := 0; round < 50; round++ {
+			base := uint64(round * peak)
+			for k := base; k < base+uint64(peak); k++ {
+				st.putLocked(k, []byte{byte(round)}, 0)
+			}
+			if st.idx.live != peak {
+				t.Fatalf("peak %d round %d: live = %d", peak, round, st.idx.live)
+			}
+			for k := base; k < base+uint64(peak); k++ {
+				st.removeLocked(k)
+			}
+			if slots, bound := len(st.idx.tab.Load().slots), 4*max(peak, seqIndexMinSize); slots > bound {
+				t.Fatalf("peak %d round %d: %d slots for %d live keys at most (bound %d); tombstones leak", peak, round, slots, peak, bound)
+			}
+		}
+		if st.idx.live != 0 {
+			t.Fatalf("peak %d: live = %d after the last round's deletes", peak, st.idx.live)
+		}
+	}
+}
+
+// TestSeqIndexSlidingWindowCopiesRarely holds a window of n keys steady —
+// insert a key never seen before, delete the oldest — which leaves one
+// foreign tombstone per step. Whatever n is, the table must copy itself at
+// most once per n/2 steps, not once per step when n sits just under the
+// 3/4 mark.
+func TestSeqIndexSlidingWindowCopiesRarely(t *testing.T) {
+	const steps = 2000
+	for n := 4; n <= 100; n++ {
+		var st seqStore
+		for k := 0; k < n; k++ {
+			st.putLocked(uint64(k), []byte{1}, 0)
+		}
+		copies, tab := 0, st.idx.tab.Load()
+		for i := n; i < n+steps; i++ {
+			st.putLocked(uint64(i), []byte{1}, 0)
+			st.removeLocked(uint64(i - n))
+			if now := st.idx.tab.Load(); now != tab {
+				copies, tab = copies+1, now
+			}
+		}
+		if st.idx.live != n || copies*n/2 > steps+n {
+			t.Fatalf("window %d: live %d, %d table copies in %d steps (want at most one per %d)", n, st.idx.live, copies, steps, n/2)
+		}
 	}
 }

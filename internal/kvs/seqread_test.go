@@ -185,32 +185,3 @@ func TestSeqReadDisabled(t *testing.T) {
 		t.Fatalf("gets/hits = %d/%d", st.Gets, st.GetHits)
 	}
 }
-
-// TestMemtableOptimisticReads covers the opt-in Memtable path: disabled by
-// default (the paper-figure benches measure locks), correct when enabled,
-// and torn reads invisible under a forced collision.
-func TestMemtableOptimisticReads(t *testing.T) {
-	m, err := NewMemtable(1, mkStd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Put(9, []byte("alpha"))
-	if v, ok := m.Get(9); !ok || string(v) != "alpha" {
-		t.Fatalf("default Get = %q, %v", v, ok)
-	}
-	m.SetSeqReadAttempts(2)
-	if v, ok := m.Get(9); !ok || string(v) != "alpha" {
-		t.Fatalf("optimistic Get = %q, %v", v, ok)
-	}
-	fired := false
-	installSeqReadHook(t, func(k uint64) {
-		if fired {
-			return
-		}
-		fired = true
-		m.Put(9, []byte("omega"))
-	})
-	if v, ok := m.Get(9); !ok || string(v) != "omega" {
-		t.Fatalf("post-collision Get = %q, %v; want \"omega\"", v, ok)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"github.com/bravolock/bravo/internal/clock"
-	"github.com/bravolock/bravo/internal/locks/seq"
 )
 
 // DefaultSeqReadAttempts is how many optimistic (seqlock) read attempts the
@@ -16,20 +15,18 @@ import (
 const DefaultSeqReadAttempts = 3
 
 // seqStore is the keyed storage shared by a Sharded shard and a Memtable
-// stripe: the authoritative cell map, the TTL deadlines, and the seq index
-// that shadows the map for lock-free optimistic probes. All mutation goes
-// through putLocked/removeLocked/replaceLocked under the owner's write
-// lock, which keeps the three structures in lockstep — the bracketing
-// invariant (DESIGN.md) is that every such mutation happens inside the
-// wrapped lock's write section, so optimistic readers can never trust a
-// torn view of any of them.
+// stripe: one key→cell table (seqIndex, probed by locked and lock-free reads
+// alike) and the TTL deadlines. All mutation goes through
+// putLocked/removeLocked/replaceLocked under the owner's write lock — the
+// bracketing invariant (DESIGN.md) is that on a shard every such mutation
+// happens between kvShard.wlock and wunlock, so optimistic readers can
+// never trust a torn view of either structure.
 type seqStore struct {
-	data map[uint64]*seqCell
+	idx seqIndex
 	// exp tracks PutTTL deadlines (see ttlMap); authoritative for the
 	// locked paths and Reap. Cells mirror the deadline atomically for the
 	// optimistic path. Guarded by the owner's lock.
 	exp ttlMap
-	idx seqIndex
 }
 
 // putLocked applies one insert-or-update under the already-held write lock:
@@ -39,32 +36,29 @@ type seqStore struct {
 // allocated (absent key, or a value that outgrew the cell) rather than
 // updated in place.
 func (st *seqStore) putLocked(key uint64, value []byte, deadline int64) (fresh bool) {
-	if c, ok := st.data[key]; ok && c.fits(len(value)) {
+	if c := st.idx.lookup(key); c != nil && c.fits(len(value)) {
 		c.set(value, deadline)
 	} else {
-		c = newSeqCell(value, deadline)
-		st.data[key] = c
-		st.idx.put(st.data, key, c)
+		st.idx.put(key, newSeqCell(value, deadline))
 		fresh = true
 	}
 	st.exp.set(key, deadline)
 	return fresh
 }
 
-// removeLocked unconditionally removes key from map, TTL table, and index,
+// removeLocked unconditionally removes key from the table and the TTL set,
 // under the already-held write lock.
 func (st *seqStore) removeLocked(key uint64) {
-	delete(st.data, key)
+	st.idx.del(key)
 	if len(st.exp) > 0 {
 		delete(st.exp, key)
 	}
-	st.idx.del(key)
 }
 
 // deleteLocked removes key under the already-held write lock, reporting
 // whether it was visibly present and whether it was a TTL-expired residue.
 func (st *seqStore) deleteLocked(key uint64) (ok, expired bool) {
-	if _, present := st.data[key]; !present {
+	if st.idx.lookup(key) == nil {
 		return false, false
 	}
 	expired = st.expiredLocked(key)
@@ -72,12 +66,30 @@ func (st *seqStore) deleteLocked(key uint64) (ok, expired bool) {
 	return !expired, expired
 }
 
-// replaceLocked resets the store to empty (a replication snapshot install),
-// under the already-held write lock.
-func (st *seqStore) replaceLocked(capacity int) {
-	st.data = make(map[uint64]*seqCell, capacity)
-	st.exp = nil
+// replaceLocked empties the store (a replication snapshot install), under the
+// already-held write lock.
+func (st *seqStore) replaceLocked() {
 	st.idx.reset()
+	st.exp = nil
+}
+
+// copyLocked returns a deep copy of every resident entry, expired residue
+// included, with its TTL deadlines — the image a checkpoint or a promotion
+// seed writes out. Caller holds the owner's lock, read or write.
+func (st *seqStore) copyLocked() (map[uint64][]byte, ttlMap) {
+	data := make(map[uint64][]byte, st.idx.live)
+	st.idx.each(func(k uint64, c *seqCell) bool {
+		data[k] = c.bytes()
+		return true
+	})
+	var exp ttlMap
+	if len(st.exp) > 0 {
+		exp = make(ttlMap, len(st.exp))
+		for k, d := range st.exp {
+			exp[k] = d
+		}
+	}
+	return data, exp
 }
 
 // expiredLocked reports whether key carries a TTL whose deadline has passed
@@ -92,21 +104,21 @@ func (st *seqStore) expiredLocked(key uint64) bool {
 // force deterministic collisions and to fuzz interleavings.
 var seqReadHook atomic.Pointer[func(key uint64)]
 
-// seqGetInto attempts up to attempts optimistic reads of key against cnt,
-// the owner's write-section counter. On success (done=true) it returns the
+// seqGetInto attempts up to attempts optimistic reads of key against the
+// shard's write-section counter. On success (done=true) it returns the
 // value appended to buf[:0], presence, and whether a present entry was
 // TTL-expired (reported as a miss, like the locked path); retries counts
 // the failed attempts before the success. done=false means every attempt
 // collided and the caller must take the pessimistic path; the returned
 // buffer then carries buf's storage back to the caller.
-func (st *seqStore) seqGetInto(cnt *seq.Count, key uint64, buf []byte, attempts int) (out []byte, ok, expired bool, retries int, done bool) {
+func (sh *kvShard) seqGetInto(key uint64, buf []byte, attempts int) (out []byte, ok, expired bool, retries int, done bool) {
 	for a := 0; a < attempts; a++ {
-		s0, even := cnt.TryBegin()
+		s0, even := sh.seqc.TryBegin()
 		if !even {
 			retries++
 			continue
 		}
-		c := st.idx.lookup(key)
+		c := sh.idx.lookup(key)
 		out = buf[:0]
 		var deadline int64
 		if c != nil {
@@ -116,7 +128,7 @@ func (st *seqStore) seqGetInto(cnt *seq.Count, key uint64, buf []byte, attempts 
 		if h := seqReadHook.Load(); h != nil {
 			(*h)(key)
 		}
-		if cnt.Retry(s0) {
+		if sh.seqc.Retry(s0) {
 			retries++
 			continue
 		}

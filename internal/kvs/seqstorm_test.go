@@ -20,21 +20,22 @@ import (
 // a generation stamp, so a torn copy, a cross-key splice, or a stale
 // half-update decodes as garbage instead of passing silently.
 //
-// Mutant exercise (run once while building this storm, then deleted, per
-// the certification plan): a temporary test took a shard's *substrate*
-// write lock via the wrapper's Under() escape hatch and called putLocked
-// directly — a mutation with the lock held but WITHOUT the seq bump, i.e.
-// a writer that "forgot" the bracketing invariant. The storm's readers
-// caught it immediately: stormCheck reported mixed-generation words within
-// a few milliseconds on every run (8/8 locally), because optimistic copies
-// of the half-written cell validated against a counter the mutant never
-// moved. That demonstrated the storm actually detects a missed bump; the
-// mutant writer was then removed so the tree stays invariant-clean. If you
-// change the bracketing (rwl.WrapOptimistic, seqStore mutators), rerun the
-// exercise: take sh.lock.(interface{ Under() rwl.RWLock }).Under(), call
-// putLocked under it with fixed-size values (in-place rewrites give readers
-// the widest torn-copy window), and make sure this storm goes red before
-// trusting the change.
+// Mutant exercise (run while building this storm and again whenever the
+// bracketing changes, then deleted): a temporary test passes runSeqStorm an
+// extra writer that takes the shard's write lock directly —
+// sh.lock.Lock(); sh.putLocked(k, v, 0); sh.lock.Unlock() — a mutation with
+// the lock held but WITHOUT the seq bump, i.e. a writer that "forgot"
+// wlock/wunlock. With fixed-size four-word values (in-place rewrites give
+// readers the widest torn-copy window) the storm's readers catch it:
+// stormCheck reports mixed-generation words, because optimistic copies of
+// the half-written cell validate against a counter the mutant never moved.
+// On a 2-CPU host a mutant rewriting all 128 keys per iteration turns the
+// storm red on every run (8/8) and one rewriting a single key per iteration
+// on about one run in eight; the same writer through wlock/wunlock stays
+// green. TestShardWriteLockOnlyThroughWlock rejects such a writer in
+// non-test code before it runs. If you change the bracketing
+// (kvShard.wlock/wunlock, seqStore mutators), rerun the exercise and make
+// sure this storm goes red before trusting the change.
 
 // stormKeys is the shared hot key space every storm goroutine hammers.
 const stormKeys = 128

@@ -16,7 +16,7 @@ import (
 )
 
 // Sharded is a sharded key-value engine: the keyspace is striped across a
-// power-of-two number of shards, each an independent hash map guarded by its
+// power-of-two number of shards, each an independent hash table guarded by its
 // own reader-writer lock from a caller-supplied factory. It is the
 // scale-out form of the single-stripe Memtable/HashCache substrates: with a
 // BRAVO-wrapped lock per shard the read path is one CAS into the shared
@@ -69,23 +69,23 @@ type Sharded struct {
 // kvShard is one stripe: a lock, its store, and its operation counters.
 // Shards are sector-padded so one shard's lock and counter traffic does not
 // false-share with its neighbours.
-//
-// The lock is the caller's substrate wrapped in rwl.WrapOptimistic, so
-// every write-lock section is bracketed by the shard's sequence counter
-// (seqc) — the structural guarantee that every mutation site bumps the
-// sequence, which the optimistic read path's validation depends on.
 type kvShard struct {
+	// lock is the lock the caller's factory built, called directly. Write
+	// sections are opened and closed only through wlock/wunlock, which
+	// bracket them with seqc — the structural guarantee that every mutation
+	// site bumps the sequence, which the optimistic read path's validation
+	// depends on (TestShardWriteLockOnlyThroughWlock holds the line).
 	lock rwl.RWLock
 	// hlock is lock's handle-accepting view, nil when the lock does not
 	// implement rwl.HandleRWLock. Resolved once at construction so the read
 	// hot paths pay a nil check, not a type assertion, per acquisition.
 	hlock rwl.HandleRWLock
-	// seqc is the wrapped lock's write-section counter: even when
-	// quiescent, odd while a writer is inside. Optimistic reads bracket
-	// their lock-free copies with it.
-	seqc *seq.Count
-	// seqStore is the shard's keyed storage: cell map + TTL deadlines +
-	// the lock-free seq index, mutated only under lock's write sections.
+	// seqc is the write-section counter: even when quiescent, odd while a
+	// writer is inside. Optimistic reads bracket their lock-free copies
+	// with it.
+	seqc seq.Count
+	// seqStore is the shard's keyed storage: the key→cell table and the TTL
+	// deadlines, mutated only between wlock and wunlock.
 	seqStore
 	q writeQueue
 	// wal is the shard's write-ahead log, nil on volatile engines. Its
@@ -94,20 +94,9 @@ type kvShard struct {
 	// ad is the shard lock's bias adaptor, nil unless the factory built an
 	// adaptive lock. The shard feeds it the read/write counters it already
 	// maintains (adaptTick), closing the per-shard bias feedback loop.
-	ad *bias.Adaptor
-	// innerH is the adaptive composite's inner handle read path and fairBit
-	// its fair-gate token tag, set only when ad is set and the inner lock is
-	// handle-capable. Non-fair reads route straight to innerH — skipping the
-	// optimistic wrapper and the composite, both pure forwarders on reads —
-	// so the adaptive read path costs one mode load over a static lock.
-	// Unlock routes by the token, not the mode, so a flip between lock and
-	// unlock cannot strand an acquisition on the wrong path. Writers always
-	// go through the full stack: they need the wrapper's seq bracket and the
-	// composite's gate+inner pairing.
-	innerH  rwl.HandleRWLock
-	fairBit rwl.Token
-	ops     shardOps
-	_       arch.SectorPad
+	ad  *bias.Adaptor
+	ops shardOps
+	_   arch.SectorPad
 }
 
 // adaptTickMask samples the adaptor feed: roughly every 256th operation per
@@ -134,36 +123,34 @@ func (sh *kvShard) putCounted(key uint64, value []byte, deadline int64) {
 	}
 }
 
+// wlock acquires the shard's write lock and opens the write section
+// (sequence odd).
+func (sh *kvShard) wlock() {
+	sh.lock.Lock()
+	sh.seqc.WriteBegin()
+}
+
+// wunlock closes the write section (sequence even) and releases the write
+// lock.
+func (sh *kvShard) wunlock() {
+	sh.seqc.WriteEnd()
+	sh.lock.Unlock()
+}
+
 // rlock acquires the shard's read lock, through the handle when both the
-// caller supplied one and the lock supports it. Adaptive shards route
-// non-fair reads straight to the composite's inner lock (see the innerH
-// field comment for why that is sound).
+// caller supplied one and the lock supports it.
 func (sh *kvShard) rlock(h *rwl.Reader) rwl.Token {
-	if h != nil {
-		if sh.innerH != nil && sh.ad.Mode() != bias.ModeFair {
-			return sh.innerH.RLockH(h)
-		}
-		if sh.hlock != nil {
-			return sh.hlock.RLockH(h)
-		}
+	if h != nil && sh.hlock != nil {
+		return sh.hlock.RLockH(h)
 	}
 	return sh.lock.RLock()
 }
 
 // runlock releases a read acquisition made by rlock with the same handle.
-// The bypass decision is re-derived from the token, not the current mode:
-// only fair-gate tokens carry fairBit, so an acquisition is always released
-// on the path that made it even if the mode flipped in between.
 func (sh *kvShard) runlock(h *rwl.Reader, tok rwl.Token) {
-	if h != nil {
-		if sh.innerH != nil && tok&sh.fairBit == 0 {
-			sh.innerH.RUnlockH(h, tok)
-			return
-		}
-		if sh.hlock != nil {
-			sh.hlock.RUnlockH(h, tok)
-			return
-		}
+	if h != nil && sh.hlock != nil {
+		sh.hlock.RUnlockH(h, tok)
+		return
 	}
 	sh.lock.RUnlock(tok)
 }
@@ -348,24 +335,12 @@ func NewSharded(shards int, mkLock rwl.Factory, opts ...Option) (*Sharded, error
 	s := &Sharded{shards: make([]kvShard, shards), mask: uint64(shards - 1)}
 	s.seqAttempts.Store(DefaultSeqReadAttempts)
 	for i := range s.shards {
-		// Wrap the substrate so every write section is seq-bracketed; the
-		// wrapper preserves the handle read path when the substrate has one.
-		raw := mkLock()
-		if al, ok := raw.(interface{ Adaptor() *bias.Adaptor }); ok {
-			s.shards[i].ad = al.Adaptor()
-			if bp, ok := raw.(interface {
-				InnerHandle() rwl.HandleRWLock
-				FairBit() rwl.Token
-			}); ok {
-				s.shards[i].innerH = bp.InnerHandle()
-				s.shards[i].fairBit = bp.FairBit()
-			}
+		sh := &s.shards[i]
+		sh.lock = mkLock()
+		sh.hlock, _ = sh.lock.(rwl.HandleRWLock)
+		if al, ok := sh.lock.(interface{ Adaptor() *bias.Adaptor }); ok {
+			sh.ad = al.Adaptor()
 		}
-		wrapped := rwl.WrapOptimistic(raw)
-		s.shards[i].lock = wrapped
-		s.shards[i].hlock, _ = rwl.RWLock(wrapped).(rwl.HandleRWLock)
-		s.shards[i].seqc = wrapped.Seq()
-		s.shards[i].data = make(map[uint64]*seqCell)
 	}
 	if cfg.dir != "" {
 		if err := s.openDurable(cfg.dir, cfg.policy, cfg.lsnBase); err != nil {
@@ -427,7 +402,7 @@ func (s *Sharded) getInto(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) 
 	// the pessimistic BRAVO path below (handle or anonymous).
 	if att := int(s.seqAttempts.Load()); att > 0 {
 		var retries int
-		out, ok, expired, retries, served = sh.seqGetInto(sh.seqc, key, buf, att)
+		out, ok, expired, retries, served = sh.seqGetInto(key, buf, att)
 		if retries > 0 {
 			sh.ops.seqRetries.Add(uint64(retries))
 		}
@@ -439,15 +414,12 @@ func (s *Sharded) getInto(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) 
 	}
 	if !served {
 		tok := sh.rlock(h)
-		v, present := sh.data[key]
-		ok = present
-		expired = ok && sh.expiredLocked(key)
-		if expired {
-			ok = false
-		}
+		c := sh.idx.lookup(key)
+		expired = c != nil && sh.expiredLocked(key)
+		ok = c != nil && !expired
 		out = buf[:0]
 		if ok {
-			out = v.appendTo(out)
+			out = c.appendTo(out)
 		}
 		sh.runlock(h, tok)
 	}
@@ -540,10 +512,10 @@ func (s *Sharded) put(key uint64, value []byte, deadline int64) {
 		w.addPut(key, value, deadline)
 		w.commit(1)
 	}
-	sh.lock.Lock()
+	sh.wlock()
 	n := sh.ops.puts.Add(1) // total before rare: see the Stats load-order note
 	sh.putCounted(key, value, deadline)
-	sh.lock.Unlock()
+	sh.wunlock()
 	w.unlock()
 	sh.adaptTick(n)
 }
@@ -560,10 +532,10 @@ func (s *Sharded) Delete(key uint64) bool {
 		w.addDelete(key)
 		w.commit(1)
 	}
-	sh.lock.Lock()
+	sh.wlock()
 	n := sh.ops.deletes.Add(1) // total before rare: see the Stats load-order note
 	ok, expired := sh.deleteLocked(key)
-	sh.lock.Unlock()
+	sh.wunlock()
 	w.unlock()
 	if !ok {
 		sh.ops.delMisses.Add(1)
@@ -634,15 +606,16 @@ func (s *Sharded) multiGet(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte 
 			expired = 0
 			tok := sh.rlock(h)
 			for _, p := range group {
-				v, ok := sh.data[keys[p.pos]]
-				if ok && sh.expiredLocked(keys[p.pos]) {
+				c := sh.idx.lookup(keys[p.pos])
+				if c == nil {
+					continue
+				}
+				if sh.expiredLocked(keys[p.pos]) {
 					expired++
 					continue
 				}
-				if ok {
-					// Non-nil even for empty values: nil means absent here.
-					out[p.pos] = v.bytes()
-				}
+				// Non-nil even for empty values: nil means absent here.
+				out[p.pos] = c.bytes()
 			}
 			sh.runlock(h, tok)
 		}
@@ -742,12 +715,12 @@ func (s *Sharded) multiPut(keys []uint64, values [][]byte, deadline int64) {
 			}
 			w.commit(len(group))
 		}
-		sh.lock.Lock()
+		sh.wlock()
 		np := sh.ops.puts.Add(uint64(len(group))) // total before rare, as in Put
 		for _, p := range group {
 			sh.putCounted(keys[p.pos], values[p.pos], deadline)
 		}
-		sh.lock.Unlock()
+		sh.wunlock()
 		w.unlock()
 		sh.ops.wbatches.Add(1)
 		sh.ops.wbatchKeys.Add(uint64(len(group)))
@@ -771,7 +744,7 @@ func (s *Sharded) MultiDelete(keys []uint64) int {
 			}
 			w.commit(len(group))
 		}
-		sh.lock.Lock()
+		sh.wlock()
 		nd := sh.ops.deletes.Add(uint64(len(group))) // total before rare, as in Delete
 		for _, p := range group {
 			ok, exp := sh.deleteLocked(keys[p.pos])
@@ -782,7 +755,7 @@ func (s *Sharded) MultiDelete(keys []uint64) int {
 				expired++
 			}
 		}
-		sh.lock.Unlock()
+		sh.wunlock()
 		w.unlock()
 		sh.ops.delMisses.Add(uint64(len(group) - hits))
 		if expired > 0 {
@@ -834,7 +807,7 @@ func (s *Sharded) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		tok := sh.lock.RLock()
-		n += len(sh.data)
+		n += sh.idx.live
 		sh.lock.RUnlock(tok)
 	}
 	return n
@@ -851,17 +824,17 @@ func (s *Sharded) Range(fn func(key uint64, value []byte) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		tok := sh.lock.RLock()
-		for k, v := range sh.data {
+		more := sh.idx.each(func(k uint64, c *seqCell) bool {
 			if sh.expiredLocked(k) {
-				continue
+				return true
 			}
-			scratch = v.appendTo(scratch[:0])
-			if !fn(k, scratch) {
-				sh.lock.RUnlock(tok)
-				return
-			}
-		}
+			scratch = c.appendTo(scratch[:0])
+			return fn(k, scratch)
+		})
 		sh.lock.RUnlock(tok)
+		if !more {
+			return
+		}
 	}
 }
 
@@ -878,21 +851,21 @@ func (s *Sharded) RangeTTL(fn func(key uint64, value []byte, remaining time.Dura
 		if len(sh.exp) > 0 {
 			now = clock.Nanos()
 		}
-		for k, v := range sh.data {
+		more := sh.idx.each(func(k uint64, c *seqCell) bool {
 			if sh.expiredLocked(k) {
-				continue
+				return true
 			}
 			var rem time.Duration
 			if d, ok := sh.exp[k]; ok {
 				rem = time.Duration(d - now)
 			}
-			scratch = v.appendTo(scratch[:0])
-			if !fn(k, scratch, rem) {
-				sh.lock.RUnlock(tok)
-				return
-			}
-		}
+			scratch = c.appendTo(scratch[:0])
+			return fn(k, scratch, rem)
+		})
 		sh.lock.RUnlock(tok)
+		if !more {
+			return
+		}
 	}
 }
 
@@ -901,13 +874,13 @@ func (s *Sharded) RangeTTL(fn func(key uint64, value []byte, remaining time.Dura
 func (s *Sharded) SnapshotShard(i int) map[uint64][]byte {
 	sh := &s.shards[i]
 	tok := sh.lock.RLock()
-	out := make(map[uint64][]byte, len(sh.data))
-	for k, v := range sh.data {
-		if sh.expiredLocked(k) {
-			continue
+	out := make(map[uint64][]byte, sh.idx.live)
+	sh.idx.each(func(k uint64, c *seqCell) bool {
+		if !sh.expiredLocked(k) {
+			out[k] = c.bytes()
 		}
-		out[k] = v.bytes()
-	}
+		return true
+	})
 	sh.lock.RUnlock(tok)
 	sh.ops.snapshots.Add(1)
 	return out
@@ -941,7 +914,7 @@ func (s *Sharded) Reap(budget int) int {
 		sh := &s.shards[(s.reapCursor.Add(1)-1)&s.mask]
 		removed := 0
 		leftover := false
-		sh.lock.Lock()
+		sh.wlock()
 		if len(sh.exp) > 0 {
 			now := clock.Nanos()
 			examined := 0
@@ -951,9 +924,8 @@ func (s *Sharded) Reap(budget int) int {
 				}
 				examined++
 				if now >= d {
-					// Through removeLocked so the seq index sheds the
-					// entry with the map — reaping is a mutation site
-					// like any other, bracketed by the shard write lock.
+					// Reaping is a mutation site like any other,
+					// bracketed by the shard write section.
 					sh.removeLocked(k)
 					removed++
 				}
@@ -966,7 +938,7 @@ func (s *Sharded) Reap(budget int) int {
 			leftover = examined >= budget && len(sh.exp) > examined-removed
 			budget -= examined
 		}
-		sh.lock.Unlock()
+		sh.wunlock()
 		if removed > 0 {
 			sh.ops.reaped.Add(uint64(removed))
 			reaped += removed
@@ -1001,7 +973,7 @@ func (s *Sharded) Stats() ShardedStats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		tok := sh.lock.RLock()
-		keys := len(sh.data)
+		keys := sh.idx.live
 		ttlKeys := len(sh.exp)
 		sh.lock.RUnlock(tok)
 		// Load each rare counter before its total: every op bumps the

@@ -83,17 +83,7 @@ func (s *Sharded) checkpointShard(i int) error {
 	w.mu.Lock()
 	lsn := w.lsn
 	tok := sh.lock.RLock()
-	data := make(map[uint64][]byte, len(sh.data))
-	for k, v := range sh.data {
-		data[k] = v.bytes()
-	}
-	var exp ttlMap
-	if len(sh.exp) > 0 {
-		exp = make(ttlMap, len(sh.exp))
-		for k, d := range sh.exp {
-			exp[k] = d
-		}
-	}
+	data, exp := sh.copyLocked()
 	sh.lock.RUnlock(tok)
 	err := w.rotate(s.walPath(i), s.walOldPath(i))
 	w.mu.Unlock()

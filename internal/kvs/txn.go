@@ -155,7 +155,7 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 		}
 	}
 	for _, si := range shardIdx {
-		s.shards[si].lock.Lock()
+		s.shards[si].wlock()
 	}
 	locked := true
 	release := func() {
@@ -164,7 +164,7 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 		}
 		locked = false
 		for i := len(shardIdx) - 1; i >= 0; i-- {
-			s.shards[shardIdx[i]].lock.Unlock()
+			s.shards[shardIdx[i]].wunlock()
 		}
 		if s.durable {
 			for i := len(shardIdx) - 1; i >= 0; i-- {
@@ -188,7 +188,7 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 	}
 	for i, k := range uk {
 		sh := &s.shards[s.ShardOf(k)]
-		if c, ok := sh.data[k]; ok && !sh.expiredLocked(k) {
+		if c := sh.idx.lookup(k); c != nil && !sh.expiredLocked(k) {
 			tx.cur[i] = c.bytes()
 		}
 	}

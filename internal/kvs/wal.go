@@ -376,7 +376,7 @@ func appendFile(dst, src string) error {
 }
 
 // walEntry is one decoded log (or snapshot) entry. val aliases the decode
-// buffer; recovery copies it into the shard map via putLocked.
+// buffer; recovery copies it into the shard's table via putLocked.
 type walEntry struct {
 	op  byte
 	key uint64

@@ -89,11 +89,13 @@ func TestNeverToleratesFalseCond(t *testing.T) {
 // probe testing.T (and its own goroutine, since Fatalf ends in Goexit) so
 // the expected failure does not fail this test.
 func TestExclusionDetectsViolations(t *testing.T) {
+	const readers, writers = 4, 2
 	probe := &testing.T{}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Exclusion(probe, func() rwl.RWLock { return brokenLock{} }, 4, 2, 500)
+		l := &brokenLock{workers: readers + writers, all: make(chan struct{})}
+		Exclusion(probe, func() rwl.RWLock { return l }, readers, writers, 500)
 	}()
 	<-done
 	if !probe.Failed() {
@@ -101,10 +103,29 @@ func TestExclusionDetectsViolations(t *testing.T) {
 	}
 }
 
-// brokenLock grants every acquisition immediately.
-type brokenLock struct{}
+// brokenLock grants every acquisition immediately — except that each
+// worker's first one waits until every worker has made one. The workers'
+// loops are then all live at once, so their sections overlap whatever the
+// scheduler does; unsynchronised, one worker could finish its loop before a
+// loaded host started the next.
+type brokenLock struct {
+	workers int32
+	arrived atomic.Int32
+	all     chan struct{}
+}
 
-func (brokenLock) RLock() rwl.Token  { return 0 }
-func (brokenLock) RUnlock(rwl.Token) {}
-func (brokenLock) Lock()             {}
-func (brokenLock) Unlock()           {}
+// acquire is the barrier: a worker blocks inside its first call, so the
+// first `workers` calls belong to distinct workers.
+func (b *brokenLock) acquire() {
+	if n := b.arrived.Add(1); n <= b.workers {
+		if n == b.workers {
+			close(b.all)
+		}
+		<-b.all
+	}
+}
+
+func (b *brokenLock) RLock() rwl.Token { b.acquire(); return 0 }
+func (*brokenLock) RUnlock(rwl.Token)  {}
+func (b *brokenLock) Lock()            { b.acquire() }
+func (*brokenLock) Unlock()            {}

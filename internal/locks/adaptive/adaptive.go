@@ -2,7 +2,7 @@
 // lock that a bias.Adaptor flips at runtime: a BRAVO-transformed lock
 // (reader-biased, writers pay revocation) and a FIFO fair gate
 // (internal/locks/fairrw — no revocation, no starvation). The adaptor's
-// Mode selects the reader path per acquisition:
+// Mode selects the reader path per acquisition and the token records it:
 //
 //	biased / neutral:  readers go through the inner lock (BRAVO fast path
 //	                   when bias is on; plain substrate reads when the
@@ -45,7 +45,6 @@ type Lock struct {
 }
 
 var (
-	_ rwl.RWLock       = (*Lock)(nil)
 	_ rwl.TryRWLock    = (*Lock)(nil)
 	_ rwl.HandleRWLock = (*Lock)(nil)
 )
@@ -75,20 +74,6 @@ func (l *Lock) Adaptor() *bias.Adaptor { return l.ad }
 
 // Under returns the inner lock.
 func (l *Lock) Under() rwl.RWLock { return l.under }
-
-// InnerHandle exposes the inner lock's handle read path (nil when the inner
-// lock is not handle-capable) so a caller that already consults the adaptor
-// can route non-fair reads straight to the inner lock, skipping this
-// composite's dispatch. The shortcut is sound because writers always hold
-// both the gate and the inner lock: a reader holding only the inner lock is
-// excluded regardless of what the mode word said when it decided to bypass.
-// Pair with FairBit — tokens carrying that bit came through the fair gate
-// and must be released through this composite, not the inner lock.
-func (l *Lock) InnerHandle() rwl.HandleRWLock { return l.hunder }
-
-// FairBit returns the token bit that tags fair-gate read acquisitions; see
-// InnerHandle.
-func (l *Lock) FairBit() rwl.Token { return fairBit }
 
 // Engine returns the inner lock's bias engine, or nil when the inner lock
 // has none.
