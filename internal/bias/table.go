@@ -21,8 +21,10 @@ import (
 )
 
 // DefaultTableSize is the paper's table size: "In all our experiments we
-// sized the table at 4096 entries" (§3). With 8-byte slots the footprint is
-// 32KB, shared by every lock and thread in the address space.
+// sized the table at 4096 entries" (§3). The 8-byte slots are the paper's
+// 32KB; the unlock guard's 4-byte generation word per slot (Table.gens) is
+// 16KB more, so the footprint is 48KB, shared by every lock and thread in
+// the address space.
 const DefaultTableSize = 4096
 
 // DefaultRowLen is the BRAVO-2D sector length: the paper's preferred

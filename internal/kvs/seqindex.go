@@ -24,8 +24,8 @@ import (
 //
 // Writer-side discipline (all under the shard write lock):
 //
-//   - A slot, once claimed for a key, keeps state slotClaimed until the
-//     table is rebuilt; deletion just nils the cell pointer (a tombstone).
+//   - A slot's cell pointer is nil until the slot is first claimed and never
+//     nil again until the table is rebuilt; deletion swaps in seqTombstone.
 //     Probe chains therefore only terminate at never-claimed slots, the
 //     standard tombstone rule.
 //   - The table grows (and purges tombstones) by copying its live slots
@@ -35,7 +35,7 @@ import (
 type seqIndex struct {
 	tab atomic.Pointer[seqTable]
 	// used counts claimed slots, tombstones included — the load factor
-	// driver; live counts the slots holding a cell, i.e. resident keys.
+	// driver; live counts the slots holding a key's cell, i.e. resident keys.
 	// Writer-only, under the shard write lock (live is read under the read
 	// lock too, which excludes the writer).
 	used, live int
@@ -46,16 +46,17 @@ type seqTable struct {
 	slots []seqSlot
 }
 
+// seqSlot is 16 bytes, so four fill a cache line and none straddles two.
+// cell carries the slot's state: nil is never claimed, seqTombstone is
+// claimed and deleted, anything else is key's published cell.
 type seqSlot struct {
-	state atomic.Uint32
-	key   atomic.Uint64
-	cell  atomic.Pointer[seqCell]
+	key  atomic.Uint64
+	cell atomic.Pointer[seqCell]
 }
 
-const (
-	slotEmpty   = 0
-	slotClaimed = 1
-)
+// seqTombstone marks a deleted slot. It is a real, empty cell, so a reader
+// that raced its way to it copies nothing.
+var seqTombstone = newSeqCell(nil, 0)
 
 // seqIndexMinSize is the smallest table allocated; must be a power of two.
 const seqIndexMinSize = 16
@@ -76,11 +77,15 @@ func (ix *seqIndex) lookup(key uint64) *seqCell {
 	h := seqHome(key)
 	for i := uint64(0); i <= t.mask; i++ {
 		s := &t.slots[(h+i)&t.mask]
-		if s.state.Load() == slotEmpty {
+		c := s.cell.Load()
+		if c == nil {
 			return nil
 		}
 		if s.key.Load() == key {
-			return s.cell.Load()
+			if c == seqTombstone {
+				return nil
+			}
+			return c
 		}
 	}
 	return nil // saturated table (transient mid-rebuild view); a miss is safe
@@ -96,7 +101,7 @@ func (ix *seqIndex) each(fn func(key uint64, c *seqCell) bool) bool {
 	}
 	for i := range t.slots {
 		s := &t.slots[i]
-		if c := s.cell.Load(); c != nil && !fn(s.key.Load(), c) {
+		if c := s.cell.Load(); c != nil && c != seqTombstone && !fn(s.key.Load(), c) {
 			return false
 		}
 	}
@@ -139,7 +144,8 @@ func (ix *seqIndex) insert(t *seqTable, key uint64, cell *seqCell) {
 	for i := uint64(0); ; i++ {
 		p := int((h + i) & t.mask)
 		s := &t.slots[p]
-		if s.state.Load() == slotEmpty {
+		c := s.cell.Load()
+		if c == nil {
 			if tomb >= 0 {
 				s = &t.slots[tomb]
 			} else {
@@ -148,16 +154,16 @@ func (ix *seqIndex) insert(t *seqTable, key uint64, cell *seqCell) {
 			ix.live++
 			s.key.Store(key)
 			s.cell.Store(cell)
-			s.state.Store(slotClaimed)
 			return
 		}
 		if s.key.Load() == key {
-			if s.cell.Swap(cell) == nil {
+			s.cell.Store(cell)
+			if c == seqTombstone {
 				ix.live++ // the key's own tombstone, revived
 			}
 			return
 		}
-		if tomb < 0 && s.cell.Load() == nil {
+		if tomb < 0 && c == seqTombstone {
 			tomb = p
 		}
 	}
@@ -173,11 +179,13 @@ func (ix *seqIndex) del(key uint64) {
 	h := seqHome(key)
 	for i := uint64(0); i <= t.mask; i++ {
 		s := &t.slots[(h+i)&t.mask]
-		if s.state.Load() == slotEmpty {
+		c := s.cell.Load()
+		if c == nil {
 			return
 		}
 		if s.key.Load() == key {
-			if s.cell.Swap(nil) != nil {
+			if c != seqTombstone {
+				s.cell.Store(seqTombstone)
 				ix.live--
 			}
 			return

@@ -3,7 +3,60 @@ package kvs
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestSeqSlotFillsQuarterLine pins the slot at 16 bytes: four to a cache
+// line, none straddling two (a slice of them is 16-aligned at worst).
+func TestSeqSlotFillsQuarterLine(t *testing.T) {
+	if got := unsafe.Sizeof(seqSlot{}); got != 16 {
+		t.Fatalf("seqSlot is %d bytes, want 16", got)
+	}
+}
+
+// TestSeqIndexTombstoneReusedByAnotherKey deletes a key and inserts a
+// different one whose probe chain passes the tombstone: the newcomer must
+// take the tombstoned slot (no fresh claim), the deleted key must stay
+// absent, and re-inserting it must claim the chain's next slot rather than
+// disturb the newcomer.
+func TestSeqIndexTombstoneReusedByAnotherKey(t *testing.T) {
+	var st seqStore
+	a := uint64(1)
+	st.putLocked(a, []byte("a"), 0)
+	tab := st.idx.tab.Load()
+	home := seqHome(a) & tab.mask
+	b := a + 1
+	for seqHome(b)&tab.mask != home {
+		b++
+	}
+	st.removeLocked(a)
+	if c := tab.slots[home].cell.Load(); c != seqTombstone {
+		t.Fatalf("deleted slot holds %p, want the tombstone", c)
+	}
+	st.putLocked(b, []byte("b"), 0)
+	if st.idx.tab.Load() != tab || st.idx.used != 1 || st.idx.live != 1 {
+		t.Fatalf("used %d, live %d: the newcomer claimed a fresh slot instead of the tombstone", st.idx.used, st.idx.live)
+	}
+	if s := &tab.slots[home]; s.key.Load() != b || string(s.cell.Load().bytes()) != "b" {
+		t.Fatalf("home slot holds key %d, want the newcomer %d", s.key.Load(), b)
+	}
+	if st.idx.lookup(a) != nil {
+		t.Fatal("deleted key resolves after its slot was reused")
+	}
+	st.putLocked(a, []byte("a2"), 0)
+	if st.idx.used != 2 || st.idx.live != 2 {
+		t.Fatalf("used %d, live %d after re-inserting the deleted key, want 2/2", st.idx.used, st.idx.live)
+	}
+	for k, want := range map[uint64]string{a: "a2", b: "b"} {
+		if c := st.idx.lookup(k); c == nil || string(c.bytes()) != want {
+			t.Fatalf("lookup(%d) = %v, want %q", k, c, want)
+		}
+	}
+	st.removeLocked(b)
+	if c := st.idx.lookup(a); c == nil || string(c.bytes()) != "a2" {
+		t.Fatal("key past a tombstone in its probe chain no longer resolves")
+	}
+}
 
 func TestSeqIndexPutLookupDelete(t *testing.T) {
 	var st seqStore

@@ -185,3 +185,50 @@ func TestSeqReadDisabled(t *testing.T) {
 		t.Fatalf("gets/hits = %d/%d", st.Gets, st.GetHits)
 	}
 }
+
+// TestSeqReadsDerivedFromLockedReads pins SeqReads, which Stats derives as
+// the read sections that did not take the shard lock, to what a counter
+// bumped on every served seq read reported: with the optimistic path off no
+// read is a seq read or a fallback, however it ends; with the default budget
+// a hit and a miss are seq reads alike and a read whose every attempt
+// collides is a fallback and nothing else. Each case makes one Get and one
+// single-key MultiGet — two read sections.
+func TestSeqReadsDerivedFromLockedReads(t *testing.T) {
+	const key, absent = 42, 999
+	for _, tc := range []struct {
+		name                         string
+		attempts                     int
+		read                         uint64
+		collide                      bool
+		seqReads, retries, fallbacks uint64
+	}{
+		{"attempts 0, hit", 0, key, false, 0, 0, 0},
+		{"attempts 0, miss", 0, absent, false, 0, 0, 0},
+		{"attempts 0, collision armed", 0, key, true, 0, 0, 0},
+		{"attempts 3, hit", 3, key, false, 2, 0, 0},
+		{"attempts 3, miss", 3, absent, false, 2, 0, 0},
+		{"attempts 3, collision", 3, key, true, 0, 6, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, _ := newBravoSharded(t, 4)
+			s.Put(key, []byte("v"))
+			s.SetSeqReadAttempts(tc.attempts)
+			if tc.collide {
+				installSeqReadHook(t, func(uint64) { s.Put(key, []byte("w")) })
+			}
+			_, ok := s.Get(tc.read)
+			vals := s.MultiGet([]uint64{tc.read})
+			if hit := tc.read == key; ok != hit || (vals[0] != nil) != hit {
+				t.Fatalf("Get ok=%v, MultiGet %v; want hit=%v", ok, vals[0], hit)
+			}
+			st := s.Stats().Total()
+			if st.SeqReads != tc.seqReads || st.SeqRetries != tc.retries || st.SeqFallbacks != tc.fallbacks {
+				t.Fatalf("seq reads/retries/fallbacks = %d/%d/%d, want %d/%d/%d",
+					st.SeqReads, st.SeqRetries, st.SeqFallbacks, tc.seqReads, tc.retries, tc.fallbacks)
+			}
+			if st.Gets != 1 || st.MultiGetBatches != 1 || st.MultiGetKeys != 1 {
+				t.Fatalf("gets/batches/batch keys = %d/%d/%d, want 1/1/1", st.Gets, st.MultiGetBatches, st.MultiGetKeys)
+			}
+		})
+	}
+}

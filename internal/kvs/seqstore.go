@@ -123,7 +123,7 @@ func (sh *kvShard) seqGetInto(key uint64, buf []byte, attempts int) (out []byte,
 		var deadline int64
 		if c != nil {
 			out = c.appendTo(out)
-			deadline = c.deadline.Load()
+			deadline = c.deadline()
 		}
 		if h := seqReadHook.Load(); h != nil {
 			(*h)(key)

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"github.com/bravolock/bravo/internal/hash"
 	"github.com/bravolock/bravo/internal/locks/seq"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/self"
 )
 
 // Sharded is a sharded key-value engine: the keyspace is striped across a
@@ -66,10 +68,27 @@ type Sharded struct {
 	seqAttempts atomic.Int32
 }
 
-// kvShard is one stripe: a lock, its store, and its operation counters.
+// kvShard is one shard of the keyspace: a lock, its store, and its operation
+// counters.
 // Shards are sector-padded so one shard's lock and counter traffic does not
 // false-share with its neighbours.
 type kvShard struct {
+	// What a lock-free read loads leads the struct: the section counter, the
+	// stripe pick's two inputs, and (first in seqStore) the table pointer.
+	//
+	// seqc is the write-section counter: even when quiescent, odd while a
+	// writer is inside. Optimistic reads bracket their lock-free copies
+	// with it.
+	seqc seq.Count
+	// index is the shard's position in the engine: the lock half of the
+	// (thread, lock) hash that picks a reader's stripe.
+	index uintptr
+	// reads holds the counters a read bumps, striped so that concurrent
+	// readers of one shard write different sectors (see readStripe).
+	reads []readStripe
+	// seqStore is the shard's keyed storage: the key→cell table and the TTL
+	// deadlines, mutated only between wlock and wunlock.
+	seqStore
 	// lock is the lock the caller's factory built, called directly. Write
 	// sections are opened and closed only through wlock/wunlock, which
 	// bracket them with seqc — the structural guarantee that every mutation
@@ -80,14 +99,7 @@ type kvShard struct {
 	// implement rwl.HandleRWLock. Resolved once at construction so the read
 	// hot paths pay a nil check, not a type assertion, per acquisition.
 	hlock rwl.HandleRWLock
-	// seqc is the write-section counter: even when quiescent, odd while a
-	// writer is inside. Optimistic reads bracket their lock-free copies
-	// with it.
-	seqc seq.Count
-	// seqStore is the shard's keyed storage: the key→cell table and the TTL
-	// deadlines, mutated only between wlock and wunlock.
-	seqStore
-	q writeQueue
+	q     writeQueue
 	// wal is the shard's write-ahead log, nil on volatile engines. Its
 	// mutex orders before lock: writers append (and fsync) before applying.
 	wal *shardWAL
@@ -99,6 +111,68 @@ type kvShard struct {
 	_   arch.SectorPad
 }
 
+// The counters a read bumps, by their index in a readStripe.
+const (
+	rdGets = iota
+	rdGetMisses
+	rdBatches
+	rdBatchKeys
+	// rdLocked counts read sections (a Get, or one MultiGet shard group)
+	// served under the shard read lock, whether the optimistic path was
+	// disabled or exhausted; every other read section was a seq read.
+	rdLocked
+	rdSeqRetries
+	rdSeqFallbacks
+	rdExpired
+	rdCounters
+)
+
+// readStripe is one sector of read-side counters. A read is the engine's
+// only operation that holds no lock, so its bookkeeping is the one write
+// concurrent readers of a shard could share; each reader instead bumps the
+// stripe its identity hashes to on that shard — the visible readers table's
+// (thread, lock) diffusion, so two readers that collide on one shard do not
+// collide on all — and Stats and adaptTick sum the stripes. A shard's
+// stripes are a power-of-two run of pointer-free sectors allocated on their
+// own, which the allocator places sector-aligned; the package uses unsafe
+// only for cells, so that is pinned by TestReadStripesShareNoLine, not
+// computed here.
+type readStripe struct {
+	n [rdCounters]atomic.Uint64
+	_ [arch.SectorSize - rdCounters*8]byte
+}
+
+// readStripes is the per-shard stripe count: the power of two giving every
+// P at least four stripes, and no fewer than 8. With four per P a reader
+// shares its stripe on a given shard with probability ≈ 1 − e^(−1/4).
+func readStripes() int {
+	n := 8
+	for n < 4*runtime.GOMAXPROCS(0) {
+		n *= 2
+	}
+	return n
+}
+
+// stripe picks the calling reader's stripe: by its handle's pinned identity
+// when it passed one, by its goroutine's otherwise.
+func (sh *kvShard) stripe(h *rwl.Reader) *readStripe {
+	var id uint64
+	if h != nil {
+		id = h.ID()
+	} else {
+		id = self.ID()
+	}
+	return &sh.reads[hash.Index(sh.index, id, uint32(len(sh.reads)))]
+}
+
+// readTotal sums counter c over the shard's stripes.
+func (sh *kvShard) readTotal(c int) (n uint64) {
+	for i := range sh.reads {
+		n += sh.reads[i].n[c].Load()
+	}
+	return n
+}
+
 // adaptTickMask samples the adaptor feed: roughly every 256th operation per
 // shard offers the cumulative counts (Adaptor.Offer is a counter compare
 // mid-window, so the feed costs nothing on the per-op path and one window
@@ -106,11 +180,12 @@ type kvShard struct {
 const adaptTickMask = 255
 
 // adaptTick offers the shard's cumulative read/write counts to its adaptor
-// on a sampled cadence. n is the op-counter value the caller just produced;
+// on a sampled cadence. n is the op-counter value the caller just produced
+// (a reader's is its stripe's, so each stripe samples its own traffic);
 // callers invoke this outside the shard lock.
 func (sh *kvShard) adaptTick(n uint64) {
-	if sh.ad != nil && n&adaptTickMask == 0 {
-		reads := sh.ops.gets.Load() + sh.ops.batchKeys.Load()
+	if n&adaptTickMask == 0 && sh.ad != nil {
+		reads := sh.readTotal(rdGets) + sh.readTotal(rdBatchKeys)
 		writes := sh.ops.puts.Load() + sh.ops.deletes.Load()
 		sh.ad.Offer(reads, writes)
 	}
@@ -155,35 +230,23 @@ func (sh *kvShard) runlock(h *rwl.Reader, tok rwl.Token) {
 	sh.lock.RUnlock(tok)
 }
 
-// shardOps counts operations against one shard. Counters are atomics and
-// are bumped outside the shard lock (after release on the read paths), so
-// they are eventually consistent with the data, never exact even under all
+// shardOps counts the operations that take the shard's write lock (or run
+// rarely); what a read bumps lives in the shard's readStripes. Counters are
+// atomics and are bumped outside the shard lock where they can be, so they
+// are eventually consistent with the data, never exact even under all
 // locks; the hot paths pay one atomic add each by counting the rare
-// outcome — misses and fresh inserts — and deriving hits and in-place
-// updates in Stats.
+// outcome — misses, fresh inserts, reads that took the lock — and deriving
+// hits, in-place updates and seq reads in Stats.
 type shardOps struct {
-	gets      atomic.Uint64
-	getMisses atomic.Uint64
 	puts      atomic.Uint64
 	putsFresh atomic.Uint64
 	deletes   atomic.Uint64
 	delMisses atomic.Uint64
-	batches   atomic.Uint64
-	batchKeys atomic.Uint64
 	// wbatches/wbatchKeys count combined write applications: one batch per
 	// shard group applied by MultiPut, MultiDelete, or an async-queue flush.
 	wbatches   atomic.Uint64
 	wbatchKeys atomic.Uint64
 	asyncPuts  atomic.Uint64
-	// seqReads counts read sections served by the optimistic (seqlock)
-	// path — one per Get/GetInto served lock-free, one per MultiGet shard
-	// group validated as a unit. seqRetries counts optimistic attempts
-	// that collided with a writer (blocked on an odd sequence or failed
-	// validation); seqFallbacks counts read sections that exhausted their
-	// attempt budget and fell back to the shard read lock.
-	seqReads     atomic.Uint64
-	seqRetries   atomic.Uint64
-	seqFallbacks atomic.Uint64
 	// txnCommits/txnAborts count transactions that touched the shard (as a
 	// read or write participant) and committed or aborted; txnKeys counts
 	// the staged writes transactions applied to this shard. A transaction
@@ -191,9 +254,9 @@ type shardOps struct {
 	txnCommits atomic.Uint64
 	txnAborts  atomic.Uint64
 	txnKeys    atomic.Uint64
-	// expired counts lazy TTL observations: reads (or deletes) that found a
-	// resident entry past its deadline and treated it as a miss. reaped
-	// counts entries Reap physically removed.
+	// expired counts lazy TTL observations by deletes: a resident entry
+	// found past its deadline and treated as a miss (reads count theirs in
+	// rdExpired). reaped counts entries Reap physically removed.
 	expired   atomic.Uint64
 	reaped    atomic.Uint64
 	snapshots atomic.Uint64
@@ -334,8 +397,11 @@ func NewSharded(shards int, mkLock rwl.Factory, opts ...Option) (*Sharded, error
 	}
 	s := &Sharded{shards: make([]kvShard, shards), mask: uint64(shards - 1)}
 	s.seqAttempts.Store(DefaultSeqReadAttempts)
+	stripes := readStripes()
 	for i := range s.shards {
 		sh := &s.shards[i]
+		sh.index = uintptr(i)
+		sh.reads = make([]readStripe, stripes)
 		sh.lock = mkLock()
 		sh.hlock, _ = sh.lock.(rwl.HandleRWLock)
 		if al, ok := sh.lock.(interface{ Adaptor() *bias.Adaptor }); ok {
@@ -395,22 +461,15 @@ func (s *Sharded) getInto(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) 
 	var out []byte
 	var ok, expired bool
 	served := false
+	retries := 0
 	// Zero-CAS fast path: copy the value with no lock held and validate
 	// the shard's write-section sequence around the copy. A validated
 	// section is exactly what some quiescent instant held; a collided one
 	// is discarded, and after the attempt budget the read falls back to
 	// the pessimistic BRAVO path below (handle or anonymous).
-	if att := int(s.seqAttempts.Load()); att > 0 {
-		var retries int
+	att := int(s.seqAttempts.Load())
+	if att > 0 {
 		out, ok, expired, retries, served = sh.seqGetInto(key, buf, att)
-		if retries > 0 {
-			sh.ops.seqRetries.Add(uint64(retries))
-		}
-		if served {
-			sh.ops.seqReads.Add(1)
-		} else {
-			sh.ops.seqFallbacks.Add(1)
-		}
 	}
 	if !served {
 		tok := sh.rlock(h)
@@ -423,15 +482,35 @@ func (s *Sharded) getInto(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) 
 		}
 		sh.runlock(h, tok)
 	}
-	n := sh.ops.gets.Add(1)
+	// All bookkeeping lands on the reader's own stripe; the common read —
+	// a seq hit — pays the one add.
+	rd := sh.stripe(h)
+	n := rd.n[rdGets].Add(1) // total before rares: see the Stats load-order note
 	if !ok {
-		sh.ops.getMisses.Add(1)
+		rd.n[rdGetMisses].Add(1)
 	}
+	rd.countSection(att, retries, served)
 	if expired {
-		sh.ops.expired.Add(1)
+		rd.n[rdExpired].Add(1)
 	}
 	sh.adaptTick(n)
 	return out, ok
+}
+
+// countSection records how one read section (a Get, or one MultiGet shard
+// group) was served: the optimistic attempts it discarded and — the rare
+// outcome — that it took the shard read lock, a fallback unless the
+// optimistic path was off (att == 0).
+func (rd *readStripe) countSection(att, retries int, served bool) {
+	if retries > 0 {
+		rd.n[rdSeqRetries].Add(uint64(retries))
+	}
+	if !served {
+		rd.n[rdLocked].Add(1)
+		if att > 0 {
+			rd.n[rdSeqFallbacks].Add(1)
+		}
+	}
 }
 
 // SetSeqReadAttempts sets the optimistic read attempt budget: how many
@@ -582,21 +661,15 @@ func (s *Sharded) multiGet(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte 
 		out = make([][]byte, len(keys))
 	}
 	s.forEachShardGroup(keys, func(sh *kvShard, group []shardPos) {
-		expired := 0
+		expired, retries := 0, 0
 		served := false
 		// Optimistic batch read: the whole shard group is copied under one
 		// seq bracket, so a validated group is a consistent point-in-time
 		// view of its shard — the same guarantee the read lock gives.
-		if att := int(s.seqAttempts.Load()); att > 0 {
-			var retries int
+		att := int(s.seqAttempts.Load())
+		if att > 0 {
 			expired, retries, served = sh.seqMultiGet(keys, group, out, att)
-			if retries > 0 {
-				sh.ops.seqRetries.Add(uint64(retries))
-			}
-			if served {
-				sh.ops.seqReads.Add(1)
-			} else {
-				sh.ops.seqFallbacks.Add(1)
+			if !served {
 				for _, p := range group {
 					out[p.pos] = nil // discard torn optimistic copies
 				}
@@ -619,10 +692,12 @@ func (s *Sharded) multiGet(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte 
 			}
 			sh.runlock(h, tok)
 		}
-		sh.ops.batches.Add(1)
-		bk := sh.ops.batchKeys.Add(uint64(len(group)))
+		rd := sh.stripe(h)
+		rd.n[rdBatches].Add(1) // total before rares, as in getInto
+		bk := rd.n[rdBatchKeys].Add(uint64(len(group)))
+		rd.countSection(att, retries, served)
 		if expired > 0 {
-			sh.ops.expired.Add(uint64(expired))
+			rd.n[rdExpired].Add(uint64(expired))
 		}
 		sh.adaptTick(bk)
 	})
@@ -653,7 +728,7 @@ func (sh *kvShard) seqMultiGet(keys []uint64, group []shardPos, out [][]byte, at
 			deadlines[gi] = 0
 			if c := sh.idx.lookup(keys[p.pos]); c != nil {
 				out[p.pos] = c.bytes()
-				deadlines[gi] = c.deadline.Load()
+				deadlines[gi] = c.deadline()
 			}
 		}
 		if h := seqReadHook.Load(); h != nil {
@@ -976,12 +1051,13 @@ func (s *Sharded) Stats() ShardedStats {
 		keys := sh.idx.live
 		ttlKeys := len(sh.exp)
 		sh.lock.RUnlock(tok)
-		// Load each rare counter before its total: every op bumps the
-		// total first (Get/Put/Delete), so rare <= total holds at every
-		// instant, and loading rare first keeps the derived hit counts
+		// Load each rare counter before its total — for the read counters,
+		// across every stripe before the total's first stripe: every op
+		// bumps the total first (Get/Put/Delete), so rare <= total holds at
+		// every instant, and loading rare first keeps the derived counts
 		// from underflowing when snapshotting under load.
-		getMisses := sh.ops.getMisses.Load()
-		gets := sh.ops.gets.Load()
+		getMisses, locked := sh.readTotal(rdGetMisses), sh.readTotal(rdLocked)
+		gets, batches := sh.readTotal(rdGets), sh.readTotal(rdBatches)
 		putsFresh := sh.ops.putsFresh.Load()
 		puts := sh.ops.puts.Load()
 		delMisses := sh.ops.delMisses.Load()
@@ -995,18 +1071,18 @@ func (s *Sharded) Stats() ShardedStats {
 			PutsInPlace:     puts - putsFresh,
 			Deletes:         deletes,
 			DeleteHits:      deletes - delMisses,
-			MultiGetBatches: sh.ops.batches.Load(),
-			MultiGetKeys:    sh.ops.batchKeys.Load(),
+			MultiGetBatches: batches,
+			MultiGetKeys:    sh.readTotal(rdBatchKeys),
 			WriteBatches:    sh.ops.wbatches.Load(),
 			WriteBatchKeys:  sh.ops.wbatchKeys.Load(),
 			AsyncPuts:       sh.ops.asyncPuts.Load(),
-			SeqReads:        sh.ops.seqReads.Load(),
-			SeqRetries:      sh.ops.seqRetries.Load(),
-			SeqFallbacks:    sh.ops.seqFallbacks.Load(),
+			SeqReads:        gets + batches - locked,
+			SeqRetries:      sh.readTotal(rdSeqRetries),
+			SeqFallbacks:    sh.readTotal(rdSeqFallbacks),
 			TxnCommits:      sh.ops.txnCommits.Load(),
 			TxnAborts:       sh.ops.txnAborts.Load(),
 			TxnKeys:         sh.ops.txnKeys.Load(),
-			Expired:         sh.ops.expired.Load(),
+			Expired:         sh.ops.expired.Load() + sh.readTotal(rdExpired),
 			Reaped:          sh.ops.reaped.Load(),
 			Snapshots:       sh.ops.snapshots.Load(),
 			Checkpoints:     sh.ops.checkpoints.Load(),

@@ -3,6 +3,7 @@ package kvs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,4 +346,28 @@ func BenchmarkShardedGet(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkShardedGetParallel is the in-tree answer to "does a second reader
+// slow the first": every goroutine reads through its own handle from one
+// 16-shard engine holding 2^18 128-byte values (beyond L2, like the
+// engine-read workload), with no writer. Compare ns/op across -cpu 1,2: what
+// readers share is then only what the read path itself writes.
+func BenchmarkShardedGetParallel(b *testing.B) {
+	const keys = 1 << 18
+	s, _ := NewSharded(16, mkBravo)
+	v := make([]byte, 128)
+	for k := uint64(0); k < keys; k++ {
+		s.Put(k, v)
+	}
+	var seed atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		h := rwl.NewReader()
+		rng := xrand.NewXorShift64(seed.Add(1))
+		buf := make([]byte, 0, len(v))
+		for pb.Next() {
+			buf, _ = s.GetIntoH(h, rng.Intn(keys), buf)
+		}
+	})
 }
