@@ -4,7 +4,6 @@ import (
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/kvs"
-	"github.com/bravolock/bravo/internal/locks/adaptive"
 	"github.com/bravolock/bravo/internal/locks/cohort"
 	"github.com/bravolock/bravo/internal/locks/fairrw"
 	"github.com/bravolock/bravo/internal/locks/mutexrw"
@@ -130,55 +129,55 @@ func NewMutexRW() RWLock { return new(mutexrw.Lock) }
 
 // NewFair returns a ticket-based fair (FIFO) reader-writer lock: strict
 // arrival order, no starvation in either direction, and none of BRAVO's
-// read-side scalability. It is the write-heavy end of the adaptive lock's
-// mode range and is registered as "fair" in the lock registry.
+// read-side scalability. It is registered as "fair" in the lock registry,
+// and as "adaptive-fair" under an adaptive BRAVO lock, whose unbiased phase
+// is then FIFO.
 func NewFair() RWLock { return new(fairrw.Lock) }
 
-// Adaptive per-lock biasing. An AdaptiveLock watches its own read/write mix
-// (as reported by its owner through the BiasAdaptor) and flips among three
-// modes: biased (BRAVO fast paths on), neutral (BRAVO inhibited, underlying
-// lock admission), and fair (strict FIFO gate). The hysteresis band in
-// AdaptiveThresholds generalizes the paper's static inhibit multiplier into
-// a closed loop — see internal/bias and internal/locks/adaptive.
+// Adaptive per-lock biasing. An adaptive Lock is a BRAVO lock whose policy
+// is a BiasAdaptor: it watches the lock's read/write mix (as reported by the
+// owner through Offer) and flips between biased (BRAVO fast paths on) and
+// neutral (bias withheld: the underlying lock's admission, FIFO over
+// NewFair), generalizing the paper's static inhibit multiplier into a closed
+// loop with hysteresis — see internal/bias.
 
 // BiasMode is an adaptive lock's current operating mode.
 type BiasMode = bias.Mode
 
-// Adaptive bias modes, ordered from read-optimized to write-optimized.
+// Adaptive bias modes.
 const (
 	BiasModeBiased  = bias.ModeBiased
 	BiasModeNeutral = bias.ModeNeutral
-	BiasModeFair    = bias.ModeFair
 )
 
-// AdaptiveThresholds parameterizes the mode-flip hysteresis band: enter/exit
-// read-ratio thresholds for the biased and fair modes, the sampling window,
-// and the revocation-overload multiplier (the paper's InhibitN).
+// AdaptiveThresholds parameterizes the hysteresis band: the biased mode's
+// enter/exit read ratios (default ≥ 0.90 / < 0.80), the sampling window
+// (4096) and the paper's inhibit multiplier N (9). Zero fields take defaults.
 type AdaptiveThresholds = bias.Thresholds
 
-// DefaultAdaptiveThresholds returns the tuned defaults (window 4096,
-// biased ≥ 0.90 enter / < 0.80 exit, fair < 0.50 enter / ≥ 0.60 exit).
-func DefaultAdaptiveThresholds() AdaptiveThresholds { return bias.DefaultThresholds() }
-
-// BiasAdaptor is the per-lock mode controller; owners feed it cumulative
-// read/write counts via Offer and read its decisions via Mode/Snapshot.
+// BiasAdaptor is the adaptive bias policy (Lock.Adaptor returns it); owners
+// feed it cumulative read/write counts via Offer and read Mode/Snapshot.
 type BiasAdaptor = bias.Adaptor
 
 // BiasAdaptorSnapshot is a coherent point-in-time view of one adaptor.
 type BiasAdaptorSnapshot = bias.AdaptorSnapshot
 
-// AdaptiveLock composes a fair FIFO gate over an inner (typically
-// BRAVO-wrapped) lock, routing readers by the adaptor's current mode.
-type AdaptiveLock = adaptive.Lock
-
-// NewAdaptive wraps under with mode-adaptive routing at default thresholds.
-// If under exposes a BRAVO bias engine (e.g. a bravo.New result), the
-// adaptor is wired into it so biased fast paths obey the mode.
-func NewAdaptive(under RWLock) *AdaptiveLock { return adaptive.New(under) }
+// NewAdaptive returns under as an adaptive BRAVO lock at default
+// thresholds. A *Lock argument (a bravo.New result) keeps its table, stats
+// and other options and has the adaptive policy installed, so it must not be
+// shared yet; any other lock is wrapped with New first.
+func NewAdaptive(under RWLock) *Lock {
+	return NewAdaptiveWithThresholds(under, AdaptiveThresholds{})
+}
 
 // NewAdaptiveWithThresholds is NewAdaptive with an explicit hysteresis band.
-func NewAdaptiveWithThresholds(under RWLock, th AdaptiveThresholds) *AdaptiveLock {
-	return adaptive.NewWithThresholds(under, th)
+func NewAdaptiveWithThresholds(under RWLock, th AdaptiveThresholds) *Lock {
+	l, ok := under.(*Lock)
+	if !ok {
+		l = New(under)
+	}
+	l.Engine().SetPolicy(bias.NewAdaptor(th))
+	return l
 }
 
 // Topology describes a sockets × cores × SMT machine shape for the
@@ -213,9 +212,8 @@ func NewCohortRW(t Topology) RWLock { return cohort.New(t) }
 // group) or coalesce asynchronously (PutAsync/Flush), and keys may carry a
 // TTL (PutTTL, lazily expired on read and incrementally removed by Reap).
 // Built over adaptive locks (NewAdaptive), each shard self-tunes its bias
-// mode from its own traffic; SetAdaptive and SetAdaptiveThresholds steer the
-// loop, and per-shard modes surface in Stats. cmd/kvserv serves this engine
-// over HTTP.
+// mode from its own traffic, and per-shard modes surface in Stats.
+// cmd/kvserv serves this engine over HTTP.
 type ShardedKV = kvs.Sharded
 
 // ShardedKVStats aggregates a ShardedKV's per-shard operation counters.

@@ -53,6 +53,26 @@ func TestPublicAPIOptionsCompose(t *testing.T) {
 	}
 }
 
+// TestNewAdaptiveKeepsTheLockItIsGiven: a bravo.Lock argument is returned
+// itself — table and stats kept, adaptive policy installed — and any other
+// lock is wrapped first.
+func TestNewAdaptiveKeepsTheLockItIsGiven(t *testing.T) {
+	tab, st := bravo.NewTable(64), &bravo.Stats{}
+	in := bravo.New(bravo.NewGoRW(), bravo.WithTable(tab), bravo.WithStats(st))
+	l := bravo.NewAdaptive(in)
+	if l != in || l.TableInUse() != tab || l.Adaptor() == nil {
+		t.Fatalf("NewAdaptive(*Lock): same lock %v, same table %v, adaptor %v", l == in, l.TableInUse() == tab, l.Adaptor())
+	}
+	l.RUnlock(l.RLock())
+	l.RUnlock(l.RLock())
+	if st.Snapshot().Reads() != 2 || !l.Biased() {
+		t.Fatalf("stats lost reads or bias stayed off: %s", st.Snapshot())
+	}
+	if w := bravo.NewAdaptiveWithThresholds(bravo.NewFair(), bravo.AdaptiveThresholds{Window: 64}); w.Adaptor() == nil {
+		t.Fatal("NewAdaptive did not wrap a plain lock")
+	}
+}
+
 func TestPublicAPIConcurrentSmoke(t *testing.T) {
 	l := bravo.New(bravo.NewBA())
 	var mu sync.Mutex

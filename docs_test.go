@@ -3,8 +3,12 @@ package bravo_test
 import (
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	_ "github.com/bravolock/bravo/internal/locks/all"
+	"github.com/bravolock/bravo/internal/rwl"
 )
 
 // TestDocsPointAtLiveFiles keeps the documents honest about the tree: every
@@ -57,5 +61,26 @@ func TestDocsPointAtLiveFiles(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReadmeLockMenuIsTheRegistry: the README's "Lock registry menu" table
+// names exactly the locks internal/locks/all registers.
+func TestReadmeLockMenuIsTheRegistry(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, menu, _ := strings.Cut(string(raw), "## Lock registry menu")
+	menu, _, _ = strings.Cut(menu, "\n## ")
+	var got []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z0-9-]+)` \\|").FindAllStringSubmatch(menu, -1) {
+		got = append(got, m[1])
+	}
+	want := slices.Clone(rwl.Names())
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("README menu = %v\nregistry    = %v", got, want)
 	}
 }

@@ -16,12 +16,10 @@ const (
 	// ModeBiased is the paper's reader-biased BRAVO: zero-CAS-adjacent read
 	// fast path, writers pay revocation.
 	ModeBiased Mode = iota
-	// ModeNeutral keeps the substrate lock but holds bias off: readers take
-	// the substrate read path, writers never revoke.
+	// ModeNeutral holds bias off: readers take the substrate read path,
+	// writers never revoke, and admission is whatever the substrate's is —
+	// FIFO-fair over internal/locks/fairrw.
 	ModeNeutral
-	// ModeFair diverts readers to a FIFO fair gate (internal/locks/fairrw):
-	// strict arrival order, no side can starve, no revocation.
-	ModeFair
 )
 
 // String returns the mode name used in stats documents.
@@ -31,60 +29,40 @@ func (m Mode) String() string {
 		return "biased"
 	case ModeNeutral:
 		return "neutral"
-	case ModeFair:
-		return "fair"
 	}
 	return "unknown"
 }
 
 // Thresholds parameterize the Adaptor's hysteresis band over the observed
-// read fraction r = reads/(reads+writes) of one window. Entry bounds are
-// deliberately separated from exit bounds so a shard whose mix sits between
-// them keeps its current mode instead of ping-ponging.
+// read fraction r = reads/(reads+writes) of one window. The entry bound is
+// deliberately separated from the exit bound so a shard whose mix sits
+// between them keeps its current mode instead of ping-ponging.
+// Construction-time only: an Adaptor's thresholds never change once built.
 type Thresholds struct {
 	// BiasEnter: flip into ModeBiased when r >= BiasEnter (and revocation
 	// overhead is not already excessive).
 	BiasEnter float64
 	// BiasExit: leave ModeBiased when r < BiasExit.
 	BiasExit float64
-	// FairEnter: flip into ModeFair when r <= FairEnter.
-	FairEnter float64
-	// FairExit: leave ModeFair when r > FairExit.
-	FairExit float64
 	// Window is the number of operations that closes one observation window.
 	Window uint64
-	// InhibitN generalizes the paper's inhibit multiplier N: a biased shard
-	// whose revocation time exceeds 1/(N+1) of the window's wall time is
-	// demoted even if its read fraction still clears BiasExit — the same
-	// "bound the writer slow-down" budget, enforced by demotion instead of
-	// enable-inhibition.
+	// InhibitN is the paper's inhibit multiplier N, used twice: per
+	// revocation, bias may not be re-enabled for N times its duration
+	// (Listing 1 line 49), and per window, a biased shard whose revocation
+	// time exceeds 1/(N+1) of the window's wall time is demoted even if its
+	// read fraction still clears BiasExit — the same "bound the writer
+	// slow-down" budget, enforced over the window as well as the moment.
 	InhibitN int64
 }
 
-// Default hysteresis band. The gap between each Enter and Exit bound is the
-// no-flip dead zone.
-const (
-	DefaultBiasEnter = 0.90
-	DefaultBiasExit  = 0.80
-	DefaultFairEnter = 0.50
-	DefaultFairExit  = 0.60
-	DefaultWindow    = 4096
-)
-
-// DefaultThresholds returns the default hysteresis configuration.
+// DefaultThresholds returns the default hysteresis configuration. The gap
+// between the Enter and Exit bounds is the no-flip dead zone.
 func DefaultThresholds() Thresholds {
-	return Thresholds{
-		BiasEnter: DefaultBiasEnter,
-		BiasExit:  DefaultBiasExit,
-		FairEnter: DefaultFairEnter,
-		FairExit:  DefaultFairExit,
-		Window:    DefaultWindow,
-		InhibitN:  DefaultInhibitN,
-	}
+	return Thresholds{BiasEnter: 0.90, BiasExit: 0.80, Window: 4096, InhibitN: DefaultInhibitN}
 }
 
 // sanitize fills zero fields with defaults and restores the band ordering
-// FairEnter <= FairExit <= BiasExit <= BiasEnter where violated.
+// BiasExit <= BiasEnter where violated.
 func (t Thresholds) sanitize() Thresholds {
 	d := DefaultThresholds()
 	if t.Window == 0 {
@@ -102,21 +80,6 @@ func (t Thresholds) sanitize() Thresholds {
 	if t.BiasExit > t.BiasEnter {
 		t.BiasExit = t.BiasEnter
 	}
-	if t.FairEnter <= 0 {
-		t.FairEnter = d.FairEnter
-	}
-	if t.FairEnter >= t.BiasExit {
-		t.FairEnter = t.BiasExit / 2
-	}
-	if t.FairExit <= 0 {
-		t.FairExit = d.FairExit
-	}
-	if t.FairExit < t.FairEnter {
-		t.FairExit = t.FairEnter
-	}
-	if t.FairExit > t.BiasExit {
-		t.FairExit = t.BiasExit
-	}
 	return t
 }
 
@@ -125,10 +88,9 @@ func (t Thresholds) sanitize() Thresholds {
 // taken mid-flip can never pair a new mode with a stale window (or vice
 // versa) — the same rule the KV engine applies to seqcell reads.
 type AdaptorSnapshot struct {
-	Mode     Mode
-	Adaptive bool // false when SetEnabled(false) pinned the mode to biased
-	Flips    uint64
-	Windows  uint64 // observation windows closed so far
+	Mode    Mode
+	Flips   uint64
+	Windows uint64 // observation windows closed so far
 	// Deltas of the most recently closed window.
 	WindowReads       uint64
 	WindowWrites      uint64
@@ -136,25 +98,28 @@ type AdaptorSnapshot struct {
 	Revocations       uint64 // cumulative revocations observed
 }
 
-// Adaptor closes the bias feedback loop for one lock: the owner feeds it
-// cumulative read/write counts it already maintains (Offer), the engine
-// feeds it revocation costs (NoteRevocation), and the adaptor flips the
-// lock's Mode among {biased, neutral, fair} at window boundaries using the
-// Thresholds hysteresis band.
+// Adaptor is the adaptive bias Policy: Listing 1's inhibit deadline plus a
+// mode word that a closed loop flips between biased and neutral. The owner
+// feeds it cumulative read/write counts it already maintains (Offer), the
+// engine feeds it revocation costs through the Policy contract
+// (RevocationDone), and bias may be (re-)enabled only while the mode is
+// biased and the deadline has passed (ShouldEnable). Install it like any
+// policy (Engine.SetPolicy); a demotion needs no mechanism of its own — the
+// next writer revokes any residual bias once, and it stays off until the
+// adaptor promotes again. Lock read paths never load the mode: only a
+// slow-path reader holding substrate read permission does, in ShouldEnable.
 //
 // Decisions happen only when a window closes and apply at most one flip, so
 // a shard can never flip twice within one window — the anti-ping-pong
-// invariant DESIGN.md records. The mode word itself is an atomic the lock's
-// read path loads directly; Offer is designed to be called on a sampled
-// cadence (the KV engine calls it every few hundred operations) and costs a
-// failed TryLock or a counter compare when the window is still open.
+// invariant DESIGN.md records.
 //
 // The zero value is not ready; use NewAdaptor.
 type Adaptor struct {
-	mode     atomic.Uint32
-	disabled atomic.Uint32 // 1 = adaptivity off, mode pinned to biased
-	flips    atomic.Uint64
-	windows  atomic.Uint64
+	mode atomic.Uint32
+	// until is the earliest time bias may be re-enabled (InhibitUntil).
+	until   atomic.Int64
+	flips   atomic.Uint64
+	windows atomic.Uint64
 
 	// Last closed window's deltas, published under seqc with the mode.
 	winReads   atomic.Uint64
@@ -169,8 +134,9 @@ type Adaptor struct {
 	// validates against it.
 	seqc seq.Count
 
-	mu sync.Mutex // serializes window evaluation and configuration
-	th Thresholds
+	th Thresholds // fixed before the lock is shared
+
+	mu sync.Mutex // serializes window evaluation
 	// Window baselines, owned by mu.
 	lastReads   uint64
 	lastWrites  uint64
@@ -179,69 +145,34 @@ type Adaptor struct {
 	lastNanos   int64
 }
 
+var _ Policy = (*Adaptor)(nil)
+
 // NewAdaptor returns an Adaptor starting in ModeBiased with th (zero fields
 // take defaults).
 func NewAdaptor(th Thresholds) *Adaptor {
-	a := &Adaptor{th: th.sanitize()}
-	a.lastNanos = clock.Nanos()
-	return a
+	return &Adaptor{th: th.sanitize(), lastNanos: clock.Nanos()}
 }
 
-// Mode returns the current bias posture. Lock read paths load this once per
-// acquisition; it is a plain atomic load of an almost-always-clean line.
+// Mode returns the current bias posture.
 func (a *Adaptor) Mode() Mode { return Mode(a.mode.Load()) }
 
-// AllowBias reports whether the engine may (re-)enable reader bias — true
-// only in ModeBiased. Engine.MaybeEnable consults it, so in neutral and
-// fair modes bias stays off without any new revocation mechanism: the next
-// writer after a demotion clears any residual bias once, and it never
-// returns until the adaptor promotes again.
-func (a *Adaptor) AllowBias() bool { return a.mode.Load() == uint32(ModeBiased) }
-
-// Flips returns the number of mode changes so far.
-func (a *Adaptor) Flips() uint64 { return a.flips.Load() }
-
-// Adaptive reports whether adaptivity is enabled.
-func (a *Adaptor) Adaptive() bool { return a.disabled.Load() == 0 }
-
-// SetEnabled turns adaptivity on or off. Turning it off pins the mode back
-// to ModeBiased (static BRAVO), counting the flip if one happens. Safe at
-// runtime.
-func (a *Adaptor) SetEnabled(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if on {
-		a.disabled.Store(0)
-		return
-	}
-	a.disabled.Store(1)
-	a.flipLocked(ModeBiased)
+// ShouldEnable implements Policy: the mode is biased and Time() >=
+// InhibitUntil.
+func (a *Adaptor) ShouldEnable() bool {
+	return a.mode.Load() == uint32(ModeBiased) && clock.Nanos() >= a.until.Load()
 }
 
-// SetThresholds replaces the hysteresis configuration (zero fields take
-// defaults, inverted bounds are repaired). Safe at runtime; takes effect at
-// the next window close.
-func (a *Adaptor) SetThresholds(th Thresholds) {
-	a.mu.Lock()
-	a.th = th.sanitize()
-	a.mu.Unlock()
-}
-
-// ThresholdsInUse returns the active hysteresis configuration.
-func (a *Adaptor) ThresholdsInUse() Thresholds {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.th
-}
-
-// NoteRevocation records one revocation and its duration. Called by the
-// engine with write permission held.
-func (a *Adaptor) NoteRevocation(nanos int64) {
+// RevocationDone implements Policy: it moves the inhibit deadline exactly
+// as InhibitPolicy does and accumulates the cost for the window's overload
+// check. Called by the engine with write permission held.
+func (a *Adaptor) RevocationDone(start, end int64) {
+	a.until.Store(end + (end-start)*a.th.InhibitN)
 	a.revokes.Add(1)
-	if nanos > 0 {
-		a.revokeNanos.Add(nanos)
-	}
+	a.revokeNanos.Add(end - start)
 }
+
+// setInhibitN implements inhibitTuner.
+func (a *Adaptor) setInhibitN(n int64) { a.th.InhibitN = n }
 
 // Offer hands the adaptor the owner's current cumulative read and write
 // counts. If the deltas since the last window close fill a window, the
@@ -249,9 +180,6 @@ func (a *Adaptor) NoteRevocation(nanos int64) {
 // mid-window calls return immediately; callers should invoke it on a
 // sampled cadence, not per operation.
 func (a *Adaptor) Offer(reads, writes uint64) {
-	if a.disabled.Load() != 0 {
-		return
-	}
 	if !a.mu.TryLock() {
 		return
 	}
@@ -281,7 +209,15 @@ func (a *Adaptor) offerLocked(reads, writes uint64) {
 	// (Divide the elapsed side: the nanos delta could overflow a product.)
 	overloaded := elapsed > 0 && drn > elapsed/(a.th.InhibitN+1)
 
-	target := a.decide(Mode(a.mode.Load()), r, overloaded)
+	// The hysteresis band: leave biased below BiasExit (or overloaded),
+	// enter it at BiasEnter, hold the mode in between.
+	target := Mode(a.mode.Load())
+	switch {
+	case target == ModeBiased && (overloaded || r < a.th.BiasExit):
+		target = ModeNeutral
+	case target == ModeNeutral && r >= a.th.BiasEnter && !overloaded:
+		target = ModeBiased
+	}
 
 	// Publish the closed window and any flip under one seq bracket so
 	// snapshots never pair a mode with counters from a different window.
@@ -297,37 +233,15 @@ func (a *Adaptor) offerLocked(reads, writes uint64) {
 	a.seqc.WriteEnd()
 }
 
-// decide applies the hysteresis band to one window's read fraction.
-func (a *Adaptor) decide(cur Mode, r float64, overloaded bool) Mode {
-	th := a.th
-	switch cur {
-	case ModeBiased:
-		if r <= th.FairEnter {
-			return ModeFair
-		}
-		if overloaded || r < th.BiasExit {
-			return ModeNeutral
-		}
-	case ModeNeutral:
-		if r >= th.BiasEnter && !overloaded {
-			return ModeBiased
-		}
-		if r <= th.FairEnter {
-			return ModeFair
-		}
-	case ModeFair:
-		if r >= th.BiasEnter && !overloaded {
-			return ModeBiased
-		}
-		if r > th.FairExit {
-			return ModeNeutral
-		}
+// ForceMode flips the mode directly, bypassing window evaluation. Used by
+// the model-based equivalence tests to inject deterministic mid-schedule
+// flips, and available as an administrative override.
+func (a *Adaptor) ForceMode(m Mode) {
+	if m > ModeNeutral {
+		return
 	}
-	return cur
-}
-
-// flipLocked performs a bracketed mode change; caller holds mu.
-func (a *Adaptor) flipLocked(m Mode) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if Mode(a.mode.Load()) == m {
 		return
 	}
@@ -335,18 +249,6 @@ func (a *Adaptor) flipLocked(m Mode) {
 	a.mode.Store(uint32(m))
 	a.flips.Add(1)
 	a.seqc.WriteEnd()
-}
-
-// ForceMode flips the mode directly, bypassing window evaluation. Used by
-// the model-based equivalence tests to inject deterministic mid-schedule
-// flips, and available as an administrative override.
-func (a *Adaptor) ForceMode(m Mode) {
-	if m > ModeFair {
-		return
-	}
-	a.mu.Lock()
-	a.flipLocked(m)
-	a.mu.Unlock()
 }
 
 // Snapshot returns a coherent view: all fields are loaded inside one
@@ -362,7 +264,6 @@ func (a *Adaptor) Snapshot() AdaptorSnapshot {
 		}
 		snap := AdaptorSnapshot{
 			Mode:              Mode(a.mode.Load()),
-			Adaptive:          a.disabled.Load() == 0,
 			Flips:             a.flips.Load(),
 			Windows:           a.windows.Load(),
 			WindowReads:       a.winReads.Load(),

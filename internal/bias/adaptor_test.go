@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/bravolock/bravo/internal/clock"
 )
 
 // feed closes exactly one window with the given read/write deltas by
@@ -22,41 +24,49 @@ func (f *feeder) window(dr, dw uint64) {
 
 func TestAdaptorHysteresisFlips(t *testing.T) {
 	a := NewAdaptor(Thresholds{})
-	w := a.ThresholdsInUse().Window
+	w := a.th.Window
 	f := &feeder{a: a}
 
-	if a.Mode() != ModeBiased {
-		t.Fatalf("initial mode = %v, want biased", a.Mode())
+	if a.Mode() != ModeBiased || !a.ShouldEnable() {
+		t.Fatalf("initial mode = %v, ShouldEnable = %v, want biased/true", a.Mode(), a.ShouldEnable())
 	}
-	// Pure-write window: biased → fair.
+	// Pure-write window: biased → neutral, and the policy withholds bias.
 	f.window(0, w)
-	if a.Mode() != ModeFair {
-		t.Fatalf("after write-heavy window: mode = %v, want fair", a.Mode())
+	if a.Mode() != ModeNeutral || a.ShouldEnable() {
+		t.Fatalf("after write-heavy window: mode = %v, ShouldEnable = %v, want neutral/false", a.Mode(), a.ShouldEnable())
 	}
-	// Mid-band window (r ≈ 0.85, between FairExit and BiasEnter): fair →
-	// neutral, one step only.
-	f.window(w-w*15/100, w*15/100)
-	if a.Mode() != ModeNeutral {
-		t.Fatalf("after mid-band window: mode = %v, want neutral", a.Mode())
-	}
-	// Same mix again: the dead zone holds the mode (no ping-pong).
+	// Mid-band window (r ≈ 0.85, between BiasExit and BiasEnter): the dead
+	// zone holds the mode (no ping-pong).
 	f.window(w-w*15/100, w*15/100)
 	if a.Mode() != ModeNeutral {
 		t.Fatalf("dead-zone window flipped the mode to %v", a.Mode())
 	}
 	// Read-dominated window: neutral → biased.
 	f.window(w, 0)
-	if a.Mode() != ModeBiased {
-		t.Fatalf("after read-heavy window: mode = %v, want biased", a.Mode())
+	if a.Mode() != ModeBiased || !a.ShouldEnable() {
+		t.Fatalf("after read-heavy window: mode = %v, ShouldEnable = %v, want biased/true", a.Mode(), a.ShouldEnable())
 	}
-	if got := a.Flips(); got != 3 {
-		t.Fatalf("flips = %d, want 3", got)
+	// The same mid-band mix holds biased too.
+	f.window(w-w*15/100, w*15/100)
+	if a.Mode() != ModeBiased {
+		t.Fatalf("dead-zone window flipped the mode to %v", a.Mode())
+	}
+	if got := a.Snapshot().Flips; got != 2 {
+		t.Fatalf("flips = %d, want 2", got)
+	}
+	// There is no third mode to force, and the names are the stats surface.
+	a.ForceMode(ModeNeutral + 1)
+	if a.Mode() != ModeBiased || a.Snapshot().Flips != 2 {
+		t.Fatalf("ForceMode accepted an undefined mode: %v", a.Mode())
+	}
+	if ModeBiased.String() != "biased" || ModeNeutral.String() != "neutral" || Mode(2).String() != "unknown" {
+		t.Fatal("mode names changed")
 	}
 }
 
 func TestAdaptorOneFlipPerWindow(t *testing.T) {
 	a := NewAdaptor(Thresholds{})
-	w := a.ThresholdsInUse().Window
+	w := a.th.Window
 	f := &feeder{a: a}
 
 	// Below-window deltas never evaluate.
@@ -66,64 +76,45 @@ func TestAdaptorOneFlipPerWindow(t *testing.T) {
 		t.Fatalf("windows closed below the op threshold: %d", got)
 	}
 	// One Offer carrying many windows' worth of writes still closes exactly
-	// one window and applies at most one flip: biased lands on fair, not on
-	// some double-stepped state, and the flip counter moves by one.
+	// one window and applies at most one flip.
 	f.window(0, 10*w)
 	snap := a.Snapshot()
-	if snap.Windows != 1 || snap.Flips != 1 || snap.Mode != ModeFair {
-		t.Fatalf("bulk window: windows=%d flips=%d mode=%v, want 1/1/fair",
+	if snap.Windows != 1 || snap.Flips != 1 || snap.Mode != ModeNeutral {
+		t.Fatalf("bulk window: windows=%d flips=%d mode=%v, want 1/1/neutral",
 			snap.Windows, snap.Flips, snap.Mode)
 	}
 }
 
 func TestAdaptorRevocationOverloadDemotes(t *testing.T) {
 	a := NewAdaptor(Thresholds{})
-	w := a.ThresholdsInUse().Window
+	w := a.th.Window
 	f := &feeder{a: a}
+	now := clock.Nanos()
 
 	// A read fraction above BiasEnter would normally keep biased mode, but
 	// revocation time far beyond the window's wall time trips the
 	// generalized inhibit bound and demotes to neutral.
-	a.NoteRevocation(int64(1) << 60)
+	a.RevocationDone(now-1<<40, now)
 	f.window(w, w/100)
 	if a.Mode() != ModeNeutral {
 		t.Fatalf("overloaded window: mode = %v, want neutral", a.Mode())
 	}
 	// And it blocks re-promotion while the overload persists.
-	a.NoteRevocation(int64(1) << 60)
+	a.RevocationDone(now-1<<40, now)
 	f.window(w, 0)
 	if a.Mode() != ModeNeutral {
 		t.Fatalf("re-promoted while revocation-overloaded: mode = %v", a.Mode())
 	}
-	// With the overload gone, a read-heavy window promotes again.
+	// With the overload gone, a read-heavy window promotes again — and the
+	// per-revocation deadline (N times the 2^40 ns just reported) still
+	// withholds bias: the two uses of N are independent.
 	f.window(w, 0)
-	if a.Mode() != ModeBiased {
-		t.Fatalf("calm window: mode = %v, want biased", a.Mode())
+	if a.Mode() != ModeBiased || a.ShouldEnable() {
+		t.Fatalf("calm window: mode = %v, ShouldEnable = %v, want biased/false", a.Mode(), a.ShouldEnable())
 	}
-}
-
-func TestAdaptorSetEnabled(t *testing.T) {
-	a := NewAdaptor(Thresholds{})
-	w := a.ThresholdsInUse().Window
-	f := &feeder{a: a}
-
-	f.window(0, w)
-	if a.Mode() != ModeFair {
-		t.Fatalf("setup: mode = %v, want fair", a.Mode())
-	}
-	a.SetEnabled(false)
-	if a.Mode() != ModeBiased || a.Adaptive() {
-		t.Fatalf("disable: mode = %v adaptive = %v, want biased/false", a.Mode(), a.Adaptive())
-	}
-	// Offers are ignored while disabled.
-	f.window(0, w)
-	if a.Mode() != ModeBiased {
-		t.Fatalf("offer flipped a disabled adaptor to %v", a.Mode())
-	}
-	a.SetEnabled(true)
-	f.window(0, w)
-	if a.Mode() != ModeFair {
-		t.Fatalf("re-enable: mode = %v, want fair", a.Mode())
+	a.RevocationDone(now, now)
+	if !a.ShouldEnable() {
+		t.Fatal("a zero-length revocation left bias inhibited")
 	}
 }
 
@@ -132,9 +123,9 @@ func TestAdaptorThresholdsSanitize(t *testing.T) {
 	if got != DefaultThresholds() {
 		t.Fatalf("zero thresholds = %+v, want defaults", got)
 	}
-	// Inverted bands are repaired into a consistent ordering.
-	bad := Thresholds{BiasEnter: 0.7, BiasExit: 0.9, FairEnter: 0.95, FairExit: 0.1}.sanitize()
-	if !(bad.FairEnter <= bad.FairExit && bad.FairExit <= bad.BiasExit && bad.BiasExit <= bad.BiasEnter) {
+	// An inverted band is repaired into a consistent ordering.
+	bad := Thresholds{BiasEnter: 0.7, BiasExit: 0.9}.sanitize()
+	if bad.BiasExit > bad.BiasEnter {
 		t.Fatalf("sanitize left an inconsistent band: %+v", bad)
 	}
 }
@@ -148,7 +139,7 @@ func TestAdaptorThresholdsSanitize(t *testing.T) {
 // checked equalities.
 func TestAdaptorSnapshotCoherentUnderFlips(t *testing.T) {
 	a := NewAdaptor(Thresholds{})
-	w := a.ThresholdsInUse().Window
+	w := a.th.Window
 	const windows = 4000
 
 	var stop atomic.Bool
@@ -164,15 +155,15 @@ func TestAdaptorSnapshotCoherentUnderFlips(t *testing.T) {
 					continue
 				}
 				// Window k is pure-write for odd k, pure-read for even k,
-				// so the mode after window k is fair iff k is odd — and
+				// so the mode after window k is neutral iff k is odd — and
 				// every window flips, so flips must equal windows.
 				if s.Flips != s.Windows {
 					torn.Add(1)
 					continue
 				}
-				wantFair := s.Windows%2 == 1
-				if wantFair != (s.Mode == ModeFair) ||
-					wantFair != (s.WindowWrites > s.WindowReads) {
+				wantNeutral := s.Windows%2 == 1
+				if wantNeutral != (s.Mode == ModeNeutral) ||
+					wantNeutral != (s.WindowWrites > s.WindowReads) {
 					torn.Add(1)
 				}
 			}

@@ -48,13 +48,10 @@ type Engine struct {
 	table  *Table
 	policy Policy
 	stats  *Stats
-	// inhibitN, when set, tunes (not replaces) an InhibitPolicy; it is
-	// remembered so SetInhibitN and SetPolicy compose in either order.
-	inhibitN int64
-	// adaptor, when set, gates bias enablement by mode. It is a separate
-	// field consulted alongside the policy — never a policy replacement —
-	// so SetAdaptive composes with SetPolicy/SetInhibitN in any order.
-	adaptor    *Adaptor
+	// inhibitN, when set, tunes (not replaces) a policy that carries the
+	// multiplier (InhibitPolicy, Adaptor); it is remembered so SetInhibitN
+	// and SetPolicy compose in either order.
+	inhibitN   int64
 	probe2     bool
 	randomized bool
 }
@@ -84,42 +81,27 @@ func (e *Engine) SetPolicy(p Policy) {
 		return
 	}
 	e.policy = p
-	if ip, ok := p.(*InhibitPolicy); ok && e.inhibitN > 0 {
-		ip.N = e.inhibitN
+	if t, ok := p.(inhibitTuner); ok && e.inhibitN > 0 {
+		t.setInhibitN(e.inhibitN)
 	}
 }
 
 // SetInhibitN tunes the paper's N multiplier (worst-case writer slow-down
-// ≈ 1/(N+1)). It adjusts the installed policy when that policy is an
-// InhibitPolicy, and is remembered for the default policy otherwise — it
-// never replaces a policy installed with SetPolicy. The adjustment writes
-// through the installed policy value, which is per-lock by the Policy
-// contract: do not share one InhibitPolicy between locks and tune it on
-// one of them. Configuration-time only.
+// ≈ 1/(N+1)). It adjusts the installed policy when that policy carries the
+// multiplier (an InhibitPolicy or an Adaptor), and is remembered for the
+// default policy otherwise — it never replaces a policy installed with
+// SetPolicy. The adjustment writes through the installed policy value, which
+// is per-lock by the Policy contract: do not share one policy between locks
+// and tune it on one of them. Configuration-time only.
 func (e *Engine) SetInhibitN(n int64) {
 	if n <= 0 {
 		return
 	}
 	e.inhibitN = n
-	if ip, ok := e.policy.(*InhibitPolicy); ok {
-		ip.N = n
+	if t, ok := e.policy.(inhibitTuner); ok {
+		t.setInhibitN(n)
 	}
 }
-
-// SetAdaptive attaches a mode adaptor. Like SetInhibitN, it tunes and never
-// replaces the enable policy: the adaptor is consulted as an additional gate
-// in MaybeEnable and fed revocation costs from Revoke, while the installed
-// Policy (and any remembered inhibit multiplier) stays in force for windows
-// where bias is allowed. SetAdaptive therefore composes with SetPolicy and
-// SetInhibitN in any call order. Configuration-time only.
-func (e *Engine) SetAdaptive(a *Adaptor) {
-	if a != nil {
-		e.adaptor = a
-	}
-}
-
-// AdaptorInUse returns the attached mode adaptor, or nil.
-func (e *Engine) AdaptorInUse() *Adaptor { return e.adaptor }
 
 // SetStats attaches an event counter set. Counting adds shared-memory
 // traffic; leave unset for performance runs. Configuration-time only.
@@ -293,9 +275,6 @@ func (e *Engine) ClearFast(t SlotToken) {
 // (Listing 1 lines 25–26, which excludes writers) — and asks the policy
 // whether to (re-)enable bias.
 func (e *Engine) MaybeEnable() {
-	if e.adaptor != nil && !e.adaptor.AllowBias() {
-		return
-	}
 	if e.rbias.Load() == 0 && e.policy.ShouldEnable() {
 		if e.rbias.CompareAndSwap(0, biasBit) {
 			e.epoch.Add(1)
@@ -319,9 +298,6 @@ func (e *Engine) Revoke() {
 	// Primum non-nocere: limit and bound the slow-down arising from
 	// revocation overheads.
 	e.policy.RevocationDone(start, now)
-	if e.adaptor != nil {
-		e.adaptor.NoteRevocation(now - start)
-	}
 	if e.stats != nil {
 		e.stats.WriteRevoke.Add(1)
 		e.stats.RevokeNanos.Add(now - start)

@@ -76,60 +76,31 @@ func TestEngineInhibitNAndPolicyComposeInAnyOrder(t *testing.T) {
 }
 
 // TestEngineAdaptiveSetterOrderConverges extends the "tunes, never replaces"
-// ordering contract to SetAdaptive: every permutation of SetAdaptive,
-// SetPolicy, and SetInhibitN must converge to the same configuration — the
-// installed policy with the tuned multiplier, plus the attached adaptor —
-// and to the same gating behavior.
+// ordering contract to an Adaptor policy: SetPolicy(adaptor) and SetInhibitN
+// in either order leave the adaptor installed with the tuned multiplier, and
+// bias gated by its mode.
 func TestEngineAdaptiveSetterOrderConverges(t *testing.T) {
-	build := func(order [3]int) (*Engine, *Adaptor) {
-		e := &Engine{}
-		ad := NewAdaptor(Thresholds{})
-		pol := NewInhibitPolicy(0)
-		for _, step := range order {
-			switch step {
-			case 0:
-				e.SetAdaptive(ad)
-			case 1:
-				e.SetPolicy(pol)
-			case 2:
-				e.SetInhibitN(5)
-			}
+	for _, policyFirst := range []bool{true, false} {
+		e, ad := &Engine{}, NewAdaptor(Thresholds{})
+		if policyFirst {
+			e.SetPolicy(ad)
+			e.SetInhibitN(5)
+		} else {
+			e.SetInhibitN(5)
+			e.SetPolicy(ad)
 		}
 		e.SetTable(NewTable(DefaultTableSize))
 		e.Init()
-		return e, ad
-	}
-	perms := [][3]int{
-		{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
-	}
-	for _, order := range perms {
-		e, ad := build(order)
-		if e.AdaptorInUse() != ad {
-			t.Fatalf("order %v: adaptor not attached", order)
+		if e.PolicyInUse() != Policy(ad) || ad.th.InhibitN != 5 {
+			t.Fatalf("policyFirst=%v: policy %#v, N = %d; want the adaptor with N = 5", policyFirst, e.PolicyInUse(), ad.th.InhibitN)
 		}
-		p, ok := e.PolicyInUse().(*InhibitPolicy)
-		if !ok {
-			t.Fatalf("order %v: SetAdaptive replaced the policy: %#v", order, e.PolicyInUse())
-		}
-		if p.N != 5 {
-			t.Fatalf("order %v: inhibit N = %d, want 5 (tuned regardless of order)", order, p.N)
-		}
-		// Behavioral convergence: bias enables in biased mode and is gated
-		// off in fair mode, in every permutation.
-		e.MaybeEnable()
-		if !e.Enabled() {
-			t.Fatalf("order %v: bias did not enable in ModeBiased", order)
-		}
-		e.forceBias(false)
-		ad.ForceMode(ModeFair)
-		e.MaybeEnable()
-		if e.Enabled() {
-			t.Fatalf("order %v: bias enabled while adaptor is in ModeFair", order)
-		}
-		ad.ForceMode(ModeBiased)
-		e.MaybeEnable()
-		if !e.Enabled() {
-			t.Fatalf("order %v: bias did not re-enable after promotion", order)
+		for _, m := range []Mode{ModeBiased, ModeNeutral, ModeBiased} {
+			e.forceBias(false)
+			ad.ForceMode(m)
+			e.MaybeEnable()
+			if e.Enabled() != (m == ModeBiased) {
+				t.Fatalf("policyFirst=%v: bias enabled = %v in mode %v", policyFirst, e.Enabled(), m)
+			}
 		}
 	}
 }

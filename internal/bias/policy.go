@@ -27,6 +27,10 @@ type Policy interface {
 	RevocationDone(start, end int64)
 }
 
+// inhibitTuner is a policy that carries the paper's N multiplier, which
+// Engine.SetInhibitN may therefore tune in place: InhibitPolicy and Adaptor.
+type inhibitTuner interface{ setInhibitN(n int64) }
+
 // InhibitPolicy is the paper's production policy: after a revocation that
 // took D nanoseconds, bias may not be re-enabled for N·D nanoseconds. This
 // is the primum-non-nocere throttle: the worst case writer slow-down is
@@ -46,6 +50,8 @@ func NewInhibitPolicy(n int64) *InhibitPolicy {
 	}
 	return &InhibitPolicy{N: n}
 }
+
+func (p *InhibitPolicy) setInhibitN(n int64) { p.N = n }
 
 // ShouldEnable implements Policy: Time() >= InhibitUntil.
 func (p *InhibitPolicy) ShouldEnable() bool {

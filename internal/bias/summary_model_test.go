@@ -1,6 +1,10 @@
-package bias
+package bias_test
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/bravolock/bravo/internal/lockcheck"
+)
 
 // A small-scope exhaustive check of the occupancy-summary protocol
 // (ROADMAP item 6a): every interleaving of 2 readers, 1 writer (two writes)
@@ -193,15 +197,7 @@ const (
 // whether a fast read and a sector-limited scan were reached at all.
 func exploreModel(v modelVariant, slot [2]uint8) (bad map[string]bool, states int, sawFast, sawScan bool) {
 	bad = map[string]bool{}
-	seen := map[modelState]bool{}
-	stack := []modelState{{}}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
+	states = lockcheck.Explore(modelState{}, func(s modelState, next func(modelState)) {
 		held := s.rd[0].pc == rHeld || s.rd[1].pc == rHeld
 		sawFast = sawFast || held
 		sawScan = sawScan || (s.wpc == wScan && s.wmask != 0 && s.wmask != 3)
@@ -210,7 +206,7 @@ func exploreModel(v modelVariant, slot [2]uint8) (bad map[string]bool, states in
 		}
 		for r := range s.rd {
 			if n, ok := s.stepReader(v, r, slot[r]); ok {
-				stack = append(stack, n)
+				next(n)
 			}
 		}
 		n, ok, missed := s.stepWriter(v, slot)
@@ -218,13 +214,13 @@ func exploreModel(v modelVariant, slot [2]uint8) (bad map[string]bool, states in
 			bad[badSummary] = true
 		}
 		if ok {
-			stack = append(stack, n)
+			next(n)
 		}
 		if n, ok := s.stepEnabler(); ok {
-			stack = append(stack, n)
+			next(n)
 		}
-	}
-	return bad, len(seen), sawFast, sawScan
+	})
+	return bad, states, sawFast, sawScan
 }
 
 func TestSummaryProtocolModel(t *testing.T) {

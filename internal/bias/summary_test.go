@@ -58,10 +58,11 @@ func revokeBlocksUntil(t *testing.T, e *Engine, release func()) {
 }
 
 func TestEngineSizeUnchanged(t *testing.T) {
-	// The summary lives in rbias's spare bits: lock-read's mem_bytes_per_item
-	// has a 5 % bound and one more word per lock would break it.
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Engine{}) != 64 {
-		t.Fatalf("Engine is %d bytes, want 64", unsafe.Sizeof(Engine{}))
+	// The summary lives in rbias's spare bits and adaptivity in the policy:
+	// lock-read's mem_bytes_per_item has a 5 % bound and one more word per
+	// lock would break it.
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Engine{}) != 56 {
+		t.Fatalf("Engine is %d bytes, want 56", unsafe.Sizeof(Engine{}))
 	}
 }
 

@@ -9,8 +9,8 @@ package bias
 //
 // Layout (chosen to compose with the rwl.Token convention): the slot index
 // occupies the low 32 bits, the generation the next genBits bits. Wrapping
-// locks tag the whole thing with their own discriminator bits (core uses
-// bit 63, the adaptive composite bit 62), which the layout leaves free.
+// locks tag the whole thing with their own discriminator bit (core uses
+// bit 63), which the layout leaves free.
 type SlotToken uint64
 
 // genBits is the width of the generation tag carried in a token. A stale

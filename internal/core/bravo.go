@@ -125,6 +125,15 @@ func (l *Lock) TableInUse() *bias.Table { return l.eng.Table() }
 // Engine exposes the embedded biasing engine (diagnostics and tests).
 func (l *Lock) Engine() *bias.Engine { return &l.eng }
 
+// Adaptor returns the installed policy when it is an adaptive one, else nil.
+// Owners feed it their read/write counts (Adaptor.Offer) to drive the
+// feedback loop; the KV engine detects this method structurally to wire
+// per-shard adaptivity.
+func (l *Lock) Adaptor() *bias.Adaptor {
+	a, _ := l.eng.PolicyInUse().(*bias.Adaptor)
+	return a
+}
+
 // Biased reports whether reader bias is currently enabled.
 func (l *Lock) Biased() bool { return l.eng.Enabled() }
 

@@ -15,25 +15,19 @@ import (
 	"github.com/bravolock/bravo/internal/xrand"
 )
 
-// smallWindow makes the feedback loop observable in a fast test: windows
-// close every 512 ops instead of 4096.
-func smallWindow() bias.Thresholds {
-	th := bias.DefaultThresholds()
-	th.Window = 512
-	return th
-}
+// smallWindow makes the feedback loop observable in a fast test: mkAdaptive
+// builds its locks with windows that close every 512 ops instead of 4096.
+func smallWindow() bias.Thresholds { return bias.Thresholds{Window: 512} }
 
 func TestShardedAdaptiveCapability(t *testing.T) {
 	plain, err := NewSharded(4, mkBravo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.AdaptiveCapable() {
-		t.Fatal("plain BRAVO engine claims adaptive capability")
+	if plain.ShardAdaptor(0) != nil {
+		t.Fatal("plain BRAVO engine carries an adaptor")
 	}
-	// Setters are safe no-ops, and stats omit the bias fields.
-	plain.SetAdaptive(true)
-	plain.SetAdaptiveThresholds(smallWindow())
+	// Stats omit the bias fields.
 	plain.Put(1, EncodeValue(1))
 	if st := plain.Stats().Shards[0]; st.BiasMode != "" || st.BiasFlips != 0 {
 		t.Fatalf("non-adaptive stats carry bias fields: %q/%d", st.BiasMode, st.BiasFlips)
@@ -42,9 +36,6 @@ func TestShardedAdaptiveCapability(t *testing.T) {
 	ad, err := NewSharded(4, mkAdaptive)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ad.AdaptiveCapable() {
-		t.Fatal("adaptive engine does not report adaptive capability")
 	}
 	for i := 0; i < ad.NumShards(); i++ {
 		if ad.ShardAdaptor(i) == nil {
@@ -64,7 +55,6 @@ func TestShardedAdaptiveAutoFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetAdaptiveThresholds(smallWindow())
 	// Reads must reach the shard counters either way; seq reads do (the
 	// counters tick outside the lock), so leave the default read path on.
 	const keys = 256
@@ -78,12 +68,12 @@ func TestShardedAdaptiveAutoFlips(t *testing.T) {
 		s.Put(rng.Intn(keys), EncodeValue(rng.Next()))
 	}
 	for i := 0; i < s.NumShards(); i++ {
-		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeFair {
-			t.Fatalf("shard %d after write storm: mode = %v, want fair", i, m)
+		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeNeutral {
+			t.Fatalf("shard %d after write storm: mode = %v, want neutral", i, m)
 		}
 	}
 	st := s.Stats().Total()
-	if st.BiasMode != "fair" || st.BiasFlips == 0 {
+	if st.BiasMode != "neutral" || st.BiasFlips == 0 {
 		t.Fatalf("stats after write storm: mode %q flips %d", st.BiasMode, st.BiasFlips)
 	}
 
@@ -96,17 +86,6 @@ func TestShardedAdaptiveAutoFlips(t *testing.T) {
 			t.Fatalf("shard %d after read phase: mode = %v, want biased", i, m)
 		}
 	}
-
-	// SetAdaptive(false) pins every shard to biased and freezes the loop.
-	s.SetAdaptive(false)
-	for i := 0; i < 20000; i++ {
-		s.Put(rng.Intn(keys), EncodeValue(rng.Next()))
-	}
-	for i := 0; i < s.NumShards(); i++ {
-		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeBiased {
-			t.Fatalf("shard %d flipped to %v while adaptivity is off", i, m)
-		}
-	}
 }
 
 // TestShardedPerShardDivergence is the case a global policy cannot express:
@@ -117,7 +96,6 @@ func TestShardedPerShardDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetAdaptiveThresholds(smallWindow())
 	// Find keys per shard.
 	perShard := make([][]uint64, s.NumShards())
 	for k := uint64(0); len(perShard[0]) < 64 || len(perShard[1]) < 64 ||
@@ -138,8 +116,8 @@ func TestShardedPerShardDivergence(t *testing.T) {
 			s.Get(k)
 		}
 	}
-	if m := s.ShardAdaptor(0).Mode(); m != bias.ModeFair {
-		t.Fatalf("hot write shard: mode = %v, want fair", m)
+	if m := s.ShardAdaptor(0).Mode(); m != bias.ModeNeutral {
+		t.Fatalf("hot write shard: mode = %v, want neutral", m)
 	}
 	for i := 1; i < 4; i++ {
 		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeBiased {
@@ -151,43 +129,47 @@ func TestShardedPerShardDivergence(t *testing.T) {
 	}
 }
 
-// TestShardedStatsCoherentUnderFlips hammers Stats() while a flipper forces
-// modes and writers/readers run: every reported mode must be a real mode
-// name, and per-shard flip counts must be monotonic across snapshots (a
-// torn mode/flips pairing could violate monotonicity by pairing an old
-// flips value with a new row).
-func TestShardedStatsCoherentUnderFlips(t *testing.T) {
+// flipStorm builds a 4-shard adaptive engine and runs, until the returned
+// stop is called, a flipper forcing shard modes and a goroutine of traffic
+// (one Put in every writeEvery ops over keys below keyspace) whose seq
+// readers and writers cross the flips.
+func flipStorm(t *testing.T, seed, keyspace uint64, writeEvery int) (s *Sharded, stop func()) {
 	s, err := NewSharded(4, mkAdaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := map[string]bool{"biased": true, "neutral": true, "fair": true}
-	var stop atomic.Bool
+	var done atomic.Bool
 	var wg sync.WaitGroup
-
-	wg.Add(1)
+	wg.Add(2)
 	go func() { // flipper
 		defer wg.Done()
-		modes := [...]bias.Mode{bias.ModeFair, bias.ModeNeutral, bias.ModeBiased}
-		for i := 0; !stop.Load(); i++ {
-			s.ShardAdaptor(i % 4).ForceMode(modes[i%len(modes)])
+		for i := 0; !done.Load(); i++ {
+			s.ShardAdaptor(i % 4).ForceMode(bias.Mode(i / 4 % 2))
 			runtime.Gosched()
 		}
 	}()
-	wg.Add(1)
-	go func() { // traffic: seq readers and writers crossing flips
+	go func() { // traffic
 		defer wg.Done()
-		rng := xrand.NewXorShift64(3)
-		for i := 0; !stop.Load(); i++ {
-			k := rng.Intn(512)
-			if i%4 == 0 {
+		rng := xrand.NewXorShift64(seed)
+		for i := 0; !done.Load(); i++ {
+			if k := rng.Intn(keyspace); i%writeEvery == 0 {
 				s.Put(k, EncodeValue(rng.Next()))
 			} else {
 				s.Get(k)
 			}
 		}
 	}()
+	return s, func() { done.Store(true); wg.Wait() }
+}
 
+// TestShardedStatsCoherentUnderFlips hammers Stats() under a flipStorm:
+// every reported mode must be a real mode name, and per-shard flip counts
+// must be monotonic across snapshots (a torn mode/flips pairing could violate
+// monotonicity by pairing an old flips value with a new row).
+func TestShardedStatsCoherentUnderFlips(t *testing.T) {
+	s, stop := flipStorm(t, 3, 512, 4)
+	defer stop()
+	valid := map[string]bool{"biased": true, "neutral": true}
 	last := make([]uint64, 4)
 	for snap := 0; snap < 2000; snap++ {
 		st := s.Stats()
@@ -202,6 +184,4 @@ func TestShardedStatsCoherentUnderFlips(t *testing.T) {
 			last[i] = row.BiasFlips
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
 }

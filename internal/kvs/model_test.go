@@ -147,8 +147,8 @@ func runSequentialModel(t *testing.T, s *Sharded, seed uint64, iters int, h *rwl
 		// divergence from the reference blames the flip machinery. The rng
 		// draw happens only on adaptive engines, so the other arms'
 		// schedules are untouched.
-		if i%400 == 200 && s.AdaptiveCapable() {
-			m := bias.Mode(rng.Intn(3))
+		if i%400 == 200 && s.ShardAdaptor(0) != nil {
+			m := bias.Mode(rng.Intn(2))
 			for sh := 0; sh < s.NumShards(); sh++ {
 				s.ShardAdaptor(sh).ForceMode(m)
 			}
@@ -433,11 +433,10 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 	// crosses flip boundaries mid-flight; the model comparison below is the
 	// oracle that no flip tears a read or loses a write.
 	var flipper sync.WaitGroup
-	if s.AdaptiveCapable() {
+	if s.ShardAdaptor(0) != nil {
 		flipper.Add(1)
 		go func() {
 			defer flipper.Done()
-			modes := [...]bias.Mode{bias.ModeFair, bias.ModeNeutral, bias.ModeBiased}
 			rng := xrand.NewXorShift64(0xF11B)
 			for i := 0; ; i++ {
 				select {
@@ -446,7 +445,7 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 				default:
 				}
 				sh := int(rng.Intn(uint64(s.NumShards())))
-				s.ShardAdaptor(sh).ForceMode(modes[i%len(modes)])
+				s.ShardAdaptor(sh).ForceMode(bias.Mode(i % 2))
 				runtime.Gosched()
 			}
 		}()

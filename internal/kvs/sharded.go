@@ -103,8 +103,8 @@ type kvShard struct {
 	// wal is the shard's write-ahead log, nil on volatile engines. Its
 	// mutex orders before lock: writers append (and fsync) before applying.
 	wal *shardWAL
-	// ad is the shard lock's bias adaptor, nil unless the factory built an
-	// adaptive lock. The shard feeds it the read/write counters it already
+	// ad is the shard lock's bias adaptor, nil unless the factory built a
+	// lock whose policy is one. The shard feeds it the read/write counters it already
 	// maintains (adaptTick), closing the per-shard bias feedback loop.
 	ad  *bias.Adaptor
 	ops shardOps
@@ -316,8 +316,8 @@ type ShardStats struct {
 	WALBytes    uint64 `json:"wal_bytes"`
 	WALErrors   uint64 `json:"wal_errors"`
 	Checkpoints uint64 `json:"checkpoints"`
-	// BiasMode is the shard lock's current bias posture ("biased",
-	// "neutral", "fair"), empty when the shard lock carries no adaptor;
+	// BiasMode is the shard lock's current bias posture ("biased" or
+	// "neutral"), empty when the shard lock carries no adaptor;
 	// Total/Add report "mixed" when shards disagree. BiasFlips counts mode
 	// changes. Both are captured under the adaptor's seq bracket
 	// (bias.Adaptor.Snapshot), so one stats row can never pair a mode with
@@ -528,33 +528,6 @@ func (s *Sharded) SetSeqReadAttempts(n int) {
 
 // SeqReadAttempts returns the current optimistic read attempt budget.
 func (s *Sharded) SeqReadAttempts() int { return int(s.seqAttempts.Load()) }
-
-// AdaptiveCapable reports whether the shard locks expose bias adaptors
-// (the factory built adaptive locks — see internal/locks/adaptive).
-func (s *Sharded) AdaptiveCapable() bool { return s.shards[0].ad != nil }
-
-// SetAdaptive turns per-shard adaptive biasing on or off. Off pins every
-// shard back to static biased BRAVO. A no-op when the shard locks carry no
-// adaptor. Safe at any time.
-func (s *Sharded) SetAdaptive(on bool) {
-	for i := range s.shards {
-		if ad := s.shards[i].ad; ad != nil {
-			ad.SetEnabled(on)
-		}
-	}
-}
-
-// SetAdaptiveThresholds installs one hysteresis configuration on every
-// shard's adaptor (zero fields take defaults). A no-op when the shard locks
-// carry no adaptor. Safe at any time; applies from each shard's next
-// window.
-func (s *Sharded) SetAdaptiveThresholds(th bias.Thresholds) {
-	for i := range s.shards {
-		if ad := s.shards[i].ad; ad != nil {
-			ad.SetThresholds(th)
-		}
-	}
-}
 
 // ShardAdaptor returns shard i's bias adaptor, or nil. Diagnostic: tests
 // use it to force modes deterministically.

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
-	"github.com/bravolock/bravo/internal/locks/adaptive"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -18,7 +18,7 @@ import (
 func mkStd() rwl.RWLock   { return new(stdrw.Lock) }
 func mkBravo() rwl.RWLock { return core.New(new(pfq.Lock)) }
 func mkAdaptive() rwl.RWLock {
-	return adaptive.New(core.New(new(pfq.Lock)))
+	return core.New(new(pfq.Lock), core.WithPolicy(bias.NewAdaptor(smallWindow())))
 }
 
 func TestNewShardedValidatesShardCount(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"unsafe"
 
 	"github.com/bravolock/bravo/internal/arch"
-	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/xrand"
 )
@@ -37,9 +36,9 @@ func TestShardStatsAddBiasMerge(t *testing.T) {
 		{"all empty", []ShardStats{row("", 0), row("", 0)}, "", 0},
 		{"empty then biased", []ShardStats{row("", 0), row("biased", 2)}, "biased", 2},
 		{"biased then empty", []ShardStats{row("biased", 2), row("", 0)}, "biased", 2},
-		{"agreement", []ShardStats{row("fair", 1), row("fair", 4)}, "fair", 5},
-		{"disagreement", []ShardStats{row("biased", 1), row("fair", 1)}, "mixed", 2},
-		{"mixed is sticky", []ShardStats{row("biased", 0), row("fair", 0), row("fair", 3)}, "mixed", 3},
+		{"agreement", []ShardStats{row("neutral", 1), row("neutral", 4)}, "neutral", 5},
+		{"disagreement", []ShardStats{row("biased", 1), row("neutral", 1)}, "mixed", 2},
+		{"mixed is sticky", []ShardStats{row("biased", 0), row("neutral", 0), row("neutral", 3)}, "mixed", 3},
 		{"mixed input folds in", []ShardStats{row("mixed", 7), row("biased", 1)}, "mixed", 8},
 	}
 	for _, tc := range cases {
@@ -64,42 +63,14 @@ func TestShardStatsAddBiasMerge(t *testing.T) {
 	}
 }
 
-// TestShardedTotalFlipsMonotonicUnderFlips reads Total() in a loop while a
-// flipper forces shard modes and traffic runs: the folded bias_flips must
-// never go backwards, and the folded mode must always be a real verdict —
-// a torn per-shard capture would surface here as a dip or a garbage mode.
+// TestShardedTotalFlipsMonotonicUnderFlips reads Total() in a loop under a
+// flipStorm: the folded bias_flips must never go backwards, and the folded
+// mode must always be a real verdict — a torn per-shard capture would
+// surface here as a dip or a garbage mode.
 func TestShardedTotalFlipsMonotonicUnderFlips(t *testing.T) {
-	s, err := NewSharded(4, mkAdaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := map[string]bool{"biased": true, "neutral": true, "fair": true, "mixed": true}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() { // flipper
-		defer wg.Done()
-		modes := [...]bias.Mode{bias.ModeFair, bias.ModeNeutral, bias.ModeBiased}
-		for i := 0; !stop.Load(); i++ {
-			s.ShardAdaptor(i % 4).ForceMode(modes[i%len(modes)])
-			runtime.Gosched()
-		}
-	}()
-	wg.Add(1)
-	go func() { // traffic
-		defer wg.Done()
-		rng := xrand.NewXorShift64(11)
-		for i := 0; !stop.Load(); i++ {
-			k := rng.Intn(256)
-			if i%3 == 0 {
-				s.Put(k, EncodeValue(rng.Next()))
-			} else {
-				s.Get(k)
-			}
-		}
-	}()
-
+	s, stop := flipStorm(t, 11, 256, 3)
+	defer stop()
+	valid := map[string]bool{"biased": true, "neutral": true, "mixed": true}
 	var last uint64
 	for snap := 0; snap < 1500; snap++ {
 		total := s.Stats().Total()
@@ -111,8 +82,6 @@ func TestShardedTotalFlipsMonotonicUnderFlips(t *testing.T) {
 		}
 		last = total.BiasFlips
 	}
-	stop.Store(true)
-	wg.Wait()
 }
 
 // TestReadStripesShareNoLine pins what a read may write: counters on a

@@ -14,7 +14,6 @@ import (
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/kvs"
-	"github.com/bravolock/bravo/internal/locks/adaptive"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
 )
@@ -353,12 +352,12 @@ func TestServerCheckpointVolatile(t *testing.T) {
 // STATS verb), and a non-adaptive engine omits the fields entirely.
 func TestServerStatsAdaptiveBias(t *testing.T) {
 	engine, err := kvs.NewSharded(4, func() rwl.RWLock {
-		return adaptive.New(core.New(new(stdrw.Lock)))
+		return core.New(new(stdrw.Lock), core.WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.ShardAdaptor(2).ForceMode(bias.ModeFair)
+	engine.ShardAdaptor(2).ForceMode(bias.ModeNeutral)
 	base := startServerWith(t, engine, Config{ReapInterval: -1})
 
 	_, body := do(t, http.MethodGet, base+"/stats", nil)
@@ -372,7 +371,7 @@ func TestServerStatsAdaptiveBias(t *testing.T) {
 	for i, row := range st.Shards {
 		want := "biased"
 		if i == 2 {
-			want = "fair"
+			want = "neutral"
 		}
 		if row.BiasMode != want {
 			t.Fatalf("shard %d bias_mode = %q, want %q", i, row.BiasMode, want)
@@ -381,7 +380,7 @@ func TestServerStatsAdaptiveBias(t *testing.T) {
 	if st.Total.BiasMode != "mixed" || st.Total.BiasFlips != 1 {
 		t.Fatalf("total bias = %q/%d, want mixed/1", st.Total.BiasMode, st.Total.BiasFlips)
 	}
-	if !bytes.Contains(body, []byte(`"bias_mode":"fair"`)) {
+	if !bytes.Contains(body, []byte(`"bias_mode":"neutral"`)) {
 		t.Fatalf("raw /stats body lacks bias_mode field: %s", body)
 	}
 

@@ -440,3 +440,22 @@ func Within(t *testing.T, d time.Duration, storm func()) {
 		t.Fatalf("still running after %v: lost wakeup", d)
 	}
 }
+
+// Explore visits every state reachable from init exactly once and returns
+// how many there are; visit inspects one state and hands each successor to
+// next. The small-scope protocol models (bias's occupancy summary, fairrw's
+// ticket hand-off) supply states and invariants, Explore exhaustiveness.
+func Explore[S comparable](init S, visit func(s S, next func(S))) int {
+	seen := map[S]bool{}
+	stack := []S{init}
+	push := func(n S) { stack = append(stack, n) }
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !seen[s] {
+			seen[s] = true
+			visit(s, push)
+		}
+	}
+	return len(seen)
+}

@@ -129,3 +129,17 @@ func (b *brokenLock) RLock() rwl.Token { b.acquire(); return 0 }
 func (*brokenLock) RUnlock(rwl.Token)  {}
 func (b *brokenLock) Lock()            { b.acquire() }
 func (*brokenLock) Unlock()            {}
+
+// TestExploreVisitsEachReachableStateOnce walks a 5-cycle with chords: every
+// state is reached by two edges and visited once.
+func TestExploreVisitsEachReachableStateOnce(t *testing.T) {
+	visits := map[int]int{}
+	n := Explore(0, func(s int, next func(int)) {
+		visits[s]++
+		next((s + 1) % 5)
+		next((s + 2) % 5)
+	})
+	if n != 5 || len(visits) != 5 || visits[0]*visits[1]*visits[2]*visits[3]*visits[4] != 1 {
+		t.Fatalf("Explore saw %d states, visits %v; want 0..4 once each", n, visits)
+	}
+}

@@ -9,13 +9,12 @@
 //	ba, pf-t, pthread, per-cpu, cohort-rw, mutex, go-rw, fair,
 //	bravo-ba, bravo-pf-t, bravo-pthread, bravo-mutex, bravo-go,
 //	bravo-ba-2d, bravo-ba-private, bravo-ba-probe2, bravo-ba-revmu,
-//	bravo-ba-random, adaptive-go, adaptive-ba
+//	bravo-ba-random, adaptive-go, adaptive-fair
 package all
 
 import (
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
-	"github.com/bravolock/bravo/internal/locks/adaptive"
 	"github.com/bravolock/bravo/internal/locks/cohort"
 	"github.com/bravolock/bravo/internal/locks/fairrw"
 	"github.com/bravolock/bravo/internal/locks/mutexrw"
@@ -76,13 +75,13 @@ func init() {
 		return core.New(new(pfq.Lock), core.WithRandomizedIndex())
 	})
 
-	// Adaptive composites: a per-lock bias.Adaptor flips the lock among
-	// biased BRAVO, neutral, and the fair gate from the observed workload
-	// (the owner feeds the adaptor; see internal/locks/adaptive).
+	// Adaptive BRAVO: the policy is a bias.Adaptor, which withholds bias
+	// while the observed workload (fed by the owner through Offer) is
+	// write-heavy. Over fairrw the unbiased phase is strict FIFO.
 	rwl.Register("adaptive-go", func() rwl.RWLock {
-		return adaptive.New(core.New(new(stdrw.Lock)))
+		return core.New(new(stdrw.Lock), core.WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
 	})
-	rwl.Register("adaptive-ba", func() rwl.RWLock {
-		return adaptive.New(core.New(new(pfq.Lock)))
+	rwl.Register("adaptive-fair", func() rwl.RWLock {
+		return core.New(new(fairrw.Lock), core.WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
 	})
 }

@@ -21,10 +21,11 @@
 // the other ticket locks in this repository).
 //
 // This is the "fair" end of the bias spectrum: no revocation, no visible
-// readers table, no reader preference — a write-heavy shard demoted to
-// this substrate pays one cache-line handoff per acquisition instead of
-// revocation storms. See internal/locks/adaptive for the composite that
-// flips between this lock and BRAVO.
+// readers table, no reader preference. As a BRAVO substrate (the registry's
+// "adaptive-fair") it is what the lock is whenever bias is off: a
+// write-heavy shard whose adaptive policy withholds bias pays one
+// cache-line handoff per acquisition instead of revocation storms.
+// model_test.go checks the hand-off exhaustively at small scope.
 package fairrw
 
 import (

@@ -19,8 +19,7 @@ package rwl
 // rwsem) confine themselves to the low 32 bits; the BRAVO wrapper stores its
 // fast-path slot index in the low 32 bits plus the slot's publication
 // generation above it (the always-on unbalanced-unlock guard, see
-// bias.SlotToken), tagged with bit 63. Composite locks may claim bit 62 as
-// their own discriminator (the adaptive fair gate does).
+// bias.SlotToken), tagged with bit 63.
 type Token uint64
 
 // RWLock is the common reader-writer lock interface.

@@ -101,12 +101,22 @@ func TestBravoSameTaskMultipleSems(t *testing.T) {
 func TestBravoHeldOverflowDivertsToSlowPath(t *testing.T) {
 	tab := bias.NewTable(bias.DefaultTableSize)
 	task := NewTask()
-	sems := make([]*Bravo, maxHeld+2)
-	for i := range sems {
-		sems[i] = NewBravo(DefaultConfig())
-		sems[i].SetTable(tab)
-		sems[i].DownRead(task)
-		sems[i].UpRead(task)
+	// Keep only semaphores whose (sem, task) home slots are distinct: two
+	// that collide (one run in ~130 at this table size) send a read down the
+	// slow path, pinning a handle entry Holds() does not count.
+	sems := make([]*Bravo, 0, maxHeld+2)
+	slots := map[uint32]bool{}
+	for len(sems) < cap(sems) {
+		s := NewBravo(DefaultConfig())
+		slot := tab.Index(s.Engine().ID(), task.ID)
+		if slots[slot] {
+			continue
+		}
+		slots[slot] = true
+		s.SetTable(tab)
+		s.DownRead(task)
+		s.UpRead(task)
+		sems = append(sems, s)
 	}
 	for _, s := range sems {
 		s.DownRead(task)
