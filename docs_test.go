@@ -1,9 +1,14 @@
 package bravo_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -82,5 +87,53 @@ func TestReadmeLockMenuIsTheRegistry(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Errorf("README menu = %v\nregistry    = %v", got, want)
+	}
+}
+
+// TestEveryInternalPackageHasAnImporter is the first slice of an enforced
+// code budget: an internal/… package that no non-test file outside its own
+// directory imports — here or in the benchmark/ module — is dead code the
+// compiler cannot see, and fails. internal/lockcheck, a helper package only
+// tests import, is the one exemption.
+func TestEveryInternalPackageHasAnImporter(t *testing.T) {
+	const module = "github.com/bravolock/bravo/"
+	packages := map[string]bool{} // internal/… directories holding non-test Go
+	imported := map[string]bool{} // those some file elsewhere imports
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, the benchmark's .bench_build
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			packages[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, module) && p[len(module):] != dir {
+				imported[p[len(module):]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packages) < 20 {
+		t.Fatalf("found %d internal packages; the walk is not looking at the module", len(packages))
+	}
+	for dir := range packages {
+		if !imported[dir] && dir != "internal/lockcheck" {
+			t.Errorf("%s: no non-test file outside it imports it; delete it or use it", dir)
+		}
 	}
 }

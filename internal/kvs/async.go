@@ -31,8 +31,7 @@ const DefaultAsyncBatch = 64
 // an older one racing through a second applier.
 type writeQueue struct {
 	mu    sync.Mutex
-	keys  []uint64
-	vals  [][]byte
+	ents  []Entry
 	apply sync.Mutex
 }
 
@@ -60,9 +59,8 @@ func (s *Sharded) asyncBatch() int {
 func (s *Sharded) PutAsync(key uint64, value []byte) {
 	sh := s.shardOf(key)
 	sh.q.mu.Lock()
-	sh.q.keys = append(sh.q.keys, key)
-	sh.q.vals = append(sh.q.vals, append([]byte(nil), value...))
-	full := len(sh.q.keys) >= s.asyncBatch()
+	sh.q.ents = append(sh.q.ents, Entry{Op: OpPut, Key: key, Value: append([]byte(nil), value...)})
+	full := len(sh.q.ents) >= s.asyncBatch()
 	sh.q.mu.Unlock()
 	sh.ops.asyncPuts.Add(1)
 	if full {
@@ -70,19 +68,23 @@ func (s *Sharded) PutAsync(key uint64, value []byte) {
 	}
 }
 
-// drainQueue detaches and applies the shard's queued writes under the
-// queue's apply mutex, so concurrent drains cannot reorder batches.
+// drainQueue detaches the shard's queued writes and hands them, in enqueue
+// order, to the write section — one WAL record, one fsync under SyncAlways,
+// one lock acquisition for the whole batch: a queued write becomes durable
+// when its batch applies, not when PutAsync returns. The queue's apply mutex
+// keeps concurrent drains from reordering batches.
 func (sh *kvShard) drainQueue() int {
 	sh.q.apply.Lock()
 	sh.q.mu.Lock()
-	keys, vals := sh.q.keys, sh.q.vals
-	sh.q.keys, sh.q.vals = nil, nil
+	ents := sh.q.ents
+	sh.q.ents = nil
 	sh.q.mu.Unlock()
-	if len(keys) > 0 {
-		sh.applyBatch(keys, vals)
+	if len(ents) > 0 {
+		sh.write(ents)
+		sh.countBatch(len(ents))
 	}
 	sh.q.apply.Unlock()
-	return len(keys)
+	return len(ents)
 }
 
 // Flush applies every queued asynchronous write, shard by shard, and
@@ -94,29 +96,4 @@ func (s *Sharded) Flush() int {
 		total += s.shards[i].drainQueue()
 	}
 	return total
-}
-
-// applyBatch applies one detached same-shard batch in order under a single
-// write-lock acquisition. On durable engines the whole batch is one WAL
-// record and (under SyncAlways) one fsync — group commit: a queued write
-// becomes durable when its batch applies, not when PutAsync returns.
-func (sh *kvShard) applyBatch(keys []uint64, vals [][]byte) {
-	w := sh.wal
-	w.lock()
-	if w != nil {
-		w.begin(len(keys))
-		for i, k := range keys {
-			w.addPut(k, vals[i], 0)
-		}
-		w.commit(len(keys))
-	}
-	sh.wlock()
-	sh.ops.puts.Add(uint64(len(keys))) // total before rare, as in Put
-	for i, k := range keys {
-		sh.putCounted(k, vals[i], 0)
-	}
-	sh.wunlock()
-	w.unlock()
-	sh.ops.wbatches.Add(1)
-	sh.ops.wbatchKeys.Add(uint64(len(keys)))
 }

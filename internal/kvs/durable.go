@@ -178,7 +178,7 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 			if err != nil {
 				return fmt.Errorf("kvs: shard %d snapshot: %w", i, err)
 			}
-			sh.recover(entries)
+			sh.applyLocked(entries)
 			last = snapLSN
 		} else if !os.IsNotExist(err) {
 			return err
@@ -294,25 +294,24 @@ func (s *Sharded) hasShardFiles() bool {
 // which stays live for the duration of openDurable.
 type txnRecovery struct {
 	parts   []walPart
-	entries []walEntry
+	entries []Entry
 	seen    []bool
 }
 
-// recoverShardRecord applies one replayed record to shard. Ordinary records
-// apply wholesale; transaction witness records apply only the entries owned
-// by this shard and register the copy in txns for the post-replay
-// atomicity check.
+// recoverShardRecord applies one replayed record to shard through
+// applyLocked, the live paths' apply half — so the optimistic read path is
+// coherent from the first post-recovery read, and a replayed entry is counted
+// like any other. No lock and no wlock/wunlock bracket: the engine is not yet
+// shared, so no reader exists to mislead. Ordinary records apply wholesale;
+// transaction witness records apply only the entries owned by this shard and
+// register the copy in txns for the post-replay atomicity check.
 func (s *Sharded) recoverShardRecord(shard int, rec walRecord, txns map[walPart]*txnRecovery) {
 	sh := &s.shards[shard]
 	if rec.version != walVersionTxn {
-		sh.recover(rec.entries)
+		sh.applyLocked(rec.entries)
 		return
 	}
-	for _, e := range rec.entries {
-		if s.ShardOf(e.key) == shard {
-			sh.recoverEntry(e)
-		}
-	}
+	sh.applyLocked(s.ownedBy(rec.entries, shard))
 	t := txns[rec.txnKey()]
 	if t == nil {
 		t = &txnRecovery{parts: rec.parts, entries: rec.entries, seen: make([]bool, len(rec.parts))}
@@ -368,25 +367,9 @@ func (s *Sharded) rollForwardTxns(txns map[walPart]*txnRecovery) error {
 		sh := &s.shards[j]
 		w := sh.wal
 		for _, m := range list {
-			var ents []walEntry
-			for _, e := range m.t.entries {
-				if s.ShardOf(e.key) == j {
-					ents = append(ents, e)
-				}
-			}
-			sh.recover(ents)
-			w.beginTxn(m.t.parts, len(m.t.entries))
-			for _, e := range m.t.entries {
-				switch e.op {
-				case walOpPut:
-					w.addPut(e.key, e.val, 0)
-				case walOpPutTTL:
-					w.addPut(e.key, e.val, deadlineFromRemaining(e.rem))
-				case walOpDelete:
-					w.addDelete(e.key)
-				}
-			}
-			w.commit(len(ents))
+			own := s.ownedBy(m.t.entries, j)
+			sh.applyLocked(own)
+			w.append(m.t.parts, m.t.entries, len(own))
 			if w.err != nil {
 				return fmt.Errorf("kvs: rolling transaction forward on shard %d: %w", j, w.err)
 			}
@@ -397,29 +380,6 @@ func (s *Sharded) rollForwardTxns(txns map[walPart]*txnRecovery) error {
 		}
 	}
 	return nil
-}
-
-// recover applies decoded entries to a shard during single-threaded
-// recovery, through the same putLocked/deleteLocked the live paths use, so
-// the optimistic read path is coherent from the first post-recovery read.
-// No lock and no wlock/wunlock bracket is needed here: the engine is not
-// yet shared, so no optimistic reader exists to mislead.
-func (sh *kvShard) recover(entries []walEntry) {
-	for _, e := range entries {
-		sh.recoverEntry(e)
-	}
-}
-
-// recoverEntry applies one decoded entry during recovery.
-func (sh *kvShard) recoverEntry(e walEntry) {
-	switch e.op {
-	case walOpPut:
-		sh.putCounted(e.key, e.val, 0)
-	case walOpPutTTL:
-		sh.putCounted(e.key, e.val, deadlineFromRemaining(e.rem))
-	case walOpDelete:
-		sh.deleteLocked(e.key)
-	}
 }
 
 // truncateTo truncates path to size when it exists and is longer.

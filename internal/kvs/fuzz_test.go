@@ -24,15 +24,13 @@ func buildRecord(payload []byte) []byte {
 	return append(rec, payload...)
 }
 
-// validPayload encodes a three-entry batch via the real writer path.
+// validPayload encodes a three-entry batch via the real writer's encoder.
 func validPayload() []byte {
-	w := &shardWAL{}
-	w.begin(3)
-	w.addPut(7, []byte("value"), 0)
-	w.addPut(8, []byte("ttl"), 12345)
-	w.addDelete(9)
-	payload := append([]byte(nil), w.buf[walHeaderSize:]...)
-	return payload
+	return encodeRecord(nil, 1, nil, []Entry{
+		{Op: OpPut, Key: 7, Value: []byte("value")},
+		{Op: OpPut, Key: 8, Deadline: 12345, Value: []byte("ttl")},
+		{Op: OpDelete, Key: 9},
+	})[walHeaderSize:]
 }
 
 // legacyPayload encodes a v1 (pre-LSN) record payload by hand: the decoder
@@ -47,13 +45,12 @@ func legacyPayload() []byte {
 }
 
 // txnPayload encodes a two-participant transaction witness record via the
-// real writer path.
+// real writer's encoder.
 func txnPayload() []byte {
-	w := &shardWAL{lsn: 4}
-	w.beginTxn([]walPart{{shard: 0, lsn: 5}, {shard: 3, lsn: 2}}, 2)
-	w.addPut(7, []byte("a"), 0)
-	w.addDelete(9)
-	return append([]byte(nil), w.buf[walHeaderSize:]...)
+	return encodeRecord(nil, 5, []walPart{{shard: 0, lsn: 5}, {shard: 3, lsn: 2}}, []Entry{
+		{Op: OpPut, Key: 7, Value: []byte("a")},
+		{Op: OpDelete, Key: 9},
+	})[walHeaderSize:]
 }
 
 func FuzzWALReplay(f *testing.F) {
@@ -91,13 +88,11 @@ func FuzzWALReplay(f *testing.F) {
 			for _, e := range rec.entries {
 				// Decoded entries must be internally sane: ops in range,
 				// values inside the input buffer.
-				switch e.op {
-				case walOpPut, walOpPutTTL, walOpDelete:
-				default:
-					t.Fatalf("decoder surfaced op %d", e.op)
+				if e.Op != OpPut && e.Op != OpDelete {
+					t.Fatalf("decoder surfaced op %d", e.Op)
 				}
-				if len(e.val) > len(data) {
-					t.Fatalf("value of %d bytes from %d input bytes", len(e.val), len(data))
+				if len(e.Value) > len(data) {
+					t.Fatalf("value of %d bytes from %d input bytes", len(e.Value), len(data))
 				}
 			}
 			applied++
@@ -223,11 +218,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 			return
 		}
 		for _, e := range entries {
-			if e.op != walOpPut && e.op != walOpPutTTL {
-				t.Fatalf("snapshot surfaced op %d", e.op)
+			if e.Op != OpPut {
+				t.Fatalf("snapshot surfaced op %d", e.Op)
 			}
-			if len(e.val) > len(data) {
-				t.Fatalf("value of %d bytes from %d input bytes", len(e.val), len(data))
+			if len(e.Value) > len(data) {
+				t.Fatalf("value of %d bytes from %d input bytes", len(e.Value), len(data))
 			}
 		}
 	})

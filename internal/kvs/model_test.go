@@ -12,7 +12,7 @@ package kvs
 // closes, reopens, and demands the recovered store still match the model.
 //
 // TTL determinism: wall-clock TTLs would make the model racy, so the
-// schedules use putDeadline with exactly two classes — born expired
+// schedules use put with exactly two classes — born expired
 // (deadline -1, invisible immediately) and effectively-never (MaxInt64).
 
 import (
@@ -221,10 +221,10 @@ func runSequentialModel(t *testing.T, s *Sharded, seed uint64, iters int, h *rwl
 			ref.put(k, v)
 		case 3: // TTL, never-expiring class
 			v := EncodeValue(rng.Next())
-			s.putDeadline(k, v, math.MaxInt64)
+			s.put(k, v, math.MaxInt64)
 			ref.put(k, v)
 		case 4: // TTL, born-expired class: immediately invisible
-			s.putDeadline(k, EncodeValue(rng.Next()), -1)
+			s.put(k, EncodeValue(rng.Next()), -1)
 			ref.erase(k)
 		case 5, 6:
 			s.Delete(k)
@@ -519,11 +519,11 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 				case 3:
 					flushFor(k)
 					v := EncodeValue(rng.Next())
-					s.putDeadline(k, v, math.MaxInt64)
+					s.put(k, v, math.MaxInt64)
 					model[k] = v
 				case 4:
 					flushFor(k)
-					s.putDeadline(k, EncodeValue(rng.Next()), -1)
+					s.put(k, EncodeValue(rng.Next()), -1)
 					delete(model, k)
 				case 5:
 					flushFor(k)

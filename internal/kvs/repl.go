@@ -26,10 +26,11 @@ package kvs
 // and repaired with a rescan.
 //
 // Follower side: DecodeReplFrame parses one stream frame (tolerating
-// partial buffers, rejecting corrupt ones without panicking), and
-// ApplyReplRecord applies a decoded record to a volatile engine through
-// the ordinary shard write path — the follower's read fast paths are the
-// same BRAVO-biased paths the primary serves with.
+// partial buffers, rejecting corrupt ones without panicking) into the same
+// Entry values the primary's write section logged, and ApplyReplRecord
+// applies them to a volatile engine through the write section's apply half
+// (applyLocked, write.go) — the follower's read fast paths are the same
+// BRAVO-biased paths the primary serves with.
 
 import (
 	"encoding/binary"
@@ -42,41 +43,20 @@ import (
 	"github.com/bravolock/bravo/internal/frame"
 )
 
-// ReplOp identifies a replicated entry's operation.
-type ReplOp byte
-
-// Replicated entry operations, matching the WAL entry ops.
-const (
-	ReplPut    ReplOp = walOpPut
-	ReplPutTTL ReplOp = walOpPutTTL
-	ReplDelete ReplOp = walOpDelete
-)
-
-// ReplEntry is one decoded replicated operation.
-type ReplEntry struct {
-	Op  ReplOp
-	Key uint64
-	// Remaining is a ReplPutTTL entry's remaining time-to-live in
-	// nanoseconds at encode time; the applier re-anchors it on its own
-	// clock, so a TTL never fires early because of transit delay.
-	Remaining int64
-	// Value aliases the decode buffer; ApplyReplRecord copies it under the
-	// shard lock, so callers that apply immediately need no copy.
-	Value []byte
-}
-
 // ReplRecord is one decoded replication frame: a WAL record (one shard
 // write batch) or, when Snapshot is set, a full-state snapshot of the
 // shard as of LSN — the applier replaces the shard's contents instead of
 // applying incrementally. Txn marks a multi-shard transaction witness
 // record: Entries then spans every participant shard, and the applier
 // keeps only the entries owned by the shard whose stream carried the frame
-// (each participant's stream carries its own copy).
+// (each participant's stream carries its own copy). Entry values alias the
+// decoded frame; ApplyReplRecord copies them under the shard lock, so callers
+// that apply immediately need no copy.
 type ReplRecord struct {
 	LSN      uint64
 	Snapshot bool
 	Txn      bool
-	Entries  []ReplEntry
+	Entries  []Entry
 }
 
 // ErrReplSnapshotNeeded reports that the LSN a replication cursor wants is
@@ -127,16 +107,12 @@ func DecodeReplFrame(data []byte) (ReplRecord, int, error) {
 	if !ok {
 		return ReplRecord{}, 0, ErrReplCorruptFrame
 	}
-	out := ReplRecord{
+	return ReplRecord{
 		LSN:      rec.lsn,
 		Snapshot: rec.version == walVersionSnap,
 		Txn:      rec.version == walVersionTxn,
-		Entries:  make([]ReplEntry, len(rec.entries)),
-	}
-	for i, e := range rec.entries {
-		out.Entries[i] = ReplEntry{Op: ReplOp(e.op), Key: e.key, Remaining: e.rem, Value: e.val}
-	}
-	return out, n, nil
+		Entries:  rec.entries,
+	}, n, nil
 }
 
 // ShardLSN returns the LSN of the last record applied to shard i — the
@@ -383,13 +359,14 @@ func (s *Sharded) ReplSnapshotFrame(shard int) ([]byte, uint64, error) {
 	return buf, lsn, nil
 }
 
-// ApplyReplRecord applies one decoded replication record to shard through
-// the ordinary write path (the same putLocked/deleteLocked every writer
-// uses, one shard write-lock acquisition for the whole record — the
-// follower inherits the primary's group-commit batching as write
-// combining). Snapshot records replace the shard's contents. The engine
-// must be volatile: a follower's log of record is its primary's WAL, and
-// LSN accounting belongs to the puller that knows the stream position.
+// ApplyReplRecord applies one decoded replication record to shard: one
+// write-lock acquisition for the whole record — the follower inherits the
+// primary's group-commit batching as write combining — and the same
+// applyLocked every writer's entries go through, so a replicated entry is
+// applied and counted exactly like a local one. Snapshot records replace the
+// shard's contents first. The engine must be volatile: a follower's log of
+// record is its primary's WAL, and LSN accounting belongs to the puller that
+// knows the stream position.
 func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 	if s.durable {
 		return errors.New("kvs: replication target must be a volatile engine (the primary's WAL is the log of record)")
@@ -397,30 +374,19 @@ func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("kvs: shard %d out of range [0,%d)", shard, len(s.shards))
 	}
+	for _, e := range rec.Entries {
+		if e.Op != OpPut && e.Op != OpDelete {
+			return fmt.Errorf("kvs: replicated entry op %d unknown", e.Op)
+		}
+	}
+	ents := rec.Entries
 	if rec.Txn {
 		// A transaction witness frame carries every participant's entries;
 		// this shard's stream delivers it so this shard applies exactly its
 		// own (the other participants' streams deliver their copies). The
 		// follower shares the primary's shard count — repl targets are built
 		// that way, and the MANIFEST pins it on the durable side.
-		kept := rec.Entries[:0:0]
-		for _, e := range rec.Entries {
-			if s.ShardOf(e.Key) == shard {
-				kept = append(kept, e)
-			}
-		}
-		rec.Entries = kept
-	}
-	puts, dels := 0, 0
-	for _, e := range rec.Entries {
-		switch e.Op {
-		case ReplPut, ReplPutTTL:
-			puts++
-		case ReplDelete:
-			dels++
-		default:
-			return fmt.Errorf("kvs: replicated entry op %d unknown", e.Op)
-		}
+		ents = s.ownedBy(ents, shard)
 	}
 	sh := &s.shards[shard]
 	sh.wlock()
@@ -430,39 +396,10 @@ func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 		// table pointing at discarded cells as current.
 		sh.replaceLocked()
 	}
-	// Totals before rares, as in multiPut: see the Stats load-order note.
-	if puts > 0 {
-		sh.ops.puts.Add(uint64(puts))
-	}
-	if dels > 0 {
-		sh.ops.deletes.Add(uint64(dels))
-	}
-	misses, expired := 0, 0
-	for _, e := range rec.Entries {
-		switch e.Op {
-		case ReplPut:
-			sh.putCounted(e.Key, e.Value, 0)
-		case ReplPutTTL:
-			sh.putCounted(e.Key, e.Value, deadlineFromRemaining(e.Remaining))
-		case ReplDelete:
-			ok, exp := sh.deleteLocked(e.Key)
-			if !ok {
-				misses++
-			}
-			if exp {
-				expired++
-			}
-		}
-	}
+	_, n := sh.applyLocked(ents)
 	sh.wunlock()
-	if misses > 0 {
-		sh.ops.delMisses.Add(uint64(misses))
-	}
-	if expired > 0 {
-		sh.ops.expired.Add(uint64(expired))
-	}
-	sh.ops.wbatches.Add(1)
-	sh.ops.wbatchKeys.Add(uint64(len(rec.Entries)))
+	sh.countBatch(len(ents))
+	sh.adaptTick(n)
 	return nil
 }
 

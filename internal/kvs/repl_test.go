@@ -380,8 +380,8 @@ func TestApplyReplRecordPostures(t *testing.T) {
 	// Snapshot records replace, not merge.
 	f.Put(999, []byte("stale")) // key in shard f.ShardOf(999)
 	sh := f.ShardOf(999)
-	err = f.ApplyReplRecord(sh, ReplRecord{LSN: 5, Snapshot: true, Entries: []ReplEntry{
-		{Op: ReplPut, Key: 999, Value: []byte("fresh")},
+	err = f.ApplyReplRecord(sh, ReplRecord{LSN: 5, Snapshot: true, Entries: []Entry{
+		{Op: OpPut, Key: 999, Value: []byte("fresh")},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +397,7 @@ func TestApplyReplRecordPostures(t *testing.T) {
 		t.Fatal("empty snapshot record did not clear the shard")
 	}
 	// Unknown ops are rejected before anything applies.
-	err = f.ApplyReplRecord(0, ReplRecord{Entries: []ReplEntry{{Op: 42, Key: 1}}})
+	err = f.ApplyReplRecord(0, ReplRecord{Entries: []Entry{{Op: 42, Key: 1}}})
 	if err == nil {
 		t.Fatal("unknown op accepted")
 	}

@@ -153,7 +153,7 @@ func TestSeqReadValidatedMissIsAuthoritative(t *testing.T) {
 // exactly like the locked path.
 func TestSeqReadObservesTTLExpiry(t *testing.T) {
 	s, _ := NewSharded(2, mkStd)
-	s.putDeadline(3, []byte("dead"), -1) // born expired, like the model tests
+	s.put(3, []byte("dead"), -1) // born expired, like the model tests
 	if _, ok := s.Get(3); ok {
 		t.Fatal("expired entry visible through the optimistic path")
 	}

@@ -17,10 +17,10 @@ const DefaultSeqReadAttempts = 3
 // seqStore is the keyed storage shared by a Sharded shard and a Memtable
 // stripe: one key→cell table (seqIndex, probed by locked and lock-free reads
 // alike) and the TTL deadlines. All mutation goes through
-// putLocked/removeLocked/replaceLocked under the owner's write lock — the
-// bracketing invariant (DESIGN.md) is that on a shard every such mutation
-// happens between kvShard.wlock and wunlock, so optimistic readers can
-// never trust a torn view of either structure.
+// putLocked/deleteLocked/removeLocked/replaceLocked under the owner's write
+// lock — the bracketing invariant (DESIGN.md) is that on a shard every such
+// mutation happens between kvShard.wlock and wunlock, so optimistic readers
+// can never trust a torn view of either structure.
 type seqStore struct {
 	idx seqIndex
 	// exp tracks PutTTL deadlines (see ttlMap); authoritative for the
@@ -30,9 +30,9 @@ type seqStore struct {
 }
 
 // putLocked applies one insert-or-update under the already-held write lock:
-// the in-place value reuse shared by Put, MultiPut, the async queue's flush,
-// replication apply, and recovery, plus TTL bookkeeping (deadline 0 = no
-// TTL, clearing any previous one). fresh reports that a new cell was
+// in-place value reuse plus TTL bookkeeping (deadline 0 = no TTL, clearing
+// any previous one). On a shard its only caller is applyLocked (write.go);
+// a Memtable stripe calls it from put. fresh reports that a new cell was
 // allocated (absent key, or a value that outgrew the cell) rather than
 // updated in place.
 func (st *seqStore) putLocked(key uint64, value []byte, deadline int64) (fresh bool) {

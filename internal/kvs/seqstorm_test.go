@@ -187,7 +187,7 @@ func stormMutators(t *testing.T, s *Sharded, iters int, gen *atomic.Uint64) *syn
 	spawn(func(i uint64) { // born-expired entries + the reaper
 		if i%4 == 0 {
 			k := (i * 13) % stormKeys
-			s.putDeadline(k, stormValue(k, gen.Add(1)), -1)
+			s.put(k, stormValue(k, gen.Add(1)), -1)
 		}
 		if i%8 == 0 {
 			s.Reap(32)
@@ -281,9 +281,9 @@ func TestSeqReadStormReplApply(t *testing.T) {
 	runSeqStorm(t, s, stormIters(t), &gen, func(i uint64) {
 		k := (i * 17) % stormKeys
 		sh := s.ShardOf(k)
-		rec := ReplRecord{LSN: lsn.Add(1), Entries: []ReplEntry{
-			{Op: ReplPut, Key: k, Value: stormValue(k, gen.Add(1))},
-			{Op: ReplDelete, Key: (k + 1) % stormKeys},
+		rec := ReplRecord{LSN: lsn.Add(1), Entries: []Entry{
+			{Op: OpPut, Key: k, Value: stormValue(k, gen.Add(1))},
+			{Op: OpDelete, Key: (k + 1) % stormKeys},
 		}}
 		if i%64 == 0 {
 			// Snapshot install: wholesale replacement of the shard under one
@@ -294,7 +294,7 @@ func TestSeqReadStormReplApply(t *testing.T) {
 			for key := uint64(0); key < stormKeys; key++ {
 				if s.ShardOf(key) == sh {
 					rec.Entries = append(rec.Entries,
-						ReplEntry{Op: ReplPut, Key: key, Value: stormValue(key, gen.Add(1))})
+						Entry{Op: OpPut, Key: key, Value: stormValue(key, gen.Add(1))})
 				}
 			}
 		}

@@ -36,10 +36,12 @@ import (
 // shard's read lock, so returned values stay valid after the lock is
 // released even while writers update buffers in place.
 //
-// Write batching: MultiPut and MultiDelete group their keys by shard and
-// apply each shard's group under a single write-lock acquisition (write
-// combining), and PutAsync/Flush (async.go) coalesce writers through a
-// per-shard queue. Keys can carry a TTL (PutTTL): expired entries are
+// Writes: every mutation is an Entry and reaches its shard through one
+// write section (write.go) — log, lock, apply, count. MultiPut and
+// MultiDelete group their keys by shard and hand it each shard's group, so a
+// group pays a single write-lock acquisition (write combining), and
+// PutAsync/Flush (async.go) coalesce writers through a per-shard queue that
+// drains into it. Keys can carry a TTL (PutTTL): expired entries are
 // invisible to every read path the instant the deadline passes (lazy
 // expiry), and Reap incrementally removes them under the ordinary shard
 // write locks — never a stop-the-world scan.
@@ -181,20 +183,16 @@ const adaptTickMask = 255
 
 // adaptTick offers the shard's cumulative read/write counts to its adaptor
 // on a sampled cadence. n is the op-counter value the caller just produced
-// (a reader's is its stripe's, so each stripe samples its own traffic);
-// callers invoke this outside the shard lock.
+// (a reader's is its stripe's, so each stripe samples its own traffic; a
+// write's is applyLocked's last total); callers invoke this outside the
+// shard lock. Txn, which releases several shards at once, does not tick: the
+// counts offered are cumulative, so a skipped tick delays a window
+// evaluation and loses nothing.
 func (sh *kvShard) adaptTick(n uint64) {
 	if n&adaptTickMask == 0 && sh.ad != nil {
 		reads := sh.readTotal(rdGets) + sh.readTotal(rdBatchKeys)
 		writes := sh.ops.puts.Load() + sh.ops.deletes.Load()
 		sh.ad.Offer(reads, writes)
-	}
-}
-
-// putCounted is putLocked plus the shard's fresh-insert accounting.
-func (sh *kvShard) putCounted(key uint64, value []byte, deadline int64) {
-	if sh.putLocked(key, value, deadline) {
-		sh.ops.putsFresh.Add(1)
 	}
 }
 
@@ -232,11 +230,12 @@ func (sh *kvShard) runlock(h *rwl.Reader, tok rwl.Token) {
 
 // shardOps counts the operations that take the shard's write lock (or run
 // rarely); what a read bumps lives in the shard's readStripes. Counters are
-// atomics and are bumped outside the shard lock where they can be, so they
-// are eventually consistent with the data, never exact even under all
-// locks; the hot paths pay one atomic add each by counting the rare
-// outcome — misses, fresh inserts, reads that took the lock — and deriving
-// hits, in-place updates and seq reads in Stats.
+// atomics read without the shard lock, so they are eventually consistent
+// with the data, never exact even under all locks; the hot paths pay one
+// atomic add each by counting the rare outcome — misses, fresh inserts,
+// reads that took the lock — and deriving hits, in-place updates and seq
+// reads in Stats. The put and delete counters (the first four, and expired)
+// are applyLocked's alone.
 type shardOps struct {
 	puts      atomic.Uint64
 	putsFresh atomic.Uint64
@@ -267,6 +266,14 @@ type shardOps struct {
 
 // ShardStats is a point-in-time summary of one shard (or, via Total, of the
 // whole engine).
+//
+// One counting rule for writes: Puts, PutsInPlace, Deletes and DeleteHits
+// count every entry applied to the shard, wherever it came from — a local
+// call, a transaction, a replicated record on a follower, a snapshot or log
+// entry replayed when a durable engine reopens, a commit rolled forward. All
+// go through applyLocked, so a reopened or promoted engine starts with the
+// counts of what recovery applied, not at zero, and PutsInPlace <= Puts and
+// DeleteHits <= Deletes hold on every engine at every instant.
 type ShardStats struct {
 	Keys            int    `json:"keys"`
 	TTLKeys         int    `json:"ttl_keys"`
@@ -549,54 +556,16 @@ func (s *Sharded) PutTTL(key uint64, value []byte, ttl time.Duration) {
 	s.put(key, value, ttlDeadline(ttl))
 }
 
-// putDeadline is PutTTL against an absolute clock.Nanos deadline; tests use
-// it to pin expiry boundary conditions exactly.
-func (s *Sharded) putDeadline(key uint64, value []byte, deadline int64) {
-	s.put(key, value, deadline)
-}
-
+// put is Put against an absolute clock.Nanos deadline (0 = none).
 func (s *Sharded) put(key uint64, value []byte, deadline int64) {
-	sh := s.shardOf(key)
-	w := sh.wal
-	w.lock()
-	if w != nil {
-		w.begin(1)
-		w.addPut(key, value, deadline)
-		w.commit(1)
-	}
-	sh.wlock()
-	n := sh.ops.puts.Add(1) // total before rare: see the Stats load-order note
-	sh.putCounted(key, value, deadline)
-	sh.wunlock()
-	w.unlock()
-	sh.adaptTick(n)
+	s.shardOf(key).write([]Entry{{Op: OpPut, Key: key, Deadline: deadline, Value: value}})
 }
 
 // Delete removes key, reporting whether it was (visibly) present. Deleting
 // a TTL-expired entry removes the residue but reports false, matching what
 // a reader would have observed.
 func (s *Sharded) Delete(key uint64) bool {
-	sh := s.shardOf(key)
-	w := sh.wal
-	w.lock()
-	if w != nil {
-		w.begin(1)
-		w.addDelete(key)
-		w.commit(1)
-	}
-	sh.wlock()
-	n := sh.ops.deletes.Add(1) // total before rare: see the Stats load-order note
-	ok, expired := sh.deleteLocked(key)
-	sh.wunlock()
-	w.unlock()
-	if !ok {
-		sh.ops.delMisses.Add(1)
-	}
-	if expired {
-		sh.ops.expired.Add(1)
-	}
-	sh.adaptTick(n)
-	return ok
+	return s.shardOf(key).write([]Entry{{Op: OpDelete, Key: key}}) == 1
 }
 
 // MultiGet performs a batched lookup: keys are grouped by shard and each
@@ -633,7 +602,12 @@ func (s *Sharded) multiGet(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte 
 	} else {
 		out = make([][]byte, len(keys))
 	}
-	s.forEachShardGroup(keys, func(sh *kvShard, group []shardPos) {
+	// One pairs slice per batch — O(len(keys)), whatever the shard count —
+	// and each shard's group aliases it.
+	pairs := s.sortByShard(keys, make([]shardPos, 0, len(keys)))
+	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
+		hi = runEnd(pairs, lo)
+		sh, group := &s.shards[pairs[lo].shard], pairs[lo:hi]
 		expired, retries := 0, 0
 		served := false
 		// Optimistic batch read: the whole shard group is copied under one
@@ -673,7 +647,7 @@ func (s *Sharded) multiGet(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte 
 			rd.n[rdExpired].Add(uint64(expired))
 		}
 		sh.adaptTick(bk)
-	})
+	}
 	return out
 }
 
@@ -736,115 +710,73 @@ func (sh *kvShard) seqMultiGet(keys []uint64, group []shardPos, out [][]byte, at
 // group. Within one batch, later positions win duplicate keys. It panics
 // when the slices disagree in length.
 func (s *Sharded) MultiPut(keys []uint64, values [][]byte) {
-	s.multiPut(keys, values, 0)
+	s.writeBatch(OpPut, keys, values, 0)
 }
 
 // MultiPutTTL is MultiPut with one time-to-live covering the whole batch,
 // with PutTTL's semantics per key (so a non-positive ttl stores the batch
 // born-expired).
 func (s *Sharded) MultiPutTTL(keys []uint64, values [][]byte, ttl time.Duration) {
-	s.multiPut(keys, values, ttlDeadline(ttl))
-}
-
-func (s *Sharded) multiPut(keys []uint64, values [][]byte, deadline int64) {
-	if len(keys) != len(values) {
-		panic(fmt.Sprintf("kvs: MultiPut with %d keys but %d values", len(keys), len(values)))
-	}
-	s.forEachShardGroup(keys, func(sh *kvShard, group []shardPos) {
-		// Group commit: the whole shard group is one WAL record and, under
-		// SyncAlways, one fsync — the log analogue of amortizing one bias
-		// revocation across the group.
-		w := sh.wal
-		w.lock()
-		if w != nil {
-			w.begin(len(group))
-			for _, p := range group {
-				w.addPut(keys[p.pos], values[p.pos], deadline)
-			}
-			w.commit(len(group))
-		}
-		sh.wlock()
-		np := sh.ops.puts.Add(uint64(len(group))) // total before rare, as in Put
-		for _, p := range group {
-			sh.putCounted(keys[p.pos], values[p.pos], deadline)
-		}
-		sh.wunlock()
-		w.unlock()
-		sh.ops.wbatches.Add(1)
-		sh.ops.wbatchKeys.Add(uint64(len(group)))
-		sh.adaptTick(np)
-	})
+	s.writeBatch(OpPut, keys, values, ttlDeadline(ttl))
 }
 
 // MultiDelete removes the given keys, one write-lock acquisition per shard
 // touched, and returns how many were visibly present (expired residues are
 // removed but not counted, as in Delete).
 func (s *Sharded) MultiDelete(keys []uint64) int {
-	removed := 0
-	s.forEachShardGroup(keys, func(sh *kvShard, group []shardPos) {
-		hits, expired := 0, 0
-		w := sh.wal
-		w.lock()
-		if w != nil {
-			w.begin(len(group))
-			for _, p := range group {
-				w.addDelete(keys[p.pos])
-			}
-			w.commit(len(group))
+	return s.writeBatch(OpDelete, keys, nil, 0)
+}
+
+// writeBatch is MultiPut and MultiDelete: it builds the batch's entries in
+// shard order and hands each same-shard run to write — group commit: the run
+// is one WAL record, one fsync under SyncAlways, one lock acquisition and one
+// bias revocation, however many keys it carries. It returns the deletes that
+// hit. The entries are the batch's one allocation; the (shard, position)
+// pairs that order them stay on the stack for batches of ordinary size.
+func (s *Sharded) writeBatch(op Op, keys []uint64, values [][]byte, deadline int64) (hits int) {
+	if op == OpPut && len(keys) != len(values) {
+		panic(fmt.Sprintf("kvs: MultiPut with %d keys but %d values", len(keys), len(values)))
+	}
+	var stack [32]shardPos
+	pairs := s.sortByShard(keys, stack[:0])
+	ents := make([]Entry, len(pairs))
+	for i, p := range pairs {
+		ents[i] = Entry{Op: op, Key: keys[p.pos], Deadline: deadline}
+		if op == OpPut {
+			ents[i].Value = values[p.pos]
 		}
-		sh.wlock()
-		nd := sh.ops.deletes.Add(uint64(len(group))) // total before rare, as in Delete
-		for _, p := range group {
-			ok, exp := sh.deleteLocked(keys[p.pos])
-			if ok {
-				hits++
-			}
-			if exp {
-				expired++
-			}
-		}
-		sh.wunlock()
-		w.unlock()
-		sh.ops.delMisses.Add(uint64(len(group) - hits))
-		if expired > 0 {
-			sh.ops.expired.Add(uint64(expired))
-		}
-		sh.ops.wbatches.Add(1)
-		sh.ops.wbatchKeys.Add(uint64(len(group)))
-		sh.adaptTick(nd)
-		removed += hits
-	})
-	return removed
+	}
+	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
+		hi = runEnd(pairs, lo)
+		sh := &s.shards[pairs[lo].shard]
+		hits += sh.write(ents[lo:hi])
+		sh.countBatch(hi - lo)
+	}
+	return hits
 }
 
 // shardPos pairs a shard index with a position in a batched operation.
 type shardPos struct{ shard, pos int }
 
-// forEachShardGroup is the batched operations' shared key→shard grouping:
-// it sorts the batch's (shard, position) pairs and invokes fn once per run
-// of same-shard keys, in ascending shard order. Per batch it allocates one
-// pairs slice — O(len(keys)), independent of the engine's shard count — and
-// each group slice aliases it. fn runs with no lock held; it takes the
-// shard lock itself in whichever mode it needs.
-func (s *Sharded) forEachShardGroup(keys []uint64, fn func(sh *kvShard, group []shardPos)) {
-	if len(keys) == 0 {
-		return
-	}
-	pairs := make([]shardPos, len(keys))
+// sortByShard is the batched operations' shared key→shard grouping: it
+// appends keys' (shard, position) pairs to buf and sorts them by shard.
+// Stable, so positions stay ascending within a shard's run and duplicate
+// keys in a MultiPut batch resolve later-position-wins.
+func (s *Sharded) sortByShard(keys []uint64, buf []shardPos) []shardPos {
 	for i, k := range keys {
-		pairs[i] = shardPos{shard: s.ShardOf(k), pos: i}
+		buf = append(buf, shardPos{shard: s.ShardOf(k), pos: i})
 	}
-	// Stable, so positions stay ascending within a group and duplicate keys
-	// in a MultiPut batch resolve later-position-wins.
-	slices.SortStableFunc(pairs, func(a, b shardPos) int { return a.shard - b.shard })
-	for lo := 0; lo < len(pairs); {
-		hi := lo + 1
-		for hi < len(pairs) && pairs[hi].shard == pairs[lo].shard {
-			hi++
-		}
-		fn(&s.shards[pairs[lo].shard], pairs[lo:hi])
-		lo = hi
+	slices.SortStableFunc(buf, func(a, b shardPos) int { return a.shard - b.shard })
+	return buf
+}
+
+// runEnd returns the end of the same-shard run of pairs that starts at lo.
+func runEnd(pairs []shardPos, lo int) int {
+	hi := lo + 1
+	for hi < len(pairs) && pairs[hi].shard == pairs[lo].shard {
+		hi++
 	}
+	return hi
 }
 
 // Len returns the total number of resident keys, visiting each shard under
@@ -878,37 +810,6 @@ func (s *Sharded) Range(fn func(key uint64, value []byte) bool) {
 			}
 			scratch = c.appendTo(scratch[:0])
 			return fn(k, scratch)
-		})
-		sh.lock.RUnlock(tok)
-		if !more {
-			return
-		}
-	}
-}
-
-// RangeTTL is Range with each key's remaining TTL: zero for keys without a
-// deadline, otherwise the positive time left before expiry. Failover
-// promotion uses it to copy a follower's state — values and deadlines both
-// — into a fresh durable engine.
-func (s *Sharded) RangeTTL(fn func(key uint64, value []byte, remaining time.Duration) bool) {
-	var scratch []byte
-	for i := range s.shards {
-		sh := &s.shards[i]
-		tok := sh.lock.RLock()
-		now := int64(0)
-		if len(sh.exp) > 0 {
-			now = clock.Nanos()
-		}
-		more := sh.idx.each(func(k uint64, c *seqCell) bool {
-			if sh.expiredLocked(k) {
-				return true
-			}
-			var rem time.Duration
-			if d, ok := sh.exp[k]; ok {
-				rem = time.Duration(d - now)
-			}
-			scratch = c.appendTo(scratch[:0])
-			return fn(k, scratch, rem)
 		})
 		sh.lock.RUnlock(tok)
 		if !more {

@@ -161,12 +161,12 @@ func writeSnapshotFile(path string, data map[uint64][]byte, exp ttlMap, lsn uint
 	return f.Close()
 }
 
-// loadSnapshot parses a snapshot file's bytes into entries (put/putTTL
-// only) plus the WAL LSN the snapshot covers (0 for legacy v1 files,
+// loadSnapshot parses a snapshot file's bytes into entries (puts only,
+// remaining TTLs re-anchored as deadlines) plus the WAL LSN the snapshot covers (0 for legacy v1 files,
 // which predate LSNs). Unlike WAL replay there is no torn-tail tolerance:
 // snapshots are published atomically, so any damage is real corruption and
 // errors out. It never panics on arbitrary bytes (FuzzSnapshotLoad).
-func loadSnapshot(data []byte) ([]walEntry, uint64, error) {
+func loadSnapshot(data []byte) ([]Entry, uint64, error) {
 	if len(data) < len(snapMagic)+8+4 {
 		return nil, 0, errors.New("snapshot too short")
 	}
@@ -197,7 +197,7 @@ func loadSnapshot(data []byte) ([]walEntry, uint64, error) {
 	if count > uint64(len(body)/13) {
 		return nil, 0, fmt.Errorf("snapshot claims %d entries in %d bytes", count, len(body))
 	}
-	entries := make([]walEntry, 0, count)
+	entries := make([]Entry, 0, count)
 	off = 0
 	for i := uint64(0); i < count; i++ {
 		if len(body)-off < 13 {
@@ -207,14 +207,13 @@ func loadSnapshot(data []byte) ([]walEntry, uint64, error) {
 		if hasTTL > 1 {
 			return nil, 0, fmt.Errorf("snapshot entry flag %d", hasTTL)
 		}
-		e := walEntry{op: walOpPut, key: binary.LittleEndian.Uint64(body[off+1:])}
+		e := Entry{Op: OpPut, Key: binary.LittleEndian.Uint64(body[off+1:])}
 		off += 9
 		if hasTTL == 1 {
 			if len(body)-off < 12 {
 				return nil, 0, errors.New("snapshot TTL entry truncated")
 			}
-			e.op = walOpPutTTL
-			e.rem = int64(binary.LittleEndian.Uint64(body[off:]))
+			e.Deadline = deadlineFromRemaining(int64(binary.LittleEndian.Uint64(body[off:])))
 			off += 8
 		}
 		vlen := int(binary.LittleEndian.Uint32(body[off:]))
@@ -222,7 +221,7 @@ func loadSnapshot(data []byte) ([]walEntry, uint64, error) {
 		if vlen < 0 || vlen > len(body)-off {
 			return nil, 0, errors.New("snapshot value truncated")
 		}
-		e.val = body[off : off+vlen]
+		e.Value = body[off : off+vlen]
 		off += vlen
 		entries = append(entries, e)
 	}

@@ -162,7 +162,7 @@ func TestOneOpSequenceCountsAsBeforeStriping(t *testing.T) {
 		s.Put(k, pattern(3))
 	}
 	for k := uint64(100); k < 104; k++ {
-		s.putDeadline(k, []byte("dead"), -1) // born expired
+		s.put(k, []byte("dead"), -1) // born expired
 	}
 	for k := uint64(0); k < 60; k++ {
 		s.Get(k)

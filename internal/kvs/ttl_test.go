@@ -27,7 +27,7 @@ func TestShardedPutTTLVisibleUntilDeadline(t *testing.T) {
 // expired — expiry is inclusive, now >= deadline.
 func TestShardedTTLExpiryExactlyAtDeadline(t *testing.T) {
 	s, _ := NewSharded(4, mkStd)
-	s.putDeadline(1, EncodeValue(1), clock.Nanos())
+	s.put(1, EncodeValue(1), clock.Nanos())
 	if _, ok := s.Get(1); ok {
 		t.Fatal("Get returned a key whose deadline was exactly now")
 	}
@@ -39,11 +39,11 @@ func TestShardedTTLExpiryExactlyAtDeadline(t *testing.T) {
 		t.Fatalf("GetHits = %d for an expired read, want 0", total.GetHits)
 	}
 	// One nanosecond before any plausible "now": expired. Far future: visible.
-	s.putDeadline(2, EncodeValue(2), 1)
+	s.put(2, EncodeValue(2), 1)
 	if _, ok := s.Get(2); ok {
 		t.Fatal("Get returned a long-expired key")
 	}
-	s.putDeadline(3, EncodeValue(3), clock.Nanos()+int64(time.Hour))
+	s.put(3, EncodeValue(3), clock.Nanos()+int64(time.Hour))
 	if _, ok := s.Get(3); !ok {
 		t.Fatal("Get missed a key expiring an hour from now")
 	}
@@ -77,8 +77,8 @@ func TestShardedPutTTLOverflowSaturates(t *testing.T) {
 
 func TestShardedPlainPutClearsTTL(t *testing.T) {
 	s, _ := NewSharded(2, mkStd)
-	s.putDeadline(1, EncodeValue(1), clock.Nanos()) // expired residue
-	s.Put(1, EncodeValue(2))                        // plain overwrite: TTL gone
+	s.put(1, EncodeValue(1), clock.Nanos()) // expired residue
+	s.Put(1, EncodeValue(2))                // plain overwrite: TTL gone
 	v, ok := s.Get(1)
 	if !ok {
 		t.Fatal("Get missed a plain-Put key that once carried a TTL")
@@ -93,7 +93,7 @@ func TestShardedPlainPutClearsTTL(t *testing.T) {
 
 func TestShardedDeleteOfExpiredReportsAbsent(t *testing.T) {
 	s, _ := NewSharded(2, mkStd)
-	s.putDeadline(1, EncodeValue(1), clock.Nanos())
+	s.put(1, EncodeValue(1), clock.Nanos())
 	if s.Delete(1) {
 		t.Fatal("Delete of an expired key reported present")
 	}
@@ -108,7 +108,7 @@ func TestShardedDeleteOfExpiredReportsAbsent(t *testing.T) {
 
 func TestShardedMultiOpsSkipExpired(t *testing.T) {
 	s, _ := NewSharded(4, mkStd)
-	s.putDeadline(1, EncodeValue(1), clock.Nanos())
+	s.put(1, EncodeValue(1), clock.Nanos())
 	s.Put(2, EncodeValue(2))
 	got := s.MultiGet([]uint64{1, 2})
 	if got[0] != nil {
@@ -125,7 +125,7 @@ func TestShardedMultiOpsSkipExpired(t *testing.T) {
 func TestShardedRangeSnapshotSkipExpired(t *testing.T) {
 	s, _ := NewSharded(4, mkStd)
 	s.Put(1, EncodeValue(1))
-	s.putDeadline(2, EncodeValue(2), clock.Nanos())
+	s.put(2, EncodeValue(2), clock.Nanos())
 	s.PutTTL(3, EncodeValue(3), time.Hour)
 	visited := map[uint64]bool{}
 	s.Range(func(k uint64, v []byte) bool {
@@ -148,7 +148,7 @@ func TestShardedReap(t *testing.T) {
 	s, _ := NewSharded(8, mkStd)
 	const n = 200
 	for k := uint64(0); k < n; k++ {
-		s.putDeadline(k, EncodeValue(k), clock.Nanos()) // all expired
+		s.put(k, EncodeValue(k), clock.Nanos()) // all expired
 	}
 	s.PutTTL(1000, EncodeValue(1000), time.Hour) // alive TTL key
 	s.Put(2000, EncodeValue(2000))               // no TTL
@@ -183,7 +183,7 @@ func TestShardedReap(t *testing.T) {
 // read racing the reap must not resurrect or double-delete).
 func TestShardedReapVsLazyReadNoDoubleAccounting(t *testing.T) {
 	s, _ := NewSharded(2, mkStd)
-	s.putDeadline(1, EncodeValue(1), clock.Nanos())
+	s.put(1, EncodeValue(1), clock.Nanos())
 	if _, ok := s.Get(1); ok { // lazy read sees the expiry first
 		t.Fatal("lazy read returned an expired key")
 	}
@@ -251,10 +251,10 @@ func shardKeys(s *Sharded, sh, n int) []uint64 {
 func TestShardedReapCursorRewindsOnExhaustedBudget(t *testing.T) {
 	s, _ := NewSharded(2, mkStd)
 	for _, k := range shardKeys(s, 0, 6) {
-		s.putDeadline(k, EncodeValue(k), clock.Nanos())
+		s.put(k, EncodeValue(k), clock.Nanos())
 	}
 	for _, k := range shardKeys(s, 1, 6) {
-		s.putDeadline(k, EncodeValue(k), clock.Nanos())
+		s.put(k, EncodeValue(k), clock.Nanos())
 	}
 
 	// Call 1 starts at shard 0, removes 4, and exhausts the budget with 2
@@ -293,7 +293,7 @@ func TestShardedReapUnderConcurrentShrink(t *testing.T) {
 	const keys = 256
 	var written atomic.Uint64
 	for k := uint64(0); k < keys; k++ {
-		s.putDeadline(k, EncodeValue(k), clock.Nanos())
+		s.put(k, EncodeValue(k), clock.Nanos())
 		written.Add(1)
 	}
 
@@ -308,7 +308,7 @@ func TestShardedReapUnderConcurrentShrink(t *testing.T) {
 			if rng.Bernoulli(2) {
 				s.Delete(k)
 			} else {
-				s.putDeadline(k, EncodeValue(k), clock.Nanos())
+				s.put(k, EncodeValue(k), clock.Nanos())
 				written.Add(1)
 			}
 		}

@@ -6,8 +6,7 @@ package kvs
 // A transaction declares its key set up front (bounded by MaxTxnKeys), and
 // Txn acquires every participant shard's WAL mutex in ascending shard
 // order, then every participant shard's write lock in ascending shard
-// order — the same global rank every existing writer follows (a Put takes
-// wal_i then shard_i; a checkpoint takes wal_i then shard_i's read lock),
+// order — the write section's lock order (write.go) extended across shards,
 // so transactions deadlock neither with each other nor with any
 // single-shard path, by construction rather than by timeout. With all
 // locks held the transaction body runs against a staged overlay: reads see
@@ -55,17 +54,12 @@ var (
 // A Tx is valid only inside its body, on the body's goroutine; values it
 // returns must not be retained after the body returns.
 type Tx struct {
-	s      *Sharded
-	keys   []uint64
-	cur    [][]byte // nil = absent (expired counts as absent)
-	staged []txnWrite
-}
-
-// txnWrite is one staged mutation.
-type txnWrite struct {
-	kind     byte // 0 untouched, walOpPut/walOpPutTTL/walOpDelete staged
-	val      []byte
-	deadline int64
+	s    *Sharded
+	keys []uint64
+	cur  [][]byte // nil = absent (expired counts as absent)
+	// staged is parallel to keys: the last mutation staged for each, with
+	// the zero Op marking a key the body has not written.
+	staged []Entry
 }
 
 // idx resolves a declared key to its position, panicking on an undeclared
@@ -85,11 +79,8 @@ func (tx *Tx) idx(key uint64) int {
 // returns.
 func (tx *Tx) Get(key uint64) ([]byte, bool) {
 	i := tx.idx(key)
-	switch tx.staged[i].kind {
-	case walOpPut, walOpPutTTL:
-		return tx.staged[i].val, true
-	case walOpDelete:
-		return nil, false
+	if w := tx.staged[i]; w.Op != 0 {
+		return w.Value, w.Op == OpPut
 	}
 	return tx.cur[i], tx.cur[i] != nil
 }
@@ -97,17 +88,17 @@ func (tx *Tx) Get(key uint64) ([]byte, bool) {
 // Put stages a write of value under key. Within one transaction the last
 // staged operation per key wins.
 func (tx *Tx) Put(key uint64, value []byte) {
-	tx.staged[tx.idx(key)] = txnWrite{kind: walOpPut, val: value}
+	tx.staged[tx.idx(key)] = Entry{Op: OpPut, Key: key, Value: value}
 }
 
 // PutTTL stages a write with a time-to-live, with PutTTL's semantics.
 func (tx *Tx) PutTTL(key uint64, value []byte, ttl time.Duration) {
-	tx.staged[tx.idx(key)] = txnWrite{kind: walOpPutTTL, val: value, deadline: ttlDeadline(ttl)}
+	tx.staged[tx.idx(key)] = Entry{Op: OpPut, Key: key, Deadline: ttlDeadline(ttl), Value: value}
 }
 
 // Delete stages a removal of key.
 func (tx *Tx) Delete(key uint64) {
-	tx.staged[tx.idx(key)] = txnWrite{kind: walOpDelete}
+	tx.staged[tx.idx(key)] = Entry{Op: OpDelete, Key: key}
 }
 
 // Txn runs body as an atomic transaction over the declared keys (at most
@@ -184,7 +175,7 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 		s:      s,
 		keys:   uk,
 		cur:    make([][]byte, len(uk)),
-		staged: make([]txnWrite, len(uk)),
+		staged: make([]Entry, len(uk)),
 	}
 	for i, k := range uk {
 		sh := &s.shards[s.ShardOf(k)]
@@ -201,114 +192,57 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 		return err
 	}
 
-	// Commit: group the staged writes by shard, in declared order.
+	// Commit: the staged writes in ascending shard order, declared order
+	// within a shard; each writing shard's group is a run of all.
 	type shardGroup struct {
-		shard   int
-		entries []walEntry
+		shard int
+		ents  []Entry
 	}
+	all := make([]Entry, 0, len(uk))
 	groups := make([]shardGroup, 0, len(shardIdx))
-	total := 0
 	for _, si := range shardIdx {
-		g := shardGroup{shard: si}
-		for i, w := range tx.staged {
-			if w.kind == 0 || s.ShardOf(uk[i]) != si {
-				continue
+		lo := len(all)
+		for _, w := range tx.staged {
+			if w.Op != 0 && s.ShardOf(w.Key) == si {
+				all = append(all, w)
 			}
-			e := walEntry{op: w.kind, key: uk[i], val: w.val}
-			if w.kind == walOpPutTTL {
-				e.rem = w.deadline // absolute deadline; encoded relative by addPut
-			}
-			g.entries = append(g.entries, e)
 		}
-		if len(g.entries) > 0 {
-			groups = append(groups, g)
-			total += len(g.entries)
+		if len(all) > lo {
+			groups = append(groups, shardGroup{si, all[lo:]})
 		}
 	}
 
-	// Log phase (durable engines, before any map is touched). One writing
-	// shard commits as a plain v2 record; several commit as one v4 witness
-	// record appended to each writing shard's log. The participant LSNs
-	// are all known here — every WAL mutex is held — so each copy carries
-	// the full list and any one copy can drive recovery's roll-forward.
-	if s.durable && total > 0 {
-		if len(groups) == 1 {
-			w := s.shards[groups[0].shard].wal
-			w.begin(len(groups[0].entries))
-			addTxnEntries(w, groups[0].entries)
-			w.commit(len(groups[0].entries))
-		} else {
-			parts := make([]walPart, len(groups))
+	// The two halves of the write section (write.go), under the lock phase
+	// above. Log half, before any table is touched: one writing shard
+	// commits as a plain record; several commit as one witness record
+	// appended to each writing shard's log. The participant LSNs are all
+	// known here — every WAL mutex is held — so each copy carries the full
+	// list and any one copy can drive recovery's roll-forward.
+	if s.durable {
+		var parts []walPart
+		if len(groups) > 1 {
+			parts = make([]walPart, len(groups))
 			for gi, g := range groups {
 				parts[gi] = walPart{shard: uint32(g.shard), lsn: s.shards[g.shard].wal.lsn + 1}
 			}
-			var all []walEntry
-			for _, g := range groups {
-				all = append(all, g.entries...)
-			}
-			for gi, g := range groups {
-				w := s.shards[g.shard].wal
-				w.beginTxn(parts, len(all))
-				addTxnEntries(w, all)
-				// Count this shard's own entries toward its wal_keys; the
-				// witness copies of other shards' entries are framing, not
-				// payload the shard owns.
-				w.commit(len(groups[gi].entries))
-			}
+		}
+		for _, g := range groups {
+			// With one group, all is that group.
+			s.shards[g.shard].wal.append(parts, all, len(g.ents))
 		}
 	}
-
-	// Apply phase, under the already-held shard locks.
+	// Apply half, under the already-held shard locks.
 	for _, g := range groups {
 		sh := &s.shards[g.shard]
-		for _, e := range g.entries {
-			switch e.op {
-			case walOpPut:
-				sh.ops.puts.Add(1) // total before rare: see the Stats load-order note
-				sh.putCounted(e.key, e.val, 0)
-			case walOpPutTTL:
-				sh.ops.puts.Add(1)
-				sh.putCounted(e.key, e.val, e.rem)
-			case walOpDelete:
-				sh.ops.deletes.Add(1)
-				ok, expired := sh.deleteLocked(e.key)
-				if !ok {
-					sh.ops.delMisses.Add(1)
-				}
-				if expired {
-					sh.ops.expired.Add(1)
-				}
-			}
-		}
+		sh.applyLocked(g.ents)
+		sh.ops.txnKeys.Add(uint64(len(g.ents)))
+		sh.countBatch(len(g.ents))
 	}
 	for _, si := range shardIdx {
 		s.shards[si].ops.txnCommits.Add(1)
 	}
-	for _, g := range groups {
-		sh := &s.shards[g.shard]
-		sh.ops.txnKeys.Add(uint64(len(g.entries)))
-		sh.ops.wbatches.Add(1)
-		sh.ops.wbatchKeys.Add(uint64(len(g.entries)))
-	}
 	release()
 	return nil
-}
-
-// addTxnEntries appends staged entries to a begun WAL record. Staged TTL
-// writes carry absolute deadlines (ttlDeadline at stage time); addPut
-// re-encodes them as remaining time, exactly like the non-transactional
-// paths.
-func addTxnEntries(w *shardWAL, entries []walEntry) {
-	for _, e := range entries {
-		switch e.op {
-		case walOpPut:
-			w.addPut(e.key, e.val, 0)
-		case walOpPutTTL:
-			w.addPut(e.key, e.val, e.rem)
-		case walOpDelete:
-			w.addDelete(e.key)
-		}
-	}
 }
 
 // CompareAndSwap atomically replaces key's value with new if its current

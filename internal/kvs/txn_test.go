@@ -504,25 +504,26 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 	lsns := drainRepl(t, prim, follower, curs)
 	compareSnapshot(t, follower, ref, "follower after phase 1")
 
-	// Primary fails; promote the follower: copy its state (values and
-	// TTLs) into a fresh durable engine floored at the applied LSNs, the
+	// Primary fails; promote the follower the way cluster failover does:
+	// seed a fresh directory with its state (values and TTLs) as snapshots
+	// stamped with the applied LSNs, and open it floored at them — the
 	// fence failover promotion cuts.
 	if err := prim.Close(); err != nil {
 		t.Fatal(err)
 	}
 	promDir := t.TempDir()
+	if err := SeedSnapshotDir(promDir, follower, lsns); err != nil {
+		t.Fatal(err)
+	}
 	prom, err := NewSharded(shards, mkBravo, WithDurability(promDir, SyncNone), WithLSNBase(lsns))
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower.RangeTTL(func(k uint64, v []byte, rem time.Duration) bool {
-		if rem > 0 {
-			prom.PutTTL(k, v, rem)
-		} else {
-			prom.Put(k, v)
+	for i, want := range lsns {
+		if got := prom.ShardLSN(i); got != want {
+			t.Fatalf("promoted shard %d resumes at LSN %d, follower had applied %d", i, got, want)
 		}
-		return true
-	})
+	}
 	compareSnapshot(t, prom, ref, "promoted before phase 2")
 
 	phase(prom)
@@ -535,16 +536,15 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 	compareSnapshot(t, r, ref, "promoted recovered")
 }
 
-// TestTxnWitnessRecordRoundTrip pins the v4 encoding: what beginTxn writes,
-// walDecodePayload returns, byte-exact fields included.
+// TestTxnWitnessRecordRoundTrip pins the v4 encoding: what encodeRecord
+// writes, walDecodePayload returns, byte-exact fields included.
 func TestTxnWitnessRecordRoundTrip(t *testing.T) {
-	w := &shardWAL{lsn: 9}
 	parts := []walPart{{shard: 1, lsn: 10}, {shard: 5, lsn: 3}, {shard: 6, lsn: 77}}
-	w.beginTxn(parts, 3)
-	w.addPut(100, []byte("alpha"), 0)
-	w.addDelete(200)
-	w.addPut(300, []byte("beta"), 0)
-	payload := w.buf[walHeaderSize:]
+	payload := encodeRecord(nil, 10, parts, []Entry{
+		{Op: OpPut, Key: 100, Value: []byte("alpha")},
+		{Op: OpDelete, Key: 200},
+		{Op: OpPut, Key: 300, Value: []byte("beta")},
+	})[walHeaderSize:]
 	rec, ok := walDecodePayload(payload)
 	if !ok {
 		t.Fatal("round trip rejected")
@@ -560,9 +560,9 @@ func TestTxnWitnessRecordRoundTrip(t *testing.T) {
 			t.Fatalf("participant %d = %+v, want %+v", i, rec.parts[i], p)
 		}
 	}
-	if len(rec.entries) != 3 || rec.entries[0].op != walOpPut ||
-		!bytes.Equal(rec.entries[0].val, []byte("alpha")) ||
-		rec.entries[1].op != walOpDelete || rec.entries[1].key != 200 {
+	if len(rec.entries) != 3 || rec.entries[0].Op != OpPut ||
+		!bytes.Equal(rec.entries[0].Value, []byte("alpha")) ||
+		rec.entries[1].Op != OpDelete || rec.entries[1].Key != 200 {
 		t.Fatalf("decoded entries %+v", rec.entries)
 	}
 	if rec.txnKey() != (walPart{shard: 1, lsn: 10}) {
@@ -575,9 +575,7 @@ func TestTxnWitnessRecordRoundTrip(t *testing.T) {
 		{{shard: 1, lsn: 10}, {shard: 1, lsn: 3}}, // duplicate shard
 		{{shard: 1, lsn: 0}, {shard: 5, lsn: 3}},  // zero LSN
 	} {
-		w := &shardWAL{lsn: 9}
-		w.beginTxn(bad, 0)
-		if _, ok := walDecodePayload(w.buf[walHeaderSize:]); ok {
+		if _, ok := walDecodePayload(encodeRecord(nil, 10, bad, nil)[walHeaderSize:]); ok {
 			t.Fatalf("non-canonical participant list %+v decoded", bad)
 		}
 	}

@@ -1,14 +1,14 @@
 package kvs
 
-// The write-ahead log: each shard owns an append-only log file, and every
-// mutating operation appends one CRC-framed record — containing the whole
-// per-shard batch — before applying it to the in-memory map. Group commit
-// is the point: the per-shard groups that MultiPut/MultiDelete already form
-// (forEachShardGroup) and the batches the async queue already detaches
-// become ONE log record and, under SyncAlways, ONE fsync, so the dominant
-// slow-path cost is amortized across the batch exactly the way BRAVO
-// amortizes bias revocation across the reads that follow it. A lone Put
-// pays a full fsync; a 64-key batch pays 1/64th of one per key.
+// The write-ahead log: each shard owns an append-only log file, and the
+// write section (kvShard.write, write.go) appends the entries it was handed
+// as one CRC-framed record before applying them to the in-memory table.
+// Group commit is the point: whatever run of entries reaches write — one
+// Put, a MultiPut's same-shard run, a detached async queue — is ONE log
+// record and, under SyncAlways, ONE fsync, so the dominant slow-path cost is
+// amortized across the batch exactly the way BRAVO amortizes bias revocation
+// across the reads that follow it. A lone Put pays a full fsync; a 64-key
+// batch pays 1/64th of one per key.
 //
 // Ordering: a shard's WAL mutex is held across append+fsync+apply, so the
 // log's record order IS the apply order and replay reconstructs exactly the
@@ -43,8 +43,11 @@ package kvs
 // TTL deadlines are persisted as *remaining* nanoseconds at append time,
 // not absolute deadlines: the process clock (internal/clock) has a
 // per-process epoch, so absolute values are meaningless across restarts.
-// Replay re-anchors them at recovery time — a TTL clock effectively pauses
-// while the store is down, and never fires early.
+// The decoder re-anchors them on its own clock — a TTL clock effectively
+// pauses while the store is down, and never fires early. This file's codec
+// (encodeRecord, walDecodePayload) is the only place the conversion happens
+// and the only place the three on-disk opcodes appear: in memory an Entry
+// has two ops and an absolute Deadline.
 //
 // Replay is prefix-consistent by construction: decoding stops at the first
 // record whose header is short, whose length is insane, whose CRC
@@ -139,9 +142,9 @@ var errWALClosed = errors.New("kvs: write-ahead log is closed")
 
 // shardWAL is one shard's log. mu serializes append+fsync+apply (writers
 // and checkpoints take it before the shard lock; readers never take it), so
-// record order is apply order. It is nil on volatile engines — the lock and
-// log* methods are nil-receiver no-ops so the write paths stay branchless
-// apart from one nil check.
+// record order is apply order. It is nil on volatile engines — lock and
+// unlock are nil-receiver no-ops, so the write section's only branch on
+// durability is the one nil check around append.
 type shardWAL struct {
 	mu     sync.Mutex
 	f      *os.File
@@ -153,7 +156,7 @@ type shardWAL struct {
 	size   int64
 	closed bool
 	err    error // first write/sync error; the engine stays available in memory
-	// lsn is the LSN of the last committed record (guarded by mu); begin
+	// lsn is the LSN of the last committed record (guarded by mu); append
 	// stamps lsn+1 and a successful commit advances it, so a failed append
 	// reuses its LSN for the retry and the log never has holes.
 	lsn uint64
@@ -195,54 +198,58 @@ func (w *shardWAL) unlock() {
 	}
 }
 
-// begin starts a record of count entries in the scratch buffer, stamped
-// with the next LSN. The caller holds mu and follows with addPut/addDelete
-// calls, then commit.
-func (w *shardWAL) begin(count int) {
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, make([]byte, walHeaderSize)...)
-	w.buf = append(w.buf, walVersion)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.lsn+1)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(count))
-}
-
-// beginTxn starts a transaction witness record (walVersionTxn) in the
-// scratch buffer, stamped with this shard's next LSN and carrying the full
-// participant list. The caller holds mu on EVERY participant's WAL (the
-// transaction's lock phase), follows with addPut/addDelete for all of the
-// transaction's entries — across all shards — and then commit.
-func (w *shardWAL) beginTxn(parts []walPart, count int) {
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, make([]byte, walHeaderSize)...)
-	w.buf = append(w.buf, walVersionTxn)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.lsn+1)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(parts)))
-	for _, p := range parts {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, p.shard)
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, p.lsn)
+// encodeRecord appends one unsealed record to b: room for the frame header,
+// then the payload — a plain record (walVersion) when parts is nil, a
+// transaction witness (walVersionTxn) carrying parts otherwise — stamped lsn
+// and holding ents. An OpPut's Deadline is written as the time remaining now.
+func encodeRecord(b []byte, lsn uint64, parts []walPart, ents []Entry) []byte {
+	version := byte(walVersion)
+	if parts != nil {
+		version = walVersionTxn
 	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(count))
-}
-
-// addPut appends one put entry. A zero deadline is a plain put; a non-zero
-// one is encoded as remaining nanoseconds (see the package note).
-func (w *shardWAL) addPut(key uint64, value []byte, deadline int64) {
-	if deadline == 0 {
-		w.buf = append(w.buf, walOpPut)
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, key)
-	} else {
-		w.buf = append(w.buf, walOpPutTTL)
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, key)
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(deadline-clock.Nanos()))
+	b = append(b, make([]byte, walHeaderSize)...)
+	b = append(b, version)
+	b = binary.LittleEndian.AppendUint64(b, lsn)
+	if parts != nil {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(parts)))
+		for _, p := range parts {
+			b = binary.LittleEndian.AppendUint32(b, p.shard)
+			b = binary.LittleEndian.AppendUint64(b, p.lsn)
+		}
 	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(value)))
-	w.buf = append(w.buf, value...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ents)))
+	for i := range ents {
+		e := &ents[i]
+		op := byte(walOpPut)
+		switch {
+		case e.Op == OpDelete:
+			op = walOpDelete
+		case e.Deadline != 0:
+			op = walOpPutTTL
+		}
+		b = append(b, op)
+		b = binary.LittleEndian.AppendUint64(b, e.Key)
+		if op == walOpDelete {
+			continue
+		}
+		if op == walOpPutTTL {
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.Deadline-clock.Nanos()))
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Value)))
+		b = append(b, e.Value...)
+	}
+	return b
 }
 
-// addDelete appends one delete entry.
-func (w *shardWAL) addDelete(key uint64) {
-	w.buf = append(w.buf, walOpDelete)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, key)
+// append logs ents as one record at the shard's next LSN and commits it. The
+// caller holds mu. With parts it is a transaction witness: ents is then
+// every participant's entries, the caller holds mu on EVERY participant's
+// WAL (Txn's lock phase; recovery's roll-forward runs alone), and own is how
+// many of them this shard owns — its share of wal_keys, the rest being
+// framing.
+func (w *shardWAL) append(parts []walPart, ents []Entry, own int) {
+	w.buf = encodeRecord(w.buf[:0], w.lsn+1, parts, ents)
+	w.commit(own)
 }
 
 // commit frames the pending record (length + CRC over the payload), writes
@@ -375,15 +382,6 @@ func appendFile(dst, src string) error {
 	return f.Close()
 }
 
-// walEntry is one decoded log (or snapshot) entry. val aliases the decode
-// buffer; recovery copies it into the shard's table via putLocked.
-type walEntry struct {
-	op  byte
-	key uint64
-	rem int64 // opPutTTL: remaining nanoseconds at append time
-	val []byte
-}
-
 // walPart names one participant of a multi-shard transaction record: the
 // shard and the LSN that shard assigned to its copy of the record.
 type walPart struct {
@@ -393,13 +391,14 @@ type walPart struct {
 
 // walRecord is one decoded record: its payload version (distinguishing
 // snapshot stream records from incremental ones), its LSN (zero for legacy
-// v1 payloads, which carry none), and its entries. Transaction records
-// (walVersionTxn) also carry the participant list; parts is nil otherwise.
+// v1 payloads, which carry none), and its entries, whose values alias the
+// decoded buffer. Transaction records (walVersionTxn) also carry the
+// participant list; parts is nil otherwise.
 type walRecord struct {
 	version byte
 	lsn     uint64
 	parts   []walPart
-	entries []walEntry
+	entries []Entry
 }
 
 // txnKey identifies a transaction across its per-shard witness copies: the
@@ -517,21 +516,23 @@ func walDecodePayload(p []byte) (walRecord, bool) {
 	if count < 0 || count > (len(p)-off)/9 {
 		return rec, false
 	}
-	entries := make([]walEntry, 0, count)
+	entries := make([]Entry, 0, count)
 	for i := 0; i < count; i++ {
 		if len(p)-off < 9 {
 			return rec, false
 		}
-		e := walEntry{op: p[off], key: binary.LittleEndian.Uint64(p[off+1:])}
+		op := p[off]
+		e := Entry{Op: OpPut, Key: binary.LittleEndian.Uint64(p[off+1:])}
 		off += 9
-		switch e.op {
+		switch op {
 		case walOpDelete:
+			e.Op = OpDelete
 		case walOpPut, walOpPutTTL:
-			if e.op == walOpPutTTL {
+			if op == walOpPutTTL {
 				if len(p)-off < 8 {
 					return rec, false
 				}
-				e.rem = int64(binary.LittleEndian.Uint64(p[off:]))
+				e.Deadline = deadlineFromRemaining(int64(binary.LittleEndian.Uint64(p[off:])))
 				off += 8
 			}
 			if len(p)-off < 4 {
@@ -542,7 +543,7 @@ func walDecodePayload(p []byte) (walRecord, bool) {
 			if vlen < 0 || vlen > len(p)-off {
 				return rec, false
 			}
-			e.val = p[off : off+vlen]
+			e.Value = p[off : off+vlen]
 			off += vlen
 		default:
 			return rec, false
@@ -554,7 +555,8 @@ func walDecodePayload(p []byte) (walRecord, bool) {
 }
 
 // deadlineFromRemaining re-anchors a persisted remaining-nanoseconds value
-// on the current process clock. Overflow saturates to "never" the way
+// on the current process clock: the decode half of the Deadline conversion
+// (the record and snapshot decoders call it, nothing else). Overflow saturates to "never" the way
 // ttlDeadline does, and the result avoids 0, which putLocked reserves for
 // "no TTL" — an entry that lands exactly on 0 is long expired anyway.
 func deadlineFromRemaining(rem int64) int64 {

@@ -73,7 +73,7 @@ func TestDurableTTLSurvivesRestartAsRemaining(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestKV(t, dir, 1, SyncAlways)
 	s.PutTTL(1, []byte("live"), time.Hour)
-	s.putDeadline(2, []byte("dead"), -1) // born expired
+	s.put(2, []byte("dead"), -1) // born expired
 	s.Close()
 
 	r := openTestKV(t, dir, 1, SyncAlways)
@@ -86,7 +86,7 @@ func TestDurableTTLSurvivesRestartAsRemaining(t *testing.T) {
 	}
 	// The far-future saturation case: MaxInt64 deadline must not wrap.
 	s2 := openTestKV(t, t.TempDir(), 1, SyncAlways)
-	s2.putDeadline(3, []byte("forever"), math.MaxInt64)
+	s2.put(3, []byte("forever"), math.MaxInt64)
 	dir2 := s2.Dir()
 	s2.Close()
 	r2 := openTestKV(t, dir2, 1, SyncAlways)
@@ -164,7 +164,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 func TestCheckpointCompactsExpired(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestKV(t, dir, 1, SyncAlways)
-	s.putDeadline(1, []byte("dead"), -1)
+	s.put(1, []byte("dead"), -1)
 	s.Put(2, []byte("live"))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)

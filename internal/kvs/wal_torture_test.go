@@ -46,13 +46,13 @@ func tortureSchedule(rng *xrand.XorShift64, n int, keyspace uint64) []tortureOp 
 		case 4:
 			v := EncodeValue(rng.Next())
 			ops = append(ops, tortureOp{
-				apply: func(s *Sharded) { s.putDeadline(k, v, math.MaxInt64) },
+				apply: func(s *Sharded) { s.put(k, v, math.MaxInt64) },
 				model: func(m map[uint64][]byte) { m[k] = v },
 			})
 		case 5:
 			v := EncodeValue(rng.Next())
 			ops = append(ops, tortureOp{
-				apply: func(s *Sharded) { s.putDeadline(k, v, -1) },
+				apply: func(s *Sharded) { s.put(k, v, -1) },
 				model: func(m map[uint64][]byte) { delete(m, k) },
 			})
 		case 6, 7:

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,9 +78,53 @@ func unbracketedLockCalls(fset *token.FileSet, f *ast.File) []string {
 	return bad
 }
 
+// writeSectionCallers names, for each method the write section is built
+// from, the only functions allowed to call it: the store's mutators belong
+// to applyLocked (and snapshot install), the log half to the three functions
+// that hold a WAL mutex themselves, and a write section is opened by the one
+// in write.go, the two paths that use its halves, and Reap.
+var writeSectionCallers = map[string][]string{
+	"putLocked":     {"applyLocked"},
+	"deleteLocked":  {"applyLocked"},
+	"replaceLocked": {"ApplyReplRecord"},
+	"append":        {"write", "Txn", "rollForwardTxns"},
+	"wlock":         {"write", "Txn", "ApplyReplRecord", "Reap"},
+}
+
+// strayWriteCalls lists every method call named in writeSectionCallers made
+// from a function that is not one of its allowed callers.
+func strayWriteCalls(fset *token.FileSet, f *ast.File) []string {
+	var bad []string
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, _ := n.(*ast.CallExpr)
+			if call == nil {
+				return true
+			}
+			m, _ := call.Fun.(*ast.SelectorExpr)
+			if m == nil {
+				return true
+			}
+			if allowed, ok := writeSectionCallers[m.Sel.Name]; ok && !slices.Contains(allowed, fn.Name.Name) {
+				bad = append(bad, fset.Position(call.Pos()).String()+": "+fn.Name.Name+" calls "+m.Sel.Name)
+			}
+			return true
+		})
+	}
+	return bad
+}
+
 // TestShardWriteLockOnlyThroughWlock keeps the bracketing rule structural:
 // in the package's non-test files nothing but wlock/wunlock may write-lock
-// a shard's lock field, so no mutation site can forget the sequence bump.
+// a shard's lock field, so no mutation site can forget the sequence bump —
+// and keeps the write section single: a shard's store is mutated, its log
+// appended and its write section opened only from the functions
+// writeSectionCallers names, so a second hand-written copy of the sequence
+// fails here before it can diverge.
 // memtable.go and hashcache.go are exempt: they hold Figures 5–6's
 // substrates, whose own lock fields guard reads that always take the lock.
 func TestShardWriteLockOnlyThroughWlock(t *testing.T) {
@@ -97,6 +142,9 @@ func TestShardWriteLockOnlyThroughWlock(t *testing.T) {
 		for _, b := range unbracketedLockCalls(fset, f) {
 			t.Errorf("%s: write-locks a shard without the seq bracket; use wlock/wunlock", b)
 		}
+		for _, b := range strayWriteCalls(fset, f) {
+			t.Errorf("%s outside the write section; hand the entries to write or applyLocked", b)
+		}
 	}
 	if files < 10 {
 		t.Fatalf("parsed %d files of package kvs; the check is not looking at the package", files)
@@ -113,5 +161,9 @@ func (sh *kvShard) mutantPut(k uint64, v []byte) {
 	}
 	if got := unbracketedLockCalls(fset, mutant); len(got) != 2 {
 		t.Fatalf("checker found %d violations in the unbracketed mutant, want 2: %v", len(got), got)
+	}
+	// And the tenth copy: the same mutant reaches the store directly.
+	if got := strayWriteCalls(fset, mutant); len(got) != 1 {
+		t.Fatalf("checker found %d stray store calls in the mutant, want its putLocked: %v", len(got), got)
 	}
 }
