@@ -47,8 +47,8 @@ func NewReaderWithID(id uint64) *Reader { return rwl.NewReaderWithID(id) }
 type Lock = core.Lock
 
 // Table is a visible readers table; all locks in a process share one by
-// default (48KB for the paper's 4096 slots: 32KB of slots, 16KB of unlock-
-// guard generations).
+// default (32KB for the paper's 4096 slots; the unlock guard's generation
+// shares each slot's word).
 type Table = bias.Table
 
 // Option configures a Lock at construction.

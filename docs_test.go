@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/bravolock/bravo"
 	_ "github.com/bravolock/bravo/internal/locks/all"
 	"github.com/bravolock/bravo/internal/rwl"
 )
@@ -64,6 +65,28 @@ func TestDocsPointAtLiveFiles(t *testing.T) {
 				if !defined[f[1]] {
 					t.Errorf("%s shows `bravobench -%s`, which cmd/bravobench does not define", doc, f[1])
 				}
+			}
+		}
+	}
+}
+
+// TestDocsQuoteTheTableFootprint: README.md and DESIGN.md each state the
+// shared visible-readers table's size, and the size they state is one 8-byte
+// word per slot of the default table.
+func TestDocsQuoteTheTableFootprint(t *testing.T) {
+	quoteRE := regexp.MustCompile(`(\d+) ?KB\s+visible-readers\s+table`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quotes := quoteRE.FindAllStringSubmatch(string(raw), -1)
+		if len(quotes) == 0 {
+			t.Errorf("%s does not state the visible-readers table's footprint", doc)
+		}
+		for _, q := range quotes {
+			if kb, _ := strconv.Atoi(q[1]); kb*1024 != bravo.DefaultTableSize*8 {
+				t.Errorf("%s says %q; %d slots of 8 bytes are %dKB", doc, q[0], bravo.DefaultTableSize, bravo.DefaultTableSize*8/1024)
 			}
 		}
 	}

@@ -102,7 +102,7 @@ func main() {
 			"", total.Gets, total.GetHits, total.Puts, total.PutsInPlace)
 	}
 	fmt.Println()
-	fmt.Println("All BRAVO shard locks share one 48KB visible-readers table, so the")
+	fmt.Println("All BRAVO shard locks share one 32KB visible-readers table, so the")
 	fmt.Println("read fast path stays one CAS no matter how many shards exist. On a")
 	fmt.Println("many-core NUMA machine the gaps widen with reader count; the engine")
 	fmt.Println("is measured end to end by `bash benchmark/run.sh --workload engine-read`.")

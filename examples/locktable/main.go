@@ -2,7 +2,7 @@
 // of the lock can be important in concurrent data structures ... that use a
 // lock per node or entry"). A hash table with one reader-writer lock per
 // bucket compares total lock footprint across designs, then exercises the
-// BRAVO-per-bucket variant — thousands of locks sharing one 48KB table.
+// BRAVO-per-bucket variant — thousands of locks sharing one 32KB table.
 //
 //	go run ./examples/locktable
 package main
@@ -52,7 +52,7 @@ func main() {
 	// Footprint accounting for 8192 per-bucket locks, using the paper's §5
 	// sizes. Distributed-indicator locks are "prohibitively expensive to
 	// store per node" (Bronson et al.); BRAVO adds two words to a compact
-	// lock plus one shared 48KB table for the whole process.
+	// lock plus one shared 32KB table for the whole process.
 	const (
 		baBytes     = 128      // BA padded to one sector
 		perCPUBytes = 72 * 128 // one BA per CPU on the X5-2

@@ -121,11 +121,21 @@ func (e *Engine) SetRandomizedIndex() { e.randomized = true }
 // paper's inhibit policy — and must be called once, after any Set* calls
 // and before the engine is used.
 func (e *Engine) Init() {
+	checkID(e.ID())
 	if e.table == nil {
 		e.table = shared
 	}
 	if e.policy == nil {
 		e.policy = NewInhibitPolicy(e.inhibitN)
+	}
+}
+
+// checkID refuses, once and cold, an identity that would not fit above the
+// generation in a slot word. Go heap, stack and data addresses are below 2^48
+// on every supported 64-bit port except aix/ppc64; a 32-bit one always fits.
+func checkID(id uintptr) {
+	if uint64(id)>>(64-genBits) != 0 {
+		panic("bias: lock address does not fit a table slot's identity bits")
 	}
 }
 
@@ -262,10 +272,10 @@ func (e *Engine) markSector(want uint32) bool {
 }
 
 // ClearFast releases a fast-path read acquisition made with TryFast or
-// TryPublish. The token's generation is verified against the slot (the
-// always-on unbalanced-unlock guard): a double RUnlock or an unlock of a
-// token belonging to another lock panics deterministically instead of
-// silently corrupting the visible-readers table.
+// TryPublish. The clearing CAS compares identity and the token's generation
+// with the slot word (the always-on unbalanced-unlock guard): of any releases
+// of one token, racing or sequential, all but one panic, as does an unlock of
+// another lock's token, instead of silently corrupting the table.
 func (e *Engine) ClearFast(t SlotToken) {
 	e.table.ClearOwned(t.Index(), t.Gen(), e.ID())
 }

@@ -249,8 +249,8 @@ func (e *Engine) ReleaseFast(r *Reader) bool {
 // token-carrying shape, where the lock hands the token back at unlock). The
 // handle's held-slot record is the first arbiter: releasing a token that is
 // not held is a double unlock or an unlock-without-lock, and panics. The
-// table's generation check then guards the clear itself, so a token forged
-// or replayed against a different handle's hold is also caught.
+// clearing CAS then compares the token's generation with the slot word, so a
+// token forged or replayed against a different handle's hold is also caught.
 func (e *Engine) ReleaseFastAt(r *Reader, t SlotToken) {
 	ent := r.lookup(e)
 	if ent == nil || ent.flags&entFastHeld == 0 || ent.slot != t.Index() {

@@ -21,10 +21,9 @@ import (
 )
 
 // DefaultTableSize is the paper's table size: "In all our experiments we
-// sized the table at 4096 entries" (§3). The 8-byte slots are the paper's
-// 32KB; the unlock guard's 4-byte generation word per slot (Table.gens) is
-// 16KB more, so the footprint is 48KB, shared by every lock and thread in
-// the address space.
+// sized the table at 4096 entries" (§3). One 8-byte word per slot is the
+// paper's 32KB, shared by every lock and thread in the address space; the
+// unlock guard's generation lives in the low bits of the same word.
 const DefaultTableSize = 4096
 
 // DefaultRowLen is the BRAVO-2D sector length: the paper's preferred
@@ -45,26 +44,22 @@ const DefaultRowLen = 256
 // option: no caller can know a better value than the word's width.
 const summarySectors = 16
 
-// Table is a visible readers table. Each slot is either zero or the
-// identity of a reader-held BRAVO lock. Slots are deliberately unpadded
-// 8-byte words, as in the paper: near-collision false sharing is part of
-// the design's cost model, and the 2D layout exists to mitigate it.
+// Table is a visible readers table. A slot is one word, identity<<genBits |
+// generation: the identity is zero or that of a reader-held BRAVO lock, and
+// the generation counts how often the slot has been emptied, so a token from
+// an earlier publication does not match the word again even if another reader
+// of the same lock has since republished there — the ABA case a bare slot
+// compare cannot see (ClearOwned). Slots are deliberately unpadded 8-byte
+// words, as in the paper: near-collision false sharing is part of the
+// design's cost model, and the 2D layout exists to mitigate it.
 //
-// Slot values are lock identities (addresses) used only for equality
-// comparison, never dereferenced, so a Table never keeps a lock alive nor
-// touches freed memory: a slot holds a lock's identity only while a reader
-// is inside that lock's critical section, which implies the lock is live.
+// Identities are lock addresses used only for equality comparison, never
+// dereferenced, so a Table never keeps a lock alive nor touches freed
+// memory: a slot holds a lock's identity only while a reader is inside that
+// lock's critical section, which implies the lock is live.
 type Table struct {
-	slots []atomic.Uintptr
-	// gens counts, per slot, the number of times the slot has been emptied.
-	// A publication captures the current count; the owned clear verifies it
-	// and bumps it. Because every id→0 transition bumps the count, a token
-	// from an earlier publication can never pass the check again — a double
-	// RUnlock panics deterministically even if another reader of the same
-	// lock has since republished in the slot (the ABA case a bare slot
-	// compare cannot see). See ClearOwned.
-	gens []atomic.Uint32
-	mask uint32
+	slots []atomic.Uint64
+	mask  uint32
 	// rows/rowLen describe the 2D sectored geometry; rows == 0 means the
 	// flat 1D layout of Listing 1.
 	rows   uint32
@@ -91,8 +86,7 @@ func NewTable(size int) *Table {
 		panic(fmt.Sprintf("bias: table size %d is not a positive power of two", size))
 	}
 	return &Table{
-		slots:       make([]atomic.Uintptr, size),
-		gens:        make([]atomic.Uint32, size),
+		slots:       make([]atomic.Uint64, size),
 		mask:        uint32(size - 1),
 		sectorShift: log2(size / min(size, summarySectors)),
 	}
@@ -107,8 +101,7 @@ func NewTable2D(rows, rowLen int) *Table {
 		panic(fmt.Sprintf("bias: 2D table geometry %dx%d is not power-of-two", rows, rowLen))
 	}
 	return &Table{
-		slots:       make([]atomic.Uintptr, rows*rowLen),
-		gens:        make([]atomic.Uint32, rows*rowLen),
+		slots:       make([]atomic.Uint64, rows*rowLen),
 		mask:        uint32(rows*rowLen - 1),
 		rows:        uint32(rows),
 		rowLen:      uint32(rowLen),
@@ -159,58 +152,47 @@ func (t *Table) column(lockID uintptr) uint32 {
 // TryPublishAt attempts to install id into slot idx, returning the slot's
 // current generation and whether publication succeeded. The CAS is the fast
 // path's single atomic (Listing 1 line 14) — and, with a slot index cached
-// on a reader handle, the entire steady-state fast-path cost; the
-// generation load that follows it is an uncontended read of the same cache
-// line. The generation must travel with the acquisition and be handed to
-// ClearOwned at unlock.
-//
-// Ordering: the generation is read after the CAS. Generations change only
-// on id→0 slot transitions (ClearOwned/Clear bump before emptying), so no
-// bump can land between a winning CAS and the load — a successful publisher
-// always captures the generation its eventual clear will verify.
+// on a reader handle, the entire steady-state fast-path cost; the load before
+// it reads the line the CAS takes anyway. The installed word keeps the loaded
+// generation, which must travel with the acquisition to ClearOwned: the
+// winner captures exactly the word its clear will compare. A CAS that loses
+// to a publish-and-clear in between reports a collision: the slot was
+// occupied in that window.
 func (t *Table) TryPublishAt(idx uint32, id uintptr) (gen uint32, ok bool) {
-	if !t.slots[idx].CompareAndSwap(0, id) {
+	s := &t.slots[idx]
+	w := s.Load()
+	if w>>genBits != 0 || !s.CompareAndSwap(w, uint64(id)<<genBits|w) {
 		return 0, false
 	}
-	return t.gens[idx].Load(), true
-}
-
-// TryPublish hashes (id, self) into a slot and attempts to install id,
-// returning the chosen index, the captured generation, and whether
-// publication succeeded.
-func (t *Table) TryPublish(id uintptr, self uint64) (idx, gen uint32, ok bool) {
-	idx = t.Index(id, self)
-	gen, ok = t.TryPublishAt(idx, id)
-	return idx, gen, ok
+	return uint32(w), true
 }
 
 // ClearOwned empties slot idx on behalf of the reader that published id
 // there and captured gen — the always-on unbalanced-unlock guard (Shahare &
-// Chabbi's owner check, applied to BRAVO's slot-passing unlock). It panics
-// when the release is not the one matching the publication:
-//
-//   - slot no longer holds id: double unlock (a prior release already
-//     emptied it), unlock without lock, or an unlock aimed at the wrong
-//     lock's acquisition;
-//   - generation moved on: the slot holds id again, but from a *newer*
-//     publication — a stale token's second unlock. The holder's own first
-//     ClearOwned bumped the generation, so the second attempt can never
-//     match, no matter what published in between.
-//
-// The bump is ordered before the store that empties the slot, so any
-// publisher whose CAS wins afterwards observes the bumped generation
-// (seq-cst atomics): a fresh token never inherits a stale generation, and
-// the guard has no false positives — only the true owner, exactly once,
-// passes both checks.
+// Chabbi's owner check, applied to BRAVO's slot-passing unlock). The clear is
+// one CAS from the word the publication installed to the next generation, and
+// its failure is the guard: check and clear are one atomic decision, so of
+// any number of racing releases of one token exactly one succeeds, the rest
+// panic, and none can erase a later publication. A token replayed after an
+// exact multiple of 2^genBits clears of its slot matches again: a misuse
+// detector, not a security boundary.
 func (t *Table) ClearOwned(idx, gen uint32, id uintptr) {
-	if t.slots[idx].Load() != id {
+	gen &= genMask
+	if !t.slots[idx].CompareAndSwap(uint64(id)<<genBits|uint64(gen), uint64(gen+1)&genMask) {
+		t.unbalanced(idx, id)
+	}
+}
+
+// unbalanced names the release the CAS refused. Cold and out of line: the
+// re-load only chooses the message.
+//
+//go:noinline
+func (t *Table) unbalanced(idx uint32, id uintptr) {
+	if t.Load(idx) != id {
 		panic("bias: unbalanced fast-path RUnlock (double unlock, unlock without lock, or wrong lock)")
 	}
-	if t.gens[idx].Load()&genMask != gen&genMask {
-		panic("bias: unbalanced fast-path RUnlock (stale read token)")
-	}
-	t.gens[idx].Add(1)
-	t.slots[idx].Store(0)
+	// The slot holds id again, from a newer publication.
+	panic("bias: unbalanced fast-path RUnlock (stale read token)")
 }
 
 // Clear empties slot idx unconditionally (Listing 1 line 31, without the
@@ -219,13 +201,18 @@ func (t *Table) ClearOwned(idx, gen uint32, id uintptr) {
 // transition bumps — so tokens spanning a forced clear are correctly
 // detected as stale.
 func (t *Table) Clear(idx uint32) {
-	t.gens[idx].Add(1)
-	t.slots[idx].Store(0)
+	s := &t.slots[idx]
+	for {
+		w := s.Load()
+		if s.CompareAndSwap(w, (w+1)&genMask) {
+			return
+		}
+	}
 }
 
 // Load returns the current occupant of slot idx (testing/diagnostics).
 func (t *Table) Load(idx uint32) uintptr {
-	return t.slots[idx].Load()
+	return uintptr(t.slots[idx].Load() >> genBits)
 }
 
 // sector returns the occupancy-summary sector slot idx belongs to.
@@ -264,7 +251,7 @@ func (t *Table) waitEmptyIn(id uintptr, sectors uint32) (scanned, conflicts int)
 		sec := t.slots[lo : lo+1<<t.sectorShift]
 		scanned += len(sec)
 		for i := range sec {
-			if sec[i].Load() == id {
+			if sec[i].Load()>>genBits == uint64(id) {
 				conflicts += t.awaitSlot(lo+uint32(i), id)
 			}
 		}
@@ -275,11 +262,11 @@ func (t *Table) waitEmptyIn(id uintptr, sectors uint32) (scanned, conflicts int)
 // awaitSlot waits for slot idx to stop holding id and reports how many
 // conflicting readers that was (0 or 1).
 func (t *Table) awaitSlot(idx uint32, id uintptr) int {
-	if t.slots[idx].Load() != id {
+	if t.Load(idx) != id {
 		return 0
 	}
 	var b spin.Backoff
-	for t.slots[idx].Load() == id {
+	for t.Load(idx) == id {
 		b.Once()
 	}
 	return 1
@@ -290,7 +277,7 @@ func (t *Table) awaitSlot(idx uint32, id uintptr) int {
 func (t *Table) Occupancy() int {
 	n := 0
 	for i := range t.slots {
-		if t.slots[i].Load() != 0 {
+		if t.slots[i].Load()>>genBits != 0 {
 			n++
 		}
 	}

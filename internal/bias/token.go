@@ -8,16 +8,17 @@ package bias
 // Table.ClearOwned) — the always-on unbalanced-unlock guard.
 //
 // Layout (chosen to compose with the rwl.Token convention): the slot index
-// occupies the low 32 bits, the generation the next genBits bits. Wrapping
+// occupies the low 32 bits, the generation bits 32 to 32+genBits. Wrapping
 // locks tag the whole thing with their own discriminator bit (core uses
 // bit 63), which the layout leaves free.
 type SlotToken uint64
 
-// genBits is the width of the generation tag carried in a token. A stale
-// token escapes detection only if the slot is emptied exactly 2^genBits
-// times between the two unlocks — far beyond any real double-unlock window,
-// and the guard is a misuse detector, not a security boundary.
-const genBits = 24
+// genBits is the width of the generation, in a token and in the low bits of
+// a table slot word (the identity fills the 64−genBits above it, see checkID).
+// A stale token escapes only if the slot is emptied an exact multiple of
+// 2^genBits times between the two unlocks — far beyond any real double-unlock
+// window, and the guard is a misuse detector, not a security boundary.
+const genBits = 16
 
 // genMask extracts the comparable generation bits.
 const genMask = (1 << genBits) - 1

@@ -168,10 +168,12 @@ func (l *Lock) RLockWithID(selfID uint64) rwl.Token {
 
 // RUnlock releases read permission acquired by the RLock call that returned
 // t: fast-path readers clear their slot, slow-path readers release the
-// underlying lock (Listing 1 lines 29–33). The fast-path clear verifies the
-// token's slot generation — a double RUnlock, an unlock without a lock, or
-// a token handed to the wrong lock panics deterministically, in production
-// builds and not just under lockcheck harnesses.
+// underlying lock (Listing 1 lines 29–33). The fast-path clear is one CAS
+// that compares the lock's identity and the token's slot generation — a
+// double RUnlock (even two racing ones: exactly one succeeds), an unlock
+// without a lock, or a token handed to the wrong lock panics, in production
+// builds and not just under lockcheck harnesses. Only a token replayed after
+// its slot was emptied an exact multiple of 2^16 times escapes.
 func (l *Lock) RUnlock(t rwl.Token) {
 	if t&fastBit != 0 {
 		l.eng.ClearFast(bias.SlotToken(t &^ fastBit))
