@@ -158,7 +158,7 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 	if err := s.checkManifest(); err != nil {
 		return err
 	}
-	needCkpt := make([]int, 0)
+	var needCkpt []int
 	// txns gathers multi-shard transaction witness records across every
 	// shard's replay, keyed by the transaction's identity (see
 	// walRecord.txnKey), so a commit torn across shard logs can be rolled
@@ -178,6 +178,7 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 			if err != nil {
 				return fmt.Errorf("kvs: shard %d snapshot: %w", i, err)
 			}
+			sh.idx.reserve(len(entries))
 			sh.applyLocked(entries)
 			last = snapLSN
 		} else if !os.IsNotExist(err) {
@@ -228,10 +229,8 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 	}
 	// A leftover .wal.old means a checkpoint died mid-flight; re-running it
 	// now collapses the three-file state back to snapshot + empty log.
-	for _, i := range needCkpt {
-		if err := s.checkpointShard(i); err != nil {
-			return fmt.Errorf("kvs: recovering checkpoint of shard %d: %w", i, err)
-		}
+	if err := s.checkpointShards(needCkpt); err != nil {
+		return fmt.Errorf("kvs: recovering an interrupted checkpoint: %w", err)
 	}
 	return nil
 }
@@ -262,16 +261,10 @@ func (s *Sharded) checkManifest() error {
 	return nil
 }
 
-// writeManifest publishes the layout pin atomically (tmp + rename + dir
-// sync).
+// writeManifest publishes the layout pin atomically and durably.
 func writeManifest(dir string, shards int) error {
-	path := filepath.Join(dir, manifestName)
 	buf, _ := json.Marshal(manifest{Version: 1, Shards: shards})
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := publishFile(filepath.Join(dir, manifestName), append(buf, '\n')); err != nil {
 		return err
 	}
 	return syncDir(dir)

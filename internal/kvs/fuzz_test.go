@@ -12,6 +12,7 @@ import (
 	"os"
 	"testing"
 
+	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/frame"
 )
 
@@ -213,16 +214,49 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(snap)
 	f.Add(snap[:len(snap)-2]) // torn trailer
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, _, err := loadSnapshot(data)
+		entries, lsn, err := loadSnapshot(data)
 		if err != nil {
 			return
 		}
+		// Any accepted input, applied to a store, re-encodes to an image that
+		// loads to the same entries: the encoder and the loader agree on
+		// every state the loader can produce. Later duplicates win, as in
+		// recovery; entries already expired are compacted away, and ones
+		// about to expire may go either way.
+		var st seqStore
+		type kv struct {
+			v        []byte
+			deadline int64
+		}
+		want := map[uint64]kv{}
 		for _, e := range entries {
 			if e.Op != OpPut {
 				t.Fatalf("snapshot surfaced op %d", e.Op)
 			}
 			if len(e.Value) > len(data) {
 				t.Fatalf("value of %d bytes from %d input bytes", len(e.Value), len(data))
+			}
+			st.putLocked(e.Key, e.Value, e.Deadline)
+			want[e.Key] = kv{e.Value, e.Deadline}
+		}
+		before := clock.Nanos()
+		again, lsn2, err := loadSnapshot(st.snapshotImage(nil, lsn))
+		if err != nil || lsn2 != lsn {
+			t.Fatalf("re-encoded image: lsn %d (want %d), err %v", lsn2, lsn, err)
+		}
+		for _, e := range again {
+			w, ok := want[e.Key]
+			if !ok || !bytes.Equal(e.Value, w.v) || (e.Deadline == 0) != (w.deadline == 0) {
+				t.Fatalf("re-encoded entry %+v, want %+v (present %v)", e, w, ok)
+			}
+			if w.deadline != 0 && w.deadline <= before {
+				t.Fatalf("re-encoded image kept key %d, expired %d ns before it was taken", e.Key, before-w.deadline)
+			}
+			delete(want, e.Key)
+		}
+		for k, w := range want {
+			if w.deadline == 0 || w.deadline > clock.Nanos() {
+				t.Fatalf("re-encoded image lost live key %d (deadline %d)", k, w.deadline)
 			}
 		}
 	})

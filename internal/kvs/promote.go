@@ -37,17 +37,18 @@ func SeedSnapshotDir(dir string, src *Sharded, lsns []uint64) error {
 	if err := writeManifest(dir, len(src.shards)); err != nil {
 		return err
 	}
+	var img []byte
 	for i := range src.shards {
 		sh := &src.shards[i]
-		// The checkpoint copy, minus the WAL rotation volatile engines do
+		// The checkpoint's image, minus the WAL rotation volatile engines do
 		// not have: the shard's ordinary read lock makes the copy safe
 		// against in-place value updates; a quiesced replica (pullers
 		// stopped) makes the LSN stamp exact.
 		tok := sh.lock.RLock()
-		data, exp := sh.copyLocked()
+		img = sh.snapshotImage(img, lsns[i])
 		sh.lock.RUnlock(tok)
 		path := filepath.Join(dir, fmt.Sprintf("shard-%04d.snap", i))
-		if err := writeSnapshotFile(path, data, exp, lsns[i]); err != nil {
+		if err := publishFile(path, img); err != nil {
 			return fmt.Errorf("kvs: seeding shard %d: %w", i, err)
 		}
 	}

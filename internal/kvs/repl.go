@@ -39,7 +39,6 @@ import (
 	"io"
 	"os"
 
-	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/frame"
 )
 
@@ -326,31 +325,11 @@ func (s *Sharded) ReplSnapshotFrame(shard int) ([]byte, uint64, error) {
 	w.mu.Lock()
 	lsn := w.lsn
 	tok := sh.lock.RLock()
-	now := clock.Nanos()
 	buf := make([]byte, walHeaderSize, walHeaderSize+64)
 	buf = append(buf, walVersionSnap)
 	buf = binary.LittleEndian.AppendUint64(buf, lsn)
 	countOff := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
-	count := 0
-	sh.idx.each(func(k uint64, v *seqCell) bool {
-		d, hasTTL := sh.exp[k]
-		if hasTTL && now >= d {
-			return true // compaction: expired residue is not shipped
-		}
-		if hasTTL {
-			buf = append(buf, walOpPutTTL)
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(d-now))
-		} else {
-			buf = append(buf, walOpPut)
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.length()))
-		buf = v.appendTo(buf)
-		count++
-		return true
-	})
+	buf, count := sh.appendLive(binary.LittleEndian.AppendUint32(buf, 0), walOpPut) // count patched below
 	sh.lock.RUnlock(tok)
 	w.mu.Unlock()
 	binary.LittleEndian.PutUint32(buf[countOff:], uint32(count))
@@ -395,6 +374,7 @@ func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 		// inside the write section, so optimistic readers never probe a
 		// table pointing at discarded cells as current.
 		sh.replaceLocked()
+		sh.idx.reserve(len(ents)) // slot-ordered keys, like a snapshot file's
 	}
 	_, n := sh.applyLocked(ents)
 	sh.wunlock()

@@ -122,19 +122,32 @@ func (ix *seqIndex) put(key uint64, cell *seqCell) {
 		ix.insert(t, key, cell)
 		return
 	}
+	t = ix.copyFor(ix.live + 1)
+	ix.insert(t, key, cell)
+	ix.tab.Store(t)
+}
+
+// copyFor returns an unpublished copy of the table's live slots, sized so
+// that n keys leave it at most half claimed, with used and live recounted
+// over it.
+func (ix *seqIndex) copyFor(n int) *seqTable {
 	size := seqIndexMinSize
-	for size < (ix.live+1)*2 {
+	for size < n*2 {
 		size *= 2
 	}
-	t = &seqTable{mask: uint64(size - 1), slots: make([]seqSlot, size)}
+	t := &seqTable{mask: uint64(size - 1), slots: make([]seqSlot, size)}
 	ix.used, ix.live = 0, 0
 	ix.each(func(k uint64, c *seqCell) bool {
 		ix.insert(t, k, c)
 		return true
 	})
-	ix.insert(t, key, cell)
-	ix.tab.Store(t)
+	return t
 }
+
+// reserve makes room for n more keys with no further copy. Recovery calls it
+// with a snapshot's entry count: a snapshot lists keys in slot order, and a
+// sorted run would pile into the low slots of every table it outgrows.
+func (ix *seqIndex) reserve(n int) { ix.tab.Store(ix.copyFor(ix.live + n)) }
 
 // insert stores key→cell in t and keeps used and live exact. The load
 // factor bound in put leaves every probe chain an empty slot to end at.

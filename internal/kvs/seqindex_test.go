@@ -292,3 +292,36 @@ func TestSeqIndexSlidingWindowCopiesRarely(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqIndexReserve: a reserved table takes the promised keys with no
+// further copy — recovery relies on it when it loads a snapshot's
+// slot-ordered keys — and keeps what it already held.
+func TestSeqIndexReserve(t *testing.T) {
+	var st seqStore
+	for k := uint64(0); k < 10; k++ {
+		st.idx.put(k, newSeqCell([]byte{byte(k)}, 0))
+	}
+	st.idx.del(3)
+	st.idx.reserve(1000)
+	tab := st.idx.tab.Load()
+	if st.idx.live != 9 || st.idx.used != 9 {
+		t.Fatalf("after reserve: live %d, used %d; want 9, 9 (tombstone dropped)", st.idx.live, st.idx.used)
+	}
+	for k := uint64(100); k < 1100; k++ {
+		st.idx.put(k, newSeqCell([]byte{byte(k)}, 0))
+	}
+	if st.idx.tab.Load() != tab {
+		t.Fatal("the table was copied again inside its reservation")
+	}
+	for k := uint64(0); k < 1100; k++ {
+		want := k != 3 && (k < 10 || k >= 100)
+		if c := st.idx.lookup(k); (c != nil) != want || (want && c.bytes()[0] != byte(k)) {
+			t.Fatalf("key %d after reserve: present %v, want %v", k, c != nil, want)
+		}
+	}
+	var empty seqIndex
+	empty.reserve(0)
+	if empty.lookup(1) != nil || empty.live != 0 {
+		t.Fatal("reserving nothing on an empty index made something")
+	}
+}

@@ -73,25 +73,6 @@ func (st *seqStore) replaceLocked() {
 	st.exp = nil
 }
 
-// copyLocked returns a deep copy of every resident entry, expired residue
-// included, with its TTL deadlines — the image a checkpoint or a promotion
-// seed writes out. Caller holds the owner's lock, read or write.
-func (st *seqStore) copyLocked() (map[uint64][]byte, ttlMap) {
-	data := make(map[uint64][]byte, st.idx.live)
-	st.idx.each(func(k uint64, c *seqCell) bool {
-		data[k] = c.bytes()
-		return true
-	})
-	var exp ttlMap
-	if len(st.exp) > 0 {
-		exp = make(ttlMap, len(st.exp))
-		for k, d := range st.exp {
-			exp[k] = d
-		}
-	}
-	return data, exp
-}
-
 // expiredLocked reports whether key carries a TTL whose deadline has passed
 // (inclusive; see ttlMap.expired). Callers hold the owner's lock, read or
 // write.

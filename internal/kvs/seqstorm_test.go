@@ -246,8 +246,11 @@ func TestSeqReadStormVolatile(t *testing.T) {
 }
 
 // TestSeqReadStormDurable storms a durable engine while a checkpoint loop
-// runs: WAL appends, group commit, and snapshot writes all inside the same
-// seq brackets the readers validate against.
+// runs: WAL appends, group commit, and snapshot captures all inside the same
+// seq brackets the readers validate against. Over four shards every
+// checkpoint has both of its stages live — one shard's image being written
+// by the file stage while the next is flushed, streamed from its cells and
+// rotated — so under -race this is also the pipeline's certificate.
 func TestSeqReadStormDurable(t *testing.T) {
 	s := openTestKV(t, t.TempDir(), 4, SyncNone)
 	defer s.Close()
@@ -269,6 +272,9 @@ func TestSeqReadStormDurable(t *testing.T) {
 	runSeqStorm(t, s, iters, &gen, nil)
 	stop.Store(true)
 	ckpt.Wait()
+	if n := s.Stats().Total().Checkpoints; n < 4 {
+		t.Fatalf("%d shard checkpoints completed under the storm; the pipeline under test was idle", n)
+	}
 }
 
 // TestSeqReadStormReplApply storms a volatile follower while replication

@@ -59,6 +59,8 @@ type Sharded struct {
 	durable bool
 	policy  SyncPolicy
 	ckptMu  sync.Mutex
+	// ckptFlushHook (tests only) runs where captureShard flushes unlocked.
+	ckptFlushHook func(i int)
 	// reapCursor round-robins Reap's starting shard across calls, so an
 	// incremental budget eventually covers every shard.
 	reapCursor atomic.Uint64

@@ -367,19 +367,7 @@ func appendFile(dst, src string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(dst, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFileSync(dst, os.O_APPEND, data)
 }
 
 // walPart names one participant of a multi-shard transaction record: the

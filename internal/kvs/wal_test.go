@@ -1,9 +1,12 @@
 package kvs
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -406,4 +409,279 @@ func TestDurableStatsCountGroupCommit(t *testing.T) {
 	if total.WALRecords != 2 || total.WALKeys != 33 {
 		t.Fatalf("after single put: records/keys = %d/%d, want 2/33", total.WALRecords, total.WALKeys)
 	}
+}
+
+// The multi-shard crash matrix. A checkpoint publishes shard by shard, syncs
+// the directory once, then prunes shard by shard, so a crash leaves every
+// shard, independently, in one of these states. ckptCrashImage assembles a
+// directory from them by file surgery on two generations of a real engine.
+type ckptShardState int
+
+const (
+	ckptUntouched  ckptShardState = iota // old snapshot + log: the checkpoint never reached the shard
+	ckptRotated                          // old snapshot + .wal.old + empty log
+	ckptRotatedTmp                       // ckptRotated + the whole new image still under .snap.tmp (rename lost)
+	ckptTornTmp                          // ckptRotated + half an image under .snap.tmp
+	ckptPublished                        // new snapshot + .wal.old + empty log
+	ckptPruned                           // new snapshot + empty log
+)
+
+func shardFile(dir string, i int, ext string) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d%s", i, ext))
+}
+
+func copyFile(t *testing.T, dst, src string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ckptCrashFixture runs two generations of writes over a 4-shard engine and
+// returns the directory as the second checkpoint found it (pre: the first
+// checkpoint's snapshots plus the log written since), the same directory
+// after that checkpoint completed (post), the state both hold, and the
+// per-shard LSNs both end at.
+func ckptCrashFixture(t *testing.T) (pre, post string, model map[uint64][]byte, lsns []uint64) {
+	t.Helper()
+	pre, post = t.TempDir(), t.TempDir()
+	model = map[uint64][]byte{}
+	s := openTestKV(t, pre, 4, SyncNone)
+	put := func(k uint64, v string) { s.Put(k, []byte(v)); model[k] = []byte(v) }
+	del := func(k uint64) { s.Delete(k); delete(model, k) }
+	for k := uint64(0); k < 200; k++ {
+		put(k, fmt.Sprintf("gen1-%d", k))
+	}
+	del(3)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(100); k < 300; k += 3 {
+		put(k, fmt.Sprintf("gen2-%d-longer-than-the-cell-it-replaces", k))
+	}
+	for k := uint64(0); k < 100; k += 7 {
+		del(k)
+	}
+	s.PutTTL(1000, []byte("leased"), time.Hour)
+	model[1000] = []byte("leased")
+	lsns = s.ReplLSNs()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(pre, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		copyFile(t, filepath.Join(post, filepath.Base(n)), n)
+	}
+	p := openTestKV(t, post, 4, SyncNone)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return pre, post, model, lsns
+}
+
+// ckptCrashImage builds the directory a crash left with shard i in states[i].
+func ckptCrashImage(t *testing.T, pre, post string, states []ckptShardState) string {
+	t.Helper()
+	dir := t.TempDir()
+	copyFile(t, filepath.Join(dir, manifestName), filepath.Join(pre, manifestName))
+	for i, st := range states {
+		snapFrom, logTo := pre, ".wal.old"
+		if st == ckptPublished || st == ckptPruned {
+			snapFrom = post
+		}
+		if st == ckptUntouched {
+			logTo = ".wal"
+		}
+		copyFile(t, shardFile(dir, i, ".snap"), shardFile(snapFrom, i, ".snap"))
+		if st != ckptPruned {
+			copyFile(t, shardFile(dir, i, logTo), shardFile(pre, i, ".wal"))
+		}
+		if st != ckptUntouched {
+			if err := os.WriteFile(shardFile(dir, i, ".wal"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st == ckptRotatedTmp || st == ckptTornTmp {
+			img, err := os.ReadFile(shardFile(post, i, ".snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st == ckptTornTmp {
+				img = img[:len(img)/2]
+			}
+			if err := os.WriteFile(shardFile(dir, i, ".snap.tmp"), img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dir
+}
+
+// expectRecovered reopens dir and checks the contract every crash state
+// owes: exactly the model, every shard's LSN sequence continued, and no
+// checkpoint residue left behind — before and after one more restart.
+func expectRecovered(t *testing.T, dir string, model map[uint64][]byte, lsns []uint64) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		r := openTestKV(t, dir, len(lsns), SyncNone)
+		if got := r.Snapshot(); !mapsEqualKV(got, model) {
+			t.Fatalf("reopen %d: recovered %d keys, want the model's %d (or values differ)", round, len(got), len(model))
+		}
+		if got := r.ReplLSNs(); !slices.Equal(got, lsns) {
+			t.Fatalf("reopen %d: LSNs %v, want %v", round, got, lsns)
+		}
+		for _, pat := range []string{"*.wal.old", "*.tmp"} {
+			if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) > 0 {
+				t.Fatalf("reopen %d: recovery left %v behind", round, m)
+			}
+		}
+		// The sequence continues: the next record on a shard is lsn+1.
+		k := uint64(5000 + round)
+		r.Put(k, []byte("after"))
+		model[k] = []byte("after")
+		lsns[r.ShardOf(k)]++
+		if got := r.ShardLSN(r.ShardOf(k)); got != lsns[r.ShardOf(k)] {
+			t.Fatalf("reopen %d: a write after recovery got LSN %d, want %d", round, got, lsns[r.ShardOf(k)])
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestCheckpointCrashMatrix(t *testing.T) {
+	pre, post, model, lsns := ckptCrashFixture(t)
+	for _, c := range []struct {
+		name   string
+		states []ckptShardState
+	}{
+		// (a) every shard renamed, none pruned, and the one directory sync
+		// lost: each rename is independently there or not.
+		{"renamed-none-pruned", []ckptShardState{ckptPublished, ckptPublished, ckptPublished, ckptPublished}},
+		{"renamed-dir-sync-lost", []ckptShardState{ckptPublished, ckptRotatedTmp, ckptRotatedTmp, ckptPublished}},
+		{"renamed-every-one-lost", []ckptShardState{ckptRotatedTmp, ckptRotatedTmp, ckptRotatedTmp, ckptRotatedTmp}},
+		// (b) the prune phase died half-way.
+		{"half-pruned", []ckptShardState{ckptPruned, ckptPruned, ckptPublished, ckptPublished}},
+		// (c) shard k's image written (or torn) but not renamed; shards
+		// before it published and — the new order — not yet pruned; the
+		// shard after it not reached, or already rotated by the capture
+		// stage running ahead.
+		{"mid-publish", []ckptShardState{ckptPublished, ckptPublished, ckptRotatedTmp, ckptUntouched}},
+		{"mid-publish-torn", []ckptShardState{ckptPublished, ckptPublished, ckptTornTmp, ckptRotated}},
+		{"mid-publish-shard-0", []ckptShardState{ckptTornTmp, ckptRotated, ckptUntouched, ckptUntouched}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			expectRecovered(t, ckptCrashImage(t, pre, post, c.states), maps.Clone(model), slices.Clone(lsns))
+		})
+	}
+
+	// (d) one shard enters the checkpoint with a .wal.old a dead checkpoint
+	// left (rotated, never published): its rotation must merge, the others
+	// rename, and the one pass over all four must fold both generations in.
+	t.Run("merge-path-on-one-shard", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openTestKV(t, dir, 4, SyncNone)
+		model := map[uint64][]byte{}
+		put := func(k uint64, v string) { s.Put(k, []byte(v)); model[k] = []byte(v) }
+		for k := uint64(0); k < 64; k++ {
+			put(k, fmt.Sprintf("first-%d", k))
+		}
+		w := s.shards[1].wal
+		w.mu.Lock()
+		err := w.rotate(s.walPath(1), s.walOldPath(1))
+		w.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(32); k < 96; k++ {
+			put(k, fmt.Sprintf("second-%d", k))
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		put(200, "tail")
+		if got := s.Snapshot(); !mapsEqualKV(got, model) {
+			t.Fatal("the live engine diverged from the model across the checkpoint")
+		}
+		// Crash: no Close.
+		expectRecovered(t, dir, model, s.ReplLSNs())
+	})
+}
+
+// TestCheckpointFailureCleansUpAndRetries: a shard whose image cannot be
+// written fails the checkpoint by name, without abandoning the stage in
+// flight, without leaving a tmp behind, without pruning a log no snapshot
+// covers, and without costing a single acknowledged write; once the obstacle
+// is gone the next checkpoint folds everything in.
+func TestCheckpointFailureCleansUpAndRetries(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestKV(t, dir, 4, SyncNone)
+	model := map[uint64][]byte{}
+	put := func(k uint64, v string) { s.Put(k, []byte(v)); model[k] = []byte(v) }
+	for k := uint64(0); k < 128; k++ {
+		put(k, fmt.Sprintf("before-%d", k))
+	}
+	// A non-empty directory where shard 2's tmp goes: the open fails and the
+	// best-effort cleanup cannot remove it either.
+	obstacle := s.snapPath(2) + ".tmp"
+	if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Checkpoint()
+	if err == nil || !strings.Contains(err.Error(), "shard 2") {
+		t.Fatalf("Checkpoint over an unwritable shard 2 = %v, want an error naming it", err)
+	}
+	for i := 0; i < 4; i++ {
+		_, snapErr := os.Stat(s.snapPath(i))
+		_, oldErr := os.Stat(s.walOldPath(i))
+		if published := i < 2; published != (snapErr == nil) || published != os.IsNotExist(oldErr) {
+			t.Fatalf("shard %d after the failure: snapshot err %v, .wal.old err %v (published shards are pruned, the rest keep their rotated log)", i, snapErr, oldErr)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 1 || tmps[0] != obstacle {
+		t.Fatalf("tmp files after the failure: %v, want only the obstacle", tmps)
+	}
+	if got := s.Stats().Total().Checkpoints; got != 2 {
+		t.Fatalf("Checkpoints = %d after two of four shards published", got)
+	}
+	for k := uint64(128); k < 160; k++ {
+		put(k, fmt.Sprintf("after-%d", k))
+	}
+	if got := s.Snapshot(); !mapsEqualKV(got, model) {
+		t.Fatal("a failed checkpoint lost acknowledged writes from the live engine")
+	}
+	// Survives a crash in that state: reopen a copy of the files.
+	crashed := t.TempDir()
+	names, _ := filepath.Glob(filepath.Join(dir, "*"))
+	for _, n := range names {
+		if n != obstacle {
+			copyFile(t, filepath.Join(crashed, filepath.Base(n)), n)
+		}
+	}
+	expectRecovered(t, crashed, maps.Clone(model), s.ReplLSNs())
+
+	if err := os.RemoveAll(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after the obstacle was removed: %v", err)
+	}
+	if err := s.WALError(); err != nil {
+		t.Fatalf("WALError after a snapshot-file failure: %v (the logs were never at fault)", err)
+	}
+	lsns := s.ReplLSNs()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expectRecovered(t, dir, model, lsns)
 }
