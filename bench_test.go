@@ -259,7 +259,7 @@ func BenchmarkAblationInhibitN(b *testing.B) {
 		b.Run(benchName("n", int(n)), func(b *testing.B) {
 			l := bravo.New(bravo.NewBA(),
 				bravo.WithTable(bravo.NewTable(bravo.DefaultTableSize)),
-				bravo.WithInhibitN(n))
+				bravo.WithPolicy(bravo.NewInhibitPolicy(n)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tok := l.RLock()

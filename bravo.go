@@ -31,8 +31,8 @@ type TryRWLock = rwl.TryRWLock
 type HandleRWLock = rwl.HandleRWLock
 
 // Reader is a per-goroutine (or per-request) reader handle: a pinned
-// identity plus a per-lock cache of the last fast-path slot, making the
-// steady-state read one CAS with no hashing, and arming unbalanced-unlock
+// identity plus a per-lock cache of its home slot, making the steady-state
+// read one CAS with no hashing, and a hold ledger arming unbalanced-unlock
 // detection. A Reader must not be shared between concurrent goroutines.
 type Reader = rwl.Reader
 
@@ -95,8 +95,6 @@ var (
 	WithPolicy = core.WithPolicy
 	// WithStats attaches event counters (adds probe traffic, like lockstat).
 	WithStats = core.WithStats
-	// WithInhibitN tunes the 1/(N+1) writer slow-down bound (§3).
-	WithInhibitN = core.WithInhibitN
 	// WithSecondProbe probes an alternate slot before diverting (§7).
 	WithSecondProbe = core.WithSecondProbe
 	// WithRandomizedIndex selects non-deterministic slot indices (§7).
@@ -105,7 +103,9 @@ var (
 	WithRevocationMutex = core.WithRevocationMutex
 )
 
-// NewInhibitPolicy returns the paper's default policy with multiplier n.
+// NewInhibitPolicy returns the paper's default policy with multiplier n;
+// WithPolicy(NewInhibitPolicy(n)) tunes the 1/(N+1) writer slow-down bound
+// (§3).
 func NewInhibitPolicy(n int64) Policy { return bias.NewInhibitPolicy(n) }
 
 // Substrate locks. Each is usable on its own and as a New argument.

@@ -160,3 +160,99 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 		}
 	}
 }
+
+// lineCeilings is ROADMAP item 8's line budget: the most non-test Go lines
+// each top-level package — the root, each cmd/*, examples/* and internal/*
+// directory with everything below it — and the whole module outside
+// benchmark/ may hold. Set at the counts of PR 25; lower an entry when a
+// change deletes code, and raise one only in the diff that needs it.
+var lineCeilings = map[string]int{
+	".":                   372,
+	"cmd/bravobench":      153,
+	"cmd/kvserv":          284,
+	"cmd/locktorture":     81,
+	"cmd/metisbench":      70,
+	"cmd/willitscale":     62,
+	"examples/kvcache":    109,
+	"examples/locktable":  101,
+	"examples/quickstart": 63,
+	"examples/vmsim":      78,
+	"internal/arch":       26,
+	"internal/bench":      664,
+	"internal/bias":       1346,
+	"internal/cliutil":    36,
+	"internal/clock":      19,
+	"internal/cluster":    1160,
+	"internal/core":       270,
+	"internal/frame":      110,
+	"internal/hash":       86,
+	"internal/kvs":        3979,
+	"internal/kvserv":     1479,
+	"internal/lockcheck":  461,
+	"internal/locks":      1242,
+	"internal/metis":      331,
+	"internal/repl":       582,
+	"internal/rwl":        146,
+	"internal/rwsem":      534,
+	"internal/self":       52,
+	"internal/sim":        1119,
+	"internal/spin":       106,
+	"internal/topo":       69,
+	"internal/vm":         230,
+	"internal/wire":       1425,
+	"internal/xrand":      145,
+	"total":               16990,
+}
+
+// TestLineBudget counts the non-test Go lines of every top-level package
+// (benchmark/, its own module, excluded) and fails naming the package, its
+// count and its ceiling when one — or the total — exceeds lineCeilings, or
+// when a package has no ceiling at all.
+func TestLineBudget(t *testing.T) {
+	counts := map[string]int{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg := "."
+		if parts := strings.Split(filepath.ToSlash(filepath.Dir(path)), "/"); parts[0] != "." {
+			pkg = parts[0]
+			if len(parts) > 1 {
+				pkg += "/" + parts[1]
+			}
+		}
+		n := strings.Count(string(raw), "\n")
+		counts[pkg] += n
+		counts["total"] += n
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg, n := range counts {
+		switch ceiling, ok := lineCeilings[pkg]; {
+		case !ok:
+			t.Errorf("%s: %d non-test Go lines and no ceiling in lineCeilings", pkg, n)
+		case n > ceiling:
+			t.Errorf("%s: %d non-test Go lines, over its ceiling of %d", pkg, n, ceiling)
+		}
+	}
+	for pkg := range lineCeilings {
+		if counts[pkg] == 0 {
+			t.Errorf("lineCeilings names %s, which has no non-test Go; delete the entry", pkg)
+		}
+	}
+}

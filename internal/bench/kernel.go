@@ -25,7 +25,7 @@ const (
 func newMMapSem(k Kernel) vm.MMapSem {
 	if k == Bravo {
 		b := rwsem.NewBravo(rwsem.DefaultConfig())
-		b.SetTable(bias.NewTable(bias.DefaultTableSize))
+		b.Engine().SetTable(bias.NewTable(bias.DefaultTableSize))
 		return vm.BravoSem{S: b}
 	}
 	return vm.StockSem{S: rwsem.New(rwsem.DefaultConfig())}

@@ -171,9 +171,6 @@ func (a *Adaptor) RevocationDone(start, end int64) {
 	a.revokeNanos.Add(end - start)
 }
 
-// setInhibitN implements inhibitTuner.
-func (a *Adaptor) setInhibitN(n int64) { a.th.InhibitN = n }
-
 // Offer hands the adaptor the owner's current cumulative read and write
 // counts. If the deltas since the last window close fill a window, the
 // window is evaluated and the mode may flip (at most once). Contended or

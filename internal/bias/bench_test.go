@@ -41,3 +41,23 @@ func BenchmarkRLockHFast(b *testing.B) {
 		e.ReleaseFastAt(r, tok)
 	}
 }
+
+// BenchmarkRLockHCollided is a handle whose home slot a foreign identity
+// holds, so every attempt diverts: the bias check, the probe's load of the
+// occupied slot, and the collision count. It is the traffic a per-handle
+// collision memory would serve.
+func BenchmarkRLockHCollided(b *testing.B) {
+	e, _ := newEngine(AlwaysPolicy{})
+	e.SetStats(nil)
+	e.MaybeEnable()
+	r := NewReaderWithID(77)
+	if _, ok := e.table.TryPublishAt(e.table.Index(e.ID(), 77), uintptr(0xF00D0)); !ok {
+		b.Fatal("setup publish failed")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := e.TryFastH(r); ok {
+			b.Fatal("fast path through an occupied home slot")
+		}
+	}
+}

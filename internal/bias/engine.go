@@ -39,19 +39,10 @@ type Engine struct {
 	//     reader that saw its bit and only then published could be overtaken
 	//     by a revoke + re-enable that clears the bit in between (ABA on the
 	//     word); checking afterwards, it finds the bit missing and re-marks.
-	rbias atomic.Uint32
-	// epoch counts bias enablements. Reader handles that diverted on a slot
-	// collision remember the epoch and retry their home slot only after the
-	// next flip, so a steadily-colliding reader costs one branch, not one
-	// failing CAS, per acquisition.
-	epoch  atomic.Uint32
-	table  *Table
-	policy Policy
-	stats  *Stats
-	// inhibitN, when set, tunes (not replaces) a policy that carries the
-	// multiplier (InhibitPolicy, Adaptor); it is remembered so SetInhibitN
-	// and SetPolicy compose in either order.
-	inhibitN   int64
+	rbias      atomic.Uint32
+	table      *Table
+	policy     Policy
+	stats      *Stats
 	probe2     bool
 	randomized bool
 }
@@ -73,33 +64,12 @@ func (e *Engine) SetTable(t *Table) {
 	}
 }
 
-// SetPolicy installs a bias-enabling policy. A previously requested
-// inhibit multiplier is applied if the policy accepts one, so SetPolicy and
-// SetInhibitN compose in either order. Configuration-time only.
+// SetPolicy installs a bias-enabling policy. The paper's N multiplier is the
+// policy's own (NewInhibitPolicy(n), Thresholds.InhibitN), so a policy is
+// how N is set. Configuration-time only.
 func (e *Engine) SetPolicy(p Policy) {
-	if p == nil {
-		return
-	}
-	e.policy = p
-	if t, ok := p.(inhibitTuner); ok && e.inhibitN > 0 {
-		t.setInhibitN(e.inhibitN)
-	}
-}
-
-// SetInhibitN tunes the paper's N multiplier (worst-case writer slow-down
-// ≈ 1/(N+1)). It adjusts the installed policy when that policy carries the
-// multiplier (an InhibitPolicy or an Adaptor), and is remembered for the
-// default policy otherwise — it never replaces a policy installed with
-// SetPolicy. The adjustment writes through the installed policy value, which
-// is per-lock by the Policy contract: do not share one policy between locks
-// and tune it on one of them. Configuration-time only.
-func (e *Engine) SetInhibitN(n int64) {
-	if n <= 0 {
-		return
-	}
-	e.inhibitN = n
-	if t, ok := e.policy.(inhibitTuner); ok {
-		t.setInhibitN(n)
+	if p != nil {
+		e.policy = p
 	}
 }
 
@@ -126,7 +96,7 @@ func (e *Engine) Init() {
 		e.table = shared
 	}
 	if e.policy == nil {
-		e.policy = NewInhibitPolicy(e.inhibitN)
+		e.policy = NewInhibitPolicy(DefaultInhibitN)
 	}
 }
 
@@ -145,23 +115,11 @@ func (e *Engine) Table() *Table { return e.table }
 // PolicyInUse returns the installed bias-enabling policy.
 func (e *Engine) PolicyInUse() Policy { return e.policy }
 
-// StatsInUse returns the attached counters, or nil.
-func (e *Engine) StatsInUse() *Stats { return e.stats }
-
-// SecondProbe reports whether the secondary probe is enabled.
-func (e *Engine) SecondProbe() bool { return e.probe2 }
-
-// Randomized reports whether slot indices are randomized.
-func (e *Engine) Randomized() bool { return e.randomized }
-
 // Enabled reports whether reader bias is currently set.
 func (e *Engine) Enabled() bool { return e.rbias.Load()&biasBit != 0 }
 
-// Epoch returns the bias-enable generation counter.
-func (e *Engine) Epoch() uint32 { return e.epoch.Load() }
-
-// NoteDisabled records a slow read taken because bias was off.
-func (e *Engine) NoteDisabled() {
+// noteDisabled records a slow read taken because bias was off.
+func (e *Engine) noteDisabled() {
 	if e.stats != nil {
 		e.stats.SlowDisabled.Add(1)
 	}
@@ -197,27 +155,34 @@ func (e *Engine) noteHandle() {
 // permission on the substrate and then call MaybeEnable.
 func (e *Engine) TryFast(selfID uint64) (SlotToken, bool) {
 	if !e.Enabled() {
-		e.NoteDisabled()
+		e.noteDisabled()
 		return 0, false
 	}
 	return e.TryPublish(selfID)
 }
 
 // TryPublish runs the publication half of the fast path (Listing 1 lines
-// 11–23) for a reader identified by selfID: hash, CAS, optional second
-// probe, RBias recheck, undo on race. The caller must have observed
-// Enabled(). On success the returned token must be passed to ClearFast at
-// read-unlock time.
+// 11–23) for a reader identified by selfID: hash, then probe. The caller
+// must have observed Enabled(). On success the returned token must be passed
+// to ClearFast at read-unlock time.
 func (e *Engine) TryPublish(selfID uint64) (SlotToken, bool) {
-	id := e.ID()
 	if e.randomized {
 		selfID = xrand.NewSplitMix64(uint64(clock.Nanos()) ^ selfID).Next()
 	}
-	if tok, ok, done := e.publishAt(e.table.Index(id, selfID)); done {
+	return e.probe(e.table.Index(e.ID(), selfID), selfID)
+}
+
+// probe is the one publication sequence every fast read runs, anonymous or
+// through a handle: the home slot, then — with the second probe on —
+// selfID's alternate, else a collision and the slow path. An occupied slot
+// costs one load (TryPublishAt CASes only an empty one), so a reader whose
+// home is taken simply probes again on its next acquisition.
+func (e *Engine) probe(home uint32, selfID uint64) (SlotToken, bool) {
+	if tok, ok, done := e.publishAt(home); done {
 		return tok, ok
 	}
 	if e.probe2 {
-		if tok, ok, done := e.publishAt(e.table.Index2(id, selfID)); done {
+		if tok, ok, done := e.publishAt(e.table.Index2(e.ID(), selfID)); done {
 			return tok, ok
 		}
 	}
@@ -286,9 +251,7 @@ func (e *Engine) ClearFast(t SlotToken) {
 // whether to (re-)enable bias.
 func (e *Engine) MaybeEnable() {
 	if e.rbias.Load() == 0 && e.policy.ShouldEnable() {
-		if e.rbias.CompareAndSwap(0, biasBit) {
-			e.epoch.Add(1)
-		}
+		e.rbias.CompareAndSwap(0, biasBit)
 	}
 }
 

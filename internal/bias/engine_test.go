@@ -34,77 +34,6 @@ func TestEngineInitDefaults(t *testing.T) {
 	}
 }
 
-func TestEngineInhibitNAndPolicyComposeInAnyOrder(t *testing.T) {
-	// SetInhibitN before SetPolicy: the multiplier lands on the policy.
-	e1 := &Engine{}
-	e1.SetInhibitN(3)
-	e1.SetPolicy(NewInhibitPolicy(0))
-	e1.Init()
-	if p := e1.PolicyInUse().(*InhibitPolicy); p.N != 3 {
-		t.Fatalf("SetInhibitN then SetPolicy: N = %d, want 3", p.N)
-	}
-	// SetPolicy before SetInhibitN: same outcome.
-	e2 := &Engine{}
-	e2.SetPolicy(NewInhibitPolicy(0))
-	e2.SetInhibitN(3)
-	e2.Init()
-	if p := e2.PolicyInUse().(*InhibitPolicy); p.N != 3 {
-		t.Fatalf("SetPolicy then SetInhibitN: N = %d, want 3", p.N)
-	}
-	// A non-inhibit policy is never replaced by SetInhibitN, in either order.
-	e3 := &Engine{}
-	e3.SetInhibitN(3)
-	e3.SetPolicy(AlwaysPolicy{})
-	e3.Init()
-	if _, ok := e3.PolicyInUse().(AlwaysPolicy); !ok {
-		t.Fatalf("SetInhibitN replaced an explicit policy: %#v", e3.PolicyInUse())
-	}
-	e4 := &Engine{}
-	e4.SetPolicy(AlwaysPolicy{})
-	e4.SetInhibitN(3)
-	e4.Init()
-	if _, ok := e4.PolicyInUse().(AlwaysPolicy); !ok {
-		t.Fatalf("SetInhibitN after SetPolicy replaced it: %#v", e4.PolicyInUse())
-	}
-	// SetInhibitN alone tunes the default policy.
-	e5 := &Engine{}
-	e5.SetInhibitN(3)
-	e5.Init()
-	if p := e5.PolicyInUse().(*InhibitPolicy); p.N != 3 {
-		t.Fatalf("SetInhibitN alone: default policy N = %d, want 3", p.N)
-	}
-}
-
-// TestEngineAdaptiveSetterOrderConverges extends the "tunes, never replaces"
-// ordering contract to an Adaptor policy: SetPolicy(adaptor) and SetInhibitN
-// in either order leave the adaptor installed with the tuned multiplier, and
-// bias gated by its mode.
-func TestEngineAdaptiveSetterOrderConverges(t *testing.T) {
-	for _, policyFirst := range []bool{true, false} {
-		e, ad := &Engine{}, NewAdaptor(Thresholds{})
-		if policyFirst {
-			e.SetPolicy(ad)
-			e.SetInhibitN(5)
-		} else {
-			e.SetInhibitN(5)
-			e.SetPolicy(ad)
-		}
-		e.SetTable(NewTable(DefaultTableSize))
-		e.Init()
-		if e.PolicyInUse() != Policy(ad) || ad.th.InhibitN != 5 {
-			t.Fatalf("policyFirst=%v: policy %#v, N = %d; want the adaptor with N = 5", policyFirst, e.PolicyInUse(), ad.th.InhibitN)
-		}
-		for _, m := range []Mode{ModeBiased, ModeNeutral, ModeBiased} {
-			e.forceBias(false)
-			ad.ForceMode(m)
-			e.MaybeEnable()
-			if e.Enabled() != (m == ModeBiased) {
-				t.Fatalf("policyFirst=%v: bias enabled = %v in mode %v", policyFirst, e.Enabled(), m)
-			}
-		}
-	}
-}
-
 func TestEngineFastPathRoundTrip(t *testing.T) {
 	e, st := newEngine(AlwaysPolicy{})
 	if _, ok := e.TryFast(42); ok {
@@ -149,26 +78,6 @@ func TestEngineRacedReaderFallsBack(t *testing.T) {
 	}
 	if st.SlowRaced.Load() != 1 {
 		t.Fatalf("raced fallback not recorded: %s", st.Snapshot())
-	}
-}
-
-func TestEngineEpochCountsEnablements(t *testing.T) {
-	e, _ := newEngine(AlwaysPolicy{})
-	if e.Epoch() != 0 {
-		t.Fatalf("fresh epoch = %d", e.Epoch())
-	}
-	e.MaybeEnable()
-	if e.Epoch() != 1 {
-		t.Fatalf("epoch after enable = %d, want 1", e.Epoch())
-	}
-	e.MaybeEnable() // already enabled: no flip, no bump
-	if e.Epoch() != 1 {
-		t.Fatalf("epoch bumped without a flip: %d", e.Epoch())
-	}
-	e.Revoke()
-	e.MaybeEnable()
-	if e.Epoch() != 2 {
-		t.Fatalf("epoch after revoke+enable = %d, want 2", e.Epoch())
 	}
 }
 

@@ -11,16 +11,14 @@ import (
 // path, exactly like a table collision.
 const ReaderSlots = 8
 
-// Reader is a per-goroutine reader handle: a pinned identity plus a
-// per-lock cache of the last fast-path slot. The paper's fast path is
-// Hash(L, Self) + one CAS, and its §5.2 analysis attributes BRAVO's wins to
-// readers re-hitting the same slot; a handle exploits that stability by
-// paying the identity derivation and the hash once, so a steady-state read
-// is a single CAS at the cached index.
+// Reader is a per-goroutine reader handle: a pinned identity, a per-lock
+// cache of the home slot and a ledger of outstanding holds. The paper's fast
+// path is Hash(L, Self) + one CAS, and its §5.2 analysis attributes BRAVO's
+// wins to readers re-hitting the same slot; a handle exploits that stability
+// by paying the identity derivation and the hash once, so a steady-state
+// read is the engine's one probe sequence started at the cached index.
 //
-// Each cache entry also remembers collisions (a diverted reader retries its
-// home slot only after bias flips, see Engine.epoch) and records
-// outstanding holds, which is what lets the release path detect unbalanced
+// The hold ledger is what lets the release path detect unbalanced
 // read-unlocks — the per-acquirer bookkeeping role the POSIX per-thread
 // held-lock lists play in §3 and the kernel's per-task state plays in §4.
 //
@@ -41,14 +39,16 @@ type Reader struct {
 // entry flags.
 const (
 	entFastHeld = 1 << iota // a fast-path acquisition at slot is outstanding
-	entDiverted             // collided at epoch; slow-path until bias flips
 )
 
 // readerEntry caches one lock's fast-path state on a handle.
 type readerEntry struct {
-	eng   *Engine
-	slot  uint32
-	epoch uint32
+	eng *Engine
+	// home is the handle's home slot for eng, hashed once at alloc; slot is
+	// where the outstanding fast-path hold was published (home, or the
+	// second probe's alternate, or a randomized index).
+	home uint32
+	slot uint32
 	// gen is the slot generation captured by the outstanding fast-path
 	// publication (meaningful while entFastHeld is set); the release hands
 	// it to ClearOwned so an unbalanced unlock is caught at the table too.
@@ -100,8 +100,8 @@ func (r *Reader) lookup(e *Engine) *readerEntry {
 }
 
 // alloc returns a fresh entry for e, evicting an unpinned entry if needed;
-// nil when every entry has an outstanding hold. The new entry's slot is the
-// home slot — the one hash this handle ever pays for e in the common case.
+// nil when every entry has an outstanding hold. The new entry caches the
+// home slot — the one hash this handle ever pays for e.
 func (r *Reader) alloc(e *Engine) *readerEntry {
 	var victim *readerEntry
 	for i := range r.entries {
@@ -125,25 +125,20 @@ func (r *Reader) alloc(e *Engine) *readerEntry {
 			return nil
 		}
 	}
-	*victim = readerEntry{eng: e, slot: e.table.Index(e.ID(), r.id)}
+	*victim = readerEntry{eng: e, home: e.table.Index(e.ID(), r.id)}
 	return victim
 }
 
 // TryFastH attempts the complete fast-path read prefix for handle r: the
-// RBias check, then publication at r's cached slot for this engine — the
-// steady-state path is one CAS with no identity derivation and no hashing.
-// Callers that failed must acquire read permission on the substrate and
-// then call SlowLockedH followed by MaybeEnable.
+// RBias check, then the engine's probe sequence started at r's cached home
+// slot — no identity derivation and no hashing in the steady state — and
+// the hold recorded on r. Callers that failed must acquire read permission
+// on the substrate and then call SlowLockedH followed by MaybeEnable.
 func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
 	if !e.Enabled() {
-		e.NoteDisabled()
+		e.noteDisabled()
 		return 0, false
 	}
-	// Snapshot the bias generation before probing: a collision recorded
-	// below must carry the epoch that was current when the slot was
-	// observed occupied, not one bumped by a concurrent revoke+re-enable
-	// mid-call (which would extend the diversion through the next epoch).
-	epoch := e.epoch.Load()
 	ent := r.lookup(e)
 	if ent == nil {
 		if ent = r.alloc(e); ent == nil {
@@ -160,75 +155,19 @@ func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
 		e.noteHandle()
 		return 0, false
 	}
+	var tok SlotToken
+	var ok bool
 	if e.randomized {
-		// Randomized indices change per acquisition by design; take the
-		// hashing path and track only the hold.
-		tok, ok := e.TryPublish(r.id)
-		if ok {
-			ent.slot = tok.Index()
-			ent.gen = tok.Gen()
-			ent.flags |= entFastHeld
-		}
-		return tok, ok
+		// Randomized indices change per acquisition by design: no home.
+		tok, ok = e.TryPublish(r.id)
+	} else {
+		tok, ok = e.probe(ent.home, r.id)
 	}
-	if ent.flags&entDiverted != 0 {
-		if ent.epoch == epoch {
-			// Collision memory: the home slot was occupied earlier this
-			// bias epoch; skip the doomed CAS until bias flips. This is a
-			// deliberate trade — a diverted reader stays slow until the
-			// next revoke/re-enable cycle even if the occupant has left —
-			// buying a branch instead of a failing CAS per acquisition;
-			// at the paper's table sizing collisions are rare enough that
-			// the anonymous RLock path remains the fallback of choice for
-			// locks that never see writers.
-			e.noteCollision()
-			return 0, false
-		}
-		ent.flags &^= entDiverted
-		ent.slot = e.table.Index(e.ID(), r.id) // retry the home slot
+	if ok {
+		ent.slot, ent.gen = tok.Index(), tok.Gen()
+		ent.flags |= entFastHeld
 	}
-	if tok, ok, done := e.publishAt(ent.slot); done {
-		if ok {
-			ent.gen = tok.Gen()
-			ent.flags |= entFastHeld
-		}
-		return tok, ok
-	}
-	// Cached slot occupied: fall back to the full probe sequence, skipping
-	// the slot already tried. The cached slot may be a second-probe
-	// alternate from an earlier rescue, so the true home slot must be
-	// retried here — otherwise a handle would divert while the anonymous
-	// path still succeeds. Hashing on this path is fine; only the steady
-	// state needs to avoid it.
-	home := e.table.Index(e.ID(), r.id)
-	if home != ent.slot {
-		if tok, ok, done := e.publishAt(home); done {
-			if ok {
-				ent.slot = home
-				ent.gen = tok.Gen()
-				ent.flags |= entFastHeld
-			}
-			return tok, ok
-		}
-	}
-	if e.probe2 {
-		if alt := e.table.Index2(e.ID(), r.id); alt != ent.slot && alt != home {
-			if tok, ok, done := e.publishAt(alt); done {
-				if ok {
-					// The alternate becomes the cached slot; a steady
-					// diverted-then-rescued reader keeps hitting it.
-					ent.slot = alt
-					ent.gen = tok.Gen()
-					ent.flags |= entFastHeld
-				}
-				return tok, ok
-			}
-		}
-	}
-	e.noteCollision()
-	ent.flags |= entDiverted
-	ent.epoch = epoch
-	return 0, false
+	return tok, ok
 }
 
 // ReleaseFast releases r's outstanding fast-path hold on e, clearing the
@@ -294,12 +233,11 @@ func (e *Engine) SlowUnlockedH(r *Reader) {
 	panic("bias: unbalanced slow-path RUnlock (double unlock or unlock without lock)")
 }
 
-// CachedSlot exposes r's cached slot and divert state for e (diagnostics
-// and tests).
-func (r *Reader) CachedSlot(e *Engine) (slot uint32, diverted, ok bool) {
+// CachedSlot exposes r's cached home slot for e (diagnostics and tests).
+func (r *Reader) CachedSlot(e *Engine) (home uint32, ok bool) {
 	ent := r.lookup(e)
 	if ent == nil {
-		return 0, false, false
+		return 0, false
 	}
-	return ent.slot, ent.flags&entDiverted != 0, true
+	return ent.home, true
 }

@@ -1,6 +1,14 @@
 package bias
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -32,19 +40,23 @@ func TestReaderSteadyStateUsesCachedSlot(t *testing.T) {
 	if st.FastRead.Load() != 100 {
 		t.Fatalf("want 100 fast reads: %s", st.Snapshot())
 	}
-	if slot, diverted, ok := r.CachedSlot(e); !ok || diverted || slot != home {
-		t.Fatalf("cache entry wrong: slot=%d diverted=%v ok=%v", slot, diverted, ok)
+	if slot, ok := r.CachedSlot(e); !ok || slot != home {
+		t.Fatalf("cache entry wrong: slot=%d ok=%v", slot, ok)
 	}
 	if e.table.Occupancy() != 0 {
 		t.Fatal("table dirty after balanced handle reads")
 	}
 }
 
-func TestReaderCollisionMemorySkipsDoomedCAS(t *testing.T) {
+// TestHandleRecoversAfterTransientCollision: a foreign identity occupies the
+// handle's home slot for one acquisition; once it clears, the next TryFastH
+// publishes there with no write — and so no bias flip — in between. A
+// per-handle collision memory would keep it diverted until a writer revoked
+// and a reader re-enabled: on a lock no writer touches, forever.
+func TestHandleRecoversAfterTransientCollision(t *testing.T) {
 	e, st := biasedEngine(t)
 	r := NewReaderWithID(77)
 	home := e.table.Index(e.ID(), 77)
-	// A foreign occupant camps on the home slot.
 	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
 		t.Fatal("setup publish failed")
 	}
@@ -54,79 +66,60 @@ func TestReaderCollisionMemorySkipsDoomedCAS(t *testing.T) {
 	if st.SlowCollision.Load() != 1 {
 		t.Fatalf("collision not counted: %s", st.Snapshot())
 	}
-	if _, diverted, ok := r.CachedSlot(e); !ok || !diverted {
-		t.Fatal("collision not remembered on the handle")
-	}
-	// Same epoch: the handle must not retry (still one collision counted
-	// per attempt, but the table word is never CASed — verified by the
-	// divert flag staying set even after the occupant leaves).
 	e.table.Clear(home)
-	if _, ok := e.TryFastH(r); ok {
-		t.Fatal("diverted reader retried home slot without a bias flip")
-	}
-	if st.SlowCollision.Load() != 2 {
-		t.Fatalf("remembered collision not counted: %s", st.Snapshot())
-	}
-	// Bias flips (revoke, then a slow reader re-enables): the reader
-	// retries its home slot and recovers the fast path.
-	e.Revoke()
-	e.MaybeEnable()
 	idx, ok := e.TryFastH(r)
 	if !ok || idx.Index() != home {
-		t.Fatalf("reader did not reclaim home slot after bias flip: ok=%v idx=%d", ok, idx.Index())
+		t.Fatalf("still diverted: ok=%v idx=%d, want the free home slot %d (%s)", ok, idx.Index(), home, st.Snapshot())
 	}
 	e.ReleaseFastAt(r, idx)
+	if st.WriteRevoke.Load() != 0 || st.SlowCollision.Load() != 1 {
+		t.Fatalf("want one collision and no revocation: %s", st.Snapshot())
+	}
 }
 
-func TestReaderSecondProbeCachesAlternate(t *testing.T) {
-	e, st := biasedEngine(t, func(e *Engine) { e.SetSecondProbe() })
-	// Choose an identity whose probes differ.
+// probe2Reader returns a biased second-probe engine and a handle whose home
+// and alternate slots differ.
+func probe2Reader(t *testing.T) (e *Engine, st *Stats, r *Reader, home, alt uint32) {
+	t.Helper()
+	e, st = biasedEngine(t, func(e *Engine) { e.SetSecondProbe() })
 	id := uint64(0)
 	for ; id < 1000; id++ {
 		if e.table.Index(e.ID(), id) != e.table.Index2(e.ID(), id) {
 			break
 		}
 	}
-	r := NewReaderWithID(id)
-	home := e.table.Index(e.ID(), id)
-	alt := e.table.Index2(e.ID(), id)
+	return e, st, NewReaderWithID(id), e.table.Index(e.ID(), id), e.table.Index2(e.ID(), id)
+}
+
+// TestReaderAlternateRescuesEachAcquisition: while the home slot stays
+// occupied, every acquisition probes home, finds it taken and is rescued at
+// the alternate — nothing about the rescue is remembered between them.
+func TestReaderAlternateRescuesEachAcquisition(t *testing.T) {
+	e, st, r, home, alt := probe2Reader(t)
+	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
+		t.Fatal("setup publish failed")
+	}
+	for i := 0; i < 3; i++ {
+		idx, ok := e.TryFastH(r)
+		if !ok || idx.Index() != alt {
+			t.Fatalf("acquisition %d: ok=%v idx=%d, want the alternate %d (%s)", i, ok, idx.Index(), alt, st.Snapshot())
+		}
+		e.ReleaseFastAt(r, idx)
+	}
+	if slot, ok := r.CachedSlot(e); !ok || slot != home {
+		t.Fatalf("cached slot = %d, want home %d: a rescue must not move it", slot, home)
+	}
+	e.table.Clear(home)
+}
+
+// TestReaderTriesHomeFirst: after a rescue at the alternate, a free home slot
+// is where the next acquisition lands, even with the alternate now occupied.
+func TestReaderTriesHomeFirst(t *testing.T) {
+	e, _, r, home, alt := probe2Reader(t)
 	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
 		t.Fatal("setup publish failed")
 	}
 	idx, ok := e.TryFastH(r)
-	if !ok || idx.Index() != alt {
-		t.Fatalf("second probe did not rescue: ok=%v idx=%d want %d (%s)", ok, idx.Index(), alt, st.Snapshot())
-	}
-	e.ReleaseFastAt(r, idx)
-	// The alternate is now the cached slot: with the home still occupied,
-	// the steady state hits it directly.
-	idx, ok = e.TryFastH(r)
-	if !ok || idx.Index() != alt {
-		t.Fatalf("alternate slot not cached: ok=%v idx=%d want %d", ok, idx.Index(), alt)
-	}
-	e.ReleaseFastAt(r, idx)
-	e.table.Clear(home)
-}
-
-func TestReaderReclaimsHomeWhenCachedAlternateCollides(t *testing.T) {
-	// Regression: after a second-probe rescue the handle caches the
-	// alternate slot; if that later collides while the home slot is free,
-	// the handle must fall back to the home probe rather than diverting
-	// (the anonymous path would succeed there).
-	e, _ := biasedEngine(t, func(e *Engine) { e.SetSecondProbe() })
-	id := uint64(0)
-	for ; id < 1000; id++ {
-		if e.table.Index(e.ID(), id) != e.table.Index2(e.ID(), id) {
-			break
-		}
-	}
-	r := NewReaderWithID(id)
-	home := e.table.Index(e.ID(), id)
-	alt := e.table.Index2(e.ID(), id)
-	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
-		t.Fatal("setup publish failed")
-	}
-	idx, ok := e.TryFastH(r) // rescued at the alternate; alt becomes cached
 	if !ok || idx.Index() != alt {
 		t.Fatalf("setup rescue failed: ok=%v idx=%d", ok, idx.Index())
 	}
@@ -137,7 +130,7 @@ func TestReaderReclaimsHomeWhenCachedAlternateCollides(t *testing.T) {
 	}
 	idx, ok = e.TryFastH(r)
 	if !ok || idx.Index() != home {
-		t.Fatalf("handle did not reclaim free home slot: ok=%v idx=%d want %d", ok, idx.Index(), home)
+		t.Fatalf("handle did not take its free home slot: ok=%v idx=%d want %d", ok, idx.Index(), home)
 	}
 	e.ReleaseFastAt(r, idx)
 	e.table.Clear(alt)
@@ -211,7 +204,7 @@ func TestReaderEvictionPrefersUnpinned(t *testing.T) {
 		e.ReleaseFastAt(r, idx)
 	}
 	// The pinned entry must have survived every eviction.
-	if slot, _, ok := r.CachedSlot(held); !ok || slot != heldIdx.Index() {
+	if slot, ok := r.CachedSlot(held); !ok || slot != heldIdx.Index() {
 		t.Fatal("eviction displaced a held entry")
 	}
 	held.ReleaseFastAt(r, heldIdx)
@@ -303,5 +296,147 @@ func TestReaderRandomizedEngineStillTracksHolds(t *testing.T) {
 	e.ReleaseFastAt(r, idx)
 	if r.Held() != 0 || e.table.Occupancy() != 0 {
 		t.Fatal("randomized release broken")
+	}
+}
+
+// probeCallers maps publishAt, Index2 and probe to the functions whose bodies
+// call them as methods; package-qualified calls (hash.Index2) are not theirs.
+func probeCallers(files []*ast.File) map[string][]string {
+	callers := map[string][]string{}
+	for _, f := range files {
+		imported := map[string]bool{}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			imported[p[strings.LastIndex(p, "/")+1:]] = true
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, _ := n.(*ast.CallExpr)
+				if call == nil {
+					return true
+				}
+				m, _ := call.Fun.(*ast.SelectorExpr)
+				if m == nil {
+					return true
+				}
+				if pkg, ok := m.X.(*ast.Ident); ok && imported[pkg.Name] {
+					return true
+				}
+				switch m.Sel.Name {
+				case "publishAt", "Index2", "probe":
+					callers[m.Sel.Name] = append(callers[m.Sel.Name], fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	return callers
+}
+
+// probeViolations lists every call that breaks the one-probe-sequence rule:
+// publishAt and Table.Index2 are called only from probe, and probe only from
+// TryPublish and TryFastH.
+func probeViolations(callers map[string][]string) []string {
+	allowed := map[string]map[string]bool{
+		"publishAt": {"probe": true},
+		"Index2":    {"probe": true},
+		"probe":     {"TryPublish": true, "TryFastH": true},
+	}
+	var bad []string
+	for callee, fns := range callers {
+		for _, fn := range fns {
+			if !allowed[callee][fn] {
+				bad = append(bad, fmt.Sprintf("%s calls %s", fn, callee))
+			}
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+// parentTryFastH is TryFastH as it stood before it shared the probe sequence
+// (commit 3c7d4e9), comments and its collision-memory branch elided: the
+// negative control TestOneProbeSequence must refute.
+const parentTryFastH = `package bias
+
+func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
+	ent := r.lookup(e)
+	if tok, ok, done := e.publishAt(ent.slot); done {
+		if ok {
+			ent.gen = tok.Gen()
+			ent.flags |= entFastHeld
+		}
+		return tok, ok
+	}
+	home := e.table.Index(e.ID(), r.id)
+	if home != ent.slot {
+		if tok, ok, done := e.publishAt(home); done {
+			if ok {
+				ent.slot = home
+				ent.gen = tok.Gen()
+				ent.flags |= entFastHeld
+			}
+			return tok, ok
+		}
+	}
+	if e.probe2 {
+		if alt := e.table.Index2(e.ID(), r.id); alt != ent.slot && alt != home {
+			if tok, ok, done := e.publishAt(alt); done {
+				if ok {
+					ent.slot = alt
+					ent.gen = tok.Gen()
+					ent.flags |= entFastHeld
+				}
+				return tok, ok
+			}
+		}
+	}
+	e.noteCollision()
+	return 0, false
+}
+`
+
+// TestOneProbeSequence pins, in the source, that every fast read — anonymous
+// or through a handle — publishes through one probe sequence, so a handle
+// can never again keep a second copy of it with its own rules.
+func TestOneProbeSequence(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	callers := probeCallers(files)
+	for _, v := range probeViolations(callers) {
+		t.Error(v)
+	}
+	got := strings.Join(callers["probe"], ",")
+	if got != "TryPublish,TryFastH" && got != "TryFastH,TryPublish" {
+		t.Errorf("probe is called from [%s], want TryPublish and TryFastH once each", got)
+	}
+	// Negative control: the parent's handle path, which re-implemented the
+	// sequence beside TryPublish, must fail the same check.
+	parent, err := parser.ParseFile(fset, "parent.go", parentTryFastH, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := probeViolations(probeCallers([]*ast.File{parent}))
+	want := []string{"TryFastH calls Index2", "TryFastH calls publishAt", "TryFastH calls publishAt", "TryFastH calls publishAt"}
+	if fmt.Sprint(bad) != fmt.Sprint(want) {
+		t.Errorf("negative control: violations %q, want %q", bad, want)
 	}
 }

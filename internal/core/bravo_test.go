@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/clock"
@@ -31,6 +32,23 @@ func newBiased(t *testing.T, opts ...Option) (*Lock, *bias.Stats) {
 		t.Fatal("bias not enabled by slow read under AlwaysPolicy")
 	}
 	return l, st
+}
+
+// TestLockFootprint: the summary lives in rbias's spare bits and adaptivity
+// and N in the policy, so Engine is six words. core.Lock must stay within the
+// 80-byte allocation size class: that class is what one lock costs in
+// lock-read's mem_bytes_per_item, whose bound is 5 %, and the next class up
+// is 96 bytes.
+func TestLockFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit ports")
+	}
+	if got := unsafe.Sizeof(bias.Engine{}); got != 48 {
+		t.Errorf("bias.Engine is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(Lock{}); got > 80 {
+		t.Errorf("core.Lock is %d bytes, want at most 80", got)
+	}
 }
 
 func TestBiasInitiallyDisabled(t *testing.T) {

@@ -5,11 +5,10 @@ import (
 )
 
 // Reader is a per-goroutine (or per-request) reader handle: a pinned
-// identity plus a per-lock cache of the last fast-path table slot. Passing
-// one through a HandleRWLock read path removes the identity derivation and
-// the hash from the steady state — the acquisition is a single CAS at the
-// cached index — and arms unbalanced-unlock detection via the handle's
-// held-slot record.
+// identity plus a per-lock cache of its home table slot. Passing one through
+// a HandleRWLock read path removes the identity derivation and the hash from
+// the steady state — the acquisition is a single CAS at the cached index —
+// and arms unbalanced-unlock detection via the handle's held-slot record.
 //
 // A Reader must not be used from two goroutines at once.
 type Reader = bias.Reader

@@ -34,9 +34,9 @@ func TestBravoTwoTasksOneSlotDiverts(t *testing.T) {
 	tab := bias.NewTable(64)
 	st := &bias.Stats{}
 	b := NewBravo(DefaultConfig())
-	b.SetTable(tab)
-	b.SetPolicy(bias.AlwaysPolicy{})
-	b.SetStats(st)
+	b.Engine().SetTable(tab)
+	b.Engine().SetPolicy(bias.AlwaysPolicy{})
+	b.Engine().SetStats(st)
 	t1, t2 := collidingTasks(t, tab, b, false)
 	b.DownRead(t1) // slow, enables bias
 	b.UpRead(t1)
@@ -62,10 +62,10 @@ func TestBravoTwoTasksOneSlotSecondProbeRescues(t *testing.T) {
 	tab := bias.NewTable(64)
 	st := &bias.Stats{}
 	b := NewBravo(DefaultConfig())
-	b.SetTable(tab)
-	b.SetPolicy(bias.AlwaysPolicy{})
-	b.SetStats(st)
-	b.SetSecondProbe()
+	b.Engine().SetTable(tab)
+	b.Engine().SetPolicy(bias.AlwaysPolicy{})
+	b.Engine().SetStats(st)
+	b.Engine().SetSecondProbe()
 	t1, t2 := collidingTasks(t, tab, b, true)
 	b.DownRead(t1)
 	b.UpRead(t1)
@@ -91,17 +91,16 @@ func TestBravoTwoTasksOneSlotSecondProbeRescues(t *testing.T) {
 func TestBravoSlotCacheAvoidsRehash(t *testing.T) {
 	tab := bias.NewTable(bias.DefaultTableSize)
 	b := NewBravo(DefaultConfig())
-	b.SetTable(tab)
-	b.SetPolicy(bias.AlwaysPolicy{})
+	b.Engine().SetTable(tab)
+	b.Engine().SetPolicy(bias.AlwaysPolicy{})
 	task := NewTask()
 	b.DownRead(task)
 	b.UpRead(task)
 	home := tab.Index(b.Engine().ID(), task.ID)
 	for i := 0; i < 50; i++ {
 		b.DownRead(task)
-		if slot, diverted, ok := task.Reader().CachedSlot(b.Engine()); !ok || diverted || slot != home {
-			t.Fatalf("iteration %d: cache entry slot=%d diverted=%v ok=%v, want home %d",
-				i, slot, diverted, ok, home)
+		if slot, ok := task.Reader().CachedSlot(b.Engine()); !ok || slot != home {
+			t.Fatalf("iteration %d: cache entry slot=%d ok=%v, want home %d", i, slot, ok, home)
 		}
 		b.UpRead(task)
 	}
@@ -110,9 +109,9 @@ func TestBravoSlotCacheAvoidsRehash(t *testing.T) {
 func TestBravoStatsCountPaths(t *testing.T) {
 	st := &bias.Stats{}
 	b := NewBravo(DefaultConfig())
-	b.SetTable(bias.NewTable(bias.DefaultTableSize))
-	b.SetPolicy(bias.AlwaysPolicy{})
-	b.SetStats(st)
+	b.Engine().SetTable(bias.NewTable(bias.DefaultTableSize))
+	b.Engine().SetPolicy(bias.AlwaysPolicy{})
+	b.Engine().SetStats(st)
 	task := NewTask()
 	b.DownRead(task) // slow: bias disabled
 	b.UpRead(task)
@@ -131,8 +130,8 @@ func TestBravoStatsCountPaths(t *testing.T) {
 
 func TestBravoCustomPolicyHonored(t *testing.T) {
 	b := NewBravo(DefaultConfig())
-	b.SetTable(bias.NewTable(64))
-	b.SetPolicy(bias.NeverPolicy{})
+	b.Engine().SetTable(bias.NewTable(64))
+	b.Engine().SetPolicy(bias.NeverPolicy{})
 	task := NewTask()
 	for i := 0; i < 20; i++ {
 		b.DownRead(task)
@@ -143,25 +142,37 @@ func TestBravoCustomPolicyHonored(t *testing.T) {
 	}
 }
 
-func TestBravoInhibitNTunesNotReplaces(t *testing.T) {
-	// SetInhibitN then SetPolicy (and the reverse) must both land N on an
-	// inhibit policy and never displace a custom one.
-	b1 := NewBravo(DefaultConfig())
-	b1.SetInhibitN(7)
-	if p, ok := b1.Engine().PolicyInUse().(*bias.InhibitPolicy); !ok || p.N != 7 {
-		t.Fatalf("SetInhibitN on default policy: %#v", b1.Engine().PolicyInUse())
+// TestBravoRecoversAfterTransientCollision: a task whose home slot another
+// lock held for one DownRead is back on the fast path as soon as the slot is
+// free, with no write (and so no bias flip) in between.
+func TestBravoRecoversAfterTransientCollision(t *testing.T) {
+	tab := bias.NewTable(64)
+	b := NewBravo(DefaultConfig())
+	b.Engine().SetTable(tab)
+	b.Engine().SetPolicy(bias.AlwaysPolicy{})
+	task := NewTask()
+	b.DownRead(task) // slow, enables bias
+	b.UpRead(task)
+	home := tab.Index(b.Engine().ID(), task.ID)
+	if _, ok := tab.TryPublishAt(home, uintptr(0xF00D0)); !ok {
+		t.Fatal("setup publish failed")
 	}
-	b2 := NewBravo(DefaultConfig())
-	b2.SetPolicy(bias.AlwaysPolicy{})
-	b2.SetInhibitN(7)
-	if _, ok := b2.Engine().PolicyInUse().(bias.AlwaysPolicy); !ok {
-		t.Fatalf("SetInhibitN replaced a custom policy: %#v", b2.Engine().PolicyInUse())
+	b.DownRead(task)
+	if task.Holds() != 0 {
+		t.Fatal("task took the fast path through an occupied home slot")
 	}
+	b.UpRead(task)
+	tab.Clear(home)
+	b.DownRead(task)
+	if task.Holds() != 1 {
+		t.Fatal("task still diverted after its home slot emptied")
+	}
+	b.UpRead(task)
 }
 
 func TestBravoUnbalancedUpReadPanics(t *testing.T) {
 	b := NewBravo(DefaultConfig())
-	b.SetTable(bias.NewTable(64))
+	b.Engine().SetTable(bias.NewTable(64))
 	task := NewTask()
 	b.DownRead(task)
 	b.UpRead(task)

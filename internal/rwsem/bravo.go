@@ -17,10 +17,10 @@ import (
 //
 // The paper's patch assumes the semaphore is released by the task that
 // acquired it for read, and we keep that assumption: the task's reader
-// handle records fast-path holds (and caches the slot between acquisitions,
-// so a steady-state reader re-publishes without rehashing), resolving the
-// rare hash-collision ambiguity that pure slot-content comparison would
-// leave (two tasks whose (task, sem) pairs hash to the same slot).
+// handle records fast-path holds (and caches the home slot, so a
+// steady-state reader re-publishes without rehashing), resolving the rare
+// hash-collision ambiguity that pure slot-content comparison would leave
+// (two tasks whose (task, sem) pairs hash to the same slot).
 type Bravo struct {
 	inner *RWSem
 	eng   bias.Engine
@@ -28,7 +28,7 @@ type Bravo struct {
 
 // NewBravo wraps a fresh rwsem with the BRAVO reader fast path. The visible
 // readers table is shared process-wide (bias.SharedTable) unless overridden
-// with SetTable.
+// through Engine().SetTable.
 func NewBravo(cfg Config) *Bravo {
 	// The paper's kernel integration also fixes the owner-field writes
 	// (§4); BRAVO-rwsem therefore defaults to the optimized owner protocol.
@@ -38,41 +38,19 @@ func NewBravo(cfg Config) *Bravo {
 	return b
 }
 
-// SetTable redirects fast-path publication — a private table, or a BRAVO-2D
-// sectored one (testing and ablations). Configuration-time only.
-func (b *Bravo) SetTable(t *bias.Table) { b.eng.SetTable(t) }
-
-// SetInhibitN tunes the slow-down guard multiplier of the inhibit policy
-// without replacing an installed policy. Configuration-time only.
-func (b *Bravo) SetInhibitN(n int64) { b.eng.SetInhibitN(n) }
-
-// SetPolicy installs a bias-enabling policy (the §3 ablation reaches the
-// kernel analogue too). Configuration-time only.
-func (b *Bravo) SetPolicy(p bias.Policy) { b.eng.SetPolicy(p) }
-
-// SetStats attaches event counters, the lockstat analogue (§6).
-// Configuration-time only.
-func (b *Bravo) SetStats(s *bias.Stats) { b.eng.SetStats(s) }
-
-// SetSecondProbe enables the secondary table probe (§7).
-// Configuration-time only.
-func (b *Bravo) SetSecondProbe() { b.eng.SetSecondProbe() }
-
-// SetRandomizedIndex selects non-deterministic slot indices (§7).
-// Configuration-time only.
-func (b *Bravo) SetRandomizedIndex() { b.eng.SetRandomizedIndex() }
-
 // Inner exposes the wrapped rwsem. Diagnostic.
 func (b *Bravo) Inner() *RWSem { return b.inner }
 
-// Engine exposes the embedded biasing engine. Diagnostic.
+// Engine exposes the embedded biasing engine: its Set* methods configure the
+// semaphore before first use (a private or 2D table, a policy, stats, the §7
+// probe variants), and the rest are diagnostics.
 func (b *Bravo) Engine() *bias.Engine { return &b.eng }
 
 // Biased reports whether reader bias is enabled. Diagnostic.
 func (b *Bravo) Biased() bool { return b.eng.Enabled() }
 
 // DownRead acquires read permission for t, preferring the table fast path
-// through t's reader handle (cached slot, no rehash in steady state).
+// through t's reader handle (cached home slot, no rehash in steady state).
 func (b *Bravo) DownRead(t *Task) {
 	if _, ok := b.eng.TryFastH(&t.r); ok {
 		return

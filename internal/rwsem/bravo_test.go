@@ -12,7 +12,7 @@ import (
 
 func newBravoPrivate() *Bravo {
 	b := NewBravo(DefaultConfig())
-	b.SetTable(bias.NewTable(bias.DefaultTableSize))
+	b.Engine().SetTable(bias.NewTable(bias.DefaultTableSize))
 	return b
 }
 
@@ -77,7 +77,7 @@ func TestBravoSameTaskMultipleSems(t *testing.T) {
 	sems := make([]*Bravo, 4)
 	for i := range sems {
 		sems[i] = NewBravo(DefaultConfig())
-		sems[i].SetTable(tab)
+		sems[i].Engine().SetTable(tab)
 		sems[i].DownRead(task)
 		sems[i].UpRead(task)
 	}
@@ -113,7 +113,7 @@ func TestBravoHeldOverflowDivertsToSlowPath(t *testing.T) {
 			continue
 		}
 		slots[slot] = true
-		s.SetTable(tab)
+		s.Engine().SetTable(tab)
 		s.DownRead(task)
 		s.UpRead(task)
 		sems = append(sems, s)
@@ -199,7 +199,7 @@ func TestBravoStorm(t *testing.T) {
 
 func TestBravoInhibitAfterRevocation(t *testing.T) {
 	b := newBravoPrivate()
-	b.SetInhibitN(1 << 40) // effectively infinite inhibit
+	b.Engine().SetPolicy(bias.NewInhibitPolicy(1 << 40)) // effectively infinite inhibit
 	task := NewTask()
 	b.DownRead(task)
 	b.UpRead(task)

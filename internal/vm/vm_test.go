@@ -14,7 +14,7 @@ func newStockAS() *AddressSpace {
 
 func newBravoAS() *AddressSpace {
 	b := rwsem.NewBravo(rwsem.DefaultConfig())
-	b.SetTable(bias.NewTable(bias.DefaultTableSize))
+	b.Engine().SetTable(bias.NewTable(bias.DefaultTableSize))
 	return NewAddressSpace(BravoSem{S: b})
 }
 
