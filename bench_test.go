@@ -15,6 +15,7 @@ import (
 
 	bravo "github.com/bravolock/bravo"
 	"github.com/bravolock/bravo/internal/bench"
+	"github.com/bravolock/bravo/internal/core"
 	_ "github.com/bravolock/bravo/internal/locks/all"
 	"github.com/bravolock/bravo/internal/sim"
 )
@@ -362,23 +363,20 @@ func BenchmarkAblation2DRevocation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProbe2 measures the secondary-probe option under forced
+// BenchmarkAblationProbe2 measures the second-probe variant under forced
 // collisions (two locks sharing a 2-slot table).
 func BenchmarkAblationProbe2(b *testing.B) {
-	for _, probe2 := range []bool{false, true} {
-		name := "single-probe"
-		opts := []bravo.Option{}
-		if probe2 {
-			name = "double-probe"
-			opts = append(opts, bravo.WithSecondProbe())
-		}
+	variants := map[string]func(bravo.RWLock, ...bravo.Option) bravo.RWLock{
+		"single-probe": func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return bravo.New(u, o...) },
+		"double-probe": func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return core.NewSecondProbe(u, o...) },
+	}
+	for name, mk := range variants {
 		b.Run(name, func(b *testing.B) {
 			tab := bravo.NewTable(2)
-			optsA := append([]bravo.Option{bravo.WithTable(tab)}, opts...)
-			l1 := bravo.New(bravo.NewBA(), optsA...)
-			l2 := bravo.New(bravo.NewBA(), optsA...)
+			l1 := mk(bravo.NewBA(), bravo.WithTable(tab))
+			l2 := mk(bravo.NewBA(), bravo.WithTable(tab))
 			// Bias both.
-			for _, l := range []*bravo.Lock{l1, l2} {
+			for _, l := range []bravo.RWLock{l1, l2} {
 				tok := l.RLock()
 				l.RUnlock(tok)
 			}

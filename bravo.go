@@ -95,12 +95,6 @@ var (
 	WithPolicy = core.WithPolicy
 	// WithStats attaches event counters (adds probe traffic, like lockstat).
 	WithStats = core.WithStats
-	// WithSecondProbe probes an alternate slot before diverting (§7).
-	WithSecondProbe = core.WithSecondProbe
-	// WithRandomizedIndex selects non-deterministic slot indices (§7).
-	WithRandomizedIndex = core.WithRandomizedIndex
-	// WithRevocationMutex lets readers progress during revocation (§7).
-	WithRevocationMutex = core.WithRevocationMutex
 )
 
 // NewInhibitPolicy returns the paper's default policy with multiplier n;

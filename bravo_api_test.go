@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	bravo "github.com/bravolock/bravo"
+	"github.com/bravolock/bravo/internal/core"
 )
 
 // These tests exercise the public facade: everything a downstream user
@@ -33,23 +34,33 @@ func TestPublicAPIBasicRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPublicAPIOptionsCompose: the facade's options configure a lock
+// together, and the same options configure the §7 variants, which are
+// compositions over that lock.
 func TestPublicAPIOptionsCompose(t *testing.T) {
-	st := &bravo.Stats{}
-	l := bravo.New(bravo.NewBA(),
-		bravo.WithTable(bravo.NewTable2D(8, 32)),
-		bravo.WithPolicy(bravo.NewInhibitPolicy(bravo.DefaultInhibitN)),
-		bravo.WithStats(st),
-		bravo.WithSecondProbe(),
-		bravo.WithRevocationMutex(),
-	)
-	for i := 0; i < 100; i++ {
-		tok := l.RLock()
-		l.RUnlock(tok)
+	variants := map[string]func(bravo.RWLock, ...bravo.Option) bravo.RWLock{
+		"bravo":            func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return bravo.New(u, o...) },
+		"second-probe":     func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return core.NewSecondProbe(u, o...) },
+		"revocation-mutex": func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return core.NewRevocationMutex(u, o...) },
 	}
-	l.Lock()
-	l.Unlock()
-	if st.Snapshot().Reads() != 100 {
-		t.Fatalf("stats lost reads: %s", st.Snapshot())
+	for name, mk := range variants {
+		t.Run(name, func(t *testing.T) {
+			st := &bravo.Stats{}
+			l := mk(bravo.NewBA(),
+				bravo.WithTable(bravo.NewTable2D(8, 32)),
+				bravo.WithPolicy(bravo.NewInhibitPolicy(bravo.DefaultInhibitN)),
+				bravo.WithStats(st),
+			)
+			for i := 0; i < 100; i++ {
+				tok := l.RLock()
+				l.RUnlock(tok)
+			}
+			l.Lock()
+			l.Unlock()
+			if st.Snapshot().Reads() != 100 {
+				t.Fatalf("stats lost reads: %s", st.Snapshot())
+			}
+		})
 	}
 }
 

@@ -164,10 +164,10 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 // lineCeilings is ROADMAP item 8's line budget: the most non-test Go lines
 // each top-level package — the root, each cmd/*, examples/* and internal/*
 // directory with everything below it — and the whole module outside
-// benchmark/ may hold. Set at the counts of PR 25; lower an entry when a
+// benchmark/ may hold, set at the current counts. Lower an entry when a
 // change deletes code, and raise one only in the diff that needs it.
 var lineCeilings = map[string]int{
-	".":                   372,
+	".":                   366,
 	"cmd/bravobench":      153,
 	"cmd/kvserv":          284,
 	"cmd/locktorture":     81,
@@ -179,17 +179,17 @@ var lineCeilings = map[string]int{
 	"examples/vmsim":      78,
 	"internal/arch":       26,
 	"internal/bench":      664,
-	"internal/bias":       1346,
+	"internal/bias":       1306,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
 	"internal/cluster":    1160,
-	"internal/core":       270,
+	"internal/core":       327,
 	"internal/frame":      110,
-	"internal/hash":       86,
+	"internal/hash":       78,
 	"internal/kvs":        3979,
 	"internal/kvserv":     1479,
 	"internal/lockcheck":  461,
-	"internal/locks":      1242,
+	"internal/locks":      1236,
 	"internal/metis":      331,
 	"internal/repl":       582,
 	"internal/rwl":        146,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1425,
 	"internal/xrand":      145,
-	"total":               16990,
+	"total":               16987,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

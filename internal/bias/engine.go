@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"github.com/bravolock/bravo/internal/clock"
-	"github.com/bravolock/bravo/internal/xrand"
 )
 
 // Engine is the biasing protocol of Listing 1, extracted from any one lock:
@@ -39,12 +38,10 @@ type Engine struct {
 	//     reader that saw its bit and only then published could be overtaken
 	//     by a revoke + re-enable that clears the bit in between (ABA on the
 	//     word); checking afterwards, it finds the bit missing and re-marks.
-	rbias      atomic.Uint32
-	table      *Table
-	policy     Policy
-	stats      *Stats
-	probe2     bool
-	randomized bool
+	rbias  atomic.Uint32
+	table  *Table
+	policy Policy
+	stats  *Stats
 }
 
 // rbias word layout.
@@ -76,16 +73,6 @@ func (e *Engine) SetPolicy(p Policy) {
 // SetStats attaches an event counter set. Counting adds shared-memory
 // traffic; leave unset for performance runs. Configuration-time only.
 func (e *Engine) SetStats(s *Stats) { e.stats = s }
-
-// SetSecondProbe enables a secondary table probe before a colliding reader
-// falls back to the slow path (§7). Configuration-time only.
-func (e *Engine) SetSecondProbe() { e.probe2 = true }
-
-// SetRandomizedIndex selects non-deterministic slot indices (§7: "using
-// time or random numbers to form indices"). Randomization defeats slot
-// caching, so reader handles take the hashing path on such engines.
-// Configuration-time only.
-func (e *Engine) SetRandomizedIndex() { e.randomized = true }
 
 // Init fills configuration defaults — the shared process-wide table and the
 // paper's inhibit policy — and must be called once, after any Set* calls
@@ -166,34 +153,26 @@ func (e *Engine) TryFast(selfID uint64) (SlotToken, bool) {
 // must have observed Enabled(). On success the returned token must be passed
 // to ClearFast at read-unlock time.
 func (e *Engine) TryPublish(selfID uint64) (SlotToken, bool) {
-	if e.randomized {
-		selfID = xrand.NewSplitMix64(uint64(clock.Nanos()) ^ selfID).Next()
-	}
-	return e.probe(e.table.Index(e.ID(), selfID), selfID)
+	return e.probe(e.table.Index(e.ID(), selfID))
 }
 
 // probe is the one publication sequence every fast read runs, anonymous or
-// through a handle: the home slot, then — with the second probe on —
-// selfID's alternate, else a collision and the slow path. An occupied slot
-// costs one load (TryPublishAt CASes only an empty one), so a reader whose
-// home is taken simply probes again on its next acquisition.
-func (e *Engine) probe(home uint32, selfID uint64) (SlotToken, bool) {
-	if tok, ok, done := e.publishAt(home); done {
-		return tok, ok
+// through a handle: publish at the home slot, else count a collision and take
+// the slow path. An occupied slot costs one load (TryPublishAt CASes only an
+// empty one), so a reader whose home is taken simply probes again on its next
+// acquisition.
+func (e *Engine) probe(home uint32) (SlotToken, bool) {
+	tok, ok, done := e.publishAt(home)
+	if !done {
+		e.noteCollision()
 	}
-	if e.probe2 {
-		if tok, ok, done := e.publishAt(e.table.Index2(e.ID(), selfID)); done {
-			return tok, ok
-		}
-	}
-	e.noteCollision()
-	return 0, false
+	return tok, ok
 }
 
 // publishAt CASes the engine identity into slot idx and rechecks RBias.
-// done is false only when the slot was occupied (the caller may probe
-// elsewhere); on a recheck race the publication is undone and the read is
-// committed to the slow path (done true, ok false).
+// done is false only when the slot was occupied; on a recheck race the
+// publication is undone and the read is committed to the slow path (done
+// true, ok false).
 func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
 	gen, won := e.table.TryPublishAt(idx, e.ID())
 	if !won {
@@ -203,8 +182,8 @@ func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
 	// the sequentially consistent atomics.
 	//
 	// The recheck (Listing 1 line 16) must show bias and this slot's sector
-	// bit in the same observation; every path — anonymous, handle, second
-	// probe, rwsem — publishes through here, so all share the summary.
+	// bit in the same observation; every path — anonymous, handle, rwsem —
+	// publishes through here, so all share the summary.
 	want := uint32(biasBit | 1<<(sectorBase+e.table.sector(idx)))
 	if w := e.rbias.Load(); w&want == want || (w&biasBit != 0 && e.markSector(want)) {
 		e.noteFast()

@@ -130,50 +130,3 @@ func TestEngineRevocationFeedsPolicy(t *testing.T) {
 		t.Fatal("bias re-enabled inside the inhibit window")
 	}
 }
-
-func TestEngineSecondProbeRescuesCollision(t *testing.T) {
-	tab := NewTable(2)
-	e := &Engine{}
-	st := &Stats{}
-	e.SetTable(tab)
-	e.SetPolicy(AlwaysPolicy{})
-	e.SetStats(st)
-	e.SetSecondProbe()
-	e.Init()
-	e.MaybeEnable()
-	// Find an identity whose two probes land in different slots, then
-	// occupy its primary slot with a foreign lock.
-	id := uint64(0)
-	for ; id < 1000; id++ {
-		if tab.Index(e.ID(), id) != tab.Index2(e.ID(), id) {
-			break
-		}
-	}
-	idx := tab.Index(e.ID(), id)
-	if _, ok := tab.TryPublishAt(idx, uintptr(0xF00D0)); !ok {
-		t.Fatal("setup publish failed")
-	}
-	got, ok := e.TryPublish(id)
-	if !ok || got.Index() != tab.Index2(e.ID(), id) {
-		t.Fatalf("second probe did not rescue the collision: ok=%v idx=%d (%s)", ok, got.Index(), st.Snapshot())
-	}
-	e.ClearFast(got)
-	tab.Clear(idx)
-}
-
-func TestEngineRandomizedIndexDisperses(t *testing.T) {
-	e, _ := newEngine(AlwaysPolicy{}, func(e *Engine) { e.SetRandomizedIndex() })
-	e.MaybeEnable()
-	seen := map[uint32]bool{}
-	for i := 0; i < 32; i++ {
-		tok, ok := e.TryFast(7) // same identity every time
-		if !ok {
-			t.Fatal("randomized fast path failed on empty table")
-		}
-		seen[tok.Index()] = true
-		e.ClearFast(tok)
-	}
-	if len(seen) < 2 {
-		t.Fatal("randomized indices never varied for a fixed identity")
-	}
-}

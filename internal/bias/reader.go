@@ -45,8 +45,7 @@ const (
 type readerEntry struct {
 	eng *Engine
 	// home is the handle's home slot for eng, hashed once at alloc; slot is
-	// where the outstanding fast-path hold was published (home, or the
-	// second probe's alternate, or a randomized index).
+	// where the outstanding fast-path hold was published.
 	home uint32
 	slot uint32
 	// gen is the slot generation captured by the outstanding fast-path
@@ -155,14 +154,7 @@ func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
 		e.noteHandle()
 		return 0, false
 	}
-	var tok SlotToken
-	var ok bool
-	if e.randomized {
-		// Randomized indices change per acquisition by design: no home.
-		tok, ok = e.TryPublish(r.id)
-	} else {
-		tok, ok = e.probe(ent.home, r.id)
-	}
+	tok, ok := e.probe(ent.home)
 	if ok {
 		ent.slot, ent.gen = tok.Index(), tok.Gen()
 		ent.flags |= entFastHeld

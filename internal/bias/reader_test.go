@@ -77,65 +77,6 @@ func TestHandleRecoversAfterTransientCollision(t *testing.T) {
 	}
 }
 
-// probe2Reader returns a biased second-probe engine and a handle whose home
-// and alternate slots differ.
-func probe2Reader(t *testing.T) (e *Engine, st *Stats, r *Reader, home, alt uint32) {
-	t.Helper()
-	e, st = biasedEngine(t, func(e *Engine) { e.SetSecondProbe() })
-	id := uint64(0)
-	for ; id < 1000; id++ {
-		if e.table.Index(e.ID(), id) != e.table.Index2(e.ID(), id) {
-			break
-		}
-	}
-	return e, st, NewReaderWithID(id), e.table.Index(e.ID(), id), e.table.Index2(e.ID(), id)
-}
-
-// TestReaderAlternateRescuesEachAcquisition: while the home slot stays
-// occupied, every acquisition probes home, finds it taken and is rescued at
-// the alternate — nothing about the rescue is remembered between them.
-func TestReaderAlternateRescuesEachAcquisition(t *testing.T) {
-	e, st, r, home, alt := probe2Reader(t)
-	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
-		t.Fatal("setup publish failed")
-	}
-	for i := 0; i < 3; i++ {
-		idx, ok := e.TryFastH(r)
-		if !ok || idx.Index() != alt {
-			t.Fatalf("acquisition %d: ok=%v idx=%d, want the alternate %d (%s)", i, ok, idx.Index(), alt, st.Snapshot())
-		}
-		e.ReleaseFastAt(r, idx)
-	}
-	if slot, ok := r.CachedSlot(e); !ok || slot != home {
-		t.Fatalf("cached slot = %d, want home %d: a rescue must not move it", slot, home)
-	}
-	e.table.Clear(home)
-}
-
-// TestReaderTriesHomeFirst: after a rescue at the alternate, a free home slot
-// is where the next acquisition lands, even with the alternate now occupied.
-func TestReaderTriesHomeFirst(t *testing.T) {
-	e, _, r, home, alt := probe2Reader(t)
-	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
-		t.Fatal("setup publish failed")
-	}
-	idx, ok := e.TryFastH(r)
-	if !ok || idx.Index() != alt {
-		t.Fatalf("setup rescue failed: ok=%v idx=%d", ok, idx.Index())
-	}
-	e.ReleaseFastAt(r, idx)
-	e.table.Clear(home)
-	if _, ok := e.table.TryPublishAt(alt, uintptr(0xBEEF0)); !ok {
-		t.Fatal("setup alt publish failed")
-	}
-	idx, ok = e.TryFastH(r)
-	if !ok || idx.Index() != home {
-		t.Fatalf("handle did not take its free home slot: ok=%v idx=%d want %d", ok, idx.Index(), home)
-	}
-	e.ReleaseFastAt(r, idx)
-	e.table.Clear(alt)
-}
-
 func TestReaderReentrantReadDiverts(t *testing.T) {
 	e, st := biasedEngine(t)
 	r := NewReaderWithID(9)
@@ -283,24 +224,8 @@ func TestReaderUntrackedSlowHoldsNeverFalsePanic(t *testing.T) {
 	}
 }
 
-func TestReaderRandomizedEngineStillTracksHolds(t *testing.T) {
-	e, _ := biasedEngine(t, func(e *Engine) { e.SetRandomizedIndex() })
-	r := NewReaderWithID(3)
-	idx, ok := e.TryFastH(r)
-	if !ok {
-		t.Fatal("randomized handle read diverted on an empty table")
-	}
-	if r.Held() != 1 {
-		t.Fatal("randomized hold not recorded")
-	}
-	e.ReleaseFastAt(r, idx)
-	if r.Held() != 0 || e.table.Occupancy() != 0 {
-		t.Fatal("randomized release broken")
-	}
-}
-
-// probeCallers maps publishAt, Index2 and probe to the functions whose bodies
-// call them as methods; package-qualified calls (hash.Index2) are not theirs.
+// probeCallers maps publishAt and probe to the functions whose bodies call
+// them as methods; package-qualified calls are not theirs.
 func probeCallers(files []*ast.File) map[string][]string {
 	callers := map[string][]string{}
 	for _, f := range files {
@@ -327,7 +252,7 @@ func probeCallers(files []*ast.File) map[string][]string {
 					return true
 				}
 				switch m.Sel.Name {
-				case "publishAt", "Index2", "probe":
+				case "publishAt", "probe":
 					callers[m.Sel.Name] = append(callers[m.Sel.Name], fn.Name.Name)
 				}
 				return true
@@ -338,12 +263,11 @@ func probeCallers(files []*ast.File) map[string][]string {
 }
 
 // probeViolations lists every call that breaks the one-probe-sequence rule:
-// publishAt and Table.Index2 are called only from probe, and probe only from
-// TryPublish and TryFastH.
+// publishAt is called only from probe, and probe only from TryPublish and
+// TryFastH.
 func probeViolations(callers map[string][]string) []string {
 	allowed := map[string]map[string]bool{
 		"publishAt": {"probe": true},
-		"Index2":    {"probe": true},
 		"probe":     {"TryPublish": true, "TryFastH": true},
 	}
 	var bad []string
@@ -359,8 +283,8 @@ func probeViolations(callers map[string][]string) []string {
 }
 
 // parentTryFastH is TryFastH as it stood before it shared the probe sequence
-// (commit 3c7d4e9), comments and its collision-memory branch elided: the
-// negative control TestOneProbeSequence must refute.
+// (commit 3c7d4e9), comments and its collision-memory and second-probe
+// branches elided: the negative control TestOneProbeSequence must refute.
 const parentTryFastH = `package bias
 
 func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
@@ -381,18 +305,6 @@ func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
 				ent.flags |= entFastHeld
 			}
 			return tok, ok
-		}
-	}
-	if e.probe2 {
-		if alt := e.table.Index2(e.ID(), r.id); alt != ent.slot && alt != home {
-			if tok, ok, done := e.publishAt(alt); done {
-				if ok {
-					ent.slot = alt
-					ent.gen = tok.Gen()
-					ent.flags |= entFastHeld
-				}
-				return tok, ok
-			}
 		}
 	}
 	e.noteCollision()
@@ -435,7 +347,7 @@ func TestOneProbeSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := probeViolations(probeCallers([]*ast.File{parent}))
-	want := []string{"TryFastH calls Index2", "TryFastH calls publishAt", "TryFastH calls publishAt", "TryFastH calls publishAt"}
+	want := []string{"TryFastH calls publishAt", "TryFastH calls publishAt"}
 	if fmt.Sprint(bad) != fmt.Sprint(want) {
 		t.Errorf("negative control: violations %q, want %q", bad, want)
 	}

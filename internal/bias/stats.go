@@ -18,7 +18,7 @@ import (
 type Stats struct {
 	FastRead      atomic.Uint64 // fast-path read acquisitions
 	SlowDisabled  atomic.Uint64 // slow reads: RBias was clear
-	SlowCollision atomic.Uint64 // slow reads: home slot (and alternate, if probed) occupied
+	SlowCollision atomic.Uint64 // slow reads: home slot occupied
 	SlowRaced     atomic.Uint64 // slow reads: RBias cleared between publish and recheck
 	SlowHandle    atomic.Uint64 // slow reads: reader handle could not track another fast hold
 	WriteNormal   atomic.Uint64 // writes with no revocation

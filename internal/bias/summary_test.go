@@ -3,15 +3,17 @@ package bias
 import (
 	"testing"
 	"time"
+
+	"github.com/bravolock/bravo/internal/xrand"
 )
 
 // summary returns e's occupancy summary: bit s set ⇔ sector s marked.
 func summary(e *Engine) uint32 { return e.rbias.Load() >> sectorBase }
 
 // engineOn returns a biased engine with stats on the given table.
-func engineOn(t *testing.T, tab *Table, opts ...func(*Engine)) (*Engine, *Stats) {
+func engineOn(t *testing.T, tab *Table) (*Engine, *Stats) {
 	t.Helper()
-	return biasedEngine(t, append([]func(*Engine){func(e *Engine) { e.SetTable(tab) }}, opts...)...)
+	return biasedEngine(t, func(e *Engine) { e.SetTable(tab) })
 }
 
 // startRevoke runs a revocation on its own goroutine; the channel closes
@@ -119,35 +121,6 @@ func TestSummaryRemarkedAfterRevokeAndReenable(t *testing.T) {
 	}
 }
 
-func TestSummarySecondProbeMarksAlternateSector(t *testing.T) {
-	tab := NewTable(32) // 16 sectors of 2 slots
-	e, st := engineOn(t, tab, func(e *Engine) { e.SetSecondProbe() })
-	id := uint64(0)
-	for ; id < 1000; id++ {
-		if tab.sector(tab.Index(e.ID(), id)) != tab.sector(tab.Index2(e.ID(), id)) {
-			break
-		}
-	}
-	home, alt := tab.Index(e.ID(), id), tab.Index2(e.ID(), id)
-	if _, ok := tab.TryPublishAt(home, uintptr(0xF00D0)); !ok {
-		t.Fatal("setup publish failed")
-	}
-	r := NewReaderWithID(id)
-	tok, ok := e.TryFastH(r)
-	if !ok || tok.Index() != alt {
-		t.Fatalf("second probe did not land on the alternate: ok=%v idx=%d want %d", ok, tok.Index(), alt)
-	}
-	if summary(e) != 1<<tab.sector(alt) {
-		t.Fatalf("summary = %#x, want only the alternate's sector %d (home sector %d was never published in)",
-			summary(e), tab.sector(alt), tab.sector(home))
-	}
-	revokeBlocksUntil(t, e, func() { e.ReleaseFastAt(r, tok) })
-	if st.RevokeScanned.Load() != 2 || st.RevokeWaits.Load() != 1 {
-		t.Fatalf("revocation: %s, want 2 slots scanned, 1 reader awaited", st.Snapshot())
-	}
-	tab.Clear(home)
-}
-
 func TestSummaryGeometries(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -246,29 +219,33 @@ func TestSummarySharedByHandleAndAnonymousReaders(t *testing.T) {
 	}
 }
 
+// TestSummaryRandomizedIndexDegradesToFullMask: readers drawing a random
+// identity per acquisition, as the random-index variant does, publish all over
+// the table, so their marks grow to the full mask and a revocation scans
+// every slot.
 func TestSummaryRandomizedIndexDegradesToFullMask(t *testing.T) {
 	tab := NewTable(DefaultTableSize)
-	e, st := engineOn(t, tab, func(e *Engine) { e.SetRandomizedIndex() })
+	e, st := engineOn(t, tab)
 	full := uint32(1<<summarySectors - 1)
-	r := NewReaderWithID(7)
+	rng := xrand.NewSplitMix64(1)
 	for i := 0; i < 4096 && summary(e) != full; i++ {
-		tok, ok := e.TryFastH(r)
+		tok, ok := e.TryFast(rng.Next())
 		if !ok {
-			t.Fatal("randomized fast path failed on an empty table")
+			t.Fatal("fast path failed on an empty table")
 		}
 		if summary(e)&(1<<tab.sector(tok.Index())) == 0 {
 			t.Fatalf("published in sector %d with summary %#x", tab.sector(tok.Index()), summary(e))
 		}
-		e.ReleaseFastAt(r, tok)
+		e.ClearFast(tok)
 	}
 	if summary(e) != full {
-		t.Fatalf("summary = %#x after 4096 randomized publications, want the full mask", summary(e))
+		t.Fatalf("summary = %#x after 4096 random identities, want the full mask", summary(e))
 	}
-	tok, ok := e.TryFastH(r)
+	tok, ok := e.TryFast(rng.Next())
 	if !ok {
-		t.Fatal("randomized fast path failed")
+		t.Fatal("fast path failed")
 	}
-	revokeBlocksUntil(t, e, func() { e.ReleaseFastAt(r, tok) })
+	revokeBlocksUntil(t, e, func() { e.ClearFast(tok) })
 	if st.RevokeScanned.Load() != DefaultTableSize {
 		t.Fatalf("full-mask revocation scanned %d slots, want %d", st.RevokeScanned.Load(), DefaultTableSize)
 	}

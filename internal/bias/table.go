@@ -133,17 +133,6 @@ func (t *Table) Index(lockID uintptr, selfID uint64) uint32 {
 	return hash.Index(lockID, selfID, uint32(len(t.slots)))
 }
 
-// Index2 is the secondary probe (double-probing fast-path extension).
-func (t *Table) Index2(lockID uintptr, selfID uint64) uint32 {
-	if t.rows != 0 {
-		// Within 2D mode, re-probe a different row of the same column so
-		// that column-restricted revocation still finds the entry.
-		row := uint32(hash.Mix64(selfID^0x9e3779b97f4a7c15)) & (t.rows - 1)
-		return row*t.rowLen + t.column(lockID)
-	}
-	return hash.Index2(lockID, selfID, uint32(len(t.slots)))
-}
-
 // column returns the 2D column assigned to a lock.
 func (t *Table) column(lockID uintptr) uint32 {
 	return hash.Mix32(uint32(uint64(lockID)>>4)) & (t.rowLen - 1)

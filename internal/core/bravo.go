@@ -17,8 +17,6 @@
 package core
 
 import (
-	"sync"
-
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/self"
@@ -54,11 +52,6 @@ type Lock struct {
 	// identity published in table slots, so a Lock must not be copied.
 	eng   bias.Engine
 	under rwl.RWLock
-	// revMu, when non-nil, is the future-work variant (§7) that lets
-	// arriving readers divert through the slow path while a writer is mid
-	// revocation: writers serialize on revMu and revoke *before* acquiring
-	// the underlying write lock.
-	revMu *sync.Mutex
 }
 
 var (
@@ -83,20 +76,6 @@ func WithPolicy(p bias.Policy) Option { return func(l *Lock) { l.eng.SetPolicy(p
 // WithStats attaches an event counter set. Counting adds shared-memory
 // traffic; leave nil for performance runs.
 func WithStats(s *bias.Stats) Option { return func(l *Lock) { l.eng.SetStats(s) } }
-
-// WithSecondProbe enables a secondary table probe before a colliding reader
-// falls back to the slow path.
-func WithSecondProbe() Option { return func(l *Lock) { l.eng.SetSecondProbe() } }
-
-// WithRandomizedIndex selects random rather than deterministic slot indices.
-func WithRandomizedIndex() Option { return func(l *Lock) { l.eng.SetRandomizedIndex() } }
-
-// WithRevocationMutex adds the per-lock writer mutex that allows readers to
-// make progress (via the slow path) while a writer performs revocation,
-// reducing read-latency variance (§7).
-func WithRevocationMutex() Option {
-	return func(l *Lock) { l.revMu = new(sync.Mutex) }
-}
 
 // New wraps an existing reader-writer lock with the BRAVO transformation.
 func New(under rwl.RWLock, opts ...Option) *Lock {
@@ -203,66 +182,39 @@ func (l *Lock) RUnlockH(h *rwl.Reader, t rwl.Token) {
 // Lock acquires write permission (Listing 1, Writer): pass through the
 // underlying lock, then revoke reader bias if it is set.
 func (l *Lock) Lock() {
-	if l.revMu != nil {
-		// Future-work variant: resolve write-write conflicts first and
-		// revoke before taking the underlying lock, so arriving readers can
-		// still enter via the slow path during the revocation scan.
-		l.revMu.Lock()
-		if l.eng.Enabled() {
-			l.eng.Revoke()
-		}
-	}
 	l.under.Lock()
-	// In the default mode this is the Listing 1 revocation; in revMu mode
-	// it catches the rare slow reader that re-enabled bias between our
-	// pre-revocation and the write acquisition.
 	l.eng.RevokeIfEnabled()
 }
 
 // Unlock releases write permission.
-func (l *Lock) Unlock() {
-	l.under.Unlock()
-	if l.revMu != nil {
-		l.revMu.Unlock()
-	}
-}
+func (l *Lock) Unlock() { l.under.Unlock() }
 
 // TryRLock attempts the fast path and then, if the underlying lock supports
 // try-acquisition, the slow path (§3's try-lock treatment). On underlying
 // success the policy may enable bias, as the paper permits.
 func (l *Lock) TryRLock() (rwl.Token, bool) {
-	if l.eng.Enabled() {
-		if tok, ok := l.eng.TryPublish(self.ID()); ok {
-			return fastBit | rwl.Token(tok), true
-		}
-	}
-	tu, ok := l.underTry()
-	if !ok {
-		return 0, false
-	}
-	l.eng.MaybeEnable()
-	return tu, true
+	return l.tryRLockWithID(self.ID())
 }
 
-func (l *Lock) underTry() (rwl.Token, bool) {
-	t, ok := l.under.(rwl.TryRWLock)
-	if !ok {
-		return 0, false
+// tryRLockWithID is TryRLock with an explicit thread identity.
+func (l *Lock) tryRLockWithID(selfID uint64) (rwl.Token, bool) {
+	if tok, ok := l.eng.TryFast(selfID); ok {
+		return fastBit | rwl.Token(tok), true
 	}
-	return t.TryRLock()
+	if t, ok := l.under.(rwl.TryRWLock); ok {
+		if tu, ok := t.TryRLock(); ok {
+			l.eng.MaybeEnable()
+			return tu, true
+		}
+	}
+	return 0, false
 }
 
 // TryLock attempts to acquire write permission. If the underlying try-lock
 // succeeds and bias is set, revocation is performed exactly as in Lock.
 func (l *Lock) TryLock() bool {
-	if l.revMu != nil && !l.revMu.TryLock() {
-		return false
-	}
 	t, ok := l.under.(rwl.TryRWLock)
 	if !ok || !t.TryLock() {
-		if l.revMu != nil {
-			l.revMu.Unlock()
-		}
 		return false
 	}
 	l.eng.RevokeIfEnabled()

@@ -8,11 +8,13 @@ import (
 
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/clock"
+	"github.com/bravolock/bravo/internal/hash"
 	"github.com/bravolock/bravo/internal/locks/mutexrw"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/locks/pft"
 	"github.com/bravolock/bravo/internal/locks/ptl"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/self"
 )
 
 // newBiased returns a BRAVO-BA lock with bias pre-enabled (one slow read
@@ -34,20 +36,21 @@ func newBiased(t *testing.T, opts ...Option) (*Lock, *bias.Stats) {
 	return l, st
 }
 
-// TestLockFootprint: the summary lives in rbias's spare bits and adaptivity
-// and N in the policy, so Engine is six words. core.Lock must stay within the
-// 80-byte allocation size class: that class is what one lock costs in
-// lock-read's mem_bytes_per_item, whose bound is 5 %, and the next class up
-// is 96 bytes.
+// TestLockFootprint: the summary lives in rbias's spare bits, adaptivity and
+// N in the policy, and the §7 variants in compositions over Lock, so Engine
+// is {rbias, table, policy, stats} in five words and Lock adds the substrate
+// interface: 56 bytes, inside the 64-byte allocation size class. That class
+// is what one lock costs in lock-read's mem_bytes_per_item, whose bound is
+// 5 %; the next class up is 80 bytes.
 func TestLockFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit ports")
 	}
-	if got := unsafe.Sizeof(bias.Engine{}); got != 48 {
-		t.Errorf("bias.Engine is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(bias.Engine{}); got != 40 {
+		t.Errorf("bias.Engine is %d bytes, want 40", got)
 	}
-	if got := unsafe.Sizeof(Lock{}); got > 80 {
-		t.Errorf("core.Lock is %d bytes, want at most 80", got)
+	if got := unsafe.Sizeof(Lock{}); got != 56 {
+		t.Errorf("core.Lock is %d bytes, want 56", got)
 	}
 }
 
@@ -160,34 +163,33 @@ func TestCollisionFallsBack(t *testing.T) {
 	l1.RUnlock(t1)
 }
 
+// TestSecondProbeRescuesCollision: with the home slot of the reader's own
+// identity held by a foreign lock, the second-probe composition publishes
+// under the alternate identity instead of diverting, and the read is counted
+// once, as a fast read.
 func TestSecondProbeRescuesCollision(t *testing.T) {
-	// With a 2-slot table and double probing, a colliding reader lands in
-	// the alternate slot instead of diverting.
-	tab := bias.NewTable(2)
+	tab := bias.NewTable(bias.DefaultTableSize)
+	v := NewSecondProbe(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{})).(*reidentified)
+	v.RUnlock(v.RLock()) // slow read enables bias
 	st := &bias.Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}),
-		WithStats(st), WithSecondProbe())
-	tok := l.RLock()
-	l.RUnlock(tok)
-	// Find an identity whose two probes land in different slots, then
-	// occupy its primary slot with a foreign lock.
-	lockID := l.Engine().ID()
-	id := uint64(0)
-	for ; id < 1000; id++ {
-		if tab.Index(lockID, id) != tab.Index2(lockID, id) {
-			break
-		}
+	v.l.Engine().SetStats(st)
+	id, lockID := self.ID(), v.l.Engine().ID()
+	home, alt := tab.Index(lockID, id), tab.Index(lockID, hash.Mix64(id^alternateSalt))
+	if alt == home {
+		t.Skip("this goroutine's alternate slot is its home slot")
 	}
-	idx := tab.Index(lockID, id)
-	if _, ok := tab.TryPublishAt(idx, uintptr(0xF00D0)); !ok {
+	if _, ok := tab.TryPublishAt(home, uintptr(0xF00D0)); !ok {
 		t.Fatal("setup publish failed")
 	}
-	t2 := l.RLockWithID(id)
-	if st.FastRead.Load() != 1 {
-		t.Fatalf("second probe did not rescue the collision: %s", st.Snapshot())
+	tok := v.l.RLockWithID(v.id(v.l, id))
+	if s := st.Snapshot(); s.FastRead != 1 || s.Reads() != 1 {
+		t.Fatalf("second probe did not rescue the collision as one fast read: %s", s)
 	}
-	l.RUnlock(t2)
-	tab.Clear(idx)
+	if uint32(tok) != alt {
+		t.Fatalf("rescued reader in slot %d, want the alternate %d", uint32(tok), alt)
+	}
+	v.RUnlock(tok)
+	tab.Clear(home)
 }
 
 func TestInhibitPreventsImmediateRebias(t *testing.T) {
@@ -248,6 +250,23 @@ func TestTryRLockFastPath(t *testing.T) {
 		t.Fatalf("TryRLock did not use the fast path: %s", st.Snapshot())
 	}
 	l.RUnlock(tok)
+}
+
+// TestTryRLockCountsDisabledReads: a try-read with bias off is a slow read
+// like any other, so Stats sees it and FastFraction is not inflated.
+func TestTryRLockCountsDisabledReads(t *testing.T) {
+	st := &bias.Stats{}
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}), WithStats(st))
+	for i := 0; i < 3; i++ {
+		tok, ok := l.TryRLock()
+		if !ok {
+			t.Fatal("TryRLock failed on a free lock")
+		}
+		l.RUnlock(tok)
+	}
+	if st.SlowDisabled.Load() != 3 || st.Snapshot().Reads() != 3 {
+		t.Fatalf("want three disabled reads: %s", st.Snapshot())
+	}
 }
 
 func TestTryRLockSlowFallback(t *testing.T) {
@@ -324,9 +343,7 @@ func (n nonTry) Unlock()             { n.inner.Unlock() }
 func TestRevocationMutexAllowsReadersDuringScan(t *testing.T) {
 	// Future-work variant (§7): with the revocation mutex, a reader arriving
 	// during a (long) revocation scan is admitted via the slow path.
-	st := &bias.Stats{}
-	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}),
-		WithStats(st), WithRevocationMutex())
+	l := NewRevocationMutex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 	tok := l.RLock()
 	l.RUnlock(tok)
 	held := l.RLock() // fast reader pins the revocation scan

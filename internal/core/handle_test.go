@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/bravolock/bravo/internal/bias"
+	"github.com/bravolock/bravo/internal/hash"
 	"github.com/bravolock/bravo/internal/lockcheck"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -12,10 +13,10 @@ import (
 
 // --- Deterministic slot collisions (explicit IDs, same slot) ---
 
-// collidingIDs returns two reader identities whose primary probes for l
-// land in the same slot of tab. wantProbe2Free additionally demands the
-// second identity's alternate probe be a different slot.
-func collidingIDs(t *testing.T, tab *bias.Table, l *Lock, wantProbe2Free bool) (uint64, uint64) {
+// collidingIDs returns two reader identities whose home slots for l are the
+// same slot of tab. wantAltFree additionally demands the second identity's
+// second-probe alternate be a different slot.
+func collidingIDs(t *testing.T, tab *bias.Table, l *Lock, wantAltFree bool) (uint64, uint64) {
 	t.Helper()
 	lockID := l.Engine().ID()
 	id1 := uint64(1)
@@ -24,7 +25,7 @@ func collidingIDs(t *testing.T, tab *bias.Table, l *Lock, wantProbe2Free bool) (
 		if tab.Index(lockID, c) != home {
 			continue
 		}
-		if wantProbe2Free && tab.Index2(lockID, c) == home {
+		if wantAltFree && tab.Index(lockID, hash.Mix64(c^alternateSalt)) == home {
 			continue
 		}
 		return id1, c
@@ -61,20 +62,20 @@ func TestDeterministicCollisionDivertsToSlowPath(t *testing.T) {
 func TestDeterministicCollisionRescuedBySecondProbe(t *testing.T) {
 	tab := bias.NewTable(64)
 	st := &bias.Stats{}
-	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}),
-		WithStats(st), WithSecondProbe())
-	tok := l.RLock()
-	l.RUnlock(tok)
+	v := NewSecondProbe(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}),
+		WithStats(st)).(*reidentified)
+	v.RUnlock(v.RLock())
+	l := v.l
 	id1, id2 := collidingIDs(t, tab, l, true)
-	t1 := l.RLockWithID(id1)
+	t1 := l.RLockWithID(v.id(l, id1))
 	if t1&fastBit == 0 {
 		t.Fatal("first reader did not take the fast path")
 	}
-	t2 := l.RLockWithID(id2)
+	t2 := l.RLockWithID(v.id(l, id2))
 	if t2&fastBit == 0 {
 		t.Fatalf("second probe did not rescue the collision: %s", st.Snapshot())
 	}
-	alt := tab.Index2(l.Engine().ID(), id2)
+	alt := tab.Index(l.Engine().ID(), hash.Mix64(id2^alternateSalt))
 	if uint32(t2) != alt {
 		t.Fatalf("rescued reader in slot %d, want alternate slot %d", uint32(t2), alt)
 	}
@@ -174,17 +175,14 @@ func TestHandleStorm(t *testing.T) {
 		"tiny-table": func() rwl.HandleRWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable(2)), WithPolicy(bias.AlwaysPolicy{}))
 		},
-		"probe2": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(4)), WithPolicy(bias.AlwaysPolicy{}), WithSecondProbe())
-		},
 		"2d": func() rwl.HandleRWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
 		},
-		"randomized": func() rwl.HandleRWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithRandomizedIndex())
-		},
 		"default-policy": func() rwl.HandleRWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable(64)))
+		},
+		"revocation-mutex": func() rwl.HandleRWLock {
+			return NewRevocationMutex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 	}
 	for name, mk := range variants {

@@ -47,13 +47,13 @@ func stormVariants() map[string]func() rwl.RWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-probe2": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(4)), WithPolicy(bias.AlwaysPolicy{}), WithSecondProbe())
+			return NewSecondProbe(new(pfq.Lock), WithTable(bias.NewTable(4)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-random": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithRandomizedIndex())
+			return NewRandomIndex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-revmu": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithRevocationMutex())
+			return NewRevocationMutex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-bernoulli": func() rwl.RWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(&bias.BernoulliPolicy{P: 4}))
@@ -79,11 +79,6 @@ func TestStormWriteHeavy(t *testing.T) {
 
 func TestStormTry(t *testing.T) {
 	for name, mk := range stormVariants() {
-		if name == "bravo-ba-revmu" {
-			// TryLock under revMu composes fine but the storm's blocking
-			// Lock path already covers it; keep runtime bounded.
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			lockcheck.TryExclusion(t, mk, 6, 800)
 		})

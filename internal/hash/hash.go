@@ -36,11 +36,3 @@ func Index(lock uintptr, self uint64, size uint32) uint32 {
 	h := Mix64(uint64(lock) ^ Mix64(self))
 	return uint32(h) & (size - 1)
 }
-
-// Index2 is the secondary probe used by the double-probe fast-path extension
-// (paper §7 future work). It is independent of Index: the two probes of a
-// given (lock, self) pair collide only by chance.
-func Index2(lock uintptr, self uint64, size uint32) uint32 {
-	h := Mix64(uint64(lock)*0x9e3779b97f4a7c15 + Mix64(self^0xa5a5a5a5a5a5a5a5))
-	return uint32(h>>32) & (size - 1)
-}

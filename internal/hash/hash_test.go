@@ -65,9 +65,7 @@ func popcount(x uint64) int {
 
 func TestIndexInBounds(t *testing.T) {
 	f := func(lock uint64, self uint64) bool {
-		i1 := Index(uintptr(lock), self, 4096)
-		i2 := Index2(uintptr(lock), self, 4096)
-		return i1 < 4096 && i2 < 4096
+		return Index(uintptr(lock), self, 4096) < 4096
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -96,19 +94,5 @@ func TestIndexDispersal(t *testing.T) {
 	}
 	if len(seen) < threads-4 {
 		t.Errorf("excessive collisions: %d distinct slots for %d threads", len(seen), threads)
-	}
-}
-
-func TestIndexProbesIndependent(t *testing.T) {
-	// The secondary probe must not shadow the primary.
-	lock := uintptr(0xc000123440)
-	same := 0
-	for i := 0; i < 1024; i++ {
-		if Index(lock, uint64(i), 4096) == Index2(lock, uint64(i), 4096) {
-			same++
-		}
-	}
-	if same > 8 {
-		t.Errorf("probes coincide for %d/1024 identities", same)
 	}
 }

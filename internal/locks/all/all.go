@@ -65,15 +65,9 @@ func init() {
 	rwl.Register("bravo-ba-private", func() rwl.RWLock {
 		return core.New(new(pfq.Lock), core.WithTable(bias.NewTable(bias.DefaultTableSize)))
 	})
-	rwl.Register("bravo-ba-probe2", func() rwl.RWLock {
-		return core.New(new(pfq.Lock), core.WithSecondProbe())
-	})
-	rwl.Register("bravo-ba-revmu", func() rwl.RWLock {
-		return core.New(new(pfq.Lock), core.WithRevocationMutex())
-	})
-	rwl.Register("bravo-ba-random", func() rwl.RWLock {
-		return core.New(new(pfq.Lock), core.WithRandomizedIndex())
-	})
+	rwl.Register("bravo-ba-probe2", func() rwl.RWLock { return core.NewSecondProbe(new(pfq.Lock)) })
+	rwl.Register("bravo-ba-revmu", func() rwl.RWLock { return core.NewRevocationMutex(new(pfq.Lock)) })
+	rwl.Register("bravo-ba-random", func() rwl.RWLock { return core.NewRandomIndex(new(pfq.Lock)) })
 
 	// Adaptive BRAVO: the policy is a bias.Adaptor, which withholds bias
 	// while the observed workload (fed by the owner through Offer) is

@@ -29,6 +29,25 @@ func TestRegistryLineup(t *testing.T) {
 	}
 }
 
+// TestVariantHandlePaths: the §7 index variants choose a reader identity per
+// read, which a handle's cached home slot would bypass, so they offer no
+// handle paths; the revocation mutex changes only writers and keeps them.
+func TestVariantHandlePaths(t *testing.T) {
+	for name, want := range map[string]bool{
+		"bravo-ba-probe2": false,
+		"bravo-ba-random": false,
+		"bravo-ba-revmu":  true,
+	} {
+		l, err := rwl.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := l.(rwl.HandleRWLock); ok != want {
+			t.Errorf("%s implements rwl.HandleRWLock: %v, want %v", name, ok, want)
+		}
+	}
+}
+
 func TestEveryRegisteredLockSurvivesStorm(t *testing.T) {
 	// Every configuration the benchmarks can select must uphold mutual
 	// exclusion under a mixed storm — including the topology-sized locks

@@ -8,23 +8,19 @@ import (
 
 // Tests for the capabilities rwsem gained by moving onto the shared
 // internal/bias engine: deterministic collision behavior, policies, stats,
-// the second probe, and unbalanced-release detection.
+// and unbalanced-release detection.
 
 // collidingTasks returns two tasks whose (task, sem) pairs hash to the same
-// slot of tab; with probe2Free, the second task's alternate probe differs.
-func collidingTasks(t *testing.T, tab *bias.Table, b *Bravo, probe2Free bool) (*Task, *Task) {
+// slot of tab.
+func collidingTasks(t *testing.T, tab *bias.Table, b *Bravo) (*Task, *Task) {
 	t.Helper()
 	semID := b.Engine().ID()
 	t1 := NewTaskWithID(1)
 	home := tab.Index(semID, t1.ID)
 	for c := uint64(2); c < 1<<20; c++ {
-		if tab.Index(semID, c) != home {
-			continue
+		if tab.Index(semID, c) == home {
+			return t1, NewTaskWithID(c)
 		}
-		if probe2Free && tab.Index2(semID, c) == home {
-			continue
-		}
-		return t1, NewTaskWithID(c)
 	}
 	t.Fatal("no colliding task identity found")
 	return nil, nil
@@ -37,7 +33,7 @@ func TestBravoTwoTasksOneSlotDiverts(t *testing.T) {
 	b.Engine().SetTable(tab)
 	b.Engine().SetPolicy(bias.AlwaysPolicy{})
 	b.Engine().SetStats(st)
-	t1, t2 := collidingTasks(t, tab, b, false)
+	t1, t2 := collidingTasks(t, tab, b)
 	b.DownRead(t1) // slow, enables bias
 	b.UpRead(t1)
 	b.DownRead(t1) // fast: occupies the shared slot
@@ -55,36 +51,6 @@ func TestBravoTwoTasksOneSlotDiverts(t *testing.T) {
 	b.UpRead(t1)
 	if tab.Occupancy() != 0 {
 		t.Fatal("table dirty after collision round trip")
-	}
-}
-
-func TestBravoTwoTasksOneSlotSecondProbeRescues(t *testing.T) {
-	tab := bias.NewTable(64)
-	st := &bias.Stats{}
-	b := NewBravo(DefaultConfig())
-	b.Engine().SetTable(tab)
-	b.Engine().SetPolicy(bias.AlwaysPolicy{})
-	b.Engine().SetStats(st)
-	b.Engine().SetSecondProbe()
-	t1, t2 := collidingTasks(t, tab, b, true)
-	b.DownRead(t1)
-	b.UpRead(t1)
-	b.DownRead(t1)
-	b.DownRead(t2) // collides at home, lands in the alternate slot
-	if t2.Holds() != 1 {
-		t.Fatalf("second probe did not rescue the colliding task: %s", st.Snapshot())
-	}
-	alt := tab.Index2(b.Engine().ID(), t2.ID)
-	if tab.Load(alt) != b.Engine().ID() {
-		t.Fatal("rescued task not in the alternate slot")
-	}
-	if tab.Occupancy() != 2 {
-		t.Fatalf("occupancy = %d, want 2", tab.Occupancy())
-	}
-	b.UpRead(t2)
-	b.UpRead(t1)
-	if tab.Occupancy() != 0 {
-		t.Fatal("table dirty")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 //
 // The whole biasing protocol lives in the embedded bias.Engine — the same
 // engine that powers the user-space wrapper (internal/core) — so the rwsem
-// integration inherits the policy ablation, stats, second-probe, randomized
-// and 2D-table variants instead of carrying a private rbias/inhibit copy.
+// integration inherits the policy ablation, stats and 2D-table variants
+// instead of carrying a private rbias/inhibit copy.
 //
 // The paper's patch assumes the semaphore is released by the task that
 // acquired it for read, and we keep that assumption: the task's reader
@@ -42,8 +42,8 @@ func NewBravo(cfg Config) *Bravo {
 func (b *Bravo) Inner() *RWSem { return b.inner }
 
 // Engine exposes the embedded biasing engine: its Set* methods configure the
-// semaphore before first use (a private or 2D table, a policy, stats, the §7
-// probe variants), and the rest are diagnostics.
+// semaphore before first use (a private or 2D table, a policy, stats), and
+// the rest are diagnostics.
 func (b *Bravo) Engine() *bias.Engine { return &b.eng }
 
 // Biased reports whether reader bias is enabled. Diagnostic.
