@@ -118,11 +118,21 @@ func TestShardedMultiPutMultiGetRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkShardedPutSingleVsBatched: "single-wal-none" is "single" on a
+// durable SyncNone engine, so the difference is the WAL append.
 func BenchmarkShardedPutSingleVsBatched(b *testing.B) {
 	const batch = 64
-	for _, mode := range []string{"single", "batched"} {
+	for _, mode := range []string{"single", "batched", "single-wal-none"} {
 		b.Run(mode, func(b *testing.B) {
-			s, _ := NewSharded(8, mkBravo)
+			var opts []Option
+			if mode == "single-wal-none" {
+				opts = append(opts, WithDurability(b.TempDir(), SyncNone))
+			}
+			s, err := NewSharded(8, mkBravo, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
 			keys := make([]uint64, batch)
 			vals := make([][]byte, batch)
 			for i := range keys {
@@ -134,12 +144,12 @@ func BenchmarkShardedPutSingleVsBatched(b *testing.B) {
 				for i := range keys {
 					keys[i] = rng.Next() & 1023
 				}
-				if mode == "single" {
+				if mode == "batched" {
+					s.MultiPut(keys, vals)
+				} else {
 					for i := range keys {
 						s.Put(keys[i], vals[i])
 					}
-				} else {
-					s.MultiPut(keys, vals)
 				}
 			}
 		})

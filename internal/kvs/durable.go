@@ -106,8 +106,8 @@ func (s *Sharded) WALError() error {
 	return nil
 }
 
-// Close drains the async write queues and, on durable engines, syncs and
-// closes every shard's log. The engine must not be written after Close
+// Close drains the async write queues and, on durable engines, trims, syncs
+// and closes every shard's log. The engine must not be written after Close
 // (late writes are counted as WAL errors and survive only in memory).
 // Close is idempotent.
 func (s *Sharded) Close() error {
@@ -121,6 +121,9 @@ func (s *Sharded) Close() error {
 		w.mu.Lock()
 		if !w.closed {
 			w.closed = true
+			if err := w.trim(); err != nil && first == nil {
+				first = err
+			}
 			if err := w.f.Sync(); err != nil && first == nil {
 				first = err
 			}
@@ -198,22 +201,23 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 		} else if !os.IsNotExist(err) {
 			return err
 		}
-		// Drop the torn tail before appending after it: a new record
-		// written beyond torn bytes would be unreachable at replay.
-		if err := truncateTo(s.walPath(i), walSize); err != nil {
-			return err
-		}
 		// The LSN floor (failover promotion): the sequence continues from
 		// the base unless the directory already recovered past it.
 		if lsnBase != nil && lsnBase[i] > last {
 			last = lsnBase[i]
 		}
-		f, err := os.OpenFile(s.walPath(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := openLog(s.walPath(i))
 		if err != nil {
 			return err
 		}
 		sh.wal = &shardWAL{f: f, policy: policy, size: walSize, lsn: last}
 		sh.wal.applied.Store(last)
+		sh.wal.end.Store(walSize)
+		// Drop the torn tail before appending after it: a new record
+		// written beyond torn bytes would be unreachable at replay.
+		if err := sh.wal.trim(); err != nil {
+			return err
+		}
 	}
 	// Restore transaction atomicity before anything else appends: any
 	// multi-shard commit witnessed by one surviving shard log but missing
@@ -373,21 +377,6 @@ func (s *Sharded) rollForwardTxns(txns map[walPart]*txnRecovery) error {
 		}
 	}
 	return nil
-}
-
-// truncateTo truncates path to size when it exists and is longer.
-func truncateTo(path string, size int64) error {
-	st, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if st.Size() <= size {
-		return nil
-	}
-	return os.Truncate(path, size)
 }
 
 func (s *Sharded) walPath(i int) string {

@@ -68,6 +68,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(buildRecord(append([]byte{walVersionSnap}, make([]byte, 12)...))) // snapshot record: wire-only
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})                       // insane length
 	f.Add(bytes.Repeat([]byte{0}, 64))                                      // zero-length records... of garbage CRC
+	f.Add(append(buildRecord(validPayload()), make([]byte, 4096)...))       // an unclosed mapped log: records, then reserved zeros
 	f.Fuzz(func(t *testing.T, data []byte) {
 		applied := 0
 		valid, last := walReplay(data, 0, func(rec walRecord) {

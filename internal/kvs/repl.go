@@ -13,12 +13,12 @@ package kvs
 // same framing, so a follower bootstraps and resumes through one decoder.
 //
 // The read side is lockless against writers: it reads the log files
-// through its own descriptors, never touches the WAL mutex, and NEVER
-// reports what it sees as engine corruption — a replication reader racing
-// the appender routinely observes a torn tail (length header before
-// payload, payload before CRC), which is in-flight data, not damage. Those
-// reads stop cleanly at the torn frame and resume on the next call;
-// shardWAL.setErr is reserved for the appender's own write/sync failures.
+// through its own descriptors, never touches the WAL mutex, and reads the
+// current log only up to its published end (shardWAL.end), never into a
+// record mid-copy or the reserved zeros past it. It NEVER reports what it
+// sees as engine corruption: a torn frame is "no more data yet" — the read
+// stops cleanly there and resumes on the next call; shardWAL.setErr is
+// reserved for the appender's own write/sync failures.
 // Rotation is detected with the WAL's generation seqlock (odd while a
 // checkpoint swaps files, even when stable): a read bracketed by the same
 // even gen overlapped no rotation, anything else retries, and any
@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"github.com/bravolock/bravo/internal/frame"
@@ -186,7 +187,7 @@ func (s *Sharded) ReplRead(shard int, cur *ReplCursor, maxBytes int) ([]byte, er
 		if g != cur.gen || g&1 == 1 {
 			cur.ok = false
 		} else {
-			data, err := readFileFrom(s.walPath(shard), cur.off)
+			data, err := readFileFrom(s.walPath(shard), cur.off, w.end.Load())
 			if err != nil {
 				return nil, err
 			}
@@ -218,11 +219,12 @@ func (s *Sharded) ReplRead(shard int, cur *ReplCursor, maxBytes int) ([]byte, er
 			continue // rotation in flight; go around
 		}
 		appliedBefore := w.applied.Load()
-		oldData, err := readFileIfExists(s.walOldPath(shard))
+		// wal.old is trimmed before it is renamed or merged: read it whole.
+		oldData, err := readFileFrom(s.walOldPath(shard), 0, math.MaxInt64)
 		if err != nil {
 			return nil, err
 		}
-		curData, err := readFileIfExists(s.walPath(shard))
+		curData, err := readFileFrom(s.walPath(shard), 0, w.end.Load())
 		if err != nil {
 			return nil, err
 		}
@@ -383,18 +385,12 @@ func (s *Sharded) ApplyReplRecord(shard int, rec ReplRecord) error {
 	return nil
 }
 
-// readFileIfExists reads a whole file, treating absence as emptiness.
-func readFileIfExists(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
+// readFileFrom reads a file's bytes [off, end), or to EOF if that is
+// sooner, treating absence (and an empty range) as emptiness.
+func readFileFrom(path string, off, end int64) ([]byte, error) {
+	if end <= off {
 		return nil, nil
 	}
-	return data, err
-}
-
-// readFileFrom reads a file from offset to EOF, treating absence (and an
-// offset at or past EOF) as emptiness.
-func readFileFrom(path string, off int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -403,8 +399,5 @@ func readFileFrom(path string, off int64) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return io.ReadAll(f)
+	return io.ReadAll(io.NewSectionReader(f, off, end-off))
 }

@@ -15,6 +15,12 @@ package kvs
 // state the maps held. Readers never touch the WAL mutex — the BRAVO read
 // fast path stays one CAS even while a batch is being synced.
 //
+// The append is a copy into a shared mapping of the log's reserved window,
+// not a write(2) (wal_map_linux.go; a positioned write elsewhere). An open
+// log runs past its records into zeros, where replay stops as at any torn
+// tail; readers stop at the published end, and trim cuts the file back to
+// its records at open and before it is closed, renamed or merged.
+//
 // Record format v2 (all integers little-endian, fixed width):
 //
 //	record  := u32 payloadLen | u32 crc32c(payload) | payload
@@ -74,9 +80,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncNone never fsyncs: records are written to the file (and survive a
-	// process crash) but an OS crash can lose the tail the kernel had not
-	// flushed. The cheapest durable mode.
+	// SyncNone never fsyncs: a record is in the file's page cache when its
+	// write returns (copied into the mapped log), so it survives a process
+	// crash, but an OS crash can lose the tail the kernel had not written
+	// back. The cheapest durable mode.
 	SyncNone SyncPolicy = iota
 	// SyncAlways fsyncs once per appended record — which, with group
 	// commit, is once per shard batch, not once per key.
@@ -150,10 +157,11 @@ type shardWAL struct {
 	f      *os.File
 	policy SyncPolicy
 	buf    []byte // record scratch, reused under mu
-	// size is the file length up to the last fully-written record; a
-	// partial write rolls back to it (see commit) so no record is ever
-	// appended beyond torn bytes, where replay could not reach it.
+	// size is the log's length up to the last fully-written record: the
+	// next record goes there, and trim cuts the file back to it.
 	size   int64
+	m      []byte // the mapped window, file offset base onward; nil if none
+	base   int64
 	closed bool
 	err    error // first write/sync error; the engine stays available in memory
 	// lsn is the LSN of the last committed record (guarded by mu); append
@@ -165,6 +173,9 @@ type shardWAL struct {
 	// shard map (see unlock): the lock-free answer to "what LSN does a read
 	// against this shard observe", read by ShardLSN and /repl/status.
 	applied atomic.Uint64
+	// end publishes size to lockless replication readers, which read no
+	// further: past it lie a record mid-copy and the reservation's zeros.
+	end atomic.Int64
 	// gen is a seqlock over the log files: rotate (holding mu) bumps it to
 	// odd on entry and back to even on exit, so the files are stable
 	// exactly when gen is even. Replication readers sample it around
@@ -252,33 +263,28 @@ func (w *shardWAL) append(parts []walPart, ents []Entry, own int) {
 	w.commit(own)
 }
 
-// commit frames the pending record (length + CRC over the payload), writes
-// it, and fsyncs under SyncAlways. Write and sync failures are recorded
-// (first error wins, WALError reports it) rather than propagated: the
-// engine keeps serving from memory with durability degraded, the same
-// availability-over-durability call redis makes on a failing AOF disk.
+// commit frames the pending record (length + CRC over the payload), places
+// it, and fsyncs under SyncAlways (which writes back mapped pages too).
+// Place and sync failures are recorded (first error wins, WALError reports
+// it) rather than propagated: the engine keeps serving from memory with
+// durability degraded, the same availability-over-durability call redis
+// makes on a failing AOF disk.
 func (w *shardWAL) commit(count int) {
 	if w.closed {
 		w.setErr(errWALClosed)
 		return
 	}
 	frame.Seal(w.buf)
-	n, err := w.f.Write(w.buf)
-	w.bytes.Add(uint64(n))
-	if err != nil {
+	if err := w.place(w.buf); err != nil {
 		w.setErr(err)
-		// Roll the file back to the last complete record: replay stops at
-		// torn bytes, so anything appended beyond them would be durable in
-		// name only. If even the rollback fails, stop appending for good.
-		if terr := w.f.Truncate(w.size); terr != nil {
-			w.closed = true
-		}
 		return
 	}
-	w.size += int64(n)
+	w.size += int64(len(w.buf))
+	w.end.Store(w.size)
 	w.lsn++
 	w.records.Add(1)
 	w.keys.Add(uint64(count))
+	w.bytes.Add(uint64(len(w.buf)))
 	if w.policy == SyncAlways {
 		if err := w.f.Sync(); err != nil {
 			w.setErr(err)
@@ -297,8 +303,9 @@ func (w *shardWAL) setErr(err error) {
 }
 
 // rotate makes the current log the "old" generation and starts a fresh
-// one: sync, then rename cur → old and reopen cur empty. Called by
-// checkpoints with mu held, so no append can interleave with the swap.
+// one: trim, sync, then rename cur → old and reopen cur empty. Called by
+// checkpoints with mu held, so no append can interleave with the swap. Trim
+// first: a zero tail in old would stop replay short of a merge's records.
 //
 // If a previous checkpoint died between its rotation and its prune, old
 // already exists and still holds records the published snapshot may not
@@ -316,6 +323,10 @@ func (w *shardWAL) rotate(cur, old string) error {
 	// same even value on both sides of a read no rotation overlapped.
 	w.gen.Add(1)
 	defer w.gen.Add(1)
+	if err := w.trim(); err != nil {
+		w.setErr(err)
+		return err
+	}
 	if err := w.f.Sync(); err != nil {
 		w.setErr(err)
 		return err
@@ -331,6 +342,7 @@ func (w *shardWAL) rotate(cur, old string) error {
 			return err
 		}
 		w.size = 0
+		w.end.Store(0)
 		return nil
 	} else if !os.IsNotExist(err) {
 		w.setErr(err)
@@ -342,7 +354,7 @@ func (w *shardWAL) rotate(cur, old string) error {
 	}
 	if err := os.Rename(cur, old); err != nil {
 		// Try to keep the engine writable on the old file.
-		if f, ferr := os.OpenFile(cur, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); ferr == nil {
+		if f, ferr := openLog(cur); ferr == nil {
 			w.f = f
 		} else {
 			w.closed = true
@@ -350,7 +362,7 @@ func (w *shardWAL) rotate(cur, old string) error {
 		w.setErr(err)
 		return err
 	}
-	f, err := os.OpenFile(cur, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openLog(cur)
 	if err != nil {
 		w.closed = true
 		w.setErr(err)
@@ -358,7 +370,13 @@ func (w *shardWAL) rotate(cur, old string) error {
 	}
 	w.f = f
 	w.size = 0
+	w.end.Store(0)
 	return nil
+}
+
+// openLog opens a shard log for place: read-write, and without O_APPEND.
+func openLog(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 }
 
 // appendFile appends src's contents to dst and fsyncs dst.

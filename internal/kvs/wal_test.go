@@ -1,13 +1,18 @@
 package kvs
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -307,6 +312,147 @@ func TestRotateMergesExistingOldGeneration(t *testing.T) {
 	// Recovery collapsed the interrupted checkpoint: wal.old pruned.
 	if _, err := os.Stat(r.walOldPath(0)); !os.IsNotExist(err) {
 		t.Fatal("recovery left wal.old behind")
+	}
+}
+
+// TestClosedLogIsExactlyItsRecords: an open log may run past its records
+// (a mapped log's reserved window), but a rotated, merged or closed one may
+// not — a zero tail in wal.old would sit between a merge's two generations,
+// where replay stops. Each file's length must be the sum of the framed
+// records written to it, and replay must consume every byte. Every phase
+// writes over 1 MiB per shard, so each log crosses a mapped window before
+// it is rotated, and one record is larger than a window.
+func TestClosedLogIsExactlyItsRecords(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestKV(t, dir, 4, SyncNone)
+	framed := make([]int64, 4) // per shard: framed bytes written since its log was last rotated
+	put := func(from, to uint64) {
+		for k := from; k < to; k++ {
+			v := []byte(strings.Repeat("v", 2048+int(k%97)*64))
+			if k == 1500 {
+				v = make([]byte, 3<<19)
+			}
+			s.Put(k, v)
+			framed[s.ShardOf(k)] += int64(len(encodeRecord(nil, 0, nil, []Entry{{Op: OpPut, Key: k, Value: v}})))
+		}
+	}
+	expectLog := func(label, path string, want int64) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(data)) != want {
+			t.Fatalf("%s: %s is %d bytes, its records %d", label, filepath.Base(path), len(data), want)
+		}
+		if valid, _ := walReplay(data, 0, func(walRecord) {}); valid != len(data) {
+			t.Fatalf("%s: replay of %s consumed %d of %d bytes", label, filepath.Base(path), valid, len(data))
+		}
+	}
+	rotate := func() {
+		w := s.shards[1].wal
+		w.mu.Lock()
+		err := w.rotate(s.walPath(1), s.walOldPath(1))
+		w.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, 1000)
+	rotate() // a checkpoint's rotation: cur is renamed to wal.old
+	old := framed[1]
+	expectLog("rotated", s.walOldPath(1), old)
+	framed[1] = 0
+	put(1000, 2000)
+	rotate() // wal.old still there: cur is merged into it
+	old += framed[1]
+	expectLog("merged", s.walOldPath(1), old)
+	expectLog("merged", s.walPath(1), 0)
+	framed[1] = 0
+	put(2000, 3000)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range framed {
+		expectLog("closed", s.walPath(i), framed[i])
+	}
+	expectLog("closed", s.walOldPath(1), old)
+}
+
+// TestSyncNoneSurvivesKill holds SyncNone to its promise: a record is in
+// the file when its write returns, so a process killed without Close loses
+// at most the write in flight. The test re-runs itself as a child that
+// prints each acknowledged key and SIGKILLs itself mid-stream.
+func TestSyncNoneSurvivesKill(t *testing.T) {
+	const marker = "KVS_SYNCNONE_KILL_DIR"
+	if dir := os.Getenv(marker); dir != "" {
+		syncNoneKillChild(dir)
+		return
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("needs SIGKILL")
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSyncNoneSurvivesKill$")
+	cmd.Env = append(os.Environ(), marker+"="+dir)
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		t.Fatalf("child exited with %v, want death by SIGKILL; output:\n%s", err, out)
+	}
+	if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+		t.Fatalf("child ended with %v, want SIGKILL; stderr:\n%s", ee, ee.Stderr)
+	}
+	acked := map[uint64]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if k, err := strconv.ParseUint(line, 10, 64); err == nil {
+			acked[k] = true
+		}
+	}
+	if len(acked) < killAfter {
+		t.Fatalf("child acknowledged %d keys before dying, want at least %d", len(acked), killAfter)
+	}
+	t.Logf("child acknowledged %d keys before the kill", len(acked))
+	r := openTestKV(t, dir, 4, SyncNone)
+	defer r.Close()
+	for k := range acked {
+		if v, ok := r.Get(k); !ok || string(v) != string(EncodeValue(k)) {
+			t.Fatalf("acknowledged key %d = %x (present %v) after the kill", k, v, ok)
+		}
+	}
+	// The one write in flight may or may not have landed; nothing else can.
+	inFlight := uint64(len(acked))
+	for k := range r.Snapshot() {
+		if !acked[k] && k != inFlight {
+			t.Fatalf("recovered key %d, neither acknowledged nor the one in flight (%d)", k, inFlight)
+		}
+	}
+}
+
+// killAfter is how many keys the child acknowledges before it starts its
+// own SIGKILL, which then lands at an arbitrary point of the stream.
+const killAfter = 2000
+
+// syncNoneKillChild is TestSyncNoneSurvivesKill's child: Put keys 0, 1, 2, …
+// into a 4-shard SyncNone engine over dir, printing each once Put returns,
+// and never Close.
+func syncNoneKillChild(dir string) {
+	s, err := OpenSharded(dir, 4, mkStd, SyncNone)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for k := uint64(0); ; k++ {
+		if k == killAfter {
+			go self.Kill()
+		}
+		s.Put(k, EncodeValue(k))
+		fmt.Println(k)
 	}
 }
 

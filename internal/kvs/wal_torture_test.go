@@ -5,10 +5,11 @@ package kvs
 // mid-record offsets, and single-bit corruption — and demand that
 // OpenSharded recovers exactly the state of some prefix of the applied
 // operations. The oracle is independent of the decoder under test: the
-// log file's byte size is recorded after every operation, so for a
-// truncation at L bytes the expected state is the model after the last
-// operation whose records fit entirely within L. Torn tails are dropped,
-// never corrupt.
+// log's logical end (the offset the WAL publishes after each record, not
+// the file's size, which on Linux is the reserved window) is recorded
+// after every operation, so for a truncation at L bytes the expected state
+// is the model after the last operation whose records fit entirely within
+// L. Torn tails are dropped, never corrupt.
 
 import (
 	"bytes"
@@ -132,6 +133,12 @@ func cloneDirWithWAL(t *testing.T, srcDir string, wal []byte) string {
 	return dst
 }
 
+// walEnd is shard i's published log end: the byte offset just past its
+// last complete record.
+func walEnd(s *Sharded, i int) int64 {
+	return s.shards[i].wal.end.Load()
+}
+
 // expectState opens the image and compares against want.
 func expectState(t *testing.T, dir string, want map[uint64][]byte, label string) {
 	t.Helper()
@@ -165,21 +172,19 @@ func TestTortureTruncatedTailIsPrefixConsistent(t *testing.T) {
 	walPath := s.walPath(0)
 	for i, op := range ops {
 		op.apply(s)
-		st, err := os.Stat(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		offsets[i] = st.Size()
+		offsets[i] = walEnd(s, 0)
 	}
-	// The crash: no Close. Writes went straight to the file descriptor, so
-	// the bytes are all there; the mutilations below simulate what a real
-	// crash (or a half-written sector) can leave.
+	// The crash: no Close. Every record was in the file when its write
+	// returned, so the bytes are all there, followed (where the log is
+	// mapped) by the reservation's zeros; the mutilations below simulate
+	// what a real crash (or a half-written sector) can leave.
 	wal, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(wal)) != offsets[len(offsets)-1] {
-		t.Fatalf("wal is %d bytes, offsets say %d", len(wal), offsets[len(offsets)-1])
+	end := offsets[len(offsets)-1]
+	if int64(len(wal)) < end || len(bytes.TrimLeft(wal[end:], "\x00")) > 0 {
+		t.Fatalf("wal is %d bytes, offsets say its records end at %d and only zeros follow", len(wal), end)
 	}
 	// prefixFor: how many ops are fully on disk in the first L bytes.
 	prefixFor := func(L int64) int {
@@ -193,21 +198,23 @@ func TestTortureTruncatedTailIsPrefixConsistent(t *testing.T) {
 		img := cloneDirWithWAL(t, dir, wal[:L])
 		expectState(t, img, modelAfter(ops, prefixFor(L)), label)
 	}
-	// Every record boundary, including the empty log and the full log.
+	// Every record boundary, including the empty log and the full log, and
+	// the whole file as the crash left it, zero tail included.
 	cut(0, "empty")
 	for i, off := range offsets {
 		if i == len(offsets)-1 || off != offsets[i+1] {
 			cut(off, "boundary")
 		}
 	}
-	// Random offsets, most of them mid-record.
+	cut(int64(len(wal)), "whole-file")
+	// Random offsets into the records, most of them mid-record.
 	for c := 0; c < nCuts; c++ {
-		cut(int64(rng.Next()%uint64(len(wal)+1)), "random")
+		cut(int64(rng.Next()%uint64(end+1)), "random")
 	}
 	// Single-bit corruption: everything after the flipped byte's record is
 	// dropped; nothing before it is touched; no panic, no garbage value.
 	for c := 0; c < nCuts/3; c++ {
-		p := int(rng.Next() % uint64(len(wal)))
+		p := int(rng.Next() % uint64(end))
 		mut := append([]byte(nil), wal...)
 		mut[p] ^= 1 << (rng.Next() % 8)
 		img := cloneDirWithWAL(t, dir, mut)
@@ -216,43 +223,50 @@ func TestTortureTruncatedTailIsPrefixConsistent(t *testing.T) {
 }
 
 // TestTortureRecoveredStoreIsWritable: after recovering from a mid-record
-// cut, the reopened engine must truncate the torn bytes before appending —
-// otherwise its own new records would sit beyond garbage and be lost to
-// the *next* recovery.
+// cut — or from the whole file an unclosed mapped log leaves, zeros after
+// its records — the reopened engine must truncate the tail before
+// appending; otherwise its own new records would sit beyond garbage and be
+// lost to the *next* recovery.
 func TestTortureRecoveredStoreIsWritable(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestKV(t, dir, 1, SyncNone)
 	for k := uint64(0); k < 16; k++ {
 		s.Put(k, EncodeValue(k))
 	}
-	st, err := os.Stat(s.walPath(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	end := walEnd(s, 0)
 	wal, err := os.ReadFile(s.walPath(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recSize := st.Size() / 16
-	img := cloneDirWithWAL(t, dir, wal[:st.Size()-recSize/2]) // mid-record cut
-	r, err := OpenSharded(img, 1, mkStd, SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Put(100, []byte("appended-after-recovery"))
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := OpenSharded(img, 1, mkStd, SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if v, ok := r2.Get(100); !ok || string(v) != "appended-after-recovery" {
-		t.Fatalf("record appended after a torn-tail recovery was lost: %q, %v", v, ok)
-	}
-	if n := len(r2.Snapshot()); n != 16 { // 15 survivors + the appended key
-		t.Fatalf("recovered %d keys, want 16", n)
+	recSize := end / 16
+	for _, c := range []struct {
+		name string
+		img  []byte
+		want int
+	}{
+		{"mid-record", wal[:end-recSize/2], 16}, // 15 survivors + the appended key
+		{"whole-file", wal, 17},                 // 16 survivors + the appended key
+	} {
+		img := cloneDirWithWAL(t, dir, c.img)
+		r, err := OpenSharded(img, 1, mkStd, SyncNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Put(100, []byte("appended-after-recovery"))
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := OpenSharded(img, 1, mkStd, SyncNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := r2.Get(100); !ok || string(v) != "appended-after-recovery" {
+			t.Fatalf("%s: record appended after a torn-tail recovery was lost: %q, %v", c.name, v, ok)
+		}
+		if n := len(r2.Snapshot()); n != c.want {
+			t.Fatalf("%s: recovered %d keys, want %d", c.name, n, c.want)
+		}
+		r2.Close()
 	}
 }
 
