@@ -186,7 +186,7 @@ var lineCeilings = map[string]int{
 	"internal/core":       327,
 	"internal/frame":      110,
 	"internal/hash":       78,
-	"internal/kvs":        4069,
+	"internal/kvs":        3969,
 	"internal/kvserv":     1479,
 	"internal/lockcheck":  461,
 	"internal/locks":      1236,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1425,
 	"internal/xrand":      145,
-	"total":               17077,
+	"total":               16977,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

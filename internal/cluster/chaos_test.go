@@ -15,9 +15,9 @@ package cluster
 //     write, truncated at each promotion cut, replayed per shard, must
 //     equal the surviving cluster state key for key — no divergence;
 //   - the epoch (fencing) oracle: a deposed primary's writes are all
-//     rejected, its per-shard LSNs never advance again, and its WAL files
-//     never grow another byte — a revived stale primary provably cannot
-//     commit;
+//     rejected, its per-shard LSNs never advance again, and its engine
+//     never appends another WAL record or byte — a revived stale primary
+//     provably cannot commit;
 //   - the lost/dup/reorder oracle: per shard, the journal's (epoch, lsn)
 //     sequence is gapless — consecutive within an epoch, and each
 //     promoted epoch's first record lands at exactly cut+1 — so no
@@ -27,8 +27,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -240,9 +239,9 @@ func assertGaplessLSNs(t *testing.T, j *partitionJournal, pi, shards int, cuts m
 
 // corpseState freezes a deposed primary's observable commit surface.
 type corpseState struct {
-	corpse   *Member
-	lsns     []uint64
-	walBytes int64
+	corpse *Member
+	lsns   []uint64
+	wal    walAppended
 }
 
 func captureCorpse(t *testing.T, m *Member) corpseState {
@@ -250,7 +249,7 @@ func captureCorpse(t *testing.T, m *Member) corpseState {
 	if !m.Fenced() {
 		t.Errorf("partition %d epoch %d: deposed member is not fenced", m.partition, m.Epoch())
 	}
-	st := corpseState{corpse: m, walBytes: walSize(t, m.Dir())}
+	st := corpseState{corpse: m, wal: walAppendedBy(m)}
 	for sh := 0; sh < m.Engine().NumShards(); sh++ {
 		st.lsns = append(st.lsns, m.Engine().ShardLSN(sh))
 	}
@@ -287,38 +286,66 @@ func (st corpseState) hammer(t *testing.T, rng *xrand.XorShift64) {
 }
 
 // check is the epoch oracle's passive half: after the hammering (and any
-// amount of cluster traffic), the corpse's LSNs and WAL bytes are exactly
-// where the fence left them.
+// amount of cluster traffic), the corpse's LSNs and WAL are exactly where
+// the fence left them.
 func (st corpseState) check(t *testing.T) {
 	t.Helper()
-	m := st.corpse
-	for sh, want := range st.lsns {
-		if got := m.Engine().ShardLSN(sh); got != want {
-			t.Errorf("partition %d epoch %d shard %d: corpse LSN advanced %d → %d", m.partition, m.Epoch(), sh, want, got)
-		}
-	}
-	if got := walSize(t, m.Dir()); got != st.walBytes {
-		t.Errorf("partition %d epoch %d: corpse WAL grew %d → %d bytes", m.partition, m.Epoch(), st.walBytes, got)
+	for _, d := range st.drift() {
+		t.Error(d)
 	}
 }
 
-// walSize sums the WAL bytes under a member directory — the durable
-// evidence a fenced primary committed nothing.
-func walSize(t *testing.T, dir string) int64 {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+// drift lists how the corpse moved since it was captured.
+func (st corpseState) drift() []string {
+	m := st.corpse
+	var moved []string
+	for sh, want := range st.lsns {
+		if got := m.Engine().ShardLSN(sh); got != want {
+			moved = append(moved, fmt.Sprintf("partition %d epoch %d shard %d: corpse LSN advanced %d → %d", m.partition, m.Epoch(), sh, want, got))
+		}
+	}
+	if got := walAppendedBy(m); got != st.wal {
+		moved = append(moved, fmt.Sprintf("partition %d epoch %d: corpse WAL appended %+v → %+v", m.partition, m.Epoch(), st.wal, got))
+	}
+	return moved
+}
+
+// walAppended is what a member's engine has appended to its logs — the
+// durable evidence a fenced primary committed nothing. It is counted, not
+// read off the files: an open log's size is its mapped reservation.
+type walAppended struct{ records, bytes uint64 }
+
+func walAppendedBy(m *Member) walAppended {
+	tot := m.Engine().Stats().Total()
+	return walAppended{tot.WALRecords, tot.WALBytes}
+}
+
+// TestCorpseCheckSeesACommit is the epoch oracle's negative control: one
+// write applied to a deposed primary's engine directly, past its fence, is
+// a commit the corpse check must report, as an advanced LSN and as WAL
+// appended. (The log file's size does not move: it is the reservation.)
+func TestCorpseCheckSeesACommit(t *testing.T) {
+	c, err := Open(Config{Partitions: 1, Shards: 2, Followers: 1, Dir: t.TempDir(), Policy: kvs.SyncNone, RetryInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
+	defer c.Close()
+	if _, err := c.Put(1, []byte("before"), 0); err != nil {
+		t.Fatal(err)
 	}
-	return total
+	if err := c.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	old := c.Member(0)
+	mustFailover(t, c, 0)
+	st := captureCorpse(t, old)
+	if d := st.drift(); len(d) != 0 {
+		t.Fatalf("an untouched corpse drifted: %v", d)
+	}
+	old.Engine().Put(1, []byte("stale"))
+	if d := st.drift(); len(d) != 2 || !strings.Contains(d[1], "corpse WAL appended") {
+		t.Fatalf("a commit on the corpse drifted %v, want its LSN and its WAL", d)
+	}
 }
 
 // mustFailover promotes, retrying while no follower has bootstrapped the

@@ -118,6 +118,40 @@ func TestShardedMultiPutMultiGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMultiGetValuesDoNotAlias: a MultiGet's values share one allocation,
+// so each must end at its own capacity — appending to one value, present or
+// empty, reallocates it and never writes into the value after it.
+func TestMultiGetValuesDoNotAlias(t *testing.T) {
+	s, _ := NewSharded(2, mkStd)
+	want := map[uint64][]byte{}
+	keys := make([]uint64, 12)
+	for i := range keys {
+		keys[i] = uint64(i)
+		want[keys[i]] = []byte(fmt.Sprintf("v%d", i))
+	}
+	want[5] = []byte{}
+	for k, v := range want {
+		s.Put(k, v)
+	}
+	check := func(what string, vals [][]byte) {
+		t.Helper()
+		for i, k := range keys {
+			if string(vals[i]) != string(want[k]) || vals[i] == nil {
+				t.Fatalf("%s: MultiGet[%d] = %q, want %q", what, i, vals[i], want[k])
+			}
+		}
+	}
+	vals := s.MultiGet(keys)
+	check("fresh", vals)
+	for i := range vals {
+		grown := append(vals[i], "XXXXXXXX"...)
+		check(fmt.Sprintf("after appending to value %d", i), vals)
+		if string(grown[:len(vals[i])]) != string(vals[i]) {
+			t.Fatalf("append to value %d lost its prefix", i)
+		}
+	}
+}
+
 // BenchmarkShardedPutSingleVsBatched: "single-wal-none" is "single" on a
 // durable SyncNone engine, so the difference is the WAL append.
 func BenchmarkShardedPutSingleVsBatched(b *testing.B) {

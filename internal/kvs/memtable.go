@@ -39,8 +39,8 @@ type Memtable struct {
 
 type stripe struct {
 	lock rwl.RWLock
-	// seqStore is the stripe's keyed storage (key→cell table + TTL
-	// deadlines); Memtable expiry is lazy-only (no reaper): expired
+	// seqStore is the stripe's keyed storage (key→cell table + TTL'd
+	// keys); Memtable expiry is lazy-only (no reaper): expired
 	// entries stay resident but invisible until overwritten.
 	seqStore
 }
@@ -77,8 +77,8 @@ func (m *Memtable) GetInto(key uint64, buf []byte) ([]byte, bool) {
 	s := m.stripeOf(key)
 	tok := s.lock.RLock()
 	v := s.idx.lookup(key)
-	// Lazy expiry, inclusive at the deadline.
-	ok := v != nil && !s.exp.expired(key)
+	var now int64
+	ok := v != nil && !v.expired(&now) // lazy expiry
 	out := buf[:0]
 	if ok {
 		out = v.appendTo(out)

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/bravolock/bravo/internal/clock"
 )
 
 // seqCell is one key's value storage in a form the optimistic (seqlock) read
 // path can copy out with no lock held: one pointer-free allocation of atomic
 // words. Word 0 — the word a *seqCell points at — packs the cell's payload
 // capacity in words (high half, fixed at allocation) with the visible byte
-// length (low half); word 1 is the TTL deadline (clock.Nanos, 0 = no TTL);
+// length (low half); word 1 is the key's TTL deadline — the only place the
+// engine stores one (clock.Nanos, 0 = no TTL);
 // words 2… hold the bytes, packed little-endian. Every access is atomic, so
 // a reader racing an in-place writer observes some interleaving of old and
 // new words — torn data — but never a data race; the shard's write-section
@@ -65,8 +68,24 @@ func (c *seqCell) head() uint64 { return (*atomic.Uint64)(c).Load() }
 // fits reports whether a value of n bytes can be stored in place.
 func (c *seqCell) fits(n int) bool { return n <= int(c.head()>>cellLenBits)*8 }
 
-// deadline returns the TTL deadline, 0 for none.
-func (c *seqCell) deadline() int64 { return int64(c.words(c.head())[1].Load()) }
+// deadline returns the TTL deadline (0 = none), a header word: words(0) has it.
+func (c *seqCell) deadline() int64 { return int64(c.words(0)[1].Load()) }
+
+// expired is the engine's one expiry rule: the cell carries a deadline and
+// now has reached it — inclusive, so a key is expired the nanosecond its
+// deadline arrives. The clock is read only for a cell with a deadline, and
+// once per *now: a caller deciding several cells starts *now at 0 and
+// shares it.
+func (c *seqCell) expired(now *int64) bool {
+	d := c.deadline()
+	if d == 0 {
+		return false
+	}
+	if *now == 0 {
+		*now = clock.Nanos()
+	}
+	return *now >= d
+}
 
 // set stores value and deadline in place. The caller holds the shard write
 // lock inside an open write section; concurrent optimistic readers may see

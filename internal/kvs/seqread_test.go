@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/bravolock/bravo/internal/rwl"
@@ -183,6 +184,28 @@ func TestSeqReadDisabled(t *testing.T) {
 	}
 	if st.Gets != 1 || st.GetHits != 1 {
 		t.Fatalf("gets/hits = %d/%d", st.Gets, st.GetHits)
+	}
+}
+
+// TestSeqReadAttemptsClampAtMaxInt32 pins the budget's clamp: a budget
+// past what the stored int32 holds is the largest it holds, not a wrapped
+// negative one that would send every read to the lock uncounted.
+func TestSeqReadAttemptsClampAtMaxInt32(t *testing.T) {
+	n := int64(1) << 31
+	if int64(int(n)) != n {
+		t.Skip("int is 32 bits: no budget exceeds MaxInt32")
+	}
+	s, _ := NewSharded(2, mkStd)
+	s.SetSeqReadAttempts(int(n))
+	if got := s.SeqReadAttempts(); got != math.MaxInt32 {
+		t.Fatalf("SeqReadAttempts() = %d after SetSeqReadAttempts(1<<31), want MaxInt32", got)
+	}
+	s.Put(1, []byte("x"))
+	if v, ok := s.Get(1); !ok || string(v) != "x" {
+		t.Fatalf("Get = %q, %v", v, ok)
+	}
+	if st := s.Stats().Total(); st.SeqReads != 1 || st.SeqFallbacks != 0 {
+		t.Fatalf("seq reads/fallbacks = %d/%d, want 1/0", st.SeqReads, st.SeqFallbacks)
 	}
 }
 

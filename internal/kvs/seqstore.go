@@ -3,7 +3,7 @@ package kvs
 import (
 	"sync/atomic"
 
-	"github.com/bravolock/bravo/internal/clock"
+	"github.com/bravolock/bravo/internal/rwl"
 )
 
 // DefaultSeqReadAttempts is how many optimistic (seqlock) read attempts the
@@ -16,16 +16,16 @@ const DefaultSeqReadAttempts = 3
 
 // seqStore is the keyed storage shared by a Sharded shard and a Memtable
 // stripe: one key→cell table (seqIndex, probed by locked and lock-free reads
-// alike) and the TTL deadlines. All mutation goes through
+// alike; a key's TTL deadline lives in its cell) and the set of keys that
+// carry one. All mutation goes through
 // putLocked/deleteLocked/removeLocked/replaceLocked under the owner's write
 // lock — the bracketing invariant (DESIGN.md) is that on a shard every such
 // mutation happens between kvShard.wlock and wunlock, so optimistic readers
 // can never trust a torn view of either structure.
 type seqStore struct {
 	idx seqIndex
-	// exp tracks PutTTL deadlines (see ttlMap); authoritative for the
-	// locked paths and Reap. Cells mirror the deadline atomically for the
-	// optimistic path. Guarded by the owner's lock.
+	// exp is the set of keys written with a TTL (see ttlMap): Reap's work
+	// list and the TTLKeys count. Guarded by the owner's lock.
 	exp ttlMap
 }
 
@@ -58,10 +58,12 @@ func (st *seqStore) removeLocked(key uint64) {
 // deleteLocked removes key under the already-held write lock, reporting
 // whether it was visibly present and whether it was a TTL-expired residue.
 func (st *seqStore) deleteLocked(key uint64) (ok, expired bool) {
-	if st.idx.lookup(key) == nil {
+	c := st.idx.lookup(key)
+	if c == nil {
 		return false, false
 	}
-	expired = st.expiredLocked(key)
+	var now int64
+	expired = c.expired(&now)
 	st.removeLocked(key)
 	return !expired, expired
 }
@@ -73,54 +75,85 @@ func (st *seqStore) replaceLocked() {
 	st.exp = nil
 }
 
-// expiredLocked reports whether key carries a TTL whose deadline has passed
-// (inclusive; see ttlMap.expired). Callers hold the owner's lock, read or
-// write.
-func (st *seqStore) expiredLocked(key uint64) bool {
-	return st.exp.expired(key)
-}
-
 // seqReadHook, when set, runs between an optimistic read's copy and its
 // validation — the window a concurrent writer tears. Tests install it to
 // force deterministic collisions and to fuzz interleavings.
 var seqReadHook atomic.Pointer[func(key uint64)]
 
-// seqGetInto attempts up to attempts optimistic reads of key against the
-// shard's write-section counter. On success (done=true) it returns the
-// value appended to buf[:0], presence, and whether a present entry was
-// TTL-expired (reported as a miss, like the locked path); retries counts
-// the failed attempts before the success. done=false means every attempt
-// collided and the caller must take the pessimistic path; the returned
-// buffer then carries buf's storage back to the caller.
-func (sh *kvShard) seqGetInto(key uint64, buf []byte, attempts int) (out []byte, ok, expired bool, retries int, done bool) {
-	for a := 0; a < attempts; a++ {
-		s0, even := sh.seqc.TryBegin()
-		if !even {
-			retries++
-			continue
+// read is the read section, the one way a Get or a MultiGet reads a shard:
+// it copies the live values of group — this shard's keys, by their positions
+// in keys — onto arena, points vals at those positions' copies (nil for an
+// absent or expired key), and returns the hits and the grown arena. Up to
+// att copies are made with no lock held, each bracketed by the shard's
+// write-section counter and kept only if no writer entered it: a validated
+// copy is exactly what some quiescent instant held, the guarantee the read
+// lock gives. The next copy is made under the shard read lock. Every attempt
+// rewrites every position of the group from the arena's starting length, so
+// a torn attempt leaves nothing behind, and each value is capacity-clipped,
+// so appending to one never writes into the next. The section is counted
+// once on the reader's stripe: total (rdGets or rdBatches) first — see the
+// Stats load-order note — then its misses or keys, retries, whether it took
+// the lock, and expiries.
+func (sh *kvShard) read(h *rwl.Reader, att, total int, keys []uint64, group []shardPos, vals [][]byte, arena []byte) (int, []byte) {
+	base := len(arena)
+	hits, expired, try := 0, 0, 0
+	for ; ; try++ {
+		locked := try >= att
+		var s0 uint64
+		var tok rwl.Token
+		if locked {
+			tok = sh.rlock(h)
+		} else if s, even := sh.seqc.TryBegin(); even {
+			s0 = s
+		} else {
+			continue // a writer is inside: that attempt is spent
 		}
-		c := sh.idx.lookup(key)
-		out = buf[:0]
-		var deadline int64
-		if c != nil {
-			out = c.appendTo(out)
-			deadline = c.deadline()
+		arena, hits, expired = arena[:base], 0, 0
+		var now int64
+		for _, p := range group {
+			var v []byte
+			switch c := sh.idx.lookup(keys[p.pos]); {
+			case c == nil:
+			case c.deadline() != 0 && c.expired(&now): // a TTL-free key skips the call
+				expired++
+			default:
+				a := len(arena)
+				arena = c.appendTo(arena)
+				v = arena[a:len(arena):len(arena)]
+				hits++
+			}
+			vals[p.pos] = v
 		}
-		if h := seqReadHook.Load(); h != nil {
-			(*h)(key)
+		if locked {
+			sh.runlock(h, tok)
+			break
 		}
-		if sh.seqc.Retry(s0) {
-			retries++
-			continue
+		if hook := seqReadHook.Load(); hook != nil {
+			(*hook)(keys[group[0].pos])
 		}
-		// Validated: the copy is exactly what some quiescent instant held.
-		if c == nil {
-			return buf[:0], false, false, retries, true
+		if !sh.seqc.Retry(s0) {
+			break
 		}
-		if deadline != 0 && clock.Nanos() >= deadline {
-			return buf[:0], false, true, retries, true
-		}
-		return out, true, false, retries, true
 	}
-	return buf[:0], false, false, retries, false
+	rd := sh.stripe(h)
+	n := rd.n[total].Add(1)
+	if total == rdBatches {
+		n = rd.n[rdBatchKeys].Add(uint64(len(group)))
+	} else if hits < len(group) {
+		rd.n[rdGetMisses].Add(uint64(len(group) - hits))
+	}
+	if try > 0 {
+		rd.n[rdSeqRetries].Add(uint64(try))
+	}
+	if try >= att {
+		rd.n[rdLocked].Add(1)
+		if att > 0 {
+			rd.n[rdSeqFallbacks].Add(1)
+		}
+	}
+	if expired > 0 {
+		rd.n[rdExpired].Add(uint64(expired))
+	}
+	sh.adaptTick(n)
+	return hits, arena
 }

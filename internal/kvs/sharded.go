@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,7 +11,6 @@ import (
 
 	"github.com/bravolock/bravo/internal/arch"
 	"github.com/bravolock/bravo/internal/bias"
-	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/hash"
 	"github.com/bravolock/bravo/internal/locks/seq"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -32,9 +32,11 @@ import (
 // derivation or hashing. Handles are single-goroutine; give each worker or
 // request its own.
 //
-// Like Memtable.Get, Sharded.Get and MultiGet copy values out under the
-// shard's read lock, so returned values stay valid after the lock is
-// released even while writers update buffers in place.
+// Every read — a Get, or one shard's group of a MultiGet — is one read
+// section (kvShard.read): a seq-validated copy with no lock held, or after
+// the attempt budget one under the shard's read lock. Either way values are
+// copied out, so they stay valid while writers update cells in place; a
+// MultiGet's values share one allocation.
 //
 // Writes: every mutation is an Entry and reaches its shard through one
 // write section (write.go) — log, lock, apply, count. MultiPut and
@@ -90,8 +92,8 @@ type kvShard struct {
 	// reads holds the counters a read bumps, striped so that concurrent
 	// readers of one shard write different sectors (see readStripe).
 	reads []readStripe
-	// seqStore is the shard's keyed storage: the key→cell table and the TTL
-	// deadlines, mutated only between wlock and wunlock.
+	// seqStore is the shard's keyed storage: the key→cell table and the set
+	// of TTL'd keys, mutated only between wlock and wunlock.
 	seqStore
 	// lock is the lock the caller's factory built, called directly. Write
 	// sections are opened and closed only through wlock/wunlock, which
@@ -466,73 +468,20 @@ func (s *Sharded) GetIntoH(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool)
 }
 
 func (s *Sharded) getInto(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) {
-	sh := s.shardOf(key)
-	var out []byte
-	var ok, expired bool
-	served := false
-	retries := 0
-	// Zero-CAS fast path: copy the value with no lock held and validate
-	// the shard's write-section sequence around the copy. A validated
-	// section is exactly what some quiescent instant held; a collided one
-	// is discarded, and after the attempt budget the read falls back to
-	// the pessimistic BRAVO path below (handle or anonymous).
-	att := int(s.seqAttempts.Load())
-	if att > 0 {
-		out, ok, expired, retries, served = sh.seqGetInto(key, buf, att)
-	}
-	if !served {
-		tok := sh.rlock(h)
-		c := sh.idx.lookup(key)
-		expired = c != nil && sh.expiredLocked(key)
-		ok = c != nil && !expired
-		out = buf[:0]
-		if ok {
-			out = c.appendTo(out)
-		}
-		sh.runlock(h, tok)
-	}
-	// All bookkeeping lands on the reader's own stripe; the common read —
-	// a seq hit — pays the one add.
-	rd := sh.stripe(h)
-	n := rd.n[rdGets].Add(1) // total before rares: see the Stats load-order note
-	if !ok {
-		rd.n[rdGetMisses].Add(1)
-	}
-	rd.countSection(att, retries, served)
-	if expired {
-		rd.n[rdExpired].Add(1)
-	}
-	sh.adaptTick(n)
-	return out, ok
-}
-
-// countSection records how one read section (a Get, or one MultiGet shard
-// group) was served: the optimistic attempts it discarded and — the rare
-// outcome — that it took the shard read lock, a fallback unless the
-// optimistic path was off (att == 0).
-func (rd *readStripe) countSection(att, retries int, served bool) {
-	if retries > 0 {
-		rd.n[rdSeqRetries].Add(uint64(retries))
-	}
-	if !served {
-		rd.n[rdLocked].Add(1)
-		if att > 0 {
-			rd.n[rdSeqFallbacks].Add(1)
-		}
-	}
+	var val [1][]byte
+	hits, out := s.shardOf(key).read(h, int(s.seqAttempts.Load()), rdGets, []uint64{key}, []shardPos{{}}, val[:], buf[:0])
+	return out, hits == 1
 }
 
 // SetSeqReadAttempts sets the optimistic read attempt budget: how many
 // lock-free seq-validated copies a read tries before taking the shard read
 // lock. n <= 0 disables the optimistic path entirely (every read goes
 // through the BRAVO lock, the pre-seqlock behavior); n > 0 bounds the
-// retry loop. Safe to call at any time; the paper-figure benches and the
-// handle fast-path tests disable it to keep measuring the locks.
+// retry loop, and a budget past MaxInt32 is MaxInt32. Safe to call at any
+// time; the paper-figure benches and the handle fast-path tests disable it
+// to keep measuring the locks.
 func (s *Sharded) SetSeqReadAttempts(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.seqAttempts.Store(int32(n))
+	s.seqAttempts.Store(int32(max(0, min(n, math.MaxInt32))))
 }
 
 // SeqReadAttempts returns the current optimistic read attempt budget.
@@ -571,8 +520,11 @@ func (s *Sharded) Delete(key uint64) bool {
 }
 
 // MultiGet performs a batched lookup: keys are grouped by shard and each
-// shard's read lock is taken once per batch, not once per key. The result
-// is parallel to keys; absent keys yield nil entries.
+// shard's group is one read section, not one per key. The result is
+// parallel to keys; absent keys yield nil entries, present ones non-nil
+// even when empty. The values are copies sharing one allocation, each
+// capacity-clipped so an append to one reallocates rather than overwrite
+// its neighbour.
 func (s *Sharded) MultiGet(keys []uint64) [][]byte {
 	return s.multiGet(nil, keys, nil)
 }
@@ -585,124 +537,38 @@ func (s *Sharded) MultiGetH(h *rwl.Reader, keys []uint64) [][]byte {
 }
 
 // MultiGetIntoH is MultiGetH with a caller-reused result slice: when dst
-// has capacity for the batch it is cleared, resliced, and filled in place,
+// has capacity for the batch it is resliced and every position rewritten,
 // so a serving loop's steady-state MGET does not allocate the
-// slice-of-slices. The values themselves are still fresh copies (they leave
-// the shard's critical section). Returns the filled slice, parallel to
-// keys.
+// slice-of-slices. The values are still copies, sharing one allocation per
+// call as in MultiGet. Returns the filled slice, parallel to keys.
 func (s *Sharded) MultiGetIntoH(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte {
 	return s.multiGet(h, keys, dst)
 }
 
 func (s *Sharded) multiGet(h *rwl.Reader, keys []uint64, dst [][]byte) [][]byte {
 	out := dst
-	if cap(out) >= len(keys) {
-		out = out[:len(keys)]
-		// The locked path only writes hits; stale entries must not survive
-		// as phantom values.
-		clear(out)
-	} else {
+	if cap(out) < len(keys) {
 		out = make([][]byte, len(keys))
 	}
-	// One pairs slice per batch — O(len(keys)), whatever the shard count —
-	// and each shard's group aliases it.
-	pairs := s.sortByShard(keys, make([]shardPos, 0, len(keys)))
+	out = out[:len(keys)]
+	var stack [32]shardPos // the grouping, on the stack for ordinary batches
+	pairs := s.sortByShard(keys, stack[:0])
+	// One arena holds the batch's values, sized by a lock-free look at the
+	// cells — memory-safe for the reason an optimistic copy is. A value that
+	// grows before its section copies it only grows the arena.
+	size := 0
+	for _, p := range pairs {
+		if c := s.shards[p.shard].idx.lookup(keys[p.pos]); c != nil {
+			size += c.length()
+		}
+	}
+	arena := make([]byte, 0, size)
+	att := int(s.seqAttempts.Load())
 	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
 		hi = runEnd(pairs, lo)
-		sh, group := &s.shards[pairs[lo].shard], pairs[lo:hi]
-		expired, retries := 0, 0
-		served := false
-		// Optimistic batch read: the whole shard group is copied under one
-		// seq bracket, so a validated group is a consistent point-in-time
-		// view of its shard — the same guarantee the read lock gives.
-		att := int(s.seqAttempts.Load())
-		if att > 0 {
-			expired, retries, served = sh.seqMultiGet(keys, group, out, att)
-			if !served {
-				for _, p := range group {
-					out[p.pos] = nil // discard torn optimistic copies
-				}
-			}
-		}
-		if !served {
-			expired = 0
-			tok := sh.rlock(h)
-			for _, p := range group {
-				c := sh.idx.lookup(keys[p.pos])
-				if c == nil {
-					continue
-				}
-				if sh.expiredLocked(keys[p.pos]) {
-					expired++
-					continue
-				}
-				// Non-nil even for empty values: nil means absent here.
-				out[p.pos] = c.bytes()
-			}
-			sh.runlock(h, tok)
-		}
-		rd := sh.stripe(h)
-		rd.n[rdBatches].Add(1) // total before rares, as in getInto
-		bk := rd.n[rdBatchKeys].Add(uint64(len(group)))
-		rd.countSection(att, retries, served)
-		if expired > 0 {
-			rd.n[rdExpired].Add(uint64(expired))
-		}
-		sh.adaptTick(bk)
+		_, arena = s.shards[pairs[lo].shard].read(h, att, rdBatches, keys, pairs[lo:hi], out, arena)
 	}
 	return out
-}
-
-// seqMultiGet optimistically copies one shard group under a single seq
-// bracket, filling out at the group's positions. done=false means every
-// attempt collided; the caller clears the group's positions and falls back
-// to the locked path.
-func (sh *kvShard) seqMultiGet(keys []uint64, group []shardPos, out [][]byte, attempts int) (expired, retries int, done bool) {
-	// Typical shard groups (batch size / shard count) fit on the stack;
-	// heap-allocating the deadline scratch per group made every MGET pay
-	// one allocation per shard touched.
-	var dstack [32]int64
-	deadlines := dstack[:]
-	if len(group) > len(dstack) {
-		deadlines = make([]int64, len(group))
-	}
-	for a := 0; a < attempts; a++ {
-		s0, even := sh.seqc.TryBegin()
-		if !even {
-			retries++
-			continue
-		}
-		for gi, p := range group {
-			out[p.pos] = nil
-			deadlines[gi] = 0
-			if c := sh.idx.lookup(keys[p.pos]); c != nil {
-				out[p.pos] = c.bytes()
-				deadlines[gi] = c.deadline()
-			}
-		}
-		if h := seqReadHook.Load(); h != nil {
-			(*h)(keys[group[0].pos])
-		}
-		if sh.seqc.Retry(s0) {
-			retries++
-			continue
-		}
-		// Validated: apply lazy expiry on the captured deadlines.
-		now := int64(0)
-		for gi, p := range group {
-			if d := deadlines[gi]; d != 0 && out[p.pos] != nil {
-				if now == 0 {
-					now = clock.Nanos()
-				}
-				if now >= d {
-					out[p.pos] = nil
-					expired++
-				}
-			}
-		}
-		return expired, retries, true
-	}
-	return 0, retries, false
 }
 
 // MultiPut stores a copy of each values[i] under keys[i], grouping the
@@ -806,8 +672,9 @@ func (s *Sharded) Range(fn func(key uint64, value []byte) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		tok := sh.lock.RLock()
+		var now int64
 		more := sh.idx.each(func(k uint64, c *seqCell) bool {
-			if sh.expiredLocked(k) {
+			if c.expired(&now) {
 				return true
 			}
 			scratch = c.appendTo(scratch[:0])
@@ -826,8 +693,9 @@ func (s *Sharded) SnapshotShard(i int) map[uint64][]byte {
 	sh := &s.shards[i]
 	tok := sh.lock.RLock()
 	out := make(map[uint64][]byte, sh.idx.live)
+	var now int64
 	sh.idx.each(func(k uint64, c *seqCell) bool {
-		if !sh.expiredLocked(k) {
+		if !c.expired(&now) {
 			out[k] = c.bytes()
 		}
 		return true
@@ -867,14 +735,14 @@ func (s *Sharded) Reap(budget int) int {
 		leftover := false
 		sh.wlock()
 		if len(sh.exp) > 0 {
-			now := clock.Nanos()
+			var now int64
 			examined := 0
-			for k, d := range sh.exp {
+			for k := range sh.exp {
 				if examined >= budget {
 					break
 				}
 				examined++
-				if now >= d {
+				if sh.idx.lookup(k).expired(&now) { // every key in exp has a cell
 					// Reaping is a mutation site like any other,
 					// bracketed by the shard write section.
 					sh.removeLocked(k)

@@ -354,20 +354,50 @@ func BenchmarkShardedGet(b *testing.B) {
 // engine-read workload), with no writer. Compare ns/op across -cpu 1,2: what
 // readers share is then only what the read path itself writes.
 func BenchmarkShardedGetParallel(b *testing.B) {
-	const keys = 1 << 18
-	s, _ := NewSharded(16, mkBravo)
-	v := make([]byte, 128)
-	for k := uint64(0); k < keys; k++ {
-		s.Put(k, v)
-	}
+	s := readBenchEngine(b)
 	var seed atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		h := rwl.NewReader()
 		rng := xrand.NewXorShift64(seed.Add(1))
-		buf := make([]byte, 0, len(v))
+		buf := make([]byte, 0, readBenchValue)
 		for pb.Next() {
-			buf, _ = s.GetIntoH(h, rng.Intn(keys), buf)
+			buf, _ = s.GetIntoH(h, rng.Intn(readBenchKeys), buf)
 		}
 	})
+}
+
+// BenchmarkShardedMultiGet is the batch read on the same engine: 16 random
+// keys per MultiGetIntoH through each goroutine's handle, into a reused
+// result slice, so allocs/op is what the engine allocates per batch.
+func BenchmarkShardedMultiGet(b *testing.B) {
+	s := readBenchEngine(b)
+	var seed atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		h := rwl.NewReader()
+		rng := xrand.NewXorShift64(seed.Add(1))
+		keys := make([]uint64, 16)
+		var dst [][]byte
+		for pb.Next() {
+			for i := range keys {
+				keys[i] = rng.Intn(readBenchKeys)
+			}
+			dst = s.MultiGetIntoH(h, keys, dst)
+		}
+	})
+}
+
+const readBenchKeys, readBenchValue = 1 << 18, 128
+
+// readBenchEngine is the read benchmarks' engine: 16 BRAVO shards holding
+// readBenchKeys values of readBenchValue bytes.
+func readBenchEngine(b *testing.B) *Sharded {
+	s, _ := NewSharded(16, mkBravo)
+	v := make([]byte, readBenchValue)
+	for k := uint64(0); k < readBenchKeys; k++ {
+		s.Put(k, v)
+	}
+	return s
 }

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"time"
 
 	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/frame"
@@ -190,11 +191,10 @@ func (st *seqStore) appendLive(buf []byte, tag byte) ([]byte, int) {
 	now := clock.Nanos()
 	count := 0
 	st.idx.each(func(k uint64, c *seqCell) bool {
-		d, hasTTL := st.exp[k]
-		if hasTTL && now >= d {
+		if c.expired(&now) {
 			return true // compaction: expired residue stays dead
 		}
-		if hasTTL {
+		if d := c.deadline(); d != 0 {
 			buf = append(buf, tag+1)
 			buf = binary.LittleEndian.AppendUint64(buf, k)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(d-now))
@@ -293,7 +293,7 @@ func loadSnapshot(data []byte) ([]Entry, uint64, error) {
 			if len(body)-off < 12 {
 				return nil, 0, errors.New("snapshot TTL entry truncated")
 			}
-			e.Deadline = deadlineFromRemaining(int64(binary.LittleEndian.Uint64(body[off:])))
+			e.Deadline = ttlDeadline(time.Duration(binary.LittleEndian.Uint64(body[off:])))
 			off += 8
 		}
 		vlen := int(binary.LittleEndian.Uint32(body[off:]))

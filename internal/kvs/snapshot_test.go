@@ -99,7 +99,7 @@ func TestParentWrittenSnapshotsLoad(t *testing.T) {
 			if got := r.Snapshot(); !mapsEqualKV(got, want) {
 				t.Fatalf("recovered %v, want %v", got, want)
 			}
-			if left := r.shards[0].exp[3] - clock.Nanos(); left <= 1<<41 || left > 1<<42 {
+			if left := r.shards[0].idx.lookup(3).deadline() - clock.Nanos(); left <= 1<<41 || left > 1<<42 {
 				t.Fatalf("key 3's deadline is %d ns away, want just under 2^42", left)
 			}
 			// And the streaming encoder carries the same state forward.

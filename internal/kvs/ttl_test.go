@@ -75,6 +75,35 @@ func TestShardedPutTTLOverflowSaturates(t *testing.T) {
 	}
 }
 
+// TestDeadlineAt pins the one relative→absolute deadline conversion that
+// PutTTL and both record decoders share: saturating at MaxInt64, and never
+// the "no TTL" sentinel 0, so a TTL that lands exactly there is still born
+// expired rather than stored without one.
+func TestDeadlineAt(t *testing.T) {
+	for _, c := range []struct{ now, rem, want int64 }{
+		{100, 50, 150},
+		{100, 0, 100},
+		{100, -100, -1},                     // lands on 0: still passed, still a TTL
+		{100, -300, -200},                   // negative stays negative
+		{0, 0, -1},                          // a zero TTL at the clock's epoch
+		{100, math.MaxInt64, math.MaxInt64}, // overflow saturates
+		{math.MaxInt64 - 1, 2, math.MaxInt64},
+	} {
+		if got := deadlineAt(c.now, c.rem); got != c.want {
+			t.Errorf("deadlineAt(%d, %d) = %d, want %d", c.now, c.rem, got, c.want)
+		}
+	}
+	// And through the engine: a key whose deadline would be 0 is expired.
+	s, _ := NewSharded(1, mkStd)
+	s.put(1, []byte("x"), deadlineAt(100, -100))
+	if _, ok := s.Get(1); ok {
+		t.Fatal("a TTL landing on the no-TTL sentinel stored a live key")
+	}
+	if got := s.Stats().Total().TTLKeys; got != 1 {
+		t.Fatalf("TTLKeys = %d, want 1: the key must keep its TTL", got)
+	}
+}
+
 func TestShardedPlainPutClearsTTL(t *testing.T) {
 	s, _ := NewSharded(2, mkStd)
 	s.put(1, EncodeValue(1), clock.Nanos()) // expired residue

@@ -177,9 +177,9 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 		cur:    make([][]byte, len(uk)),
 		staged: make([]Entry, len(uk)),
 	}
+	var now int64
 	for i, k := range uk {
-		sh := &s.shards[s.ShardOf(k)]
-		if c := sh.idx.lookup(k); c != nil && !sh.expiredLocked(k) {
+		if c := s.shardOf(k).idx.lookup(k); c != nil && !c.expired(&now) {
 			tx.cur[i] = c.bytes()
 		}
 	}

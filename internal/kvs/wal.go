@@ -49,8 +49,9 @@ package kvs
 // TTL deadlines are persisted as *remaining* nanoseconds at append time,
 // not absolute deadlines: the process clock (internal/clock) has a
 // per-process epoch, so absolute values are meaningless across restarts.
-// The decoder re-anchors them on its own clock — a TTL clock effectively
-// pauses while the store is down, and never fires early. This file's codec
+// The decoder re-anchors them on its own clock with ttlDeadline, PutTTL's
+// own conversion — a TTL clock effectively pauses while the store is down,
+// and never fires early. This file's codec
 // (encodeRecord, walDecodePayload) is the only place the conversion happens
 // and the only place the three on-disk opcodes appear: in memory an Entry
 // has two ops and an absolute Deadline.
@@ -67,10 +68,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/bravolock/bravo/internal/clock"
 	"github.com/bravolock/bravo/internal/frame"
@@ -538,7 +539,7 @@ func walDecodePayload(p []byte) (walRecord, bool) {
 				if len(p)-off < 8 {
 					return rec, false
 				}
-				e.Deadline = deadlineFromRemaining(int64(binary.LittleEndian.Uint64(p[off:])))
+				e.Deadline = ttlDeadline(time.Duration(binary.LittleEndian.Uint64(p[off:])))
 				off += 8
 			}
 			if len(p)-off < 4 {
@@ -558,21 +559,4 @@ func walDecodePayload(p []byte) (walRecord, bool) {
 	}
 	rec.entries = entries
 	return rec, off == len(p)
-}
-
-// deadlineFromRemaining re-anchors a persisted remaining-nanoseconds value
-// on the current process clock: the decode half of the Deadline conversion
-// (the record and snapshot decoders call it, nothing else). Overflow saturates to "never" the way
-// ttlDeadline does, and the result avoids 0, which putLocked reserves for
-// "no TTL" — an entry that lands exactly on 0 is long expired anyway.
-func deadlineFromRemaining(rem int64) int64 {
-	now := clock.Nanos()
-	d := now + rem
-	if rem > 0 && d < now {
-		return math.MaxInt64
-	}
-	if d == 0 {
-		return -1
-	}
-	return d
 }

@@ -91,9 +91,19 @@ var writeSectionCallers = map[string][]string{
 	"wlock":         {"write", "Txn", "ApplyReplRecord", "Reap"},
 }
 
-// strayWriteCalls lists every method call named in writeSectionCallers made
-// from a function that is not one of its allowed callers.
-func strayWriteCalls(fset *token.FileSet, f *ast.File) []string {
+// readSectionCallers is the read side: a shard's optimistic bracket and its
+// handle-aware read lock are used by the read section alone, so Get and
+// MultiGet cannot grow a second copy of the copy-validate-fallback loop.
+var readSectionCallers = map[string][]string{
+	"TryBegin": {"read"},
+	"Retry":    {"read"},
+	"rlock":    {"read"},
+	"runlock":  {"read"},
+}
+
+// strayCalls lists every method call named in callers made from a function
+// that is not one of its allowed callers.
+func strayCalls(fset *token.FileSet, f *ast.File, callers map[string][]string) []string {
 	var bad []string
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
@@ -109,7 +119,7 @@ func strayWriteCalls(fset *token.FileSet, f *ast.File) []string {
 			if m == nil {
 				return true
 			}
-			if allowed, ok := writeSectionCallers[m.Sel.Name]; ok && !slices.Contains(allowed, fn.Name.Name) {
+			if allowed, ok := callers[m.Sel.Name]; ok && !slices.Contains(allowed, fn.Name.Name) {
 				bad = append(bad, fset.Position(call.Pos()).String()+": "+fn.Name.Name+" calls "+m.Sel.Name)
 			}
 			return true
@@ -124,7 +134,8 @@ func strayWriteCalls(fset *token.FileSet, f *ast.File) []string {
 // and keeps the write section single: a shard's store is mutated, its log
 // appended and its write section opened only from the functions
 // writeSectionCallers names, so a second hand-written copy of the sequence
-// fails here before it can diverge.
+// fails here before it can diverge — and keeps the read section single the
+// same way (readSectionCallers).
 // memtable.go and hashcache.go are exempt: they hold Figures 5–6's
 // substrates, whose own lock fields guard reads that always take the lock.
 func TestShardWriteLockOnlyThroughWlock(t *testing.T) {
@@ -142,8 +153,11 @@ func TestShardWriteLockOnlyThroughWlock(t *testing.T) {
 		for _, b := range unbracketedLockCalls(fset, f) {
 			t.Errorf("%s: write-locks a shard without the seq bracket; use wlock/wunlock", b)
 		}
-		for _, b := range strayWriteCalls(fset, f) {
+		for _, b := range strayCalls(fset, f, writeSectionCallers) {
 			t.Errorf("%s outside the write section; hand the entries to write or applyLocked", b)
+		}
+		for _, b := range strayCalls(fset, f, readSectionCallers) {
+			t.Errorf("%s outside the read section; read the shard through read", b)
 		}
 	}
 	if files < 10 {
@@ -163,7 +177,27 @@ func (sh *kvShard) mutantPut(k uint64, v []byte) {
 		t.Fatalf("checker found %d violations in the unbracketed mutant, want 2: %v", len(got), got)
 	}
 	// And the tenth copy: the same mutant reaches the store directly.
-	if got := strayWriteCalls(fset, mutant); len(got) != 1 {
+	if got := strayCalls(fset, mutant, writeSectionCallers); len(got) != 1 {
 		t.Fatalf("checker found %d stray store calls in the mutant, want its putLocked: %v", len(got), got)
+	}
+	// The read side's negative control: a Get that hand-writes the optimistic
+	// bracket and its locked fallback again.
+	reader, err := parser.ParseFile(fset, "mutant_read.go", `package kvs
+func (s *Sharded) mutantGet(h *rwl.Reader, k uint64) []byte {
+	sh := s.shardOf(k)
+	s0, _ := sh.seqc.TryBegin()
+	v := sh.idx.lookup(k).bytes()
+	if sh.seqc.Retry(s0) {
+		tok := sh.rlock(h)
+		v = sh.idx.lookup(k).bytes()
+		sh.runlock(h, tok)
+	}
+	return v
+}`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strayCalls(fset, reader, readSectionCallers); len(got) != 4 {
+		t.Fatalf("checker found %d stray read-section calls in the mutant, want 4: %v", len(got), got)
 	}
 }

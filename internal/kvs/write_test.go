@@ -158,7 +158,7 @@ func TestOneBatchFourRoutes(t *testing.T) {
 	}
 	observe := func(t *testing.T, s *Sharded) observed {
 		st := s.Stats().Total()
-		d := s.shards[s.ShardOf(ttlKey)].exp[ttlKey]
+		d := s.shardOf(ttlKey).idx.lookup(ttlKey).deadline()
 		if t1 := clock.Nanos(); d < t0+int64(ttl) || d > t1+int64(ttl) {
 			t.Errorf("TTL deadline %d outside [%d, %d]: it moved by more than the route took", d, t0+int64(ttl), t1+int64(ttl))
 		}

@@ -435,3 +435,46 @@ func TestWireGetZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// A 16-key wire MGET costs a handful of allocations, not one per key: each
+// engine call copies its values into one arena. The engine store's ceiling
+// is 4; the cluster store, which splits the batch per partition and scatters
+// the values back, must stay below the 32 it cost when every value was its
+// own allocation.
+func TestWireMGetAllocs(t *testing.T) {
+	clu, err := cluster.Open(cluster.Config{Partitions: 2, Shards: 4, Dir: t.TempDir(), Policy: kvs.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Close()
+	keys := make([]uint64, 16)
+	for i := range keys {
+		keys[i] = uint64(i)
+		if _, err := clu.Put(keys[i], make([]byte, 128), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		srv  *Server
+		max  float64
+	}{
+		{"engine", New(benchEngine(t), Config{ReapInterval: -1}), 4},
+		{"cluster", NewClusterServer(clu, Config{ReapInterval: -1}), 31},
+	} {
+		reader, sc := rwl.NewReader(), new(scratch)
+		req := wire.Request{Op: wire.OpMGet, ID: 1, Keys: keys}
+		var out []byte
+		mget := func() {
+			resp := c.srv.execute(reader, &req, sc)
+			out = wire.AppendResponse(out[:0], &resp)
+		}
+		mget() // size the buffers
+		if len(out) < 16*128 {
+			t.Fatalf("%s: MGET returned %d bytes, want all 16 values", c.name, len(out))
+		}
+		if n := testing.AllocsPerRun(1000, mget); n > c.max {
+			t.Errorf("%s store: 16-key wire MGET allocates %.1f times per request, want at most %.0f", c.name, n, c.max)
+		}
+	}
+}
