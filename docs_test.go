@@ -186,12 +186,12 @@ var lineCeilings = map[string]int{
 	"internal/core":       327,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3878,
-	"internal/kvserv":     1469,
+	"internal/kvs":        3882,
+	"internal/kvserv":     1976,
 	"internal/lockcheck":  461,
 	"internal/locks":      1174,
 	"internal/metis":      331,
-	"internal/repl":       582,
+	"internal/repl":       612,
 	"internal/rwl":        146,
 	"internal/rwsem":      534,
 	"internal/self":       52,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               16725,
+	"total":               17266,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -158,6 +158,11 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 		return err
 	}
 	s.dir, s.durable, s.policy = dir, true, policy
+	s.logPaths = make([][2]string, len(s.shards))
+	for i := range s.logPaths {
+		wal := filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i))
+		s.logPaths[i] = [2]string{wal, wal + ".old"}
+	}
 	if err := s.checkManifest(); err != nil {
 		return err
 	}
@@ -379,13 +384,8 @@ func (s *Sharded) rollForwardTxns(txns map[walPart]*txnRecovery) error {
 	return nil
 }
 
-func (s *Sharded) walPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("shard-%04d.wal", i))
-}
-
-func (s *Sharded) walOldPath(i int) string {
-	return s.walPath(i) + ".old"
-}
+func (s *Sharded) walPath(i int) string    { return s.logPaths[i][0] }
+func (s *Sharded) walOldPath(i int) string { return s.logPaths[i][1] }
 
 func (s *Sharded) snapPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("shard-%04d.snap", i))

@@ -428,3 +428,25 @@ func TestReplVolatileEngineRefuses(t *testing.T) {
 		t.Fatal("volatile engine claims LSNs")
 	}
 }
+
+// TestReplReadCaughtUpAllocsNothing: a stream that has shipped everything
+// polls ReplRead every few milliseconds per shard, so a call with nothing
+// new to read must not allocate.
+func TestReplReadCaughtUpAllocsNothing(t *testing.T) {
+	s := openTestKV(t, t.TempDir(), 2, SyncNone)
+	defer s.Close()
+	s.Put(1, []byte("one"))
+	var cur ReplCursor
+	shard := s.ShardOf(1)
+	if frames, err := s.ReplRead(shard, &cur, 0); err != nil || len(frames) == 0 {
+		t.Fatalf("first ReplRead = %d bytes, %v", len(frames), err)
+	}
+	poll := func() {
+		if frames, err := s.ReplRead(shard, &cur, 0); err != nil || len(frames) != 0 {
+			t.Fatalf("caught-up ReplRead = %d bytes, %v", len(frames), err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, poll); n != 0 {
+		t.Fatalf("caught-up ReplRead allocates %.1f times per call, want 0", n)
+	}
+}

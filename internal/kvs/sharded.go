@@ -60,7 +60,11 @@ type Sharded struct {
 	dir     string
 	durable bool
 	policy  SyncPolicy
-	ckptMu  sync.Mutex
+	// logPaths names each shard's live log ([0]) and rotated log ([1]),
+	// computed once: a caught-up replication poll names its file on every
+	// call.
+	logPaths [][2]string
+	ckptMu   sync.Mutex
 	// ckptFlushHook (tests only) runs where captureShard flushes unlocked.
 	ckptFlushHook func(i int)
 	// reapCursor round-robins Reap's starting shard across calls, so an

@@ -6,9 +6,6 @@ package kvserv
 // serving layer's own per-request allocations are the target.
 
 import (
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/bravolock/bravo/internal/core"
@@ -17,21 +14,6 @@ import (
 	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/wire"
 )
-
-// discardResponseWriter is a ResponseWriter with no recorder overhead, so
-// the benchmark measures the handler, not the test harness.
-type discardResponseWriter struct {
-	h http.Header
-}
-
-func (w *discardResponseWriter) Header() http.Header {
-	if w.h == nil {
-		w.h = make(http.Header, 4)
-	}
-	return w.h
-}
-func (w *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *discardResponseWriter) WriteHeader(int)             {}
 
 func benchEngine(b testing.TB) *kvs.Sharded {
 	b.Helper()
@@ -46,43 +28,28 @@ func benchEngine(b testing.TB) *kvs.Sharded {
 	return engine
 }
 
-func BenchmarkHTTPGet(b *testing.B) {
-	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/kv/42", nil)
-	w := &discardResponseWriter{}
+// The HTTP benchmarks run the connection loop over loopback TCP with a
+// client that allocates nothing, so allocs/op is the server's.
+func benchHTTP(b *testing.B, req string) {
+	c := dialRaw(b, New(benchEngine(b), Config{ReapInterval: -1}), req)
+	c.roundTrip(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(w.h)
-		h.ServeHTTP(w, req)
+		c.roundTrip(b)
 	}
+}
+
+func BenchmarkHTTPGet(b *testing.B) {
+	benchHTTP(b, "GET /kv/42 HTTP/1.1\r\nHost: x\r\n\r\n")
 }
 
 func BenchmarkHTTPMGet(b *testing.B) {
-	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/mget?keys=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", nil)
-	w := &discardResponseWriter{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(w.h)
-		h.ServeHTTP(w, req)
-	}
+	benchHTTP(b, "GET /mget?keys=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16 HTTP/1.1\r\nHost: x\r\n\r\n")
 }
 
 func BenchmarkHTTPStats(b *testing.B) {
-	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
-	w := &discardResponseWriter{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(w.h)
-		h.ServeHTTP(w, req)
-	}
+	benchHTTP(b, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
 }
 
 func BenchmarkWireGet(b *testing.B) {
@@ -155,17 +122,4 @@ func BenchmarkWireStats(b *testing.B) {
 		out = wire.AppendResponse(out[:0], &resp)
 	}
 	_ = out
-}
-
-// TestDiscardResponseWriter keeps the benchmark fixture honest: handlers
-// that write through it must behave as with a real recorder.
-func TestDiscardResponseWriter(t *testing.T) {
-	srv := New(benchEngine(t), Config{ReapInterval: -1})
-	h := srv.Handler()
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/kv/42", nil))
-	if w.Code != http.StatusOK || w.Body.Len() != 128 {
-		t.Fatalf("control GET = %d, %d bytes", w.Code, w.Body.Len())
-	}
-	fmt.Fprint(&discardResponseWriter{}, "") // interface satisfaction smoke
 }

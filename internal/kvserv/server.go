@@ -11,14 +11,15 @@
 //	          read-your-writes token check, the store call, conditional-txn
 //	          planning, error→status classification — is written there and
 //	          nowhere else.
-//	codecs    HTTP (http.go) and the pipelined binary protocol (wire.go).
+//	codecs    HTTP/1.1 (http.go) and the pipelined binary protocol
+//	          (wire.go), each one run-to-completion loop per connection.
 //	          Each parses its transport into a wire.Request and renders the
 //	          wire.Response back; neither knows which store it fronts.
 //
 // Every read a connection performs goes through one pinned rwl.Reader handle
-// attached to that connection, so a client's steady-state read path — socket
-// to shard map — costs one cached-slot CAS on the shard lock, with no
-// per-request identity derivation or hashing.
+// owned by that connection's goroutine, so a client's steady-state read
+// path — socket to shard map — costs one cached-slot CAS on the shard lock,
+// with no per-request identity derivation or hashing.
 //
 // HTTP endpoints (keys are decimal uint64, values are raw bytes; batched
 // bodies are JSON with values base64-encoded, encoding/json's []byte
@@ -55,16 +56,18 @@
 // token back as ?min_lsn=[&epoch=]: a follower waits up to MinLSNWait for
 // replication to cover it, a cluster adjudicates it against its failover
 // history. A durable engine's server is also a replication primary (it
-// mounts internal/repl's /repl/stream and /repl/status); NewFollower serves
-// a repl.Follower's replica, with /repl/status and /stats reporting lag.
+// serves /repl/stream through repl.Primary.Stream, and /repl/status);
+// NewFollower serves a repl.Follower's replica, with /repl/status and
+// /stats reporting lag.
 //
-// The per-connection handle relies on HTTP/1.x serving a connection's
-// requests sequentially; the server does not enable h2, where concurrent
-// streams would share the connection's handle.
+// The per-connection handle relies on a connection's requests being served
+// one after another on its goroutine, which is how both loops work. The
+// HTTP loop speaks HTTP/1.0 and 1.1 only — no h2, whose concurrent streams
+// would share the handle.
 package kvserv
 
 import (
-	"context"
+	"errors"
 	"net"
 	"net/http"
 	"sync"
@@ -73,7 +76,6 @@ import (
 	"github.com/bravolock/bravo/internal/cluster"
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/repl"
-	"github.com/bravolock/bravo/internal/rwl"
 )
 
 // MaxValueBytes caps a single PUT body (and each MPUT value): the engine
@@ -130,7 +132,6 @@ type Server struct {
 	store store
 	stats func() statsResponse // assembles the /stats document
 	cfg   Config
-	http  *http.Server
 	done  chan struct{}
 	wg    sync.WaitGroup
 
@@ -142,14 +143,14 @@ type Server struct {
 	follower *repl.Follower
 	clu      *cluster.Cluster
 
-	// Wire front-end state: the listeners ServeWire is accepting on and
-	// the connections currently being served, so Close can stop the former
-	// and drain the latter.
-	wireMu    sync.Mutex
-	wireLns   map[net.Listener]bool
-	wireConns map[net.Conn]bool
-
-	mountOnce, closeOnce sync.Once
+	// The listeners Serve and ServeWire are accepting on and the
+	// connections being served, so Close can stop the former and end the
+	// latter: true marks a wire connection, which Close drains, where an
+	// HTTP one is cut.
+	mu        sync.Mutex
+	lns       map[net.Listener]bool
+	conns     map[net.Conn]bool
+	closeOnce sync.Once
 }
 
 // New returns a server over engine. Serve starts it; Close stops it.
@@ -204,43 +205,90 @@ func newServer(cfg Config) *Server {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	return &Server{
-		cfg:       cfg,
-		done:      make(chan struct{}),
-		wireLns:   make(map[net.Listener]bool),
-		wireConns: make(map[net.Conn]bool),
-		http: &http.Server{
-			// Slow-client bounds: a connection that trickles header bytes or
-			// sits idle is reclaimed, rather than pinning a goroutine (and its
-			// reader handle) forever.
-			ReadHeaderTimeout: 10 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-			// One pinned reader handle per connection: HTTP/1.x serves a
-			// connection's requests sequentially on one goroutine, so the
-			// handle's single-goroutine contract holds.
-			ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
-				return context.WithValue(ctx, readerKey{}, rwl.NewReader())
-			},
-		},
+		cfg:   cfg,
+		done:  make(chan struct{}),
+		lns:   make(map[net.Listener]bool),
+		conns: make(map[net.Conn]bool),
 	}
 }
 
-// Serve accepts connections on l until Close. It also runs the background
-// TTL reaper (unless disabled) so expired keys are removed incrementally
-// while the server is up. Like http.Server.Serve, it always returns a
-// non-nil error; after Close that error is http.ErrServerClosed.
+// Serve accepts HTTP connections on l until Close, each served by its own
+// connection loop (http.go). It also runs the background TTL reaper (unless
+// disabled) so expired keys are removed incrementally while the server is
+// up. Like net/http's Server.Serve, it always returns a non-nil error;
+// after Close that error is http.ErrServerClosed.
 func (s *Server) Serve(l net.Listener) error {
 	if s.cfg.ReapInterval > 0 {
 		s.wg.Add(1)
 		go s.reapLoop()
 	}
-	s.mountOnce.Do(func() { s.http.Handler = s.Handler() })
-	return s.http.Serve(l)
+	return s.accept(l, false, s.serveHTTPConn, http.ErrServerClosed)
 }
 
-// Close stops the server: HTTP listeners and connections close
-// immediately; wire listeners close and each wire connection gets
-// DrainTimeout to finish answering the pipelined requests its client
-// already sent (the read deadline cuts the stream, buffered frames are
+// accept serves l's connections, each on its own goroutine, until Close —
+// after which it returns closed — or an Accept error that is not temporary.
+// A temporary one (out of file descriptors, say) is retried after a pause
+// that doubles from 5 ms to 1 s, as net/http's Server.Serve does. drain
+// marks wire connections, which Close drains rather than cuts.
+func (s *Server) accept(l net.Listener, drain bool, serve func(net.Conn), closed error) error {
+	s.mu.Lock()
+	select {
+	case <-s.done:
+		s.mu.Unlock()
+		l.Close()
+		return closed
+	default:
+	}
+	s.lns[l] = true
+	s.mu.Unlock()
+
+	for pause := time.Duration(0); ; {
+		nc, err := l.Accept()
+		var ne net.Error
+		if err != nil && errors.As(err, &ne) && ne.Temporary() {
+			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+			select {
+			case <-s.done:
+				return closed
+			case <-time.After(pause):
+				continue
+			}
+		}
+		if err != nil {
+			select {
+			case <-s.done:
+				return closed
+			default:
+				return err
+			}
+		}
+		pause = 0
+		s.mu.Lock()
+		select {
+		case <-s.done:
+			s.mu.Unlock()
+			nc.Close()
+			return closed
+		default:
+		}
+		s.conns[nc] = drain
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go func() {
+			defer s.wg.Done()
+			serve(nc)
+			nc.Close()
+			s.mu.Lock()
+			delete(s.conns, nc)
+			s.mu.Unlock()
+		}()
+	}
+}
+
+// Close stops the server: HTTP listeners and connections (replication
+// streams included) close immediately; wire listeners close and each wire
+// connection gets DrainTimeout to finish answering the pipelined requests
+// its client already sent (the read deadline cuts the stream, buffered frames are
 // still served — see ServeWire). Then the reaper stops and the store's
 // queued async writes flush so nothing accepted with a 202 is left
 // invisible (or, on durable engines, unlogged). It does not Close the
@@ -250,16 +298,21 @@ func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		close(s.done)
-		err = s.http.Close()
-		s.wireMu.Lock()
-		for l := range s.wireLns {
-			l.Close()
+		s.mu.Lock()
+		for l := range s.lns {
+			if lerr := l.Close(); err == nil {
+				err = lerr
+			}
 		}
 		deadline := time.Now().Add(s.cfg.DrainTimeout)
-		for c := range s.wireConns {
-			c.SetReadDeadline(deadline)
+		for c, drain := range s.conns {
+			if drain {
+				c.SetReadDeadline(deadline)
+			} else {
+				c.Close()
+			}
 		}
-		s.wireMu.Unlock()
+		s.mu.Unlock()
 		s.wg.Wait()
 		s.store.Flush()
 	})

@@ -8,10 +8,10 @@
 // commit) per shard it touches.
 //
 // Each connection is served by one goroutine holding one pinned
-// rwl.Reader, the same contract the HTTP front-end gets from HTTP/1.x
-// sequential request serving: requests on a connection are processed in
-// arrival order (pipelining overlaps network and processing, not engine
-// calls on one connection), and every read costs one cached-slot CAS.
+// rwl.Reader, the same contract the HTTP connection loop keeps: requests
+// on a connection are processed in arrival order (pipelining overlaps
+// network and processing, not engine calls on one connection), and every
+// read costs one cached-slot CAS.
 // Responses are batched: the server writes into a buffered writer and
 // flushes only when the decoder has no complete request frame left — a
 // pipelined burst of N requests is answered with one (or few) TCP writes.
@@ -35,40 +35,7 @@ var ErrServerClosed = errors.New("kvserv: server closed")
 // serve the same store through the same executor. Like Serve, it always
 // returns a non-nil error; after Close that error is ErrServerClosed.
 func (s *Server) ServeWire(l net.Listener) error {
-	s.wireMu.Lock()
-	select {
-	case <-s.done:
-		s.wireMu.Unlock()
-		l.Close()
-		return ErrServerClosed
-	default:
-	}
-	s.wireLns[l] = true
-	s.wireMu.Unlock()
-
-	for {
-		nc, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return ErrServerClosed
-			default:
-				return err
-			}
-		}
-		s.wireMu.Lock()
-		select {
-		case <-s.done:
-			s.wireMu.Unlock()
-			nc.Close()
-			return ErrServerClosed
-		default:
-		}
-		s.wireConns[nc] = true
-		s.wg.Add(1)
-		s.wireMu.Unlock()
-		go s.serveWireConn(nc)
-	}
+	return s.accept(l, true, s.serveWireConn, ErrServerClosed)
 }
 
 // serveWireConn runs one connection: decode request frames, execute each,
@@ -76,14 +43,6 @@ func (s *Server) ServeWire(l net.Listener) error {
 // A protocol error (corrupt frame, undecodable header) closes the
 // connection — frame boundaries are gone, nothing more can be answered.
 func (s *Server) serveWireConn(nc net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		nc.Close()
-		s.wireMu.Lock()
-		delete(s.wireConns, nc)
-		s.wireMu.Unlock()
-	}()
-
 	// The connection's pinned reader handle: every GET/MGET on this
 	// connection reads through it, one cached-slot CAS per acquisition.
 	reader := rwl.NewReader()

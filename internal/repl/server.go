@@ -31,9 +31,13 @@
 package repl
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -125,32 +129,52 @@ func (p *Primary) handleStatus(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(p.Status())
 }
 
-// handleStream serves one shard's record stream: catch-up (snapshot frame
-// if the resume LSN is gone), then live tail until the client goes away.
-func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
+// ParseStream validates a /repl/stream query — shard=S&from=L — against
+// the engine: the shard and resume LSN to Stream, or the HTTP status and
+// error that refuse the request (409 for a volatile engine, 400 for a bad
+// shard or LSN).
+func (p *Primary) ParseStream(q url.Values) (shard int, from uint64, status int, err error) {
 	if !p.engine.Durable() {
-		http.Error(w, "engine is volatile: replication needs a durable primary (-data-dir)", http.StatusConflict)
-		return
+		return 0, 0, http.StatusConflict, errors.New("engine is volatile: replication needs a durable primary (-data-dir)")
 	}
-	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
+	shard, err = strconv.Atoi(q.Get("shard"))
 	if err != nil || shard < 0 || shard >= p.engine.NumShards() {
-		http.Error(w, fmt.Sprintf("bad shard %q: want 0..%d", r.URL.Query().Get("shard"), p.engine.NumShards()-1), http.StatusBadRequest)
-		return
+		return 0, 0, http.StatusBadRequest, fmt.Errorf("bad shard %q: want 0..%d", q.Get("shard"), p.engine.NumShards()-1)
 	}
-	from := uint64(1)
-	if fs := r.URL.Query().Get("from"); fs != "" {
+	from = 1
+	if fs := q.Get("from"); fs != "" {
 		if from, err = strconv.ParseUint(fs, 10, 64); err != nil || from == 0 {
-			http.Error(w, fmt.Sprintf("bad from %q: want a positive LSN", fs), http.StatusBadRequest)
-			return
+			return 0, 0, http.StatusBadRequest, fmt.Errorf("bad from %q: want a positive LSN", fs)
 		}
 	}
-	flusher, _ := w.(http.Flusher)
+	return shard, from, 0, nil
+}
+
+// handleStream is Stream behind net/http.
+func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
+	shard, from, status, err := p.ParseStream(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Repl-Shards", strconv.Itoa(p.engine.NumShards()))
+	var flush func()
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
+	}
+	p.Stream(r.Context(), shard, from, w, flush)
+}
 
+// Stream writes one shard's record stream from LSN from to w: catch-up (a
+// snapshot frame first if from was checkpointed out of the log), then live
+// tail, calling flush (when non-nil) after each write, until ctx ends or a
+// write fails. It is transport-neutral: handleStream and kvserv's HTTP
+// connection loop each frame it for their own connection.
+func (p *Primary) Stream(ctx context.Context, shard int, from uint64, w io.Writer, flush func()) {
 	p.active.Add(1)
 	defer p.active.Add(-1)
-	ctx := r.Context()
+	var idle *time.Timer // one per stream: a caught-up poll allocates nothing
 	cur := kvs.ReplCursor{Next: from}
 	for {
 		frames, err := p.engine.ReplRead(shard, &cur, p.chunk)
@@ -167,8 +191,8 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 			p.snapshots.Add(1)
 			p.bytes.Add(uint64(len(frame)))
 			cur = kvs.ReplCursor{Next: lsn + 1}
-			if flusher != nil {
-				flusher.Flush()
+			if flush != nil {
+				flush()
 			}
 			continue
 		}
@@ -181,17 +205,23 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			p.bytes.Add(uint64(len(frames)))
 			p.records.Add(uint64(kvs.CountReplFrames(frames)))
-			if flusher != nil {
-				flusher.Flush()
+			if flush != nil {
+				flush()
 			}
 			continue
 		}
 		// Caught up: wait a poll beat for new records, or for the client
 		// to go away.
+		if idle == nil {
+			idle = time.NewTimer(p.poll)
+			defer idle.Stop()
+		} else {
+			idle.Reset(p.poll)
+		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(p.poll):
+		case <-idle.C:
 		}
 	}
 }
