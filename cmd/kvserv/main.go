@@ -127,38 +127,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := kvserv.New(engine, kvserv.Config{
-		ReapInterval: *reapFlag,
-		ReapBudget:   *reapBudgetFlag,
-	})
+	srv := kvserv.New(engine, serverConfig())
 	handles := "anonymous reads (substrate has no handle path)"
 	if engine.HandleCapable() {
 		handles = "one pinned reader handle per connection"
 	}
 	fmt.Printf("kvserv: serving on %s — %d×%s shards, %s, reap %v, %s\n",
 		l.Addr(), *shardsFlag, *lockFlag, handles, *reapFlag, durability)
-	startWire(srv)
-
-	// Graceful shutdown: stop accepting, flush the async queues, then sync
-	// and close the WAL so a restart recovers everything acknowledged.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	select {
-	case sig := <-sigc:
-		fmt.Printf("kvserv: %v — shutting down\n", sig)
-		srv.Close()
-		<-done
-	case err := <-done:
-		if err != nil && err != http.ErrServerClosed {
-			engine.Close()
-			fatal(err)
-		}
-	}
-	if err := engine.Close(); err != nil {
-		fatal(err)
-	}
+	serve(srv, l, engine.Close)
 }
 
 // runCluster is the -cluster mode: open N hash-routed partitioned
@@ -188,31 +164,10 @@ func runCluster(mk rwl.Factory) {
 		c.Close()
 		fatal(err)
 	}
-	srv := kvserv.NewClusterServer(c, kvserv.Config{
-		ReapInterval: *reapFlag,
-		ReapBudget:   *reapBudgetFlag,
-	})
+	srv := kvserv.NewClusterServer(c, serverConfig())
 	fmt.Printf("kvserv: cluster of %d primaries on %s — %d×%s shards each, %d followers each, durable in %s (sync %s), reap %v\n",
 		*clusterFlag, l.Addr(), *shardsFlag, *lockFlag, *clusterFollowersFlag, *dataDirFlag, policy, *reapFlag)
-	startWire(srv)
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	select {
-	case sig := <-sigc:
-		fmt.Printf("kvserv: %v — shutting down\n", sig)
-		srv.Close()
-		<-done
-	case err := <-done:
-		if err != nil && err != http.ErrServerClosed {
-			c.Close()
-			fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		fatal(err)
-	}
+	serve(srv, l, c.Close)
 }
 
 // runFollower is the -follow mode: tail the primary's WAL streams into an
@@ -234,12 +189,18 @@ func runFollower(mk rwl.Factory) {
 	if err != nil {
 		fatal(err)
 	}
-	srv := kvserv.NewFollower(f, kvserv.Config{
-		ReapInterval: *reapFlag,
-		ReapBudget:   *reapBudgetFlag,
-	})
+	srv := kvserv.NewFollower(f, serverConfig())
 	fmt.Printf("kvserv: read-only follower of %s on %s — %d×%s shards, reap %v\n",
 		f.Primary(), l.Addr(), f.NumShards(), *lockFlag, *reapFlag)
+	// A follower's Close has nothing to report: its replica is in memory.
+	serve(srv, l, func() error { f.Close(); return nil })
+}
+
+// serve runs srv on l, and on -wire-addr, until SIGINT/SIGTERM or a
+// listener failure, then closes the store with closeStore. Graceful
+// shutdown: stop accepting, flush the async queues, then sync and close
+// the WAL so a restart recovers everything acknowledged.
+func serve(srv *kvserv.Server, l net.Listener, closeStore func() error) {
 	startWire(srv)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -252,11 +213,18 @@ func runFollower(mk rwl.Factory) {
 		<-done
 	case err := <-done:
 		if err != nil && err != http.ErrServerClosed {
-			f.Close()
+			closeStore()
 			fatal(err)
 		}
 	}
-	f.Close()
+	if err := closeStore(); err != nil {
+		fatal(err)
+	}
+}
+
+// serverConfig is every mode's server configuration: the reap flags.
+func serverConfig() kvserv.Config {
+	return kvserv.Config{ReapInterval: *reapFlag, ReapBudget: *reapBudgetFlag}
 }
 
 // startWire mounts the binary wire front-end on -wire-addr (a no-op when

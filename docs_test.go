@@ -169,7 +169,7 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 var lineCeilings = map[string]int{
 	".":                   366,
 	"cmd/bravobench":      153,
-	"cmd/kvserv":          284,
+	"cmd/kvserv":          252,
 	"cmd/locktorture":     81,
 	"cmd/metisbench":      70,
 	"cmd/willitscale":     62,
@@ -182,12 +182,12 @@ var lineCeilings = map[string]int{
 	"internal/bias":       1306,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
-	"internal/cluster":    1160,
+	"internal/cluster":    1095,
 	"internal/core":       327,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3882,
-	"internal/kvserv":     1976,
+	"internal/kvs":        3894,
+	"internal/kvserv":     1975,
 	"internal/lockcheck":  461,
 	"internal/locks":      1174,
 	"internal/metis":      331,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               17266,
+	"total":               17180,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -262,25 +262,25 @@ func (st corpseState) hammer(t *testing.T, rng *xrand.XorShift64) {
 	t.Helper()
 	m := st.corpse
 	k := rng.Next() % 64
-	if _, _, err := m.Put(k, []byte("stale"), 0); err != ErrFenced {
+	if _, err := m.put(k, []byte("stale"), 0); err != ErrFenced {
 		t.Errorf("fenced Put: err = %v, want ErrFenced", err)
 	}
-	if err := m.PutAsync(k, []byte("stale")); err != ErrFenced {
+	if err := m.putAsync(k, []byte("stale")); err != ErrFenced {
 		t.Errorf("fenced PutAsync: err = %v, want ErrFenced", err)
 	}
-	if _, _, _, err := m.Delete(k); err != ErrFenced {
+	if _, _, err := m.delete(k); err != ErrFenced {
 		t.Errorf("fenced Delete: err = %v, want ErrFenced", err)
 	}
-	if _, err := m.MultiPut([]uint64{k, k + 1}, [][]byte{[]byte("a"), []byte("b")}, 0, nil); err != ErrFenced {
+	if _, err := m.multiPut([]uint64{k, k + 1}, [][]byte{[]byte("a"), []byte("b")}, 0, nil); err != ErrFenced {
 		t.Errorf("fenced MultiPut: err = %v, want ErrFenced", err)
 	}
-	if _, _, err := m.MultiDelete([]uint64{k}, nil); err != ErrFenced {
+	if _, _, err := m.multiDelete([]uint64{k}, nil); err != ErrFenced {
 		t.Errorf("fenced MultiDelete: err = %v, want ErrFenced", err)
 	}
-	if _, err := m.Flush(); err != ErrFenced {
+	if _, err := m.flush(); err != ErrFenced {
 		t.Errorf("fenced Flush: err = %v, want ErrFenced", err)
 	}
-	if _, err := m.Reap(128); err != ErrFenced {
+	if _, err := m.reap(128); err != ErrFenced {
 		t.Errorf("fenced Reap: err = %v, want ErrFenced", err)
 	}
 }
@@ -345,6 +345,33 @@ func TestCorpseCheckSeesACommit(t *testing.T) {
 	old.Engine().Put(1, []byte("stale"))
 	if d := st.drift(); len(d) != 2 || !strings.Contains(d[1], "corpse WAL appended") {
 		t.Fatalf("a commit on the corpse drifted %v, want its LSN and its WAL", d)
+	}
+}
+
+// TestCorpseCloseCommitsNothing: an async write queued before the fence
+// was answered with no token, and it dies with its epoch. Closing the
+// corpse must not flush it into the deposed primary's log.
+func TestCorpseCloseCommitsNothing(t *testing.T) {
+	c, err := Open(Config{Partitions: 1, Shards: 2, Followers: 1, Dir: t.TempDir(), Policy: kvs.SyncNone, RetryInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.PutAsync(5, []byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	old := c.Member(0)
+	mustFailover(t, c, 0)
+	st := captureCorpse(t, old)
+	if err := old.Close(); err != nil {
+		t.Fatalf("corpse Close: %v", err)
+	}
+	st.check(t)
+	if _, ok := c.Get(nil, 5, nil); ok {
+		t.Fatal("an unflushed async write survived the failover")
 	}
 }
 

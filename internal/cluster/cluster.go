@@ -50,9 +50,11 @@ type Cluster struct {
 }
 
 // partition is one slice of the keyspace: the current primary, its
-// followers, and the fencing history. mu's write side is held only by
-// Failover; every op and token check holds the read side, so a partition
-// swap is atomic from the callers' perspective.
+// followers, and the fencing history. mu is the partition's one lock. Its
+// write side is held by Failover and by Member.Fence; every op and token
+// check holds the read side, so a partition swap is atomic from the
+// callers' perspective, and a write commits either before its member is
+// fenced or not at all.
 type partition struct {
 	idx int
 
@@ -97,7 +99,7 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, router: router, parts: make([]*partition, cfg.Partitions)}
 	for i := range c.parts {
 		p := &partition{idx: i, epoch: 1}
-		m, err := newMember(i, 1, c.partDir(i, 1), cfg.Shards, cfg.MkLock, cfg.Policy, nil)
+		m, err := newMember(i, 1, c.partDir(i, 1), cfg.Shards, cfg.MkLock, cfg.Policy, nil, &p.mu)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -174,14 +176,9 @@ func (c *Cluster) Followers(pi int) []*repl.Follower {
 	return append([]*repl.Follower(nil), p.followers...)
 }
 
-// globalShard widens a partition-local shard to the cluster-wide token
-// namespace.
-func (c *Cluster) globalShard(pi, shard int) uint32 {
-	return uint32(pi*c.cfg.Shards + shard)
-}
-
-// SplitGlobalShard inverts globalShard: the partition and local shard a
-// token's Shard names. ok is false when the shard is out of range.
+// SplitGlobalShard inverts the global shard CommitLSN stamps: the
+// partition and local shard a token's Shard names. ok is false when the
+// shard is out of range.
 func (c *Cluster) SplitGlobalShard(g uint32) (pi, shard int, ok bool) {
 	pi, shard = int(g)/c.cfg.Shards, int(g)%c.cfg.Shards
 	return pi, shard, pi < c.cfg.Partitions
@@ -196,44 +193,54 @@ func (c *Cluster) Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) {
 	return p.member.engine.GetIntoH(h, key, buf)
 }
 
+// fanOut splits keys by owning partition and calls fn once per partition
+// that owns any, under its read lock, with the member, the positions in
+// keys of its sub-batch, and the sub-batch itself (reused across calls).
+// It returns the first error fn reports, naming its partition; the other
+// partitions still run: they are independent failure domains.
+func (c *Cluster) fanOut(keys []uint64, fn func(m *Member, idx []int, sub []uint64) error) error {
+	var firstErr error
+	sub := make([]uint64, 0, len(keys))
+	for pi, idx := range c.router.Split(keys) {
+		if len(idx) == 0 {
+			continue
+		}
+		sub = sub[:0]
+		for _, i := range idx {
+			sub = append(sub, keys[i])
+		}
+		p := c.parts[pi]
+		p.mu.RLock()
+		err := fn(p.member, idx, sub)
+		p.mu.RUnlock()
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cluster: partition %d: %w", pi, err)
+		}
+	}
+	return firstErr
+}
+
 // MultiGet fans a batch out per partition — each partition's group is one
 // engine call, riding the shard-grouping pass — and scatters the values
 // back in key order (nil marks absent).
 func (c *Cluster) MultiGet(h *rwl.Reader, keys []uint64) [][]byte {
 	out := make([][]byte, len(keys))
-	groups := c.router.Split(keys)
-	sub := make([]uint64, 0, len(keys))
-	for pi, group := range groups {
-		if len(group) == 0 {
-			continue
+	c.fanOut(keys, func(m *Member, idx []int, sub []uint64) error {
+		for j, v := range m.engine.MultiGetH(h, sub) {
+			out[idx[j]] = v
 		}
-		sub = sub[:0]
-		for _, i := range group {
-			sub = append(sub, keys[i])
-		}
-		p := c.parts[pi]
-		p.mu.RLock()
-		vals := p.member.engine.MultiGetH(h, sub)
-		p.mu.RUnlock()
-		for j, i := range group {
-			out[i] = vals[j]
-		}
-	}
+		return nil
+	})
 	return out
 }
 
 // Put writes key through its partition's primary and returns the
 // read-your-writes token.
 func (c *Cluster) Put(key uint64, value []byte, ttl time.Duration) (ShardLSN, error) {
-	pi := c.router.Partition(key)
-	p := c.parts[pi]
+	p := c.parts[c.router.Partition(key)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	shard, lsn, err := p.member.Put(key, value, ttl)
-	if err != nil {
-		return ShardLSN{}, err
-	}
-	return ShardLSN{Shard: c.globalShard(pi, shard), LSN: lsn, Epoch: p.epoch}, nil
+	return p.member.put(key, value, ttl)
 }
 
 // PutAsync enqueues key on its partition's shard write queue; no token.
@@ -241,21 +248,16 @@ func (c *Cluster) PutAsync(key uint64, value []byte) error {
 	p := c.parts[c.router.Partition(key)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.member.PutAsync(key, value)
+	return p.member.putAsync(key, value)
 }
 
 // Delete removes key, reporting presence plus the token (deletes are
 // logged even on a miss).
 func (c *Cluster) Delete(key uint64) (bool, ShardLSN, error) {
-	pi := c.router.Partition(key)
-	p := c.parts[pi]
+	p := c.parts[c.router.Partition(key)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	ok, shard, lsn, err := p.member.Delete(key)
-	if err != nil {
-		return false, ShardLSN{}, err
-	}
-	return ok, ShardLSN{Shard: c.globalShard(pi, shard), LSN: lsn, Epoch: p.epoch}, nil
+	return p.member.delete(key)
 }
 
 // ErrCrossPartitionTxn rejects a transaction whose keys hash to more than
@@ -270,15 +272,10 @@ var ErrCrossPartitionTxn = errors.New("cluster: transaction keys span multiple p
 // Cas runs a compare-and-swap on key's partition, returning whether it
 // swapped plus the commit token.
 func (c *Cluster) Cas(key uint64, old, new []byte) (bool, ShardLSN, error) {
-	pi := c.router.Partition(key)
-	p := c.parts[pi]
+	p := c.parts[c.router.Partition(key)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	swapped, shard, lsn, err := p.member.Cas(key, old, new)
-	if err != nil {
-		return false, ShardLSN{}, err
-	}
-	return swapped, ShardLSN{Shard: c.globalShard(pi, shard), LSN: lsn, Epoch: p.epoch}, nil
+	return p.member.cas(key, old, new)
 }
 
 // Txn runs fn as a bounded multi-key transaction on the partition owning
@@ -300,14 +297,7 @@ func (c *Cluster) Txn(keys []uint64, fn func(*kvs.Tx) error) ([]ShardLSN, error)
 	p := c.parts[pi]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	lsns, err := p.member.Txn(keys, fn, nil)
-	if err != nil {
-		return nil, err
-	}
-	for i := range lsns {
-		lsns[i].Shard = c.globalShard(pi, int(lsns[i].Shard))
-	}
-	return lsns, nil
+	return p.member.txn(keys, fn)
 }
 
 // MultiPut fans a batch out per partition (one engine call each) and
@@ -317,75 +307,29 @@ func (c *Cluster) Txn(keys []uint64, fn func(*kvs.Tx) error) ([]ShardLSN, error)
 // stay applied.
 func (c *Cluster) MultiPut(keys []uint64, values [][]byte, ttl time.Duration) ([]ShardLSN, error) {
 	var lsns []ShardLSN
-	var firstErr error
-	groups := c.router.Split(keys)
-	subK := make([]uint64, 0, len(keys))
 	subV := make([][]byte, 0, len(values))
-	for pi, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		subK, subV = subK[:0], subV[:0]
-		for _, i := range group {
-			subK = append(subK, keys[i])
+	err := c.fanOut(keys, func(m *Member, idx []int, sub []uint64) error {
+		subV = subV[:0]
+		for _, i := range idx {
 			subV = append(subV, values[i])
 		}
-		base := len(lsns)
-		p := c.parts[pi]
-		p.mu.RLock()
-		out, err := p.member.MultiPut(subK, subV, ttl, lsns)
-		epoch := p.epoch
-		p.mu.RUnlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: partition %d: %w", pi, err)
-			}
-			continue
-		}
-		lsns = out
-		for i := base; i < len(lsns); i++ {
-			lsns[i].Shard = c.globalShard(pi, int(lsns[i].Shard))
-			lsns[i].Epoch = epoch
-		}
-	}
-	return lsns, firstErr
+		var err error
+		lsns, err = m.multiPut(sub, subV, ttl, lsns)
+		return err
+	})
+	return lsns, err
 }
 
 // MultiDelete is MultiPut's removal twin: the removed count plus tokens.
 func (c *Cluster) MultiDelete(keys []uint64) (int, []ShardLSN, error) {
 	var lsns []ShardLSN
 	var removed int
-	var firstErr error
-	groups := c.router.Split(keys)
-	sub := make([]uint64, 0, len(keys))
-	for pi, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		sub = sub[:0]
-		for _, i := range group {
-			sub = append(sub, keys[i])
-		}
-		base := len(lsns)
-		p := c.parts[pi]
-		p.mu.RLock()
-		n, out, err := p.member.MultiDelete(sub, lsns)
-		epoch := p.epoch
-		p.mu.RUnlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: partition %d: %w", pi, err)
-			}
-			continue
-		}
-		removed += n
-		lsns = out
-		for i := base; i < len(lsns); i++ {
-			lsns[i].Shard = c.globalShard(pi, int(lsns[i].Shard))
-			lsns[i].Epoch = epoch
-		}
-	}
-	return removed, lsns, firstErr
+	err := c.fanOut(keys, func(m *Member, _ []int, sub []uint64) error {
+		n, out, err := m.multiDelete(sub, lsns)
+		removed, lsns = removed+n, out
+		return err
+	})
+	return removed, lsns, err
 }
 
 // Writable reports why the cluster refuses writes wholesale: never — it
@@ -398,7 +342,7 @@ func (c *Cluster) Flush() int {
 	total := 0
 	for _, p := range c.parts {
 		p.mu.RLock()
-		n, err := p.member.Flush()
+		n, err := p.member.flush()
 		p.mu.RUnlock()
 		if err == nil {
 			total += n
@@ -412,7 +356,7 @@ func (c *Cluster) Reap(budget int) int {
 	total := 0
 	for _, p := range c.parts {
 		p.mu.RLock()
-		n, err := p.member.Reap(budget)
+		n, err := p.member.reap(budget)
 		p.mu.RUnlock()
 		if err == nil {
 			total += n

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,10 +144,10 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 	}
 
 	// The fenced corpse rejects everything, wherever the write enters.
-	if _, _, err := old.Put(1, []byte("zombie"), 0); err != ErrFenced {
+	if _, err := old.put(1, []byte("zombie"), 0); err != ErrFenced {
 		t.Fatalf("corpse Put: %v, want ErrFenced", err)
 	}
-	if _, err := old.Flush(); err != ErrFenced {
+	if _, err := old.flush(); err != ErrFenced {
 		t.Fatalf("corpse Flush: %v, want ErrFenced", err)
 	}
 
@@ -203,6 +204,50 @@ func TestClusterEmptyTxnDuringFailover(t *testing.T) {
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatalf("Txn(nil) = %v, want ErrTxnNoKeys", err)
+	}
+}
+
+// TestFenceWaitsForInFlightCommit pins the fence's barrier: a transaction
+// in flight holds Fence off until it commits, and the write after Fence is
+// refused.
+func TestFenceWaitsForInFlightCommit(t *testing.T) {
+	c := openCluster(t, 1, 1)
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free() // a failing run must not leave the body holding the partition
+	txnErr := make(chan error, 1)
+	go func() {
+		_, err := c.Txn([]uint64{1}, func(tx *kvs.Tx) error {
+			close(started)
+			<-release
+			tx.Put(1, []byte("in flight"))
+			return nil
+		})
+		txnErr <- err
+	}()
+	<-started
+	m := c.Member(0)
+	fenced := make(chan struct{})
+	go func() {
+		m.Fence()
+		close(fenced)
+	}()
+	select {
+	case <-fenced:
+		t.Fatal("Fence returned while a transaction was committing")
+	case <-time.After(50 * time.Millisecond):
+	}
+	free()
+	if err := <-txnErr; err != nil {
+		t.Fatalf("in-flight Txn: %v", err)
+	}
+	<-fenced
+	if _, err := c.Put(2, []byte("late"), 0); !errors.Is(err, ErrFenced) {
+		t.Fatalf("Put after Fence: %v, want ErrFenced", err)
+	}
+	if v, ok := c.Get(nil, 1, nil); !ok || string(v) != "in flight" {
+		t.Fatalf("Get(1) = %q, %v; want the transaction's value", v, ok)
 	}
 }
 
@@ -418,10 +463,10 @@ func TestClusterCasAndTxn(t *testing.T) {
 	if _, err := c.Failover(0); err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
-	if _, err := old.Txn(keys[:1], func(*kvs.Tx) error { return nil }, nil); err != ErrFenced {
+	if _, err := old.txn(keys[:1], func(*kvs.Tx) error { return nil }); err != ErrFenced {
 		t.Fatalf("corpse Txn: %v, want ErrFenced", err)
 	}
-	if _, _, _, err := old.Cas(keys[0], nil, []byte("x")); err != ErrFenced {
+	if _, _, err := old.cas(keys[0], nil, []byte("x")); err != ErrFenced {
 		t.Fatalf("corpse Cas: %v, want ErrFenced", err)
 	}
 	for i, k := range keys {

@@ -19,9 +19,10 @@ var ErrNotReady = errors.New("cluster: no follower has caught up to the promoted
 // Failover deposes partition pi's primary and promotes its most-caught-up
 // follower. The protocol, in fencing order:
 //
-//  1. Fence the old primary. Fence blocks until in-flight writes commit;
-//     after it returns nothing can ever commit there again, so the
-//     follower positions read below are final.
+//  1. Fence the old primary. Holding the partition lock's write side, no
+//     write is in flight, so marking the member fenced is the fence:
+//     nothing can ever commit there again, and the follower positions
+//     read below are final.
 //  2. Stop the replication endpoint and the followers' pullers, freezing
 //     each follower at an exact per-shard applied prefix of the old
 //     primary's history.
@@ -70,7 +71,7 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 	}
 
 	old := p.member
-	old.Fence()
+	old.fenced.Store(true)
 	old.StopServing()
 	for _, f := range p.followers {
 		f.Stop()
@@ -93,7 +94,7 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 	if err := kvs.SeedSnapshotDir(dir, best.Engine(), cut); err != nil {
 		return 0, fmt.Errorf("cluster: partition %d: seeding promoted state: %w", pi, err)
 	}
-	m, err := newMember(pi, newEpoch, dir, c.cfg.Shards, c.cfg.MkLock, c.cfg.Policy, cut)
+	m, err := newMember(pi, newEpoch, dir, c.cfg.Shards, c.cfg.MkLock, c.cfg.Policy, cut, &p.mu)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: partition %d: opening promoted primary: %w", pi, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bravolock/bravo/internal/kvs"
@@ -19,35 +20,37 @@ import (
 var ErrFenced = errors.New("cluster: member is fenced (deposed by failover)")
 
 // Member is one partition's primary: a durable engine, the replication
-// server its followers stream from, and the fencing gate.
+// server its followers stream from, and the fenced flag.
 //
-// The gate is the failover proof obligation, so its discipline is strict:
-// every write path holds gate.RLock across the engine commit, and Fence
-// takes gate.Lock before marking the member fenced. RWMutex writer
+// The fence is the failover proof obligation, and it rests on one lock:
+// the partition's. Every write method is called with mu's read side held
+// and commits only if fenced is clear; Fence (or Failover, which already
+// holds it) takes mu's write side before setting fenced. RWMutex writer
 // acquisition therefore gives the promotion protocol its key property
-// directly: when Fence returns, every in-flight write has either committed
-// (and is visible to the LSN cut) or will observe fenced and be rejected —
-// there is no third interleaving where a revived old primary commits a
-// record after the cut was read.
+// directly: when the flag is set, every in-flight write has either
+// committed (and is visible to the LSN cut) or will observe fenced and be
+// rejected — there is no third interleaving where a revived old primary
+// commits a record after the cut was read. The flag never clears, so a
+// corpse rejects its writes with or without the lock.
 type Member struct {
 	partition int
 	epoch     uint64
-	dir       string
 	engine    *kvs.Sharded
 	prim      *repl.Primary
 	ln        net.Listener
 	hsrv      *http.Server
 
-	gate   sync.RWMutex
-	fenced bool
+	mu     *sync.RWMutex // the partition's lock
+	fenced atomic.Bool
 
 	closeOnce sync.Once
 }
 
 // newMember opens a durable engine in dir and starts the partition's
 // replication endpoint on a loopback listener. lsnBase, when non-nil, is
-// the promotion cut: the engine's per-shard LSNs continue from it.
-func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Factory, policy kvs.SyncPolicy, lsnBase []uint64) (*Member, error) {
+// the promotion cut: the engine's per-shard LSNs continue from it. mu is
+// the partition's lock, which fences the member.
+func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Factory, policy kvs.SyncPolicy, lsnBase []uint64, mu *sync.RWMutex) (*Member, error) {
 	opts := []kvs.Option{kvs.WithDurability(dir, policy)}
 	if lsnBase != nil {
 		opts = append(opts, kvs.WithLSNBase(lsnBase))
@@ -64,10 +67,10 @@ func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Facto
 	m := &Member{
 		partition: partition,
 		epoch:     epoch,
-		dir:       dir,
 		engine:    engine,
 		prim:      repl.NewPrimary(engine),
 		ln:        ln,
+		mu:        mu,
 	}
 	mux := http.NewServeMux()
 	m.prim.Register(mux)
@@ -80,30 +83,23 @@ func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Facto
 func (m *Member) URL() string { return "http://" + m.ln.Addr().String() }
 
 // Engine returns the member's engine. Reads may go straight at it; writes
-// must go through the fenced write methods or they void the failover
-// proof.
+// must go through the cluster or they void the failover proof.
 func (m *Member) Engine() *kvs.Sharded { return m.engine }
 
 // Epoch returns the fencing epoch this member was installed at.
 func (m *Member) Epoch() uint64 { return m.epoch }
 
-// Dir returns the member's data directory.
-func (m *Member) Dir() string { return m.dir }
-
 // Fenced reports whether the member has been deposed.
-func (m *Member) Fenced() bool {
-	m.gate.RLock()
-	defer m.gate.RUnlock()
-	return m.fenced
-}
+func (m *Member) Fenced() bool { return m.fenced.Load() }
 
-// Fence deposes the member. It blocks until every in-flight write has
-// committed; once it returns, no write can ever commit here again, so the
-// caller may read the engine's LSNs as the final history of this epoch.
+// Fence deposes the member. It takes the partition lock's write side, so
+// it blocks until every in-flight write has committed; once it returns, no
+// write can ever commit here again, so the caller may read the engine's
+// LSNs as the final history of this epoch.
 func (m *Member) Fence() {
-	m.gate.Lock()
-	m.fenced = true
-	m.gate.Unlock()
+	m.mu.Lock()
+	m.fenced.Store(true)
+	m.mu.Unlock()
 }
 
 // StopServing closes the replication endpoint — the network half of a
@@ -113,135 +109,126 @@ func (m *Member) StopServing() {
 	m.hsrv.Close()
 }
 
-// Close stops serving and closes the engine (syncing its WAL). Idempotent.
+// Close stops serving and closes the engine (syncing its WAL). A fenced
+// member drops its queued async writes first: they were acknowledged with
+// no token, and committing them at Close would be a post-fence commit.
+// Idempotent.
 func (m *Member) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		m.hsrv.Close()
+		if m.Fenced() {
+			m.engine.Discard()
+		}
 		err = m.engine.Close()
 	})
 	return err
 }
 
-// write runs fn under the fencing gate: the read side of the RWMutex, held
-// across the engine commit, so Fence's writer acquisition is the barrier
-// the promotion cut is read behind.
-func (m *Member) write(fn func()) error {
-	m.gate.RLock()
-	defer m.gate.RUnlock()
-	if m.fenced {
+// The write methods below are called with m.mu's read side held: that
+// lock, not the member, is what keeps a commit on one side of the fence.
+// Those that commit return final tokens — global shard, LSN and this
+// member's epoch — stamped by CommitLSN.
+
+func (m *Member) token(key uint64) ShardLSN {
+	return CommitLSN(m.engine, m.partition, m.epoch, key)
+}
+
+func (m *Member) put(key uint64, value []byte, ttl time.Duration) (ShardLSN, error) {
+	if m.Fenced() {
+		return ShardLSN{}, ErrFenced
+	}
+	if ttl > 0 {
+		m.engine.PutTTL(key, value, ttl)
+	} else {
+		m.engine.Put(key, value)
+	}
+	return m.token(key), nil
+}
+
+// putAsync enqueues key on its shard's write queue; no token (the write
+// has not applied). A fenced member's queue must not accept work that a
+// later Flush would commit.
+func (m *Member) putAsync(key uint64, value []byte) error {
+	if m.Fenced() {
 		return ErrFenced
 	}
-	fn()
+	m.engine.PutAsync(key, value)
 	return nil
 }
 
-// Put stores key (with ttl when positive) and returns the commit token's
-// local half: the shard and its commit LSN, stamped with this member's
-// epoch by the caller.
-func (m *Member) Put(key uint64, value []byte, ttl time.Duration) (shard int, lsn uint64, err error) {
-	err = m.write(func() {
-		if ttl > 0 {
-			m.engine.PutTTL(key, value, ttl)
-		} else {
-			m.engine.Put(key, value)
-		}
-		shard = m.engine.ShardOf(key)
-		lsn = m.engine.ShardLSN(shard)
-	})
-	return
-}
-
-// PutAsync enqueues key on its shard's write queue; no token (the write
-// has not applied). The fence gate still guards it: a fenced member's
-// queue must not accept work that a later Flush would commit.
-func (m *Member) PutAsync(key uint64, value []byte) error {
-	return m.write(func() { m.engine.PutAsync(key, value) })
-}
-
-// Delete removes key, reporting whether it was present, plus the commit
-// token half (the delete is logged even on a miss).
-func (m *Member) Delete(key uint64) (ok bool, shard int, lsn uint64, err error) {
-	err = m.write(func() {
-		ok = m.engine.Delete(key)
-		shard = m.engine.ShardOf(key)
-		lsn = m.engine.ShardLSN(shard)
-	})
-	return
-}
-
-// MultiPut applies a batch (one engine call: one lock acquisition and one
-// group commit per shard touched) and appends each touched shard's commit
-// LSN to lsns.
-func (m *Member) MultiPut(keys []uint64, values [][]byte, ttl time.Duration, lsns []ShardLSN) ([]ShardLSN, error) {
-	err := m.write(func() {
-		if ttl > 0 {
-			m.engine.MultiPutTTL(keys, values, ttl)
-		} else {
-			m.engine.MultiPut(keys, values)
-		}
-		lsns = CommitLSNs(lsns, m.engine, keys, m.epoch)
-	})
-	return lsns, err
-}
-
-// MultiDelete removes a batch, reporting the removed count and appending
-// commit LSNs like MultiPut.
-func (m *Member) MultiDelete(keys []uint64, lsns []ShardLSN) (int, []ShardLSN, error) {
-	var removed int
-	err := m.write(func() {
-		removed = m.engine.MultiDelete(keys)
-		lsns = CommitLSNs(lsns, m.engine, keys, m.epoch)
-	})
-	return removed, lsns, err
-}
-
-// Cas runs a single-key compare-and-swap under the fencing gate, returning
-// the commit token's local half (a non-swapping CAS still commits a
-// read-only transaction, so the token is stamped on both outcomes).
-func (m *Member) Cas(key uint64, old, new []byte) (swapped bool, shard int, lsn uint64, err error) {
-	gerr := m.write(func() {
-		swapped, err = m.engine.CompareAndSwap(key, old, new)
-		shard = m.engine.ShardOf(key)
-		lsn = m.engine.ShardLSN(shard)
-	})
-	if gerr != nil {
-		err = gerr
+// delete stamps its token on a miss too: the delete is logged regardless.
+func (m *Member) delete(key uint64) (bool, ShardLSN, error) {
+	if m.Fenced() {
+		return false, ShardLSN{}, ErrFenced
 	}
-	return
+	ok := m.engine.Delete(key)
+	return ok, m.token(key), nil
 }
 
-// Txn runs a bounded multi-key transaction under the fencing gate and, on
-// commit, appends each declared shard's commit LSN to lsns. Holding the
-// gate across the whole two-phase commit keeps the failover property: a
+// multiPut applies a batch (one engine call: one lock acquisition and one
+// group commit per shard touched) and appends each touched shard's token
+// to lsns.
+func (m *Member) multiPut(keys []uint64, values [][]byte, ttl time.Duration, lsns []ShardLSN) ([]ShardLSN, error) {
+	if m.Fenced() {
+		return lsns, ErrFenced
+	}
+	if ttl > 0 {
+		m.engine.MultiPutTTL(keys, values, ttl)
+	} else {
+		m.engine.MultiPut(keys, values)
+	}
+	return CommitLSNs(lsns, m.engine, m.partition, m.epoch, keys), nil
+}
+
+func (m *Member) multiDelete(keys []uint64, lsns []ShardLSN) (int, []ShardLSN, error) {
+	if m.Fenced() {
+		return 0, lsns, ErrFenced
+	}
+	n := m.engine.MultiDelete(keys)
+	return n, CommitLSNs(lsns, m.engine, m.partition, m.epoch, keys), nil
+}
+
+// cas stamps its token on both outcomes: a non-swapping CAS still commits
+// a read-only transaction.
+func (m *Member) cas(key uint64, old, new []byte) (bool, ShardLSN, error) {
+	if m.Fenced() {
+		return false, ShardLSN{}, ErrFenced
+	}
+	swapped, err := m.engine.CompareAndSwap(key, old, new)
+	if err != nil {
+		return false, ShardLSN{}, err
+	}
+	return swapped, m.token(key), nil
+}
+
+// txn runs the whole two-phase commit inside the caller's read lock, so a
 // transaction either commits on every participant shard before Fence
 // returns, or not at all.
-func (m *Member) Txn(keys []uint64, fn func(*kvs.Tx) error, lsns []ShardLSN) ([]ShardLSN, error) {
-	var txErr error
-	gerr := m.write(func() {
-		txErr = m.engine.Txn(keys, fn)
-		if txErr == nil {
-			lsns = CommitLSNs(lsns, m.engine, keys, m.epoch)
-		}
-	})
-	if gerr != nil {
-		return lsns, gerr
+func (m *Member) txn(keys []uint64, fn func(*kvs.Tx) error) ([]ShardLSN, error) {
+	if m.Fenced() {
+		return nil, ErrFenced
 	}
-	return lsns, txErr
+	if err := m.engine.Txn(keys, fn); err != nil {
+		return nil, err
+	}
+	return CommitLSNs(nil, m.engine, m.partition, m.epoch, keys), nil
 }
 
-// Flush applies the member's queued async writes. Gated: a fenced member
-// flushing its queue into the engine would be a post-fence commit.
-func (m *Member) Flush() (int, error) {
-	var n int
-	err := m.write(func() { n = m.engine.Flush() })
-	return n, err
+// flush applies the queued async writes: on a fenced member that would be
+// a post-fence commit.
+func (m *Member) flush() (int, error) {
+	if m.Fenced() {
+		return 0, ErrFenced
+	}
+	return m.engine.Flush(), nil
 }
 
-// Reap runs one bounded TTL sweep. Gated like any other mutation: expiry
+// reap runs one bounded TTL sweep. Fenced like any other mutation: expiry
 // removal logs deletes, and a fenced member's log is closed history.
-func (m *Member) Reap(budget int) (int, error) {
-	var n int
-	err := m.write(func() { n = m.engine.Reap(budget) })
-	return n, err
+func (m *Member) reap(budget int) (int, error) {
+	if m.Fenced() {
+		return 0, ErrFenced
+	}
+	return m.engine.Reap(budget), nil
 }

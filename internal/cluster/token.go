@@ -18,26 +18,29 @@ import (
 // recorded.
 type ShardLSN = wire.ShardLSN
 
-// CommitLSNs appends one (shard, lsn, epoch) token per distinct shard of e
-// that keys touch, read after the write applied — so each is at least the
-// write's own record (concurrent writers can only push it later: still a
-// covering token). Shard is e-local; the one place "write, then read the
-// shard's commit LSN" is spelled for batches, shared with the serving
-// layer's single-engine store.
-func CommitLSNs(dst []ShardLSN, e *kvs.Sharded, keys []uint64, epoch uint64) []ShardLSN {
+// CommitLSN is the token of a write to key on e, the engine of partition
+// pi, read after the write applied — so it is at least the write's own
+// record (concurrent writers can only push it later: still a covering
+// token). Its shard is global, pi × e.NumShards() + e's local shard, and
+// it carries epoch. The one place a commit token is stamped: a bare
+// engine is partition 0 at epoch 0.
+func CommitLSN(e *kvs.Sharded, pi int, epoch uint64, key uint64) ShardLSN {
+	sh := e.ShardOf(key)
+	return ShardLSN{Shard: uint32(pi*e.NumShards() + sh), LSN: e.ShardLSN(sh), Epoch: epoch}
+}
+
+// CommitLSNs appends CommitLSN for each distinct shard keys touch.
+func CommitLSNs(dst []ShardLSN, e *kvs.Sharded, pi int, epoch uint64, keys []uint64) []ShardLSN {
 	base := len(dst)
+next:
 	for _, k := range keys {
-		sh := uint32(e.ShardOf(k))
-		dup := false
+		sh := uint32(pi*e.NumShards() + e.ShardOf(k))
 		for _, t := range dst[base:] {
 			if t.Shard == sh {
-				dup = true
-				break
+				continue next
 			}
 		}
-		if !dup {
-			dst = append(dst, ShardLSN{Shard: sh, LSN: e.ShardLSN(int(sh)), Epoch: epoch})
-		}
+		dst = append(dst, CommitLSN(e, pi, epoch, k))
 	}
 	return dst
 }

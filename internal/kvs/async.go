@@ -97,3 +97,15 @@ func (s *Sharded) Flush() int {
 	}
 	return total
 }
+
+// Discard drops every queued asynchronous write unapplied. A deposed
+// primary calls it before Close, whose Flush would otherwise commit what
+// it queued before its fence.
+func (s *Sharded) Discard() {
+	for i := range s.shards {
+		q := &s.shards[i].q
+		q.mu.Lock()
+		q.ents = nil
+		q.mu.Unlock()
+	}
+}

@@ -32,6 +32,20 @@ func TestPutAsyncInvisibleUntilFlush(t *testing.T) {
 	}
 }
 
+func TestDiscardDropsQueuedWrites(t *testing.T) {
+	s, _ := NewSharded(4, mkStd)
+	for k := uint64(0); k < 8; k++ {
+		s.PutAsync(k, EncodeValue(k))
+	}
+	s.Discard()
+	if got := s.Flush(); got != 0 {
+		t.Fatalf("Flush after Discard applied %d writes, want 0", got)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after Discard, want 0", s.Len())
+	}
+}
+
 func TestPutAsyncThresholdAutoFlush(t *testing.T) {
 	s, _ := NewSharded(1, mkStd) // one shard: a deterministic queue
 	s.SetAsyncBatch(4)

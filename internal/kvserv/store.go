@@ -173,8 +173,7 @@ func (s *engineStore) token(key uint64) wire.ShardLSN {
 	if !s.e.Durable() {
 		return wire.ShardLSN{}
 	}
-	sh := s.e.ShardOf(key)
-	return wire.ShardLSN{Shard: uint32(sh), LSN: s.e.ShardLSN(sh)}
+	return cluster.CommitLSN(s.e, 0, 0, key)
 }
 
 // tokens is token for a batch: one per distinct shard keys touch.
@@ -183,7 +182,7 @@ func (s *engineStore) tokens(keys []uint64) []wire.ShardLSN {
 		return nil
 	}
 	toks := make([]wire.ShardLSN, 0, min(len(keys), s.e.NumShards()))
-	return cluster.CommitLSNs(toks, s.e, keys, 0)
+	return cluster.CommitLSNs(toks, s.e, 0, 0, keys)
 }
 
 // statsResponse is /stats (and wire STATS): per-shard counters plus the
