@@ -97,9 +97,9 @@ var (
 	WithStats = core.WithStats
 )
 
-// NewInhibitPolicy returns the paper's default policy with multiplier n;
-// WithPolicy(NewInhibitPolicy(n)) tunes the 1/(N+1) writer slow-down bound
-// (§3).
+// NewInhibitPolicy returns the paper's inhibit rule with multiplier n, for
+// WithPolicy(NewInhibitPolicy(n)) to tune the 1/(N+1) writer slow-down bound
+// (§3); a lock built without WithPolicy runs it at N = 9 with no object.
 func NewInhibitPolicy(n int64) Policy { return bias.NewInhibitPolicy(n) }
 
 // Substrate locks. Each is usable on its own and as a New argument.

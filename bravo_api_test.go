@@ -84,6 +84,22 @@ func TestNewAdaptiveKeepsTheLockItIsGiven(t *testing.T) {
 	}
 }
 
+// constructed keeps the locks TestConstructionAllocs builds on the heap.
+var constructed *bravo.Lock
+
+// TestConstructionAllocs: a default lock is two objects, the lock and its
+// substrate — no policy object, no configuration block — and NewAdaptive
+// adds exactly two to that, the configuration block and the adaptor.
+func TestConstructionAllocs(t *testing.T) {
+	plain := testing.AllocsPerRun(100, func() { constructed = bravo.New(bravo.NewGoRW()) })
+	if plain != 2 {
+		t.Errorf("bravo.New(bravo.NewGoRW()) makes %v allocations, want 2", plain)
+	}
+	if n := testing.AllocsPerRun(100, func() { constructed = bravo.NewAdaptive(bravo.NewGoRW()) }); n != plain+2 {
+		t.Errorf("NewAdaptive(NewGoRW()) makes %v allocations, want %v: New's and a block and an adaptor", n, plain+2)
+	}
+}
+
 func TestPublicAPIConcurrentSmoke(t *testing.T) {
 	l := bravo.New(bravo.NewBA())
 	var mu sync.Mutex

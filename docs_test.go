@@ -174,12 +174,12 @@ var lineCeilings = map[string]int{
 	"cmd/metisbench":      70,
 	"cmd/willitscale":     62,
 	"examples/kvcache":    109,
-	"examples/locktable":  101,
+	"examples/locktable":  116,
 	"examples/quickstart": 63,
 	"examples/vmsim":      78,
 	"internal/arch":       26,
 	"internal/bench":      664,
-	"internal/bias":       1306,
+	"internal/bias":       1331,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
 	"internal/cluster":    1095,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               17180,
+	"total":               17220,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	bravo "github.com/bravolock/bravo"
@@ -48,6 +49,18 @@ func (t *table) put(k, v uint64) {
 	b.lock.Unlock()
 }
 
+// heapPerLock is the heap one mk() call allocates, averaged over buckets calls.
+func heapPerLock(mk func() bravo.RWLock) float64 {
+	locks := make([]bravo.RWLock, buckets)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range locks {
+		locks[i] = mk()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / buckets
+}
+
 func main() {
 	// Footprint accounting for 8192 per-bucket locks, using the paper's §5
 	// sizes. Distributed-indicator locks are "prohibitively expensive to
@@ -64,8 +77,10 @@ func main() {
 	fmt.Printf("  %-22s %12d bytes\n", "BA:", buckets*baBytes)
 	fmt.Printf("  %-22s %12d bytes\n", "Per-CPU (72 CPUs):", buckets*perCPUBytes)
 	fmt.Printf("  %-22s %12d bytes\n", "Cohort-RW (2 nodes):", buckets*cohortBytes)
-	fmt.Printf("  %-22s %12d bytes (+%d shared once)\n", "BRAVO-BA:",
+	fmt.Printf("  %-22s %12d bytes (+%d shared once)\n", "BRAVO-BA (paper, +12):",
 		buckets*(baBytes+bravoExtra), tableBytes)
+	fmt.Printf("  %-22s %12.1f bytes per lock over BA's, measured\n", "BRAVO-BA adds here:",
+		heapPerLock(func() bravo.RWLock { return bravo.New(bravo.NewBA()) })-heapPerLock(bravo.NewBA))
 	fmt.Println()
 
 	// Exercise the BRAVO variant: 8192 locks, one shared table, concurrent

@@ -115,9 +115,8 @@ type AdaptorSnapshot struct {
 //
 // The zero value is not ready; use NewAdaptor.
 type Adaptor struct {
-	mode atomic.Uint32
-	// until is the earliest time bias may be re-enabled (InhibitUntil).
-	until   atomic.Int64
+	mode    atomic.Uint32
+	until   deadline
 	flips   atomic.Uint64
 	windows atomic.Uint64
 
@@ -159,14 +158,14 @@ func (a *Adaptor) Mode() Mode { return Mode(a.mode.Load()) }
 // ShouldEnable implements Policy: the mode is biased and Time() >=
 // InhibitUntil.
 func (a *Adaptor) ShouldEnable() bool {
-	return a.mode.Load() == uint32(ModeBiased) && clock.Nanos() >= a.until.Load()
+	return a.mode.Load() == uint32(ModeBiased) && a.until.lapsed()
 }
 
 // RevocationDone implements Policy: it moves the inhibit deadline exactly
 // as InhibitPolicy does and accumulates the cost for the window's overload
 // check. Called by the engine with write permission held.
 func (a *Adaptor) RevocationDone(start, end int64) {
-	a.until.Store(end + (end-start)*a.th.InhibitN)
+	a.until.revoked(start, end, a.th.InhibitN)
 	a.revokes.Add(1)
 	a.revokeNanos.Add(end - start)
 }

@@ -51,7 +51,7 @@ func BenchmarkRLockHCollided(b *testing.B) {
 	e.SetStats(nil)
 	e.MaybeEnable()
 	r := NewReaderWithID(77)
-	if _, ok := e.table.TryPublishAt(e.table.Index(e.ID(), 77), uintptr(0xF00D0)); !ok {
+	if _, ok := e.Table().TryPublishAt(e.Table().Index(e.ID(), 77), uintptr(0xF00D0)); !ok {
 		b.Fatal("setup publish failed")
 	}
 	b.ResetTimer()

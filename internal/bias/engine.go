@@ -38,11 +38,24 @@ type Engine struct {
 	//     reader that saw its bit and only then published could be overtaken
 	//     by a revoke + re-enable that clears the bit in between (ABA on the
 	//     word); checking afterwards, it finds the bit missing and re-marks.
-	rbias  atomic.Uint32
+	rbias atomic.Uint32
+	// cfg is nil for the defaults. rbias and cfg, the fast path's only lock
+	// state, fill the first 16 bytes: one cache line in a 16-aligned lock.
+	cfg *engineCfg
+	// until is Listing 1's InhibitUntil, used when no policy is set.
+	until deadline
+}
+
+// engineCfg is an engine's configuration: table is never nil, a nil policy
+// is the paper's inhibit rule at N = DefaultInhibitN, nil stats count nothing.
+type engineCfg struct {
 	table  *Table
 	policy Policy
 	stats  *Stats
 }
+
+// defaults configures every engine whose cfg is nil.
+var defaults = engineCfg{table: shared}
 
 // rbias word layout.
 const (
@@ -53,39 +66,49 @@ const (
 // ID returns the lock identity installed in table slots.
 func (e *Engine) ID() uintptr { return uintptr(unsafe.Pointer(e)) }
 
+// conf returns the engine's configuration block, or the defaults.
+func (e *Engine) conf() *engineCfg {
+	if c := e.cfg; c != nil {
+		return c
+	}
+	return &defaults
+}
+
+// own returns the engine's own configuration block, allocating it on first use.
+func (e *Engine) own() *engineCfg {
+	if e.cfg == nil {
+		e.cfg = &engineCfg{table: shared}
+	}
+	return e.cfg
+}
+
 // SetTable directs fast-path publication at a specific visible readers
 // table. Configuration-time only.
 func (e *Engine) SetTable(t *Table) {
 	if t != nil {
-		e.table = t
+		e.own().table = t
 	}
 }
 
-// SetPolicy installs a bias-enabling policy. The paper's N multiplier is the
-// policy's own (NewInhibitPolicy(n), Thresholds.InhibitN), so a policy is
-// how N is set. Configuration-time only.
+// SetPolicy installs a bias-enabling policy in place of the inline inhibit
+// rule (e.g. NewInhibitPolicy(n) for another N). Configuration-time only.
 func (e *Engine) SetPolicy(p Policy) {
 	if p != nil {
-		e.policy = p
+		e.own().policy = p
 	}
 }
 
 // SetStats attaches an event counter set. Counting adds shared-memory
 // traffic; leave unset for performance runs. Configuration-time only.
-func (e *Engine) SetStats(s *Stats) { e.stats = s }
-
-// Init fills configuration defaults — the shared process-wide table and the
-// paper's inhibit policy — and must be called once, after any Set* calls
-// and before the engine is used.
-func (e *Engine) Init() {
-	checkID(e.ID())
-	if e.table == nil {
-		e.table = shared
-	}
-	if e.policy == nil {
-		e.policy = NewInhibitPolicy(DefaultInhibitN)
+func (e *Engine) SetStats(s *Stats) {
+	if s != nil || e.cfg != nil {
+		e.own().stats = s
 	}
 }
+
+// Init must be called once, after any Set* calls and before the engine is
+// used. The defaults need no state, so it only checks the identity.
+func (e *Engine) Init() { checkID(e.ID()) }
 
 // checkID refuses, once and cold, an identity that would not fit above the
 // generation in a slot word. Go heap, stack and data addresses are below 2^48
@@ -97,42 +120,28 @@ func checkID(id uintptr) {
 }
 
 // Table returns the visible readers table this engine publishes into.
-func (e *Engine) Table() *Table { return e.table }
+func (e *Engine) Table() *Table { return e.conf().table }
 
-// PolicyInUse returns the installed bias-enabling policy.
-func (e *Engine) PolicyInUse() Policy { return e.policy }
+// PolicyInUse returns the installed bias-enabling policy, nil for the
+// inline inhibit rule.
+func (e *Engine) PolicyInUse() Policy { return e.conf().policy }
+
+// ForceInhibitUntil overwrites the inline rule's deadline (a test hook).
+func (e *Engine) ForceInhibitUntil(d int64) { e.until.Store(d) }
 
 // Enabled reports whether reader bias is currently set.
 func (e *Engine) Enabled() bool { return e.rbias.Load()&biasBit != 0 }
 
 // noteDisabled records a slow read taken because bias was off.
 func (e *Engine) noteDisabled() {
-	if e.stats != nil {
-		e.stats.SlowDisabled.Add(1)
-	}
-}
-
-func (e *Engine) noteFast() {
-	if e.stats != nil {
-		e.stats.FastRead.Add(1)
-	}
-}
-
-func (e *Engine) noteRaced() {
-	if e.stats != nil {
-		e.stats.SlowRaced.Add(1)
-	}
-}
-
-func (e *Engine) noteCollision() {
-	if e.stats != nil {
-		e.stats.SlowCollision.Add(1)
+	if s := e.conf().stats; s != nil {
+		s.SlowDisabled.Add(1)
 	}
 }
 
 func (e *Engine) noteHandle() {
-	if e.stats != nil {
-		e.stats.SlowHandle.Add(1)
+	if s := e.conf().stats; s != nil {
+		s.SlowHandle.Add(1)
 	}
 }
 
@@ -153,7 +162,7 @@ func (e *Engine) TryFast(selfID uint64) (SlotToken, bool) {
 // must have observed Enabled(). On success the returned token must be passed
 // to ClearFast at read-unlock time.
 func (e *Engine) TryPublish(selfID uint64) (SlotToken, bool) {
-	return e.probe(e.table.Index(e.ID(), selfID))
+	return e.probe(e.Table().Index(e.ID(), selfID))
 }
 
 // probe is the one publication sequence every fast read runs, anonymous or
@@ -163,8 +172,8 @@ func (e *Engine) TryPublish(selfID uint64) (SlotToken, bool) {
 // acquisition.
 func (e *Engine) probe(home uint32) (SlotToken, bool) {
 	tok, ok, done := e.publishAt(home)
-	if !done {
-		e.noteCollision()
+	if !done && e.conf().stats != nil {
+		e.conf().stats.SlowCollision.Add(1)
 	}
 	return tok, ok
 }
@@ -174,7 +183,8 @@ func (e *Engine) probe(home uint32) (SlotToken, bool) {
 // publication is undone and the read is committed to the slow path (done
 // true, ok false).
 func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
-	gen, won := e.table.TryPublishAt(idx, e.ID())
+	c := e.conf()
+	gen, won := c.table.TryPublishAt(idx, e.ID())
 	if !won {
 		return 0, false, false
 	}
@@ -184,15 +194,19 @@ func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
 	// The recheck (Listing 1 line 16) must show bias and this slot's sector
 	// bit in the same observation; every path — anonymous, handle, rwsem —
 	// publishes through here, so all share the summary.
-	want := uint32(biasBit | 1<<(sectorBase+e.table.sector(idx)))
+	want := uint32(biasBit | 1<<(sectorBase+c.table.sector(idx)))
 	if w := e.rbias.Load(); w&want == want || (w&biasBit != 0 && e.markSector(want)) {
-		e.noteFast()
+		if c.stats != nil {
+			c.stats.FastRead.Add(1)
+		}
 		return makeSlotToken(idx, gen), true, true
 	}
 	// Raced: a writer revoked bias after our publication; undo. The undo is
 	// an owned clear like any other, keeping the generation invariant.
-	e.table.ClearOwned(idx, gen, e.ID())
-	e.noteRaced()
+	c.table.ClearOwned(idx, gen, e.ID())
+	if c.stats != nil {
+		c.stats.SlowRaced.Add(1)
+	}
 	return 0, false, true
 }
 
@@ -221,17 +235,24 @@ func (e *Engine) markSector(want uint32) bool {
 // of one token, racing or sequential, all but one panic, as does an unlock of
 // another lock's token, instead of silently corrupting the table.
 func (e *Engine) ClearFast(t SlotToken) {
-	e.table.ClearOwned(t.Index(), t.Gen(), e.ID())
+	e.Table().ClearOwned(t.Index(), t.Gen(), e.ID())
 }
 
 // MaybeEnable is called by a slow-path reader while it holds read
 // permission on the substrate — the only state in which bias may be set
 // (Listing 1 lines 25–26, which excludes writers) — and asks the policy
-// whether to (re-)enable bias.
+// (by default, the inline inhibit rule) whether to (re-)enable bias.
 func (e *Engine) MaybeEnable() {
-	if e.rbias.Load() == 0 && e.policy.ShouldEnable() {
+	if e.rbias.Load() == 0 && e.shouldEnable() {
 		e.rbias.CompareAndSwap(0, biasBit)
 	}
+}
+
+func (e *Engine) shouldEnable() bool {
+	if p := e.conf().policy; p != nil {
+		return p.ShouldEnable()
+	}
+	return e.until.lapsed()
 }
 
 // Revoke disables reader bias and waits for all fast-path readers of this
@@ -242,19 +263,24 @@ func (e *Engine) MaybeEnable() {
 // only the sectors the summary names: none at all for a write that arrives
 // after bias was re-enabled but before any fast reader published.
 func (e *Engine) Revoke() {
+	c := e.conf()
 	w := e.rbias.Swap(0)
 	// Store-load fence required on TSO — Go atomics are seq-cst.
 	start := clock.Nanos()
-	scanned, conflicts := e.table.waitEmptyIn(e.ID(), w>>sectorBase)
+	scanned, conflicts := c.table.waitEmptyIn(e.ID(), w>>sectorBase)
 	now := clock.Nanos()
 	// Primum non-nocere: limit and bound the slow-down arising from
 	// revocation overheads.
-	e.policy.RevocationDone(start, now)
-	if e.stats != nil {
-		e.stats.WriteRevoke.Add(1)
-		e.stats.RevokeNanos.Add(now - start)
-		e.stats.RevokeScanned.Add(uint64(scanned))
-		e.stats.RevokeWaits.Add(uint64(conflicts))
+	if c.policy != nil {
+		c.policy.RevocationDone(start, now)
+	} else {
+		e.until.revoked(start, now, DefaultInhibitN)
+	}
+	if s := c.stats; s != nil {
+		s.WriteRevoke.Add(1)
+		s.RevokeNanos.Add(now - start)
+		s.RevokeScanned.Add(uint64(scanned))
+		s.RevokeWaits.Add(uint64(conflicts))
 	}
 }
 
@@ -266,8 +292,8 @@ func (e *Engine) RevokeIfEnabled() bool {
 		e.Revoke()
 		return true
 	}
-	if e.stats != nil {
-		e.stats.WriteNormal.Add(1)
+	if s := e.conf().stats; s != nil {
+		s.WriteNormal.Add(1)
 	}
 	return false
 }

@@ -22,15 +22,51 @@ func newEngine(pol Policy, opts ...func(*Engine)) (*Engine, *Stats) {
 	return e, st
 }
 
+// TestEngineInitDefaults: an engine with no Set* call carries no
+// configuration block, publishes into the shared table, has no policy
+// installed, and runs the paper's inhibit rule itself: after a revocation of
+// measured length D, bias stays off until end + 9·D.
 func TestEngineInitDefaults(t *testing.T) {
 	e := &Engine{}
 	e.Init()
-	if e.Table() != SharedTable() {
-		t.Fatal("default table is not the shared table")
+	if e.cfg != nil || e.Table() != SharedTable() || e.PolicyInUse() != nil {
+		t.Fatalf("default engine: block %p, shared table %v, policy %v",
+			e.cfg, e.Table() == SharedTable(), e.PolicyInUse())
 	}
-	p, ok := e.PolicyInUse().(*InhibitPolicy)
-	if !ok || p.N != DefaultInhibitN {
-		t.Fatalf("default policy = %#v, want InhibitPolicy N=%d", e.PolicyInUse(), DefaultInhibitN)
+	// Stats measure D; the table and the rule stay the defaults.
+	st := &Stats{}
+	e.SetStats(st)
+	if e.Table() != SharedTable() || e.PolicyInUse() != nil {
+		t.Fatal("attaching stats changed the table or the policy")
+	}
+	e.MaybeEnable()
+	tok, ok := e.TryFast(7)
+	if !ok {
+		t.Fatal("fresh engine did not enable bias and publish")
+	}
+	// A reader held across the revocation makes D long against the clock
+	// reads around it, so a multiplier off by one misses the bounds by D.
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		e.ClearFast(tok)
+	}()
+	t0 := clock.Nanos()
+	e.Revoke()
+	t1 := clock.Nanos()
+	d := st.RevokeNanos.Load()
+	if end := e.until.Load() - DefaultInhibitN*d; end < t0+d || end > t1 {
+		t.Fatalf("deadline %d after a %d ns revocation in [%d, %d]: end+9·D puts end outside the call",
+			e.until.Load(), d, t0, t1)
+	}
+	before := clock.Nanos() < e.until.Load()
+	e.MaybeEnable()
+	if before && e.Enabled() {
+		t.Fatal("bias re-enabled before the inhibit deadline")
+	}
+	e.ForceInhibitUntil(clock.Nanos() - 1)
+	e.MaybeEnable()
+	if !e.Enabled() {
+		t.Fatal("bias not re-enabled after the inhibit deadline")
 	}
 }
 
@@ -50,7 +86,7 @@ func TestEngineFastPathRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("fast path failed on biased engine")
 	}
-	if e.table.Load(tok.Index()) != e.ID() {
+	if e.Table().Load(tok.Index()) != e.ID() {
 		t.Fatal("published identity is not the engine identity")
 	}
 	e.ClearFast(tok)
@@ -73,7 +109,7 @@ func TestEngineRacedReaderFallsBack(t *testing.T) {
 	if idx != 0 {
 		t.Fatal("failed TryPublish returned a slot")
 	}
-	if e.table.Occupancy() != 0 {
+	if e.Table().Occupancy() != 0 {
 		t.Fatal("raced reader left its slot occupied")
 	}
 	if st.SlowRaced.Load() != 1 {
@@ -122,7 +158,7 @@ func TestEngineRevocationFeedsPolicy(t *testing.T) {
 	e, _ := newEngine(pol)
 	e.MaybeEnable()
 	e.Revoke()
-	if pol.InhibitedUntil() <= clock.Nanos()-int64(time.Second) {
+	if pol.until.Load() <= clock.Nanos()-int64(time.Second) {
 		t.Fatal("revocation did not push the inhibit deadline")
 	}
 	e.MaybeEnable()

@@ -27,15 +27,15 @@ type Policy interface {
 	RevocationDone(start, end int64)
 }
 
-// InhibitPolicy is the paper's production policy: after a revocation that
-// took D nanoseconds, bias may not be re-enabled for N·D nanoseconds. This
-// is the primum-non-nocere throttle: the worst case writer slow-down is
-// bounded near 1/(N+1) regardless of workload.
+// InhibitPolicy is the paper's production policy as an object: after a
+// revocation that took D nanoseconds, bias may not be re-enabled for N·D
+// nanoseconds. This is the primum-non-nocere throttle: the worst case writer
+// slow-down is bounded near 1/(N+1) regardless of workload. An engine with
+// no policy installed runs the same rule inline at N = DefaultInhibitN.
 type InhibitPolicy struct {
 	// N is the slow-down guard multiplier (Listing 1's N; default 9).
-	N int64
-	// until is the earliest time bias may be re-enabled (InhibitUntil).
-	until atomic.Int64
+	N     int64
+	until deadline
 }
 
 // NewInhibitPolicy returns the paper's policy with multiplier n
@@ -48,23 +48,23 @@ func NewInhibitPolicy(n int64) *InhibitPolicy {
 }
 
 // ShouldEnable implements Policy: Time() >= InhibitUntil.
-func (p *InhibitPolicy) ShouldEnable() bool {
-	return clock.Nanos() >= p.until.Load()
-}
+func (p *InhibitPolicy) ShouldEnable() bool { return p.until.lapsed() }
 
-// RevocationDone implements Policy: InhibitUntil = now + (now-start)·N
-// (Listing 1 line 49). The measured period conservatively includes the time
-// spent waiting for fast readers to depart, not just the scan.
-func (p *InhibitPolicy) RevocationDone(start, end int64) {
-	p.until.Store(end + (end-start)*p.N)
-}
+// RevocationDone implements Policy: InhibitUntil = now + (now-start)·N.
+func (p *InhibitPolicy) RevocationDone(start, end int64) { p.until.revoked(start, end, p.N) }
 
-// InhibitedUntil exposes the current deadline (diagnostics and tests).
-func (p *InhibitPolicy) InhibitedUntil() int64 { return p.until.Load() }
+// deadline is Listing 1's InhibitUntil, shared by the engine's inline rule,
+// InhibitPolicy and Adaptor: the earliest time bias may be re-enabled.
+type deadline struct{ atomic.Int64 }
 
-// ForceInhibitUntil overwrites the deadline (tests simulate long or lapsed
-// revocations without sleeping).
-func (p *InhibitPolicy) ForceInhibitUntil(deadline int64) { p.until.Store(deadline) }
+// revoked moves the deadline past a revocation that ran from start to end:
+// InhibitUntil = end + (end-start)·N (Listing 1 line 49). The measured
+// period conservatively includes the wait for fast readers to depart, not
+// just the scan.
+func (d *deadline) revoked(start, end, n int64) { d.Store(end + (end-start)*n) }
+
+// lapsed reports Time() >= InhibitUntil.
+func (d *deadline) lapsed() bool { return clock.Nanos() >= d.Load() }
 
 // BernoulliPolicy is the early-prototype policy (§3): enable bias on a
 // Bernoulli trial with probability 1/P. It has no revocation feedback, so —

@@ -10,7 +10,7 @@ func TestInhibitPolicyMath(t *testing.T) {
 	// Listing 1 line 49: InhibitUntil = now + (now - start)·N.
 	p := NewInhibitPolicy(9)
 	p.RevocationDone(100, 250)
-	if got, want := p.InhibitedUntil(), int64(250+150*9); got != want {
+	if got, want := p.until.Load(), int64(250+150*9); got != want {
 		t.Fatalf("InhibitUntil = %d, want %d", got, want)
 	}
 }
@@ -37,7 +37,7 @@ func TestInhibitPolicyGates(t *testing.T) {
 		t.Fatal("bias allowed during inhibit window")
 	}
 	// A deadline in the past re-allows bias.
-	p.ForceInhibitUntil(clock.Nanos() - 1)
+	p.until.Store(clock.Nanos() - 1)
 	if !p.ShouldEnable() {
 		t.Fatal("bias not allowed after inhibit window passed")
 	}
@@ -51,7 +51,7 @@ func TestInhibitPolicyWorstCaseBound(t *testing.T) {
 	const d = 1000
 	start := int64(0)
 	p.RevocationDone(start, start+d)
-	window := p.InhibitedUntil() - start
+	window := p.until.Load() - start
 	frac := float64(d) / float64(window)
 	if frac > 1.0/float64(9+1)+1e-9 {
 		t.Fatalf("worst-case writer slow-down %.3f exceeds 1/(N+1)", frac)

@@ -124,7 +124,7 @@ func (r *Reader) alloc(e *Engine) *readerEntry {
 			return nil
 		}
 	}
-	*victim = readerEntry{eng: e, home: e.table.Index(e.ID(), r.id)}
+	*victim = readerEntry{eng: e, home: e.Table().Index(e.ID(), r.id)}
 	return victim
 }
 
@@ -172,7 +172,7 @@ func (e *Engine) ReleaseFast(r *Reader) bool {
 		return false
 	}
 	ent.flags &^= entFastHeld
-	e.table.ClearOwned(ent.slot, ent.gen, e.ID())
+	e.Table().ClearOwned(ent.slot, ent.gen, e.ID())
 	return true
 }
 
@@ -188,7 +188,7 @@ func (e *Engine) ReleaseFastAt(r *Reader, t SlotToken) {
 		panic("bias: unbalanced fast-path RUnlock (double unlock or unlock without lock)")
 	}
 	ent.flags &^= entFastHeld
-	e.table.ClearOwned(t.Index(), t.Gen(), e.ID())
+	e.Table().ClearOwned(t.Index(), t.Gen(), e.ID())
 }
 
 // SlowLockedH records a slow-path read acquisition on the handle so the

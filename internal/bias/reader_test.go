@@ -26,7 +26,7 @@ func biasedEngine(t *testing.T, opts ...func(*Engine)) (*Engine, *Stats) {
 func TestReaderSteadyStateUsesCachedSlot(t *testing.T) {
 	e, st := biasedEngine(t)
 	r := NewReaderWithID(77)
-	home := e.table.Index(e.ID(), 77)
+	home := e.Table().Index(e.ID(), 77)
 	for i := 0; i < 100; i++ {
 		idx, ok := e.TryFastH(r)
 		if !ok {
@@ -43,7 +43,7 @@ func TestReaderSteadyStateUsesCachedSlot(t *testing.T) {
 	if slot, ok := r.CachedSlot(e); !ok || slot != home {
 		t.Fatalf("cache entry wrong: slot=%d ok=%v", slot, ok)
 	}
-	if e.table.Occupancy() != 0 {
+	if e.Table().Occupancy() != 0 {
 		t.Fatal("table dirty after balanced handle reads")
 	}
 }
@@ -56,8 +56,8 @@ func TestReaderSteadyStateUsesCachedSlot(t *testing.T) {
 func TestHandleRecoversAfterTransientCollision(t *testing.T) {
 	e, st := biasedEngine(t)
 	r := NewReaderWithID(77)
-	home := e.table.Index(e.ID(), 77)
-	if _, ok := e.table.TryPublishAt(home, uintptr(0xF00D0)); !ok {
+	home := e.Table().Index(e.ID(), 77)
+	if _, ok := e.Table().TryPublishAt(home, uintptr(0xF00D0)); !ok {
 		t.Fatal("setup publish failed")
 	}
 	if _, ok := e.TryFastH(r); ok {
@@ -66,7 +66,7 @@ func TestHandleRecoversAfterTransientCollision(t *testing.T) {
 	if st.SlowCollision.Load() != 1 {
 		t.Fatalf("collision not counted: %s", st.Snapshot())
 	}
-	e.table.Clear(home)
+	e.Table().Clear(home)
 	idx, ok := e.TryFastH(r)
 	if !ok || idx.Index() != home {
 		t.Fatalf("still diverted: ok=%v idx=%d, want the free home slot %d (%s)", ok, idx.Index(), home, st.Snapshot())

@@ -31,9 +31,9 @@ const fastBit rwl.Token = 1 << 63
 
 // Lock is a BRAVO-transformed reader-writer lock: BRAVO-A where A is the
 // underlying lock supplied to New. Per Listing 1, it extends A with an RBias
-// flag and (inside the default policy) an InhibitUntil timestamp — both of
-// which, together with the table fast path and the revocation scan, live in
-// the embedded bias.Engine shared with the rwsem integration. Reads have
+// flag and an InhibitUntil timestamp, which with the table fast path and the
+// revocation scan live in the embedded bias.Engine shared with the rwsem
+// integration: a default lock is one 48-byte allocation beside A. Reads have
 // dual paths: a fast path that publishes the reader in the visible readers
 // table without touching A, and the traditional slow path through A. Writers
 // always pass through A, revoking reader bias when it is set.
@@ -47,9 +47,9 @@ const fastBit rwl.Token = 1 << 63
 // BRAVO is transparent to A's admission policy: if A is reader-preference,
 // writer-preference, phase-fair or neutral, BRAVO-A is too.
 type Lock struct {
-	// eng is the biasing protocol: rbias word, policy arbitration, table
-	// publish/recheck/undo, revocation scan, stats. Its address is the lock
-	// identity published in table slots, so a Lock must not be copied.
+	// eng is the biasing protocol, first so that the words its fast path
+	// reads share a cache line. Its address is the lock identity published
+	// in table slots, so a Lock must not be copied.
 	eng   bias.Engine
 	under rwl.RWLock
 }
@@ -68,9 +68,9 @@ type Option func(*Lock)
 // Figure 1) or a BRAVO-2D sectored table.
 func WithTable(t *bias.Table) Option { return func(l *Lock) { l.eng.SetTable(t) } }
 
-// WithPolicy installs a bias-enabling policy. The paper's N multiplier
-// (worst-case writer slow-down ≈ 1/(N+1)) is a policy parameter:
-// WithPolicy(bias.NewInhibitPolicy(n)).
+// WithPolicy installs a bias-enabling policy. Without one the lock runs the
+// paper's inhibit rule at N = 9 (worst-case writer slow-down ≈ 1/(N+1));
+// WithPolicy(bias.NewInhibitPolicy(n)) sets another N.
 func WithPolicy(p bias.Policy) Option { return func(l *Lock) { l.eng.SetPolicy(p) } }
 
 // WithStats attaches an event counter set. Counting adds shared-memory

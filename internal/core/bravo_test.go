@@ -13,7 +13,9 @@ import (
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/locks/pft"
 	"github.com/bravolock/bravo/internal/locks/ptl"
+	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/rwsem"
 	"github.com/bravolock/bravo/internal/self"
 )
 
@@ -36,21 +38,42 @@ func newBiased(t *testing.T, opts ...Option) (*Lock, *bias.Stats) {
 	return l, st
 }
 
-// TestLockFootprint: the summary lives in rbias's spare bits, adaptivity and
-// N in the policy, and the §7 variants in compositions over Lock, so Engine
-// is {rbias, table, policy, stats} in five words and Lock adds the substrate
-// interface: 56 bytes, inside the 64-byte allocation size class. That class
-// is what one lock costs in lock-read's mem_bytes_per_item, whose bound is
-// 5 %; the next class up is 80 bytes.
+// footprintSink keeps the locks TestLockFootprint builds on the heap.
+var footprintSink *Lock
+
+// TestLockFootprint pins what one lock costs by what it allocates, not only
+// by its size. The engine is Listing 1's two fields (rbias, InhibitUntil)
+// plus one pointer that stays nil until an option needs a configuration
+// block, so Lock adds only the substrate interface: 40 bytes, one object in
+// the 48-byte size class. A default lock allocates nothing else — no policy,
+// no block — so bravo.New(bravo.NewGoRW()) is two objects: the lock and the
+// substrate.
 func TestLockFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit ports")
 	}
-	if got := unsafe.Sizeof(bias.Engine{}); got != 40 {
-		t.Errorf("bias.Engine is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(bias.Engine{}); got != 24 {
+		t.Errorf("bias.Engine is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(Lock{}); got != 56 {
-		t.Errorf("core.Lock is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Lock{}); got != 40 {
+		t.Errorf("core.Lock is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(rwsem.Bravo{}); got != 32 {
+		t.Errorf("rwsem.Bravo is %d bytes, want 32", got)
+	}
+	sub := new(stdrw.Lock)
+	if n := testing.AllocsPerRun(100, func() { footprintSink = New(sub) }); n != 1 {
+		t.Errorf("New over a built substrate makes %v allocations, want 1: the lock", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { footprintSink = New(new(stdrw.Lock)) }); n != 2 {
+		t.Errorf("New(new(stdrw.Lock)) makes %v allocations, want 2: the lock and the substrate", n)
+	}
+	// An option allocates the block once, however many options there are.
+	tab, st := bias.NewTable(64), &bias.Stats{}
+	if n := testing.AllocsPerRun(100, func() {
+		footprintSink = New(sub, WithTable(tab), WithPolicy(bias.NeverPolicy{}), WithStats(st))
+	}); n != 2 {
+		t.Errorf("New with three options makes %v allocations, want 2: the lock and one block", n)
 	}
 }
 
@@ -194,10 +217,10 @@ func TestSecondProbeRescuesCollision(t *testing.T) {
 
 func TestInhibitPreventsImmediateRebias(t *testing.T) {
 	// After a revocation with a long measured duration, slow readers must
-	// not re-enable bias until the inhibit window passes.
+	// not re-enable bias until the inhibit window passes. No policy is
+	// installed: the engine's own inhibit rule is under test.
 	st := &bias.Stats{}
-	pol := bias.NewInhibitPolicy(9)
-	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(pol), WithStats(st))
+	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithStats(st))
 	tok := l.RLock()
 	l.RUnlock(tok)
 	if !l.Biased() {
@@ -207,14 +230,14 @@ func TestInhibitPreventsImmediateRebias(t *testing.T) {
 	// directly (equivalent to a long reader drain).
 	l.Lock()
 	l.Unlock()
-	pol.ForceInhibitUntil(clock.Nanos() + int64(time.Hour))
+	l.Engine().ForceInhibitUntil(clock.Nanos() + int64(time.Hour))
 	tok = l.RLock()
 	l.RUnlock(tok)
 	if l.Biased() {
 		t.Fatal("bias re-enabled during the inhibit window")
 	}
 	// Once the window lapses, a slow reader re-enables bias.
-	pol.ForceInhibitUntil(clock.Nanos() - 1)
+	l.Engine().ForceInhibitUntil(clock.Nanos() - 1)
 	tok = l.RLock()
 	l.RUnlock(tok)
 	if !l.Biased() {
