@@ -15,8 +15,6 @@ import (
 
 	bravo "github.com/bravolock/bravo"
 	"github.com/bravolock/bravo/internal/bench"
-	"github.com/bravolock/bravo/internal/core"
-	_ "github.com/bravolock/bravo/internal/locks/all"
 	"github.com/bravolock/bravo/internal/sim"
 )
 
@@ -26,7 +24,6 @@ func lockLineup() map[string]func() bravo.RWLock {
 	return map[string]func() bravo.RWLock{
 		"ba":            bravo.NewBA,
 		"bravo-ba":      func() bravo.RWLock { return bravo.New(bravo.NewBA()) },
-		"pf-t":          bravo.NewPFT,
 		"pthread":       bravo.NewPthread,
 		"bravo-pthread": func() bravo.RWLock { return bravo.New(bravo.NewPthread()) },
 		"go-rw":         bravo.NewGoRW,
@@ -363,34 +360,6 @@ func BenchmarkAblation2DRevocation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProbe2 measures the second-probe variant under forced
-// collisions (two locks sharing a 2-slot table).
-func BenchmarkAblationProbe2(b *testing.B) {
-	variants := map[string]func(bravo.RWLock, ...bravo.Option) bravo.RWLock{
-		"single-probe": func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return bravo.New(u, o...) },
-		"double-probe": func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return core.NewSecondProbe(u, o...) },
-	}
-	for name, mk := range variants {
-		b.Run(name, func(b *testing.B) {
-			tab := bravo.NewTable(2)
-			l1 := mk(bravo.NewBA(), bravo.WithTable(tab))
-			l2 := mk(bravo.NewBA(), bravo.WithTable(tab))
-			// Bias both.
-			for _, l := range []bravo.RWLock{l1, l2} {
-				tok := l.RLock()
-				l.RUnlock(tok)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t1 := l1.RLock()
-				t2 := l2.RLock()
-				l2.RUnlock(t2)
-				l1.RUnlock(t1)
-			}
-		})
-	}
-}
-
 func benchName(prefix string, v int) string {
 	return prefix + "-" + itoa(v)
 }
@@ -407,20 +376,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkLatencyTail compares read-acquisition latency tails with and
-// without the §7 revocation mutex, under a periodic revoking writer.
-func BenchmarkLatencyTail(b *testing.B) {
-	for _, lock := range []string{"bravo-ba", "bravo-ba-revmu"} {
-		b.Run(lock, func(b *testing.B) {
-			var p99 float64
-			for i := 0; i < b.N; i++ {
-				h := bench.ReadLatency(lock, 2, 200*time.Microsecond,
-					bench.Config{Interval: 50 * time.Millisecond})
-				p99 = float64(h.Percentile(99))
-			}
-			b.ReportMetric(p99, "p99-ns")
-		})
-	}
 }

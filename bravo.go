@@ -6,10 +6,8 @@ import (
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/locks/cohort"
 	"github.com/bravolock/bravo/internal/locks/fairrw"
-	"github.com/bravolock/bravo/internal/locks/mutexrw"
 	"github.com/bravolock/bravo/internal/locks/percpu"
 	"github.com/bravolock/bravo/internal/locks/pfq"
-	"github.com/bravolock/bravo/internal/locks/pft"
 	"github.com/bravolock/bravo/internal/locks/ptl"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/repl"
@@ -108,18 +106,11 @@ func NewInhibitPolicy(n int64) Policy { return bias.NewInhibitPolicy(n) }
 // centralized lock the paper calls "BA" and uses as BRAVO's main substrate.
 func NewBA() RWLock { return new(pfq.Lock) }
 
-// NewPFT returns the Brandenburg–Anderson phase-fair ticket lock (PF-T).
-func NewPFT() RWLock { return new(pft.Lock) }
-
 // NewPthread returns a POSIX-style reader-preference blocking lock.
 func NewPthread() RWLock { return ptl.New() }
 
 // NewGoRW adapts sync.RWMutex to the RWLock interface.
 func NewGoRW() RWLock { return new(stdrw.Lock) }
-
-// NewMutexRW presents a plain mutex as a degenerate reader-writer lock, for
-// the BRAVO-over-mutex variant (§7).
-func NewMutexRW() RWLock { return new(mutexrw.Lock) }
 
 // NewFair returns a ticket-based fair (FIFO) reader-writer lock: strict
 // arrival order, no starvation in either direction, and none of BRAVO's

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	bravo "github.com/bravolock/bravo"
-	"github.com/bravolock/bravo/internal/core"
 )
 
 // These tests exercise the public facade: everything a downstream user
@@ -14,10 +13,8 @@ import (
 func TestPublicAPIBasicRoundTrip(t *testing.T) {
 	substrates := map[string]func() bravo.RWLock{
 		"ba":      bravo.NewBA,
-		"pf-t":    bravo.NewPFT,
 		"pthread": bravo.NewPthread,
 		"go-rw":   bravo.NewGoRW,
-		"mutex":   bravo.NewMutexRW,
 		"per-cpu": func() bravo.RWLock { return bravo.NewPerCPU(bravo.HostTopology()) },
 		"cohort":  func() bravo.RWLock { return bravo.NewCohortRW(bravo.TopologyX52) },
 	}
@@ -35,33 +32,25 @@ func TestPublicAPIBasicRoundTrip(t *testing.T) {
 }
 
 // TestPublicAPIOptionsCompose: the facade's options configure a lock
-// together, and the same options configure the §7 variants, which are
-// compositions over that lock.
+// together.
 func TestPublicAPIOptionsCompose(t *testing.T) {
-	variants := map[string]func(bravo.RWLock, ...bravo.Option) bravo.RWLock{
-		"bravo":            func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return bravo.New(u, o...) },
-		"second-probe":     func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return core.NewSecondProbe(u, o...) },
-		"revocation-mutex": func(u bravo.RWLock, o ...bravo.Option) bravo.RWLock { return core.NewRevocationMutex(u, o...) },
-	}
-	for name, mk := range variants {
-		t.Run(name, func(t *testing.T) {
-			st := &bravo.Stats{}
-			l := mk(bravo.NewBA(),
-				bravo.WithTable(bravo.NewTable2D(8, 32)),
-				bravo.WithPolicy(bravo.NewInhibitPolicy(bravo.DefaultInhibitN)),
-				bravo.WithStats(st),
-			)
-			for i := 0; i < 100; i++ {
-				tok := l.RLock()
-				l.RUnlock(tok)
-			}
-			l.Lock()
-			l.Unlock()
-			if st.Snapshot().Reads() != 100 {
-				t.Fatalf("stats lost reads: %s", st.Snapshot())
-			}
-		})
-	}
+	t.Run("bravo", func(t *testing.T) {
+		st := &bravo.Stats{}
+		l := bravo.New(bravo.NewBA(),
+			bravo.WithTable(bravo.NewTable2D(8, 32)),
+			bravo.WithPolicy(bravo.NewInhibitPolicy(bravo.DefaultInhibitN)),
+			bravo.WithStats(st),
+		)
+		for i := 0; i < 100; i++ {
+			tok := l.RLock()
+			l.RUnlock(tok)
+		}
+		l.Lock()
+		l.Unlock()
+		if st.Snapshot().Reads() != 100 {
+			t.Fatalf("stats lost reads: %s", st.Snapshot())
+		}
+	})
 }
 
 // TestNewAdaptiveKeepsTheLockItIsGiven: a bravo.Lock argument is returned
@@ -133,7 +122,7 @@ func TestPublicAPIConcurrentSmoke(t *testing.T) {
 
 func TestSharedTableIsProcessWide(t *testing.T) {
 	a := bravo.New(bravo.NewBA())
-	b := bravo.New(bravo.NewPFT())
+	b := bravo.New(bravo.NewPthread())
 	if a.TableInUse() != b.TableInUse() || a.TableInUse() != bravo.SharedTable() {
 		t.Fatal("locks do not share the default table")
 	}

@@ -26,6 +26,7 @@ import (
 	"github.com/bravolock/bravo/internal/bench"
 	"github.com/bravolock/bravo/internal/cliutil"
 	_ "github.com/bravolock/bravo/internal/locks/all"
+	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/sim"
 )
 
@@ -67,6 +68,9 @@ func main() {
 	}
 	cfg := bench.Config{Interval: *intervalFlag, Runs: *runsFlag, Threads: threads}
 	locks := cliutil.ParseNames(*locksFlag)
+	if err := checkLocks(locks); err != nil {
+		fatal(err)
+	}
 	figs := []string{"1", "2", "3", "4", "5", "6"}
 	if *figFlag != "all" {
 		figs = []string{*figFlag}
@@ -108,6 +112,17 @@ func main() {
 			fatal(fmt.Errorf("unknown figure %q", fig))
 		}
 	}
+}
+
+// checkLocks fails a -locks name the registry does not know, before any run.
+func checkLocks(names []string) error {
+	for _, n := range names {
+		if _, ok := rwl.Lookup(n); !ok {
+			_, err := rwl.New(n)
+			return err
+		}
+	}
+	return nil
 }
 
 func runFigure1(cfg bench.Config) {

@@ -167,8 +167,8 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 // benchmark/ may hold, set at the current counts. Lower an entry when a
 // change deletes code, and raise one only in the diff that needs it.
 var lineCeilings = map[string]int{
-	".":                   366,
-	"cmd/bravobench":      153,
+	".":                   357,
+	"cmd/bravobench":      168,
 	"cmd/kvserv":          252,
 	"cmd/locktorture":     81,
 	"cmd/metisbench":      70,
@@ -178,18 +178,18 @@ var lineCeilings = map[string]int{
 	"examples/quickstart": 63,
 	"examples/vmsim":      78,
 	"internal/arch":       26,
-	"internal/bench":      664,
-	"internal/bias":       1331,
+	"internal/bench":      580,
+	"internal/bias":       1309,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
 	"internal/cluster":    1095,
-	"internal/core":       327,
+	"internal/core":       217,
 	"internal/frame":      207,
 	"internal/hash":       78,
 	"internal/kvs":        3894,
 	"internal/kvserv":     1975,
 	"internal/lockcheck":  461,
-	"internal/locks":      1174,
+	"internal/locks":      943,
 	"internal/metis":      331,
 	"internal/repl":       612,
 	"internal/rwl":        146,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               17220,
+	"total":               16779,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"github.com/bravolock/bravo/internal/clock"
-	"github.com/bravolock/bravo/internal/hash"
 )
 
 // DefaultInhibitN is the paper's N: revocation latency is multiplied by N
@@ -65,27 +64,6 @@ func (d *deadline) revoked(start, end, n int64) { d.Store(end + (end-start)*n) }
 
 // lapsed reports Time() >= InhibitUntil.
 func (d *deadline) lapsed() bool { return clock.Nanos() >= d.Load() }
-
-// BernoulliPolicy is the early-prototype policy (§3): enable bias on a
-// Bernoulli trial with probability 1/P. It has no revocation feedback, so —
-// as the paper warns — it admits pathological workloads where writers
-// repeatedly pay revocation; it is retained for the policy ablation.
-type BernoulliPolicy struct {
-	// P is the inverse probability; the paper's prototype used 100.
-	P uint64
-}
-
-// ShouldEnable implements Policy via a stateless pseudo-random trial.
-func (p *BernoulliPolicy) ShouldEnable() bool {
-	n := p.P
-	if n == 0 {
-		n = 100
-	}
-	return hash.Mix64(uint64(clock.Nanos()))%n == 0
-}
-
-// RevocationDone implements Policy; the Bernoulli policy ignores feedback.
-func (p *BernoulliPolicy) RevocationDone(start, end int64) {}
 
 // AlwaysPolicy re-enables bias at every opportunity — the aggressive
 // endpoint of the policy ablation (the paper's thought experiment of

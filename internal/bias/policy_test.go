@@ -58,30 +58,6 @@ func TestInhibitPolicyWorstCaseBound(t *testing.T) {
 	}
 }
 
-func TestBernoulliPolicyRate(t *testing.T) {
-	p := &BernoulliPolicy{P: 4}
-	hits := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if p.ShouldEnable() {
-			hits++
-		}
-	}
-	// The trial hashes the clock; rate should be near n/4 but the clock is
-	// not uniform, so accept a generous band.
-	if hits < n/16 || hits > n/2 {
-		t.Fatalf("Bernoulli(1/4) hit %d/%d", hits, n)
-	}
-	p.RevocationDone(0, 1) // must be a no-op
-}
-
-func TestBernoulliPolicyDefaultP(t *testing.T) {
-	p := &BernoulliPolicy{}
-	for i := 0; i < 100; i++ {
-		p.ShouldEnable() // must not panic with zero P
-	}
-}
-
 func TestEndpointPolicies(t *testing.T) {
 	if !(AlwaysPolicy{}).ShouldEnable() {
 		t.Fatal("AlwaysPolicy refused")

@@ -220,9 +220,8 @@ func TestSummarySharedByHandleAndAnonymousReaders(t *testing.T) {
 }
 
 // TestSummaryRandomizedIndexDegradesToFullMask: readers drawing a random
-// identity per acquisition, as the random-index variant does, publish all over
-// the table, so their marks grow to the full mask and a revocation scans
-// every slot.
+// identity per acquisition publish all over the table, so their marks grow to
+// the full mask and a revocation scans every slot.
 func TestSummaryRandomizedIndexDegradesToFullMask(t *testing.T) {
 	tab := NewTable(DefaultTableSize)
 	e, st := engineOn(t, tab)

@@ -123,8 +123,8 @@ func (l *Lock) RLock() rwl.Token {
 	return l.RLockWithID(self.ID())
 }
 
-// RLockWithID is RLock with an explicit thread identity, for callers that
-// pin identities (benchmark workers, pooled executors).
+// RLockWithID is RLock with an explicit thread identity; the collision tests
+// use it to place two readers on one table slot deterministically.
 func (l *Lock) RLockWithID(selfID uint64) rwl.Token {
 	if tok, ok := l.eng.TryFast(selfID); ok {
 		return fastBit | rwl.Token(tok)
@@ -193,12 +193,7 @@ func (l *Lock) Unlock() { l.under.Unlock() }
 // try-acquisition, the slow path (§3's try-lock treatment). On underlying
 // success the policy may enable bias, as the paper permits.
 func (l *Lock) TryRLock() (rwl.Token, bool) {
-	return l.tryRLockWithID(self.ID())
-}
-
-// tryRLockWithID is TryRLock with an explicit thread identity.
-func (l *Lock) tryRLockWithID(selfID uint64) (rwl.Token, bool) {
-	if tok, ok := l.eng.TryFast(selfID); ok {
+	if tok, ok := l.eng.TryFast(self.ID()); ok {
 		return fastBit | rwl.Token(tok), true
 	}
 	if t, ok := l.under.(rwl.TryRWLock); ok {

@@ -8,15 +8,11 @@ import (
 
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/clock"
-	"github.com/bravolock/bravo/internal/hash"
-	"github.com/bravolock/bravo/internal/locks/mutexrw"
 	"github.com/bravolock/bravo/internal/locks/pfq"
-	"github.com/bravolock/bravo/internal/locks/pft"
 	"github.com/bravolock/bravo/internal/locks/ptl"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/rwsem"
-	"github.com/bravolock/bravo/internal/self"
 )
 
 // newBiased returns a BRAVO-BA lock with bias pre-enabled (one slow read
@@ -186,35 +182,6 @@ func TestCollisionFallsBack(t *testing.T) {
 	l1.RUnlock(t1)
 }
 
-// TestSecondProbeRescuesCollision: with the home slot of the reader's own
-// identity held by a foreign lock, the second-probe composition publishes
-// under the alternate identity instead of diverting, and the read is counted
-// once, as a fast read.
-func TestSecondProbeRescuesCollision(t *testing.T) {
-	tab := bias.NewTable(bias.DefaultTableSize)
-	v := NewSecondProbe(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{})).(*reidentified)
-	v.RUnlock(v.RLock()) // slow read enables bias
-	st := &bias.Stats{}
-	v.l.Engine().SetStats(st)
-	id, lockID := self.ID(), v.l.Engine().ID()
-	home, alt := tab.Index(lockID, id), tab.Index(lockID, hash.Mix64(id^alternateSalt))
-	if alt == home {
-		t.Skip("this goroutine's alternate slot is its home slot")
-	}
-	if _, ok := tab.TryPublishAt(home, uintptr(0xF00D0)); !ok {
-		t.Fatal("setup publish failed")
-	}
-	tok := v.l.RLockWithID(v.id(v.l, id))
-	if s := st.Snapshot(); s.FastRead != 1 || s.Reads() != 1 {
-		t.Fatalf("second probe did not rescue the collision as one fast read: %s", s)
-	}
-	if uint32(tok) != alt {
-		t.Fatalf("rescued reader in slot %d, want the alternate %d", uint32(tok), alt)
-	}
-	v.RUnlock(tok)
-	tab.Clear(home)
-}
-
 func TestInhibitPreventsImmediateRebias(t *testing.T) {
 	// After a revocation with a long measured duration, slow readers must
 	// not re-enable bias until the inhibit window passes. No policy is
@@ -363,58 +330,12 @@ func (n nonTry) RUnlock(t rwl.Token) { n.inner.RUnlock(t) }
 func (n nonTry) Lock()               { n.inner.Lock() }
 func (n nonTry) Unlock()             { n.inner.Unlock() }
 
-func TestRevocationMutexAllowsReadersDuringScan(t *testing.T) {
-	// Future-work variant (§7): with the revocation mutex, a reader arriving
-	// during a (long) revocation scan is admitted via the slow path.
-	l := NewRevocationMutex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
-	tok := l.RLock()
-	l.RUnlock(tok)
-	held := l.RLock() // fast reader pins the revocation scan
-	var wGot atomic.Bool
-	go func() {
-		l.Lock()
-		wGot.Store(true)
-		l.Unlock()
-	}()
-	// While the writer is stuck in pre-revocation, a new reader must get in.
-	var rGot atomic.Bool
-	go func() {
-		tok := l.RLock()
-		rGot.Store(true)
-		l.RUnlock(tok)
-	}()
-	waitTrue(t, rGot.Load, "reader blocked during revocation despite revocation mutex")
-	if wGot.Load() {
-		t.Fatal("writer admitted while fast reader inside")
-	}
-	l.RUnlock(held)
-	waitTrue(t, wGot.Load, "writer not admitted after fast reader departed")
-}
-
-func TestBravoOverMutexGivesReadConcurrency(t *testing.T) {
-	// BRAVO-mutex (§7): the fast path is the sole source of read-read
-	// concurrency. Two fast readers must coexist.
-	l := New(new(mutexrw.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
-	tok := l.RLock() // slow (exclusive) read, enables bias
-	l.RUnlock(tok)
-	t1 := l.RLock()
-	done := make(chan rwl.Token)
-	go func() { done <- l.RLock() }()
-	select {
-	case t2 := <-done:
-		l.RUnlock(t2)
-	case <-time.After(10 * time.Second):
-		t.Fatal("BRAVO-mutex denied fast-path read-read concurrency")
-	}
-	l.RUnlock(t1)
-}
-
 func TestPreferenceTransparency(t *testing.T) {
 	// §3: "if reader-writer lock algorithm A has certain preference
 	// properties then BRAVO-A will exhibit the same properties". With bias
 	// disabled (NeverPolicy) the wrapper must be admission-transparent.
 	t.Run("phase-fair substrate", func(t *testing.T) {
-		l := New(new(pft.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}))
+		l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}))
 		checkWaitingWriterBlocks(t, l)
 	})
 	t.Run("reader-preference substrate", func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/bravolock/bravo/internal/bias"
-	"github.com/bravolock/bravo/internal/hash"
 	"github.com/bravolock/bravo/internal/lockcheck"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -14,21 +13,16 @@ import (
 // --- Deterministic slot collisions (explicit IDs, same slot) ---
 
 // collidingIDs returns two reader identities whose home slots for l are the
-// same slot of tab. wantAltFree additionally demands the second identity's
-// second-probe alternate be a different slot.
-func collidingIDs(t *testing.T, tab *bias.Table, l *Lock, wantAltFree bool) (uint64, uint64) {
+// same slot of tab.
+func collidingIDs(t *testing.T, tab *bias.Table, l *Lock) (uint64, uint64) {
 	t.Helper()
 	lockID := l.Engine().ID()
 	id1 := uint64(1)
 	home := tab.Index(lockID, id1)
 	for c := uint64(2); c < 1<<20; c++ {
-		if tab.Index(lockID, c) != home {
-			continue
+		if tab.Index(lockID, c) == home {
+			return id1, c
 		}
-		if wantAltFree && tab.Index(lockID, hash.Mix64(c^alternateSalt)) == home {
-			continue
-		}
-		return id1, c
 	}
 	t.Fatal("no colliding identity found")
 	return 0, 0
@@ -40,7 +34,7 @@ func TestDeterministicCollisionDivertsToSlowPath(t *testing.T) {
 	l := New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}), WithStats(st))
 	tok := l.RLock() // slow read enables bias
 	l.RUnlock(tok)
-	id1, id2 := collidingIDs(t, tab, l, false)
+	id1, id2 := collidingIDs(t, tab, l)
 	t1 := l.RLockWithID(id1)
 	if t1&fastBit == 0 {
 		t.Fatal("first reader did not take the fast path")
@@ -57,33 +51,6 @@ func TestDeterministicCollisionDivertsToSlowPath(t *testing.T) {
 	if tab.Occupancy() != 0 {
 		t.Fatal("table dirty after collision round trip")
 	}
-}
-
-func TestDeterministicCollisionRescuedBySecondProbe(t *testing.T) {
-	tab := bias.NewTable(64)
-	st := &bias.Stats{}
-	v := NewSecondProbe(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}),
-		WithStats(st)).(*reidentified)
-	v.RUnlock(v.RLock())
-	l := v.l
-	id1, id2 := collidingIDs(t, tab, l, true)
-	t1 := l.RLockWithID(v.id(l, id1))
-	if t1&fastBit == 0 {
-		t.Fatal("first reader did not take the fast path")
-	}
-	t2 := l.RLockWithID(v.id(l, id2))
-	if t2&fastBit == 0 {
-		t.Fatalf("second probe did not rescue the collision: %s", st.Snapshot())
-	}
-	alt := tab.Index(l.Engine().ID(), hash.Mix64(id2^alternateSalt))
-	if uint32(t2) != alt {
-		t.Fatalf("rescued reader in slot %d, want alternate slot %d", uint32(t2), alt)
-	}
-	if st.FastRead.Load() != 2 {
-		t.Fatalf("want both reads fast: %s", st.Snapshot())
-	}
-	l.RUnlock(t2)
-	l.RUnlock(t1)
 }
 
 // --- Handle-accepting read paths ---
@@ -180,9 +147,6 @@ func TestHandleStorm(t *testing.T) {
 		},
 		"default-policy": func() rwl.HandleRWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable(64)))
-		},
-		"revocation-mutex": func() rwl.HandleRWLock {
-			return NewRevocationMutex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 	}
 	for name, mk := range variants {

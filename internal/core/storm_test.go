@@ -6,9 +6,7 @@ import (
 
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/lockcheck"
-	"github.com/bravolock/bravo/internal/locks/mutexrw"
 	"github.com/bravolock/bravo/internal/locks/pfq"
-	"github.com/bravolock/bravo/internal/locks/pft"
 	"github.com/bravolock/bravo/internal/locks/ptl"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
@@ -23,17 +21,11 @@ func stormVariants() map[string]func() rwl.RWLock {
 		"bravo-ba": func() rwl.RWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
-		"bravo-pf-t": func() rwl.RWLock {
-			return New(new(pft.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
-		},
 		"bravo-pthread": func() rwl.RWLock {
 			return New(ptl.New(), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-go": func() rwl.RWLock {
 			return New(new(stdrw.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
-		},
-		"bravo-mutex": func() rwl.RWLock {
-			return New(new(mutexrw.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-ba-aggressive": func() rwl.RWLock {
 			// AlwaysPolicy maximizes bias flapping and revocation frequency.
@@ -45,18 +37,6 @@ func stormVariants() map[string]func() rwl.RWLock {
 		},
 		"bravo-ba-2d": func() rwl.RWLock {
 			return New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
-		},
-		"bravo-ba-probe2": func() rwl.RWLock {
-			return NewSecondProbe(new(pfq.Lock), WithTable(bias.NewTable(4)), WithPolicy(bias.AlwaysPolicy{}))
-		},
-		"bravo-ba-random": func() rwl.RWLock {
-			return NewRandomIndex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
-		},
-		"bravo-ba-revmu": func() rwl.RWLock {
-			return NewRevocationMutex(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}))
-		},
-		"bravo-ba-bernoulli": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(&bias.BernoulliPolicy{P: 4}))
 		},
 	}
 }

@@ -14,10 +14,8 @@ import (
 // expected is the lineup the harness and docs promise; the batteries below
 // run over rwl.Names(), which TestRegistryLineup holds equal to it.
 var expected = []string{
-	"ba", "pf-t", "pthread", "per-cpu", "cohort-rw", "mutex", "go-rw", "fair",
-	"bravo-ba", "bravo-pf-t", "bravo-pthread", "bravo-mutex", "bravo-go",
-	"bravo-ba-2d", "bravo-ba-private", "bravo-ba-probe2", "bravo-ba-revmu",
-	"bravo-ba-random", "adaptive-go", "adaptive-fair",
+	"ba", "pthread", "per-cpu", "cohort-rw", "go-rw", "fair",
+	"bravo-ba", "bravo-pthread", "bravo-go", "adaptive-go", "adaptive-fair",
 }
 
 func TestRegistryLineup(t *testing.T) {
@@ -26,25 +24,6 @@ func TestRegistryLineup(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Errorf("registry = %v\nexpected = %v", got, want)
-	}
-}
-
-// TestVariantHandlePaths: the §7 index variants choose a reader identity per
-// read, which a handle's cached home slot would bypass, so they offer no
-// handle paths; the revocation mutex changes only writers and keeps them.
-func TestVariantHandlePaths(t *testing.T) {
-	for name, want := range map[string]bool{
-		"bravo-ba-probe2": false,
-		"bravo-ba-random": false,
-		"bravo-ba-revmu":  true,
-	} {
-		l, err := rwl.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := l.(rwl.HandleRWLock); ok != want {
-			t.Errorf("%s implements rwl.HandleRWLock: %v, want %v", name, ok, want)
-		}
 	}
 }
 
@@ -70,13 +49,8 @@ func TestEveryRegisteredLockSurvivesStorm(t *testing.T) {
 }
 
 func TestReadConcurrencyWhereGuaranteed(t *testing.T) {
-	// All reader-writer locks must admit concurrent readers; the mutex
-	// adapter (and BRAVO-mutex before bias engages) is the documented
-	// exception.
+	// Every registered lock must admit concurrent readers.
 	for _, name := range rwl.Names() {
-		if name == "mutex" || name == "bravo-mutex" {
-			continue
-		}
 		name := name
 		t.Run(name, func(t *testing.T) {
 			l, err := rwl.New(name)

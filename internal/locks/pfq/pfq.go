@@ -181,8 +181,10 @@ func (l *Lock) WriterPresent() bool {
 	return l.rin.Load()&wbits != 0
 }
 
-// TryRLock attempts to acquire read permission; see pft.TryRLock for the
-// bounded-wait treatment of the announcement race.
+// TryRLock attempts to acquire read permission, failing at once if a writer
+// is present. An arrival that races a writer's announcement cannot be
+// retracted (the writer's phase accounting includes it), so it waits out that
+// one phase — bounded, by phase-fairness — and then reports failure.
 func (l *Lock) TryRLock() (rwl.Token, bool) {
 	if l.rin.Load()&wbits != 0 {
 		return 0, false

@@ -15,8 +15,8 @@ package rwl
 
 // Token carries per-acquisition reader state from RLock to RUnlock.
 //
-// Encoding convention: substrate locks (BA, PF-T, Per-CPU, Cohort, pthread,
-// rwsem) confine themselves to the low 32 bits; the BRAVO wrapper stores its
+// Encoding convention: substrate locks (BA, Per-CPU, Cohort, pthread, rwsem)
+// confine themselves to the low 32 bits; the BRAVO wrapper stores its
 // fast-path slot index in the low 32 bits plus the slot's publication
 // generation above it (the always-on unbalanced-unlock guard, see
 // bias.SlotToken), tagged with bit 63.
