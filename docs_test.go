@@ -179,7 +179,7 @@ var lineCeilings = map[string]int{
 	"examples/vmsim":      78,
 	"internal/arch":       26,
 	"internal/bench":      580,
-	"internal/bias":       1309,
+	"internal/bias":       1348,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
 	"internal/cluster":    1095,
@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               16779,
+	"total":               16818,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

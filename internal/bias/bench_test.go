@@ -42,6 +42,24 @@ func BenchmarkRLockHFast(b *testing.B) {
 	}
 }
 
+// BenchmarkRLockHDefault is BenchmarkRLockHFast on the engine every
+// bravo.New lock runs: no configuration block, the shared table and the
+// inline inhibit rule, so the probe publishes with no call and no counter.
+func BenchmarkRLockHDefault(b *testing.B) {
+	e := &Engine{}
+	e.Init()
+	e.MaybeEnable()
+	r := NewReaderWithID(77)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tok, ok := e.TryFastH(r)
+		if !ok {
+			b.Fatal("fast path failed")
+		}
+		e.ReleaseFastAt(r, tok)
+	}
+}
+
 // BenchmarkRLockHCollided is a handle whose home slot a foreign identity
 // holds, so every attempt diverts: the bias check, the probe's load of the
 // occupied slot, and the collision count. It is the traffic a per-handle

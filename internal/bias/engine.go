@@ -30,7 +30,7 @@ type Engine struct {
 	//     ⇒ word == 0, and MaybeEnable's CAS(0, biasBit) is Listing 1's.
 	//   - A fast read succeeds only if, after its slot publication, one
 	//     atomic observation of the word showed biasBit and its sector's bit
-	//     together (publishAt). Bits are cleared only by the Swap, so the
+	//     together (probe). Bits are cleared only by the Swap, so the
 	//     first Swap after that observation returns the bit, and the
 	//     revoking writer scans the sector the reader is published in: the
 	//     BRAVO safety argument with the mask riding along.
@@ -162,61 +162,80 @@ func (e *Engine) TryFast(selfID uint64) (SlotToken, bool) {
 // must have observed Enabled(). On success the returned token must be passed
 // to ClearFast at read-unlock time.
 func (e *Engine) TryPublish(selfID uint64) (SlotToken, bool) {
-	return e.probe(e.Table().Index(e.ID(), selfID))
+	t := e.Table()
+	idx := t.Index(e.ID(), selfID)
+	want := sectorWant(t, idx)
+	gen, st := e.probe(t, idx, want)
+	if st != published || e.cfg != nil {
+		return e.settle(t, idx, want, gen, st)
+	}
+	return makeSlotToken(idx, gen), true
+}
+
+// probeState is how a probe left its slot.
+type probeState uint8
+
+const (
+	published probeState = iota // the recheck saw bias and the sector bit
+	collided                    // the slot was occupied: nothing published
+	missed                      // published, but the recheck missed a bit
+)
+
+// sectorWant is the mask the recheck of a publication at slot idx of t must
+// see in one observation of rbias: the bias bit and the slot's sector bit.
+func sectorWant(t *Table, idx uint32) uint32 {
+	return biasBit | 1<<(sectorBase+t.sector(idx))
 }
 
 // probe is the one publication sequence every fast read runs, anonymous or
-// through a handle: publish at the home slot, else count a collision and take
-// the slow path. An occupied slot costs one load (TryPublishAt CASes only an
+// through a handle: CAS the identity into the home slot, then recheck rbias
+// against want. An occupied slot costs one load (TryPublishAt CASes only an
 // empty one), so a reader whose home is taken simply probes again on its next
-// acquisition.
-func (e *Engine) probe(home uint32) (SlotToken, bool) {
-	tok, ok, done := e.publishAt(home)
-	if !done && e.conf().stats != nil {
-		e.conf().stats.SlowCollision.Add(1)
-	}
-	return tok, ok
-}
-
-// publishAt CASes the engine identity into slot idx and rechecks RBias.
-// done is false only when the slot was occupied; on a recheck race the
-// publication is undone and the read is committed to the slow path (done
-// true, ok false).
-func (e *Engine) publishAt(idx uint32) (_ SlotToken, ok, done bool) {
-	c := e.conf()
-	gen, won := c.table.TryPublishAt(idx, e.ID())
-	if !won {
-		return 0, false, false
+// acquisition. It makes no call and inlines into both callers; every outcome
+// but a default engine's published one goes on to settle.
+func (e *Engine) probe(t *Table, idx, want uint32) (gen uint32, st probeState) {
+	gen, ok := t.TryPublishAt(idx, e.ID())
+	if !ok {
+		return 0, collided
 	}
 	// Store-load fence required on TSO — subsumed by the CAS, and in Go by
 	// the sequentially consistent atomics.
-	//
-	// The recheck (Listing 1 line 16) must show bias and this slot's sector
-	// bit in the same observation; every path — anonymous, handle, rwsem —
-	// publishes through here, so all share the summary.
-	want := uint32(biasBit | 1<<(sectorBase+c.table.sector(idx)))
-	if w := e.rbias.Load(); w&want == want || (w&biasBit != 0 && e.markSector(want)) {
-		if c.stats != nil {
-			c.stats.FastRead.Add(1)
+	if e.rbias.Load()&want != want {
+		return gen, missed
+	}
+	return gen, published
+}
+
+// settle finishes a probe out of line: it counts the outcome when stats are
+// on, marks a missing sector bit, and undoes a publication a writer
+// overtook. markSector's own load decides a missed recheck, so bias clear
+// there is the overtaking. The undo is an owned clear like any other,
+// keeping the generation invariant.
+func (e *Engine) settle(t *Table, idx, want, gen uint32, st probeState) (SlotToken, bool) {
+	s := e.conf().stats
+	switch {
+	case st == collided:
+		if s != nil {
+			s.SlowCollision.Add(1)
 		}
-		return makeSlotToken(idx, gen), true, true
+	case st == published || e.markSector(want):
+		if s != nil {
+			s.FastRead.Add(1)
+		}
+		return makeSlotToken(idx, gen), true
+	default:
+		t.ClearOwned(idx, gen, e.ID())
+		if s != nil {
+			s.SlowRaced.Add(1)
+		}
 	}
-	// Raced: a writer revoked bias after our publication; undo. The undo is
-	// an owned clear like any other, keeping the generation invariant.
-	c.table.ClearOwned(idx, gen, e.ID())
-	if c.stats != nil {
-		c.stats.SlowRaced.Add(1)
-	}
-	return 0, false, true
+	return 0, false
 }
 
 // markSector sets a published reader's sector bit in the occupancy summary
 // and reports whether bias was still set when it landed: the winning CAS is
-// itself the reader's one observation of bias and bit together. Cold — taken
-// by the first fast reader of a sector after each re-enable — and kept out
-// of line so publishAt stays a load and a compare.
-//
-//go:noinline
+// itself the reader's one observation of bias and bit together. Cold: taken
+// by the first fast reader of a sector after each re-enable.
 func (e *Engine) markSector(want uint32) bool {
 	for {
 		w := e.rbias.Load()

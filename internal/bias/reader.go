@@ -31,23 +31,26 @@ type Reader struct {
 	// because every entry was pinned by an outstanding hold; releases drain
 	// it before an unbalanced-unlock verdict.
 	untracked uint32
-	// hand is the round-robin eviction cursor.
-	hand    uint32
-	entries [ReaderSlots]readerEntry
+	// hand is the round-robin eviction cursor. last is the hint, the entry
+	// lookup found last: an index, so a copied Reader (rwsem.Task embeds one
+	// by value) never reaches the original's entries.
+	hand, last uint8
+	entries    [ReaderSlots]readerEntry
 }
 
 // entry flags.
 const (
-	entFastHeld = 1 << iota // a fast-path acquisition at slot is outstanding
+	entFastHeld = 1 << iota // a fast-path acquisition at home is outstanding
 )
 
 // readerEntry caches one lock's fast-path state on a handle.
 type readerEntry struct {
 	eng *Engine
-	// home is the handle's home slot for eng, hashed once at alloc; slot is
-	// where the outstanding fast-path hold was published.
+	// home is the handle's home slot for eng, hashed once at alloc, and the
+	// slot of any outstanding fast-path hold; want is its recheck mask
+	// (sectorWant), computed at the same time.
 	home uint32
-	slot uint32
+	want uint32
 	// gen is the slot generation captured by the outstanding fast-path
 	// publication (meaningful while entFastHeld is set); the release hands
 	// it to ClearOwned so an unbalanced unlock is caught at the table too.
@@ -88,10 +91,15 @@ func (r *Reader) Held() int {
 	return n
 }
 
-// lookup returns the cache entry for e, or nil.
+// lookup returns the cache entry for e, or nil. It tries the hint before it
+// scans, and points the hint at what the scan finds.
 func (r *Reader) lookup(e *Engine) *readerEntry {
+	if ent := &r.entries[r.last%ReaderSlots]; ent.eng == e {
+		return ent
+	}
 	for i := range r.entries {
 		if r.entries[i].eng == e {
+			r.last = uint8(i)
 			return &r.entries[i]
 		}
 	}
@@ -124,39 +132,54 @@ func (r *Reader) alloc(e *Engine) *readerEntry {
 			return nil
 		}
 	}
-	*victim = readerEntry{eng: e, home: e.Table().Index(e.ID(), r.id)}
+	t := e.Table()
+	home := t.Index(e.ID(), r.id)
+	*victim = readerEntry{eng: e, home: home, want: sectorWant(t, home)}
 	return victim
 }
 
+// enter is TryFastH's cold half: r's entry for e, found or allocated, or nil
+// when the read must divert — every entry pinned by an outstanding hold
+// (like the kernel task with its per-task record full), or a reentrant read:
+// one fast hold per (handle, lock) keeps slot bookkeeping unambiguous.
+func (r *Reader) enter(e *Engine) *readerEntry {
+	ent := r.lookup(e)
+	if ent == nil {
+		ent = r.alloc(e)
+	}
+	if ent == nil || ent.flags&entFastHeld != 0 {
+		e.noteHandle()
+		return nil
+	}
+	return ent
+}
+
 // TryFastH attempts the complete fast-path read prefix for handle r: the
-// RBias check, then the engine's probe sequence started at r's cached home
-// slot — no identity derivation and no hashing in the steady state — and
-// the hold recorded on r. Callers that failed must acquire read permission
-// on the substrate and then call SlowLockedH followed by MaybeEnable.
+// RBias check, then the engine's probe sequence at r's cached home slot with
+// its cached recheck mask — no identity derivation and no hashing in the
+// steady state — and the hold recorded on r. A default engine whose probe
+// publishes at the hinted entry makes no call. Callers that failed must
+// acquire read permission on the substrate and then call SlowLockedH
+// followed by MaybeEnable.
 func (e *Engine) TryFastH(r *Reader) (SlotToken, bool) {
 	if !e.Enabled() {
 		e.noteDisabled()
 		return 0, false
 	}
-	ent := r.lookup(e)
-	if ent == nil {
-		if ent = r.alloc(e); ent == nil {
-			// Every entry is pinned by an outstanding hold: nowhere to
-			// record this acquisition, so divert (like the kernel task with
-			// its per-task record full).
-			e.noteHandle()
+	ent := &r.entries[r.last%ReaderSlots]
+	if ent.eng != e || ent.flags&entFastHeld != 0 {
+		if ent = r.enter(e); ent == nil {
 			return 0, false
 		}
 	}
-	if ent.flags&entFastHeld != 0 {
-		// One fast hold per (handle, lock): a reentrant read acquisition
-		// diverts to the slow path, keeping slot bookkeeping unambiguous.
-		e.noteHandle()
-		return 0, false
+	t := e.conf().table
+	gen, st := e.probe(t, ent.home, ent.want)
+	tok, ok := makeSlotToken(ent.home, gen), true
+	if st != published || e.cfg != nil {
+		tok, ok = e.settle(t, ent.home, ent.want, gen, st)
 	}
-	tok, ok := e.probe(ent.home)
 	if ok {
-		ent.slot, ent.gen = tok.Index(), tok.Gen()
+		ent.gen = gen
 		ent.flags |= entFastHeld
 	}
 	return tok, ok
@@ -172,7 +195,7 @@ func (e *Engine) ReleaseFast(r *Reader) bool {
 		return false
 	}
 	ent.flags &^= entFastHeld
-	e.Table().ClearOwned(ent.slot, ent.gen, e.ID())
+	e.Table().ClearOwned(ent.home, ent.gen, e.ID())
 	return true
 }
 
@@ -184,7 +207,7 @@ func (e *Engine) ReleaseFast(r *Reader) bool {
 // token forged or replayed against a different handle's hold is also caught.
 func (e *Engine) ReleaseFastAt(r *Reader, t SlotToken) {
 	ent := r.lookup(e)
-	if ent == nil || ent.flags&entFastHeld == 0 || ent.slot != t.Index() {
+	if ent == nil || ent.flags&entFastHeld == 0 || ent.home != t.Index() {
 		panic("bias: unbalanced fast-path RUnlock (double unlock or unlock without lock)")
 	}
 	ent.flags &^= entFastHeld

@@ -96,15 +96,7 @@ func TestReaderReentrantReadDiverts(t *testing.T) {
 func TestReaderHeldOverflowDiverts(t *testing.T) {
 	tab := NewTable(DefaultTableSize)
 	r := NewReader()
-	engines := make([]*Engine, ReaderSlots+2)
-	for i := range engines {
-		e := &Engine{}
-		e.SetTable(tab)
-		e.SetPolicy(AlwaysPolicy{})
-		e.Init()
-		e.MaybeEnable()
-		engines[i] = e
-	}
+	engines := distinctHomes(t, tab, r.ID(), ReaderSlots+2)
 	for _, e := range engines {
 		e.TryFastH(r)
 	}
@@ -122,22 +114,14 @@ func TestReaderHeldOverflowDiverts(t *testing.T) {
 func TestReaderEvictionPrefersUnpinned(t *testing.T) {
 	tab := NewTable(DefaultTableSize)
 	r := NewReader()
-	mk := func() *Engine {
-		e := &Engine{}
-		e.SetTable(tab)
-		e.SetPolicy(AlwaysPolicy{})
-		e.Init()
-		e.MaybeEnable()
-		return e
-	}
+	engines := distinctHomes(t, tab, r.ID(), 1+4*ReaderSlots)
 	// Hold one engine fast, then roll many others through the cache.
-	held := mk()
+	held := engines[0]
 	heldIdx, ok := held.TryFastH(r)
 	if !ok {
 		t.Fatal("setup hold failed")
 	}
-	for i := 0; i < 4*ReaderSlots; i++ {
-		e := mk()
+	for i, e := range engines[1:] {
 		idx, ok := e.TryFastH(r)
 		if !ok {
 			t.Fatalf("churn engine %d diverted", i)
@@ -209,9 +193,8 @@ func TestReaderUntrackedSlowHoldsNeverFalsePanic(t *testing.T) {
 		e.MaybeEnable()
 		return e
 	}
-	pinned := make([]*Engine, ReaderSlots)
+	pinned := distinctHomes(t, tab, r.ID(), ReaderSlots)
 	for i := range pinned {
-		pinned[i] = mk()
 		if _, ok := pinned[i].TryFastH(r); !ok {
 			t.Fatalf("pin %d failed", i)
 		}

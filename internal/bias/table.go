@@ -138,22 +138,19 @@ func (t *Table) column(lockID uintptr) uint32 {
 	return hash.Mix32(uint32(uint64(lockID)>>4)) & (t.rowLen - 1)
 }
 
-// TryPublishAt attempts to install id into slot idx, returning the slot's
-// current generation and whether publication succeeded. The CAS is the fast
-// path's single atomic (Listing 1 line 14) — and, with a slot index cached
-// on a reader handle, the entire steady-state fast-path cost; the load before
-// it reads the line the CAS takes anyway. The installed word keeps the loaded
-// generation, which must travel with the acquisition to ClearOwned: the
-// winner captures exactly the word its clear will compare. A CAS that loses
-// to a publish-and-clear in between reports a collision: the slot was
+// TryPublishAt attempts to install id into slot idx, returning whether
+// publication succeeded and, when it did, the slot's generation. The CAS is
+// the fast path's single atomic (Listing 1 line 14) — and, with a slot index
+// cached on a reader handle, the entire steady-state fast-path cost; the load
+// before it reads the line the CAS takes anyway. The installed word keeps the
+// loaded generation, which must travel with the acquisition to ClearOwned:
+// the winner captures exactly the word its clear will compare. A CAS that
+// loses to a publish-and-clear in between reports a collision: the slot was
 // occupied in that window.
 func (t *Table) TryPublishAt(idx uint32, id uintptr) (gen uint32, ok bool) {
 	s := &t.slots[idx]
 	w := s.Load()
-	if w>>genBits != 0 || !s.CompareAndSwap(w, uint64(id)<<genBits|w) {
-		return 0, false
-	}
-	return uint32(w), true
+	return uint32(w), w>>genBits == 0 && s.CompareAndSwap(w, uint64(id)<<genBits|w)
 }
 
 // ClearOwned empties slot idx on behalf of the reader that published id
