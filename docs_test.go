@@ -165,7 +165,8 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 // each top-level package — the root, each cmd/*, examples/* and internal/*
 // directory with everything below it — and the whole module outside
 // benchmark/ may hold, set at the current counts. Lower an entry when a
-// change deletes code, and raise one only in the diff that needs it.
+// change deletes code, and raise one only in the diff that needs it. Only
+// .go files count: assembly (internal/locks/seq/store_amd64.s) does not.
 var lineCeilings = map[string]int{
 	".":                   357,
 	"cmd/bravobench":      168,
@@ -186,10 +187,10 @@ var lineCeilings = map[string]int{
 	"internal/core":       217,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3894,
+	"internal/kvs":        3903,
 	"internal/kvserv":     1975,
 	"internal/lockcheck":  461,
-	"internal/locks":      943,
+	"internal/locks":      1002,
 	"internal/metis":      331,
 	"internal/repl":       612,
 	"internal/rwl":        146,
@@ -201,7 +202,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               16818,
+	"total":               16886,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"github.com/bravolock/bravo/internal/clock"
+	"github.com/bravolock/bravo/internal/locks/seq"
 )
 
 // seqCell is one key's value storage in a form the optimistic (seqlock) read
@@ -15,10 +16,11 @@ import (
 // capacity in words (high half, fixed at allocation) with the visible byte
 // length (low half); word 1 is the key's TTL deadline — the only place the
 // engine stores one (clock.Nanos, 0 = no TTL);
-// words 2… hold the bytes, packed little-endian. Every access is atomic, so
-// a reader racing an in-place writer observes some interleaving of old and
-// new words — torn data — but never a data race; the shard's write-section
-// sequence counter is what detects the tear and discards the copy.
+// words 2… hold the bytes, packed little-endian. Every load is atomic and
+// every store single-copy atomic (set), so a reader racing an in-place
+// writer observes some interleaving of old and new words — torn data — but
+// never a torn word; the shard's write-section sequence counter is what
+// detects the tear and discards the copy.
 //
 // The capacity is fixed at allocation: an update that fits is applied in
 // place (the engine's rocksdb-style in-place update, at word granularity),
@@ -50,7 +52,7 @@ func newSeqCell(value []byte, deadline int64) *seqCell {
 	capWords := (len(value) + 7) / 8
 	head := cellHead(capWords, len(value))
 	mem := make([]atomic.Uint64, cellHeaderWords+capWords)
-	mem[0].Store(head)
+	seq.Store(&mem[0], head)
 	c := (*seqCell)(&mem[0])
 	c.set(value, deadline)
 	return c
@@ -87,19 +89,26 @@ func (c *seqCell) expired(now *int64) bool {
 	return *now >= d
 }
 
-// set stores value and deadline in place. The caller holds the shard write
-// lock inside an open write section; concurrent optimistic readers may see
-// the store half-applied and are invalidated by the section's seq bump.
+// set stores value and deadline in place, with plain stores on amd64
+// (seq.StoreWords): its caller must be the cell's only writer, and a reader
+// must either validate its copy or be ordered after set by a lock. Each of
+// set's four contexts is one of those:
+//   - newSeqCell: the cell is not yet published, so no reader can reach it;
+//     the pointer store that publishes it comes after set.
+//   - a shard's write section (applyLocked, between kvShard.wlock and
+//     wunlock): the write lock excludes other writers, and an optimistic
+//     reader that sees the store half-applied is invalidated by the
+//     section's seq bump.
+//   - Memtable.put, under its stripe's write lock: the stripe's readers take
+//     the same lock for read, so none overlaps the store.
+//   - recovery (recoverShardRecord, rollForwardTxns): the engine is not yet
+//     shared, so there is no other goroutine at all.
 func (c *seqCell) set(value []byte, deadline int64) {
 	mem := c.words(c.head())
-	payload := mem[cellHeaderWords:]
-	for i := 0; i*8 < len(value); i++ {
-		var w [8]byte
-		copy(w[:], value[i*8:])
-		payload[i].Store(binary.LittleEndian.Uint64(w[:]))
-	}
-	mem[0].Store(cellHead(len(payload), len(value)))
-	mem[1].Store(uint64(deadline))
+	head := cellHead(len(mem)-cellHeaderWords, len(value))
+	seq.StoreWords(mem[cellHeaderWords:], value)
+	seq.Store(&mem[0], head)
+	seq.Store(&mem[1], uint64(deadline))
 }
 
 // length returns the visible byte length, clamped to the cell's capacity so

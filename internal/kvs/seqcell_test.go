@@ -147,6 +147,29 @@ func TestFreshPutAllocatesOneCell(t *testing.T) {
 	}
 }
 
+// BenchmarkSeqCellSet times one in-place 128-byte set: on one hot cell, the
+// stores themselves; over 2^16 cells visited in a scattered order, with the
+// cache misses a large table adds.
+func BenchmarkSeqCellSet(b *testing.B) {
+	v := pattern(128)
+	b.Run("hot", func(b *testing.B) {
+		c := newSeqCell(v, 0)
+		for i := 0; i < b.N; i++ {
+			c.set(v, int64(i))
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		const n = 1 << 16
+		cells := make([]*seqCell, n)
+		for i := range cells {
+			cells[i] = newSeqCell(v, 0)
+		}
+		for i := 0; i < b.N; i++ {
+			cells[uint32(i)*40503&(n-1)].set(v, int64(i))
+		}
+	})
+}
+
 // FuzzSeqCell drives one key's storage with arbitrary value lengths against
 // a []byte model: each put is stored in place when it fits the cell's
 // capacity and replaces the cell when it does not, the capacity never

@@ -11,7 +11,9 @@
 // Count is the bare counter, with no writer serialization of its own: the
 // KV engine's optimistic read path brackets its copies with it, where the
 // shard's BRAVO write lock already serializes writers, and bias.Adaptor
-// brackets its window snapshot the same way.
+// brackets its window snapshot the same way. StoreWords and Store are the
+// writer's stores inside such a section: plain stores on amd64, because a
+// seqlock writer needs its stores in order and nothing more.
 package seq
 
 import "sync/atomic"
