@@ -166,7 +166,8 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 // directory with everything below it — and the whole module outside
 // benchmark/ may hold, set at the current counts. Lower an entry when a
 // change deletes code, and raise one only in the diff that needs it. Only
-// .go files count: assembly (internal/locks/seq/store_amd64.s) does not.
+// .go files count: assembly (internal/locks/seq/store_amd64.s,
+// internal/arch/prefetch_amd64.s) does not.
 var lineCeilings = map[string]int{
 	".":                   357,
 	"cmd/bravobench":      168,
@@ -178,7 +179,7 @@ var lineCeilings = map[string]int{
 	"examples/locktable":  116,
 	"examples/quickstart": 63,
 	"examples/vmsim":      78,
-	"internal/arch":       26,
+	"internal/arch":       47,
 	"internal/bench":      580,
 	"internal/bias":       1348,
 	"internal/cliutil":    36,
@@ -187,7 +188,7 @@ var lineCeilings = map[string]int{
 	"internal/core":       217,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3903,
+	"internal/kvs":        3934,
 	"internal/kvserv":     1975,
 	"internal/lockcheck":  461,
 	"internal/locks":      1002,
@@ -202,7 +203,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       1239,
 	"internal/xrand":      145,
-	"total":               16886,
+	"total":               16938,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -58,7 +58,7 @@ func TestSharedTableGeometry(t *testing.T) {
 
 func TestPublishClearRoundTrip(t *testing.T) {
 	tab := NewTable(64)
-	id := uintptr(0xdeadbeef0)
+	id := uintptr(0xdeadbeef0 & uint64(^uintptr(0))) // 0xeadbeef0 on a 32-bit port
 	idx := tab.Index(id, 42)
 	gen, ok := tab.TryPublishAt(idx, id)
 	if !ok {
@@ -101,7 +101,7 @@ func Test2DColumnFixedPerLock(t *testing.T) {
 	// BRAVO-2D's revocation scans one column, so every identity must map a
 	// given lock to the same column regardless of the thread.
 	tab := NewTable2D(16, 256)
-	lock := uintptr(0xc000001230)
+	lock := uintptr(0xc000001230 & uint64(^uintptr(0)))
 	col := tab.Index(lock, 0) % tab.rowLen
 	f := func(self uint64) bool {
 		return tab.Index(lock, self)%tab.rowLen == col
@@ -114,7 +114,7 @@ func Test2DColumnFixedPerLock(t *testing.T) {
 func Test2DRowSelectedByThread(t *testing.T) {
 	// Distinct thread identities should spread over rows.
 	tab := NewTable2D(16, 256)
-	lock := uintptr(0xc000001230)
+	lock := uintptr(0xc000001230 & uint64(^uintptr(0)))
 	rows := map[uint32]bool{}
 	for id := uint64(0); id < 64; id++ {
 		rows[tab.Index(lock, id)/tab.rowLen] = true
@@ -281,7 +281,7 @@ func TestCheckID(t *testing.T) {
 		t.Skip("every 32-bit address fits")
 	}
 	forged := uintptr(1)
-	forged <<= 64 - genBits
+	forged <<= bits.UintSize - genBits // 64 - genBits, and vets on a 32-bit port
 	checkID(forged - 1)
 	if !panics(func() { checkID(forged) }) {
 		t.Fatalf("checkID(%#x) did not panic: the identity has more than %d bits", forged, 64-genBits)

@@ -87,7 +87,7 @@ func TestIndexDispersal(t *testing.T) {
 	// locations". With 64 IDs into 4096 slots, expect few collisions
 	// (birthday bound: ~0.5 expected pairs).
 	const threads = 64
-	lock := uintptr(0xc000123440)
+	lock := uintptr(0xc000123440 & uint64(^uintptr(0))) // its low word on a 32-bit port
 	seen := map[uint32]bool{}
 	for i := 0; i < threads; i++ {
 		seen[Index(lock, uint64(i), 4096)] = true

@@ -153,16 +153,25 @@ func TestMultiGetValuesDoNotAlias(t *testing.T) {
 }
 
 // BenchmarkShardedPutSingleVsBatched: "single-wal-none" is "single" on a
-// durable SyncNone engine, so the difference is the WAL append.
+// durable SyncNone engine, so the difference is the WAL append. All three
+// put 8-byte values over 1,024 hot keys on 8 shards. "single-wal-none-cold"
+// is engine-write's put instead: 16 shards, 128-byte values over 2^16
+// resident keys drawn at random, SyncNone, so each Put meets a cold cell,
+// a cold index slot and the mapped log's cold next lines.
 func BenchmarkShardedPutSingleVsBatched(b *testing.B) {
 	const batch = 64
-	for _, mode := range []string{"single", "batched", "single-wal-none"} {
+	for _, mode := range []string{"single", "batched", "single-wal-none", "single-wal-none-cold"} {
 		b.Run(mode, func(b *testing.B) {
+			shards, mask := 8, uint64(1023)
+			cold := mode == "single-wal-none-cold"
+			if cold {
+				shards, mask = 16, 1<<16-1
+			}
 			var opts []Option
-			if mode == "single-wal-none" {
+			if mode == "single-wal-none" || cold {
 				opts = append(opts, WithDurability(b.TempDir(), SyncNone))
 			}
-			s, err := NewSharded(8, mkBravo, opts...)
+			s, err := NewSharded(shards, mkBravo, opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -171,12 +180,20 @@ func BenchmarkShardedPutSingleVsBatched(b *testing.B) {
 			vals := make([][]byte, batch)
 			for i := range keys {
 				vals[i] = EncodeValue(uint64(i))
+				if cold {
+					vals[i] = append(vals[i], make([]byte, 120)...)
+				}
+			}
+			if cold {
+				for k := uint64(0); k <= mask; k++ {
+					s.Put(k, vals[k%batch])
+				}
 			}
 			rng := xrand.NewXorShift64(1)
 			b.ResetTimer()
 			for n := 0; n < b.N; n += batch {
 				for i := range keys {
-					keys[i] = rng.Next() & 1023
+					keys[i] = rng.Next() & mask
 				}
 				if mode == "batched" {
 					s.MultiPut(keys, vals)

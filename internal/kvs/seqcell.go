@@ -60,7 +60,7 @@ func newSeqCell(value []byte, deadline int64) *seqCell {
 
 // words returns the cell's whole allocation, header included. head is a
 // load of word 0; its capacity half is what newSeqCell allocated, which is
-// what makes this — the package's only use of unsafe — sound.
+// what makes this — the package's only unsafe access — sound.
 func (c *seqCell) words(head uint64) []atomic.Uint64 {
 	return unsafe.Slice((*atomic.Uint64)(c), cellHeaderWords+int(head>>cellLenBits))
 }

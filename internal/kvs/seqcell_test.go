@@ -109,7 +109,8 @@ func TestSeqCellPackedHeader(t *testing.T) {
 	if strconv.IntSize < 64 {
 		return // no int can exceed the length field
 	}
-	if got := cellHead(1<<29, maxCellLen); got>>cellLenBits != 1<<29 || got&maxCellLen != maxCellLen {
+	longest := uint64(maxCellLen) // a variable: the constant overflows a 32-bit int
+	if got := cellHead(1<<29, int(longest)); got>>cellLenBits != 1<<29 || got&maxCellLen != maxCellLen {
 		t.Fatalf("the longest value the field can state packed to %#x", got)
 	}
 	over := uint64(maxCellLen) + 1
@@ -144,6 +145,30 @@ func TestFreshPutAllocatesOneCell(t *testing.T) {
 	}
 	if st := s.Stats().Total(); st.Keys != runs+1 || st.PutsInPlace != 0 {
 		t.Fatalf("keys %d, in-place puts %d: the measured Puts were not all fresh", st.Keys, st.PutsInPlace)
+	}
+}
+
+// TestDurablePutInPlaceAllocatesNothing pins the durable steady state: a
+// SyncNone Put of a 128-byte value over a resident key — the lock-free cell
+// warm, the record's encode, its copy into the mapped log and the lookahead
+// prefetch, the in-place set — allocates nothing, so no value escapes.
+func TestDurablePutInPlaceAllocatesNothing(t *testing.T) {
+	const keys = 1000
+	s := openTestKV(t, t.TempDir(), 16, SyncNone)
+	defer s.Close()
+	v := pattern(128)
+	for k := uint64(0); k < keys; k++ {
+		s.Put(k, v)
+	}
+	k := uint64(0)
+	if got := testing.AllocsPerRun(keys, func() { s.Put(k%keys, v); k++ }); got != 0 {
+		t.Fatalf("a durable in-place 128-byte Put allocates %v times, want 0", got)
+	}
+	if st := s.Stats().Total(); st.Keys != keys || st.PutsInPlace != keys+1 {
+		t.Fatalf("keys %d, in-place puts %d: the measured Puts were not all in place", st.Keys, st.PutsInPlace)
+	}
+	if err := s.WALError(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,9 @@ package kvs
 
 import (
 	"sync/atomic"
+	"unsafe"
 
+	"github.com/bravolock/bravo/internal/arch"
 	"github.com/bravolock/bravo/internal/rwl"
 )
 
@@ -44,6 +46,23 @@ func (st *seqStore) putLocked(key uint64, value []byte, deadline int64) (fresh b
 	}
 	st.exp.set(key, deadline)
 	return fresh
+}
+
+// lookahead caps the bytes one prefetch hint covers: the first four lines
+// of a cell (warm) or of the log's next record (shardWAL.place).
+const lookahead = 4 * arch.CacheLineSize
+
+// warm prefetches, with no lock held, the cells ents will write: each key's
+// header and as many value lines as the entry stores. The lookup is the
+// lock-free probe multiGet sizes its arena with, and memory-safe for the
+// same reason; its cell is only a hint, since the lookup under the write
+// lock decides. So the section that follows runs on warm lines.
+func (st *seqStore) warm(ents []Entry) {
+	for i := range ents {
+		if c := st.idx.lookup(ents[i].Key); c != nil {
+			arch.Prefetch(unsafe.Pointer(c), min(cellHeaderWords*8+len(ents[i].Value), lookahead))
+		}
+	}
 }
 
 // removeLocked unconditionally removes key from the table and the TTL set,

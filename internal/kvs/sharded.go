@@ -145,8 +145,8 @@ const (
 // collide on all — and Stats and adaptTick sum the stripes. A shard's
 // stripes are a power-of-two run of pointer-free sectors allocated on their
 // own, which the allocator places sector-aligned; the package uses unsafe
-// only for cells, so that is pinned by TestReadStripesShareNoLine, not
-// computed here.
+// only for cells and prefetch hints, so that is pinned by
+// TestReadStripesShareNoLine, not computed here.
 type readStripe struct {
 	n [rdCounters]atomic.Uint64
 	_ [arch.SectorSize - rdCounters*8]byte

@@ -6,6 +6,9 @@ import (
 	"os"
 	"runtime/debug"
 	"syscall"
+	"unsafe"
+
+	"github.com/bravolock/bravo/internal/arch"
 )
 
 // walWindow is the log one reservation maps: about 6,500 records of 160 B.
@@ -14,6 +17,8 @@ const walWindow = 1 << 20
 // place copies the sealed record b into the mapped window at the log's end,
 // reserving the next window first if this one is full. An I/O error that
 // surfaces as a fault on a mapped page ends appending, not the process.
+// It then prefetches the window's lines the next record will occupy, sized
+// by this one, so the next copy stores into warm lines.
 func (w *shardWAL) place(b []byte) (err error) {
 	if w.size+int64(len(b)) > w.base+int64(len(w.m)) {
 		if err := w.reserve(len(b)); err != nil {
@@ -30,7 +35,12 @@ func (w *shardWAL) place(b []byte) (err error) {
 			err = fmt.Errorf("kvs: fault writing the mapped log: %v", r)
 		}
 	}()
-	copy(w.m[w.size-w.base:], b)
+	at := w.size - w.base
+	copy(w.m[at:], b)
+	next := at + int64(len(b))
+	if n := min(int64(len(b)), lookahead, int64(len(w.m))-next); n > 0 {
+		arch.Prefetch(unsafe.Pointer(&w.m[next]), int(n))
+	}
 	return nil
 }
 

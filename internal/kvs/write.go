@@ -45,9 +45,11 @@ type Entry struct {
 // write is the write section: it logs ents — one shard's mutations, in
 // order — as one WAL record (one fsync under SyncAlways), applies them under
 // one write-lock acquisition (for a BRAVO shard, one bias revocation), and
-// publishes the record's LSN. hits is the number of deletes that removed a
-// visible key. ents is not retained.
+// publishes the record's LSN. It warms the entries' cells first, outside
+// both locks. hits is the number of deletes that removed a visible key.
+// ents is not retained.
 func (sh *kvShard) write(ents []Entry) (hits int) {
+	sh.warm(ents)
 	w := sh.wal
 	w.lock()
 	if w != nil {
