@@ -21,9 +21,6 @@ type Token = rwl.Token
 // RWLock is the reader-writer lock interface BRAVO wraps and implements.
 type RWLock = rwl.RWLock
 
-// TryRWLock extends RWLock with non-blocking acquisition attempts.
-type TryRWLock = rwl.TryRWLock
-
 // HandleRWLock extends RWLock with handle-accepting read paths
 // (RLockH/RUnlockH). bravo.Lock implements it.
 type HandleRWLock = rwl.HandleRWLock

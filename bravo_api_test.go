@@ -131,23 +131,6 @@ func TestSharedTableIsProcessWide(t *testing.T) {
 	}
 }
 
-func TestTryLocksThroughFacade(t *testing.T) {
-	l := bravo.New(bravo.NewBA(), bravo.WithTable(bravo.NewTable(64)))
-	var tl bravo.TryRWLock = l
-	tok, ok := tl.TryRLock()
-	if !ok {
-		t.Fatal("TryRLock failed on free lock")
-	}
-	l.RUnlock(tok)
-	if !tl.TryLock() {
-		t.Fatal("TryLock failed on free lock")
-	}
-	if _, ok := tl.TryRLock(); ok {
-		t.Fatal("TryRLock succeeded under writer")
-	}
-	l.Unlock()
-}
-
 func TestShardedKVThroughFacade(t *testing.T) {
 	if _, err := bravo.NewShardedKV(3, bravo.NewBA); err == nil {
 		t.Fatal("non-power-of-two shard count accepted")

@@ -128,17 +128,12 @@ func checkLocks(names []string) error {
 func runFigure1(cfg bench.Config) {
 	pools := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 	if *modeFlag == "sim" {
-		pts := sim.Figure1Interference(pools)
-		out := make([]bench.Point, len(pts))
-		for i, p := range pts {
-			out[i] = bench.Point{X: p.Threads, Value: p.Value}
-		}
-		bench.WritePoints(os.Stdout, "Figure 1: Inter-Lock Interference (sim)", "locks", "throughput fraction", out)
+		bench.WritePoints(os.Stdout, "Figure 1: Inter-Lock Interference (sim)", "locks", "throughput fraction", sim.Figure1Interference(pools))
 		return
 	}
-	var out []bench.Point
+	var out []sim.Point
 	for _, n := range pools {
-		out = append(out, bench.Point{X: n, Value: bench.Interference(n, 64, cfg)})
+		out = append(out, sim.Point{X: n, Value: bench.Interference(n, 64, cfg)})
 	}
 	bench.WritePoints(os.Stdout, "Figure 1: Inter-Lock Interference (native)", "locks", "throughput fraction", out)
 }
@@ -146,16 +141,7 @@ func runFigure1(cfg bench.Config) {
 func runSeriesFigure(cfg bench.Config, locks []string, title, unit string,
 	simFn func() sim.Series, nativeFn func(lock string, tc int) float64) {
 	if *modeFlag == "sim" {
-		s := simFn()
-		out := bench.Series{}
-		for name, pts := range s {
-			row := make([]bench.Point, len(pts))
-			for i, p := range pts {
-				row[i] = bench.Point{X: p.Threads, Value: p.Value}
-			}
-			out[name] = row
-		}
-		bench.WriteSeries(os.Stdout, title+" (sim, X5-2)", "threads", unit, out)
+		bench.WriteSeries(os.Stdout, title+" (sim, X5-2)", "threads", unit, simFn())
 		return
 	}
 	s := bench.SweepLocks(locks, cfg, nativeFn)

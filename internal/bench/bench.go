@@ -19,18 +19,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/bravolock/bravo/internal/sim"
 	"github.com/bravolock/bravo/internal/xrand"
 )
-
-// Point is one (x, value) sample; X is a thread count unless a workload
-// documents otherwise.
-type Point struct {
-	X     int
-	Value float64
-}
-
-// Series maps a configuration name (usually a lock) to its curve.
-type Series map[string][]Point
 
 // Config is the shared run protocol.
 type Config struct {
@@ -102,7 +93,7 @@ func Work(rng *xrand.XorShift64, n int) {
 // WriteSeries renders a Series as an aligned table, one row per thread
 // count, one column per lock — the same layout as the paper's figures'
 // underlying data.
-func WriteSeries(w io.Writer, title, xlabel, unit string, s Series) {
+func WriteSeries(w io.Writer, title, xlabel, unit string, s sim.Series) {
 	names := make([]string, 0, len(s))
 	for name := range s {
 		names = append(names, name)
@@ -128,7 +119,7 @@ func WriteSeries(w io.Writer, title, xlabel, unit string, s Series) {
 }
 
 // WritePoints renders a single curve (e.g. Figure 1's ratio-vs-locks).
-func WritePoints(w io.Writer, title, xlabel, unit string, pts []Point) {
+func WritePoints(w io.Writer, title, xlabel, unit string, pts []sim.Point) {
 	fmt.Fprintf(w, "# %s (%s)\n", title, unit)
 	fmt.Fprintf(w, "%-10s %16s\n", xlabel, unit)
 	for _, p := range pts {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	_ "github.com/bravolock/bravo/internal/locks/all"
+	"github.com/bravolock/bravo/internal/sim"
 	"github.com/bravolock/bravo/internal/xrand"
 )
 
@@ -152,7 +153,7 @@ func TestSweepLocksShape(t *testing.T) {
 
 func TestWriteSeriesFormatting(t *testing.T) {
 	var buf bytes.Buffer
-	WriteSeries(&buf, "Figure X", "threads", "ops/sec", Series{
+	WriteSeries(&buf, "Figure X", "threads", "ops/sec", sim.Series{
 		"ba":       {{X: 1, Value: 10}, {X: 2, Value: 20}},
 		"bravo-ba": {{X: 1, Value: 11}, {X: 2, Value: 22}},
 	})
@@ -167,7 +168,7 @@ func TestWriteSeriesFormatting(t *testing.T) {
 
 func TestWritePointsFormatting(t *testing.T) {
 	var buf bytes.Buffer
-	WritePoints(&buf, "Figure 1", "locks", "fraction", []Point{{X: 1, Value: 0.99}})
+	WritePoints(&buf, "Figure 1", "locks", "fraction", []sim.Point{{X: 1, Value: 0.99}})
 	if !strings.Contains(buf.String(), "0.9900") {
 		t.Fatalf("missing data:\n%s", buf.String())
 	}

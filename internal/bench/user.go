@@ -9,6 +9,7 @@ import (
 	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/sim"
 	"github.com/bravolock/bravo/internal/spin"
 	"github.com/bravolock/bravo/internal/xrand"
 )
@@ -159,12 +160,12 @@ func Interference(nlocks, threads int, cfg Config) float64 {
 
 // SweepLocks evaluates fn for each lock and thread count, assembling the
 // figure's Series.
-func SweepLocks(locks []string, cfg Config, fn func(lockName string, threads int) float64) Series {
-	out := Series{}
+func SweepLocks(locks []string, cfg Config, fn func(lockName string, threads int) float64) sim.Series {
+	out := sim.Series{}
 	for _, name := range locks {
-		pts := make([]Point, 0, len(cfg.Threads))
+		pts := make([]sim.Point, 0, len(cfg.Threads))
 		for _, tc := range cfg.Threads {
-			pts = append(pts, Point{X: tc, Value: fn(name, tc)})
+			pts = append(pts, sim.Point{X: tc, Value: fn(name, tc)})
 		}
 		out[name] = pts
 	}

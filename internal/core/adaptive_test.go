@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/bravolock/bravo/internal/bias"
-	"github.com/bravolock/bravo/internal/locks/fairrw"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
 )
@@ -66,28 +65,5 @@ func TestAdaptorWiredIntoEngine(t *testing.T) {
 	l.Unlock()
 	if under.locks != 4 || under.unlocks != 4 {
 		t.Fatalf("4 writes made %d/%d substrate Lock/Unlock calls", under.locks, under.unlocks)
-	}
-}
-
-// TestAdaptiveTryPaths exercises TryRLock/TryLock in each mode, over both
-// registered adaptive substrates.
-func TestAdaptiveTryPaths(t *testing.T) {
-	for name, under := range map[string]rwl.RWLock{"go-rw": new(stdrw.Lock), "fair": new(fairrw.Lock)} {
-		l := newAdaptive(under)
-		for _, m := range []bias.Mode{bias.ModeBiased, bias.ModeNeutral} {
-			l.Adaptor().ForceMode(m)
-			tok, ok := l.TryRLock()
-			if !ok || l.TryLock() {
-				t.Fatalf("%s, mode %v: idle TryRLock = %v, or TryLock succeeded under a reader", name, m, ok)
-			}
-			l.RUnlock(tok)
-			if !l.TryLock() {
-				t.Fatalf("%s, mode %v: TryLock failed on idle lock", name, m)
-			}
-			if _, ok := l.TryRLock(); ok {
-				t.Fatalf("%s, mode %v: TryRLock succeeded under a writer", name, m)
-			}
-			l.Unlock()
-		}
 	}
 }

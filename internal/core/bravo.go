@@ -56,7 +56,6 @@ type Lock struct {
 
 var (
 	_ rwl.RWLock       = (*Lock)(nil)
-	_ rwl.TryRWLock    = (*Lock)(nil)
 	_ rwl.HandleRWLock = (*Lock)(nil)
 )
 
@@ -188,30 +187,3 @@ func (l *Lock) Lock() {
 
 // Unlock releases write permission.
 func (l *Lock) Unlock() { l.under.Unlock() }
-
-// TryRLock attempts the fast path and then, if the underlying lock supports
-// try-acquisition, the slow path (§3's try-lock treatment). On underlying
-// success the policy may enable bias, as the paper permits.
-func (l *Lock) TryRLock() (rwl.Token, bool) {
-	if tok, ok := l.eng.TryFast(self.ID()); ok {
-		return fastBit | rwl.Token(tok), true
-	}
-	if t, ok := l.under.(rwl.TryRWLock); ok {
-		if tu, ok := t.TryRLock(); ok {
-			l.eng.MaybeEnable()
-			return tu, true
-		}
-	}
-	return 0, false
-}
-
-// TryLock attempts to acquire write permission. If the underlying try-lock
-// succeeds and bias is set, revocation is performed exactly as in Lock.
-func (l *Lock) TryLock() bool {
-	t, ok := l.under.(rwl.TryRWLock)
-	if !ok || !t.TryLock() {
-		return false
-	}
-	l.eng.RevokeIfEnabled()
-	return true
-}

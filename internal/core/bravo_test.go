@@ -230,106 +230,6 @@ func TestUnbiasedLockBehavesLikeUnderlying(t *testing.T) {
 	}
 }
 
-func TestTryRLockFastPath(t *testing.T) {
-	l, st := newBiased(t)
-	tok, ok := l.TryRLock()
-	if !ok {
-		t.Fatal("TryRLock failed on biased lock")
-	}
-	if st.FastRead.Load() != 1 {
-		t.Fatalf("TryRLock did not use the fast path: %s", st.Snapshot())
-	}
-	l.RUnlock(tok)
-}
-
-// TestTryRLockCountsDisabledReads: a try-read with bias off is a slow read
-// like any other, so Stats sees it and FastFraction is not inflated.
-func TestTryRLockCountsDisabledReads(t *testing.T) {
-	st := &bias.Stats{}
-	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}), WithStats(st))
-	for i := 0; i < 3; i++ {
-		tok, ok := l.TryRLock()
-		if !ok {
-			t.Fatal("TryRLock failed on a free lock")
-		}
-		l.RUnlock(tok)
-	}
-	if st.SlowDisabled.Load() != 3 || st.Snapshot().Reads() != 3 {
-		t.Fatalf("want three disabled reads: %s", st.Snapshot())
-	}
-}
-
-func TestTryRLockSlowFallback(t *testing.T) {
-	st := &bias.Stats{}
-	l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.AlwaysPolicy{}), WithStats(st))
-	tok, ok := l.TryRLock() // bias off → underlying try
-	if !ok {
-		t.Fatal("TryRLock failed on free lock")
-	}
-	if !l.Biased() {
-		t.Fatal("successful underlying try-read should enable bias when the policy allows (§3)")
-	}
-	l.RUnlock(tok)
-}
-
-func TestTryLockRevokes(t *testing.T) {
-	l, st := newBiased(t)
-	if !l.TryLock() {
-		t.Fatal("TryLock failed on free lock")
-	}
-	if l.Biased() {
-		t.Fatal("TryLock did not revoke bias")
-	}
-	l.Unlock()
-	if st.WriteRevoke.Load() != 1 {
-		t.Fatalf("TryLock revocation not recorded: %s", st.Snapshot())
-	}
-}
-
-func TestTryLockWaitsForFastReaders(t *testing.T) {
-	l, _ := newBiased(t)
-	tok := l.RLock()
-	// The fast reader holds no underlying state, so the underlying TryLock
-	// succeeds — but revocation must then wait. TryLock is therefore only
-	// non-blocking with respect to the underlying lock; verify it still
-	// completes once the reader leaves.
-	done := make(chan bool)
-	go func() {
-		ok := l.TryLock()
-		done <- ok
-	}()
-	select {
-	case <-done:
-		t.Fatal("TryLock returned while a fast reader was inside")
-	case <-time.After(50 * time.Millisecond):
-	}
-	l.RUnlock(tok)
-	if ok := <-done; !ok {
-		t.Fatal("TryLock failed after reader departed")
-	}
-	l.Unlock()
-}
-
-func TestMutexUnderlyingNoTrySupport(t *testing.T) {
-	// ptl implements TryRWLock; ensure the non-try substrate path degrades
-	// gracefully (pfq has try; use a bare non-try wrapper).
-	l := New(nonTry{inner: new(pfq.Lock)}, WithTable(bias.NewTable(64)))
-	if _, ok := l.TryRLock(); ok {
-		t.Fatal("TryRLock succeeded without substrate support and without bias")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock succeeded without substrate support")
-	}
-}
-
-// nonTry hides the try methods of an underlying lock.
-type nonTry struct{ inner rwl.RWLock }
-
-func (n nonTry) RLock() rwl.Token    { return n.inner.RLock() }
-func (n nonTry) RUnlock(t rwl.Token) { n.inner.RUnlock(t) }
-func (n nonTry) Lock()               { n.inner.Lock() }
-func (n nonTry) Unlock()             { n.inner.Unlock() }
-
 func TestPreferenceTransparency(t *testing.T) {
 	// §3: "if reader-writer lock algorithm A has certain preference
 	// properties then BRAVO-A will exhibit the same properties". With bias

@@ -57,14 +57,6 @@ func TestStormWriteHeavy(t *testing.T) {
 	}
 }
 
-func TestStormTry(t *testing.T) {
-	for name, mk := range stormVariants() {
-		t.Run(name, func(t *testing.T) {
-			lockcheck.TryExclusion(t, mk, 6, 800)
-		})
-	}
-}
-
 func TestStormSharedTableManyLocks(t *testing.T) {
 	// Multiple BRAVO locks sharing one table, stormed together: inter-lock
 	// collisions must never compromise exclusion (the paper: "collisions

@@ -476,6 +476,27 @@ func TestManifestPinsShardCount(t *testing.T) {
 	if _, err := OpenSharded(dir, 4, mkStd, SyncNone); err == nil {
 		t.Fatal("shard files without MANIFEST were accepted")
 	}
+	// So are snapshots alone: a checkpointed directory stripped of its logs
+	// and its MANIFEST.
+	snaps := t.TempDir()
+	c := openTestKV(t, snaps, 4, SyncNone)
+	c.Put(1, []byte("x"))
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	logs, _ := filepath.Glob(filepath.Join(snaps, "shard-*.wal*"))
+	for _, f := range append(logs, filepath.Join(snaps, manifestName)) {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, _ := filepath.Glob(filepath.Join(snaps, "shard-*.snap")); len(m) != 4 {
+		t.Fatalf("checkpoint left %d snapshot files, want 4", len(m))
+	}
+	if _, err := OpenSharded(snaps, 4, mkStd, SyncNone); err == nil {
+		t.Fatal("snapshot files without MANIFEST were accepted")
+	}
 }
 
 func TestVolatileEngineRejectsDurableOps(t *testing.T) {

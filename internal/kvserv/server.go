@@ -121,9 +121,6 @@ type Config struct {
 	// MinLSNWait bounds a ?min_lsn= read's wait on a follower; 0 means
 	// DefaultMinLSNWait.
 	MinLSNWait time.Duration
-	// DrainTimeout bounds a closing wire connection's read of already-sent
-	// pipelined requests; 0 means DefaultDrainTimeout.
-	DrainTimeout time.Duration
 }
 
 // Server serves one store over HTTP (Serve) and the binary wire protocol
@@ -200,9 +197,6 @@ func newServer(cfg Config) *Server {
 	}
 	if cfg.MinLSNWait <= 0 {
 		cfg.MinLSNWait = DefaultMinLSNWait
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	return &Server{
 		cfg:   cfg,
@@ -285,15 +279,14 @@ func (s *Server) accept(l net.Listener, drain bool, serve func(net.Conn), closed
 	}
 }
 
-// Close stops the server: HTTP listeners and connections (replication
-// streams included) close immediately; wire listeners close and each wire
-// connection gets DrainTimeout to finish answering the pipelined requests
-// its client already sent (the read deadline cuts the stream, buffered frames are
-// still served — see ServeWire). Then the reaper stops and the store's
-// queued async writes flush so nothing accepted with a 202 is left
-// invisible (or, on durable engines, unlogged). It does not Close the
-// engine or cluster itself — the caller owns that lifecycle (see
-// cmd/kvserv's shutdown path).
+// Close stops the server: HTTP listeners and connections (replication streams
+// included) close immediately; wire listeners close and each wire connection
+// gets DefaultDrainTimeout to finish answering the pipelined requests its
+// client already sent (the read deadline cuts the stream, buffered frames are
+// still served — see ServeWire). Then the reaper stops and the store's queued
+// async writes flush so nothing accepted with a 202 is left invisible (or, on
+// durable engines, unlogged). It does not Close the engine or cluster itself
+// — the caller owns that lifecycle (see cmd/kvserv's shutdown path).
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -304,7 +297,7 @@ func (s *Server) Close() error {
 				err = lerr
 			}
 		}
-		deadline := time.Now().Add(s.cfg.DrainTimeout)
+		deadline := time.Now().Add(DefaultDrainTimeout)
 		for c, drain := range s.conns {
 			if drain {
 				c.SetReadDeadline(deadline)

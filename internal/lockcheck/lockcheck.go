@@ -72,64 +72,6 @@ func Exclusion(t *testing.T, mk func() rwl.RWLock, readers, writers, iters int) 
 	}
 }
 
-// TryExclusion storms TryRLock/TryLock alongside blocking acquisitions.
-func TryExclusion(t *testing.T, mk func() rwl.RWLock, workers, iters int) {
-	t.Helper()
-	l := mk()
-	tl, ok := l.(rwl.TryRWLock)
-	if !ok {
-		t.Fatalf("lock does not implement TryRWLock")
-	}
-	var state atomic.Int64
-	var violations atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			rng := xrand.NewXorShift64(seed)
-			for i := 0; i < iters; i++ {
-				switch rng.Intn(4) {
-				case 0:
-					if tok, ok := tl.TryRLock(); ok {
-						if state.Add(256)&0xff != 0 {
-							violations.Add(1)
-						}
-						state.Add(-256)
-						l.RUnlock(tok)
-					}
-				case 1:
-					if tl.TryLock() {
-						if state.Add(1) != 1 {
-							violations.Add(1)
-						}
-						state.Add(-1)
-						l.Unlock()
-					}
-				case 2:
-					tok := l.RLock()
-					if state.Add(256)&0xff != 0 {
-						violations.Add(1)
-					}
-					state.Add(-256)
-					l.RUnlock(tok)
-				default:
-					l.Lock()
-					if state.Add(1) != 1 {
-						violations.Add(1)
-					}
-					state.Add(-1)
-					l.Unlock()
-				}
-			}
-		}(uint64(w + 1))
-	}
-	wg.Wait()
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("try-lock mutual exclusion violated %d times", v)
-	}
-}
-
 // HandleExclusion is Exclusion through the handle-accepting read paths:
 // every reader goroutine owns a private rwl.Reader and the storm verifies
 // that cached-slot fast paths never compromise mutual exclusion.

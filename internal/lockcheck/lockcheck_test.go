@@ -37,10 +37,6 @@ func TestExclusionAcceptsCorrectLocks(t *testing.T) {
 	}
 }
 
-func TestTryExclusionAcceptsCorrectLock(t *testing.T) {
-	TryExclusion(t, mkBravo, 4, 300)
-}
-
 func TestReadersConcurrentAcceptsRWLock(t *testing.T) {
 	ReadersConcurrent(t, mkGoRW())
 	ReadersConcurrent(t, mkBravo())

@@ -24,18 +24,14 @@ import (
 	"github.com/bravolock/bravo/internal/topo"
 )
 
-// Topo is the topology used to size topology-dependent locks (Per-CPU,
-// Cohort-RW). It defaults to the paper's user-space machine so footprints
-// and writer sweep costs match the paper; override before instantiating
-// locks if the host shape is preferred.
-var Topo = topo.X52
-
 func init() {
-	// Underlying (plain) locks.
+	// Underlying (plain) locks. Per-CPU and Cohort-RW are sized for the
+	// paper's user-space machine (topo.X52), so their footprints and writer
+	// sweep costs match the paper's.
 	rwl.Register("ba", func() rwl.RWLock { return new(pfq.Lock) })
 	rwl.Register("pthread", func() rwl.RWLock { return ptl.New() })
-	rwl.Register("per-cpu", func() rwl.RWLock { return percpu.New(Topo) })
-	rwl.Register("cohort-rw", func() rwl.RWLock { return cohort.New(Topo) })
+	rwl.Register("per-cpu", func() rwl.RWLock { return percpu.New(topo.X52) })
+	rwl.Register("cohort-rw", func() rwl.RWLock { return cohort.New(topo.X52) })
 	rwl.Register("go-rw", func() rwl.RWLock { return new(stdrw.Lock) })
 	rwl.Register("fair", func() rwl.RWLock { return new(fairrw.Lock) })
 

@@ -107,7 +107,6 @@ func TestAdaptiveLocksNeutralAndFlipping(t *testing.T) {
 				}
 				lockcheck.Exclusion(t, func() rwl.RWLock { return mk() }, 3, 2, 2000)
 				lockcheck.HandleExclusion(t, mk, 3, 2, 2000)
-				lockcheck.TryExclusion(t, func() rwl.RWLock { return mk() }, 4, 1500)
 			})
 		}
 	}

@@ -42,8 +42,6 @@ type Lock struct {
 	write atomic.Uint32 // departures (lowest ticket not yet departed)
 }
 
-var _ rwl.TryRWLock = (*Lock)(nil)
-
 // RLock acquires read permission in ticket order.
 func (l *Lock) RLock() rwl.Token {
 	t := l.next.Add(1) - 1
@@ -84,33 +82,6 @@ func (l *Lock) Unlock() {
 	// way keeps read from ever moving backwards.
 	l.read.Store(t + 1)
 	l.write.Add(1)
-}
-
-// TryRLock attempts to acquire read permission without waiting. It succeeds
-// only when the caller would be admitted immediately, i.e. no writer is held
-// or queued ahead.
-func (l *Lock) TryRLock() (rwl.Token, bool) {
-	t := l.next.Load()
-	if l.read.Load() != t {
-		return 0, false
-	}
-	if !l.next.CompareAndSwap(t, t+1) {
-		return 0, false
-	}
-	// read can only have advanced to t by the owner of ticket t-1, and can
-	// not pass t until ticket t (ours) advances it: entry is immediate.
-	l.read.Store(t + 1)
-	return 0, true
-}
-
-// TryLock attempts to acquire write permission without waiting. It succeeds
-// only when the lock is completely idle (every prior ticket departed).
-func (l *Lock) TryLock() bool {
-	t := l.next.Load()
-	if l.write.Load() != t {
-		return false
-	}
-	return l.next.CompareAndSwap(t, t+1)
 }
 
 // Queued reports how many tickets are issued but not yet departed — held

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/bravolock/bravo/internal/lockcheck"
 )
 
 // TestMutualExclusion hammers the lock with mixed readers and writers and
@@ -73,75 +76,55 @@ func TestWriterExcludesWriter(t *testing.T) {
 	}
 }
 
-// TestFIFOOrder verifies ticket-order admission: a writer queued behind a
-// held read lock blocks a reader that arrives after the writer, so the
-// late reader cannot overtake (the reader-preference starvation the paper
-// attributes to centralized rwlocks cannot happen here).
+// TestFIFOOrder verifies ticket-order admission: a reader that arrives while
+// a writer is queued behind a held read lock enters only after that writer,
+// so a late reader cannot overtake it (the reader-preference starvation the
+// paper attributes to centralized rwlocks cannot happen here). Queued, not a
+// grace period, tells when each has taken its ticket; Within turns a reader
+// that never enters into a failure instead of a hang.
 func TestFIFOOrder(t *testing.T) {
-	var l Lock
-	tok := l.RLock() // ticket 0, held
-
-	if l.TryLock() {
-		t.Fatal("TryLock succeeded while a read lock is held")
-	}
-
-	writerIn := make(chan struct{})
-	go func() {
-		l.Lock() // ticket 1, waits for ticket 0 to depart
-		close(writerIn)
-		l.Unlock()
-	}()
-
-	// Wait until the writer has taken its ticket, then check that a new
-	// reader cannot jump the queue.
-	for l.Queued() < 2 {
-		runtime.Gosched()
-	}
-	if _, ok := l.TryRLock(); ok {
-		t.Fatal("TryRLock overtook a queued writer")
-	}
-
-	l.RUnlock(tok)
-	<-writerIn
-	if _, ok := l.TryRLock(); !ok {
-		t.Fatal("TryRLock failed on an idle lock")
-	}
+	lockcheck.Within(t, 10*time.Second, func() {
+		var l Lock
+		tok := l.RLock() // ticket 0, held
+		var wrote, read, overtook atomic.Bool
+		go func() {
+			l.Lock() // ticket 1: waits for ticket 0 to depart
+			wrote.Store(true)
+			l.Unlock()
+		}()
+		for l.Queued() < 2 {
+			runtime.Gosched()
+		}
+		go func() {
+			rt := l.RLock() // ticket 2: waits for the writer
+			overtook.Store(!wrote.Load())
+			read.Store(true)
+			l.RUnlock(rt)
+		}()
+		for l.Queued() < 3 && !read.Load() { // a queue-jumper may be in and out already
+			runtime.Gosched()
+		}
+		lockcheck.Never(t, read.Load, 50*time.Millisecond, "a reader overtook the queued writer while the first read lock was held")
+		l.RUnlock(tok)
+		lockcheck.Eventually(t, read.Load, "the reader behind the writer never entered")
+		if overtook.Load() {
+			t.Error("the reader entered before the writer queued ahead of it")
+		}
+		lockcheck.Eventually(t, func() bool { return l.Queued() == 0 }, "tickets left outstanding after a full drain")
+	})
 }
 
 // TestReadersShare verifies that readers adjacent in ticket order hold the
-// lock concurrently.
+// lock concurrently: the second read lock is taken, blocking, while the
+// first is held.
 func TestReadersShare(t *testing.T) {
-	var l Lock
-	t1 := l.RLock()
-	t2, ok := l.TryRLock()
-	if !ok {
-		t.Fatal("second reader blocked by first")
-	}
-	l.RUnlock(t1)
-	l.RUnlock(t2)
-}
-
-// TestTryPaths exercises the non-blocking acquisitions against a held
-// writer and an idle lock.
-func TestTryPaths(t *testing.T) {
-	var l Lock
-	if !l.TryLock() {
-		t.Fatal("TryLock failed on idle lock")
-	}
-	if _, ok := l.TryRLock(); ok {
-		t.Fatal("TryRLock succeeded under a writer")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock succeeded under a writer")
-	}
-	l.Unlock()
-	if _, ok := l.TryRLock(); !ok {
-		t.Fatal("TryRLock failed after writer departed")
-	}
-	l.RUnlock(0)
-	if l.Queued() != 0 {
-		t.Fatalf("Queued = %d after full drain, want 0", l.Queued())
-	}
+	lockcheck.Within(t, 10*time.Second, func() {
+		var l Lock
+		t1 := l.RLock()
+		t2 := l.RLock()
+		l.RUnlock(t1)
+		l.RUnlock(t2)
+	})
 }
 
 // TestWraparound pushes the tickets across the uint32 boundary; equality

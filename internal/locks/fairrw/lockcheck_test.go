@@ -21,10 +21,6 @@ func TestExclusionWriteHeavy(t *testing.T) {
 	lockcheck.Exclusion(t, mk, 2, 4, 1500)
 }
 
-func TestTryExclusion(t *testing.T) {
-	lockcheck.TryExclusion(t, mk, 6, 1500)
-}
-
 func TestReadersConcurrent(t *testing.T) {
 	lockcheck.ReadersConcurrent(t, mk())
 }

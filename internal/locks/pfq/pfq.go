@@ -59,8 +59,6 @@ type Lock struct {
 	phase uint32                // writer phase ticket; guarded by write ownership
 }
 
-var _ rwl.TryRWLock = (*Lock)(nil)
-
 // RLock acquires read permission. Readers that must wait spin locally on
 // their own queue node.
 func (l *Lock) RLock() rwl.Token {
@@ -142,12 +140,6 @@ func (l *Lock) beginPhase() {
 // successor if any.
 func (l *Lock) Unlock() {
 	l.endPhase()
-	l.handoff()
-}
-
-// handoff passes write ownership to the queued successor, or empties the
-// queue. Caller must hold write ownership.
-func (l *Lock) handoff() {
 	n := l.whead
 	l.whead = nil
 	if n.next.Load() == nil {
@@ -179,52 +171,4 @@ func (l *Lock) endPhase() {
 // readers for the lock (the PRES bit is set). Diagnostic.
 func (l *Lock) WriterPresent() bool {
 	return l.rin.Load()&wbits != 0
-}
-
-// TryRLock attempts to acquire read permission, failing at once if a writer
-// is present. An arrival that races a writer's announcement cannot be
-// retracted (the writer's phase accounting includes it), so it waits out that
-// one phase — bounded, by phase-fairness — and then reports failure.
-func (l *Lock) TryRLock() (rwl.Token, bool) {
-	if l.rin.Load()&wbits != 0 {
-		return 0, false
-	}
-	w := l.rin.Add(rinc) & wbits
-	if w == 0 {
-		return 0, true
-	}
-	// Raced with a writer announcement: our arrival is registered and must
-	// be matched by a departure only after this phase ends. The wait is
-	// bounded by one writer phase; this is the rare path, so spin globally.
-	var b spin.Backoff
-	for l.rin.Load()&wbits == w {
-		b.Once()
-	}
-	l.rout.Add(rinc)
-	return 0, false
-}
-
-// TryLock attempts to acquire write permission without joining the queue.
-// It announces with one CAS that succeeds only when no reader is active, so
-// a failed try never exposes writer bits or consumes a phase ID: readers
-// rely on the bits changing exactly once per reader drain (see rwait), and
-// two announce-and-retract tries would flip the one-bit PHID back to the
-// value a slow reader observed.
-func (l *Lock) TryLock() bool {
-	n := wnodePool.Get().(*wnode)
-	n.next.Store(nil)
-	n.granted.Store(0)
-	if !l.wtail.CompareAndSwap(nil, n) {
-		wnodePool.Put(n)
-		return false
-	}
-	l.whead = n
-	t := l.phase
-	r := l.rin.Load() // no writer bits: we own the queue
-	if l.rout.Load() == r && l.rin.CompareAndSwap(r, r|pres|(t&phid)) {
-		l.phase = t + 1
-		return true
-	}
-	l.handoff()
-	return false
 }

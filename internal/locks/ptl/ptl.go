@@ -23,8 +23,6 @@ type Lock struct {
 	wwait   int  // writers blocked
 }
 
-var _ rwl.TryRWLock = (*Lock)(nil)
-
 // New returns an unlocked pthread-style lock.
 func New() *Lock {
 	l := &Lock{}
@@ -80,28 +78,4 @@ func (l *Lock) Unlock() {
 		l.wcond.Signal()
 	}
 	l.mu.Unlock()
-}
-
-// TryRLock attempts to acquire read permission without blocking.
-func (l *Lock) TryRLock() (rwl.Token, bool) {
-	l.mu.Lock()
-	if l.writer {
-		l.mu.Unlock()
-		return 0, false
-	}
-	l.readers++
-	l.mu.Unlock()
-	return 0, true
-}
-
-// TryLock attempts to acquire write permission without blocking.
-func (l *Lock) TryLock() bool {
-	l.mu.Lock()
-	if l.writer || l.readers > 0 {
-		l.mu.Unlock()
-		return false
-	}
-	l.writer = true
-	l.mu.Unlock()
-	return true
 }

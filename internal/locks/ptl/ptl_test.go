@@ -17,10 +17,6 @@ func TestExclusionWriteHeavy(t *testing.T) {
 	lockcheck.Exclusion(t, mk, 2, 4, 1500)
 }
 
-func TestTryExclusion(t *testing.T) {
-	lockcheck.TryExclusion(t, mk, 6, 1500)
-}
-
 func TestReadersConcurrent(t *testing.T) {
 	lockcheck.ReadersConcurrent(t, mk())
 }
@@ -34,23 +30,6 @@ func TestStrongReaderPreference(t *testing.T) {
 	// ... provides strong reader preference, and admits indefinite writer
 	// starvation". New readers must be admitted past a waiting writer.
 	lockcheck.WaitingWriterStarvedByReaders(t, mk())
-}
-
-func TestTryRLockDuringWrite(t *testing.T) {
-	l := New()
-	l.Lock()
-	if _, ok := l.TryRLock(); ok {
-		t.Fatal("TryRLock succeeded while writer held")
-	}
-	l.Unlock()
-	tok, ok := l.TryRLock()
-	if !ok {
-		t.Fatal("TryRLock failed on free lock")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock succeeded while reader held")
-	}
-	l.RUnlock(tok)
 }
 
 func TestWriterWakesAfterLastReader(t *testing.T) {

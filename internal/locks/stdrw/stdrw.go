@@ -18,8 +18,6 @@ type Lock struct {
 	mu sync.RWMutex
 }
 
-var _ rwl.TryRWLock = (*Lock)(nil)
-
 // RLock acquires read permission, spin-then-park: sync.RWMutex parks a
 // reader the instant it meets a writer, and on the Go runtime a parked
 // reader costs the writer a futex wake inside Unlock and itself a scheduling
@@ -45,11 +43,3 @@ func (l *Lock) Lock() { l.mu.Lock() }
 
 // Unlock releases write permission.
 func (l *Lock) Unlock() { l.mu.Unlock() }
-
-// TryRLock attempts to acquire read permission without blocking.
-func (l *Lock) TryRLock() (rwl.Token, bool) {
-	return 0, l.mu.TryRLock()
-}
-
-// TryLock attempts to acquire write permission without blocking.
-func (l *Lock) TryLock() bool { return l.mu.TryLock() }

@@ -13,10 +13,6 @@ func TestExclusion(t *testing.T) {
 	lockcheck.Exclusion(t, mk, 4, 2, 2000)
 }
 
-func TestTryExclusion(t *testing.T) {
-	lockcheck.TryExclusion(t, mk, 6, 1500)
-}
-
 func TestReadersConcurrent(t *testing.T) {
 	lockcheck.ReadersConcurrent(t, mk())
 }

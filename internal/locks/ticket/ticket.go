@@ -30,15 +30,6 @@ func (m *Mutex) Lock() {
 	}
 }
 
-// TryLock acquires the mutex only if it is free and nobody is queued.
-func (m *Mutex) TryLock() bool {
-	o := m.owner.Load()
-	if m.next.Load() != o {
-		return false
-	}
-	return m.next.CompareAndSwap(o, o+1)
-}
-
 // Unlock releases the mutex, serving the next queued ticket if any.
 func (m *Mutex) Unlock() {
 	m.owner.Add(1)

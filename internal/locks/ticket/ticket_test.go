@@ -28,21 +28,6 @@ func TestMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	var m Mutex
-	if !m.TryLock() {
-		t.Fatal("TryLock failed on a free lock")
-	}
-	if m.TryLock() {
-		t.Fatal("TryLock succeeded on a held lock")
-	}
-	m.Unlock()
-	if !m.TryLock() {
-		t.Fatal("TryLock failed after unlock")
-	}
-	m.Unlock()
-}
-
 func TestHasWaiters(t *testing.T) {
 	var m Mutex
 	m.Lock()

@@ -39,13 +39,3 @@ type RWLock interface {
 	// Unlock releases write permission.
 	Unlock()
 }
-
-// TryRWLock is implemented by locks that support non-blocking acquisition
-// attempts (§3 discusses BRAVO's try-lock treatment).
-type TryRWLock interface {
-	RWLock
-	// TryRLock attempts to acquire read permission without blocking.
-	TryRLock() (Token, bool)
-	// TryLock attempts to acquire write permission without blocking.
-	TryLock() bool
-}

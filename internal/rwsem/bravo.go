@@ -60,20 +60,6 @@ func (b *Bravo) DownRead(t *Task) {
 	b.eng.MaybeEnable()
 }
 
-// TryDownRead attempts a non-blocking read acquisition: fast path first,
-// then the underlying try-lock, which may set bias on success (§3).
-func (b *Bravo) TryDownRead(t *Task) bool {
-	if _, ok := b.eng.TryFastH(&t.r); ok {
-		return true
-	}
-	if !b.inner.TryDownRead(t.ID) {
-		return false
-	}
-	b.eng.SlowLockedH(&t.r)
-	b.eng.MaybeEnable()
-	return true
-}
-
 // UpRead releases read permission for t: fast-path acquisitions clear their
 // recorded slot, slow-path acquisitions release the underlying semaphore.
 // An unbalanced release detectable from the task's held-slot record panics.
@@ -89,16 +75,6 @@ func (b *Bravo) UpRead(t *Task) {
 func (b *Bravo) DownWrite(t *Task) {
 	b.inner.DownWrite(t.ID)
 	b.eng.RevokeIfEnabled()
-}
-
-// TryDownWrite attempts a non-blocking write acquisition; on success with
-// bias set, revocation must still be performed (§3).
-func (b *Bravo) TryDownWrite(t *Task) bool {
-	if !b.inner.TryDownWrite(t.ID) {
-		return false
-	}
-	b.eng.RevokeIfEnabled()
-	return true
 }
 
 // UpWrite releases write permission.

@@ -133,29 +133,6 @@ func TestBravoHeldOverflowDivertsToSlowPath(t *testing.T) {
 	}
 }
 
-func TestBravoTryOps(t *testing.T) {
-	b := newBravoPrivate()
-	task := NewTask()
-	if !b.TryDownRead(task) {
-		t.Fatal("TryDownRead failed on free semaphore")
-	}
-	if !b.Biased() {
-		t.Fatal("successful try-read should enable bias (§3)")
-	}
-	b.UpRead(task)
-	w := NewTask()
-	if !b.TryDownWrite(w) {
-		t.Fatal("TryDownWrite failed on free semaphore")
-	}
-	if b.Biased() {
-		t.Fatal("TryDownWrite did not revoke")
-	}
-	if b.TryDownRead(task) {
-		t.Fatal("TryDownRead succeeded under writer")
-	}
-	b.UpWrite(w)
-}
-
 func TestBravoStorm(t *testing.T) {
 	b := newBravoPrivate()
 	var state atomic.Int64

@@ -89,20 +89,6 @@ func (s *RWSem) DownRead(task uint64) {
 	s.downReadSlow(task)
 }
 
-// TryDownRead attempts a non-blocking read acquisition.
-func (s *RWSem) TryDownRead(task uint64) bool {
-	for {
-		c := s.count.Load()
-		if c&(writerLocked|hasWaiters) != 0 {
-			return false
-		}
-		if s.count.CompareAndSwap(c, c+readerBias) {
-			s.setReaderOwner(task)
-			return true
-		}
-	}
-}
-
 func (s *RWSem) downReadSlow(task uint64) {
 	// Optimistic phase: if the writer departs promptly (spin-on-owner), we
 	// keep our already-registered bias and avoid the queue.
@@ -160,15 +146,6 @@ func (s *RWSem) DownWrite(task uint64) {
 		return
 	}
 	s.downWriteSlow(task)
-}
-
-// TryDownWrite attempts a non-blocking write acquisition.
-func (s *RWSem) TryDownWrite(task uint64) bool {
-	if s.count.CompareAndSwap(0, writerLocked) {
-		s.owner.Store(task << ownerShift)
-		return true
-	}
-	return false
 }
 
 func (s *RWSem) downWriteSlow(task uint64) {

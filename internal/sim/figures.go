@@ -4,14 +4,14 @@ import (
 	"github.com/bravolock/bravo/internal/topo"
 )
 
-// Point is one (threads, throughput) sample; Value is operations per second
-// of virtual time unless a figure documents otherwise.
+// Point is one figure sample, simulated or native: X is a thread count (a
+// lock count in Figure 1), Value a simulated figure's ops/s of virtual time.
 type Point struct {
-	Threads int
-	Value   float64
+	X     int
+	Value float64
 }
 
-// Series maps a lock name to its curve.
+// Series maps a lock name (or configuration) to its curve.
 type Series map[string][]Point
 
 // UserSpaceThreadCounts is the paper's user-space X axis (§5, Figures 2–6).
@@ -101,7 +101,7 @@ func Figure1Interference(poolSizes []int) []Point {
 	for _, n := range poolSizes {
 		shared := interferenceRun(n, true, horizonNs)
 		private := interferenceRun(n, false, horizonNs)
-		out = append(out, Point{Threads: n, Value: shared / private})
+		out = append(out, Point{X: n, Value: shared / private})
 	}
 	return out
 }
@@ -166,7 +166,7 @@ func Figure2Alternator(threadCounts []int) Series {
 				t = m.Store(th.CPU, flags[(th.ID+1)%tc], t)
 				steps++
 			}
-			pts = append(pts, Point{Threads: tc, Value: float64(steps) / (horizonNs / 1e9)})
+			pts = append(pts, Point{X: tc, Value: float64(steps) / (horizonNs / 1e9)})
 		}
 		out[name] = pts
 	}
@@ -196,7 +196,7 @@ func Figure3TestRWLock(threadCounts []int) Series {
 				th.body = ll.body
 			}
 			ops := Run(threads, horizonNs)
-			pts = append(pts, Point{Threads: tc, Value: float64(ops) / (horizonNs / 1e9)})
+			pts = append(pts, Point{X: tc, Value: float64(ops) / (horizonNs / 1e9)})
 		}
 		out[name] = pts
 	}
@@ -226,7 +226,7 @@ func Figure4RWBench(threadCounts []int, writeProb float64) Series {
 				th.body = ll.body
 			}
 			ops := Run(threads, horizonNs)
-			pts = append(pts, Point{Threads: tc, Value: float64(ops) / (horizonNs / 1e9)})
+			pts = append(pts, Point{X: tc, Value: float64(ops) / (horizonNs / 1e9)})
 		}
 		out[name] = pts
 	}
@@ -273,7 +273,7 @@ func readMostlyServerFigure(threadCounts []int, writers int, readCS, writeCS flo
 			for _, th := range threads[:tc] {
 				readerOps += th.Ops
 			}
-			pts = append(pts, Point{Threads: tc, Value: float64(readerOps) / (horizonNs / 1e9)})
+			pts = append(pts, Point{X: tc, Value: float64(readerOps) / (horizonNs / 1e9)})
 		}
 		out[name] = pts
 	}
@@ -321,8 +321,8 @@ func Figure7Locktorture(threadCounts []int) (reads, writes Series) {
 			for _, th := range threads[:tc] {
 				readOps += th.Ops
 			}
-			rpts = append(rpts, Point{Threads: tc, Value: float64(readOps)})
-			wpts = append(wpts, Point{Threads: tc, Value: float64(w.Ops)})
+			rpts = append(rpts, Point{X: tc, Value: float64(readOps)})
+			wpts = append(wpts, Point{X: tc, Value: float64(w.Ops)})
 		}
 		reads[name] = rpts
 		writes[name] = wpts
@@ -357,7 +357,7 @@ func Figure8Locktorture(threadCounts []int, readCSNanos float64) Series {
 				th.body = ll.body
 			}
 			ops := Run(threads, interval)
-			pts = append(pts, Point{Threads: tc, Value: float64(ops) * scale})
+			pts = append(pts, Point{X: tc, Value: float64(ops) * scale})
 		}
 		out[name] = pts
 	}
@@ -437,7 +437,7 @@ func Figure9WillItScale(threadCounts []int, test string) Series {
 				}
 			}
 			ops := Run(threads, 50e6)
-			pts = append(pts, Point{Threads: tc, Value: float64(ops) / 0.05})
+			pts = append(pts, Point{X: tc, Value: float64(ops) / 0.05})
 		}
 		out[name] = pts
 	}

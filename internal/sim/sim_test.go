@@ -161,7 +161,7 @@ func TestFigure8LongCSBothScale(t *testing.T) {
 		ratio := bravo[i].Value / stock[i].Value
 		if ratio < 0.9 || ratio > 1.1 {
 			t.Fatalf("kernels diverge at %d threads: stock=%v bravo=%v",
-				stock[i].Threads, stock[i].Value, bravo[i].Value)
+				stock[i].X, stock[i].Value, bravo[i].Value)
 		}
 	}
 	if stock[2].Value < stock[1].Value*3 {
@@ -177,7 +177,7 @@ func TestFigure2ShapeBravoBeatsBA(t *testing.T) {
 	for i := 2; i < len(ba); i++ {
 		if bravo[i].Value < ba[i].Value*1.5 {
 			t.Fatalf("at %d threads BRAVO-BA=%v vs BA=%v: no wide margin",
-				ba[i].Threads, bravo[i].Value, ba[i].Value)
+				ba[i].X, bravo[i].Value, ba[i].Value)
 		}
 	}
 	// All locks drop sharply from 1 to 2 threads (coherent notification).
@@ -254,7 +254,7 @@ func TestFigure1InterferenceBounded(t *testing.T) {
 	check := func(pts []Point) {
 		for _, p := range pts {
 			if p.Value < 0.72 || p.Value > 1.15 {
-				t.Fatalf("interference ratio at %d locks = %v, want bounded near 1", p.Threads, p.Value)
+				t.Fatalf("interference ratio at %d locks = %v, want bounded near 1", p.X, p.Value)
 			}
 		}
 		if pts[0].Value < 0.95 {
@@ -267,7 +267,7 @@ func TestFigure1InterferenceBounded(t *testing.T) {
 	pts := make([]Point, len(pools))
 	for i, n := range pools {
 		h := horizonNs / 50
-		pts[i] = Point{Threads: n, Value: interferenceRun(n, true, h) / interferenceRun(n, false, h)}
+		pts[i] = Point{X: n, Value: interferenceRun(n, true, h) / interferenceRun(n, false, h)}
 	}
 	check(pts)
 	if fullSweeps() {
@@ -299,7 +299,7 @@ func TestFigure9Shape(t *testing.T) {
 	for i := range mm["stock"] {
 		ratio := mm["BRAVO"][i].Value / mm["stock"][i].Value
 		if ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("mmap1 kernels diverge at %d threads: %v", mm["stock"][i].Threads, ratio)
+			t.Fatalf("mmap1 kernels diverge at %d threads: %v", mm["stock"][i].X, ratio)
 		}
 	}
 }
