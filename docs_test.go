@@ -190,8 +190,8 @@ var lineCeilings = map[string]int{
 	"internal/hash":       78,
 	"internal/kvs":        3934,
 	"internal/kvserv":     1968,
-	"internal/lockcheck":  403,
-	"internal/locks":      868,
+	"internal/lockcheck":  401,
+	"internal/locks":      876,
 	"internal/metis":      331,
 	"internal/repl":       612,
 	"internal/rwl":        136,
@@ -201,9 +201,9 @@ var lineCeilings = map[string]int{
 	"internal/spin":       106,
 	"internal/topo":       69,
 	"internal/vm":         230,
-	"internal/wire":       1239,
-	"internal/xrand":      145,
-	"total":               16585,
+	"internal/wire":       975,
+	"internal/xrand":      119,
+	"total":               16301,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -226,7 +226,7 @@ func TestSummaryRandomizedIndexDegradesToFullMask(t *testing.T) {
 	tab := NewTable(DefaultTableSize)
 	e, st := engineOn(t, tab)
 	full := uint32(1<<summarySectors - 1)
-	rng := xrand.NewSplitMix64(1)
+	rng := xrand.NewXorShift64(1)
 	for i := 0; i < 4096 && summary(e) != full; i++ {
 		tok, ok := e.TryFast(rng.Next())
 		if !ok {

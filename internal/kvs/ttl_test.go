@@ -334,7 +334,7 @@ func TestShardedReapUnderConcurrentShrink(t *testing.T) {
 		rng := xrand.NewXorShift64(21)
 		for !stop.Load() {
 			k := rng.Intn(keys)
-			if rng.Bernoulli(2) {
+			if rng.Intn(2) == 0 {
 				s.Delete(k)
 			} else {
 				s.put(k, EncodeValue(k), clock.Nanos())

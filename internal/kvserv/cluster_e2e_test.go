@@ -270,21 +270,17 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 
 func TestClusterWireEndToEnd(t *testing.T) {
 	c, srv, _ := startClusterServer(t, 3, 1)
-	wc := wire.NewClient(addWireListener(t, srv), time.Second)
-	defer wc.Close()
+	wc := dialWire(t, addWireListener(t, srv))
 
 	// Single put: one (global shard, lsn, epoch) triple.
-	lsns, err := wc.Put(42, []byte("hello"), 0, false)
-	if err != nil {
-		t.Fatal(err)
+	r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 42, Value: []byte("hello")})
+	if r.Status != wire.StatusOK || len(r.LSNs) != 1 || r.LSNs[0].LSN == 0 || r.LSNs[0].Epoch != 1 {
+		t.Fatalf("cluster wire PUT tokens = %v, status %v, want one epoch-1 triple", r.LSNs, r.Status)
 	}
-	if len(lsns) != 1 || lsns[0].LSN == 0 || lsns[0].Epoch != 1 {
-		t.Fatalf("cluster wire PUT tokens = %v, want one epoch-1 triple", lsns)
-	}
-	tok := lsns[0]
-	v, ok, err := wc.GetWithToken(42, tok.LSN, tok.Epoch)
-	if err != nil || !ok || string(v) != "hello" {
-		t.Fatalf("GetWithToken = %q, %v, %v", v, ok, err)
+	tok := r.LSNs[0]
+	getTok := wire.Request{Op: wire.OpGet, Key: 42, MinLSN: tok.LSN, Epoch: tok.Epoch}
+	if r := wireDo(t, wc, getTok); r.Status != wire.StatusOK || string(r.Value) != "hello" {
+		t.Fatalf("GET with token = %q, status %v", r.Value, r.Status)
 	}
 
 	// Batch ops fan out per partition; the epoch list survives the wire.
@@ -294,15 +290,12 @@ func TestClusterWireEndToEnd(t *testing.T) {
 		keys[i] = uint64(i)
 		vals[i] = []byte(fmt.Sprintf("b%d", i))
 	}
-	toks, err := wc.MPut(keys, vals, 0)
-	if err != nil {
-		t.Fatal(err)
+	r = wireDo(t, wc, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals})
+	if r.Status != wire.StatusOK || len(r.LSNs) == 0 {
+		t.Fatalf("cluster wire MPUT returned tokens %v, status %v", r.LSNs, r.Status)
 	}
-	if len(toks) == 0 {
-		t.Fatal("cluster wire MPUT returned no tokens")
-	}
-	minLSN := toks[0].LSN
-	for _, l := range toks {
+	minLSN := r.LSNs[0].LSN
+	for _, l := range r.LSNs {
 		if l.Epoch != 1 {
 			t.Fatalf("MPUT token epoch = %d, want 1", l.Epoch)
 		}
@@ -310,61 +303,49 @@ func TestClusterWireEndToEnd(t *testing.T) {
 			minLSN = l.LSN
 		}
 	}
-	got, err := wc.MGetWithToken(keys, minLSN, 1)
-	if err != nil {
-		t.Fatal(err)
+	r = wireDo(t, wc, wire.Request{Op: wire.OpMGet, Keys: keys, MinLSN: minLSN, Epoch: 1})
+	if r.Status != wire.StatusOK || len(r.Values) != len(keys) {
+		t.Fatalf("MGET with token: %d values, status %v", len(r.Values), r.Status)
 	}
 	for i := range keys {
-		if string(got[i]) != string(vals[i]) {
-			t.Fatalf("MGET[%d] = %q, want %q", i, got[i], vals[i])
+		if string(r.Values[i]) != string(vals[i]) {
+			t.Fatalf("MGET[%d] = %q, want %q", i, r.Values[i], vals[i])
 		}
 	}
 
 	// Delete answers a token triple; a second delete is a clean miss.
-	toksD, ok2, err := wc.Delete(5)
-	if err != nil || !ok2 || len(toksD) != 1 || toksD[0].Epoch != 1 {
-		t.Fatalf("Delete(5) = %v, %v, %v", toksD, ok2, err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpDelete, Key: 5}); r.Status != wire.StatusOK || len(r.LSNs) != 1 || r.LSNs[0].Epoch != 1 {
+		t.Fatalf("DELETE 5 = %v, status %v", r.LSNs, r.Status)
 	}
-	if _, ok2, err = wc.Delete(5); err != nil || ok2 {
-		t.Fatalf("second Delete(5) = %v, %v; want a miss", ok2, err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpDelete, Key: 5}); r.Status != wire.StatusNotFound {
+		t.Fatalf("second DELETE 5: status %v, want a miss", r.Status)
 	}
-	removed, _, err := wc.MDelete(keys[10:14])
-	if err != nil || removed != 4 {
-		t.Fatalf("MDelete = %d, %v; want 4 removed", removed, err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpMDelete, Keys: keys[10:14]}); r.Status != wire.StatusOK || r.Applied != 4 {
+		t.Fatalf("MDELETE = %d, status %v; want 4 removed", r.Applied, r.Status)
 	}
 
 	// Async put has no token until Flush applies it.
-	lsnsA, err := wc.Put(80, []byte("queued"), 0, true)
-	if err != nil || len(lsnsA) != 0 {
-		t.Fatalf("async Put = %v, %v; want no tokens yet", lsnsA, err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 80, Value: []byte("queued"), Async: true}); r.Status != wire.StatusOK || len(r.LSNs) != 0 {
+		t.Fatalf("async PUT = %v, status %v; want no tokens yet", r.LSNs, r.Status)
 	}
-	applied, err := wc.Flush()
-	if err != nil || applied < 1 {
-		t.Fatalf("Flush = %d, %v", applied, err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpFlush}); r.Status != wire.StatusOK || r.Applied < 1 {
+		t.Fatalf("FLUSH = %d, status %v", r.Applied, r.Status)
 	}
-	if v, ok, err := wc.Get(80, 0); err != nil || !ok || string(v) != "queued" {
-		t.Fatalf("Get after flush = %q, %v, %v", v, ok, err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpGet, Key: 80}); r.Status != wire.StatusOK || string(r.Value) != "queued" {
+		t.Fatalf("GET after flush = %q, status %v", r.Value, r.Status)
 	}
 	// ttl and async stay exclusive through the cluster branch too.
-	if _, err := wc.Put(81, []byte("x"), time.Hour, true); err == nil {
-		t.Fatal("async+ttl Put accepted")
-	} else if se, okErr := err.(*wire.StatusError); !okErr || se.Status != wire.StatusBadRequest {
-		t.Fatalf("async+ttl Put error = %v, want StatusBadRequest", err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 81, Value: []byte("x"), TTL: time.Hour, Async: true}); r.Status != wire.StatusBadRequest {
+		t.Fatalf("async+ttl PUT: status %v, want StatusBadRequest", r.Status)
 	}
 	// A future-epoch token is malformed on the wire as well.
-	if _, _, err := wc.GetWithToken(42, 1, 99); err == nil {
-		t.Fatal("future-epoch token accepted")
-	} else if se, okErr := err.(*wire.StatusError); !okErr || se.Status != wire.StatusBadRequest {
-		t.Fatalf("future-epoch token error = %v, want StatusBadRequest", err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpGet, Key: 42, MinLSN: 1, Epoch: 99}); r.Status != wire.StatusBadRequest {
+		t.Fatalf("future-epoch token: status %v, want StatusBadRequest", r.Status)
 	}
 
 	// Stats over the wire carries the cluster document.
-	doc, err := wc.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(doc), `"cluster"`) {
-		t.Fatalf("wire stats missing cluster section: %s", doc)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpStats}); !strings.Contains(string(r.Stats), `"cluster"`) {
+		t.Fatalf("wire stats missing cluster section: status %v, %s", r.Status, r.Stats)
 	}
 
 	// Failover: new writes carry epoch 2; the epoch-1 token is still
@@ -376,23 +357,16 @@ func TestClusterWireEndToEnd(t *testing.T) {
 	if _, err := c.Failover(pi); err != nil {
 		t.Fatal(err)
 	}
-	lsns2, err := wc.Put(42, []byte("hello2"), 0, false)
-	if err != nil {
-		t.Fatal(err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 42, Value: []byte("hello2")}); r.Status != wire.StatusOK || len(r.LSNs) != 1 || r.LSNs[0].Epoch != 2 {
+		t.Fatalf("post-failover PUT tokens = %v, status %v, want epoch 2", r.LSNs, r.Status)
 	}
-	if len(lsns2) != 1 || lsns2[0].Epoch != 2 {
-		t.Fatalf("post-failover PUT tokens = %v, want epoch 2", lsns2)
-	}
-	v, ok, err = wc.GetWithToken(42, tok.LSN, tok.Epoch)
-	if err != nil || !ok || string(v) != "hello2" {
-		t.Fatalf("stale-epoch GetWithToken = %q, %v, %v", v, ok, err)
+	if r := wireDo(t, wc, getTok); r.Status != wire.StatusOK || string(r.Value) != "hello2" {
+		t.Fatalf("stale-epoch GET with token = %q, status %v", r.Value, r.Status)
 	}
 
 	// A fenced primary still in the routing table: StatusUnavailable.
 	c.Member(pi).Fence()
-	if _, err := wc.Put(42, []byte("stale"), 0, false); err == nil {
-		t.Fatal("fenced wire PUT succeeded")
-	} else if se, okErr := err.(*wire.StatusError); !okErr || se.Status != wire.StatusUnavailable {
-		t.Fatalf("fenced wire PUT error = %v, want StatusUnavailable", err)
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 42, Value: []byte("stale")}); r.Status != wire.StatusUnavailable {
+		t.Fatalf("fenced wire PUT: status %v, want StatusUnavailable", r.Status)
 	}
 }

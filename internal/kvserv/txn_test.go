@@ -243,64 +243,59 @@ func TestClusterCasTxnEndpoints(t *testing.T) {
 
 func TestWireCasTxn(t *testing.T) {
 	addr, engine, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
+	c := dialWire(t, addr)
 
-	swapped, _, err := cl.Cas(1, nil, []byte("v1"))
-	if err != nil || !swapped {
-		t.Fatalf("Cas install = %v/%v", swapped, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpCas, Key: 1, New: []byte("v1")}); r.Status != wire.StatusOK || !r.Swapped {
+		t.Fatalf("CAS install = %v, status %v", r.Swapped, r.Status)
 	}
-	swapped, _, err = cl.Cas(1, []byte("stale"), []byte("v2"))
-	if err != nil || swapped {
-		t.Fatalf("stale Cas = %v/%v, want false", swapped, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpCas, Key: 1, Old: []byte("stale"), New: []byte("v2")}); r.Status != wire.StatusOK || r.Swapped {
+		t.Fatalf("stale CAS = %v, status %v, want false", r.Swapped, r.Status)
 	}
 
-	committed, _, _, err := cl.Txn(
-		[]wire.TxnCond{{Key: 1, Value: []byte("v1")}, {Key: 2}},
-		[]wire.TxnOp{
+	r := wireDo(t, c, wire.Request{Op: wire.OpTxn,
+		Conds: []wire.TxnCond{{Key: 1, Value: []byte("v1")}, {Key: 2}},
+		TxnOps: []wire.TxnOp{
 			{Key: 2, Value: []byte("first")},
 			{Key: 3, Del: true},
 			{Key: 2, Value: []byte("last")},
-		})
-	if err != nil || !committed {
-		t.Fatalf("Txn commit = %v/%v", committed, err)
+		}})
+	if r.Status != wire.StatusOK || !r.Committed {
+		t.Fatalf("TXN commit = %v, status %v", r.Committed, r.Status)
 	}
 	if v, _ := engine.Get(2); string(v) != "last" {
 		t.Fatalf("wire txn dup-key order broken: %q", v)
 	}
 
-	committed, mismatch, _, err := cl.Txn(
-		[]wire.TxnCond{{Key: 1, Value: []byte("wrong")}},
-		[]wire.TxnOp{{Key: 4, Value: []byte("x")}})
-	if err != nil || committed || mismatch != 1 {
-		t.Fatalf("Txn mismatch = %v/%d/%v, want false/1/nil", committed, mismatch, err)
+	r = wireDo(t, c, wire.Request{Op: wire.OpTxn,
+		Conds:  []wire.TxnCond{{Key: 1, Value: []byte("wrong")}},
+		TxnOps: []wire.TxnOp{{Key: 4, Value: []byte("x")}}})
+	if r.Status != wire.StatusOK || r.Committed || r.Mismatch != 1 {
+		t.Fatalf("TXN mismatch = %v/%d, status %v, want false/1/OK", r.Committed, r.Mismatch, r.Status)
 	}
 	if _, ok := engine.Get(4); ok {
 		t.Fatal("aborted wire txn leaked a write")
 	}
 
-	// Over-budget batches surface as a StatusBadRequest error.
+	// Over-budget batches answer StatusBadRequest.
 	var bigOps []wire.TxnOp
 	for k := uint64(0); k < kvs.MaxTxnKeys+1; k++ {
 		bigOps = append(bigOps, wire.TxnOp{Key: k * 131, Value: []byte("x")})
 	}
-	if _, _, _, err := cl.Txn(nil, bigOps); err == nil {
-		t.Fatal("over-budget wire txn succeeded")
+	if r := wireDo(t, c, wire.Request{Op: wire.OpTxn, TxnOps: bigOps}); r.Status != wire.StatusBadRequest {
+		t.Fatalf("over-budget wire txn: status %v, want StatusBadRequest", r.Status)
 	}
 }
 
 func TestClusterWireCasTxn(t *testing.T) {
 	c, srv, _ := startClusterServer(t, 2, 0)
-	addr := addWireListener(t, srv)
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
+	wc := dialWire(t, addWireListener(t, srv))
 
-	swapped, lsns, err := cl.Cas(5, nil, []byte("v1"))
-	if err != nil || !swapped {
-		t.Fatalf("cluster wire Cas = %v/%v", swapped, err)
+	r := wireDo(t, wc, wire.Request{Op: wire.OpCas, Key: 5, New: []byte("v1")})
+	if r.Status != wire.StatusOK || !r.Swapped {
+		t.Fatalf("cluster wire CAS = %v, status %v", r.Swapped, r.Status)
 	}
-	if len(lsns) != 1 || lsns[0].Epoch == 0 {
-		t.Fatalf("cluster wire Cas token not an epoch triple: %+v", lsns)
+	if len(r.LSNs) != 1 || r.LSNs[0].Epoch == 0 {
+		t.Fatalf("cluster wire CAS token not an epoch triple: %+v", r.LSNs)
 	}
 
 	var same uint64
@@ -310,14 +305,14 @@ func TestClusterWireCasTxn(t *testing.T) {
 			break
 		}
 	}
-	committed, _, lsns, err := cl.Txn(
-		[]wire.TxnCond{{Key: 5, Value: []byte("v1")}},
-		[]wire.TxnOp{{Key: same, Value: []byte("x")}})
-	if err != nil || !committed {
-		t.Fatalf("cluster wire Txn = %v/%v", committed, err)
+	r = wireDo(t, wc, wire.Request{Op: wire.OpTxn,
+		Conds:  []wire.TxnCond{{Key: 5, Value: []byte("v1")}},
+		TxnOps: []wire.TxnOp{{Key: same, Value: []byte("x")}}})
+	if r.Status != wire.StatusOK || !r.Committed {
+		t.Fatalf("cluster wire TXN = %v, status %v", r.Committed, r.Status)
 	}
-	if len(lsns) == 0 {
-		t.Fatal("cluster wire Txn carried no tokens")
+	if len(r.LSNs) == 0 {
+		t.Fatal("cluster wire TXN carried no tokens")
 	}
 
 	var other uint64
@@ -327,10 +322,10 @@ func TestClusterWireCasTxn(t *testing.T) {
 			break
 		}
 	}
-	if _, _, _, err := cl.Txn(nil, []wire.TxnOp{
+	if r := wireDo(t, wc, wire.Request{Op: wire.OpTxn, TxnOps: []wire.TxnOp{
 		{Key: 5, Value: []byte("x")},
 		{Key: other, Value: []byte("y")},
-	}); err == nil {
-		t.Fatal("cross-partition wire txn succeeded")
+	}}); r.Status != wire.StatusBadRequest {
+		t.Fatalf("cross-partition wire txn: status %v, want StatusBadRequest", r.Status)
 	}
 }

@@ -63,43 +63,32 @@ func TestWireE2EFollowerMinLSN(t *testing.T) {
 	t.Cleanup(func() { followerSrv.Close() })
 	followerWire := addWireListener(t, followerSrv)
 
-	pc := wire.NewClient(primaryWire, time.Second)
-	defer pc.Close()
-	fc := wire.NewClient(followerWire, time.Second)
-	defer fc.Close()
+	pc := dialWire(t, primaryWire)
+	fc := dialWire(t, followerWire)
 
 	// Write on the primary: the response carries the shard's commit LSN.
-	lsns, err := pc.Put(42, []byte("hello"), 0, false)
-	if err != nil {
-		t.Fatal(err)
+	r := wireDo(t, pc, wire.Request{Op: wire.OpPut, Key: 42, Value: []byte("hello")})
+	if r.Status != wire.StatusOK || len(r.LSNs) != 1 || r.LSNs[0].LSN == 0 {
+		t.Fatalf("durable wire PUT returned LSNs %v, status %v, want one nonzero token", r.LSNs, r.Status)
 	}
-	if len(lsns) != 1 || lsns[0].LSN == 0 {
-		t.Fatalf("durable wire PUT returned LSNs %v, want one nonzero token", lsns)
-	}
-	token := lsns[0].LSN
+	token := r.LSNs[0].LSN
 
 	// Read-your-writes on the follower, token-gated: the follower waits for
 	// replication to cover the token, then serves the value.
-	v, ok, err := fc.Get(42, token)
-	if err != nil || !ok || string(v) != "hello" {
-		t.Fatalf("follower wire Get(min_lsn=%d) = %q, %v, %v", token, v, ok, err)
+	if r := wireDo(t, fc, wire.Request{Op: wire.OpGet, Key: 42, MinLSN: token}); r.Status != wire.StatusOK || string(r.Value) != "hello" {
+		t.Fatalf("follower wire GET(min_lsn=%d) = %q, status %v", token, r.Value, r.Status)
 	}
 	// A token from the future conflicts after the bounded wait. Use a
 	// short-wait connection so the test does not sit out the full window.
 	shortSrv := NewFollower(f, Config{ReapInterval: -1, MinLSNWait: 50 * time.Millisecond})
 	t.Cleanup(func() { shortSrv.Close() })
-	sc := wire.NewClient(addWireListener(t, shortSrv), time.Second)
-	defer sc.Close()
-	if _, _, err := sc.Get(42, token+1_000_000); err == nil {
-		t.Fatal("future token served instead of conflicting")
-	} else if se, okErr := err.(*wire.StatusError); !okErr || se.Status != wire.StatusConflict {
-		t.Fatalf("future token error = %v, want StatusConflict", err)
+	sc := dialWire(t, addWireListener(t, shortSrv))
+	if r := wireDo(t, sc, wire.Request{Op: wire.OpGet, Key: 42, MinLSN: token + 1_000_000}); r.Status != wire.StatusConflict {
+		t.Fatalf("future token: status %v, want StatusConflict", r.Status)
 	}
 	// Writes on the follower's wire port are refused read-only.
-	if _, err := fc.Put(7, []byte("nope"), 0, false); err == nil {
-		t.Fatal("follower accepted a wire write")
-	} else if se, okErr := err.(*wire.StatusError); !okErr || se.Status != wire.StatusReadOnly {
-		t.Fatalf("follower write error = %v, want StatusReadOnly", err)
+	if r := wireDo(t, fc, wire.Request{Op: wire.OpPut, Key: 7, Value: []byte("nope")}); r.Status != wire.StatusReadOnly {
+		t.Fatalf("follower write: status %v, want StatusReadOnly", r.Status)
 	}
 	// The batched path honors tokens too. A single min_lsn gates every
 	// shard an MGET touches, so the read-your-writes pattern is per-shard:
@@ -111,13 +100,14 @@ func TestWireE2EFollowerMinLSN(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	mlsns, err := pc.MPut(keys, [][]byte{{0xA}, {0xB}, {0xC}}, 0)
-	if err != nil || len(mlsns) != 1 {
-		t.Fatalf("same-shard wire MPut: %v, lsns %v (want exactly one shard token)", err, mlsns)
+	r = wireDo(t, pc, wire.Request{Op: wire.OpMPut, Keys: keys, Values: [][]byte{{0xA}, {0xB}, {0xC}}})
+	if r.Status != wire.StatusOK || len(r.LSNs) != 1 {
+		t.Fatalf("same-shard wire MPUT: status %v, lsns %v (want exactly one shard token)", r.Status, r.LSNs)
 	}
-	vals, err := fc.MGet(keys, mlsns[0].LSN)
-	if err != nil || len(vals) != 3 || vals[0] == nil || vals[0][0] != 0xA || vals[2] == nil || vals[2][0] != 0xC {
-		t.Fatalf("follower wire MGet(min_lsn=%d) = %v, %v", mlsns[0].LSN, vals, err)
+	mlsn := r.LSNs[0].LSN
+	r = wireDo(t, fc, wire.Request{Op: wire.OpMGet, Keys: keys, MinLSN: mlsn})
+	if vals := r.Values; r.Status != wire.StatusOK || len(vals) != 3 || vals[0] == nil || vals[0][0] != 0xA || vals[2] == nil || vals[2][0] != 0xC {
+		t.Fatalf("follower wire MGET(min_lsn=%d) = %v, status %v", mlsn, r.Values, r.Status)
 	}
 }
 

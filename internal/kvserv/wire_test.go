@@ -47,78 +47,97 @@ func startWireServer(t *testing.T, engine *kvs.Sharded, cfg Config) (string, *kv
 	return l.Addr().String(), engine, srv
 }
 
+// dialWire connects to a wire listener; the connection closes with the
+// test.
+func dialWire(t *testing.T, addr string) *wire.Conn {
+	t.Helper()
+	c, err := wire.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// wireDo runs req on c and fails the test on a transport error; the
+// response's Status is the caller's to check.
+func wireDo(t *testing.T, c *wire.Conn, req wire.Request) wire.Response {
+	t.Helper()
+	resp, err := c.Do(&req)
+	if err != nil {
+		t.Fatalf("wire %s: %v", req.Op, err)
+	}
+	return resp
+}
+
 func TestWireCRUD(t *testing.T) {
 	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
+	c := dialWire(t, addr)
 
-	if _, ok, err := cl.Get(1, 0); err != nil || ok {
-		t.Fatalf("get before put: ok=%v err=%v", ok, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 1}); r.Status != wire.StatusNotFound {
+		t.Fatalf("get before put: status %v", r.Status)
 	}
-	if _, err := cl.Put(1, []byte("hello"), 0, false); err != nil {
-		t.Fatalf("put: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 1, Value: []byte("hello")}); r.Status != wire.StatusOK {
+		t.Fatalf("put: status %v", r.Status)
 	}
-	v, ok, err := cl.Get(1, 0)
-	if err != nil || !ok || !bytes.Equal(v, []byte("hello")) {
-		t.Fatalf("get: %q, %v, %v", v, ok, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 1}); r.Status != wire.StatusOK || !bytes.Equal(r.Value, []byte("hello")) {
+		t.Fatalf("get: %q, status %v", r.Value, r.Status)
 	}
-	if _, removed, err := cl.Delete(1); err != nil || !removed {
-		t.Fatalf("delete: removed=%v err=%v", removed, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpDelete, Key: 1}); r.Status != wire.StatusOK {
+		t.Fatalf("delete: status %v", r.Status)
 	}
-	if _, removed, err := cl.Delete(1); err != nil || removed {
-		t.Fatalf("delete miss: removed=%v err=%v", removed, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpDelete, Key: 1}); r.Status != wire.StatusNotFound {
+		t.Fatalf("delete miss: status %v", r.Status)
 	}
 
 	// TTL attaches an expiry the read path honors.
-	if _, err := cl.Put(2, []byte("fleeting"), 10*time.Millisecond, false); err != nil {
-		t.Fatalf("put ttl: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 2, Value: []byte("fleeting"), TTL: 10 * time.Millisecond}); r.Status != wire.StatusOK {
+		t.Fatalf("put ttl: status %v", r.Status)
 	}
-	if _, ok, _ := cl.Get(2, 0); !ok {
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 2}); r.Status != wire.StatusOK {
 		t.Fatal("ttl value missing before expiry")
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, ok, _ := cl.Get(2, 0); ok {
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 2}); r.Status != wire.StatusNotFound {
 		t.Fatal("ttl value visible after expiry")
 	}
 
 	// Async enqueues; Flush applies.
-	if _, err := cl.Put(3, []byte("queued"), 0, true); err != nil {
-		t.Fatalf("put async: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 3, Value: []byte("queued"), Async: true}); r.Status != wire.StatusOK {
+		t.Fatalf("put async: status %v", r.Status)
 	}
-	if n, err := cl.Flush(); err != nil || n < 1 {
-		t.Fatalf("flush: %d, %v", n, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpFlush}); r.Status != wire.StatusOK || r.Applied < 1 {
+		t.Fatalf("flush: %d, status %v", r.Applied, r.Status)
 	}
-	if v, ok, _ := cl.Get(3, 0); !ok || !bytes.Equal(v, []byte("queued")) {
-		t.Fatalf("async value after flush: %q, %v", v, ok)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 3}); !bytes.Equal(r.Value, []byte("queued")) {
+		t.Fatalf("async value after flush: %q, status %v", r.Value, r.Status)
 	}
 
 	// Batches.
 	keys := []uint64{10, 11, 12}
 	vals := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	if _, err := cl.MPut(keys, vals, 0); err != nil {
-		t.Fatalf("mput: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals}); r.Status != wire.StatusOK {
+		t.Fatalf("mput: status %v", r.Status)
 	}
-	got, err := cl.MGet([]uint64{10, 11, 12, 99}, 0)
-	if err != nil || len(got) != 4 {
-		t.Fatalf("mget: %v, %v", got, err)
+	r := wireDo(t, c, wire.Request{Op: wire.OpMGet, Keys: []uint64{10, 11, 12, 99}})
+	if r.Status != wire.StatusOK || len(r.Values) != 4 {
+		t.Fatalf("mget: %v, status %v", r.Values, r.Status)
 	}
 	for i := range keys {
-		if !bytes.Equal(got[i], vals[i]) {
-			t.Fatalf("mget[%d] = %q, want %q", i, got[i], vals[i])
+		if !bytes.Equal(r.Values[i], vals[i]) {
+			t.Fatalf("mget[%d] = %q, want %q", i, r.Values[i], vals[i])
 		}
 	}
-	if got[3] != nil {
-		t.Fatalf("mget absent key = %q, want nil", got[3])
+	if r.Values[3] != nil {
+		t.Fatalf("mget absent key = %q, want nil", r.Values[3])
 	}
-	removed, _, err := cl.MDelete([]uint64{10, 11, 99})
-	if err != nil || removed != 2 {
-		t.Fatalf("mdelete: %d, %v", removed, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpMDelete, Keys: []uint64{10, 11, 99}}); r.Status != wire.StatusOK || r.Applied != 2 {
+		t.Fatalf("mdelete: %d, status %v", r.Applied, r.Status)
 	}
 
 	// Stats over the wire is the /stats document.
-	stats, err := cl.Stats()
-	if err != nil || !bytes.Contains(stats, []byte(`"num_shards":8`)) {
-		t.Fatalf("stats: %v, %.120s", err, stats)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpStats}); !bytes.Contains(r.Stats, []byte(`"num_shards":8`)) {
+		t.Fatalf("stats: status %v, %.120s", r.Status, r.Stats)
 	}
 }
 
@@ -128,8 +147,7 @@ func TestWireCRUD(t *testing.T) {
 // — not N. Asserted on the engine's own counters, not timing.
 func TestWireBatchOneLockPerShardGroup(t *testing.T) {
 	addr, engine, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
+	c := dialWire(t, addr)
 
 	const n = 64
 	keys := make([]uint64, n)
@@ -146,8 +164,8 @@ func TestWireBatchOneLockPerShardGroup(t *testing.T) {
 	}
 
 	before := engine.Stats().Total()
-	if _, err := cl.MPut(keys, vals, 0); err != nil {
-		t.Fatalf("mput: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals}); r.Status != wire.StatusOK {
+		t.Fatalf("mput: status %v", r.Status)
 	}
 	after := engine.Stats().Total()
 
@@ -160,8 +178,8 @@ func TestWireBatchOneLockPerShardGroup(t *testing.T) {
 
 	// Same contract on the delete batch.
 	before = after
-	if _, _, err := cl.MDelete(keys); err != nil {
-		t.Fatalf("mdelete: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpMDelete, Keys: keys}); r.Status != wire.StatusOK {
+		t.Fatalf("mdelete: status %v", r.Status)
 	}
 	after = engine.Stats().Total()
 	if got := after.WriteBatches - before.WriteBatches; got != uint64(s) {
@@ -171,8 +189,8 @@ func TestWireBatchOneLockPerShardGroup(t *testing.T) {
 	// And the read side: one shard-group batch per shard, not N gets
 	// (MultiGetBatches counts per shard group).
 	before = after
-	if _, err := cl.MGet(keys, 0); err != nil {
-		t.Fatalf("mget: %v", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpMGet, Keys: keys}); r.Status != wire.StatusOK {
+		t.Fatalf("mget: status %v", r.Status)
 	}
 	after = engine.Stats().Total()
 	if got := after.MultiGetBatches - before.MultiGetBatches; got != uint64(s) {
@@ -193,22 +211,20 @@ func TestWireMinLSNPrimary(t *testing.T) {
 	}
 	t.Cleanup(func() { engine.Close() })
 	addr, _, _ := startWireServer(t, engine, Config{ReapInterval: -1, MinLSNWait: 50 * time.Millisecond})
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
+	c := dialWire(t, addr)
 
-	lsns, err := cl.Put(7, []byte("x"), 0, false)
-	if err != nil || len(lsns) != 1 {
-		t.Fatalf("put: lsns=%v err=%v", lsns, err)
+	r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 7, Value: []byte("x")})
+	if r.Status != wire.StatusOK || len(r.LSNs) != 1 {
+		t.Fatalf("put: lsns=%v status %v", r.LSNs, r.Status)
 	}
+	lsn := r.LSNs[0].LSN
 	// The token the write handed out covers the read.
-	if _, ok, err := cl.Get(7, lsns[0].LSN); err != nil || !ok {
-		t.Fatalf("get with own token: ok=%v err=%v", ok, err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 7, MinLSN: lsn}); r.Status != wire.StatusOK {
+		t.Fatalf("get with own token: status %v", r.Status)
 	}
 	// A token this primary never issued is a conflict, not a wait.
-	_, _, err = cl.Get(7, lsns[0].LSN+1000)
-	se, isStatus := err.(*wire.StatusError)
-	if !isStatus || se.Status != wire.StatusConflict {
-		t.Fatalf("get with future token: %v, want StatusConflict", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 7, MinLSN: lsn + 1000}); r.Status != wire.StatusConflict {
+		t.Fatalf("get with future token: status %v, want StatusConflict", r.Status)
 	}
 }
 
@@ -216,12 +232,9 @@ func TestWireMinLSNPrimary(t *testing.T) {
 // bug and answer BadRequest, as on HTTP.
 func TestWireMinLSNVolatile(t *testing.T) {
 	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
-	_, _, err := cl.Get(1, 5)
-	se, ok := err.(*wire.StatusError)
-	if !ok || se.Status != wire.StatusBadRequest {
-		t.Fatalf("min_lsn on volatile: %v, want StatusBadRequest", err)
+	c := dialWire(t, addr)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 1, MinLSN: 5}); r.Status != wire.StatusBadRequest {
+		t.Fatalf("min_lsn on volatile: status %v, want StatusBadRequest", r.Status)
 	}
 }
 
@@ -229,28 +242,17 @@ func TestWireMinLSNVolatile(t *testing.T) {
 // HTTP's 413.
 func TestWireValueCaps(t *testing.T) {
 	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	cl := wire.NewClient(addr, time.Second)
-	defer cl.Close()
+	c := dialWire(t, addr)
 	big := make([]byte, MaxValueBytes+1)
-	_, err := cl.Put(1, big, 0, false)
-	se, ok := err.(*wire.StatusError)
-	if !ok || se.Status != wire.StatusTooLarge {
-		t.Fatalf("oversize put: %v, want StatusTooLarge", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 1, Value: big}); r.Status != wire.StatusTooLarge {
+		t.Fatalf("oversize put: status %v, want StatusTooLarge", r.Status)
 	}
-	_, err = cl.MPut([]uint64{1}, [][]byte{big}, 0)
-	se, ok = err.(*wire.StatusError)
-	if !ok || se.Status != wire.StatusTooLarge {
-		t.Fatalf("oversize mput entry: %v, want StatusTooLarge", err)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: []uint64{1}, Values: [][]byte{big}}); r.Status != wire.StatusTooLarge {
+		t.Fatalf("oversize mput entry: status %v, want StatusTooLarge", r.Status)
 	}
 	// ttl+async is the one semantic exclusion.
-	conn, err := cl.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := conn.Do(&wire.Request{Op: wire.OpPut, Key: 1, Value: []byte("x"), TTL: time.Second, Async: true})
-	cl.Release(conn)
-	if err != nil || resp.Status != wire.StatusBadRequest {
-		t.Fatalf("ttl+async: %v status %v, want StatusBadRequest", err, resp.Status)
+	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 1, Value: []byte("x"), TTL: time.Second, Async: true}); r.Status != wire.StatusBadRequest {
+		t.Fatalf("ttl+async: status %v, want StatusBadRequest", r.Status)
 	}
 }
 

@@ -297,7 +297,7 @@ func WaitingWriterStarvedByReaders(t *testing.T, l rwl.RWLock) {
 		<-wRelease
 		l.Unlock()
 	}()
-	waitWriterWaiting(t, 100*time.Millisecond)
+	waitWriterVisible(t, l)
 	go func() {
 		tok := l.RLock()
 		r2Got.Store(true)
@@ -312,22 +312,20 @@ func WaitingWriterStarvedByReaders(t *testing.T, l rwl.RWLock) {
 	close(wRelease)
 }
 
-// waitWriterVisible waits until the lock reports a writer present, via the
-// WriterPresent diagnostic when available, otherwise a grace sleep.
+// waitWriterVisible waits until the lock shows the probe's writer queued
+// behind the probe's one read lock: through a WriterPresent diagnostic, or
+// through a ticket count (Queued() >= 2 is the held read ticket plus the
+// writer's). A lock that offers neither fails the probe: a grace period
+// would only guess that the writer had arrived.
 func waitWriterVisible(t *testing.T, l rwl.RWLock) {
 	t.Helper()
-	if wp, ok := l.(interface{ WriterPresent() bool }); ok {
-		Eventually(t, wp.WriterPresent, "writer never became visible")
-		return
-	}
-	waitWriterWaiting(t, 100*time.Millisecond)
-}
-
-func waitWriterWaiting(t *testing.T, d time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
+	switch d := l.(type) {
+	case interface{ WriterPresent() bool }:
+		Eventually(t, d.WriterPresent, "writer never became visible")
+	case interface{ Queued() uint32 }:
+		Eventually(t, func() bool { return d.Queued() >= 2 }, "writer never took a ticket")
+	default:
+		t.Fatalf("%T offers neither WriterPresent nor Queued: a queued writer cannot be observed", l)
 	}
 }
 

@@ -79,3 +79,11 @@ func (l *Lock) Unlock() {
 	}
 	l.mu.Unlock()
 }
+
+// WriterPresent reports whether a writer holds the lock or waits for it.
+// Diagnostic only.
+func (l *Lock) WriterPresent() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.writer || l.wwait > 0
+}

@@ -201,267 +201,3 @@ func (c *Conn) Do(req *Request) (Response, error) {
 	}
 	return p.Wait()
 }
-
-// Batch accumulates a multi-op request — the builder the serving path
-// turns into one lock acquisition per shard group. Add entries, then
-// MPutRequest/MGetRequest/MDeleteRequest to produce the request (the batch
-// may be reused after Reset). Values are aliased, not copied; they must
-// stay immutable until the request is written.
-type Batch struct {
-	keys []uint64
-	vals [][]byte
-}
-
-// Add appends one key (for MGET/MDELETE) or key/value pair (for MPUT).
-func (b *Batch) Add(key uint64, value []byte) {
-	b.keys = append(b.keys, key)
-	b.vals = append(b.vals, value)
-}
-
-// Len returns the number of accumulated entries.
-func (b *Batch) Len() int { return len(b.keys) }
-
-// Reset empties the batch, keeping capacity.
-func (b *Batch) Reset() {
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-}
-
-// Keys exposes the accumulated keys (aliased, valid until Reset).
-func (b *Batch) Keys() []uint64 { return b.keys }
-
-// MPutRequest builds the batch's MPUT (ttl <= 0 means no expiry).
-func (b *Batch) MPutRequest(ttl time.Duration) *Request {
-	return &Request{Op: OpMPut, Keys: b.keys, Values: b.vals, TTL: ttl}
-}
-
-// MGetRequest builds the batch's MGET (minLSN 0 means no token).
-func (b *Batch) MGetRequest(minLSN uint64) *Request {
-	return &Request{Op: OpMGet, Keys: b.keys, MinLSN: minLSN}
-}
-
-// MDeleteRequest builds the batch's MDELETE.
-func (b *Batch) MDeleteRequest() *Request {
-	return &Request{Op: OpMDelete, Keys: b.keys}
-}
-
-// Client is a connection-pooled protocol client: the drop-in counterpart
-// of an http.Client against the HTTP front-end. Connections are created on
-// demand, reused when idle, and dropped on failure. The convenience
-// methods are synchronous; for pipelining, take a Conn (Acquire/Release)
-// and drive Start/Flush/Wait directly.
-type Client struct {
-	addr    string
-	timeout time.Duration
-
-	mu     sync.Mutex
-	idle   []*Conn
-	closed bool
-}
-
-// NewClient returns a pool dialing addr. dialTimeout <= 0 means 5s.
-func NewClient(addr string, dialTimeout time.Duration) *Client {
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
-	return &Client{addr: addr, timeout: dialTimeout}
-}
-
-// Acquire returns a healthy pooled connection, dialing when none is idle.
-func (c *Client) Acquire() (*Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrConnClosed
-	}
-	for len(c.idle) > 0 {
-		conn := c.idle[len(c.idle)-1]
-		c.idle = c.idle[:len(c.idle)-1]
-		if conn.Err() == nil {
-			c.mu.Unlock()
-			return conn, nil
-		}
-	}
-	c.mu.Unlock()
-	return Dial(c.addr, c.timeout)
-}
-
-// Release returns a connection to the pool. Anything a pipelined holder
-// left buffered is flushed first — an unflushed request would never reach
-// the server, and its Wait would hang forever. Failed connections (broken
-// before Release, or broken by that flush) are Closed, not pooled: Close
-// fails every in-flight Pending, so a Wait racing this Release gets
-// ErrConnClosed immediately instead of waiting out a response that can
-// never arrive.
-func (c *Client) Release(conn *Conn) {
-	if conn.Err() == nil {
-		conn.Flush()
-	}
-	if conn.Err() != nil {
-		conn.Close()
-		return
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	c.idle = append(c.idle, conn)
-	c.mu.Unlock()
-}
-
-// Close drops every idle connection. Connections currently Acquired are
-// the holder's to close.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	c.closed = true
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-	return nil
-}
-
-// do runs one request on a pooled connection.
-func (c *Client) do(req *Request) (Response, error) {
-	conn, err := c.Acquire()
-	if err != nil {
-		return Response{}, err
-	}
-	resp, err := conn.Do(req)
-	c.Release(conn)
-	if err != nil {
-		return Response{}, err
-	}
-	return resp, resp.Err()
-}
-
-// Get fetches key; ok reports presence. minLSN, when nonzero, is the
-// read-your-writes token.
-func (c *Client) Get(key uint64, minLSN uint64) (value []byte, ok bool, err error) {
-	resp, err := c.do(&Request{Op: OpGet, Key: key, MinLSN: minLSN})
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.Status == StatusNotFound {
-		return nil, false, nil
-	}
-	return resp.Value, true, nil
-}
-
-// Put stores value under key (ttl <= 0 means no expiry; async enqueues on
-// the shard write queue). It returns the write's commit LSNs — the
-// read-your-writes tokens (nil on volatile servers and async writes).
-func (c *Client) Put(key uint64, value []byte, ttl time.Duration, async bool) ([]ShardLSN, error) {
-	resp, err := c.do(&Request{Op: OpPut, Key: key, Value: value, TTL: ttl, Async: async})
-	if err != nil {
-		return nil, err
-	}
-	return resp.LSNs, nil
-}
-
-// Delete removes key; ok reports whether it was visibly present.
-func (c *Client) Delete(key uint64) (lsns []ShardLSN, ok bool, err error) {
-	resp, err := c.do(&Request{Op: OpDelete, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.LSNs, resp.Status != StatusNotFound, nil
-}
-
-// GetWithToken is Get presenting a full cluster token: minLSN plus the
-// fencing epoch it was earned under. Against a clustered server a stale
-// epoch's token is adjudicated at the promotion cut (honored or
-// StatusConflict); single-primary servers take minLSN alone (epoch 0).
-func (c *Client) GetWithToken(key, minLSN, epoch uint64) (value []byte, ok bool, err error) {
-	resp, err := c.do(&Request{Op: OpGet, Key: key, MinLSN: minLSN, Epoch: epoch})
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.Status == StatusNotFound {
-		return nil, false, nil
-	}
-	return resp.Value, true, nil
-}
-
-// MGet fetches keys as one wire batch → one lock acquisition per shard
-// group server-side. The result is parallel to keys, nil marking absent.
-func (c *Client) MGet(keys []uint64, minLSN uint64) ([][]byte, error) {
-	resp, err := c.do(&Request{Op: OpMGet, Keys: keys, MinLSN: minLSN})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Values, nil
-}
-
-// MGetWithToken is MGet under a full (minLSN, epoch) cluster token.
-func (c *Client) MGetWithToken(keys []uint64, minLSN, epoch uint64) ([][]byte, error) {
-	resp, err := c.do(&Request{Op: OpMGet, Keys: keys, MinLSN: minLSN, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Values, nil
-}
-
-// MPut stores the batch as one MultiPut, returning the commit LSN of every
-// shard the batch touched.
-func (c *Client) MPut(keys []uint64, values [][]byte, ttl time.Duration) ([]ShardLSN, error) {
-	resp, err := c.do(&Request{Op: OpMPut, Keys: keys, Values: values, TTL: ttl})
-	if err != nil {
-		return nil, err
-	}
-	return resp.LSNs, nil
-}
-
-// MDelete removes the batch, returning how many keys were visibly present.
-func (c *Client) MDelete(keys []uint64) (removed int, lsns []ShardLSN, err error) {
-	resp, err := c.do(&Request{Op: OpMDelete, Keys: keys})
-	if err != nil {
-		return 0, nil, err
-	}
-	return int(resp.Applied), resp.LSNs, nil
-}
-
-// Cas compares-and-swaps key atomically server-side: old nil means "only
-// if absent", new nil means "delete on match". swapped reports whether the
-// precondition held and the swap applied.
-func (c *Client) Cas(key uint64, old, new []byte) (swapped bool, lsns []ShardLSN, err error) {
-	resp, err := c.do(&Request{Op: OpCas, Key: key, Old: old, New: new})
-	if err != nil {
-		return false, nil, err
-	}
-	return resp.Swapped, resp.LSNs, nil
-}
-
-// Txn runs a conditional atomic batch: every condition must hold (nil
-// value = key absent) for the ops to apply all-or-nothing. committed
-// reports the decision; when false, mismatch is the first failing
-// condition's key. lsns are the touched shards' commit LSNs on commit.
-func (c *Client) Txn(conds []TxnCond, ops []TxnOp) (committed bool, mismatch uint64, lsns []ShardLSN, err error) {
-	resp, err := c.do(&Request{Op: OpTxn, Conds: conds, TxnOps: ops})
-	if err != nil {
-		return false, 0, nil, err
-	}
-	return resp.Committed, resp.Mismatch, resp.LSNs, nil
-}
-
-// Flush applies the server's queued async writes, returning the count.
-func (c *Client) Flush() (int, error) {
-	resp, err := c.do(&Request{Op: OpFlush})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.Applied), nil
-}
-
-// Stats fetches the server's stats document (the /stats JSON).
-func (c *Client) Stats() ([]byte, error) {
-	resp, err := c.do(&Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Stats, nil
-}

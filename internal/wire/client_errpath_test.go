@@ -3,7 +3,7 @@ package wire
 // Error-path coverage for the pipelined client: a server dying mid-window
 // must fail exactly the unanswered tail, every Pending must drain (never
 // hang) on a broken connection, a failed Conn must refuse new work with
-// its terminal error, and the pool must drop dead connections on Release.
+// its terminal error, and a failed Flush must fail what it left unsent.
 
 import (
 	"errors"
@@ -197,121 +197,23 @@ func TestConnWriteFailureIsConnClosed(t *testing.T) {
 	}
 }
 
-// TestClientPoolDropsFailedConn: Release of a dead connection must not
-// poison the pool — the next Acquire yields a healthy connection.
-func TestClientPoolDropsFailedConn(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			nc, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go echoServer(t, nc)
-		}
-	}()
-
-	cl := NewClient(l.Addr().String(), time.Second)
-	defer cl.Close()
-
-	conn, err := cl.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Do(&Request{Op: OpGet, Key: 1}); err != nil {
-		t.Fatalf("Do on fresh conn: %v", err)
-	}
-	conn.Close() // the connection dies in the caller's hands...
-	cl.Release(conn)
-
-	conn2, err := cl.Acquire() // ...and the pool must not hand it back
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conn2 == conn {
-		t.Fatal("Acquire returned the failed connection")
-	}
-	if _, err := conn2.Do(&Request{Op: OpGet, Key: 2}); err != nil {
-		t.Fatalf("Do on re-dialed conn: %v", err)
-	}
-	cl.Release(conn2)
-
-	// The pool's convenience surface rides the same drop-and-redial path.
-	if _, _, err := cl.Get(1, 0); err != nil {
-		t.Fatalf("pooled Get after drop: %v", err)
-	}
-}
-
-// TestClientReleaseFlushesBufferedRequests: a holder that Starts a request
-// and Releases the connection without Flushing has handed the pool a conn
-// with bytes still in the write buffer. Release must flush them — else the
-// request never reaches the server and the Pending's Wait hangs forever.
-func TestClientReleaseFlushesBufferedRequests(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			nc, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go echoServer(t, nc)
-		}
-	}()
-
-	cl := NewClient(l.Addr().String(), time.Second)
-	defer cl.Close()
-	conn, err := cl.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := conn.Start(&Request{Op: OpGet, Key: 5})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	cl.Release(conn) // no explicit Flush: Release owes the waiter one
-
-	done := make(chan error, 1)
-	go func() {
-		resp, err := p.Wait()
-		if err == nil && string(resp.Value) != "value" {
-			err = errors.New("wrong value")
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Wait after Release: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait hung: Release did not flush the buffered request")
-	}
-}
-
-// TestClientReleaseBrokenConnFailsWaiters: Release of a connection whose
-// peer is gone (the buffered request can never be delivered) must fail the
-// connection and close it, so every outstanding Wait returns ErrConnClosed
-// immediately instead of hanging on a request that was never sent.
-func TestClientReleaseBrokenConnFailsWaiters(t *testing.T) {
+// TestConnFailedFlushFailsBufferedRequests: a Flush that cannot write
+// fails the connection, and a request still parked in the write buffer —
+// never sent, so never answered — has its Wait return ErrConnClosed
+// instead of hanging. failWrites keeps the read loop blind to the break,
+// so only the failed Flush can release the waiter.
+func TestConnFailedFlushFailsBufferedRequests(t *testing.T) {
 	cNC, sNC := net.Pipe()
-	c := NewConn(cNC)
+	defer sNC.Close()
+	c := NewConn(failWrites{cNC})
+	defer c.Close()
 	p, err := c.Start(&Request{Op: OpGet, Key: 7}) // parked in the write buffer
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	sNC.Close() // the peer dies before anything was flushed
-
-	cl := NewClient("127.0.0.1:0", time.Second)
-	defer cl.Close()
-	cl.Release(c) // flush fails -> conn fails -> Release closes it
+	if err := c.Flush(); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("Flush over a failing transport: err = %v, want ErrConnClosed", err)
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -321,12 +223,9 @@ func TestClientReleaseBrokenConnFailsWaiters(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrConnClosed) {
-			t.Fatalf("Wait after broken Release: err = %v, want ErrConnClosed", err)
+			t.Fatalf("Wait after a failed Flush: err = %v, want ErrConnClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Wait hung on a connection Release should have closed")
-	}
-	if c.Err() == nil {
-		t.Fatal("Err() = nil after Release of a broken connection")
+		t.Fatal("Wait hung on a request the failed Flush never sent")
 	}
 }

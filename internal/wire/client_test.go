@@ -36,31 +36,6 @@ func echoServer(t *testing.T, nc net.Conn) {
 			}
 		case OpPut:
 			resp.LSNs = []ShardLSN{{Shard: uint32(req.Key % 4), LSN: req.Key}}
-		case OpMGet:
-			resp.Values = make([][]byte, len(req.Keys))
-			for i, k := range req.Keys {
-				if k != 404 {
-					resp.Values[i] = []byte("value")
-				}
-			}
-		case OpMPut:
-			resp.Applied = uint32(len(req.Keys))
-		case OpDelete:
-			if req.Key == 404 {
-				resp.Status = StatusNotFound
-			} else {
-				resp.LSNs = []ShardLSN{{Shard: uint32(req.Key % 4), LSN: req.Key}}
-			}
-		case OpMDelete:
-			for _, k := range req.Keys {
-				if k != 404 {
-					resp.Applied++
-				}
-			}
-		case OpFlush:
-			resp.Applied = 3
-		case OpStats:
-			resp.Stats = []byte(`{"ok":true}`)
 		}
 		out = AppendResponse(out[:0], &resp)
 		if _, err := nc.Write(out); err != nil {
@@ -170,101 +145,6 @@ func TestConnCloseFailsInflight(t *testing.T) {
 	}
 	if _, err := c.Start(&Request{Op: OpGet, Key: 2}); err == nil {
 		t.Fatal("Start succeeded on a closed connection")
-	}
-}
-
-func TestBatchBuilder(t *testing.T) {
-	var b Batch
-	b.Add(1, []byte("a"))
-	b.Add(2, nil)
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	req := b.MPutRequest(time.Second)
-	if req.Op != OpMPut || len(req.Keys) != 2 || req.TTL != time.Second {
-		t.Fatalf("MPutRequest = %+v", req)
-	}
-	if g := b.MGetRequest(7); g.Op != OpMGet || g.MinLSN != 7 {
-		t.Fatalf("MGetRequest = %+v", g)
-	}
-	if d := b.MDeleteRequest(); d.Op != OpMDelete || len(d.Keys) != 2 {
-		t.Fatalf("MDeleteRequest = %+v", d)
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatal("Reset left entries")
-	}
-}
-
-// TestClientPool exercises Acquire/Release reuse and the convenience
-// methods against a listener-backed echo server.
-func TestClientPool(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go echoServer(t, nc)
-		}
-	}()
-
-	cl := NewClient(ln.Addr().String(), time.Second)
-	defer cl.Close()
-
-	v, ok, err := cl.Get(1, 0)
-	if err != nil || !ok || !bytes.Equal(v, []byte("value")) {
-		t.Fatalf("Get: %q, %v, %v", v, ok, err)
-	}
-	if _, ok, err := cl.Get(404, 0); err != nil || ok {
-		t.Fatalf("Get miss: ok=%v err=%v", ok, err)
-	}
-	lsns, err := cl.Put(9, []byte("x"), 0, false)
-	if err != nil || len(lsns) != 1 || lsns[0].LSN != 9 {
-		t.Fatalf("Put: %v, %v", lsns, err)
-	}
-	vals, err := cl.MGet([]uint64{1, 404, 2}, 0)
-	if err != nil || len(vals) != 3 || vals[1] != nil || vals[0] == nil {
-		t.Fatalf("MGet: %v, %v", vals, err)
-	}
-	var b Batch
-	b.Add(3, []byte("c"))
-	b.Add(404, []byte("d"))
-	if got := b.Keys(); len(got) != 2 || got[0] != 3 {
-		t.Fatalf("Batch.Keys = %v", got)
-	}
-	if _, err := cl.MPut(b.Keys(), [][]byte{{0xC}, {0xD}}, 0); err != nil {
-		t.Fatalf("MPut: %v", err)
-	}
-	if removed, _, err := cl.MDelete(b.Keys()); err != nil || removed != 1 {
-		t.Fatalf("MDelete: %d, %v", removed, err)
-	}
-	if _, ok, err := cl.Delete(5); err != nil || !ok {
-		t.Fatalf("Delete: ok=%v err=%v", ok, err)
-	}
-	if _, ok, err := cl.Delete(404); err != nil || ok {
-		t.Fatalf("Delete miss: ok=%v err=%v", ok, err)
-	}
-	n, err := cl.Flush()
-	if err != nil || n != 3 {
-		t.Fatalf("Flush: %d, %v", n, err)
-	}
-	stats, err := cl.Stats()
-	if err != nil || !bytes.Contains(stats, []byte("ok")) {
-		t.Fatalf("Stats: %q, %v", stats, err)
-	}
-
-	// The pool must have reused a single connection for the serial calls.
-	cl.mu.Lock()
-	idle := len(cl.idle)
-	cl.mu.Unlock()
-	if idle != 1 {
-		t.Fatalf("idle pool size %d, want 1", idle)
 	}
 }
 

@@ -1,10 +1,8 @@
 // Package xrand provides the pseudo-random number generators the paper's
 // benchmarks rely on:
 //
-//   - XorShift64: the thread-local Marsaglia xorshift generator [34] that the
-//     early BRAVO prototype used for its Bernoulli bias trials, and that
+//   - XorShift64: the thread-local Marsaglia xorshift generator [34] that
 //     benchmark threads use for cheap per-thread randomness.
-//   - SplitMix64: seeding and stateless mixing (Steele et al. [43]).
 //   - MT19937: Mersenne Twister; RWBench's critical sections execute "10
 //     steps of a thread-local C++ std::mt19937" (paper §5.4), so we reproduce
 //     that generator exactly.
@@ -44,31 +42,7 @@ func (x *XorShift64) Next() uint64 {
 	return s
 }
 
-// Bernoulli reports true with probability 1/n (n > 0). This is the "low-cost
-// Bernoulli trial with probability P = 1/100" used by BRAVO's prototype
-// bias-setting policy.
-func (x *XorShift64) Bernoulli(n uint64) bool {
-	return x.Next()%n == 0
-}
-
 // Intn returns a value uniformly distributed in [0, n).
 func (x *XorShift64) Intn(n uint64) uint64 {
 	return x.Next() % n
-}
-
-// SplitMix64 is the SplitMix64 generator, used for seeding the others.
-type SplitMix64 struct {
-	s uint64
-}
-
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{s: seed} }
-
-// Next returns the next value in the sequence.
-func (s *SplitMix64) Next() uint64 {
-	s.s += 0x9e3779b97f4a7c15
-	z := s.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

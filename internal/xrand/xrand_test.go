@@ -70,22 +70,6 @@ func TestXorShiftDeterministic(t *testing.T) {
 	}
 }
 
-func TestBernoulliRate(t *testing.T) {
-	// P = 1/100 trials over n samples should land near n/100.
-	x := NewXorShift64(99)
-	const n = 200000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if x.Bernoulli(100) {
-			hits++
-		}
-	}
-	want := n / 100
-	if hits < want*7/10 || hits > want*13/10 {
-		t.Fatalf("Bernoulli(100) hit %d times in %d trials, want ≈%d", hits, n, want)
-	}
-}
-
 func TestIntnInRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		x := NewXorShift64(seed)
@@ -98,25 +82,5 @@ func TestIntnInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSplitMix64Deterministic(t *testing.T) {
-	a, b := NewSplitMix64(1), NewSplitMix64(1)
-	for i := 0; i < 64; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("SplitMix64 not deterministic")
-		}
-	}
-}
-
-func TestSplitMix64Disperses(t *testing.T) {
-	s := NewSplitMix64(0)
-	seen := map[uint64]bool{}
-	for i := 0; i < 4096; i++ {
-		seen[s.Next()] = true
-	}
-	if len(seen) != 4096 {
-		t.Fatalf("SplitMix64 repeated a value within 4096 outputs (%d distinct)", len(seen))
 	}
 }
