@@ -181,7 +181,7 @@ var lineCeilings = map[string]int{
 	"examples/vmsim":      78,
 	"internal/arch":       47,
 	"internal/bench":      572,
-	"internal/bias":       1348,
+	"internal/bias":       1369,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
 	"internal/cluster":    1095,
@@ -201,9 +201,9 @@ var lineCeilings = map[string]int{
 	"internal/spin":       106,
 	"internal/topo":       69,
 	"internal/vm":         230,
-	"internal/wire":       975,
+	"internal/wire":       951,
 	"internal/xrand":      119,
-	"total":               16301,
+	"total":               16298,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

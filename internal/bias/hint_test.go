@@ -109,7 +109,7 @@ func TestHintUnbalancedReleasesPanic(t *testing.T) {
 		t.Errorf("another handle's token: panic %q, want %q", msg, ledgerPanic)
 	}
 	// The same index with another generation passes the ledger; the slot's
-	// CAS refuses it.
+	// compare refuses it.
 	forged := makeSlotToken(mine.Index(), mine.Gen()+1)
 	if msg := panicMessage(func() { e.ReleaseFastAt(r, forged) }); msg != "bias: unbalanced fast-path RUnlock (stale read token)" {
 		t.Errorf("forged generation: panic %q", msg)
@@ -179,6 +179,38 @@ func TestCopiedReaderHintStaysInCopy(t *testing.T) {
 	e.ReleaseFastAt(&cp, tok)
 	if e.Table().Occupancy() != 0 {
 		t.Fatal("table dirty after the copy's release")
+	}
+}
+
+// TestCopiedReaderDoubleRelease copies a handle while it holds a fast read
+// and releases through the copy, then through the original. Both ledgers say
+// held, so the second release passes its ledger, and ReleaseHeld's compare
+// must refuse it before it stores: the slot stays empty, whichever release
+// shape runs.
+func TestCopiedReaderDoubleRelease(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		release func(e *Engine, r *Reader, tok SlotToken)
+	}{
+		{"ReleaseFastAt", (*Engine).ReleaseFastAt},
+		{"ReleaseFast", func(e *Engine, r *Reader, _ SlotToken) { e.ReleaseFast(r) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, _ := biasedEngine(t)
+			orig := NewReaderWithID(11)
+			tok, ok := e.TryFastH(orig)
+			if !ok {
+				t.Fatal("setup acquisition failed")
+			}
+			cp := *orig
+			c.release(e, &cp, tok)
+			if msg := panicMessage(func() { c.release(e, orig, tok) }); msg != tablePanic {
+				t.Errorf("the original's release after the copy's: panic %q, want %q", msg, tablePanic)
+			}
+			if n := e.Table().Occupancy(); n != 0 || orig.Held() != 0 || cp.Held() != 0 {
+				t.Fatalf("occupancy %d, holds %d and %d after the two releases", n, orig.Held(), cp.Held())
+			}
+		})
 	}
 }
 

@@ -52,8 +52,8 @@ type readerEntry struct {
 	home uint32
 	want uint32
 	// gen is the slot generation captured by the outstanding fast-path
-	// publication (meaningful while entFastHeld is set); the release hands
-	// it to ClearOwned so an unbalanced unlock is caught at the table too.
+	// publication (meaningful while entFastHeld is set); ReleaseHeld compares
+	// it with the slot word, catching what the ledger cannot (a copied handle).
 	gen      uint32
 	flags    uint8
 	slowHeld uint8 // outstanding slow-path acquisitions (saturating)
@@ -195,23 +195,24 @@ func (e *Engine) ReleaseFast(r *Reader) bool {
 		return false
 	}
 	ent.flags &^= entFastHeld
-	e.Table().ClearOwned(ent.home, ent.gen, e.ID())
+	e.Table().ReleaseHeld(ent.home, ent.gen, e.ID())
 	return true
 }
 
 // ReleaseFastAt releases the fast-path hold recorded on r for token t (the
 // token-carrying shape, where the lock hands the token back at unlock). The
 // handle's held-slot record is the first arbiter: releasing a token that is
-// not held is a double unlock or an unlock-without-lock, and panics. The
-// clearing CAS then compares the token's generation with the slot word, so a
-// token forged or replayed against a different handle's hold is also caught.
+// not held is a double unlock or an unlock-without-lock, and panics. The slot
+// is then this handle's own, so Table.ReleaseHeld compares the token's
+// generation with the slot word (catching a forged token, or one a copy of
+// the handle released) and empties it with a plain store.
 func (e *Engine) ReleaseFastAt(r *Reader, t SlotToken) {
 	ent := r.lookup(e)
 	if ent == nil || ent.flags&entFastHeld == 0 || ent.home != t.Index() {
 		panic("bias: unbalanced fast-path RUnlock (double unlock or unlock without lock)")
 	}
 	ent.flags &^= entFastHeld
-	e.Table().ClearOwned(t.Index(), t.Gen(), e.ID())
+	e.Table().ReleaseHeld(t.Index(), t.Gen(), e.ID())
 }
 
 // SlowLockedH records a slow-path read acquisition on the handle so the

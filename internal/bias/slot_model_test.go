@@ -11,16 +11,21 @@ import (
 // lock contending for one slot (three acquisitions each), 1 writer (two
 // writes) and 1 enabler (two firings), each actor advancing one shared-memory
 // access at a time exactly as TryFastH/TryPublishAt (load, CAS) → publishAt's
-// recheck → ClearOwned, RevokeIfEnabled/Revoke (Swap, scan, await) and
-// MaybeEnable order them. The slot is identity<<genBits | generation with a
-// 2-bit generation, so the six publications wrap it. Each reader keeps the
-// token of its first release as a ghost, and a replay of it — one more
-// ClearOwned, by anyone, at any later moment — is a step of its own. Three
-// invariants are asserted in every reachable state:
+// recheck → release, RevokeIfEnabled/Revoke (Swap, scan, await) and
+// MaybeEnable order them. Reader 0 releases as a handle does, through
+// ReleaseHeld's two accesses (load and compare, then a plain store); reader 1
+// as the anonymous path does, through ClearOwned's one CAS. The slot is
+// identity<<genBits | generation with a 2-bit generation, so the six
+// publications wrap it. Each reader keeps the token of its first release as
+// a ghost, and a replay of it — one more ClearOwned, by anyone, at any later
+// moment, possibly between reader 0's compare and its store — is a step of
+// its own. Three invariants are asserted in every reachable state:
 //
 //	exclusion: the writer is in its critical section ⇒ no reader holds fast;
 //	ownership: the identity bits go 0 → id only by the publish CAS's winner
-//	           and id → 0 only by that winner's release, which is never refused;
+//	           and id → 0 only by that winner's release, which is never
+//	           refused, and the word a handle release compared is the word
+//	           its store overwrites;
 //	replay:    a replayed token empties the slot only at an exact generation
 //	           wrap — 2^genBits clears after its publication, with the lock
 //	           published there again. The model counts those and stops there:
@@ -53,8 +58,9 @@ const (
 	sCAS            // TryPublishAt: CAS(w, id<<genBits|w)
 	sRecheck        // publishAt: Load rbias, want bias and the sector bit together
 	sMark           // markSector: CAS(w, w|want)
-	sHeld           // in the read critical section; the next access is ClearOwned
-	sUndo           // overtaken by a revocation; the next access is ClearOwned
+	sHeld           // in the read critical section; the next access is the release
+	sUndo           // overtaken by a revocation; the next access is ClearOwned (settle's undo)
+	sStore          // reader 0's ReleaseHeld compared the word; the next access is its store
 	sDone
 )
 
@@ -167,8 +173,20 @@ func (s slotState) stepReader(v slotVariant, r int) (_ slotState, ok bool, bad s
 		} else {
 			s.word, rd.pc, rd.w = smMarked, sHeld, 0
 		}
-	case sHeld, sUndo:
-		if !s.clearOwned(v, rd.gen) || s.owner != uint8(r+1) {
+	case sHeld, sUndo, sStore:
+		switch {
+		case rd.pc == sHeld && r == 0: // ReleaseHeld: load and compare
+			if s.slot != smID|rd.gen || s.owner != uint8(r+1) {
+				return s, false, badSlotOwnership // refused, or the slot was already erased
+			}
+			rd.pc = sStore
+			return s, true, ""
+		case rd.pc == sStore: // ReleaseHeld: the plain store
+			if s.slot != smID|rd.gen || s.owner != uint8(r+1) {
+				return s, false, badSlotOwnership // the word changed under the compare
+			}
+			s.slot = (rd.gen + 1) & smGenMask
+		case !s.clearOwned(v, rd.gen) || s.owner != uint8(r+1):
 			return s, false, badSlotOwnership // refused, or the slot was already erased
 		}
 		s.owner = 0

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"github.com/bravolock/bravo/internal/hash"
+	"github.com/bravolock/bravo/internal/locks/seq"
 	"github.com/bravolock/bravo/internal/spin"
 )
 
@@ -141,12 +142,12 @@ func (t *Table) column(lockID uintptr) uint32 {
 // TryPublishAt attempts to install id into slot idx, returning whether
 // publication succeeded and, when it did, the slot's generation. The CAS is
 // the fast path's single atomic (Listing 1 line 14) — and, with a slot index
-// cached on a reader handle, the entire steady-state fast-path cost; the load
-// before it reads the line the CAS takes anyway. The installed word keeps the
-// loaded generation, which must travel with the acquisition to ClearOwned:
-// the winner captures exactly the word its clear will compare. A CAS that
-// loses to a publish-and-clear in between reports a collision: the slot was
-// occupied in that window.
+// cached on a reader handle, the steady state's only locked instruction; the
+// load before it reads the line the CAS takes anyway. The installed word
+// keeps the loaded generation, which must travel with the acquisition to its
+// release: the winner captures exactly the word its release will compare. A
+// CAS that loses to a publish-and-clear in between reports a collision: the
+// slot was occupied in that window.
 func (t *Table) TryPublishAt(idx uint32, id uintptr) (gen uint32, ok bool) {
 	s := &t.slots[idx]
 	w := s.Load()
@@ -155,7 +156,8 @@ func (t *Table) TryPublishAt(idx uint32, id uintptr) (gen uint32, ok bool) {
 
 // ClearOwned empties slot idx on behalf of the reader that published id
 // there and captured gen — the always-on unbalanced-unlock guard (Shahare &
-// Chabbi's owner check, applied to BRAVO's slot-passing unlock). The clear is
+// Chabbi's owner check, applied to BRAVO's slot-passing unlock) for a release
+// with no hold ledger: the anonymous RUnlock and settle's undo. The clear is
 // one CAS from the word the publication installed to the next generation, and
 // its failure is the guard: check and clear are one atomic decision, so of
 // any number of racing releases of one token exactly one succeeds, the rest
@@ -169,8 +171,26 @@ func (t *Table) ClearOwned(idx, gen uint32, id uintptr) {
 	}
 }
 
-// unbalanced names the release the CAS refused. Cold and out of line: the
-// re-load only chooses the message.
+// ReleaseHeld is ClearOwned for a release a reader handle's ledger has
+// already matched to its own publication: a compare and a plain store
+// (seq.Store), Listing 1's `*slot = null`. Only the owner writes an occupied
+// slot (publication CASes only from empty, revocation only loads) and a
+// Reader is confined to one goroutine, so the word cannot change between the
+// load and the store. The compare still refuses, as ClearOwned does, a token
+// whose word is gone: a copied handle released twice, a forged generation.
+// x86-TSO orders the store after the critical section; elsewhere and under
+// -race it is an atomic store.
+func (t *Table) ReleaseHeld(idx, gen uint32, id uintptr) {
+	gen &= genMask
+	s := &t.slots[idx]
+	if s.Load() != uint64(id)<<genBits|uint64(gen) {
+		t.unbalanced(idx, id)
+	}
+	seq.Store(s, uint64(gen+1)&genMask)
+}
+
+// unbalanced names the release the slot's compare refused. Cold and out of
+// line: the re-load only chooses the message.
 //
 //go:noinline
 func (t *Table) unbalanced(idx uint32, id uintptr) {
@@ -183,9 +203,9 @@ func (t *Table) unbalanced(idx uint32, id uintptr) {
 
 // Clear empties slot idx unconditionally (Listing 1 line 31, without the
 // ownership check). Test and diagnostic hook; production unlock paths go
-// through ClearOwned. It preserves the generation invariant — every id→0
-// transition bumps — so tokens spanning a forced clear are correctly
-// detected as stale.
+// through ReleaseHeld or ClearOwned. It preserves the generation invariant —
+// every id→0 transition bumps — so tokens spanning a forced clear are
+// correctly detected as stale.
 func (t *Table) Clear(idx uint32) {
 	s := &t.slots[idx]
 	for {

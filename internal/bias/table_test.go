@@ -237,37 +237,110 @@ func TestClearOwnedRacingDoubleUnlock(t *testing.T) {
 	wg.Wait()
 }
 
+// releases are the two owned releases of a published slot: the anonymous
+// path's CAS and the handle path's compare and plain store.
+var releases = []struct {
+	name    string
+	release func(tab *Table, idx, gen uint32, id uintptr)
+}{
+	{"ClearOwned", (*Table).ClearOwned},
+	{"ReleaseHeld", (*Table).ReleaseHeld},
+}
+
 // TestSlotGenerationWrap runs one slot through more than 2^genBits
-// publish/clear cycles: the generation never spills into the identity bits,
-// it increments modulo 2^genBits, and a token kept from an early cycle is
-// refused at every later one except the exact wrap.
+// publish/release cycles, through each owned release: the generation never
+// spills into the identity bits, it increments modulo 2^genBits, and a token
+// kept from an early cycle is refused at every later one except the exact
+// wrap.
 func TestSlotGenerationWrap(t *testing.T) {
-	tab := NewTable(8)
-	const idx, id, keptCycle = 5, uintptr(1)<<(bits.UintSize-genBits) - 8, 1
-	var kept uint32
-	for cycle := uint32(0); cycle < 1<<genBits+2; cycle++ {
-		gen, ok := tab.TryPublishAt(idx, id)
-		if !ok || gen != cycle&genMask {
-			t.Fatalf("cycle %d: publish = (%d, %v), want generation %d", cycle, gen, ok, cycle&genMask)
-		}
-		if got := tab.Load(idx); got != id {
-			t.Fatalf("cycle %d: slot identity %#x, want %#x", cycle, got, id)
-		}
-		switch {
-		case cycle == keptCycle:
-			kept = gen
-		case cycle > keptCycle && (cycle-keptCycle)&genMask == 0:
-			if gen != kept {
-				t.Fatalf("cycle %d: generation %d, want the kept token's %d back (exact wrap)", cycle, gen, kept)
+	for _, rel := range releases {
+		t.Run(rel.name, func(t *testing.T) {
+			tab := NewTable(8)
+			const idx, id, keptCycle = 5, uintptr(1)<<(bits.UintSize-genBits) - 8, 1
+			var kept uint32
+			for cycle := uint32(0); cycle < 1<<genBits+2; cycle++ {
+				gen, ok := tab.TryPublishAt(idx, id)
+				if !ok || gen != cycle&genMask {
+					t.Fatalf("cycle %d: publish = (%d, %v), want generation %d", cycle, gen, ok, cycle&genMask)
+				}
+				if got := tab.Load(idx); got != id {
+					t.Fatalf("cycle %d: slot identity %#x, want %#x", cycle, got, id)
+				}
+				switch {
+				case cycle == keptCycle:
+					kept = gen
+				case cycle > keptCycle && (cycle-keptCycle)&genMask == 0:
+					if gen != kept {
+						t.Fatalf("cycle %d: generation %d, want the kept token's %d back (exact wrap)", cycle, gen, kept)
+					}
+				case cycle > keptCycle:
+					if !panics(func() { rel.release(tab, idx, kept, id) }) {
+						t.Fatalf("cycle %d: token kept from cycle %d cleared the slot", cycle, keptCycle)
+					}
+				}
+				rel.release(tab, idx, gen, id)
+				if got := tab.Load(idx); got != 0 {
+					t.Fatalf("cycle %d: slot identity %#x after the owned release", cycle, got)
+				}
 			}
-		case cycle > keptCycle:
-			if !panics(func() { tab.ClearOwned(idx, kept, id) }) {
-				t.Fatalf("cycle %d: token kept from cycle %d cleared the slot", cycle, keptCycle)
+		})
+	}
+}
+
+// TestReleaseHeldRefusesAsClearOwned drives each unbalanced release at the
+// table through both owned releases: ReleaseHeld's compare must refuse
+// exactly what ClearOwned's CAS refuses, with the same message, and leave
+// the slot word as it found it.
+func TestReleaseHeldRefusesAsClearOwned(t *testing.T) {
+	const idx, id, other = 3, uintptr(0xC0DE0), uintptr(0xBEEF0)
+	const stale = "bias: unbalanced fast-path RUnlock (stale read token)"
+	const gone = "bias: unbalanced fast-path RUnlock (double unlock, unlock without lock, or wrong lock)"
+	for _, c := range []struct {
+		name string
+		// setup leaves the slot as the unbalanced release finds it and
+		// returns the generation and identity that release hands over.
+		setup func(tab *Table) (gen uint32, id uintptr)
+		want  string
+	}{{
+		name: "double release",
+		setup: func(tab *Table) (uint32, uintptr) {
+			gen, _ := tab.TryPublishAt(idx, id)
+			tab.ClearOwned(idx, gen, id)
+			return gen, id
+		},
+		want: gone,
+	}, {
+		name: "stale generation",
+		setup: func(tab *Table) (uint32, uintptr) {
+			gen, _ := tab.TryPublishAt(idx, id)
+			tab.ClearOwned(idx, gen, id)
+			tab.TryPublishAt(idx, id)
+			return gen, id
+		},
+		want: stale,
+	}, {
+		name: "wrong identity",
+		setup: func(tab *Table) (uint32, uintptr) {
+			gen, _ := tab.TryPublishAt(idx, id)
+			return gen, other
+		},
+		want: gone,
+	}, {
+		name:  "empty slot",
+		setup: func(*Table) (uint32, uintptr) { return 0, id },
+		want:  gone,
+	}} {
+		for _, rel := range releases {
+			tab := NewTable(8)
+			gen, rid := c.setup(tab)
+			before := tab.slots[idx].Load()
+			msg := panicMessage(func() { rel.release(tab, idx, gen, rid) })
+			if msg != c.want {
+				t.Errorf("%s through %s: panic %q, want %q", c.name, rel.name, msg, c.want)
 			}
-		}
-		tab.ClearOwned(idx, gen, id)
-		if got := tab.Load(idx); got != 0 {
-			t.Fatalf("cycle %d: slot identity %#x after the owned clear", cycle, got)
+			if after := tab.slots[idx].Load(); after != before {
+				t.Errorf("%s through %s: slot word %#x → %#x, want it unchanged", c.name, rel.name, before, after)
+			}
 		}
 	}
 }
@@ -309,27 +382,35 @@ func TestTableFootprint(t *testing.T) {
 }
 
 // TestSlotInstructionBudget pins the fast path's cost in the source: publish
-// and owned clear are one CompareAndSwap each and no other read-modify-write
-// or atomic store (each is a LOCK-prefixed instruction or an XCHG on amd64),
-// and the cold panic path has none at all.
+// and the anonymous owned clear are one CompareAndSwap each, the handle's
+// release none, and none of them any other read-modify-write or atomic store
+// (each is a LOCK-prefixed instruction or an XCHG on amd64). ReleaseHeld's
+// one store is seq.Store, a plain MOVQ on amd64. The cold panic path has no
+// atomic at all.
 func TestSlotInstructionBudget(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "table.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCAS := map[string]int{"TryPublishAt": 1, "ClearOwned": 1, "unbalanced": 0}
+	type budget struct{ cas, seqStore int }
+	want := map[string]budget{
+		"TryPublishAt": {cas: 1},
+		"ClearOwned":   {cas: 1},
+		"ReleaseHeld":  {seqStore: 1},
+		"unbalanced":   {},
+	}
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
 		if !ok {
 			continue
 		}
-		want, ok := wantCAS[fn.Name.Name]
+		w, ok := want[fn.Name.Name]
 		if !ok {
 			continue
 		}
-		delete(wantCAS, fn.Name.Name)
-		cas := 0
+		delete(want, fn.Name.Name)
+		var got budget
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			call, _ := n.(*ast.CallExpr)
 			if call == nil {
@@ -339,19 +420,23 @@ func TestSlotInstructionBudget(t *testing.T) {
 			if m == nil {
 				return true
 			}
+			if pkg, _ := m.X.(*ast.Ident); pkg != nil && pkg.Name == "seq" && m.Sel.Name == "Store" {
+				got.seqStore++
+				return true
+			}
 			switch m.Sel.Name {
 			case "CompareAndSwap":
-				cas++
+				got.cas++
 			case "Add", "Store", "Swap", "Or", "And":
 				t.Errorf("%s: %s calls %s", fset.Position(call.Pos()), fn.Name.Name, m.Sel.Name)
 			}
 			return true
 		})
-		if cas != want {
-			t.Errorf("%s has %d CompareAndSwap calls, want %d", fn.Name.Name, cas, want)
+		if got != w {
+			t.Errorf("%s has %d CompareAndSwap and %d seq.Store calls, want %d and %d", fn.Name.Name, got.cas, got.seqStore, w.cas, w.seqStore)
 		}
 	}
-	for name := range wantCAS {
+	for name := range want {
 		t.Errorf("table.go has no function %s", name)
 	}
 }

@@ -167,8 +167,8 @@ func (l *Lock) RLockH(h *rwl.Reader) rwl.Token {
 }
 
 // RUnlockH releases a read acquisition made with RLockH. The handle's
-// held-slot record is checked first, so an unbalanced release (double
-// unlock, unlock without lock) panics before touching lock state.
+// held-slot record is checked first, so an unbalanced release panics before
+// touching lock state, and a fast release then needs no CAS (ReleaseHeld).
 func (l *Lock) RUnlockH(h *rwl.Reader, t rwl.Token) {
 	if t&fastBit != 0 {
 		l.eng.ReleaseFastAt(h, bias.SlotToken(t&^fastBit))

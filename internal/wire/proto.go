@@ -288,30 +288,6 @@ type Response struct {
 	LSNs []ShardLSN
 }
 
-// Err converts a non-OK response into an error (nil for OK and for
-// StatusNotFound, which is an outcome, not a failure).
-func (r *Response) Err() error {
-	switch r.Status {
-	case StatusOK, StatusNotFound:
-		return nil
-	}
-	return &StatusError{Op: r.Op, Status: r.Status, Msg: r.Msg}
-}
-
-// StatusError is a non-OK wire response as an error.
-type StatusError struct {
-	Op     Op
-	Status Status
-	Msg    string
-}
-
-func (e *StatusError) Error() string {
-	if e.Msg == "" {
-		return "wire: " + e.Op.String() + ": " + e.Status.String()
-	}
-	return "wire: " + e.Op.String() + ": " + e.Status.String() + ": " + e.Msg
-}
-
 // AppendRequest frames req onto dst and returns the extended slice: one
 // ready-to-write wire frame (envelope included). The zero-copy form —
 // header reserved, payload built in place, sealed once.

@@ -192,26 +192,6 @@ func TestDecodeResponseStrict(t *testing.T) {
 	}
 }
 
-func TestStatusError(t *testing.T) {
-	okResp := Response{Op: OpGet, Status: StatusOK}
-	if okResp.Err() != nil {
-		t.Fatal("OK produced an error")
-	}
-	miss := Response{Op: OpGet, Status: StatusNotFound}
-	if miss.Err() != nil {
-		t.Fatal("NotFound is an outcome, not an error")
-	}
-	ro := Response{Op: OpPut, Status: StatusReadOnly, Msg: "follower"}
-	err := ro.Err()
-	se, ok := err.(*StatusError)
-	if !ok || se.Status != StatusReadOnly {
-		t.Fatalf("Err() = %v, want *StatusError{StatusReadOnly}", err)
-	}
-	if se.Error() != "wire: PUT: read-only: follower" {
-		t.Fatalf("Error() = %q", se.Error())
-	}
-}
-
 // TestStreamDecoder drives the decoder over frames delivered in
 // adversarially small chunks and verifies the buffered-first contract.
 func TestStreamDecoder(t *testing.T) {
