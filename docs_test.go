@@ -167,7 +167,7 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 // benchmark/ may hold, set at the current counts. Lower an entry when a
 // change deletes code, and raise one only in the diff that needs it. Only
 // .go files count: assembly (internal/locks/seq/store_amd64.s,
-// internal/arch/prefetch_amd64.s) does not.
+// internal/arch/prefetch_amd64.s, internal/bias/scan_amd64.s) does not.
 var lineCeilings = map[string]int{
 	".":                   354,
 	"cmd/bravobench":      154,
@@ -181,16 +181,16 @@ var lineCeilings = map[string]int{
 	"examples/vmsim":      78,
 	"internal/arch":       47,
 	"internal/bench":      572,
-	"internal/bias":       1369,
+	"internal/bias":       1414,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
 	"internal/cluster":    1095,
-	"internal/core":       189,
+	"internal/core":       180,
 	"internal/frame":      207,
 	"internal/hash":       78,
 	"internal/kvs":        3934,
 	"internal/kvserv":     1968,
-	"internal/lockcheck":  401,
+	"internal/lockcheck":  405,
 	"internal/locks":      876,
 	"internal/metis":      331,
 	"internal/repl":       612,
@@ -203,7 +203,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       951,
 	"internal/xrand":      119,
-	"total":               16298,
+	"total":               16338,
 }
 
 // TestLineBudget counts the non-test Go lines of every top-level package

@@ -9,18 +9,29 @@ import (
 // the given number of sectors of the default 4,096-slot table: the Swap, the
 // two clock reads, the policy feedback, and 256 slots of scan per sector.
 // sectors=16 is the full-table scan every write paid before the summary.
+// foreign is sectors=2 with another lock's identity in every 16-slot block,
+// so the scan's block filter never skips and every block is compared.
 func BenchmarkRevoke(b *testing.B) {
 	for _, sectors := range []int{0, 1, 2, summarySectors} {
-		b.Run(fmt.Sprintf("sectors=%d", sectors), func(b *testing.B) {
-			e, _ := newEngine(NeverPolicy{})
-			e.SetStats(nil)
-			word := uint32(biasBit | (1<<sectors-1)<<sectorBase)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.rbias.Store(word)
-				e.Revoke()
-			}
-		})
+		b.Run(fmt.Sprintf("sectors=%d", sectors), func(b *testing.B) { benchRevoke(b, sectors, false) })
+	}
+	b.Run("foreign", func(b *testing.B) { benchRevoke(b, 2, true) })
+}
+
+func benchRevoke(b *testing.B, sectors int, foreign bool) {
+	e, _ := newEngine(NeverPolicy{})
+	e.SetStats(nil)
+	if foreign {
+		tab := e.conf().table
+		for idx := 0; idx < tab.Size(); idx += 16 {
+			tab.TryPublishAt(uint32(idx), e.ID()+64)
+		}
+	}
+	word := uint32(biasBit | (1<<sectors-1)<<sectorBase)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.rbias.Store(word)
+		e.Revoke()
 	}
 }
 

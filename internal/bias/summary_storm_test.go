@@ -20,13 +20,28 @@ import (
 // handle and anonymous readers sharing the one mask — on the shipped
 // substrate, so the spin-then-park read path runs under the race detector
 // too. A reader missed by a sector-limited scan shows as a reader inside a
-// writer's critical section.
+// writer's critical section. The dirty variant runs the same storm on a
+// 512-slot table (32-slot sectors, two scan blocks each) with a foreign
+// identity in every other 16-slot block, so each sector a revocation scans
+// has a block the filter skips and one it compares in-vector; a plain build
+// runs the assembly scan, a -race build the atomic loop.
 func TestSummaryStorm(t *testing.T) {
+	t.Run("tiny-table", func(t *testing.T) { summaryStorm(t, 32, false) })
+	t.Run("dirty", func(t *testing.T) { summaryStorm(t, 512, true) })
+}
+
+func summaryStorm(t *testing.T, size int, dirty bool) {
 	const iters = 100000
 	lockcheck.Within(t, 60*time.Second, func() {
 		st := new(bias.Stats)
+		tab := bias.NewTable(size)
+		if dirty {
+			for idx := 0; idx < size; idx += 32 {
+				tab.TryPublishAt(uint32(idx), 0x5a5a0)
+			}
+		}
 		l := core.New(new(stdrw.Lock),
-			core.WithTable(bias.NewTable(32)),
+			core.WithTable(tab),
 			core.WithPolicy(bias.AlwaysPolicy{}),
 			core.WithStats(st))
 		var state, violations atomic.Int64
@@ -81,7 +96,7 @@ func TestSummaryStorm(t *testing.T) {
 		if snap.FastRead == 0 || snap.WriteRevoke == 0 {
 			t.Errorf("storm never exercised the protocol: %s", snap)
 		}
-		if snap.RevokeScanned >= snap.WriteRevoke*32 {
+		if snap.RevokeScanned >= snap.WriteRevoke*uint64(size) {
 			t.Errorf("every revocation scanned the whole table: %s", snap)
 		}
 	})

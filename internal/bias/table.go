@@ -252,14 +252,13 @@ func (t *Table) waitEmptyIn(id uintptr, sectors uint32) (scanned, conflicts int)
 		}
 		return scanned, conflicts
 	}
+	key := uint64(id) << genBits
 	for ; sectors != 0; sectors &= sectors - 1 {
 		lo := uint32(bits.TrailingZeros32(sectors)) << t.sectorShift
 		sec := t.slots[lo : lo+1<<t.sectorShift]
 		scanned += len(sec)
-		for i := range sec {
-			if sec[i].Load()>>genBits == uint64(id) {
-				conflicts += t.awaitSlot(lo+uint32(i), id)
-			}
+		for i := scanFor(sec, key); i < len(sec); i += 1 + scanFor(sec[i+1:], key) {
+			conflicts += t.awaitSlot(lo+uint32(i), id)
 		}
 	}
 	return scanned, conflicts

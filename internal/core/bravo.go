@@ -107,15 +107,6 @@ func (l *Lock) Adaptor() *bias.Adaptor {
 // Biased reports whether reader bias is currently enabled.
 func (l *Lock) Biased() bool { return l.eng.Enabled() }
 
-// WriterPresent reports whether the underlying lock exposes a visible
-// writer. Diagnostic; present only when the substrate provides it.
-func (l *Lock) WriterPresent() bool {
-	if wp, ok := l.under.(interface{ WriterPresent() bool }); ok {
-		return wp.WriterPresent()
-	}
-	return false
-}
-
 // RLock acquires read permission (Listing 1, Reader). The returned token
 // must be passed to RUnlock.
 func (l *Lock) RLock() rwl.Token {

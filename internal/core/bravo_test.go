@@ -8,6 +8,7 @@ import (
 
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/clock"
+	"github.com/bravolock/bravo/internal/lockcheck"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/locks/ptl"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
@@ -236,69 +237,12 @@ func TestPreferenceTransparency(t *testing.T) {
 	// disabled (NeverPolicy) the wrapper must be admission-transparent.
 	t.Run("phase-fair substrate", func(t *testing.T) {
 		l := New(new(pfq.Lock), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}))
-		checkWaitingWriterBlocks(t, l)
+		lockcheck.WaitingWriterBlocksReaders(t, l)
 	})
 	t.Run("reader-preference substrate", func(t *testing.T) {
 		l := New(ptl.New(), WithTable(bias.NewTable(64)), WithPolicy(bias.NeverPolicy{}))
-		checkReaderBargesPastWriter(t, l)
+		lockcheck.WaitingWriterStarvedByReaders(t, l)
 	})
-}
-
-func checkWaitingWriterBlocks(t *testing.T, l rwl.RWLock) {
-	t.Helper()
-	r1 := l.RLock()
-	var wGot, r2Got atomic.Bool
-	release := make(chan struct{})
-	go func() {
-		l.Lock()
-		wGot.Store(true)
-		<-release
-		l.Unlock()
-	}()
-	wp := l.(interface{ WriterPresent() bool })
-	waitTrue(t, wp.WriterPresent, "writer never announced")
-	go func() {
-		tok := l.RLock()
-		r2Got.Store(true)
-		l.RUnlock(tok)
-	}()
-	deadline := time.Now().Add(50 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if r2Got.Load() {
-			t.Fatal("reader barged past waiting writer through BRAVO wrapper")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	l.RUnlock(r1)
-	waitTrue(t, wGot.Load, "writer starved")
-	close(release)
-	waitTrue(t, r2Got.Load, "blocked reader never admitted")
-}
-
-func checkReaderBargesPastWriter(t *testing.T, l rwl.RWLock) {
-	t.Helper()
-	r1 := l.RLock()
-	var wGot, r2Got atomic.Bool
-	release := make(chan struct{})
-	go func() {
-		l.Lock()
-		wGot.Store(true)
-		<-release
-		l.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond) // let the writer queue up
-	go func() {
-		tok := l.RLock()
-		r2Got.Store(true)
-		l.RUnlock(tok)
-	}()
-	waitTrue(t, r2Got.Load, "reader-preference substrate blocked a reader behind a waiting writer")
-	if wGot.Load() {
-		t.Fatal("writer admitted while reader held")
-	}
-	l.RUnlock(r1)
-	waitTrue(t, wGot.Load, "writer starved after readers drained")
-	close(release)
 }
 
 func waitTrue(t *testing.T, cond func() bool, msg string) {

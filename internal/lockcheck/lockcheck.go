@@ -315,10 +315,14 @@ func WaitingWriterStarvedByReaders(t *testing.T, l rwl.RWLock) {
 // waitWriterVisible waits until the lock shows the probe's writer queued
 // behind the probe's one read lock: through a WriterPresent diagnostic, or
 // through a ticket count (Queued() >= 2 is the held read ticket plus the
-// writer's). A lock that offers neither fails the probe: a grace period
-// would only guess that the writer had arrived.
+// writer's), asked of a wrapper's substrate (Underlying) when it names one.
+// A lock that offers neither fails the probe: a grace period would only
+// guess that the writer had arrived.
 func waitWriterVisible(t *testing.T, l rwl.RWLock) {
 	t.Helper()
+	if w, ok := l.(interface{ Underlying() rwl.RWLock }); ok {
+		l = w.Underlying()
+	}
 	switch d := l.(type) {
 	case interface{ WriterPresent() bool }:
 		Eventually(t, d.WriterPresent, "writer never became visible")

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
+	"github.com/bravolock/bravo/internal/locks/fairrw"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/locks/ptl"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
@@ -51,6 +53,12 @@ func TestWaitingWriterBlocksReadersOnPhaseFair(t *testing.T) {
 	// PF-Q hands the lock writer-then-reader in phases; a reader arriving
 	// behind a waiting writer must wait its turn.
 	WaitingWriterBlocksReaders(t, new(pfq.Lock))
+}
+
+func TestWaitingWriterBlocksReadersThroughBravo(t *testing.T) {
+	// A BRAVO wrapper with bias off is admission-transparent; the probe
+	// sees the queued writer through the substrate's ticket count.
+	WaitingWriterBlocksReaders(t, core.New(new(fairrw.Lock), core.WithPolicy(bias.NeverPolicy{})))
 }
 
 func TestWaitingWriterStarvedByReadersOnReaderPref(t *testing.T) {
