@@ -191,8 +191,9 @@ func NewCohortRW(t Topology) RWLock { return cohort.New(t) }
 // paths accept an optional Reader handle (GetH/GetIntoH/MultiGetH): one
 // pinned identity per request, cached-slot fast paths on every shard.
 // Writes batch (MultiPut/MultiDelete: one write-lock acquisition per shard
-// group) or coalesce asynchronously (PutAsync/Flush), and keys may carry a
-// TTL (PutTTL, lazily expired on read and incrementally removed by Reap).
+// group), every write is applied before its call returns, and keys may
+// carry a TTL (PutTTL, lazily expired on read and incrementally removed by
+// Reap).
 // Built over adaptive locks (NewAdaptive), each shard self-tunes its bias
 // mode from its own traffic, and per-shard modes surface in Stats.
 // cmd/kvserv serves this engine over HTTP.
@@ -252,8 +253,8 @@ const (
 
 // OpenShardedKV opens (or creates) a durable sharded KV engine in dir.
 // Every write appends to a per-shard write-ahead log before it is applied;
-// the batched writes (MultiPut, MultiDelete, async-queue flushes) are one
-// log record and — under SyncAlways — one fsync per shard group, the same
+// the batched writes (MultiPut, MultiDelete) are one log record and —
+// under SyncAlways — one fsync per shard group, the same
 // amortize-the-slow-path move BRAVO makes for bias revocation. Reopening
 // the directory recovers the latest Checkpoint snapshot plus the log tail,
 // dropping a torn final record. Callers Close the engine on shutdown and

@@ -12,8 +12,8 @@
 // and, under -sync always, one fsync — group commit), POST /checkpoint
 // snapshots the shards and truncates the logs, and restarting against the
 // same directory recovers snapshot + log tail. On SIGINT/SIGTERM the
-// server shuts down gracefully: stop accepting, flush queued async writes,
-// sync and close the logs.
+// server shuts down gracefully: stop accepting, then sync and close the
+// logs.
 //
 // A durable kvserv is automatically a replication primary: it serves
 // GET /repl/stream (the per-shard LSN-stamped WAL, live) and /repl/status,
@@ -44,8 +44,8 @@
 //
 //	kvserv -addr :7070 -cluster 4 -cluster-followers 2 -data-dir /var/lib/kvserv
 //
-// Endpoints: GET/PUT/DELETE /kv/{key} (PUT takes ?ttl=1s or ?async=1),
-// GET /mget?keys=1,2,3, POST /mput, POST /flush, POST /checkpoint,
+// Endpoints: GET/PUT/DELETE /kv/{key} (PUT takes ?ttl=1s),
+// GET /mget?keys=1,2,3, POST /mput, POST /cas, POST /txn, POST /checkpoint,
 // GET /stats, GET /repl/stream, GET /repl/status, and in cluster mode
 // POST /failover/{partition}. See internal/kvserv, internal/repl,
 // internal/cluster, and README's "Serving traffic", "Persistence",
@@ -81,7 +81,6 @@ var (
 	lockFlag       = flag.String("lock", "bravo-go", "per-shard lock (registry name)")
 	reapFlag       = flag.Duration("reap", kvserv.DefaultReapInterval, "TTL reap interval (<0 disables background reaping)")
 	reapBudgetFlag = flag.Int("reapbudget", kvserv.DefaultReapBudget, "TTL entries examined per reap tick")
-	asyncFlag      = flag.Int("asyncbatch", kvs.DefaultAsyncBatch, "per-shard async write queue coalescing threshold")
 	dataDirFlag    = flag.String("data-dir", "", "durable data directory (empty: volatile, lost on exit)")
 	syncFlag       = flag.String("sync", "always", "WAL sync policy with -data-dir: always (fsync per batch) or none")
 	followFlag     = flag.String("follow", "", "primary base URL: run as a read-only replication follower")
@@ -122,7 +121,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	engine.SetAsyncBatch(*asyncFlag)
 	l, err := net.Listen("tcp", *addrFlag)
 	if err != nil {
 		fatal(err)
@@ -198,8 +196,8 @@ func runFollower(mk rwl.Factory) {
 
 // serve runs srv on l, and on -wire-addr, until SIGINT/SIGTERM or a
 // listener failure, then closes the store with closeStore. Graceful
-// shutdown: stop accepting, flush the async queues, then sync and close
-// the WAL so a restart recovers everything acknowledged.
+// shutdown: stop accepting, then sync and close the WAL so a restart
+// recovers everything acknowledged.
 func serve(srv *kvserv.Server, l net.Listener, closeStore func() error) {
 	startWire(srv)
 	sigc := make(chan os.Signal, 1)

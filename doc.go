@@ -34,10 +34,9 @@
 // with BRAVO's one-CAS read path per shard (and handle-threaded
 // GetH/GetIntoH/MultiGetH: one identity per request, not per shard). The
 // engine's write side batches: MultiPut/MultiDelete apply each shard's
-// group under one write-lock acquisition, PutAsync/Flush coalesce writers
-// through per-shard queues, and PutTTL/Reap give keys lazy-then-reaped
-// expiry. cmd/kvserv serves the engine over HTTP with one pinned Reader
-// per connection.
+// group under one write-lock acquisition, and PutTTL/Reap give keys
+// lazy-then-reaped expiry. cmd/kvserv serves the engine over HTTP with one
+// pinned Reader per connection.
 //
 // OpenShardedKV makes the engine durable: a per-shard write-ahead log with
 // group commit (each of the batches above is one CRC-framed record and,
@@ -56,9 +55,8 @@
 // The Example functions in example_test.go are runnable documentation for
 // each of these surfaces: ExampleNew (the transformation), ExampleNewReader
 // (handles), ExampleNewShardedKV, ExampleShardedKV_MultiPut,
-// ExampleShardedKV_PutTTL, ExampleShardedKV_PutAsync, ExampleOpenShardedKV
-// (durability), and ExampleOpenFollowerKV (replication); go test runs them
-// all.
+// ExampleShardedKV_PutTTL, ExampleOpenShardedKV (durability), and
+// ExampleOpenFollowerKV (replication); go test runs them all.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // reproduction of the paper's figures and tables, and the examples/

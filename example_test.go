@@ -117,7 +117,7 @@ func ExampleOpenShardedKV() {
 	kv, _ := bravo.OpenShardedKV(dir, 4, mk, bravo.SyncAlways)
 	kv.Put(1, []byte("survives"))
 	kv.MultiPut([]uint64{2, 3}, [][]byte{[]byte("group"), []byte("commit")})
-	kv.Close() // drain async queues, sync and close the logs
+	kv.Close() // sync and close the logs
 
 	kv, _ = bravo.OpenShardedKV(dir, 4, mk, bravo.SyncAlways) // recover
 	defer kv.Close()
@@ -153,20 +153,4 @@ func ExampleOpenFollowerKV() {
 	v, _ := follower.Engine().Get(1)
 	fmt.Println(string(v))
 	// Output: replicated
-}
-
-// ExampleShardedKV_PutAsync coalesces writers through the per-shard write
-// queue: queued writes become visible when a batch fills or on Flush.
-func ExampleShardedKV_PutAsync() {
-	kv, _ := bravo.NewShardedKV(4, func() bravo.RWLock { return bravo.New(bravo.NewBA()) })
-	kv.PutAsync(1, []byte("queued"))
-	_, ok := kv.Get(1)
-	fmt.Println("before flush:", ok)
-	fmt.Println("flushed:", kv.Flush())
-	v, _ := kv.Get(1)
-	fmt.Println("after flush:", string(v))
-	// Output:
-	// before flush: false
-	// flushed: 1
-	// after flush: queued
 }

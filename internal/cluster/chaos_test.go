@@ -265,9 +265,6 @@ func (st corpseState) hammer(t *testing.T, rng *xrand.XorShift64) {
 	if _, err := m.put(k, []byte("stale"), 0); err != ErrFenced {
 		t.Errorf("fenced Put: err = %v, want ErrFenced", err)
 	}
-	if err := m.putAsync(k, []byte("stale")); err != ErrFenced {
-		t.Errorf("fenced PutAsync: err = %v, want ErrFenced", err)
-	}
 	if _, _, err := m.delete(k); err != ErrFenced {
 		t.Errorf("fenced Delete: err = %v, want ErrFenced", err)
 	}
@@ -276,9 +273,6 @@ func (st corpseState) hammer(t *testing.T, rng *xrand.XorShift64) {
 	}
 	if _, _, err := m.multiDelete([]uint64{k}, nil); err != ErrFenced {
 		t.Errorf("fenced MultiDelete: err = %v, want ErrFenced", err)
-	}
-	if _, err := m.flush(); err != ErrFenced {
-		t.Errorf("fenced Flush: err = %v, want ErrFenced", err)
 	}
 	if _, err := m.reap(128); err != ErrFenced {
 		t.Errorf("fenced Reap: err = %v, want ErrFenced", err)
@@ -348,16 +342,16 @@ func TestCorpseCheckSeesACommit(t *testing.T) {
 	}
 }
 
-// TestCorpseCloseCommitsNothing: an async write queued before the fence
-// was answered with no token, and it dies with its epoch. Closing the
-// corpse must not flush it into the deposed primary's log.
+// TestCorpseCloseCommitsNothing: a write acknowledged before the fence
+// survives the failover on the promoted primary, and closing the corpse
+// appends nothing to the deposed primary's log.
 func TestCorpseCloseCommitsNothing(t *testing.T) {
 	c, err := Open(Config{Partitions: 1, Shards: 2, Followers: 1, Dir: t.TempDir(), Policy: kvs.SyncNone, RetryInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.PutAsync(5, []byte("queued")); err != nil {
+	if _, err := c.Put(5, []byte("before"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WaitCaughtUp(10 * time.Second); err != nil {
@@ -370,8 +364,8 @@ func TestCorpseCloseCommitsNothing(t *testing.T) {
 		t.Fatalf("corpse Close: %v", err)
 	}
 	st.check(t)
-	if _, ok := c.Get(nil, 5, nil); ok {
-		t.Fatal("an unflushed async write survived the failover")
+	if v, ok := c.Get(nil, 5, nil); !ok || string(v) != "before" {
+		t.Fatalf("an acknowledged write after the failover = %q, %v", v, ok)
 	}
 }
 

@@ -243,14 +243,6 @@ func (c *Cluster) Put(key uint64, value []byte, ttl time.Duration) (ShardLSN, er
 	return p.member.put(key, value, ttl)
 }
 
-// PutAsync enqueues key on its partition's shard write queue; no token.
-func (c *Cluster) PutAsync(key uint64, value []byte) error {
-	p := c.parts[c.router.Partition(key)]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.member.putAsync(key, value)
-}
-
 // Delete removes key, reporting presence plus the token (deletes are
 // logged even on a miss).
 func (c *Cluster) Delete(key uint64) (bool, ShardLSN, error) {
@@ -336,20 +328,6 @@ func (c *Cluster) MultiDelete(keys []uint64) (int, []ShardLSN, error) {
 // fronts primaries (a fenced one refuses per write with ErrFenced). The
 // serving layer's store contract asks, because a follower replica does.
 func (c *Cluster) Writable() error { return nil }
-
-// Flush applies every partition's queued async writes.
-func (c *Cluster) Flush() int {
-	total := 0
-	for _, p := range c.parts {
-		p.mu.RLock()
-		n, err := p.member.flush()
-		p.mu.RUnlock()
-		if err == nil {
-			total += n
-		}
-	}
-	return total
-}
 
 // Reap runs one bounded TTL sweep on every partition's primary.
 func (c *Cluster) Reap(budget int) int {

@@ -147,8 +147,8 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 	if _, err := old.put(1, []byte("zombie"), 0); err != ErrFenced {
 		t.Fatalf("corpse Put: %v, want ErrFenced", err)
 	}
-	if _, err := old.flush(); err != ErrFenced {
-		t.Fatalf("corpse Flush: %v, want ErrFenced", err)
+	if _, _, err := old.delete(1); err != ErrFenced {
+		t.Fatalf("corpse Delete: %v, want ErrFenced", err)
 	}
 
 	// Caught-up failover loses nothing: every key reads back, every old
@@ -294,9 +294,8 @@ func TestClusterLostTokenConflicts(t *testing.T) {
 }
 
 // TestClusterMaintenanceSurface covers the operational methods the
-// failover tests don't route through: topology accessors, async writes
-// with Flush, TTL reaping, checkpoints, single-key Delete, and data
-// removal after close.
+// failover tests don't route through: topology accessors, TTL reaping,
+// checkpoints, single-key Delete, and data removal after close.
 func TestClusterMaintenanceSurface(t *testing.T) {
 	c := openCluster(t, 2, 1)
 	if c.NumPartitions() != 2 || c.ShardsPerPartition() != 4 {
@@ -307,19 +306,6 @@ func TestClusterMaintenanceSurface(t *testing.T) {
 	}
 	if c.Epoch(0) != 1 || c.Member(0).Epoch() != 1 {
 		t.Fatalf("fresh cluster epochs = %d/%d, want 1/1", c.Epoch(0), c.Member(0).Epoch())
-	}
-
-	// Async writes route like sync ones and land on Flush.
-	for k := uint64(0); k < 8; k++ {
-		if err := c.PutAsync(k, []byte("queued")); err != nil {
-			t.Fatalf("PutAsync(%d): %v", k, err)
-		}
-	}
-	if n := c.Flush(); n != 8 {
-		t.Fatalf("Flush applied %d, want 8", n)
-	}
-	if v, ok := c.Get(nil, 3, nil); !ok || string(v) != "queued" {
-		t.Fatalf("async write invisible after Flush: %q, %v", v, ok)
 	}
 
 	// Expired TTL residue is reapable across every partition.
@@ -337,6 +323,9 @@ func TestClusterMaintenanceSurface(t *testing.T) {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 
+	if _, err := c.Put(3, []byte("doomed"), 0); err != nil {
+		t.Fatal(err)
+	}
 	ok, tok, err := c.Delete(3)
 	if err != nil || !ok || tok.LSN == 0 || tok.Epoch != 1 {
 		t.Fatalf("Delete(3) = %v, %+v, %v", ok, tok, err)

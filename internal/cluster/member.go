@@ -109,17 +109,13 @@ func (m *Member) StopServing() {
 	m.hsrv.Close()
 }
 
-// Close stops serving and closes the engine (syncing its WAL). A fenced
-// member drops its queued async writes first: they were acknowledged with
-// no token, and committing them at Close would be a post-fence commit.
-// Idempotent.
+// Close stops serving and closes the engine (syncing its WAL). It commits
+// nothing: every write the member accepted was applied before it was
+// answered. Idempotent.
 func (m *Member) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		m.hsrv.Close()
-		if m.Fenced() {
-			m.engine.Discard()
-		}
 		err = m.engine.Close()
 	})
 	return err
@@ -144,17 +140,6 @@ func (m *Member) put(key uint64, value []byte, ttl time.Duration) (ShardLSN, err
 		m.engine.Put(key, value)
 	}
 	return m.token(key), nil
-}
-
-// putAsync enqueues key on its shard's write queue; no token (the write
-// has not applied). A fenced member's queue must not accept work that a
-// later Flush would commit.
-func (m *Member) putAsync(key uint64, value []byte) error {
-	if m.Fenced() {
-		return ErrFenced
-	}
-	m.engine.PutAsync(key, value)
-	return nil
 }
 
 // delete stamps its token on a miss too: the delete is logged regardless.
@@ -213,15 +198,6 @@ func (m *Member) txn(keys []uint64, fn func(*kvs.Tx) error) ([]ShardLSN, error) 
 		return nil, err
 	}
 	return CommitLSNs(nil, m.engine, m.partition, m.epoch, keys), nil
-}
-
-// flush applies the queued async writes: on a fenced member that would be
-// a post-fence commit.
-func (m *Member) flush() (int, error) {
-	if m.Fenced() {
-		return 0, ErrFenced
-	}
-	return m.engine.Flush(), nil
 }
 
 // reap runs one bounded TTL sweep. Fenced like any other mutation: expiry

@@ -106,12 +106,10 @@ func (s *Sharded) WALError() error {
 	return nil
 }
 
-// Close drains the async write queues and, on durable engines, trims, syncs
-// and closes every shard's log. The engine must not be written after Close
-// (late writes are counted as WAL errors and survive only in memory).
-// Close is idempotent.
+// Close, on durable engines, trims, syncs and closes every shard's log.
+// The engine must not be written after Close (late writes are counted as
+// WAL errors and survive only in memory). Close is idempotent.
 func (s *Sharded) Close() error {
-	s.Flush()
 	if !s.durable {
 		return nil
 	}

@@ -3,7 +3,7 @@ package kvs
 // Model-based certification: the sharded engine must be observationally
 // equivalent to a single-mutex map. A reference model applies the same
 // randomized schedule of operations (Put, PutTTL at its two deterministic
-// deadline classes, Delete, MultiPut, MultiDelete, PutAsync+Flush, Get,
+// deadline classes, Delete, MultiPut, MultiDelete, Txn, CAS, Update, Get,
 // MultiGet, Range, Reap) and the visible states must agree — after every
 // read in the sequential phase, and on the final snapshot in the
 // concurrent phase, where workers own disjoint key ranges so the final
@@ -31,13 +31,11 @@ import (
 // errModelAbort is the deliberate abort the transaction arm injects.
 var errModelAbort = errors.New("model: deliberate transaction abort")
 
-// refKV is the reference: one flat map of the *visible* state behind one
-// mutex, plus the not-yet-applied async queue.
+// refKV is the reference: one flat map of the visible state behind one
+// mutex.
 type refKV struct {
-	mu      sync.Mutex
-	data    map[uint64][]byte
-	pendKey []uint64
-	pendVal [][]byte
+	mu   sync.Mutex
+	data map[uint64][]byte
 }
 
 func newRefKV() *refKV { return &refKV{data: map[uint64][]byte{}} }
@@ -51,22 +49,6 @@ func (r *refKV) put(k uint64, v []byte) {
 func (r *refKV) erase(k uint64) {
 	r.mu.Lock()
 	delete(r.data, k)
-	r.mu.Unlock()
-}
-
-func (r *refKV) putAsync(k uint64, v []byte) {
-	r.mu.Lock()
-	r.pendKey = append(r.pendKey, k)
-	r.pendVal = append(r.pendVal, append([]byte(nil), v...))
-	r.mu.Unlock()
-}
-
-func (r *refKV) flush() {
-	r.mu.Lock()
-	for i, k := range r.pendKey {
-		r.data[k] = r.pendVal[i]
-	}
-	r.pendKey, r.pendVal = nil, nil
 	r.mu.Unlock()
 }
 
@@ -133,9 +115,6 @@ func optimisticSweep(t *testing.T, s *Sharded, want map[uint64][]byte, label str
 // both the engine and the reference, checking every read.
 func runSequentialModel(t *testing.T, s *Sharded, seed uint64, iters int, h *rwl.Reader) *refKV {
 	t.Helper()
-	// The model tracks the async queue itself, so the engine must not
-	// auto-drain behind its back.
-	s.SetAsyncBatch(1 << 30)
 	ref := newRefKV()
 	rng := xrand.NewXorShift64(seed)
 	const keyspace = 256
@@ -250,13 +229,6 @@ func runSequentialModel(t *testing.T, s *Sharded, seed uint64, iters int, h *rwl
 			for _, bk := range batch {
 				ref.erase(bk)
 			}
-		case 9:
-			v := EncodeValue(rng.Next())
-			s.PutAsync(k, v)
-			ref.putAsync(k, v)
-		case 10:
-			s.Flush()
-			ref.flush()
 		case 11:
 			s.Reap(64) // physical removal only: no visible-state change
 		case 12: // full visible-state audit mid-stream
@@ -302,8 +274,6 @@ func runSequentialModel(t *testing.T, s *Sharded, seed uint64, iters int, h *rwl
 			}
 		}
 	}
-	s.Flush()
-	ref.flush()
 	compareSnapshot(t, s, ref.data, "sequential final")
 	return ref
 }
@@ -375,12 +345,10 @@ func TestModelSequentialEquivalenceDurable(t *testing.T) {
 }
 
 // runConcurrentModel storms the engine with workers that own disjoint key
-// ranges (each also running reads, reaps, and the async path with the
-// documented flush-before-mixing discipline) plus anonymous readers, then
+// ranges (each also running reads and reaps) plus anonymous readers, then
 // compares the deterministic final state. Returns the merged model.
 func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64][]byte {
 	t.Helper()
-	s.SetAsyncBatch(1 << 30) // apply only on Flush: keeps per-key order modelable
 	const keysPerWorker = 128
 	models := make([]map[uint64][]byte, workers)
 	done := make(chan struct{})
@@ -457,18 +425,6 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 			defer wg.Done()
 			base := uint64(w) * keysPerWorker
 			model := map[uint64][]byte{}
-			pending := map[uint64]bool{}
-			// flushFor honours the async-mixing contract: before a sync
-			// write touches a key with a queued async write, Flush.
-			flushFor := func(keys ...uint64) {
-				for _, k := range keys {
-					if pending[k] {
-						s.Flush()
-						pending = map[uint64]bool{}
-						return
-					}
-				}
-			}
 			rng := xrand.NewXorShift64(uint64(w)*0x9E3779B9 + 7)
 			batch := make([]uint64, 0, 6)
 			bvals := make([][]byte, 0, 6)
@@ -478,7 +434,6 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 				case 16: // multi-key transaction inside the worker's own range
 					a := base + rng.Next()%keysPerWorker
 					b := base + rng.Next()%keysPerWorker
-					flushFor(a, b)
 					v1, v2 := EncodeValue(rng.Next()), EncodeValue(rng.Next())
 					if err := s.Txn([]uint64{a, b}, func(tx *Tx) error {
 						tx.Put(a, v1)
@@ -491,7 +446,6 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 					model[a] = v1
 					model[b] = v2
 				case 17: // CAS against the worker's model: must always match
-					flushFor(k)
 					wv, wok := model[k]
 					var old []byte
 					if wok {
@@ -503,7 +457,6 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 					}
 					model[k] = nv
 				case 18: // Update within the worker's range
-					flushFor(k)
 					nv := EncodeValue(rng.Next())
 					if err := s.Update(k, func([]byte, bool) ([]byte, bool) {
 						return nv, true
@@ -512,21 +465,17 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 					}
 					model[k] = nv
 				case 0, 1, 2:
-					flushFor(k)
 					v := EncodeValue(rng.Next())
 					s.Put(k, v)
 					model[k] = v
 				case 3:
-					flushFor(k)
 					v := EncodeValue(rng.Next())
 					s.put(k, v, math.MaxInt64)
 					model[k] = v
 				case 4:
-					flushFor(k)
 					s.put(k, EncodeValue(rng.Next()), -1)
 					delete(model, k)
 				case 5:
-					flushFor(k)
 					s.Delete(k)
 					delete(model, k)
 				case 6: // MultiPut within the worker's own range
@@ -536,7 +485,6 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 						batch = append(batch, base+rng.Next()%keysPerWorker)
 						bvals = append(bvals, EncodeValue(rng.Next()))
 					}
-					flushFor(batch...)
 					s.MultiPut(batch, bvals)
 					for j, bk := range batch {
 						model[bk] = bvals[j]
@@ -547,30 +495,19 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 					for j := 0; j < n; j++ {
 						batch = append(batch, base+rng.Next()%keysPerWorker)
 					}
-					flushFor(batch...)
 					s.MultiDelete(batch)
 					for _, bk := range batch {
 						delete(model, bk)
 					}
-				case 8, 9:
-					v := EncodeValue(rng.Next())
-					s.PutAsync(k, v)
-					model[k] = v
-					pending[k] = true
-				case 10:
-					s.Flush()
-					pending = map[uint64]bool{}
 				case 11:
 					s.Reap(32)
 				default:
-					// A key with no queued async write is stable: only this
-					// worker writes it, and its last sync write has applied.
-					if !pending[k] {
-						wv, wok := model[k]
-						gv, gok := s.Get(k)
-						if gok != wok || (gok && !bytes.Equal(gv, wv)) {
-							t.Errorf("worker %d: Get(%d) = %q/%v, model %q/%v", w, k, gv, gok, wv, wok)
-						}
+					// Every key is stable: only this worker writes it, and
+					// its last write has applied.
+					wv, wok := model[k]
+					gv, gok := s.Get(k)
+					if gok != wok || (gok && !bytes.Equal(gv, wv)) {
+						t.Errorf("worker %d: Get(%d) = %q/%v, model %q/%v", w, k, gv, gok, wv, wok)
 					}
 				}
 			}
@@ -581,7 +518,6 @@ func runConcurrentModel(t *testing.T, s *Sharded, workers, iters int) map[uint64
 	close(done)
 	readers.Wait()
 	flipper.Wait()
-	s.Flush()
 	merged := map[uint64][]byte{}
 	for _, m := range models {
 		for k, v := range m {

@@ -14,11 +14,11 @@ import (
 
 // The read-path race storm: optimistic seqlock readers running flat out
 // against every mutation site the engine has — Put, PutTTL, MultiPut,
-// Delete, MultiDelete, the async queue's flush, Reap, checkpoints, and
-// ApplyReplRecord — under the race detector. Values are self-validating
-// (see stormValue): every 8-byte word carries the key, the word count, and
-// a generation stamp, so a torn copy, a cross-key splice, or a stale
-// half-update decodes as garbage instead of passing silently.
+// Delete, MultiDelete, Reap, checkpoints, and ApplyReplRecord — under the
+// race detector. Values are self-validating (see stormValue): every 8-byte
+// word carries the key, the word count, and a generation stamp, so a torn
+// copy, a cross-key splice, or a stale half-update decodes as garbage
+// instead of passing silently.
 //
 // Mutant exercise (run while building this storm and again whenever the
 // bracketing changes, then deleted): a temporary test passes runSeqStorm an
@@ -137,9 +137,8 @@ func stormReaders(t *testing.T, s *Sharded, nReaders int, stop *atomic.Bool) *sy
 }
 
 // stormMutators runs the write-side mix for iters rounds: direct puts and
-// TTL puts, batched puts, deletes single and batched, async puts with
-// flushes, and the reaper. gen seeds the generation counter so engine
-// variants never reuse stamps.
+// TTL puts, batched puts, deletes single and batched, and the reaper. gen
+// seeds the generation counter so engine variants never reuse stamps.
 func stormMutators(t *testing.T, s *Sharded, iters int, gen *atomic.Uint64) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -175,13 +174,6 @@ func stormMutators(t *testing.T, s *Sharded, iters int, gen *atomic.Uint64) *syn
 			s.MultiDelete([]uint64{i % stormKeys, (i + 7) % stormKeys})
 		} else {
 			s.Delete((i * 5) % stormKeys)
-		}
-	})
-	spawn(func(i uint64) { // async queue + flush
-		k := (i * 11) % stormKeys
-		s.PutAsync(k, stormValue(k, gen.Add(1)))
-		if i%16 == 0 {
-			s.Flush()
 		}
 	})
 	spawn(func(i uint64) { // born-expired entries + the reaper

@@ -41,12 +41,11 @@ import (
 // Writes: every mutation is an Entry and reaches its shard through one
 // write section (write.go) — log, lock, apply, count. MultiPut and
 // MultiDelete group their keys by shard and hand it each shard's group, so a
-// group pays a single write-lock acquisition (write combining), and
-// PutAsync/Flush (async.go) coalesce writers through a per-shard queue that
-// drains into it. Keys can carry a TTL (PutTTL): expired entries are
-// invisible to every read path the instant the deadline passes (lazy
-// expiry), and Reap incrementally removes them under the ordinary shard
-// write locks — never a stop-the-world scan.
+// group pays a single write-lock acquisition (write combining). Every write
+// is applied before its call returns. Keys can carry a TTL (PutTTL):
+// expired entries are invisible to every read path the instant the
+// deadline passes (lazy expiry), and Reap incrementally removes them under
+// the ordinary shard write locks — never a stop-the-world scan.
 //
 // With WithDurability (or OpenSharded) the engine is persistent: every
 // write appends to its shard's write-ahead log before applying, each of
@@ -70,9 +69,6 @@ type Sharded struct {
 	// reapCursor round-robins Reap's starting shard across calls, so an
 	// incremental budget eventually covers every shard.
 	reapCursor atomic.Uint64
-	// asyncN is the per-shard queue depth at which PutAsync applies the
-	// queued batch inline; 0 means DefaultAsyncBatch (see async.go).
-	asyncN atomic.Int64
 	// seqAttempts is the optimistic read attempt budget per read before
 	// falling back to the shard read lock; 0 disables the optimistic path.
 	seqAttempts atomic.Int32
@@ -109,7 +105,6 @@ type kvShard struct {
 	// implement rwl.HandleRWLock. Resolved once at construction so the read
 	// hot paths pay a nil check, not a type assertion, per acquisition.
 	hlock rwl.HandleRWLock
-	q     writeQueue
 	// wal is the shard's write-ahead log, nil on volatile engines. Its
 	// mutex orders before lock: writers append (and fsync) before applying.
 	wal *shardWAL
@@ -250,10 +245,10 @@ type shardOps struct {
 	deletes   atomic.Uint64
 	delMisses atomic.Uint64
 	// wbatches/wbatchKeys count combined write applications: one batch per
-	// shard group applied by MultiPut, MultiDelete, or an async-queue flush.
+	// shard group applied by MultiPut, MultiDelete, a transaction or a
+	// replicated record.
 	wbatches   atomic.Uint64
 	wbatchKeys atomic.Uint64
-	asyncPuts  atomic.Uint64
 	// txnCommits/txnAborts count transactions that touched the shard (as a
 	// read or write participant) and committed or aborted; txnKeys counts
 	// the staged writes transactions applied to this shard. A transaction
@@ -294,11 +289,11 @@ type ShardStats struct {
 	MultiGetBatches uint64 `json:"multi_get_batches"`
 	MultiGetKeys    uint64 `json:"multi_get_keys"`
 	// WriteBatches/WriteBatchKeys count combined write applications (one
-	// batch per shard group from MultiPut, MultiDelete, or a queue flush);
-	// the keys they carried are also counted in Puts/Deletes.
+	// batch per shard group from MultiPut, MultiDelete, a transaction or a
+	// replicated record); the keys they carried are also counted in
+	// Puts/Deletes.
 	WriteBatches   uint64 `json:"write_batches"`
 	WriteBatchKeys uint64 `json:"write_batch_keys"`
-	AsyncPuts      uint64 `json:"async_puts"`
 	// SeqReads counts read sections served by the optimistic zero-CAS path
 	// (one per Get/GetInto, one per MultiGet shard group); SeqRetries
 	// counts attempts that collided with a writer and were discarded;
@@ -359,7 +354,6 @@ func (s *ShardStats) add(o ShardStats) {
 	s.MultiGetKeys += o.MultiGetKeys
 	s.WriteBatches += o.WriteBatches
 	s.WriteBatchKeys += o.WriteBatchKeys
-	s.AsyncPuts += o.AsyncPuts
 	s.SeqReads += o.SeqReads
 	s.SeqRetries += o.SeqRetries
 	s.SeqFallbacks += o.SeqFallbacks
@@ -823,7 +817,6 @@ func (s *Sharded) Stats() ShardedStats {
 			MultiGetKeys:    sh.readTotal(rdBatchKeys),
 			WriteBatches:    sh.ops.wbatches.Load(),
 			WriteBatchKeys:  sh.ops.wbatchKeys.Load(),
-			AsyncPuts:       sh.ops.asyncPuts.Load(),
 			SeqReads:        gets + batches - locked,
 			SeqRetries:      sh.readTotal(rdSeqRetries),
 			SeqFallbacks:    sh.readTotal(rdSeqFallbacks),

@@ -286,10 +286,6 @@ func TestShardedConcurrent(t *testing.T) {
 							s.PutTTL(k, EncodeValue(rng.Next()), time.Duration(rng.Intn(2000))*time.Microsecond)
 						case 7:
 							s.Reap(32)
-						case 8:
-							s.PutAsync(k, EncodeValue(rng.Next()))
-						case 9:
-							s.Flush()
 						case 10:
 							s.Range(func(_ uint64, v []byte) bool {
 								if len(v) != 8 {
@@ -308,7 +304,6 @@ func TestShardedConcurrent(t *testing.T) {
 				}(uint64(w + 1))
 			}
 			wg.Wait()
-			s.Flush()
 			if s.Len() > keys {
 				t.Fatalf("Len = %d, exceeds keyspace %d", s.Len(), keys)
 			}

@@ -140,15 +140,15 @@ func TestReadStripesShareNoLine(t *testing.T) {
 // TestOneOpSequenceCountsAsBeforeStriping drives one fixed single-threaded
 // sequence through every counted path — hits, misses, expiries, batches,
 // in-place and fresh puts, a retried seq read, a fallback, reads with the
-// optimistic path off, transactions, async puts, reaping — and compares the
-// marshalled Stats with what the commit before the counters were striped
-// (and SeqReads became derived) printed for it, byte for byte.
+// optimistic path off, transactions, a two-shard batch, reaping — and
+// compares the marshalled Stats with what the commit before the counters
+// were striped (and SeqReads became derived) printed for it, byte for byte.
 func TestOneOpSequenceCountsAsBeforeStriping(t *testing.T) {
 	const golden = `{"shards":[` +
-		`{"keys":16,"ttl_keys":0,"gets":18,"get_hits":14,"puts":30,"puts_in_place":11,"deletes":3,"delete_hits":1,"multi_get_batches":4,"multi_get_keys":9,"write_batches":4,"write_batch_keys":7,"async_puts":1,"seq_reads":19,"seq_retries":6,"seq_fallbacks":2,"txn_commits":2,"txn_aborts":1,"txn_keys":2,"expired":2,"reaped":0,"snapshots":1,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0},` +
-		`{"keys":18,"ttl_keys":0,"gets":30,"get_hits":20,"puts":34,"puts_in_place":15,"deletes":1,"delete_hits":1,"multi_get_batches":4,"multi_get_keys":16,"write_batches":3,"write_batch_keys":7,"async_puts":1,"seq_reads":32,"seq_retries":4,"seq_fallbacks":1,"txn_commits":1,"txn_aborts":0,"txn_keys":2,"expired":0,"reaped":0,"snapshots":0,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0},` +
-		`{"keys":7,"ttl_keys":0,"gets":14,"get_hits":9,"puts":12,"puts_in_place":2,"deletes":3,"delete_hits":1,"multi_get_batches":2,"multi_get_keys":4,"write_batches":2,"write_batch_keys":4,"async_puts":0,"seq_reads":15,"seq_retries":0,"seq_fallbacks":0,"txn_commits":0,"txn_aborts":0,"txn_keys":0,"expired":3,"reaped":1,"snapshots":0,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0},` +
-		`{"keys":8,"ttl_keys":0,"gets":26,"get_hits":11,"puts":19,"puts_in_place":9,"deletes":1,"delete_hits":1,"multi_get_batches":4,"multi_get_keys":9,"write_batches":2,"write_batch_keys":2,"async_puts":0,"seq_reads":25,"seq_retries":6,"seq_fallbacks":2,"txn_commits":0,"txn_aborts":0,"txn_keys":0,"expired":2,"reaped":1,"snapshots":0,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0}` +
+		`{"keys":16,"ttl_keys":0,"gets":18,"get_hits":14,"puts":30,"puts_in_place":11,"deletes":3,"delete_hits":1,"multi_get_batches":4,"multi_get_keys":9,"write_batches":4,"write_batch_keys":7,"seq_reads":19,"seq_retries":6,"seq_fallbacks":2,"txn_commits":2,"txn_aborts":1,"txn_keys":2,"expired":2,"reaped":0,"snapshots":1,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0},` +
+		`{"keys":18,"ttl_keys":0,"gets":30,"get_hits":20,"puts":34,"puts_in_place":15,"deletes":1,"delete_hits":1,"multi_get_batches":4,"multi_get_keys":16,"write_batches":3,"write_batch_keys":7,"seq_reads":32,"seq_retries":4,"seq_fallbacks":1,"txn_commits":1,"txn_aborts":0,"txn_keys":2,"expired":0,"reaped":0,"snapshots":0,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0},` +
+		`{"keys":7,"ttl_keys":0,"gets":14,"get_hits":9,"puts":12,"puts_in_place":2,"deletes":3,"delete_hits":1,"multi_get_batches":2,"multi_get_keys":4,"write_batches":2,"write_batch_keys":4,"seq_reads":15,"seq_retries":0,"seq_fallbacks":0,"txn_commits":0,"txn_aborts":0,"txn_keys":0,"expired":3,"reaped":1,"snapshots":0,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0},` +
+		`{"keys":8,"ttl_keys":0,"gets":26,"get_hits":11,"puts":19,"puts_in_place":9,"deletes":1,"delete_hits":1,"multi_get_batches":4,"multi_get_keys":9,"write_batches":2,"write_batch_keys":2,"seq_reads":25,"seq_retries":6,"seq_fallbacks":2,"txn_commits":0,"txn_aborts":0,"txn_keys":0,"expired":2,"reaped":1,"snapshots":0,"wal_records":0,"wal_keys":0,"wal_syncs":0,"wal_bytes":0,"wal_errors":0,"checkpoints":0}` +
 		`]}`
 	s, err := NewSharded(4, mkStd)
 	if err != nil {
@@ -219,9 +219,7 @@ func TestOneOpSequenceCountsAsBeforeStriping(t *testing.T) {
 	if ok, err := s.CompareAndSwap(14, pattern(3), pattern(4)); !ok || err != nil {
 		t.Fatalf("CompareAndSwap = %v, %v", ok, err)
 	}
-	s.PutAsync(15, pattern(5))
-	s.PutAsync(500, pattern(5))
-	s.Flush()
+	s.MultiPut([]uint64{15, 500}, [][]byte{pattern(5), pattern(5)})
 	s.SnapshotShard(0)
 	s.Reap(0)
 	s.Get(103) // reaped: a plain miss now

@@ -4,10 +4,10 @@ package kvs
 // write section (kvShard.write, write.go) appends the entries it was handed
 // as one CRC-framed record before applying them to the in-memory table.
 // Group commit is the point: whatever run of entries reaches write — one
-// Put, a MultiPut's same-shard run, a detached async queue — is ONE log
-// record and, under SyncAlways, ONE fsync, so the dominant slow-path cost is
-// amortized across the batch exactly the way BRAVO amortizes bias revocation
-// across the reads that follow it. A lone Put pays a full fsync; a 64-key
+// Put, a MultiPut's same-shard run — is ONE log record and, under
+// SyncAlways, ONE fsync, so the dominant slow-path cost is amortized across
+// the batch exactly the way BRAVO amortizes bias revocation across the
+// reads that follow it. A lone Put pays a full fsync; a 64-key
 // batch pays 1/64th of one per key.
 //
 // Ordering: a shard's WAL mutex is held across append+fsync+apply, so the

@@ -104,26 +104,6 @@ func TestDurableTTLSurvivesRestartAsRemaining(t *testing.T) {
 	}
 }
 
-func TestDurableAsyncFlushIsLogged(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestKV(t, dir, 2, SyncNone)
-	s.PutAsync(1, []byte("q1"))
-	s.PutAsync(2, []byte("q2"))
-	s.Flush()
-	s.PutAsync(3, []byte("never-applied"))
-	// Crash without Close: the queued-but-unapplied write was never logged.
-	r := openTestKV(t, dir, 2, SyncNone)
-	defer r.Close()
-	for k, v := range map[uint64]string{1: "q1", 2: "q2"} {
-		if got, ok := r.Get(k); !ok || string(got) != v {
-			t.Fatalf("flushed async write %d = %q, %v after recovery", k, got, ok)
-		}
-	}
-	if _, ok := r.Get(3); ok {
-		t.Fatal("an async write that never applied was recovered")
-	}
-}
-
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestKV(t, dir, 2, SyncAlways)

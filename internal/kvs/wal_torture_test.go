@@ -27,14 +27,11 @@ type tortureOp struct {
 	model func(m map[uint64][]byte) // fold into the visible-state model
 }
 
-// tortureSchedule builds a deterministic randomized schedule. Async writes
-// ride along: PutAsync appends nothing until a Flush applies the batch, so
-// an op's model effect can be empty and a Flush's can be several keys —
-// the offset oracle handles both for free.
+// tortureSchedule builds a deterministic randomized schedule. An op's
+// model effect can be empty (a Reap) or several keys (a MultiPut's one
+// record) — the offset oracle handles both for free.
 func tortureSchedule(rng *xrand.XorShift64, n int, keyspace uint64) []tortureOp {
 	ops := make([]tortureOp, 0, n)
-	var pendKeys []uint64
-	var pendVals [][]byte
 	for i := 0; i < n; i++ {
 		k := rng.Next() % keyspace
 		switch rng.Intn(12) {
@@ -61,7 +58,7 @@ func tortureSchedule(rng *xrand.XorShift64, n int, keyspace uint64) []tortureOp 
 				apply: func(s *Sharded) { s.Delete(k) },
 				model: func(m map[uint64][]byte) { delete(m, k) },
 			})
-		case 8: // MultiPut: one record for the whole (single-shard) group
+		case 8, 9: // MultiPut: one record for the whole (single-shard) group
 			bn := 2 + int(rng.Intn(5))
 			keys := make([]uint64, bn)
 			vals := make([][]byte, bn)
@@ -74,25 +71,6 @@ func tortureSchedule(rng *xrand.XorShift64, n int, keyspace uint64) []tortureOp 
 				model: func(m map[uint64][]byte) {
 					for j, bk := range keys {
 						m[bk] = vals[j]
-					}
-				},
-			})
-		case 9: // PutAsync: enqueued, logged only when a batch applies
-			v := EncodeValue(rng.Next())
-			pendKeys = append(pendKeys, k)
-			pendVals = append(pendVals, v)
-			ops = append(ops, tortureOp{
-				apply: func(s *Sharded) { s.PutAsync(k, v) },
-				model: func(m map[uint64][]byte) {},
-			})
-		case 10: // Flush: the queued batch becomes one record
-			fk, fv := pendKeys, pendVals
-			pendKeys, pendVals = nil, nil
-			ops = append(ops, tortureOp{
-				apply: func(s *Sharded) { s.Flush() },
-				model: func(m map[uint64][]byte) {
-					for j, bk := range fk {
-						m[bk] = fv[j]
 					}
 				},
 			})
@@ -165,7 +143,6 @@ func TestTortureTruncatedTailIsPrefixConsistent(t *testing.T) {
 	}
 	dir := t.TempDir()
 	s := openTestKV(t, dir, 1, SyncNone)
-	s.SetAsyncBatch(1 << 30) // batches apply on Flush only: schedule-determined records
 	rng := xrand.NewXorShift64(0x7027012E)
 	ops := tortureSchedule(rng, nOps, 64)
 	offsets := make([]int64, len(ops))

@@ -2,15 +2,15 @@ package kvs
 
 // The write path: one mutation type and one write section.
 //
-// Every change to a shard's contents — Put, Delete, a batch, a queued async
-// write, a transaction's staged write, a replicated entry, a replayed log
-// entry — is an Entry, and every Entry reaches a store through the same two
-// halves: shardWAL.append logs a run of entries as one record, applyLocked
-// applies the run inside the shard's write section and does all of the
-// put/delete accounting. kvShard.write is the two halves around one shard's
-// locks. The paths that cannot use it whole call the halves themselves: Txn
-// holds several shards at once, a follower's ApplyReplRecord has no log, and
-// recovery runs before the engine is shared and so takes no lock.
+// Every change to a shard's contents — Put, Delete, a batch, a transaction's
+// staged write, a replicated entry, a replayed log entry — is an Entry, and
+// every Entry reaches a store through the same two halves: shardWAL.append
+// logs a run of entries as one record, applyLocked applies the run inside
+// the shard's write section and does all of the put/delete accounting.
+// kvShard.write is the two halves around one shard's locks. The paths that
+// cannot use it whole call the halves themselves: Txn holds several shards
+// at once, a follower's ApplyReplRecord has no log, and recovery runs
+// before the engine is shared and so takes no lock.
 //
 // Lock order, stated once: a shard's WAL mutex, then that shard's lock; a
 // transaction takes every participant's WAL mutex in ascending shard order,

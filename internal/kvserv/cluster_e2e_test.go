@@ -160,26 +160,10 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("second DELETE: status %d, want 404", resp.StatusCode)
 	}
 
-	// TTL and async writes route through the cluster like plain ones.
+	// TTL writes route through the cluster like plain ones.
 	resp, _ = do(t, http.MethodPut, base+"/kv/200?ttl=1h", []byte("expiring"))
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("TTL PUT: status %d", resp.StatusCode)
-	}
-	resp, _ = do(t, http.MethodPut, base+"/kv/201?async=1", []byte("queued"))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async PUT: status %d, want 202", resp.StatusCode)
-	}
-	resp, body = do(t, http.MethodPost, base+"/flush", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("flush: status %d", resp.StatusCode)
-	}
-	var fl map[string]int
-	if err := json.Unmarshal(body, &fl); err != nil || fl["flushed"] < 1 {
-		t.Fatalf("flush body %s (err %v), want flushed >= 1", body, err)
-	}
-	resp, body = do(t, http.MethodGet, base+"/kv/201", nil)
-	if resp.StatusCode != http.StatusOK || string(body) != "queued" {
-		t.Fatalf("GET after flush: status %d body %q", resp.StatusCode, body)
 	}
 	resp, _ = do(t, http.MethodPost, base+"/checkpoint", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -188,7 +172,7 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 
 	// Malformed write options are refused before touching the engine.
 	for _, bad := range []string{
-		"/kv/1?async=maybe", "/kv/1?ttl=forever", "/kv/1?async=1&ttl=1s",
+		"/kv/1?ttl=forever", "/kv/1?async=1&ttl=forever",
 	} {
 		resp, _ = do(t, http.MethodPut, base+bad, []byte("x"))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -324,20 +308,6 @@ func TestClusterWireEndToEnd(t *testing.T) {
 		t.Fatalf("MDELETE = %d, status %v; want 4 removed", r.Applied, r.Status)
 	}
 
-	// Async put has no token until Flush applies it.
-	if r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 80, Value: []byte("queued"), Async: true}); r.Status != wire.StatusOK || len(r.LSNs) != 0 {
-		t.Fatalf("async PUT = %v, status %v; want no tokens yet", r.LSNs, r.Status)
-	}
-	if r := wireDo(t, wc, wire.Request{Op: wire.OpFlush}); r.Status != wire.StatusOK || r.Applied < 1 {
-		t.Fatalf("FLUSH = %d, status %v", r.Applied, r.Status)
-	}
-	if r := wireDo(t, wc, wire.Request{Op: wire.OpGet, Key: 80}); r.Status != wire.StatusOK || string(r.Value) != "queued" {
-		t.Fatalf("GET after flush = %q, status %v", r.Value, r.Status)
-	}
-	// ttl and async stay exclusive through the cluster branch too.
-	if r := wireDo(t, wc, wire.Request{Op: wire.OpPut, Key: 81, Value: []byte("x"), TTL: time.Hour, Async: true}); r.Status != wire.StatusBadRequest {
-		t.Fatalf("async+ttl PUT: status %v, want StatusBadRequest", r.Status)
-	}
 	// A future-epoch token is malformed on the wire as well.
 	if r := wireDo(t, wc, wire.Request{Op: wire.OpGet, Key: 42, MinLSN: 1, Epoch: 99}); r.Status != wire.StatusBadRequest {
 		t.Fatalf("future-epoch token: status %v, want StatusBadRequest", r.Status)

@@ -60,7 +60,7 @@ func classify(err error) wire.Status {
 // mutates reports whether op needs a store that takes writes.
 func mutates(op wire.Op) bool {
 	switch op {
-	case wire.OpPut, wire.OpDelete, wire.OpMPut, wire.OpMDelete, wire.OpCas, wire.OpTxn, wire.OpFlush:
+	case wire.OpPut, wire.OpDelete, wire.OpMPut, wire.OpMDelete, wire.OpCas, wire.OpTxn:
 		return true
 	}
 	return false
@@ -121,15 +121,6 @@ func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire
 	case wire.OpPut:
 		if len(req.Value) > MaxValueBytes {
 			return tooLarge("")
-		}
-		if req.Async {
-			if req.TTL > 0 {
-				return &statusError{wire.StatusBadRequest, "ttl and async are exclusive: the queue applies without TTL"}
-			}
-			// PutAsync keeps the value past the call and the request's bytes
-			// are the connection's decode buffer, so detach. No token: the
-			// write has not applied yet.
-			return s.store.PutAsync(req.Key, append([]byte(nil), req.Value...))
 		}
 		tok, err := s.store.Put(req.Key, req.Value, req.TTL)
 		if err != nil {
@@ -200,9 +191,6 @@ func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire
 		} else {
 			resp.Mismatch = ct.mismatch
 		}
-
-	case wire.OpFlush:
-		resp.Applied = uint32(s.store.Flush())
 
 	case wire.OpStats:
 		// Encode into the scratch document buffer: steady-state STATS polling

@@ -64,8 +64,8 @@ func readsAs(t *testing.T, out []byte, method string) int {
 	return n
 }
 
-// requestCorpus seeds FuzzServerRequest: a key, ttl, async flag, mget key
-// list and PUT body.
+// requestCorpus seeds FuzzServerRequest: a key, ttl, an async parameter
+// (unknown to the server, so ignored), mget key list and PUT body.
 var requestCorpus = []struct {
 	key, ttl, async, keys string
 	body                  []byte
@@ -101,9 +101,10 @@ func requestSeq(key, ttl, async, keys string, body []byte) []byte {
 	return append(in, rawRequest("GET", "/stats", nil)...)
 }
 
-// mputSeq renders an MPUT of body followed by a flush.
+// mputSeq renders an MPUT of body followed by a GET, which must still be
+// framed right after the body.
 func mputSeq(body []byte) []byte {
-	return append(rawRequest("POST", "/mput", body), rawRequest("POST", "/flush", nil)...)
+	return append(rawRequest("POST", "/mput", body), rawRequest("GET", "/kv/1", nil)...)
 }
 
 func fuzzServer(f *testing.F) *Server {

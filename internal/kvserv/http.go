@@ -418,7 +418,6 @@ var httpRoutes = map[string]httpRoute{
 	"/mput":        {"POST", func(c *httpConn) { c.route(wire.OpMPut, parseMPut, renderMPut) }},
 	"/cas":         {"POST", func(c *httpConn) { c.route(wire.OpCas, parseCas, renderCas) }},
 	"/txn":         {"POST", func(c *httpConn) { c.route(wire.OpTxn, parseTxn, renderTxn) }},
-	"/flush":       {"POST", func(c *httpConn) { c.route(wire.OpFlush, nil, renderFlush) }},
 	"/stats":       {"GET", func(c *httpConn) { c.route(wire.OpStats, nil, renderStats) }},
 	"/checkpoint":  {"POST", (*httpConn).checkpoint},
 	"/repl/status": {"GET", (*httpConn).replStatus},
@@ -626,24 +625,15 @@ func parsePut(c *httpConn, req *wire.Request) (err error) {
 	if c.val, req.Value = buf.Bytes(), buf.Bytes(); err != nil {
 		return fmt.Errorf("body: %w", err)
 	}
-	if raw := c.param("async"); raw != "" {
-		if req.Async, err = strconv.ParseBool(raw); err != nil {
-			return fmt.Errorf("bad async %q: want a boolean", raw)
-		}
-	}
 	if raw := c.param("ttl"); raw != "" {
 		req.TTL, err = parseTTL(raw)
 	}
 	return err
 }
 
-// renderEmpty answers PUT and DELETE: 202 for a write only queued, else 204.
-func renderEmpty(c *httpConn, req *wire.Request, _ *wire.Response) {
-	if req.Async {
-		c.reply(http.StatusAccepted, "", nil)
-	} else {
-		c.reply(http.StatusNoContent, "", nil)
-	}
+// renderEmpty answers PUT and DELETE: 204, the write applied.
+func renderEmpty(c *httpConn, _ *wire.Request, _ *wire.Response) {
+	c.reply(http.StatusNoContent, "", nil)
 }
 
 // mgetResponse answers /mget: values is parallel to the requested keys,
@@ -839,10 +829,6 @@ func renderTxn(c *httpConn, _ *wire.Request, resp *wire.Response) {
 		out.Mismatch = &resp.Mismatch
 	}
 	c.json(out)
-}
-
-func renderFlush(c *httpConn, _ *wire.Request, resp *wire.Response) {
-	c.json(map[string]int{"flushed": int(resp.Applied)})
 }
 
 // renderStats serves the executor's document with the newline it trimmed

@@ -181,10 +181,7 @@ func (ms matrixStore) viaHTTP(t *testing.T, req wire.Request) (int, []wire.Shard
 	case wire.OpPut:
 		method, path, body = http.MethodPut, fmt.Sprintf("/kv/%d?", req.Key), req.Value
 		if req.TTL > 0 {
-			path += "ttl=" + req.TTL.String() + "&"
-		}
-		if req.Async {
-			path += "async=1"
+			path += "ttl=" + req.TTL.String()
 		}
 	case wire.OpDelete:
 		method, path = http.MethodDelete, fmt.Sprintf("/kv/%d", req.Key)
@@ -215,8 +212,6 @@ func (ms matrixStore) viaHTTP(t *testing.T, req wire.Request) (int, []wire.Shard
 			tr.Ops = append(tr.Ops, op)
 		}
 		path, body = "/txn", mustJSON(t, tr)
-	case wire.OpFlush:
-		path = "/flush"
 	default:
 		t.Fatalf("no HTTP spelling for %s", req.Op)
 	}
@@ -287,8 +282,7 @@ func TestAdjudicationMatrix(t *testing.T) {
 		{"get miss", wire.Request{Op: wire.OpGet, Key: 2}, [...]int{404, 404, 404, 404}},
 		{"mget", wire.Request{Op: wire.OpMGet, Keys: []uint64{1, 2}}, [...]int{200, 200, 200, 200}},
 		{"put", wire.Request{Op: wire.OpPut, Key: 3, Value: v}, [...]int{200, 200, 403, 200}},
-		{"put async", wire.Request{Op: wire.OpPut, Key: 7, Value: v, Async: true}, [...]int{200, 200, 403, 200}},
-		{"put ttl+async", wire.Request{Op: wire.OpPut, Key: 3, Value: v, TTL: time.Minute, Async: true}, [...]int{400, 400, 403, 400}},
+		{"put ttl", wire.Request{Op: wire.OpPut, Key: 7, Value: v, TTL: time.Minute}, [...]int{200, 200, 403, 200}},
 		{"put oversize value", wire.Request{Op: wire.OpPut, Key: 3, Value: big}, [...]int{413, 413, 403, 413}},
 		{"delete hit", wire.Request{Op: wire.OpDelete, Key: 3}, [...]int{200, 200, 403, 200}},
 		{"delete miss", wire.Request{Op: wire.OpDelete, Key: 2}, [...]int{404, 404, 403, 404}},
@@ -304,7 +298,6 @@ func TestAdjudicationMatrix(t *testing.T) {
 			TxnOps: []wire.TxnOp{{Key: 6, Value: v}}}, [...]int{413, 413, 403, 413}},
 		{"txn oversize op", wire.Request{Op: wire.OpTxn, TxnOps: []wire.TxnOp{{Key: 6, Value: big}}}, [...]int{413, 413, 403, 413}},
 		{"txn without keys", wire.Request{Op: wire.OpTxn}, [...]int{400, 400, 403, 400}},
-		{"flush", wire.Request{Op: wire.OpFlush}, [...]int{200, 200, 403, 200}},
 		// Tokens the store cannot honor. A volatile engine has no LSNs at all
 		// (400); a log that has not reached the LSN is a conflict (409); a
 		// cluster token must carry an epoch this cluster issued (400).

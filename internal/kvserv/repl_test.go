@@ -129,7 +129,6 @@ func TestReplE2EPrimaryAndFollowerServers(t *testing.T) {
 		{http.MethodPut, "/kv/7"},
 		{http.MethodDelete, "/kv/7"},
 		{http.MethodPost, "/mput"},
-		{http.MethodPost, "/flush"},
 		{http.MethodPost, "/checkpoint"},
 	} {
 		resp, body = do(t, probe.method, followerURL+probe.path, []byte("x"))

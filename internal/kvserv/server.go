@@ -7,10 +7,10 @@
 //	          repl.Follower's read-only replica.
 //	executor  Server.execute (exec.go): one wire.Request in, one
 //	          wire.Response out. Every semantic step of every operation —
-//	          write admission, value caps, ttl/async exclusivity, the
-//	          read-your-writes token check, the store call, conditional-txn
-//	          planning, error→status classification — is written there and
-//	          nowhere else.
+//	          write admission, value caps, the read-your-writes token
+//	          check, the store call, conditional-txn planning,
+//	          error→status classification — is written there and nowhere
+//	          else.
 //	codecs    HTTP/1.1 (http.go) and the pipelined binary protocol
 //	          (wire.go), each one run-to-completion loop per connection.
 //	          Each parses its transport into a wire.Request and renders the
@@ -27,8 +27,7 @@
 // as internal/wire's binary frames:
 //
 //	GET    /kv/{key}            value bytes, 404 on miss or TTL expiry
-//	PUT    /kv/{key}[?ttl=1s]   store body; ttl attaches an expiry;
-//	       [?async=1]           async enqueues on the shard write queue
+//	PUT    /kv/{key}[?ttl=1s]   store body; ttl attaches an expiry
 //	DELETE /kv/{key}            204 when removed, 404 when absent
 //	GET    /mget?keys=1,2,3     {"values": [b64|null, ...]} parallel to keys
 //	POST   /mput                {"entries":[{"key":1,"value":b64},...],
@@ -36,7 +35,6 @@
 //	POST   /cas                 {"key":1,"old":b64|null,"new":b64|null}
 //	POST   /txn                 {"if":[...],"ops":[...]}: a conditional
 //	                            atomic batch
-//	POST   /flush               apply queued async writes: {"flushed":n}
 //	POST   /checkpoint          snapshot every shard and truncate its WAL;
 //	                            409 on a volatile engine
 //	GET    /stats               shard counters + totals + durability, plus
@@ -283,10 +281,10 @@ func (s *Server) accept(l net.Listener, drain bool, serve func(net.Conn), closed
 // included) close immediately; wire listeners close and each wire connection
 // gets DefaultDrainTimeout to finish answering the pipelined requests its
 // client already sent (the read deadline cuts the stream, buffered frames are
-// still served — see ServeWire). Then the reaper stops and the store's queued
-// async writes flush so nothing accepted with a 202 is left invisible (or, on
-// durable engines, unlogged). It does not Close the engine or cluster itself
-// — the caller owns that lifecycle (see cmd/kvserv's shutdown path).
+// still served — see ServeWire). Then the reaper stops. Every write the
+// server answered was already applied, so there is nothing left to commit.
+// It does not Close the engine or cluster itself — the caller owns that
+// lifecycle (see cmd/kvserv's shutdown path).
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -307,7 +305,6 @@ func (s *Server) Close() error {
 		}
 		s.mu.Unlock()
 		s.wg.Wait()
-		s.store.Flush()
 	})
 	return err
 }

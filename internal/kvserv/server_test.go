@@ -203,36 +203,28 @@ func TestServerTTLAndReaper(t *testing.T) {
 	}
 }
 
+// TestServerAsyncPutAndFlush: an old client's ?async=1 is an unknown query
+// parameter, ignored like any other — its PUT is applied and logged before
+// it is answered (204 with a commit token, visible to the next GET) — and
+// POST /flush is an unmounted route.
 func TestServerAsyncPutAndFlush(t *testing.T) {
-	base, _ := startServer(t, Config{ReapInterval: -1})
-	resp, _ := do(t, http.MethodPut, base+"/kv/9?async=1", []byte("queued"))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async PUT status = %d, want 202", resp.StatusCode)
+	engine, err := kvs.OpenSharded(t.TempDir(), 8, func() rwl.RWLock { return core.New(new(stdrw.Lock)) }, kvs.SyncNone)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp, _ := do(t, http.MethodGet, base+"/kv/9", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET before flush = %d, want 404", resp.StatusCode)
+	t.Cleanup(func() { engine.Close() })
+	base := startServerWith(t, engine, Config{ReapInterval: -1})
+	for key, q := range map[string]string{"9": "async=1", "10": "async=maybe"} {
+		resp, _ := do(t, http.MethodPut, base+"/kv/"+key+"?"+q, []byte("applied"))
+		if resp.StatusCode != http.StatusNoContent || resp.Header.Get("X-Commit-Lsn") == "" {
+			t.Fatalf("PUT ?%s = %d, X-Commit-Lsn %q; want 204 with a token", q, resp.StatusCode, resp.Header.Get("X-Commit-Lsn"))
+		}
+		if resp, body := do(t, http.MethodGet, base+"/kv/"+key, nil); resp.StatusCode != http.StatusOK || string(body) != "applied" {
+			t.Fatalf("GET after PUT ?%s = %d %q, want the value", q, resp.StatusCode, body)
+		}
 	}
-	resp, body := do(t, http.MethodPost, base+"/flush", nil)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "\"flushed\":1") {
-		t.Fatalf("flush = %d %s", resp.StatusCode, body)
-	}
-	resp, body = do(t, http.MethodGet, base+"/kv/9", nil)
-	if resp.StatusCode != http.StatusOK || string(body) != "queued" {
-		t.Fatalf("GET after flush = %d %q", resp.StatusCode, body)
-	}
-	if resp, _ := do(t, http.MethodPut, base+"/kv/9?async=1&ttl=1s", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("async+ttl status = %d, want 400", resp.StatusCode)
-	}
-	// async=0 means synchronous: immediately visible, 204 not 202.
-	resp, _ = do(t, http.MethodPut, base+"/kv/10?async=0", []byte("sync"))
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("async=0 PUT status = %d, want 204", resp.StatusCode)
-	}
-	if resp, body := do(t, http.MethodGet, base+"/kv/10", nil); resp.StatusCode != http.StatusOK || string(body) != "sync" {
-		t.Fatalf("GET after async=0 PUT = %d %q, want immediate visibility", resp.StatusCode, body)
-	}
-	if resp, _ := do(t, http.MethodPut, base+"/kv/11?async=maybe", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("async=maybe status = %d, want 400", resp.StatusCode)
+	if resp, _ := do(t, http.MethodPost, base+"/flush", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /flush = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -258,8 +250,8 @@ func TestServerMPutTTL(t *testing.T) {
 }
 
 // TestServerDurableCheckpointAndRestart serves a durable engine over real
-// TCP: writes (sync, batched, and async-then-flushed) survive a server
-// stop and a fresh server over the same directory; /checkpoint truncates
+// TCP: writes (single and batched) survive a server stop and a fresh server
+// over the same directory; /checkpoint truncates
 // the logs; /stats reports the durability posture.
 func TestServerDurableCheckpointAndRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -279,10 +271,8 @@ func TestServerDurableCheckpointAndRestart(t *testing.T) {
 	if resp, body := do(t, http.MethodPost, base+"/mput", mput); resp.StatusCode != http.StatusOK {
 		t.Fatalf("MPUT = %d %s", resp.StatusCode, body)
 	}
-	// An async write accepted with 202 must survive too: Server.Close
-	// flushes the queue (and the flush is logged) before the engine closes.
-	if resp, _ := do(t, http.MethodPut, base+"/kv/3?async=1", []byte("queued")); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async PUT status = %d", resp.StatusCode)
+	if resp, _ := do(t, http.MethodPut, base+"/kv/3", []byte("third")); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("PUT status = %d", resp.StatusCode)
 	}
 
 	// Checkpoint over HTTP: logs truncate, stats count it.
@@ -306,10 +296,9 @@ func TestServerDurableCheckpointAndRestart(t *testing.T) {
 		t.Fatalf("PUT ttl status = %d", resp.StatusCode)
 	}
 
-	// "Restart": close the engine (which drains the async queue into the
-	// log, then syncs and closes it) and open a fresh engine + server over
-	// the same directory. The first server's deferred Close is harmless —
-	// its engine is already closed and quiet.
+	// "Restart": close the engine (which syncs and closes its logs) and open
+	// a fresh engine + server over the same directory. The first server's
+	// deferred Close is harmless — its engine is already closed and quiet.
 	if err := engine.Close(); err != nil {
 		t.Fatalf("engine.Close: %v", err)
 	}
@@ -319,7 +308,7 @@ func TestServerDurableCheckpointAndRestart(t *testing.T) {
 	}
 	t.Cleanup(func() { e2.Close() })
 	base2 := startServerWith(t, e2, Config{ReapInterval: -1})
-	for key, want := range map[string]string{"1": "durable", "2": "batched", "3": "queued", "4": "ttl"} {
+	for key, want := range map[string]string{"1": "durable", "2": "batched", "3": "third", "4": "ttl"} {
 		resp, body := do(t, http.MethodGet, base2+"/kv/"+key, nil)
 		if resp.StatusCode != http.StatusOK || string(body) != want {
 			t.Fatalf("restarted GET /kv/%s = %d %q, want %q", key, resp.StatusCode, body, want)

@@ -25,13 +25,11 @@ type store interface {
 	Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool)
 	MultiGet(h *rwl.Reader, keys []uint64) [][]byte
 	Put(key uint64, value []byte, ttl time.Duration) (wire.ShardLSN, error)
-	PutAsync(key uint64, value []byte) error
 	Delete(key uint64) (bool, wire.ShardLSN, error)
 	MultiPut(keys []uint64, values [][]byte, ttl time.Duration) ([]wire.ShardLSN, error)
 	MultiDelete(keys []uint64) (int, []wire.ShardLSN, error)
 	Cas(key uint64, old, new []byte) (bool, wire.ShardLSN, error)
 	Txn(keys []uint64, fn func(*kvs.Tx) error) ([]wire.ShardLSN, error)
-	Flush() int
 	Reap(budget int) int
 	Checkpoint() error
 
@@ -45,8 +43,8 @@ type store interface {
 }
 
 // statusError is a failure the serving layer itself decided, carrying its
-// status: an oversize value, ttl+async together, a write to a follower, a
-// checkpoint of a volatile engine.
+// status: an oversize value, a write to a follower, a checkpoint of a
+// volatile engine.
 type statusError struct {
 	status wire.Status
 	msg    string
@@ -82,11 +80,6 @@ func (s *engineStore) Put(key uint64, value []byte, ttl time.Duration) (wire.Sha
 	return s.token(key), nil
 }
 
-func (s *engineStore) PutAsync(key uint64, value []byte) error {
-	s.e.PutAsync(key, value)
-	return nil
-}
-
 // Delete stamps its token on a miss too: the delete is logged regardless.
 func (s *engineStore) Delete(key uint64) (bool, wire.ShardLSN, error) {
 	ok := s.e.Delete(key)
@@ -119,7 +112,6 @@ func (s *engineStore) Txn(keys []uint64, fn func(*kvs.Tx) error) ([]wire.ShardLS
 	return s.tokens(keys), nil
 }
 
-func (s *engineStore) Flush() int          { return s.e.Flush() }
 func (s *engineStore) Reap(budget int) int { return s.e.Reap(budget) }
 
 // Checkpoint on a volatile engine is a conflict, not a failure: the operator

@@ -102,17 +102,6 @@ func TestWireCRUD(t *testing.T) {
 		t.Fatal("ttl value visible after expiry")
 	}
 
-	// Async enqueues; Flush applies.
-	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 3, Value: []byte("queued"), Async: true}); r.Status != wire.StatusOK {
-		t.Fatalf("put async: status %v", r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpFlush}); r.Status != wire.StatusOK || r.Applied < 1 {
-		t.Fatalf("flush: %d, status %v", r.Applied, r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 3}); !bytes.Equal(r.Value, []byte("queued")) {
-		t.Fatalf("async value after flush: %q, status %v", r.Value, r.Status)
-	}
-
 	// Batches.
 	keys := []uint64{10, 11, 12}
 	vals := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
@@ -250,10 +239,6 @@ func TestWireValueCaps(t *testing.T) {
 	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: []uint64{1}, Values: [][]byte{big}}); r.Status != wire.StatusTooLarge {
 		t.Fatalf("oversize mput entry: status %v, want StatusTooLarge", r.Status)
 	}
-	// ttl+async is the one semantic exclusion.
-	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 1, Value: []byte("x"), TTL: time.Second, Async: true}); r.Status != wire.StatusBadRequest {
-		t.Fatalf("ttl+async: status %v, want StatusBadRequest", r.Status)
-	}
 }
 
 // TestWireMalformedBody: a sound frame whose body does not decode is
@@ -317,8 +302,10 @@ func TestWireCorruptFrameCloses(t *testing.T) {
 	}
 }
 
-// TestWireUnknownOp: an op the server does not recognize still gets a
-// typed answer (DecodeRequest rejects it, the header fallback names it).
+// TestWireUnknownOp: an op the server does not recognize — an unassigned
+// one, the retired FLUSH (7), or a PUT carrying the retired async flag
+// (1<<1) — still gets a typed answer (DecodeRequest rejects it, the header
+// fallback names it), and the connection keeps serving.
 func TestWireUnknownOp(t *testing.T) {
 	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
 	nc, err := net.Dial("tcp", addr)
@@ -326,18 +313,35 @@ func TestWireUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	f := frame.Append(nil, []byte{wire.Version, 99, 0, 42, 0, 0, 0, 0, 0, 0, 0})
-	if _, err := nc.Write(f); err != nil {
+	asyncPut := wire.AppendRequest(nil, &wire.Request{Op: wire.OpPut, ID: 44, Key: 5, Value: []byte("x")})
+	asyncPut[frame.HeaderSize+2] |= 1 << 1
+	frame.Seal(asyncPut)
+	dec := wire.NewStreamDecoder(nc, 0)
+	for id, f := range map[uint64][]byte{
+		42: frame.Append(nil, []byte{wire.Version, 99, 0, 42, 0, 0, 0, 0, 0, 0, 0}),
+		43: frame.Append(nil, []byte{wire.Version, 7, 0, 43, 0, 0, 0, 0, 0, 0, 0}),
+		44: asyncPut,
+	} {
+		if _, err := nc.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := dec.Next()
+		if err != nil {
+			t.Fatalf("id %d: reading the refusal: %v", id, err)
+		}
+		if resp, ok := wire.DecodeResponse(payload); !ok || resp.ID != id || resp.Status != wire.StatusBadRequest {
+			t.Fatalf("id %d answered %+v, want BadRequest", id, resp)
+		}
+	}
+	if _, err := nc.Write(wire.AppendRequest(nil, &wire.Request{Op: wire.OpGet, ID: 45, Key: 5})); err != nil {
 		t.Fatal(err)
 	}
-	dec := wire.NewStreamDecoder(nc, 0)
 	payload, err := dec.Next()
 	if err != nil {
-		t.Fatalf("reading unknown-op response: %v", err)
+		t.Fatalf("reading the GET after the refusals: %v", err)
 	}
-	resp, ok := wire.DecodeResponse(payload)
-	if !ok || resp.ID != 42 || resp.Status != wire.StatusBadRequest {
-		t.Fatalf("unknown op answered %+v", resp)
+	if resp, ok := wire.DecodeResponse(payload); !ok || resp.ID != 45 || resp.Status != wire.StatusNotFound {
+		t.Fatalf("GET after the refusals answered %+v, want a miss (the PUT must not apply)", resp)
 	}
 }
 

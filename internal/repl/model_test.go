@@ -84,8 +84,6 @@ type replModel struct {
 	states   *refStates
 	rng      *xrand.XorShift64
 	keyspace uint64
-	pendKey  []uint64
-	pendVal  [][]byte
 }
 
 func newReplModel(e *kvs.Sharded, states *refStates, seed, keyspace uint64) *replModel {
@@ -93,8 +91,6 @@ func newReplModel(e *kvs.Sharded, states *refStates, seed, keyspace uint64) *rep
 		e: e, states: states, rng: xrand.NewXorShift64(seed), keyspace: keyspace,
 		refs: make([]map[uint64][]byte, e.NumShards()),
 	}
-	// The model owns async application: apply only on Flush.
-	e.SetAsyncBatch(1 << 30)
 	for i := range m.refs {
 		m.refs[i] = map[uint64][]byte{}
 	}
@@ -108,7 +104,7 @@ func (m *replModel) ref(k uint64) map[uint64][]byte { return m.refs[m.e.ShardOf(
 func (m *replModel) step(sample bool) {
 	touched := map[int]bool{}
 	k := m.rng.Next() % m.keyspace
-	switch m.rng.Intn(16) {
+	switch m.rng.Intn(11) {
 	case 0, 1, 2, 3:
 		v := kvs.EncodeValue(m.rng.Next())
 		m.e.Put(k, v)
@@ -140,7 +136,7 @@ func (m *replModel) step(sample bool) {
 			m.ref(bk)[bk] = vals[i]
 			touched[m.e.ShardOf(bk)] = true
 		}
-	case 10: // MultiDelete
+	default: // MultiDelete
 		n := 1 + int(m.rng.Intn(6))
 		keys := make([]uint64, n)
 		for i := range keys {
@@ -151,18 +147,6 @@ func (m *replModel) step(sample bool) {
 			delete(m.ref(bk), bk)
 			touched[m.e.ShardOf(bk)] = true
 		}
-	case 11, 12: // async put: enqueued, replicated only when its batch lands
-		v := kvs.EncodeValue(m.rng.Next())
-		m.e.PutAsync(k, v)
-		m.pendKey = append(m.pendKey, k)
-		m.pendVal = append(m.pendVal, v)
-	default: // flush: every queued write becomes one record per shard
-		m.e.Flush()
-		for i, pk := range m.pendKey {
-			m.ref(pk)[pk] = m.pendVal[i]
-			touched[m.e.ShardOf(pk)] = true
-		}
-		m.pendKey, m.pendVal = nil, nil
 	}
 	if sample {
 		for sh := range touched {
@@ -171,13 +155,8 @@ func (m *replModel) step(sample bool) {
 	}
 }
 
-// finish flushes the async queue and returns the merged reference state.
+// finish returns the merged reference state.
 func (m *replModel) finish() map[uint64][]byte {
-	m.e.Flush()
-	for i, pk := range m.pendKey {
-		m.ref(pk)[pk] = m.pendVal[i]
-	}
-	m.pendKey, m.pendVal = nil, nil
 	merged := map[uint64][]byte{}
 	for _, ref := range m.refs {
 		for k, v := range ref {

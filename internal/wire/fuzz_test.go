@@ -22,12 +22,10 @@ func fuzzSeedRequests() []Request {
 		{Op: OpGet, ID: 2, Key: 42, MinLSN: 7},
 		{Op: OpPut, ID: 3, Key: 9, Value: []byte("v")},
 		{Op: OpPut, ID: 4, Key: 9, Value: []byte("v"), TTL: 1e9},
-		{Op: OpPut, ID: 5, Key: 9, Value: []byte("v"), Async: true},
 		{Op: OpDelete, ID: 6, Key: 1},
 		{Op: OpMGet, ID: 7, Keys: []uint64{1, 2, 3}},
 		{Op: OpMPut, ID: 8, Keys: []uint64{1, 2}, Values: [][]byte{{}, []byte("x")}},
 		{Op: OpMDelete, ID: 9, Keys: []uint64{5}},
-		{Op: OpFlush, ID: 10},
 		{Op: OpStats, ID: 11},
 		{Op: OpCas, ID: 12, Key: 3, Old: []byte("a"), New: []byte("b")},
 		{Op: OpCas, ID: 13, Key: 3, New: []byte{}},
@@ -55,6 +53,9 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	for _, req := range fuzzSeedRequests() {
 		f.Add(body(AppendRequest(nil, &req)))
+	}
+	for _, r := range retiredRequests() {
+		f.Add(r.payload)
 	}
 	for _, resp := range []Response{
 		{Op: OpGet, ID: 1, Value: []byte("v")},

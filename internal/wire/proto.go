@@ -24,7 +24,7 @@
 //	            CAS:          u64 key | optval old | optval new
 //	            TXN:          u32 ncond | ncond × (u64 key | optval)
 //	                          | u32 nops | nops × txnop
-//	            FLUSH/STATS:  empty
+//	            STATS:        empty
 //	optval   := u8 present(0|1) | present? (u32 vlen | vlen bytes)
 //	txnop    := u8 kind(1=put 2=putttl 3=delete) | u64 key
 //	            | kind=put:    u32 vlen | vlen bytes
@@ -38,7 +38,7 @@
 //	                too (cluster responses; requires flagLSNs)
 //	body     := GET:          u32 vlen | vlen bytes
 //	            MGET:         u32 count | count × (u8 present | present? u32 vlen | vlen bytes)
-//	            MPUT/MDELETE/FLUSH: u32 applied
+//	            MPUT/MDELETE: u32 applied
 //	            STATS:        u32 jlen | jlen bytes (the /stats JSON document)
 //	            CAS:          u8 swapped(0|1)
 //	            TXN:          u8 committed(0|1) | committed=0: u64 mismatchKey
@@ -81,6 +81,7 @@ type Op byte
 // point: the server applies each through the engine's shard-grouping pass,
 // so one wire batch is one lock acquisition — and one bias revocation —
 // per shard it touches.
+// Op 7 (FLUSH) is retired, never reused: an old client's FLUSH is refused.
 const (
 	OpGet     Op = 1
 	OpPut     Op = 2
@@ -88,7 +89,6 @@ const (
 	OpMGet    Op = 4
 	OpMPut    Op = 5
 	OpMDelete Op = 6
-	OpFlush   Op = 7
 	OpStats   Op = 8
 	// OpCas is single-key compare-and-swap; OpTxn is a conditional atomic
 	// batch (preconditions on current values plus writes, applied
@@ -113,8 +113,6 @@ func (o Op) String() string {
 		return "MPUT"
 	case OpMDelete:
 		return "MDELETE"
-	case OpFlush:
-		return "FLUSH"
 	case OpStats:
 		return "STATS"
 	case OpCas:
@@ -134,7 +132,7 @@ const (
 	// StatusNotFound: GET miss or DELETE of an absent key (the HTTP 404).
 	StatusNotFound Status = 1
 	// StatusBadRequest: the request decoded but is semantically invalid
-	// (e.g. ttl+async together, MinLSN against a volatile server).
+	// (e.g. MinLSN against a volatile server).
 	StatusBadRequest Status = 2
 	// StatusReadOnly: a write sent to a follower (the HTTP 403).
 	StatusReadOnly Status = 3
@@ -175,10 +173,9 @@ func (s Status) String() string {
 	return "Status(?)"
 }
 
-// Request flag bits.
+// Request flag bits. 1<<1 (async PUT) is retired, never reused: it is refused.
 const (
 	reqFlagTTL    = 1 << 0
-	reqFlagAsync  = 1 << 1
 	reqFlagMinLSN = 1 << 2
 	// reqFlagEpoch accompanies reqFlagMinLSN on cluster reads: a u64 fencing
 	// epoch follows the minLSN, scoping the token to the primary generation
@@ -203,8 +200,6 @@ type Request struct {
 	// response echoes it. Conn manages IDs itself; hand-built requests
 	// choose their own.
 	ID uint64
-	// Async marks a PUT for the shard write queue (the HTTP ?async=1).
-	Async bool
 	// TTL, when positive, attaches an expiry to PUT/MPUT.
 	TTL time.Duration
 	// MinLSN, when nonzero, is a read-your-writes token: every shard the
@@ -274,8 +269,7 @@ type Response struct {
 	// Values answers MGET, parallel to the request's keys; nil marks
 	// absent (entries alias the decode buffer).
 	Values [][]byte
-	// Applied is MPUT's applied count, MDELETE's removed count, or FLUSH's
-	// flushed count.
+	// Applied is MPUT's applied count or MDELETE's removed count.
 	Applied uint32
 	// Stats is STATS's JSON document (the /stats response body).
 	Stats []byte
@@ -297,9 +291,6 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	flags := byte(0)
 	if req.TTL > 0 {
 		flags |= reqFlagTTL
-	}
-	if req.Async {
-		flags |= reqFlagAsync
 	}
 	if req.MinLSN > 0 {
 		flags |= reqFlagMinLSN
@@ -430,11 +421,10 @@ func DecodeRequest(p []byte) (Request, bool) {
 	// would make a request mean something other than what its sender
 	// encoded (and break decode→encode canonical stability). An epoch scopes
 	// a token; an epoch without one is not a canonical encoding either.
-	if flags&^(reqFlagTTL|reqFlagAsync|reqFlagMinLSN|reqFlagEpoch) != 0 ||
+	if flags&^(reqFlagTTL|reqFlagMinLSN|reqFlagEpoch) != 0 ||
 		flags&reqFlagEpoch != 0 && flags&reqFlagMinLSN == 0 {
 		return req, false
 	}
-	req.Async = flags&reqFlagAsync != 0
 	c := frame.NewCursor(p[3+8:])
 	// Each flag promises a nonzero token, a nonzero epoch, a positive TTL:
 	// the encoder expresses "none" by clearing the flag, so a zero under it
@@ -504,7 +494,7 @@ func DecodeRequest(p []byte) (Request, bool) {
 				c.Fail()
 			}
 		}
-	case OpFlush, OpStats:
+	case OpStats:
 	default:
 		return req, false
 	}
@@ -548,7 +538,7 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
 				dst = append(dst, v...)
 			}
-		case OpMPut, OpMDelete, OpFlush:
+		case OpMPut, OpMDelete:
 			dst = binary.LittleEndian.AppendUint32(dst, resp.Applied)
 		case OpStats:
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Stats)))
@@ -611,7 +601,7 @@ func DecodeResponse(p []byte) (Response, bool) {
 			for i := range resp.Values {
 				resp.Values[i] = optValue(&c)
 			}
-		case OpMPut, OpMDelete, OpFlush:
+		case OpMPut, OpMDelete:
 			resp.Applied = c.U32()
 		case OpStats:
 			resp.Stats = c.Bytes(int(c.U32()))

@@ -26,14 +26,12 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpGet, ID: 2, Key: 42, MinLSN: 900},
 		{Op: OpPut, ID: 3, Key: 7, Value: []byte("hello")},
 		{Op: OpPut, ID: 4, Key: 7, Value: []byte{}, TTL: 5 * time.Second},
-		{Op: OpPut, ID: 5, Key: 7, Value: []byte("queued"), Async: true},
 		{Op: OpDelete, ID: 6, Key: 99},
 		{Op: OpMGet, ID: 7, Keys: []uint64{1, 2, 3}},
 		{Op: OpMGet, ID: 8, Keys: []uint64{}, MinLSN: 12},
 		{Op: OpMPut, ID: 9, Keys: []uint64{10, 20}, Values: [][]byte{[]byte("a"), {}}},
 		{Op: OpMPut, ID: 10, Keys: []uint64{}, Values: [][]byte{}, TTL: time.Minute},
 		{Op: OpMDelete, ID: 11, Keys: []uint64{5}},
-		{Op: OpFlush, ID: 12},
 		{Op: OpStats, ID: 13},
 	}
 	for _, want := range cases {
@@ -76,7 +74,6 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Op: OpMGet, ID: 5, Values: [][]byte{[]byte("a"), nil, []byte("")}},
 		{Op: OpMPut, ID: 6, Applied: 9, LSNs: []ShardLSN{{Shard: 0, LSN: 5}, {Shard: 3, LSN: 6}}},
 		{Op: OpMDelete, ID: 7, Applied: 2},
-		{Op: OpFlush, ID: 8, Applied: 100},
 		{Op: OpStats, ID: 9, Stats: []byte(`{"shards":4}`)},
 		{Op: OpPut, ID: 10, Status: StatusReadOnly, Msg: "follower is read-only"},
 		{Op: OpMGet, ID: 11, Status: StatusConflict, Msg: "min_lsn not applied"},
@@ -124,6 +121,32 @@ func TestMGetAbsentVsEmpty(t *testing.T) {
 	}
 	if got.Values[1] == nil || len(got.Values[1]) != 0 {
 		t.Fatalf("empty entry decoded %v, want present-empty", got.Values[1])
+	}
+}
+
+// retiredRequest is a payload only an older client sends, built from a
+// valid one: a FLUSH (op 7) or a PUT carrying the async flag (1<<1).
+type retiredRequest struct {
+	name    string
+	payload []byte
+}
+
+func retiredRequests() []retiredRequest {
+	flush := AppendRequest(nil, &Request{Op: OpStats, ID: 10})[frame.HeaderSize:]
+	flush[1] = 7
+	async := AppendRequest(nil, &Request{Op: OpPut, ID: 5, Key: 9, Value: []byte("v")})[frame.HeaderSize:]
+	async[2] |= 1 << 1
+	return []retiredRequest{{"op 7 (FLUSH)", flush}, {"PUT with flag 1<<1 (async)", async}}
+}
+
+// TestDecodeRequestRefusesRetired: the retired op and flag are refused, not
+// decoded as something else, so an old client's FLUSH or async PUT cannot
+// be mistaken for a request a new server serves.
+func TestDecodeRequestRefusesRetired(t *testing.T) {
+	for _, r := range retiredRequests() {
+		if req, ok := DecodeRequest(r.payload); ok {
+			t.Errorf("%s: decoded as %+v, want refused", r.name, req)
+		}
 	}
 }
 
