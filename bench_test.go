@@ -3,7 +3,7 @@
 //
 // Figure benches drive the deterministic coherence simulator on the paper's
 // topologies and report the headline comparison as custom metrics (who wins
-// and by what factor); the cmd/ binaries print the full row-by-row series.
+// and by what factor); cmd/bravobench prints the full row-by-row series.
 // Table benches and micro/ablation benches run natively.
 //
 //	go test -bench=. -benchmem
@@ -15,6 +15,7 @@ import (
 
 	bravo "github.com/bravolock/bravo"
 	"github.com/bravolock/bravo/internal/bench"
+	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/sim"
 )
 
@@ -230,7 +231,7 @@ func BenchmarkTable2MetisWrmem(b *testing.B) {
 func BenchmarkRevocationScan(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rate = bench.RevocationScanRate(bravo.DefaultTableSize, 20)
+		rate = bench.RevocationScanRate(bias.DefaultTableSize, 20)
 	}
 	b.ReportMetric(rate, "ns/slot")
 }
@@ -256,7 +257,7 @@ func BenchmarkAblationInhibitN(b *testing.B) {
 	for _, n := range []int64{1, 3, 9, 99} {
 		b.Run(benchName("n", int(n)), func(b *testing.B) {
 			l := bravo.New(bravo.NewBA(),
-				bravo.WithTable(bravo.NewTable(bravo.DefaultTableSize)),
+				bravo.WithTable(bravo.NewTable(bias.DefaultTableSize)),
 				bravo.WithPolicy(bravo.NewInhibitPolicy(n)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -283,7 +284,7 @@ func BenchmarkAblationPolicy(b *testing.B) {
 	for name, p := range policies {
 		b.Run(name, func(b *testing.B) {
 			l := bravo.New(bravo.NewBA(),
-				bravo.WithTable(bravo.NewTable(bravo.DefaultTableSize)),
+				bravo.WithTable(bravo.NewTable(bias.DefaultTableSize)),
 				bravo.WithPolicy(p))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -15,9 +15,6 @@ import (
 	"github.com/bravolock/bravo/internal/topo"
 )
 
-// Token carries per-acquisition reader state from RLock to RUnlock.
-type Token = rwl.Token
-
 // RWLock is the reader-writer lock interface BRAVO wraps and implements.
 type RWLock = rwl.RWLock
 
@@ -57,13 +54,6 @@ type Stats = bias.Stats
 
 // Snapshot is an immutable copy of Stats.
 type Snapshot = bias.Snapshot
-
-// DefaultTableSize is the paper's visible-readers-table size (4096 slots).
-const DefaultTableSize = bias.DefaultTableSize
-
-// DefaultInhibitN is the paper's revocation slow-down guard multiplier (9),
-// bounding writer slow-down to about 1/(N+1) ≈ 10%.
-const DefaultInhibitN = bias.DefaultInhibitN
 
 // New wraps an existing reader-writer lock with the BRAVO transformation.
 // The result preserves the underlying lock's admission policy and adds the
@@ -117,32 +107,16 @@ func NewGoRW() RWLock { return new(stdrw.Lock) }
 func NewFair() RWLock { return new(fairrw.Lock) }
 
 // Adaptive per-lock biasing. An adaptive Lock is a BRAVO lock whose policy
-// is a BiasAdaptor: it watches the lock's read/write mix (as reported by the
-// owner through Offer) and flips between biased (BRAVO fast paths on) and
-// neutral (bias withheld: the underlying lock's admission, FIFO over
-// NewFair), generalizing the paper's static inhibit multiplier into a closed
-// loop with hysteresis — see internal/bias.
-
-// BiasMode is an adaptive lock's current operating mode.
-type BiasMode = bias.Mode
-
-// Adaptive bias modes.
-const (
-	BiasModeBiased  = bias.ModeBiased
-	BiasModeNeutral = bias.ModeNeutral
-)
+// is a bias adaptor (Lock.Adaptor returns it): it watches the lock's
+// read/write mix (as reported by the owner through Offer) and flips between
+// biased (BRAVO fast paths on) and neutral (bias withheld: the underlying
+// lock's admission, FIFO over NewFair), generalizing the paper's static
+// inhibit multiplier into a closed loop with hysteresis — see internal/bias.
 
 // AdaptiveThresholds parameterizes the hysteresis band: the biased mode's
 // enter/exit read ratios (default ≥ 0.90 / < 0.80), the sampling window
 // (4096) and the paper's inhibit multiplier N (9). Zero fields take defaults.
 type AdaptiveThresholds = bias.Thresholds
-
-// BiasAdaptor is the adaptive bias policy (Lock.Adaptor returns it); owners
-// feed it cumulative read/write counts via Offer and read Mode/Snapshot.
-type BiasAdaptor = bias.Adaptor
-
-// BiasAdaptorSnapshot is a coherent point-in-time view of one adaptor.
-type BiasAdaptorSnapshot = bias.AdaptorSnapshot
 
 // NewAdaptive returns under as an adaptive BRAVO lock at default
 // thresholds. A *Lock argument (a bravo.New result) keeps its table, stats
@@ -199,9 +173,6 @@ func NewCohortRW(t Topology) RWLock { return cohort.New(t) }
 // cmd/kvserv serves this engine over HTTP.
 type ShardedKV = kvs.Sharded
 
-// ShardedKVStats aggregates a ShardedKV's per-shard operation counters.
-type ShardedKVStats = kvs.ShardedStats
-
 // ShardKVStats summarizes one shard (or, via Total, a whole engine).
 type ShardKVStats = kvs.ShardStats
 
@@ -230,15 +201,6 @@ type KVTx = kvs.Tx
 
 // MaxTxnKeys bounds the distinct keys one transaction may declare.
 const MaxTxnKeys = kvs.MaxTxnKeys
-
-// Transaction sentinel errors.
-var (
-	// ErrTxnNoKeys is returned by Txn when the key set is empty.
-	ErrTxnNoKeys = kvs.ErrTxnNoKeys
-	// ErrTxnTooManyKeys is returned by Txn when the key set exceeds
-	// MaxTxnKeys distinct keys.
-	ErrTxnTooManyKeys = kvs.ErrTxnTooManyKeys
-)
 
 // SyncPolicy selects when a durable engine's write-ahead log fsyncs:
 // SyncAlways pays one fsync per group-commit batch, SyncNone leaves
@@ -271,9 +233,6 @@ func OpenShardedKV(dir string, shards int, mkLock func() RWLock, policy SyncPoli
 // WaitMinLSN turn the primary's commit LSNs into read-your-writes
 // barriers; Close stops tailing (the replica stays readable, frozen).
 type FollowerKV = repl.Follower
-
-// FollowerKVStats summarizes a follower's per-shard replication progress.
-type FollowerKVStats = repl.Stats
 
 // OpenFollowerKV connects to a replication primary — a kvserv started
 // with -data-dir, at its base URL — sizes an in-memory replica to the

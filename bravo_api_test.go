@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	bravo "github.com/bravolock/bravo"
+	"github.com/bravolock/bravo/internal/bias"
+	"github.com/bravolock/bravo/internal/kvs"
 )
 
 // These tests exercise the public facade: everything a downstream user
@@ -38,7 +40,7 @@ func TestPublicAPIOptionsCompose(t *testing.T) {
 		st := &bravo.Stats{}
 		l := bravo.New(bravo.NewBA(),
 			bravo.WithTable(bravo.NewTable2D(8, 32)),
-			bravo.WithPolicy(bravo.NewInhibitPolicy(bravo.DefaultInhibitN)),
+			bravo.WithPolicy(bravo.NewInhibitPolicy(bias.DefaultInhibitN)),
 			bravo.WithStats(st),
 		)
 		for i := 0; i < 100; i++ {
@@ -126,7 +128,7 @@ func TestSharedTableIsProcessWide(t *testing.T) {
 	if a.TableInUse() != b.TableInUse() || a.TableInUse() != bravo.SharedTable() {
 		t.Fatal("locks do not share the default table")
 	}
-	if bravo.SharedTable().Size() != bravo.DefaultTableSize {
+	if bravo.SharedTable().Size() != bias.DefaultTableSize {
 		t.Fatalf("shared table size %d", bravo.SharedTable().Size())
 	}
 }
@@ -172,7 +174,7 @@ func TestShardedKVThroughFacade(t *testing.T) {
 	if kv.Delete(1 << 40) {
 		t.Fatal("Delete of absent key reported present")
 	}
-	var stats bravo.ShardedKVStats = kv.Stats()
+	var stats kvs.ShardedStats = kv.Stats()
 	var total bravo.ShardKVStats = stats.Total()
 	if total.Keys != kv.Len() || total.Gets == 0 {
 		t.Fatalf("stats inconsistent: %+v vs Len %d", total, kv.Len())

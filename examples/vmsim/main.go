@@ -73,6 +73,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("On this host the two are close: BRAVO's win is avoided coherence")
 	fmt.Println("traffic, which needs many cores to show. The paper's Figure 9 and")
-	fmt.Println("Tables 1-2 shapes: `willitscale -test page_fault1` and `metisbench`,")
-	fmt.Println("or the X5-4 simulation via `willitscale -mode sim`.")
+	fmt.Println("Tables 1-2: `bravobench -mode native -fig 9,t1,t2`, or Figure 9 on")
+	fmt.Println("the simulated X5-4 via `bravobench -fig 9`.")
 }

@@ -8,7 +8,7 @@
 // they measure per-operation overhead rather than cross-socket scalability
 // (use internal/sim for the scalability shapes). Intervals default to a
 // fraction of the paper's to keep full sweeps tractable and are
-// flag-configurable in the cmd wrappers.
+// flag-configurable in cmd/bravobench.
 package bench
 
 import (

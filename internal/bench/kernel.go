@@ -83,8 +83,8 @@ func spinFor(d time.Duration, rng *xrand.XorShift64) {
 // one address space (the _threads variants). Returns iterations per second:
 // page faults for the fault flavours, map+unmap pairs for the mmap ones.
 //
-// chunk is the mapping size; the paper's 128MB (32768 pages) is the
-// default in the cmd wrapper, scaled down for quick runs.
+// chunk is the mapping size; cmd/bravobench's Figure 9 passes the paper's
+// 128MB (32768 pages), tests scale it down for quick runs.
 func WillItScale(k Kernel, test string, threads int, chunk uint64, cfg Config) float64 {
 	return cfg.Median(func() float64 {
 		as := vm.NewAddressSpace(newMMapSem(k))

@@ -99,7 +99,7 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, router: router, parts: make([]*partition, cfg.Partitions)}
 	for i := range c.parts {
 		p := &partition{idx: i, epoch: 1}
-		m, err := newMember(i, 1, c.partDir(i, 1), cfg.Shards, cfg.MkLock, cfg.Policy, nil, &p.mu)
+		m, err := newMember(i, 1, c.partDir(i, 1), cfg.Shards, cfg.MkLock, cfg.Policy, &p.mu)
 		if err != nil {
 			c.Close()
 			return nil, err

@@ -164,8 +164,17 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 		}
 	}
 
-	// The promoted primary continues the LSN sequence and serves writes at
-	// the new epoch.
+	// The promoted primary continues the LSN sequence from the cut — its
+	// seeded snapshots' stamps — and serves writes at the new epoch.
+	cut := c.Cut(0, 2)
+	if len(cut) != c.ShardsPerPartition() {
+		t.Fatalf("Cut(0, 2) = %v, want one LSN per shard", cut)
+	}
+	for i, want := range cut {
+		if got := c.Member(0).Engine().ShardLSN(i); got != want || want == 0 {
+			t.Fatalf("promoted shard %d resumes at LSN %d, the cut is %d", i, got, want)
+		}
+	}
 	tok, err := c.Put(7, []byte("after"), 0)
 	if err != nil {
 		t.Fatalf("Put after failover: %v", err)

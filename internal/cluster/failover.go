@@ -94,7 +94,7 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 	if err := kvs.SeedSnapshotDir(dir, best.Engine(), cut); err != nil {
 		return 0, fmt.Errorf("cluster: partition %d: seeding promoted state: %w", pi, err)
 	}
-	m, err := newMember(pi, newEpoch, dir, c.cfg.Shards, c.cfg.MkLock, c.cfg.Policy, cut, &p.mu)
+	m, err := newMember(pi, newEpoch, dir, c.cfg.Shards, c.cfg.MkLock, c.cfg.Policy, &p.mu)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: partition %d: opening promoted primary: %w", pi, err)
 	}

@@ -47,15 +47,10 @@ type Member struct {
 }
 
 // newMember opens a durable engine in dir and starts the partition's
-// replication endpoint on a loopback listener. lsnBase, when non-nil, is
-// the promotion cut: the engine's per-shard LSNs continue from it. mu is
-// the partition's lock, which fences the member.
-func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Factory, policy kvs.SyncPolicy, lsnBase []uint64, mu *sync.RWMutex) (*Member, error) {
-	opts := []kvs.Option{kvs.WithDurability(dir, policy)}
-	if lsnBase != nil {
-		opts = append(opts, kvs.WithLSNBase(lsnBase))
-	}
-	engine, err := kvs.NewSharded(shards, mk, opts...)
+// replication endpoint on a loopback listener. mu is the partition's lock,
+// which fences the member.
+func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Factory, policy kvs.SyncPolicy, mu *sync.RWMutex) (*Member, error) {
+	engine, err := kvs.OpenSharded(dir, shards, mk, policy)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition %d engine: %w", partition, err)
 	}

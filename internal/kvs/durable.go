@@ -33,9 +33,8 @@ import (
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	dir     string
-	policy  SyncPolicy
-	lsnBase []uint64
+	dir    string
+	policy SyncPolicy
 }
 
 // WithDurability makes the engine durable: state lives in dir (created if
@@ -47,20 +46,6 @@ func WithDurability(dir string, policy SyncPolicy) Option {
 	return func(c *engineConfig) {
 		c.dir = dir
 		c.policy = policy
-	}
-}
-
-// WithLSNBase floors each shard's log sequence numbers: shard i's first
-// record is stamped base[i]+1 (unless recovery already found a higher LSN
-// in the directory). Failover promotion uses it so a freshly-promoted
-// primary continues the per-shard LSN sequence from the point the promoted
-// follower had applied — read-your-writes tokens issued before the
-// failover stay comparable against the new primary's log, and the base is
-// exactly the fence cut between survived and lost history. Only meaningful
-// together with WithDurability; base must have one entry per shard.
-func WithLSNBase(base []uint64) Option {
-	return func(c *engineConfig) {
-		c.lsnBase = base
 	}
 }
 
@@ -148,10 +133,7 @@ const manifestName = "MANIFEST"
 // openDurable attaches a WAL to every shard of a freshly-built engine,
 // recovering any state already in dir. Runs before the engine is shared,
 // so it touches the maps without locks.
-func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) error {
-	if lsnBase != nil && len(lsnBase) != len(s.shards) {
-		return fmt.Errorf("kvs: LSN base has %d entries for %d shards", len(lsnBase), len(s.shards))
-	}
+func (s *Sharded) openDurable(dir string, policy SyncPolicy) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -203,11 +185,6 @@ func (s *Sharded) openDurable(dir string, policy SyncPolicy, lsnBase []uint64) e
 			walSize = int64(valid)
 		} else if !os.IsNotExist(err) {
 			return err
-		}
-		// The LSN floor (failover promotion): the sequence continues from
-		// the base unless the directory already recovered past it.
-		if lsnBase != nil && lsnBase[i] > last {
-			last = lsnBase[i]
 		}
 		f, err := openLog(s.walPath(i))
 		if err != nil {

@@ -418,7 +418,7 @@ func NewSharded(shards int, mkLock rwl.Factory, opts ...Option) (*Sharded, error
 		}
 	}
 	if cfg.dir != "" {
-		if err := s.openDurable(cfg.dir, cfg.policy, cfg.lsnBase); err != nil {
+		if err := s.openDurable(cfg.dir, cfg.policy); err != nil {
 			return nil, err
 		}
 	}

@@ -507,8 +507,8 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 
 	// Primary fails; promote the follower the way cluster failover does:
 	// seed a fresh directory with its state (values and TTLs) as snapshots
-	// stamped with the applied LSNs, and open it floored at them — the
-	// fence failover promotion cuts.
+	// stamped with the applied LSNs — the fence failover promotion cuts —
+	// and open it: each shard's log continues from its snapshot's stamp.
 	if err := prim.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 	if err := SeedSnapshotDir(promDir, follower, lsns); err != nil {
 		t.Fatal(err)
 	}
-	prom, err := NewSharded(shards, mkBravo, WithDurability(promDir, SyncNone), WithLSNBase(lsns))
+	prom, err := NewSharded(shards, mkBravo, WithDurability(promDir, SyncNone))
 	if err != nil {
 		t.Fatal(err)
 	}
