@@ -107,17 +107,15 @@ func main() {
 		runCluster(mk)
 		return
 	}
-	opts := []kvs.Option{}
+	var engine *kvs.Sharded
 	durability := "volatile (no -data-dir: state dies with the process)"
-	if *dataDirFlag != "" {
-		policy, err := kvs.ParseSyncPolicy(*syncFlag)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, kvs.WithDurability(*dataDirFlag, policy))
+	policy, err := kvs.ParseSyncPolicy(*syncFlag) // read only with -data-dir
+	if *dataDirFlag == "" {
+		engine, err = kvs.NewSharded(*shardsFlag, mk)
+	} else if err == nil {
+		engine, err = kvs.OpenSharded(*dataDirFlag, *shardsFlag, mk, policy)
 		durability = fmt.Sprintf("durable in %s (sync %s)", *dataDirFlag, policy)
 	}
-	engine, err := kvs.NewSharded(*shardsFlag, mk, opts...)
 	if err != nil {
 		fatal(err)
 	}

@@ -130,10 +130,10 @@ func TestShardedPerShardDivergence(t *testing.T) {
 }
 
 // flipStorm builds a 4-shard adaptive engine and runs, until the returned
-// stop is called, a flipper forcing shard modes and a goroutine of traffic
-// (one Put in every writeEvery ops over keys below keyspace) whose seq
-// readers and writers cross the flips.
-func flipStorm(t *testing.T, seed, keyspace uint64, writeEvery int) (s *Sharded, stop func()) {
+// stop is called, a flipper forcing shard modes and a harness driver of
+// traffic over keys below keyspace whose seq readers and writers cross the
+// flips.
+func flipStorm(t *testing.T, seed, keyspace uint64) (s *Sharded, stop func()) {
 	s, err := NewSharded(4, mkAdaptive)
 	if err != nil {
 		t.Fatal(err)
@@ -148,15 +148,11 @@ func flipStorm(t *testing.T, seed, keyspace uint64, writeEvery int) (s *Sharded,
 			runtime.Gosched()
 		}
 	}()
+	d := newDriver(t, s, seed, 0, keyspace, false, readOps, writeOps)
 	go func() { // traffic
 		defer wg.Done()
-		rng := xrand.NewXorShift64(seed)
-		for i := 0; !done.Load(); i++ {
-			if k := rng.Intn(keyspace); i%writeEvery == 0 {
-				s.Put(k, EncodeValue(rng.Next()))
-			} else {
-				s.Get(k)
-			}
+		for !done.Load() {
+			d.do(d.next())
 		}
 	}()
 	return s, func() { done.Store(true); wg.Wait() }
@@ -167,7 +163,7 @@ func flipStorm(t *testing.T, seed, keyspace uint64, writeEvery int) (s *Sharded,
 // must be monotonic across snapshots (a torn mode/flips pairing could violate
 // monotonicity by pairing an old flips value with a new row).
 func TestShardedStatsCoherentUnderFlips(t *testing.T) {
-	s, stop := flipStorm(t, 3, 512, 4)
+	s, stop := flipStorm(t, 3, 512)
 	defer stop()
 	valid := map[string]bool{"biased": true, "neutral": true}
 	last := make([]uint64, 4)

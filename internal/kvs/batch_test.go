@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -11,19 +12,13 @@ func TestShardedMultiPut(t *testing.T) {
 	s, _ := NewSharded(4, mkStd)
 	keys := []uint64{1, 2, 3, 1000, 2000}
 	vals := make([][]byte, len(keys))
+	want := map[uint64][]byte{}
 	for i, k := range keys {
 		vals[i] = EncodeValue(k * 7)
+		want[k] = vals[i]
 	}
 	s.MultiPut(keys, vals)
-	for _, k := range keys {
-		v, ok := s.Get(k)
-		if !ok {
-			t.Fatalf("Get(%d) missing after MultiPut", k)
-		}
-		if d, _ := DecodeValue(v); d != k*7 {
-			t.Fatalf("Get(%d) = %d, want %d", k, d, k*7)
-		}
-	}
+	requireState(t, s, want, "after MultiPut")
 	total := s.Stats().Total()
 	if total.Puts != uint64(len(keys)) {
 		t.Fatalf("Puts = %d, want %d", total.Puts, len(keys))
@@ -53,13 +48,7 @@ func TestShardedMultiPut(t *testing.T) {
 func TestShardedMultiPutDuplicateKeysLaterWins(t *testing.T) {
 	s, _ := NewSharded(8, mkStd)
 	s.MultiPut([]uint64{5, 5, 5}, [][]byte{EncodeValue(1), EncodeValue(2), EncodeValue(3)})
-	v, ok := s.Get(5)
-	if !ok {
-		t.Fatal("Get(5) missing")
-	}
-	if d, _ := DecodeValue(v); d != 3 {
-		t.Fatalf("duplicate-key MultiPut kept %d, want the last write 3", d)
-	}
+	requireState(t, s, map[uint64][]byte{5: EncodeValue(3)}, "duplicate-key MultiPut")
 }
 
 func TestShardedMultiPutLengthMismatchPanics(t *testing.T) {
@@ -111,8 +100,7 @@ func TestShardedMultiPutMultiGetRoundTrip(t *testing.T) {
 	s.MultiPut(keys, vals)
 	got := s.MultiGet(keys)
 	for i := range keys {
-		d, ok := DecodeValue(got[i])
-		if !ok || d != uint64(i) {
+		if !bytes.Equal(got[i], EncodeValue(uint64(i))) {
 			t.Fatalf("MultiGet[%d] = %v after MultiPut", i, got[i])
 		}
 	}
@@ -167,11 +155,10 @@ func BenchmarkShardedPutSingleVsBatched(b *testing.B) {
 			if cold {
 				shards, mask = 16, 1<<16-1
 			}
-			var opts []Option
+			s, err := NewSharded(shards, mkBravo)
 			if mode == "single-wal-none" || cold {
-				opts = append(opts, WithDurability(b.TempDir(), SyncNone))
+				s, err = OpenSharded(b.TempDir(), shards, mkBravo, SyncNone)
 			}
-			s, err := NewSharded(shards, mkBravo, opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -232,19 +219,8 @@ func TestShardedBatchDuplicateKeysPositionalOrder(t *testing.T) {
 		EncodeValue(102), EncodeValue(201), EncodeValue(400),
 	}
 	s.MultiPut(keys, vals)
-	check := func(label string, e *Sharded, want map[uint64]uint64) {
-		t.Helper()
-		for k, w := range want {
-			v, ok := e.Get(k)
-			if !ok {
-				t.Fatalf("%s: Get(%d) missing", label, k)
-			}
-			if d, _ := DecodeValue(v); d != w {
-				t.Fatalf("%s: Get(%d) = %d, want the last positional write %d", label, k, d, w)
-			}
-		}
-	}
-	check("live", s, map[uint64]uint64{7: 102, 1: 201, 2: 300, 3: 400})
+	want := map[uint64][]byte{7: vals[4], 1: vals[5], 2: vals[3], 3: vals[6]}
+	requireState(t, s, want, "live")
 
 	// MultiDelete with a repeated key scores one hit: the first positional
 	// occurrence removes it, the rest are misses, never a double count.
@@ -257,8 +233,6 @@ func TestShardedBatchDuplicateKeysPositionalOrder(t *testing.T) {
 	}
 	r := openTestKV(t, dir, 4, SyncAlways)
 	defer r.Close()
-	check("replayed", r, map[uint64]uint64{7: 102, 1: 201, 3: 400})
-	if _, ok := r.Get(2); ok {
-		t.Fatal("replayed: Get(2) found a MultiDeleted key")
-	}
+	delete(want, 2)
+	requireState(t, r, want, "replayed")
 }

@@ -1,7 +1,7 @@
 package kvs
 
-// Durability wiring: options, the data-directory layout, recovery, and
-// Close. A durable engine's directory holds
+// Durability wiring: the data-directory layout, recovery, and Close. A
+// durable engine's directory holds
 //
 //	MANIFEST           {"version":1,"shards":N} — pins the shard layout
 //	shard-NNNN.snap    latest checkpoint of shard N (optional)
@@ -29,31 +29,20 @@ import (
 	"github.com/bravolock/bravo/internal/rwl"
 )
 
-// Option configures a Sharded engine at construction.
-type Option func(*engineConfig)
-
-type engineConfig struct {
-	dir    string
-	policy SyncPolicy
-}
-
-// WithDurability makes the engine durable: state lives in dir (created if
-// missing, recovered if not empty — snapshot plus log tail, torn final
-// record dropped), every write is logged before it is applied, and policy
-// says when the log fsyncs. Pair with Close on shutdown and Checkpoint to
-// bound log growth.
-func WithDurability(dir string, policy SyncPolicy) Option {
-	return func(c *engineConfig) {
-		c.dir = dir
-		c.policy = policy
-	}
-}
-
-// OpenSharded opens (or creates) a durable engine in dir: NewSharded with
-// WithDurability. On a non-empty directory it replays the latest snapshot
-// and the log tail written since, tolerating a torn final record.
+// OpenSharded opens (or creates) a durable engine in dir: state lives in dir
+// (created if missing), every write is logged before it is applied, and
+// policy says when the log fsyncs. On a non-empty directory it replays the
+// latest snapshot and the log tail written since, tolerating a torn final
+// record. Pair with Close on shutdown and Checkpoint to bound log growth.
 func OpenSharded(dir string, shards int, mkLock rwl.Factory, policy SyncPolicy) (*Sharded, error) {
-	return NewSharded(shards, mkLock, WithDurability(dir, policy))
+	s, err := NewSharded(shards, mkLock)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.openDurable(dir, policy); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Durable reports whether the engine writes a WAL.
@@ -367,4 +356,4 @@ func (s *Sharded) snapPath(i int) string {
 }
 
 // errNotDurable is returned by durable-only operations on volatile engines.
-var errNotDurable = errors.New("kvs: engine is volatile (open with WithDurability)")
+var errNotDurable = errors.New("kvs: engine is volatile (open it with OpenSharded)")

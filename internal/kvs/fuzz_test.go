@@ -181,15 +181,7 @@ func FuzzTxnWAL(f *testing.F) {
 			t.Fatalf("accepted once, rejected on reopen: %v", err)
 		}
 		defer r.Close()
-		snap2 := r.Snapshot()
-		if len(snap2) != len(snap) {
-			t.Fatalf("reopen changed visible keys: %d then %d", len(snap), len(snap2))
-		}
-		for k, v := range snap {
-			if v2, ok := snap2[k]; !ok || !bytes.Equal(v, v2) {
-				t.Fatalf("reopen changed key %d: %x then %x (present=%v)", k, v, v2, ok)
-			}
-		}
+		requireState(t, r, snap, "reopened")
 	})
 }
 

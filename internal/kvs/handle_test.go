@@ -107,30 +107,16 @@ func TestShardedHandleFallsBackWithoutSupport(t *testing.T) {
 	}
 }
 
+// TestShardedHandleConcurrentMixedUse runs six harness drivers — handle and
+// anonymous reads interleaved with every write — and demands every reader
+// slot released at the end.
 func TestShardedHandleConcurrentMixedUse(t *testing.T) {
 	s, _, tab := newBravoSharded(t, 4)
-	for k := uint64(0); k < 128; k++ {
-		s.Put(k, []byte{0})
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
+	for w := uint64(1); w <= 6; w++ {
+		d := newDriver(t, s, w, 0, 128, false, readOps, writeOps)
 		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			h := rwl.NewReader()
-			buf := make([]byte, 0, 8)
-			for i := uint64(0); i < 3000; i++ {
-				k := (seed*i + i) % 128
-				switch {
-				case i%64 == 0:
-					s.Put(k, []byte{byte(i)})
-				case i%2 == 0:
-					buf, _ = s.GetIntoH(h, k, buf)
-				default:
-					s.Get(k) // anonymous readers interleave with handles
-				}
-			}
-		}(uint64(w + 1))
+		go func() { defer wg.Done(); d.run(3000) }()
 	}
 	wg.Wait()
 	if tab.Occupancy() != 0 {

@@ -129,11 +129,3 @@ func EncodeValue(v uint64) []byte {
 	binary.LittleEndian.PutUint64(b[:], v)
 	return b[:]
 }
-
-// DecodeValue parses a benchmark value.
-func DecodeValue(b []byte) (uint64, bool) {
-	if len(b) != 8 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(b), true
-}

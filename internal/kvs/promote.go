@@ -17,11 +17,11 @@ import (
 
 // SeedSnapshotDir materializes src's current state into dir as a freshly
 // checkpointed durable layout: MANIFEST plus a snapshot of every shard,
-// shard i's snapshot stamped lsns[i], and no WAL. OpenSharded (or
-// NewSharded with WithDurability) on dir then recovers exactly src's state
-// with each shard's log continuing from its stamp. dir must not already
-// hold an engine; src is typically a replication follower's volatile
-// engine and lsns its applied positions — the failover cut.
+// shard i's snapshot stamped lsns[i], and no WAL. OpenSharded on dir then
+// recovers exactly src's state with each shard's log continuing from its
+// stamp. dir must not already hold an engine; src is typically a
+// replication follower's volatile engine and lsns its applied positions —
+// the failover cut.
 func SeedSnapshotDir(dir string, src *Sharded, lsns []uint64) error {
 	if len(lsns) != len(src.shards) {
 		return fmt.Errorf("kvs: seeding %d LSNs for %d shards", len(lsns), len(src.shards))

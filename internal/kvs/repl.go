@@ -69,10 +69,6 @@ var ErrReplSnapshotNeeded = errors.New("kvs: requested LSN checkpointed out of t
 // payload, or a malformed payload. A follower reconnects on it.
 var ErrReplCorruptFrame = errors.New("kvs: corrupt replication frame")
 
-// DefaultReplChunk bounds the framed bytes one ReplRead returns when the
-// caller passes no budget.
-const DefaultReplChunk = 1 << 20
-
 // CountReplFrames counts the complete frames at the head of chunk by
 // walking the length headers only — no CRC, no payload decode. It is the
 // cheap stats companion for chunks ReplRead already validated.
@@ -153,8 +149,8 @@ type ReplCursor struct {
 // empty result with a nil error means the reader is caught up — poll
 // again after a beat. ErrReplSnapshotNeeded means cur.Next was truncated
 // away by a checkpoint: send ReplSnapshotFrame and resume past its LSN.
-// maxBytes bounds the returned chunk (0 means DefaultReplChunk); a single
-// record larger than the budget is still returned whole.
+// maxBytes bounds the returned chunk; a single record larger than the budget
+// is still returned whole.
 //
 // ReplRead is safe to call concurrently with writers and checkpoints: it
 // takes no engine lock, and a torn tail it races into is "no more data
@@ -165,9 +161,6 @@ func (s *Sharded) ReplRead(shard int, cur *ReplCursor, maxBytes int) ([]byte, er
 	}
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("kvs: shard %d out of range [0,%d)", shard, len(s.shards))
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultReplChunk
 	}
 	if cur.Next == 0 {
 		cur.Next = 1

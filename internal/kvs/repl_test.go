@@ -5,7 +5,6 @@ package kvs
 // the stream depends on), snapshot frames, and record application.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -15,6 +14,10 @@ import (
 
 	"github.com/bravolock/bravo/internal/frame"
 )
+
+// testReplChunk is the ReplRead bound of these tests: room for every one of
+// their whole streams in one chunk.
+const testReplChunk = 1 << 20
 
 // decodeAll decodes every frame in chunk, failing the test on corruption
 // or leftover bytes, and asserts LSNs continue from *next.
@@ -62,7 +65,7 @@ func TestReplReadShipsTheLogVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cur ReplCursor
-	chunk, err := s.ReplRead(0, &cur, 0)
+	chunk, err := s.ReplRead(0, &cur, testReplChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,39 +78,25 @@ func TestReplReadShipsTheLogVerbatim(t *testing.T) {
 		t.Fatalf("ShardLSN = %d, want 4", got)
 	}
 	applyAll(t, f, 0, recs)
-	if !mapsEqualKV(f.Snapshot(), s.Snapshot()) {
-		t.Fatalf("follower state %v != primary %v", f.Snapshot(), s.Snapshot())
-	}
+	requireState(t, f, s.Snapshot(), "follower")
 	// TTL shipped as remaining time: still visible on the follower.
 	if _, ok := f.Get(2); !ok {
 		t.Fatal("TTL key lost in transit")
 	}
 	// Caught up: empty chunk, nil error, cursor stays.
-	chunk, err = s.ReplRead(0, &cur, 0)
+	chunk, err = s.ReplRead(0, &cur, testReplChunk)
 	if err != nil || len(chunk) != 0 {
 		t.Fatalf("caught-up ReplRead = %d bytes, %v", len(chunk), err)
 	}
 	// New writes appear on the next call, resuming from the cursor.
 	s.Put(9, []byte("nine"))
-	chunk, err = s.ReplRead(0, &cur, 0)
+	chunk, err = s.ReplRead(0, &cur, testReplChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recs := decodeAll(t, chunk, &next); len(recs) != 1 {
 		t.Fatalf("tail read shipped %d records, want 1", len(recs))
 	}
-}
-
-func mapsEqualKV(a, b map[uint64][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if !bytes.Equal(b[k], v) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestReplSnapshotNeededAfterCheckpoint: once a checkpoint truncates the
@@ -124,7 +113,7 @@ func TestReplSnapshotNeededAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cur ReplCursor
-	if _, err := s.ReplRead(0, &cur, 0); err != ErrReplSnapshotNeeded {
+	if _, err := s.ReplRead(0, &cur, testReplChunk); err != ErrReplSnapshotNeeded {
 		t.Fatalf("ReplRead from 1 after checkpoint: %v, want ErrReplSnapshotNeeded", err)
 	}
 	snapFrame, lsn, err := s.ReplSnapshotFrame(0)
@@ -146,13 +135,11 @@ func TestReplSnapshotNeededAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyAll(t, f, 0, []ReplRecord{rec})
-	if !mapsEqualKV(f.Snapshot(), s.Snapshot()) {
-		t.Fatal("snapshot frame did not reconstruct the primary state")
-	}
+	requireState(t, f, s.Snapshot(), "follower after the snapshot frame")
 	// Resume past the snapshot: only post-checkpoint records ship.
 	s.Put(100, []byte("after"))
 	cur = ReplCursor{Next: lsn + 1}
-	chunk, err := s.ReplRead(0, &cur, 0)
+	chunk, err := s.ReplRead(0, &cur, testReplChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +149,7 @@ func TestReplSnapshotNeededAfterCheckpoint(t *testing.T) {
 		t.Fatalf("post-snapshot stream shipped %d records, want 1", len(recs))
 	}
 	applyAll(t, f, 0, recs)
-	if !mapsEqualKV(f.Snapshot(), s.Snapshot()) {
-		t.Fatal("resumed stream diverged")
-	}
+	requireState(t, f, s.Snapshot(), "follower after the resumed stream")
 }
 
 // TestReplLSNSurvivesRecoveryAndCheckpoint: the LSN sequence continues
@@ -306,11 +291,7 @@ func TestReplLegacyV1LogUpgrades(t *testing.T) {
 	}
 	s := openTestKV(t, dir, 1, SyncNone)
 	defer s.Close()
-	for k, v := range map[uint64]string{1: "one", 2: "two"} {
-		if got, ok := s.Get(k); !ok || string(got) != v {
-			t.Fatalf("v1 record %d = %q, %v after upgrade", k, got, ok)
-		}
-	}
+	requireState(t, s, map[uint64][]byte{1: []byte("one"), 2: []byte("two")}, "v1 records after upgrade")
 	if got := s.ShardLSN(0); got != 2 {
 		t.Fatalf("synthesized LSN = %d, want 2", got)
 	}
@@ -319,12 +300,12 @@ func TestReplLegacyV1LogUpgrades(t *testing.T) {
 		t.Fatalf("post-upgrade LSN = %d, want 3", got)
 	}
 	var cur ReplCursor
-	if _, err := s.ReplRead(0, &cur, 0); err != ErrReplSnapshotNeeded {
+	if _, err := s.ReplRead(0, &cur, testReplChunk); err != ErrReplSnapshotNeeded {
 		t.Fatalf("cursor into the v1 region: %v, want ErrReplSnapshotNeeded", err)
 	}
 	// From the first v2 record, the stream works.
 	cur = ReplCursor{Next: 3}
-	chunk, err := s.ReplRead(0, &cur, 0)
+	chunk, err := s.ReplRead(0, &cur, testReplChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +399,7 @@ func TestReplVolatileEngineRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cur ReplCursor
-	if _, err := s.ReplRead(0, &cur, 0); err == nil {
+	if _, err := s.ReplRead(0, &cur, testReplChunk); err == nil {
 		t.Fatal("ReplRead on a volatile engine succeeded")
 	}
 	if _, _, err := s.ReplSnapshotFrame(0); err == nil {
@@ -438,11 +419,11 @@ func TestReplReadCaughtUpAllocsNothing(t *testing.T) {
 	s.Put(1, []byte("one"))
 	var cur ReplCursor
 	shard := s.ShardOf(1)
-	if frames, err := s.ReplRead(shard, &cur, 0); err != nil || len(frames) == 0 {
+	if frames, err := s.ReplRead(shard, &cur, testReplChunk); err != nil || len(frames) == 0 {
 		t.Fatalf("first ReplRead = %d bytes, %v", len(frames), err)
 	}
 	poll := func() {
-		if frames, err := s.ReplRead(shard, &cur, 0); err != nil || len(frames) != 0 {
+		if frames, err := s.ReplRead(shard, &cur, testReplChunk); err != nil || len(frames) != 0 {
 			t.Fatalf("caught-up ReplRead = %d bytes, %v", len(frames), err)
 		}
 	}

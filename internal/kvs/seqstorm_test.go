@@ -8,17 +8,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/bravolock/bravo/internal/rwl"
 )
 
-// The read-path race storm: optimistic seqlock readers running flat out
-// against every mutation site the engine has — Put, PutTTL, MultiPut,
-// Delete, MultiDelete, Reap, checkpoints, and ApplyReplRecord — under the
-// race detector. Values are self-validating (see stormValue): every 8-byte
-// word carries the key, the word count, and a generation stamp, so a torn
-// copy, a cross-key splice, or a stale half-update decodes as garbage
-// instead of passing silently.
+// The read-path race storm: optimistic seqlock readers, harness drivers
+// (harness_test.go) drawing the read family, running flat out against every
+// mutation site the engine has (drivers drawing the write family,
+// checkpoints, and ApplyReplRecord) under the race detector. Values are
+// self-validating (see stormValue): every 8-byte word carries the key, the
+// word count, and a generation stamp, so a torn copy, a cross-key splice, or
+// a stale half-update decodes as garbage instead of passing silently.
 //
 // Mutant exercise (run while building this storm and again whenever the
 // bracketing changes, then deleted): a temporary test passes runSeqStorm an
@@ -73,129 +71,30 @@ func stormCheck(key uint64, v []byte) error {
 	return nil
 }
 
-// stormReaders launches nReaders goroutines that hit the optimistic read
-// path through every reader shape — Get, GetInto with a reused buffer,
-// MultiGet, and their handle variants — validating every hit, until stop.
-// Returns the WaitGroup the caller waits on after setting stop.
-func stormReaders(t *testing.T, s *Sharded, nReaders int, stop *atomic.Bool) *sync.WaitGroup {
+// runSeqStorm drives four harness drivers drawing the read family over the
+// shared stormKeys — every hit checked by stormCheck — against four drawing
+// the write family, plus any engine-specific extra mutator, and asserts the
+// optimistic path actually served traffic.
+func runSeqStorm(t *testing.T, s *Sharded, iters int, extra func(i uint64)) {
 	t.Helper()
-	var wg sync.WaitGroup
-	for r := 0; r < nReaders; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			h := rwl.NewReader()
-			buf := make([]byte, 0, 64)
-			batch := make([]uint64, 8)
-			for i := uint64(r); !stop.Load(); i++ {
+	var stop atomic.Bool
+	var readers, writers sync.WaitGroup
+	for i := uint64(0); i < 4; i++ {
+		rd := newDriver(t, s, 0x5EAD+i, 0, stormKeys, false, readOps)
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !stop.Load() {
 				// Yield every lap: on small GOMAXPROCS a flat-out reader loop
 				// starves the writers the storm exists to collide with.
 				runtime.Gosched()
-				k := i % stormKeys
-				var v []byte
-				var ok bool
-				switch i % 4 {
-				case 0:
-					v, ok = s.Get(k)
-				case 1:
-					v, ok = s.GetH(h, k)
-				case 2:
-					v, ok = s.GetInto(k, buf)
-					buf = v[:0]
-				case 3:
-					for j := range batch {
-						batch[j] = (k + uint64(j)) % stormKeys
-					}
-					var vals [][]byte
-					if r%2 == 0 {
-						vals = s.MultiGet(batch)
-					} else {
-						vals = s.MultiGetH(h, batch)
-					}
-					for j, bv := range vals {
-						if bv == nil {
-							continue
-						}
-						if err := stormCheck(batch[j], bv); err != nil {
-							t.Error(err)
-							stop.Store(true)
-						}
-					}
-					continue
-				}
-				if !ok {
-					continue // deleted/expired/not-yet-written: a miss is always legal
-				}
-				if err := stormCheck(k, v); err != nil {
-					t.Error(err)
-					stop.Store(true)
-				}
-			}
-		}(r)
-	}
-	return &wg
-}
-
-// stormMutators runs the write-side mix for iters rounds: direct puts and
-// TTL puts, batched puts, deletes single and batched, and the reaper. gen
-// seeds the generation counter so engine variants never reuse stamps.
-func stormMutators(t *testing.T, s *Sharded, iters int, gen *atomic.Uint64) *sync.WaitGroup {
-	t.Helper()
-	var wg sync.WaitGroup
-	spawn := func(fn func(i uint64)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				fn(uint64(i))
+				rd.do(rd.next())
 			}
 		}()
+		wd := newDriver(t, s, 0x5E0+i, 0, stormKeys, false, writeOps)
+		writers.Add(1)
+		go func() { defer writers.Done(); wd.run(iters) }()
 	}
-	spawn(func(i uint64) { // Put / PutTTL
-		k := i % stormKeys
-		if i%5 == 0 {
-			s.PutTTL(k, stormValue(k, gen.Add(1)), time.Hour)
-		} else {
-			s.Put(k, stormValue(k, gen.Add(1)))
-		}
-	})
-	spawn(func(i uint64) { // MultiPut, batches of 8
-		keys := make([]uint64, 8)
-		vals := make([][]byte, 8)
-		for j := range keys {
-			k := (i*3 + uint64(j)) % stormKeys
-			keys[j] = k
-			vals[j] = stormValue(k, gen.Add(1))
-		}
-		s.MultiPut(keys, vals)
-	})
-	spawn(func(i uint64) { // Delete / MultiDelete
-		if i%3 == 0 {
-			s.MultiDelete([]uint64{i % stormKeys, (i + 7) % stormKeys})
-		} else {
-			s.Delete((i * 5) % stormKeys)
-		}
-	})
-	spawn(func(i uint64) { // born-expired entries + the reaper
-		if i%4 == 0 {
-			k := (i * 13) % stormKeys
-			s.put(k, stormValue(k, gen.Add(1)), -1)
-		}
-		if i%8 == 0 {
-			s.Reap(32)
-		}
-	})
-	return &wg
-}
-
-// runSeqStorm drives readers against the full mutator mix on s, plus any
-// engine-specific extra mutator, and asserts the optimistic path actually
-// served traffic.
-func runSeqStorm(t *testing.T, s *Sharded, iters int, gen *atomic.Uint64, extra func(i uint64)) {
-	t.Helper()
-	var stop atomic.Bool
-	readers := stormReaders(t, s, 4, &stop)
-	writers := stormMutators(t, s, iters, gen)
 	if extra != nil {
 		writers.Add(1)
 		go func() {
@@ -233,8 +132,7 @@ func TestSeqReadStormVolatile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gen atomic.Uint64
-	runSeqStorm(t, s, stormIters(t), &gen, nil)
+	runSeqStorm(t, s, stormIters(t), nil)
 }
 
 // TestSeqReadStormDurable storms a durable engine while a checkpoint loop
@@ -246,7 +144,6 @@ func TestSeqReadStormVolatile(t *testing.T) {
 func TestSeqReadStormDurable(t *testing.T) {
 	s := openTestKV(t, t.TempDir(), 4, SyncNone)
 	defer s.Close()
-	var gen atomic.Uint64
 	iters := stormIters(t)
 	var stop atomic.Bool
 	var ckpt sync.WaitGroup
@@ -261,7 +158,7 @@ func TestSeqReadStormDurable(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	runSeqStorm(t, s, iters, &gen, nil)
+	runSeqStorm(t, s, iters, nil)
 	stop.Store(true)
 	ckpt.Wait()
 	if n := s.Stats().Total().Checkpoints; n < 4 {
@@ -276,7 +173,7 @@ func TestSeqReadStormReplApply(t *testing.T) {
 	s, _, _ := newBravoSharded(t, 4)
 	var gen atomic.Uint64
 	var lsn atomic.Uint64
-	runSeqStorm(t, s, stormIters(t), &gen, func(i uint64) {
+	runSeqStorm(t, s, stormIters(t), func(i uint64) {
 		k := (i * 17) % stormKeys
 		sh := s.ShardOf(k)
 		rec := ReplRecord{LSN: lsn.Add(1), Entries: []Entry{

@@ -47,11 +47,11 @@ import (
 // deadline passes (lazy expiry), and Reap incrementally removes them under
 // the ordinary shard write locks — never a stop-the-world scan.
 //
-// With WithDurability (or OpenSharded) the engine is persistent: every
-// write appends to its shard's write-ahead log before applying, each of
-// the batches above is one log record — and, under SyncAlways, one fsync
-// (group commit; see wal.go) — Checkpoint bounds log growth with per-shard
-// snapshots, and reopening the directory recovers snapshot + log tail.
+// Opened with OpenSharded the engine is persistent: every write appends to
+// its shard's write-ahead log before applying, each of the batches above is
+// one log record — and, under SyncAlways, one fsync (group commit; see
+// wal.go) — Checkpoint bounds log growth with per-shard snapshots, and
+// reopening the directory recovers snapshot + log tail.
 type Sharded struct {
 	shards []kvShard
 	mask   uint64
@@ -392,17 +392,12 @@ func (st ShardedStats) Total() ShardStats {
 	return t
 }
 
-// NewSharded returns an engine with the given number of shards (a positive
-// power of two), each guarded by a fresh lock from mkLock. With no options
-// the engine is volatile; WithDurability makes it persistent (recovering
-// whatever the directory already holds — see OpenSharded).
-func NewSharded(shards int, mkLock rwl.Factory, opts ...Option) (*Sharded, error) {
+// NewSharded returns a volatile engine with the given number of shards (a
+// positive power of two), each guarded by a fresh lock from mkLock.
+// OpenSharded builds a durable one.
+func NewSharded(shards int, mkLock rwl.Factory) (*Sharded, error) {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("kvs: shard count %d is not a positive power of two", shards)
-	}
-	var cfg engineConfig
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	s := &Sharded{shards: make([]kvShard, shards), mask: uint64(shards - 1)}
 	s.seqAttempts.Store(DefaultSeqReadAttempts)
@@ -415,11 +410,6 @@ func NewSharded(shards int, mkLock rwl.Factory, opts ...Option) (*Sharded, error
 		sh.hlock, _ = sh.lock.(rwl.HandleRWLock)
 		if al, ok := sh.lock.(interface{ Adaptor() *bias.Adaptor }); ok {
 			sh.ad = al.Adaptor()
-		}
-	}
-	if cfg.dir != "" {
-		if err := s.openDurable(cfg.dir, cfg.policy); err != nil {
-			return nil, err
 		}
 	}
 	return s, nil

@@ -1,11 +1,11 @@
 package kvs
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/core"
@@ -55,8 +55,8 @@ func TestShardedCRUD(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get(%d) missing", k)
 		}
-		if d, _ := DecodeValue(v); d != k*3 {
-			t.Fatalf("Get(%d) = %d, want %d", k, d, k*3)
+		if !bytes.Equal(v, EncodeValue(k*3)) {
+			t.Fatalf("Get(%d) = %x, want %d", k, v, k*3)
 		}
 	}
 	if _, ok := s.Get(n + 1); ok {
@@ -133,8 +133,7 @@ func TestShardedMultiGet(t *testing.T) {
 	}
 	for i, k := range keys {
 		if k < 100 {
-			d, ok := DecodeValue(vals[i])
-			if !ok || d != k {
+			if !bytes.Equal(vals[i], EncodeValue(k)) {
 				t.Fatalf("MultiGet[%d] (key %d) = %v", i, k, vals[i])
 			}
 		} else if vals[i] != nil {
@@ -161,20 +160,12 @@ func TestShardedMultiGet(t *testing.T) {
 
 func TestShardedSnapshotAndRange(t *testing.T) {
 	s, _ := NewSharded(4, mkStd)
-	want := map[uint64]uint64{}
+	want := map[uint64][]byte{}
 	for k := uint64(0); k < 64; k++ {
-		s.Put(k, EncodeValue(k+1))
-		want[k] = k + 1
+		want[k] = EncodeValue(k + 1)
+		s.Put(k, want[k])
 	}
-	snap := s.Snapshot()
-	if len(snap) != len(want) {
-		t.Fatalf("Snapshot has %d keys, want %d", len(snap), len(want))
-	}
-	for k, wv := range want {
-		if d, _ := DecodeValue(snap[k]); d != wv {
-			t.Fatalf("Snapshot[%d] = %d, want %d", k, d, wv)
-		}
-	}
+	requireState(t, s, want, "Snapshot")
 	seen := map[uint64]bool{}
 	s.Range(func(k uint64, v []byte) bool {
 		seen[k] = true
@@ -225,9 +216,10 @@ func TestShardedStatsCounts(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrent storms the engine with mixed readers and writers
-// under both a plain and a BRAVO-wrapped lock; run with -race this is the
-// engine's data-race certification.
+// TestShardedConcurrent storms the engine with eight harness drivers
+// sharing one key space, every read checked as a stormValue, under both a
+// plain and a BRAVO-wrapped lock; run with -race this is the engine's
+// data-race certification.
 func TestShardedConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -243,65 +235,17 @@ func TestShardedConcurrent(t *testing.T) {
 			}
 			const keys = 512
 			for k := uint64(0); k < keys; k++ {
-				s.Put(k, EncodeValue(k))
+				s.Put(k, stormValue(k, k))
 			}
-			var wg sync.WaitGroup
 			iters := 3000
 			if testing.Short() {
 				iters = 300
 			}
-			for w := 0; w < 8; w++ {
+			var wg sync.WaitGroup
+			for w := uint64(1); w <= 8; w++ {
+				d := newDriver(t, s, w, 0, keys, false, readOps, writeOps)
 				wg.Add(1)
-				go func(seed uint64) {
-					defer wg.Done()
-					rng := xrand.NewXorShift64(seed)
-					batch := make([]uint64, 8)
-					bvals := make([][]byte, 8)
-					for i := 0; i < iters; i++ {
-						k := rng.Intn(keys)
-						switch rng.Intn(16) {
-						case 0:
-							s.Put(k, EncodeValue(rng.Next()))
-						case 1:
-							s.Delete(k)
-						case 2:
-							for j := range batch {
-								batch[j] = rng.Intn(keys)
-							}
-							s.MultiGet(batch)
-						case 3:
-							s.SnapshotShard(int(rng.Intn(uint64(s.NumShards()))))
-						case 4:
-							for j := range batch {
-								batch[j] = rng.Intn(keys)
-								bvals[j] = EncodeValue(rng.Next())
-							}
-							s.MultiPut(batch, bvals)
-						case 5:
-							for j := range batch {
-								batch[j] = rng.Intn(keys)
-							}
-							s.MultiDelete(batch)
-						case 6:
-							s.PutTTL(k, EncodeValue(rng.Next()), time.Duration(rng.Intn(2000))*time.Microsecond)
-						case 7:
-							s.Reap(32)
-						case 10:
-							s.Range(func(_ uint64, v []byte) bool {
-								if len(v) != 8 {
-									t.Errorf("Range visited a %d-byte value", len(v))
-								}
-								return true
-							})
-						case 11:
-							s.Snapshot()
-						default:
-							if v, ok := s.Get(k); ok && len(v) != 8 {
-								t.Errorf("Get(%d) returned %d bytes", k, len(v))
-							}
-						}
-					}
-				}(uint64(w + 1))
+				go func() { defer wg.Done(); d.run(iters) }()
 			}
 			wg.Wait()
 			if s.Len() > keys {

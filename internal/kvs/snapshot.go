@@ -59,7 +59,7 @@ var (
 // since the flush, rename, reopen); reads are never blocked, and the flush,
 // the snapshot file and the directory syncs run with no lock held. An error
 // names the first shard that failed. It returns an error on volatile engines
-// (WithDurability was not given).
+// (not opened with OpenSharded).
 func (s *Sharded) Checkpoint() error {
 	if !s.durable {
 		return errNotDurable

@@ -96,9 +96,7 @@ func TestParentWrittenSnapshotsLoad(t *testing.T) {
 				t.Fatalf("recovered at LSN %d, want %d", got, c.lsn)
 			}
 			want := map[uint64][]byte{1: []byte("one"), 2: {}, 3: []byte("nine-byte")}
-			if got := r.Snapshot(); !mapsEqualKV(got, want) {
-				t.Fatalf("recovered %v, want %v", got, want)
-			}
+			requireState(t, r, want, "recovered")
 			if left := r.shards[0].idx.lookup(3).deadline() - clock.Nanos(); left <= 1<<41 || left > 1<<42 {
 				t.Fatalf("key 3's deadline is %d ns away, want just under 2^42", left)
 			}

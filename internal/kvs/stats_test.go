@@ -68,7 +68,7 @@ func TestShardStatsAddBiasMerge(t *testing.T) {
 // mode must always be a real verdict — a torn per-shard capture would
 // surface here as a dip or a garbage mode.
 func TestShardedTotalFlipsMonotonicUnderFlips(t *testing.T) {
-	s, stop := flipStorm(t, 11, 256, 3)
+	s, stop := flipStorm(t, 11, 256)
 	defer stop()
 	valid := map[string]bool{"biased": true, "neutral": true, "mixed": true}
 	var last uint64

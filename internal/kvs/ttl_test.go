@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"github.com/bravolock/bravo/internal/clock"
-	"github.com/bravolock/bravo/internal/xrand"
 )
 
 func TestShardedPutTTLVisibleUntilDeadline(t *testing.T) {
@@ -112,8 +112,8 @@ func TestShardedPlainPutClearsTTL(t *testing.T) {
 	if !ok {
 		t.Fatal("Get missed a plain-Put key that once carried a TTL")
 	}
-	if d, _ := DecodeValue(v); d != 2 {
-		t.Fatalf("Get = %d, want 2", d)
+	if !bytes.Equal(v, EncodeValue(2)) {
+		t.Fatalf("Get = %x, want 2", v)
 	}
 	if got := s.Stats().Total().TTLKeys; got != 0 {
 		t.Fatalf("TTLKeys = %d after plain overwrite, want 0", got)
@@ -143,7 +143,7 @@ func TestShardedMultiOpsSkipExpired(t *testing.T) {
 	if got[0] != nil {
 		t.Fatalf("MultiGet returned an expired key: %v", got[0])
 	}
-	if d, _ := DecodeValue(got[1]); d != 2 {
+	if !bytes.Equal(got[1], EncodeValue(2)) {
 		t.Fatalf("MultiGet[1] = %v", got[1])
 	}
 	if removed := s.MultiDelete([]uint64{1, 2}); removed != 1 {
@@ -164,13 +164,7 @@ func TestShardedRangeSnapshotSkipExpired(t *testing.T) {
 	if len(visited) != 2 || visited[2] {
 		t.Fatalf("Range visited %v, want {1, 3}", visited)
 	}
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot has %d keys, want 2", len(snap))
-	}
-	if _, leaked := snap[2]; leaked {
-		t.Fatal("Snapshot contains an expired key")
-	}
+	requireState(t, s, map[uint64][]byte{1: EncodeValue(1), 3: EncodeValue(3)}, "Snapshot")
 }
 
 func TestShardedReap(t *testing.T) {
@@ -256,8 +250,8 @@ func TestMemtablePutTTL(t *testing.T) {
 	m.Put(2, EncodeValue(3)) // plain Put clears the TTL
 	if v, ok := m.Get(2); !ok {
 		t.Fatal("Memtable.Get missed a plain-Put key that once carried a TTL")
-	} else if d, _ := DecodeValue(v); d != 3 {
-		t.Fatalf("Memtable.Get = %d, want 3", d)
+	} else if !bytes.Equal(v, EncodeValue(3)) {
+		t.Fatalf("Memtable.Get = %x, want 3", v)
 	}
 }
 
@@ -320,26 +314,18 @@ func TestShardedReapCursorRewindsOnExhaustedBudget(t *testing.T) {
 func TestShardedReapUnderConcurrentShrink(t *testing.T) {
 	s, _ := NewSharded(4, mkStd)
 	const keys = 256
-	var written atomic.Uint64
 	for k := uint64(0); k < keys; k++ {
-		s.put(k, EncodeValue(k), clock.Nanos())
-		written.Add(1)
+		s.PutTTL(k, stormValue(k, k), -1)
 	}
-
+	// The shrinker: a harness driver that deletes and re-expires keys.
+	d := newDriver(t, s, 21, 0, keys, false, []opKind{opDelete, opPutExpired})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // shrinker: deletes and re-expires keys under the reaper
+	go func() {
 		defer wg.Done()
-		rng := xrand.NewXorShift64(21)
 		for !stop.Load() {
-			k := rng.Intn(keys)
-			if rng.Intn(2) == 0 {
-				s.Delete(k)
-			} else {
-				s.put(k, EncodeValue(k), clock.Nanos())
-				written.Add(1)
-			}
+			d.do(d.next())
 		}
 	}()
 	for i := 0; i < 400; i++ {
@@ -356,8 +342,8 @@ func TestShardedReapUnderConcurrentShrink(t *testing.T) {
 		t.Fatalf("Len = %d after drain, want 0", s.Len())
 	}
 	total := s.Stats().Total()
-	if total.Reaped > written.Load() {
-		t.Fatalf("Reaped = %d exceeds TTL entries ever written %d", total.Reaped, written.Load())
+	if written := keys + uint64(d.drawn[opPutExpired]); total.Reaped > written {
+		t.Fatalf("Reaped = %d exceeds TTL entries ever written %d", total.Reaped, written)
 	}
 	if total.TTLKeys != 0 {
 		t.Fatalf("TTLKeys = %d after drain, want 0", total.TTLKeys)

@@ -356,12 +356,7 @@ func TestTxnTornCommitRollForward(t *testing.T) {
 
 			for round := 0; round < 2; round++ {
 				r := openTestKV(t, dir, 4, SyncNone)
-				if v, ok := r.Get(a); !ok || string(v) != "a1" {
-					t.Fatalf("round %d: a = %q/%v, want a1 (roll-forward)", round, v, ok)
-				}
-				if _, ok := r.Get(b); ok {
-					t.Fatalf("round %d: b survived its transactional delete", round)
-				}
+				requireState(t, r, map[uint64][]byte{a: []byte("a1")}, fmt.Sprintf("round %d, rolled forward", round))
 				// The repair continued each shard's LSN sequence.
 				if got := r.ShardLSN(s.ShardOf(a)); got != lsnA {
 					t.Fatalf("round %d: shard(a) LSN %d, want %d", round, got, lsnA)
@@ -404,12 +399,7 @@ func TestTxnTornCommitBothLost(t *testing.T) {
 	}
 	r := openTestKV(t, dir, 4, SyncNone)
 	defer r.Close()
-	if v, _ := r.Get(a); string(v) != "a0" {
-		t.Fatalf("a = %q, want the pre-transaction value", v)
-	}
-	if v, _ := r.Get(b); string(v) != "b0" {
-		t.Fatalf("b = %q, want the pre-transaction value", v)
-	}
+	requireState(t, r, map[uint64][]byte{a: []byte("a0"), b: []byte("b0")}, "both copies torn")
 }
 
 // drainRepl streams every shard of src into dst until caught up, returning
@@ -419,7 +409,7 @@ func drainRepl(t *testing.T, src, dst *Sharded, curs []ReplCursor) []uint64 {
 	lsns := make([]uint64, src.NumShards())
 	for shard := 0; shard < src.NumShards(); shard++ {
 		for {
-			chunk, err := src.ReplRead(shard, &curs[shard], 0)
+			chunk, err := src.ReplRead(shard, &curs[shard], testReplChunk)
 			if err != nil {
 				t.Fatalf("ReplRead shard %d: %v", shard, err)
 			}
@@ -460,50 +450,13 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := map[uint64][]byte{}
-	rng := xrand.NewXorShift64(0xFA110)
-
-	phase := func(s *Sharded) {
-		for i := 0; i < iters; i++ {
-			k := rng.Intn(128)
-			switch rng.Intn(6) {
-			case 0:
-				s.Delete(k)
-				delete(ref, k)
-			case 1, 2: // multi-key transaction, often cross-shard
-				k2 := rng.Intn(128)
-				v1, v2 := EncodeValue(rng.Next()), EncodeValue(rng.Next())
-				if err := s.Txn([]uint64{k, k2}, func(tx *Tx) error {
-					tx.Put(k, v1)
-					tx.Put(k2, v2)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				ref[k] = v1
-				ref[k2] = v2
-			case 3: // CAS guided by the model
-				var old []byte
-				if v, ok := ref[k]; ok {
-					old = v
-				}
-				nv := EncodeValue(rng.Next())
-				if ok, err := s.CompareAndSwap(k, old, nv); err != nil || !ok {
-					t.Fatalf("CAS: %v/%v", ok, err)
-				}
-				ref[k] = nv
-			default:
-				v := EncodeValue(rng.Next())
-				s.Put(k, v)
-				ref[k] = v
-			}
-		}
-	}
-
-	phase(prim)
+	// One model sees both phases: the driver moves from the primary to the
+	// promoted engine with it.
+	d := newDriver(t, prim, 0xFA110, 0, 128, true, writeOps)
+	d.run(iters)
 	curs := make([]ReplCursor, shards)
 	lsns := drainRepl(t, prim, follower, curs)
-	compareSnapshot(t, follower, ref, "follower after phase 1")
+	requireState(t, follower, d.m, "follower after phase 1")
 
 	// Primary fails; promote the follower the way cluster failover does:
 	// seed a fresh directory with its state (values and TTLs) as snapshots
@@ -516,7 +469,7 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 	if err := SeedSnapshotDir(promDir, follower, lsns); err != nil {
 		t.Fatal(err)
 	}
-	prom, err := NewSharded(shards, mkBravo, WithDurability(promDir, SyncNone))
+	prom, err := OpenSharded(promDir, shards, mkBravo, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,16 +478,17 @@ func TestTxnReplFollowerFailover(t *testing.T) {
 			t.Fatalf("promoted shard %d resumes at LSN %d, follower had applied %d", i, got, want)
 		}
 	}
-	compareSnapshot(t, prom, ref, "promoted before phase 2")
+	requireState(t, prom, d.m, "promoted before phase 2")
 
-	phase(prom)
-	compareSnapshot(t, prom, ref, "promoted after phase 2")
+	d.s = prom
+	d.run(iters)
+	requireState(t, prom, d.m, "promoted after phase 2")
 	if err := prom.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r := openTestKV(t, promDir, shards, SyncNone)
 	defer r.Close()
-	compareSnapshot(t, r, ref, "promoted recovered")
+	requireState(t, r, d.m, "promoted recovered")
 }
 
 // TestTxnWitnessRecordRoundTrip pins the v4 encoding: what encodeRecord

@@ -43,22 +43,7 @@ func TestDurableRoundTrip(t *testing.T) {
 
 	r := openTestKV(t, dir, 4, SyncAlways)
 	defer r.Close()
-	want := map[uint64]string{1: "one", 2: "two", 3: "soon", 5: "five"}
-	snap := r.Snapshot()
-	if len(snap) != len(want) {
-		t.Fatalf("recovered %d keys %v, want %d", len(snap), snap, len(want))
-	}
-	for k, v := range want {
-		got, ok := r.Get(k)
-		if !ok || string(got) != v {
-			t.Fatalf("recovered Get(%d) = %q, %v; want %q", k, got, ok, v)
-		}
-	}
-	for _, k := range []uint64{4, 6} {
-		if _, ok := r.Get(k); ok {
-			t.Fatalf("deleted key %d survived recovery", k)
-		}
-	}
+	requireState(t, r, map[uint64][]byte{1: []byte("one"), 2: []byte("two"), 3: []byte("soon"), 5: []byte("five")}, "recovered")
 }
 
 func TestDurableRecoveryWithoutClose(t *testing.T) {
@@ -70,11 +55,7 @@ func TestDurableRecoveryWithoutClose(t *testing.T) {
 	// must all be recoverable.
 	r := openTestKV(t, dir, 2, SyncNone)
 	defer r.Close()
-	for k, v := range map[uint64]string{10: "a", 11: "b"} {
-		if got, ok := r.Get(k); !ok || string(got) != v {
-			t.Fatalf("Get(%d) = %q, %v after crash recovery", k, got, ok)
-		}
-	}
+	requireState(t, r, map[uint64][]byte{10: []byte("a"), 11: []byte("b")}, "after crash recovery")
 }
 
 func TestDurableTTLSurvivesRestartAsRemaining(t *testing.T) {
@@ -107,10 +88,13 @@ func TestDurableTTLSurvivesRestartAsRemaining(t *testing.T) {
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestKV(t, dir, 2, SyncAlways)
+	want := map[uint64][]byte{100: []byte("tail")}
 	for k := uint64(0); k < 64; k++ {
-		s.Put(k, EncodeValue(k))
+		want[k] = EncodeValue(k)
+		s.Put(k, want[k])
 	}
 	s.Delete(7)
+	delete(want, 7)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -136,15 +120,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 
 	r := openTestKV(t, dir, 2, SyncAlways)
 	defer r.Close()
-	if n := len(r.Snapshot()); n != 64 { // 64 puts - delete + tail
-		t.Fatalf("recovered %d keys, want 64", n)
-	}
-	if _, ok := r.Get(7); ok {
-		t.Fatal("checkpoint resurrected a deleted key")
-	}
-	if v, ok := r.Get(100); !ok || string(v) != "tail" {
-		t.Fatal("post-checkpoint tail record lost")
-	}
+	requireState(t, r, want, "recovered") // 64 puts − a delete + the post-checkpoint tail
 }
 
 // TestCheckpointCompactsExpired: expired residue is dropped from the
@@ -186,11 +162,7 @@ func TestRecoveryCrashWindows(t *testing.T) {
 		}
 		r := openTestKV(t, dir, 1, SyncAlways)
 		defer r.Close()
-		for k, v := range map[uint64]string{1: "v1", 2: "v2"} {
-			if got, ok := r.Get(k); !ok || string(got) != v {
-				t.Fatalf("Get(%d) = %q, %v", k, got, ok)
-			}
-		}
+		requireState(t, r, map[uint64][]byte{1: []byte("v1"), 2: []byte("v2")}, "after-rotate")
 		// Recovery re-ran the checkpoint: wal.old is gone again.
 		if _, err := os.Stat(r.walOldPath(0)); !os.IsNotExist(err) {
 			t.Fatal("recovery left wal.old behind")
@@ -284,11 +256,8 @@ func TestRotateMergesExistingOldGeneration(t *testing.T) {
 	// Crash: no Close, and no snapshot was ever published.
 	r := openTestKV(t, dir, 1, SyncAlways)
 	defer r.Close()
-	for k, v := range map[uint64]string{1: "first-generation", 2: "second-generation", 3: "tail"} {
-		if got, ok := r.Get(k); !ok || string(got) != v {
-			t.Fatalf("Get(%d) = %q, %v; want %q — a rotation clobbered the uncovered generation", k, got, ok, v)
-		}
-	}
+	// A rotation that clobbered the uncovered generation loses key 1.
+	requireState(t, r, map[uint64][]byte{1: []byte("first-generation"), 2: []byte("second-generation"), 3: []byte("tail")}, "recovered")
 	// Recovery collapsed the interrupted checkpoint: wal.old pruned.
 	if _, err := os.Stat(r.walOldPath(0)); !os.IsNotExist(err) {
 		t.Fatal("recovery left wal.old behind")
@@ -681,9 +650,7 @@ func expectRecovered(t *testing.T, dir string, model map[uint64][]byte, lsns []u
 	t.Helper()
 	for round := 0; round < 2; round++ {
 		r := openTestKV(t, dir, len(lsns), SyncNone)
-		if got := r.Snapshot(); !mapsEqualKV(got, model) {
-			t.Fatalf("reopen %d: recovered %d keys, want the model's %d (or values differ)", round, len(got), len(model))
-		}
+		requireState(t, r, model, fmt.Sprintf("reopen %d", round))
 		if got := r.ReplLSNs(); !slices.Equal(got, lsns) {
 			t.Fatalf("reopen %d: LSNs %v, want %v", round, got, lsns)
 		}
@@ -757,9 +724,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		put(200, "tail")
-		if got := s.Snapshot(); !mapsEqualKV(got, model) {
-			t.Fatal("the live engine diverged from the model across the checkpoint")
-		}
+		requireState(t, s, model, "live engine across the checkpoint")
 		// Crash: no Close.
 		expectRecovered(t, dir, model, s.ReplLSNs())
 	})
@@ -804,9 +769,7 @@ func TestCheckpointFailureCleansUpAndRetries(t *testing.T) {
 	for k := uint64(128); k < 160; k++ {
 		put(k, fmt.Sprintf("after-%d", k))
 	}
-	if got := s.Snapshot(); !mapsEqualKV(got, model) {
-		t.Fatal("a failed checkpoint lost acknowledged writes from the live engine")
-	}
+	requireState(t, s, model, "live engine after a failed checkpoint")
 	// Survives a crash in that state: reopen a copy of the files.
 	crashed := t.TempDir()
 	names, _ := filepath.Glob(filepath.Join(dir, "*"))

@@ -7,7 +7,7 @@ package repl
 // follower's OnApply hook — which runs synchronously in the puller, with
 // the replica frozen at exactly that LSN — compares the replica against
 // the reference state for that LSN. Quiescent full-state equality then
-// closes each phase. This extends internal/kvs/model_test.go's
+// closes each phase. This extends the internal/kvs engine harness's
 // engine-vs-reference machinery across the wire.
 
 import (

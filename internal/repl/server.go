@@ -74,7 +74,6 @@ type Status struct {
 type Primary struct {
 	engine *kvs.Sharded
 	poll   time.Duration
-	chunk  int
 
 	active    atomic.Int64
 	records   atomic.Uint64
@@ -86,7 +85,7 @@ type Primary struct {
 // should be durable (LSNs come from its WAL); a volatile engine's streams
 // answer 409 so a misconfigured follower fails loudly, not silently empty.
 func NewPrimary(engine *kvs.Sharded) *Primary {
-	return &Primary{engine: engine, poll: DefaultPoll, chunk: DefaultChunk}
+	return &Primary{engine: engine, poll: DefaultPoll}
 }
 
 // SetPoll overrides the caught-up poll interval (d <= 0 restores the
@@ -177,7 +176,7 @@ func (p *Primary) Stream(ctx context.Context, shard int, from uint64, w io.Write
 	var idle *time.Timer // one per stream: a caught-up poll allocates nothing
 	cur := kvs.ReplCursor{Next: from}
 	for {
-		frames, err := p.engine.ReplRead(shard, &cur, p.chunk)
+		frames, err := p.engine.ReplRead(shard, &cur, DefaultChunk)
 		if err == kvs.ErrReplSnapshotNeeded {
 			frame, lsn, serr := p.engine.ReplSnapshotFrame(shard)
 			if serr != nil {
