@@ -96,6 +96,10 @@ func main() {
 		_, err := rwl.New(*lockFlag) // canonical unknown-name error with the menu
 		fatal(err)
 	}
+	policy, err := kvs.ParseSyncPolicy(*syncFlag) // refused even where unused
+	if err != nil {
+		fatal(err)
+	}
 	if *followFlag != "" {
 		if *clusterFlag > 0 {
 			fatal(fmt.Errorf("-follow and -cluster are exclusive: a cluster runs its own follower pools"))
@@ -104,15 +108,14 @@ func main() {
 		return
 	}
 	if *clusterFlag > 0 {
-		runCluster(mk)
+		runCluster(mk, policy)
 		return
 	}
 	var engine *kvs.Sharded
 	durability := "volatile (no -data-dir: state dies with the process)"
-	policy, err := kvs.ParseSyncPolicy(*syncFlag) // read only with -data-dir
 	if *dataDirFlag == "" {
 		engine, err = kvs.NewSharded(*shardsFlag, mk)
-	} else if err == nil {
+	} else {
 		engine, err = kvs.OpenSharded(*dataDirFlag, *shardsFlag, mk, policy)
 		durability = fmt.Sprintf("durable in %s (sync %s)", *dataDirFlag, policy)
 	}
@@ -136,13 +139,9 @@ func main() {
 // runCluster is the -cluster mode: open N hash-routed partitioned
 // primaries under -data-dir, each with its follower pool, and serve the
 // whole keyspace through the cluster front-end.
-func runCluster(mk rwl.Factory) {
+func runCluster(mk rwl.Factory, policy kvs.SyncPolicy) {
 	if *dataDirFlag == "" {
 		fatal(fmt.Errorf("-cluster requires -data-dir: partition primaries are durable (failover needs their WALs)"))
-	}
-	policy, err := kvs.ParseSyncPolicy(*syncFlag)
-	if err != nil {
-		fatal(err)
 	}
 	c, err := cluster.Open(cluster.Config{
 		Partitions: *clusterFlag,

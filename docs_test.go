@@ -182,11 +182,12 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 // benchmark/ may hold, set at the current counts. Lower an entry when a
 // change deletes code, and raise one only in the diff that needs it. Only
 // .go files count: assembly (internal/locks/seq/store_amd64.s,
-// internal/arch/prefetch_amd64.s, internal/bias/scan_amd64.s) does not.
+// internal/locks/seq/load_amd64.s, internal/arch/prefetch_amd64.s,
+// internal/bias/scan_amd64.s) does not.
 var lineCeilings = map[string]int{
 	".":                   312,
 	"cmd/bravobench":      289,
-	"cmd/kvserv":          248,
+	"cmd/kvserv":          247,
 	"examples/kvcache":    109,
 	"examples/locktable":  116,
 	"examples/quickstart": 63,
@@ -200,10 +201,10 @@ var lineCeilings = map[string]int{
 	"internal/core":       180,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3755,
+	"internal/kvs":        3760,
 	"internal/kvserv":     1931,
 	"internal/lockcheck":  405,
-	"internal/locks":      876,
+	"internal/locks":      926,
 	"internal/metis":      331,
 	"internal/repl":       611,
 	"internal/rwl":        136,
@@ -215,14 +216,14 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       941,
 	"internal/xrand":      119,
-	"total":               15936,
+	"total":               15990,
 }
 
 // testLineCeilings caps a package's test Go the same way, where a change
 // folded its suites together: internal/kvs's randomized suites share one op
 // generator and one model (internal/kvs/harness_test.go), and a private op
 // loop or state comparer growing back shows here.
-var testLineCeilings = map[string]int{"internal/kvs": 6526}
+var testLineCeilings = map[string]int{"internal/kvs": 6524}
 
 // TestLineBudget counts the non-test Go lines of every top-level package
 // (benchmark/, its own module, excluded) and fails naming the package, its

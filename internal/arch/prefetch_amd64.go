@@ -2,7 +2,7 @@ package arch
 
 import "unsafe"
 
-// Prefetch hints that the cache lines covering [p, p+n) will be written
+// Prefetch hints that the cache lines covering [p, p+n) will be accessed
 // soon, issuing one PREFETCHT0 per line (prefetch_amd64.s). It is only a
 // hint: a prefetch neither faults nor stores, so p may point anywhere —
 // unmapped, protected or past an allocation — and n ≤ 0 issues nothing.

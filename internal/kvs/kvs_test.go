@@ -59,45 +59,43 @@ func TestMemtableBasicOps(t *testing.T) {
 
 func TestMemtableReadWhileWriting(t *testing.T) {
 	// A miniature of the paper's readwhilewriting run: one in-place writer,
-	// several readers; readers must always observe a whole value. Every
-	// value is four words (gen%4 == 3), so each write is in place.
+	// several readers; readers must always observe a whole value. Values of
+	// one to four words go into cells sized for four, so every write is in
+	// place and a torn length shows too. The readers are bounded by an op
+	// count, as the harness's are, and the writer runs until they finish.
 	m, _ := NewMemtable(1, bravoFactory)
-	const keys = 64
+	const keys, reads = 8, 200000
 	for k := uint64(0); k < keys; k++ {
 		m.Put(k, stormValue(k, 3))
 	}
-	stop := make(chan struct{})
-	var torn atomic.Int64
+	var done atomic.Bool
 	var wg sync.WaitGroup
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		writer := xrand.NewXorShift64(99)
+		for i := uint64(4); !done.Load(); i++ {
+			k := writer.Intn(keys)
+			m.Put(k, stormValue(k, i))
+		}
+	}()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := xrand.NewXorShift64(seed)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < reads; i++ {
 				k := rng.Intn(keys)
 				if v, ok := m.Get(k); !ok || stormCheck(k, v) != nil {
-					torn.Add(1)
+					t.Errorf("key %d: missing or torn value %x", k, v)
 					return
 				}
 			}
 		}(uint64(r + 1))
 	}
-	writer := xrand.NewXorShift64(99)
-	for i := 0; i < 20000; i++ {
-		k := writer.Intn(keys)
-		m.Put(k, stormValue(k, uint64(i)*4+3))
-	}
-	close(stop)
 	wg.Wait()
-	if torn.Load() != 0 {
-		t.Fatal("readers observed missing or torn values")
-	}
+	done.Store(true)
+	<-wrote
 	if m.Len() != keys {
 		t.Fatalf("Len = %d, want %d", m.Len(), keys)
 	}

@@ -1,8 +1,8 @@
 package kvs
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -124,22 +124,16 @@ func cellLen(head uint64) int {
 	return int(n)
 }
 
-// appendTo appends the cell's bytes to buf and returns the result. Safe to
-// call with no lock held; the copy may be torn and the caller must validate
-// the surrounding seq section before trusting it.
+// appendTo appends the cell's bytes to buf and returns the result, growing
+// buf only when it lacks room. Safe to call with no lock held; the copy may
+// be torn and the caller must validate the surrounding seq section before
+// trusting it. The length is the clamped head (cellLen), so even a torn copy
+// stays inside the cell (seq.LoadWords).
 func (c *seqCell) appendTo(buf []byte) []byte {
 	head := c.head()
-	payload := c.words(head)[cellHeaderWords:]
-	n := cellLen(head)
-	var w [8]byte
-	for i := 0; i < n/8; i++ {
-		binary.LittleEndian.PutUint64(w[:], payload[i].Load())
-		buf = append(buf, w[:]...)
-	}
-	if rem := n % 8; rem > 0 {
-		binary.LittleEndian.PutUint64(w[:], payload[n/8].Load())
-		buf = append(buf, w[:rem]...)
-	}
+	n, base := cellLen(head), len(buf)
+	buf = slices.Grow(buf, n)[:base+n]
+	seq.LoadWords(buf[base:], c.words(head)[cellHeaderWords:])
 	return buf
 }
 

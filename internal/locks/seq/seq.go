@@ -12,8 +12,8 @@
 // KV engine's optimistic read path brackets its copies with it, where the
 // shard's BRAVO write lock already serializes writers, and bias.Adaptor
 // brackets its window snapshot the same way. StoreWords and Store are the
-// writer's stores inside such a section: plain stores on amd64, because a
-// seqlock writer needs its stores in order and nothing more.
+// writer's stores inside such a section and LoadWords a reader's copy, all
+// plain moves on amd64: a seqlock needs its accesses in order, nothing more.
 package seq
 
 import "sync/atomic"
