@@ -201,12 +201,12 @@ var lineCeilings = map[string]int{
 	"internal/core":       180,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3760,
+	"internal/kvs":        3741,
 	"internal/kvserv":     1931,
 	"internal/lockcheck":  405,
 	"internal/locks":      926,
 	"internal/metis":      331,
-	"internal/repl":       611,
+	"internal/repl":       602,
 	"internal/rwl":        136,
 	"internal/rwsem":      443,
 	"internal/self":       52,
@@ -216,14 +216,14 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       941,
 	"internal/xrand":      119,
-	"total":               15990,
+	"total":               15962,
 }
 
 // testLineCeilings caps a package's test Go the same way, where a change
 // folded its suites together: internal/kvs's randomized suites share one op
 // generator and one model (internal/kvs/harness_test.go), and a private op
 // loop or state comparer growing back shows here.
-var testLineCeilings = map[string]int{"internal/kvs": 6524}
+var testLineCeilings = map[string]int{"internal/kvs": 6681}
 
 // TestLineBudget counts the non-test Go lines of every top-level package
 // (benchmark/, its own module, excluded) and fails naming the package, its

@@ -23,14 +23,14 @@ package kvs
 // checkpoint swaps files, even when stable): a read bracketed by the same
 // even gen overlapped no rotation, anything else retries, and any
 // inconsistency the bracket misses is caught by the per-record LSN check
-// and repaired with a rescan.
+// and repaired with a cold read (see ReplRead).
 //
-// Follower side: DecodeReplFrame parses one stream frame (tolerating
-// partial buffers, rejecting corrupt ones without panicking) into the same
-// Entry values the primary's write section logged, and ApplyReplRecord
-// applies them to a volatile engine through the write section's apply half
-// (applyLocked, write.go) — the follower's read fast paths are the same
-// BRAVO-biased paths the primary serves with.
+// Follower side: DecodeReplPayload parses one stream frame's payload
+// (rejecting a malformed one without panicking) into the same Entry values
+// the primary's write section logged, and ApplyReplRecord applies them to a
+// volatile engine through the write section's apply half (applyLocked,
+// write.go) — the follower's read fast paths are the same BRAVO-biased
+// paths the primary serves with.
 
 import (
 	"encoding/binary"
@@ -69,24 +69,11 @@ var ErrReplSnapshotNeeded = errors.New("kvs: requested LSN checkpointed out of t
 // payload, or a malformed payload. A follower reconnects on it.
 var ErrReplCorruptFrame = errors.New("kvs: corrupt replication frame")
 
-// CountReplFrames counts the complete frames at the head of chunk by
-// walking the length headers only — no CRC, no payload decode. It is the
-// cheap stats companion for chunks ReplRead already validated.
-func CountReplFrames(chunk []byte) int {
-	n := 0
-	for flen := frame.PeekLen(chunk); flen > 0 && flen <= len(chunk); flen = frame.PeekLen(chunk) {
-		chunk = chunk[flen:]
-		n++
-	}
-	return n
-}
-
 // DecodeReplFrame decodes the first frame of data. It returns (record,
 // bytes consumed, nil) for a complete valid frame; (zero, 0, nil) when
 // data is a valid-so-far prefix that needs more bytes; and (zero, 0,
 // ErrReplCorruptFrame) when the head of data can never become a valid
-// frame. It never panics, whatever the bytes (FuzzReplStream), and entry
-// values alias data.
+// frame. It never panics, whatever the bytes, and entry values alias data.
 func DecodeReplFrame(data []byte) (ReplRecord, int, error) {
 	payload, n, status := frame.Split(data)
 	switch status {
@@ -95,16 +82,28 @@ func DecodeReplFrame(data []byte) (ReplRecord, int, error) {
 	case frame.Corrupt:
 		return ReplRecord{}, 0, ErrReplCorruptFrame
 	}
+	rec, err := DecodeReplPayload(payload)
+	if err != nil {
+		return ReplRecord{}, 0, err
+	}
+	return rec, n, nil
+}
+
+// DecodeReplPayload decodes one stream frame's CRC-checked payload — what
+// frame.Split or a stream decoder yields — into a record, or reports
+// ErrReplCorruptFrame for a malformed one (FuzzReplStream). Entry values
+// alias payload.
+func DecodeReplPayload(payload []byte) (ReplRecord, error) {
 	rec, ok := walDecodePayload(payload)
 	if !ok {
-		return ReplRecord{}, 0, ErrReplCorruptFrame
+		return ReplRecord{}, ErrReplCorruptFrame
 	}
 	return ReplRecord{
 		LSN:      rec.lsn,
 		Snapshot: rec.version == walVersionSnap,
 		Txn:      rec.version == walVersionTxn,
 		Entries:  rec.entries,
-	}, n, nil
+	}, nil
 }
 
 // ShardLSN returns the LSN of the last record applied to shard i — the
@@ -132,10 +131,9 @@ func (s *Sharded) ReplLSNs() []uint64 {
 
 // ReplCursor is a replication reader's position in one shard's log: Next
 // is the LSN it wants next. The unexported fields cache a byte offset into
-// the current log file so a tailing reader does not rescan the log on
-// every call; they are invalidated by rotation (via the WAL generation
-// counter) and by any LSN discontinuity, falling back to a full rescan.
-// The zero value (or Next 0) starts from LSN 1.
+// the current log file, valid in WAL generation gen, so a tailing reader
+// does not rescan the log on every call. The zero value (or Next 0)
+// starts from LSN 1.
 type ReplCursor struct {
 	Next uint64
 	gen  uint64
@@ -166,85 +164,65 @@ func (s *Sharded) ReplRead(shard int, cur *ReplCursor, maxBytes int) ([]byte, er
 		cur.Next = 1
 	}
 	w := s.shards[shard].wal
-
-	// Fast path: same (even) generation as the last call, so the cached
-	// offset into the current log file is still meaningful — read forward
-	// from it. An odd gen is a rotation in flight: the files are not
-	// stable, whatever the cached value says.
-	if cur.ok {
-		g := w.gen.Load()
-		if g != cur.gen || g&1 == 1 {
-			cur.ok = false
-		} else {
-			data, err := readFileFrom(s.walPath(shard), cur.off, w.end.Load())
-			if err != nil {
-				return nil, err
-			}
-			if w.gen.Load() != g {
-				cur.ok = false // rotation raced the read; rescan below
-			} else {
-				out, consumed, count, clean := collectFrames(data, cur.Next, maxBytes)
-				if count > 0 || clean {
-					cur.Next += uint64(count)
-					cur.off += consumed
-					if !clean {
-						cur.ok = false
-					}
-					return out, nil
-				}
-				// First decodable frame had the wrong LSN: the cached
-				// offset lies (e.g. in-place truncation). Rescan.
-				cur.ok = false
-			}
-		}
-	}
-
-	// Slow path: scan wal.old + wal from the top, bracketing the lockless
-	// reads with the generation seqlock so a concurrent checkpoint's file
-	// swap sends us around again instead of into a frankenstein view.
+	// Each attempt reads the files bracketed by one even generation, so a
+	// checkpoint's file swap sends it around again instead of into a view
+	// half before and half after the rotation. A warm cursor (cached in
+	// this generation) reads the live log from its offset; a cold one reads
+	// wal.old whole — it is trimmed before it is renamed or merged — and
+	// the live log from the top.
 	for attempt := 0; attempt < 8; attempt++ {
 		g := w.gen.Load()
 		if g&1 == 1 {
 			continue // rotation in flight; go around
 		}
-		appliedBefore := w.applied.Load()
-		// wal.old is trimmed before it is renamed or merged: read it whole.
-		oldData, err := readFileFrom(s.walOldPath(shard), 0, math.MaxInt64)
+		warm := cur.ok && cur.gen == g
+		applied := w.applied.Load()
+		var oldData []byte
+		var off int64
+		var err error
+		if warm {
+			off = cur.off
+		} else if oldData, err = readFileFrom(s.walOldPath(shard), 0, math.MaxInt64); err != nil {
+			return nil, err
+		}
+		curData, err := readFileFrom(s.walPath(shard), off, w.end.Load())
 		if err != nil {
 			return nil, err
 		}
-		curData, err := readFileFrom(s.walPath(shard), 0, w.end.Load())
-		if err != nil {
-			return nil, err
+		if s.replReadHook != nil {
+			s.replReadHook(shard)
 		}
 		if w.gen.Load() != g {
 			continue
 		}
 		out, _, nOld, _ := collectFrames(oldData, cur.Next, maxBytes)
 		next := cur.Next + uint64(nOld)
-		var consumedCur int64
+		var consumed int64
 		var nCur int
-		var cleanCur bool
+		var clean bool // stays false when the budget kept the live log unread
 		if rem := maxBytes - len(out); nOld == 0 || rem > 0 {
 			var more []byte
-			more, consumedCur, nCur, cleanCur = collectFrames(curData, next, rem)
+			more, consumed, nCur, clean = collectFrames(curData, next, rem)
 			out = append(out, more...)
 			next += uint64(nCur)
 		}
-		if len(out) == 0 && appliedBefore >= cur.Next {
+		if len(out) == 0 && !clean && warm {
+			// The first frame at the cached offset has the wrong LSN: the
+			// offset lies. Drop it and read cold.
+			cur.ok = false
+			continue
+		}
+		if len(out) == 0 && !warm && applied >= cur.Next {
 			// The shard committed cur.Next (applied was already past it
 			// before we read the files, so the record was fully on disk),
 			// yet neither file holds it: a checkpoint truncated it away.
 			return nil, ErrReplSnapshotNeeded
 		}
 		cur.Next = next
-		// The cached offset is only valid when we consumed into the
-		// current file cleanly and no rotation interleaved.
-		if nCur > 0 && cleanCur && w.gen.Load() == g {
-			cur.gen, cur.off, cur.ok = g, consumedCur, true
-		} else {
-			cur.ok = false
-		}
+		// Only a clean read into the live log knows where the next record
+		// starts in it.
+		cur.ok = clean && (warm || nCur > 0)
+		cur.gen, cur.off = g, off+consumed
 		return out, nil
 	}
 	// Checkpoints kept rotating under us; let the caller come back.

@@ -431,3 +431,96 @@ func TestReplReadCaughtUpAllocsNothing(t *testing.T) {
 		t.Fatalf("caught-up ReplRead allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestReplReadRetriesAcrossRotation runs a checkpoint's rotation, or a
+// whole checkpoint, between ReplRead's file reads and its generation
+// re-check (replReadHook), under a warm cursor (cached past LSN 3) and a
+// cold one (at LSN 1), with LSNs up to 6 in the log. The read must go
+// around again, ship every LSN once and in order, and ask for a snapshot
+// only when the LSN it wants is gone from both files.
+func TestReplReadRetriesAcrossRotation(t *testing.T) {
+	// rotate is a checkpoint's rotation without its prune: wal.old keeps
+	// the records, as after a checkpoint that died before publishing.
+	rotate := func(s *Sharded) error {
+		s.ckptMu.Lock()
+		defer s.ckptMu.Unlock()
+		_, err := s.captureShard(0, nil)
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		warm   bool
+		during func(*Sharded) error // nil: the warm offset lies instead
+		times  int                  // hook calls that run during
+		gone   bool                 // during takes the wanted LSN away
+	}{
+		{"warm/rotate", true, rotate, 1, false},
+		{"cold/rotate", false, rotate, 1, false},
+		{"warm/checkpoint", true, (*Sharded).Checkpoint, 1, true},
+		{"cold/checkpoint", false, (*Sharded).Checkpoint, 1, true},
+		{"warm/stale-offset", true, nil, 1, false},
+		{"cold/rotate-every-attempt", false, rotate, 8, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTestKV(t, t.TempDir(), 1, SyncNone)
+			defer s.Close()
+			var cur ReplCursor
+			next := uint64(1)
+			ship := func() error {
+				chunk, err := s.ReplRead(0, &cur, testReplChunk)
+				decodeAll(t, chunk, &next)
+				return err
+			}
+			for k := uint64(1); k <= 6; k++ {
+				if s.Put(k, EncodeValue(k)); k == 3 && tc.warm {
+					if err := ship(); err != nil || !cur.ok {
+						t.Fatalf("a clean read into the live log: %v, cached %v", err, cur.ok)
+					}
+				}
+			}
+			if tc.during == nil {
+				cur.Next, next = 2, 2 // the frame at the cached offset is LSN 4
+			}
+			calls := 0
+			s.replReadHook = func(int) {
+				if calls++; calls <= tc.times && tc.during != nil {
+					if err := tc.during(s); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			err := ship()
+			s.replReadHook = nil
+			if want := min(tc.times+1, 8); calls != want {
+				t.Fatalf("ReplRead read the files %d times, want %d", calls, want)
+			}
+			switch {
+			case tc.times >= 8:
+				if err != nil || cur.Next != 1 {
+					t.Fatalf("lapped on every attempt: %v, cursor at %d; want nothing shipped", err, cur.Next)
+				}
+				err = ship()
+			case tc.gone:
+				if err != ErrReplSnapshotNeeded {
+					t.Fatalf("LSN %d checkpointed away: %v, want ErrReplSnapshotNeeded", cur.Next, err)
+				}
+				if _, serr := os.Stat(s.walOldPath(0)); !os.IsNotExist(serr) || s.shards[0].wal.end.Load() != 0 {
+					t.Fatal("ErrReplSnapshotNeeded with records still in the log")
+				}
+				_, lsn, serr := s.ReplSnapshotFrame(0)
+				cur, next, err = ReplCursor{Next: lsn + 1}, lsn+1, serr
+			}
+			if err != nil || next != 7 {
+				t.Fatalf("shipped through LSN %d (%v), want 6", next-1, err)
+			}
+			// The stream goes on from the new files: a cold read past the
+			// rotated records, then a warm one from its cached offset.
+			for k := uint64(7); k <= 8; k++ {
+				s.Put(k, EncodeValue(k))
+				if err := ship(); err != nil || next != k+1 || !cur.ok {
+					t.Fatalf("after the retry, put %d: %v, next %d, cached %v", k, err, next, cur.ok)
+				}
+			}
+		})
+	}
+}

@@ -31,12 +31,26 @@ import (
 // storm red on every run (8/8) and one rewriting a single key per iteration
 // on about one run in eight; the same writer through wlock/wunlock stays
 // green. TestShardWriteLockOnlyThroughWlock rejects such a writer in
-// non-test code before it runs. If you change the bracketing
-// (kvShard.wlock/wunlock, seqStore mutators), rerun the exercise and make
-// sure this storm goes red before trusting the change.
+// non-test code before it runs. A second mutant drops the bump from every
+// write section (kvShard.wlock/wunlock without WriteBegin/WriteEnd). The
+// drivers alone caught it on about one run in ten: over 128 keys, at about
+// a microsecond per op and ten goroutines to two CPUs, a rewrite seldom
+// lands mid-copy. Each storm therefore ends with hotPair, and with it every
+// storm failed on that mutant in 90 of 90 runs on 2 CPUs (-count=30, three
+// times), 30 of 30 at GOMAXPROCS=4 and 5 of 5 under -race, while the three
+// storms' time per round went from 61 to 68 ms at GOMAXPROCS=2. If you
+// change the bracketing (kvShard.wlock/wunlock, seqStore mutators), rerun
+// both exercises and make sure this storm goes red before trusting the
+// change.
 
 // stormKeys is the shared hot key space every storm goroutine hammers.
 const stormKeys = 128
+
+// hotSeen and hotReads end hotPair's reader.
+const (
+	hotSeen  = 1000
+	hotReads = 200000
+)
 
 // stormValue builds a self-validating value for key: 1–4 words, each the
 // identical stamp key<<48 | nwords<<40 | gen&0xffffffffff.
@@ -114,6 +128,53 @@ func runSeqStorm(t *testing.T, s *Sharded, iters int, extra func(i uint64)) {
 	t.Logf("storm: %d seq reads, %d retries, %d fallbacks", st.SeqReads, st.SeqRetries, st.SeqFallbacks)
 }
 
+// hotPair closes a storm the way TestMemtableReadWhileWriting runs: one
+// writer rewrites one key with one-to-four-word values while one reader,
+// nothing else running, copies it back to back. A rewrite can only land
+// mid-copy while the two run at once, which the drivers, spread over
+// stormKeys and sharing the CPUs with every storm goroutine, manage on too
+// few runs. So the reader goes on until it has seen the value change
+// hotSeen times between two reads with no yield between them, each change
+// proof that the writer ran alongside, or until hotReads reads, which is
+// where one CPU ends.
+func hotPair(t *testing.T, s *Sharded) {
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for gen := uint64(0); !done.Load(); gen++ {
+			runtime.Gosched() // on one CPU, hand the reader back at once
+			s.Put(0, stormValue(0, gen))
+		}
+	}()
+	var buf []byte
+	var prev uint64 // the last read's first word; 0 after a yield
+	for i, seen := 0, 0; seen < hotSeen && i < hotReads; i++ {
+		if i%16 == 0 {
+			runtime.Gosched()
+			prev = 0
+		}
+		v, ok := s.GetInto(0, buf)
+		buf = v[:0]
+		if !ok {
+			continue
+		}
+		if err := stormCheck(0, v); err != nil {
+			t.Errorf("GetInto: %v", err)
+			break
+		}
+		if w := binary.LittleEndian.Uint64(v); w != prev {
+			if prev != 0 {
+				seen++
+			}
+			prev = w
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+}
+
 // stormIters sizes the write side. Sized for the race detector on small
 // machines: the point is collision coverage, not throughput, and the
 // readers spin the whole time regardless.
@@ -133,6 +194,7 @@ func TestSeqReadStormVolatile(t *testing.T) {
 		t.Fatal(err)
 	}
 	runSeqStorm(t, s, stormIters(t), nil)
+	hotPair(t, s)
 }
 
 // TestSeqReadStormDurable storms a durable engine while a checkpoint loop
@@ -161,6 +223,7 @@ func TestSeqReadStormDurable(t *testing.T) {
 	runSeqStorm(t, s, iters, nil)
 	stop.Store(true)
 	ckpt.Wait()
+	hotPair(t, s)
 	if n := s.Stats().Total().Checkpoints; n < 4 {
 		t.Fatalf("%d shard checkpoints completed under the storm; the pipeline under test was idle", n)
 	}
@@ -199,4 +262,5 @@ func TestSeqReadStormReplApply(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	hotPair(t, s)
 }

@@ -66,6 +66,9 @@ type Sharded struct {
 	ckptMu   sync.Mutex
 	// ckptFlushHook (tests only) runs where captureShard flushes unlocked.
 	ckptFlushHook func(i int)
+	// replReadHook (tests only) runs between ReplRead's file reads and its
+	// generation re-check.
+	replReadHook func(shard int)
 	// reapCursor round-robins Reap's starting shard across calls, so an
 	// incremental budget eventually covers every shard.
 	reapCursor atomic.Uint64

@@ -12,9 +12,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/bravolock/bravo/internal/frame"
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 // DefaultRetryInterval paces reconnects after a stream drops.
@@ -319,36 +321,27 @@ func (f *Follower) streamOnce(ctx context.Context, shard int) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("repl: stream status %s", resp.Status)
 	}
-	buf := make([]byte, 0, 64<<10)
-	tmp := make([]byte, 32<<10)
+	return f.follow(shard, resp.Body)
+}
+
+// follow decodes shard's stream from r and applies each record in order
+// until the stream breaks, returning why: a corrupt frame or payload, a
+// gap, or the reader's error. Frames split through the wire protocol's
+// decoder, capped at the largest frame the codec admits, because a
+// snapshot frame carries a whole shard.
+func (f *Follower) follow(shard int, r io.Reader) error {
+	dec := wire.NewStreamDecoder(r, frame.HeaderSize+frame.MaxPayload)
 	for {
-		// Apply every complete frame buffered so far.
-		off := 0
-		for {
-			rec, n, derr := kvs.DecodeReplFrame(buf[off:])
-			if derr != nil {
-				return derr // corrupt frame: drop the stream, resync
-			}
-			if n == 0 {
-				break
-			}
-			if aerr := f.apply(shard, rec); aerr != nil {
-				return aerr
-			}
-			off += n
+		payload, err := dec.Next()
+		if err != nil {
+			return err // io.EOF when the primary closed the stream cleanly
 		}
-		if off > 0 {
-			buf = append(buf[:0], buf[off:]...)
+		rec, err := kvs.DecodeReplPayload(payload)
+		if err != nil {
+			return err
 		}
-		n, rerr := resp.Body.Read(tmp)
-		if n > 0 {
-			buf = append(buf, tmp[:n]...)
-		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				rerr = errors.New("repl: stream closed by primary")
-			}
-			return rerr
+		if err := f.apply(shard, rec); err != nil {
+			return err
 		}
 	}
 }

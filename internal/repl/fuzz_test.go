@@ -1,7 +1,7 @@
 package repl
 
 // FuzzReplStream feeds arbitrary bytes through the follower's stream
-// path — the same DecodeReplFrame loop and apply logic streamOnce runs —
+// path — the decode-apply loop streamOnce runs over the HTTP body, follow —
 // into a real engine. Whatever the wire carries (truncated frames, bit
 // flips, bogus LSNs, hostile lengths), the follower must never panic and
 // never corrupt the applied store: only CRC-valid frames whose LSNs
@@ -9,10 +9,15 @@ package repl
 // applied LSN must track exactly the records that applied.
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/bravolock/bravo/internal/kvs"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 // newFuzzFollower builds a follower shell around a 1-shard volatile
@@ -73,32 +78,29 @@ func FuzzReplStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fl := newFuzzFollower(t)
-		// The puller's loop, verbatim in shape: decode complete frames,
-		// apply in order, stop at corruption (a real follower reconnects).
-		buf := data
+		// The applied LSN only ever moves to the record's LSN, and only
+		// snapshots may jump it.
 		applies := 0
-		for {
-			rec, n, err := kvs.DecodeReplFrame(buf)
-			if err != nil || n == 0 {
-				break // corrupt → reconnect; incomplete → wait for bytes
+		var last uint64
+		fl.cfg.OnApply = func(_ int, lsn uint64, snapshot bool) {
+			if got := fl.applied[0].Load(); got != lsn {
+				t.Fatalf("applied LSN %d after a record at %d", got, lsn)
 			}
-			before := fl.applied[0].Load()
-			if aerr := fl.apply(0, rec); aerr != nil {
-				break // stream gap: reconnect
+			if !snapshot && lsn != last+1 {
+				t.Fatalf("incremental record jumped applied %d → %d", last, lsn)
 			}
-			after := fl.applied[0].Load()
-			// The applied LSN only ever moves to the record's LSN, and
-			// only snapshots may jump it.
-			if after != before {
-				if after != rec.LSN {
-					t.Fatalf("applied LSN %d after a record at %d", after, rec.LSN)
-				}
-				if !rec.Snapshot && after != before+1 {
-					t.Fatalf("incremental record jumped applied %d → %d", before, after)
-				}
-			}
+			last = lsn
 			applies++
-			buf = buf[n:]
+		}
+		// The puller's own loop: it stops at the first corrupt frame,
+		// gap or end of bytes, where a real follower reconnects.
+		err := fl.follow(0, bytes.NewReader(data))
+		switch {
+		case err == io.EOF, err == io.ErrUnexpectedEOF:
+		case errors.Is(err, wire.ErrCorruptFrame), errors.Is(err, kvs.ErrReplCorruptFrame):
+		case err != nil && strings.Contains(err.Error(), "stream gap"):
+		default:
+			t.Fatalf("follow surfaced unexpected error %v", err)
 		}
 		// The store must remain coherent, whatever was fed: every read
 		// path works, and state only exists if something actually applied.
@@ -108,8 +110,5 @@ func FuzzReplStream(f *testing.F) {
 		}
 		eng.Range(func(_ uint64, v []byte) bool { return len(v) >= 0 })
 		_ = eng.Snapshot()
-		if _, _, err := kvs.DecodeReplFrame(buf); err != nil && err != kvs.ErrReplCorruptFrame {
-			t.Fatalf("decoder surfaced unexpected error %v", err)
-		}
 	})
 }

@@ -53,7 +53,6 @@ func (ph *primaryHost) set(engine *kvs.Sharded, wrap func(http.Handler) http.Han
 	}
 	mux := http.NewServeMux()
 	p := NewPrimary(engine)
-	p.SetPoll(500 * time.Microsecond)
 	p.Register(mux)
 	var h http.Handler = mux
 	if wrap != nil {
