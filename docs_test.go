@@ -201,7 +201,7 @@ var lineCeilings = map[string]int{
 	"internal/core":       180,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3741,
+	"internal/kvs":        3721,
 	"internal/kvserv":     1931,
 	"internal/lockcheck":  405,
 	"internal/locks":      926,
@@ -216,14 +216,16 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       941,
 	"internal/xrand":      119,
-	"total":               15962,
+	"total":               15942,
 }
 
 // testLineCeilings caps a package's test Go the same way, where a change
 // folded its suites together: internal/kvs's randomized suites share one op
-// generator and one model (internal/kvs/harness_test.go), and a private op
-// loop or state comparer growing back shows here.
-var testLineCeilings = map[string]int{"internal/kvs": 6681}
+// generator and one model (internal/kvs/harness_test.go), internal/kvserv's
+// end-to-end suites one op table and one model (internal/kvserv/
+// harness_test.go), and a private op loop or state comparer growing back
+// shows here.
+var testLineCeilings = map[string]int{"internal/kvs": 6733, "internal/kvserv": 2442}
 
 // TestLineBudget counts the non-test Go lines of every top-level package
 // (benchmark/, its own module, excluded) and fails naming the package, its

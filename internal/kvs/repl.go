@@ -69,26 +69,6 @@ var ErrReplSnapshotNeeded = errors.New("kvs: requested LSN checkpointed out of t
 // payload, or a malformed payload. A follower reconnects on it.
 var ErrReplCorruptFrame = errors.New("kvs: corrupt replication frame")
 
-// DecodeReplFrame decodes the first frame of data. It returns (record,
-// bytes consumed, nil) for a complete valid frame; (zero, 0, nil) when
-// data is a valid-so-far prefix that needs more bytes; and (zero, 0,
-// ErrReplCorruptFrame) when the head of data can never become a valid
-// frame. It never panics, whatever the bytes, and entry values alias data.
-func DecodeReplFrame(data []byte) (ReplRecord, int, error) {
-	payload, n, status := frame.Split(data)
-	switch status {
-	case frame.Incomplete:
-		return ReplRecord{}, 0, nil
-	case frame.Corrupt:
-		return ReplRecord{}, 0, ErrReplCorruptFrame
-	}
-	rec, err := DecodeReplPayload(payload)
-	if err != nil {
-		return ReplRecord{}, 0, err
-	}
-	return rec, n, nil
-}
-
 // DecodeReplPayload decodes one stream frame's CRC-checked payload — what
 // frame.Split or a stream decoder yields — into a record, or reports
 // ErrReplCorruptFrame for a malformed one (FuzzReplStream). Entry values

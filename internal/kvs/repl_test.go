@@ -19,19 +19,29 @@ import (
 // their whole streams in one chunk.
 const testReplChunk = 1 << 20
 
-// decodeAll decodes every frame in chunk, failing the test on corruption
-// or leftover bytes, and asserts LSNs continue from *next.
+// nextFrame decodes chunk's first frame as a follower does, with frame.Split
+// and DecodeReplPayload, and fails the test on a torn or corrupt one:
+// ReplRead ships whole frames.
+func nextFrame(t *testing.T, chunk []byte) (ReplRecord, int) {
+	t.Helper()
+	payload, n, status := frame.Split(chunk)
+	if status != frame.OK {
+		t.Fatalf("ReplRead shipped a torn or corrupt frame (status %d, %d bytes left)", status, len(chunk))
+	}
+	rec, err := DecodeReplPayload(payload)
+	if err != nil {
+		t.Fatalf("DecodeReplPayload: %v", err)
+	}
+	return rec, n
+}
+
+// decodeAll decodes every frame in chunk and asserts LSNs continue from
+// *next.
 func decodeAll(t *testing.T, chunk []byte, next *uint64) []ReplRecord {
 	t.Helper()
 	var out []ReplRecord
 	for len(chunk) > 0 {
-		rec, n, err := DecodeReplFrame(chunk)
-		if err != nil {
-			t.Fatalf("DecodeReplFrame: %v", err)
-		}
-		if n == 0 {
-			t.Fatalf("ReplRead returned a torn frame (%d bytes left)", len(chunk))
-		}
+		rec, n := nextFrame(t, chunk)
 		if rec.LSN != *next {
 			t.Fatalf("frame LSN %d, want %d", rec.LSN, *next)
 		}
@@ -123,9 +133,9 @@ func TestReplSnapshotNeededAfterCheckpoint(t *testing.T) {
 	if lsn != 33 {
 		t.Fatalf("snapshot frame at LSN %d, want 33", lsn)
 	}
-	rec, n, err := DecodeReplFrame(snapFrame)
-	if err != nil || n != len(snapFrame) {
-		t.Fatalf("snapshot frame decode: n=%d err=%v", n, err)
+	rec, n := nextFrame(t, snapFrame)
+	if n != len(snapFrame) {
+		t.Fatalf("snapshot frame decoded %d of %d bytes", n, len(snapFrame))
 	}
 	if !rec.Snapshot || rec.LSN != lsn {
 		t.Fatalf("snapshot frame decoded as %+v", rec)
@@ -235,13 +245,7 @@ func TestReplReaderAppenderRace(t *testing.T) {
 			t.Fatalf("ReplRead under write load: %v", err)
 		}
 		for len(chunk) > 0 {
-			rec, n, derr := DecodeReplFrame(chunk)
-			if derr != nil {
-				t.Fatalf("reader saw corruption in a live log: %v", derr)
-			}
-			if n == 0 {
-				t.Fatal("ReplRead returned a torn frame")
-			}
+			rec, n := nextFrame(t, chunk)
 			if rec.LSN != uint64(shipped)+1 {
 				t.Fatalf("shipped LSN %d after %d records", rec.LSN, shipped)
 			}

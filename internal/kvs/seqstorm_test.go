@@ -37,19 +37,26 @@ import (
 // a microsecond per op and ten goroutines to two CPUs, a rewrite seldom
 // lands mid-copy. Each storm therefore ends with hotPair, and with it every
 // storm failed on that mutant in 90 of 90 runs on 2 CPUs (-count=30, three
-// times), 30 of 30 at GOMAXPROCS=4 and 5 of 5 under -race, while the three
-// storms' time per round went from 61 to 68 ms at GOMAXPROCS=2. If you
-// change the bracketing (kvShard.wlock/wunlock, seqStore mutators), rerun
-// both exercises and make sure this storm goes red before trusting the
-// change.
+// times), 30 of 30 at GOMAXPROCS=4 and 5 of 5 under -race. hotPair reads
+// through each read site in turn, so two more mutants fail every storm (30
+// of 30 at -count=10, at GOMAXPROCS 2 and 4): the batch read section
+// keeping its copy without validating it, and Range copying without the
+// shard read lock. With GetInto as its only reader they failed 0 and 1 of
+// 30. If you change the bracketing (kvShard.wlock/wunlock, seqStore
+// mutators) or a read site, rerun the exercises and make sure this storm
+// goes red before trusting the change.
 
 // stormKeys is the shared hot key space every storm goroutine hammers.
 const stormKeys = 128
 
-// hotSeen and hotReads end hotPair's reader.
+// hotSeen (per read site) and hotReads end hotPair's reader; hotWindow is
+// its reads between yields, hotBatch its batch read's size.
+var hotSeen = [3]int{200, 100, 50}
+
 const (
-	hotSeen  = 1000
-	hotReads = 200000
+	hotReads  = 60000
+	hotWindow = 64
+	hotBatch  = 8
 )
 
 // stormValue builds a self-validating value for key: 1–4 words, each the
@@ -129,50 +136,94 @@ func runSeqStorm(t *testing.T, s *Sharded, iters int, extra func(i uint64)) {
 }
 
 // hotPair closes a storm the way TestMemtableReadWhileWriting runs: one
-// writer rewrites one key with one-to-four-word values while one reader,
-// nothing else running, copies it back to back. A rewrite can only land
-// mid-copy while the two run at once, which the drivers, spread over
-// stormKeys and sharing the CPUs with every storm goroutine, manage on too
-// few runs. So the reader goes on until it has seen the value change
-// hotSeen times between two reads with no yield between them, each change
+// writer rewrites key 0 and its mate, a key of the same shard, in one write
+// section with the same generation, while one reader, nothing else running,
+// copies them back to back through each read site in turn, hotWindow reads
+// at a time: GetInto (key 0), MultiGetIntoH (the batch read section, both
+// keys hotBatch/2 times over) and Range (under the shard read lock). A
+// rewrite can only land mid-copy while the two run at once, which the
+// storm's goroutines, spread over stormKeys and sharing the CPUs, manage on
+// too few runs. A batch or Range read spans both keys,
+// so it must also see one generation: one write section or the other, never
+// a part of each. The reader goes on until each site has seen its hotSeen
+// changes between two of its reads with no yield between them, each change
 // proof that the writer ran alongside, or until hotReads reads, which is
 // where one CPU ends.
 func hotPair(t *testing.T, s *Sharded) {
+	mate := uint64(1)
+	for s.ShardOf(mate) != s.ShardOf(0) {
+		mate++
+	}
+	write := func(gen uint64) { s.MultiPut([]uint64{0, mate}, [][]byte{stormValue(0, gen), stormValue(mate, gen)}) }
+	write(0) // both keys are there before the first read
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for gen := uint64(0); !done.Load(); gen++ {
+		for gen := uint64(1); !done.Load(); gen++ {
 			runtime.Gosched() // on one CPU, hand the reader back at once
-			s.Put(0, stormValue(0, gen))
+			write(gen)
 		}
 	}()
 	var buf []byte
-	var prev uint64 // the last read's first word; 0 after a yield
-	for i, seen := 0, 0; seen < hotSeen && i < hotReads; i++ {
-		if i%16 == 0 {
+	hot, batch := make([]uint64, hotBatch), make([][]byte, hotBatch)
+	for i := range hot {
+		hot[i] = mate * uint64(i%2)
+	}
+	sites := [...]struct {
+		name string
+		read func() [][]byte // the copies one read made, in hot's order
+	}{
+		{"GetInto", func() [][]byte {
+			buf, _ = s.GetInto(0, buf[:0])
+			return [][]byte{buf}
+		}},
+		{"MultiGetIntoH", func() [][]byte { return s.MultiGetIntoH(nil, hot, batch) }},
+		{"Range", func() [][]byte {
+			var vs [2][]byte
+			s.Range(func(k uint64, v []byte) bool {
+				if k == 0 || k == mate {
+					vs[min(k, 1)] = append([]byte(nil), v...)
+				}
+				return vs[0] == nil || vs[1] == nil
+			})
+			return vs[:]
+		}},
+	}
+	var prev [len(sites)]uint64 // each site's last first word; 0 after a yield
+	var seen [len(sites)]int
+reads:
+	for i := 0; (seen[0] < hotSeen[0] || seen[1] < hotSeen[1] || seen[2] < hotSeen[2]) && i < hotReads; i++ {
+		if i%hotWindow == 0 {
 			runtime.Gosched()
-			prev = 0
+			prev = [len(sites)]uint64{}
 		}
-		v, ok := s.GetInto(0, buf)
-		buf = v[:0]
-		if !ok {
+		site := i / hotWindow % len(sites)
+		if seen[site] >= hotSeen[site] {
 			continue
 		}
-		if err := stormCheck(0, v); err != nil {
-			t.Errorf("GetInto: %v", err)
-			break
-		}
-		if w := binary.LittleEndian.Uint64(v); w != prev {
-			if prev != 0 {
-				seen++
+		vs := sites[site].read()
+		for j, v := range vs {
+			err := stormCheck(hot[j], v)
+			if err == nil && binary.LittleEndian.Uint64(v)&(1<<40-1) != binary.LittleEndian.Uint64(vs[0])&(1<<40-1) {
+				err = fmt.Errorf("copies %x and %x in one read section", vs[0], v)
 			}
-			prev = w
+			if err != nil {
+				t.Errorf("%s: %v", sites[site].name, err)
+				break reads
+			}
+		}
+		if w := binary.LittleEndian.Uint64(vs[0]); w != prev[site] {
+			if prev[site] != 0 {
+				seen[site]++
+			}
+			prev[site] = w
 		}
 	}
 	done.Store(true)
 	wg.Wait()
+	t.Logf("hot pair: changes seen by GetInto, MultiGetIntoH, Range: %v", seen)
 }
 
 // stormIters sizes the write side. Sized for the race detector on small

@@ -417,10 +417,7 @@ func drainRepl(t *testing.T, src, dst *Sharded, curs []ReplCursor) []uint64 {
 				break
 			}
 			for len(chunk) > 0 {
-				rec, n, err := DecodeReplFrame(chunk)
-				if err != nil || n == 0 {
-					t.Fatalf("DecodeReplFrame shard %d: n=%d err=%v", shard, n, err)
-				}
+				rec, n := nextFrame(t, chunk)
 				if err := dst.ApplyReplRecord(shard, rec); err != nil {
 					t.Fatalf("ApplyReplRecord shard %d: %v", shard, err)
 				}

@@ -16,10 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/kvs"
-	"github.com/bravolock/bravo/internal/locks/stdrw"
-	"github.com/bravolock/bravo/internal/rwl"
 )
 
 // countingListener counts the connections it accepts and, for the latest
@@ -416,20 +413,14 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 // TestHTTPHeadReplStream: a HEAD of the replication stream is its head
 // alone — the connection closes rather than streaming nothing.
 func TestHTTPHeadReplStream(t *testing.T) {
-	engine, err := kvs.OpenSharded(t.TempDir(), 2, func() rwl.RWLock { return core.New(new(stdrw.Lock)) }, kvs.SyncNone)
+	engine, err := kvs.OpenSharded(t.TempDir(), 2, mkMatrixLock, kvs.SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { engine.Close() })
 	engine.Put(1, []byte("v"))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(engine, Config{ReapInterval: -1})
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	resps, _, closed := exchange(t, l.Addr().String(), "HEAD /repl/stream?shard=0&from=1 HTTP/1.1\r\nHost: x\r\n\r\n", "HEAD")
+	base, _ := serveBoth(t, New(engine, Config{ReapInterval: -1}))
+	resps, _, closed := exchange(t, strings.TrimPrefix(base, "http://"), "HEAD /repl/stream?shard=0&from=1 HTTP/1.1\r\nHost: x\r\n\r\n", "HEAD")
 	if r := resps[0]; r.StatusCode != 200 || r.Header.Get("X-Repl-Shards") != "2" || !closed {
 		t.Fatalf("HEAD /repl/stream = %d, X-Repl-Shards %q, closed %v", r.StatusCode, r.Header.Get("X-Repl-Shards"), closed)
 	}

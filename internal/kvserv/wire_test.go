@@ -1,243 +1,82 @@
 package kvserv
 
-// The wire front-end's serving contract: same engine, same semantics as
-// HTTP, over the pipelined binary protocol — plus the properties the
-// protocol exists for (batch = one lock acquisition per shard group,
-// responses batched per pipeline burst, malformed frames answered or the
-// connection closed cleanly).
+// What the wire front end owes beyond the semantics it shares with HTTP
+// (harness_test.go): the properties the protocol exists for (a batch takes
+// one lock acquisition per shard group, responses are batched per pipeline
+// burst), malformed frames answered or the connection closed cleanly, the
+// graceful-shutdown drain, and a thousand connections at once.
 
 import (
-	"bytes"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
-	"github.com/bravolock/bravo/internal/core"
 	"github.com/bravolock/bravo/internal/frame"
 	"github.com/bravolock/bravo/internal/kvs"
-	"github.com/bravolock/bravo/internal/locks/stdrw"
-	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/wire"
 )
 
-// startWireServer boots a wire listener over engine (built fresh when
-// nil) and returns its address, the engine, and the server.
+// startWireServer serves engine (a fresh volatile one when nil) and
+// returns its wire address, the engine, and the server.
 func startWireServer(t *testing.T, engine *kvs.Sharded, cfg Config) (string, *kvs.Sharded, *Server) {
 	t.Helper()
 	if engine == nil {
 		var err error
-		engine, err = kvs.NewSharded(8, func() rwl.RWLock { return core.New(new(stdrw.Lock)) })
-		if err != nil {
+		if engine, err = kvs.NewSharded(8, mkMatrixLock); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := New(engine, cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeWire(l) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != ErrServerClosed {
-			t.Errorf("ServeWire returned %v, want ErrServerClosed", err)
-		}
-	})
-	return l.Addr().String(), engine, srv
-}
-
-// dialWire connects to a wire listener; the connection closes with the
-// test.
-func dialWire(t *testing.T, addr string) *wire.Conn {
-	t.Helper()
-	c, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// wireDo runs req on c and fails the test on a transport error; the
-// response's Status is the caller's to check.
-func wireDo(t *testing.T, c *wire.Conn, req wire.Request) wire.Response {
-	t.Helper()
-	resp, err := c.Do(&req)
-	if err != nil {
-		t.Fatalf("wire %s: %v", req.Op, err)
-	}
-	return resp
-}
-
-func TestWireCRUD(t *testing.T) {
-	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	c := dialWire(t, addr)
-
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 1}); r.Status != wire.StatusNotFound {
-		t.Fatalf("get before put: status %v", r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 1, Value: []byte("hello")}); r.Status != wire.StatusOK {
-		t.Fatalf("put: status %v", r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 1}); r.Status != wire.StatusOK || !bytes.Equal(r.Value, []byte("hello")) {
-		t.Fatalf("get: %q, status %v", r.Value, r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpDelete, Key: 1}); r.Status != wire.StatusOK {
-		t.Fatalf("delete: status %v", r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpDelete, Key: 1}); r.Status != wire.StatusNotFound {
-		t.Fatalf("delete miss: status %v", r.Status)
-	}
-
-	// TTL attaches an expiry the read path honors.
-	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 2, Value: []byte("fleeting"), TTL: 10 * time.Millisecond}); r.Status != wire.StatusOK {
-		t.Fatalf("put ttl: status %v", r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 2}); r.Status != wire.StatusOK {
-		t.Fatal("ttl value missing before expiry")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 2}); r.Status != wire.StatusNotFound {
-		t.Fatal("ttl value visible after expiry")
-	}
-
-	// Batches.
-	keys := []uint64{10, 11, 12}
-	vals := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals}); r.Status != wire.StatusOK {
-		t.Fatalf("mput: status %v", r.Status)
-	}
-	r := wireDo(t, c, wire.Request{Op: wire.OpMGet, Keys: []uint64{10, 11, 12, 99}})
-	if r.Status != wire.StatusOK || len(r.Values) != 4 {
-		t.Fatalf("mget: %v, status %v", r.Values, r.Status)
-	}
-	for i := range keys {
-		if !bytes.Equal(r.Values[i], vals[i]) {
-			t.Fatalf("mget[%d] = %q, want %q", i, r.Values[i], vals[i])
-		}
-	}
-	if r.Values[3] != nil {
-		t.Fatalf("mget absent key = %q, want nil", r.Values[3])
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpMDelete, Keys: []uint64{10, 11, 99}}); r.Status != wire.StatusOK || r.Applied != 2 {
-		t.Fatalf("mdelete: %d, status %v", r.Applied, r.Status)
-	}
-
-	// Stats over the wire is the /stats document.
-	if r := wireDo(t, c, wire.Request{Op: wire.OpStats}); !bytes.Contains(r.Stats, []byte(`"num_shards":8`)) {
-		t.Fatalf("stats: status %v, %.120s", r.Status, r.Stats)
-	}
+	_, addr := serveBoth(t, srv)
+	return addr, engine, srv
 }
 
 // TestWireBatchOneLockPerShardGroup is the acceptance check for the
 // protocol's whole point: one wire batch of N keys spanning S shards is
 // applied as exactly S combined write batches — S write-lock acquisitions
-// — not N. Asserted on the engine's own counters, not timing.
+// — not N, and read as S shard-group batches. Asserted on the engine's own
+// counters, not timing.
 func TestWireBatchOneLockPerShardGroup(t *testing.T) {
 	addr, engine, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	c := dialWire(t, addr)
-
-	const n = 64
-	keys := make([]uint64, n)
-	vals := make([][]byte, n)
-	shards := map[int]bool{}
-	for i := range keys {
-		keys[i] = uint64(i * 3)
-		vals[i] = []byte("v")
-		shards[engine.ShardOf(keys[i])] = true
-	}
-	s := len(shards)
-	if s < 2 || s >= n {
-		t.Fatalf("test keys span %d shards of %d keys: pick a better spread", s, n)
-	}
-
-	before := engine.Stats().Total()
-	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals}); r.Status != wire.StatusOK {
-		t.Fatalf("mput: status %v", r.Status)
-	}
-	after := engine.Stats().Total()
-
-	if got := after.WriteBatches - before.WriteBatches; got != uint64(s) {
-		t.Fatalf("MPUT of %d keys over %d shards took %d write-lock batches, want exactly %d", n, s, got, s)
-	}
-	if got := after.Puts - before.Puts; got != n {
-		t.Fatalf("MPUT applied %d puts, want %d", got, n)
-	}
-
-	// Same contract on the delete batch.
-	before = after
-	if r := wireDo(t, c, wire.Request{Op: wire.OpMDelete, Keys: keys}); r.Status != wire.StatusOK {
-		t.Fatalf("mdelete: status %v", r.Status)
-	}
-	after = engine.Stats().Total()
-	if got := after.WriteBatches - before.WriteBatches; got != uint64(s) {
-		t.Fatalf("MDELETE of %d keys over %d shards took %d write-lock batches, want exactly %d", n, s, got, s)
-	}
-
-	// And the read side: one shard-group batch per shard, not N gets
-	// (MultiGetBatches counts per shard group).
-	before = after
-	if r := wireDo(t, c, wire.Request{Op: wire.OpMGet, Keys: keys}); r.Status != wire.StatusOK {
-		t.Fatalf("mget: status %v", r.Status)
-	}
-	after = engine.Stats().Total()
-	if got := after.MultiGetBatches - before.MultiGetBatches; got != uint64(s) {
-		t.Fatalf("MGET of %d keys over %d shards ran %d shard-group batches, want exactly %d", n, s, got, s)
-	}
-	if got := after.MultiGetKeys - before.MultiGetKeys; got != n {
-		t.Fatalf("MGET carried %d keys, want %d", got, n)
-	}
-}
-
-// TestWireMinLSNPrimary: a durable primary's commit tokens round-trip
-// through the wire and gate reads the same way ?min_lsn= does.
-func TestWireMinLSNPrimary(t *testing.T) {
-	dir := t.TempDir()
-	engine, err := kvs.OpenSharded(dir, 8, func() rwl.RWLock { return core.New(new(stdrw.Lock)) }, kvs.SyncNone)
+	c, err := wire.Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { engine.Close() })
-	addr, _, _ := startWireServer(t, engine, Config{ReapInterval: -1, MinLSNWait: 50 * time.Millisecond})
-	c := dialWire(t, addr)
-
-	r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 7, Value: []byte("x")})
-	if r.Status != wire.StatusOK || len(r.LSNs) != 1 {
-		t.Fatalf("put: lsns=%v status %v", r.LSNs, r.Status)
+	defer c.Close()
+	const n = 64
+	keys, vals, shards := make([]uint64, n), make([][]byte, n), map[int]bool{}
+	for i := range keys {
+		keys[i], vals[i] = uint64(i*3), []byte("v")
+		shards[engine.ShardOf(keys[i])] = true
 	}
-	lsn := r.LSNs[0].LSN
-	// The token the write handed out covers the read.
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 7, MinLSN: lsn}); r.Status != wire.StatusOK {
-		t.Fatalf("get with own token: status %v", r.Status)
+	if s := len(shards); s < 2 || s >= n {
+		t.Fatalf("test keys span %d shards of %d keys: pick a better spread", s, n)
 	}
-	// A token this primary never issued is a conflict, not a wait.
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 7, MinLSN: lsn + 1000}); r.Status != wire.StatusConflict {
-		t.Fatalf("get with future token: status %v, want StatusConflict", r.Status)
-	}
-}
-
-// TestWireMinLSNVolatile: tokens against a volatile server are a client
-// bug and answer BadRequest, as on HTTP.
-func TestWireMinLSNVolatile(t *testing.T) {
-	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	c := dialWire(t, addr)
-	if r := wireDo(t, c, wire.Request{Op: wire.OpGet, Key: 1, MinLSN: 5}); r.Status != wire.StatusBadRequest {
-		t.Fatalf("min_lsn on volatile: status %v, want StatusBadRequest", r.Status)
-	}
-}
-
-// TestWireValueCaps: per-value caps answer StatusTooLarge, same limit as
-// HTTP's 413.
-func TestWireValueCaps(t *testing.T) {
-	addr, _, _ := startWireServer(t, nil, Config{ReapInterval: -1})
-	c := dialWire(t, addr)
-	big := make([]byte, MaxValueBytes+1)
-	if r := wireDo(t, c, wire.Request{Op: wire.OpPut, Key: 1, Value: big}); r.Status != wire.StatusTooLarge {
-		t.Fatalf("oversize put: status %v, want StatusTooLarge", r.Status)
-	}
-	if r := wireDo(t, c, wire.Request{Op: wire.OpMPut, Keys: []uint64{1}, Values: [][]byte{big}}); r.Status != wire.StatusTooLarge {
-		t.Fatalf("oversize mput entry: status %v, want StatusTooLarge", r.Status)
+	for _, b := range []struct {
+		req     wire.Request
+		batches func(kvs.ShardStats) uint64
+		keys    func(kvs.ShardStats) uint64 // n of them per batch op
+	}{
+		{wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals},
+			func(st kvs.ShardStats) uint64 { return st.WriteBatches }, func(st kvs.ShardStats) uint64 { return st.Puts }},
+		{wire.Request{Op: wire.OpMDelete, Keys: keys},
+			func(st kvs.ShardStats) uint64 { return st.WriteBatches }, func(st kvs.ShardStats) uint64 { return st.Deletes }},
+		{wire.Request{Op: wire.OpMGet, Keys: keys},
+			func(st kvs.ShardStats) uint64 { return st.MultiGetBatches }, func(st kvs.ShardStats) uint64 { return st.MultiGetKeys }},
+	} {
+		before := engine.Stats().Total()
+		if r, err := c.Do(&b.req); err != nil || r.Status != wire.StatusOK {
+			t.Fatalf("%s: %v, status %v", b.req.Op, err, r.Status)
+		}
+		after := engine.Stats().Total()
+		if got := b.batches(after) - b.batches(before); got != uint64(len(shards)) {
+			t.Fatalf("%s of %d keys over %d shards took %d shard-group batches, want exactly %d", b.req.Op, n, len(shards), got, len(shards))
+		}
+		if got := b.keys(after) - b.keys(before); got != n {
+			t.Fatalf("%s carried %d keys, want %d", b.req.Op, got, n)
+		}
 	}
 }
 
@@ -373,4 +212,74 @@ func TestWireResponseBatching(t *testing.T) {
 			t.Fatalf("response %d: %v", i, err)
 		}
 	}
+}
+
+// TestWireCloseDrainsPipelined pins the graceful-shutdown drain: a burst of
+// pipelined requests already on the socket when Close begins must all be
+// answered before the connection drops.
+func TestWireCloseDrainsPipelined(t *testing.T) {
+	addr, _, srv := startWireServer(t, nil, Config{ReapInterval: -1})
+	conn, err := wire.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// The burst is one small TCP write, so the server's first read slurps
+	// every frame into its decoder buffer — from there the drain guarantee
+	// owns them.
+	const burst = 64
+	pending := make([]*wire.Pending, 0, burst)
+	for i := uint64(0); i < burst; i++ {
+		p, err := conn.Start(&wire.Request{Op: wire.OpPut, Key: i, Value: []byte("drain")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+	}
+	if err := conn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The first answer proves the server has read the burst; then shut down
+	// while the rest are still queued behind it.
+	if _, err := pending[0].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	// pending[0] was consumed above (a Pending answers exactly once).
+	for i, p := range pending[1:] {
+		if resp, err := p.Wait(); err != nil {
+			t.Fatalf("pipelined request %d lost in shutdown: %v", i, err)
+		} else if resp.Status != wire.StatusOK {
+			t.Fatalf("pipelined request %d answered %v during drain", i, resp.Status)
+		}
+	}
+	<-closed
+}
+
+// TestWireManyConnections is the many-connection smoke CI runs under -race:
+// a thousand concurrent wire connections, each with its own pinned reader,
+// writing its own key and reading it back through the same engine.
+func TestWireManyConnections(t *testing.T) {
+	t.Parallel()
+	conns := 1000
+	if testing.Short() {
+		conns = 100
+	}
+	st := newHStore(t, volatileStore, Config{ReapInterval: -1})
+	var wg sync.WaitGroup
+	for i := range conns {
+		c := &client{t: t, st: st, fr: "wire", name: fmt.Sprintf("connection %d", i), model: map[uint64]entry{}, wcs: map[string]*wire.Conn{}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.do(wire.Request{Op: wire.OpPut, Key: uint64(i), Value: []byte{byte(i)}})
+			c.do(wire.Request{Op: wire.OpGet, Key: uint64(i)})
+			if wc := c.wcs[st.wire]; wc != nil {
+				wc.Close()
+			}
+		}()
+	}
+	wg.Wait()
 }

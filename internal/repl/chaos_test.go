@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bravolock/bravo/internal/frame"
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/xrand"
 )
@@ -129,9 +130,9 @@ func TestChaosStreamCutAtEveryBoundaryAndMidFrame(t *testing.T) {
 	var boundaries []int64
 	off := int64(0)
 	for rest := stream; len(rest) > 0; {
-		_, n, derr := kvs.DecodeReplFrame(rest)
-		if derr != nil || n == 0 {
-			t.Fatalf("reference stream corrupt at %d: %v", off, derr)
+		_, n, status := frame.Split(rest)
+		if status != frame.OK {
+			t.Fatalf("reference stream corrupt at %d: status %d", off, status)
 		}
 		off += int64(n)
 		boundaries = append(boundaries, off)
