@@ -227,15 +227,15 @@ func OpenShardedKV(dir string, shards int, mkLock func() RWLock, policy SyncPoli
 }
 
 // FollowerKV is a read-only replica of a durable ShardedKV primary: it
-// tails the primary's per-shard, LSN-stamped write-ahead log over HTTP
-// (cmd/kvserv's GET /repl/stream) into an in-memory engine serving the
+// tails the primary's per-shard, LSN-stamped write-ahead log over the wire
+// protocol (cmd/kvserv's -wire-addr) into an in-memory engine serving the
 // same biased read fast paths. Reads go through Engine(); AppliedLSN and
 // WaitMinLSN turn the primary's commit LSNs into read-your-writes
 // barriers; Close stops tailing (the replica stays readable, frozen).
 type FollowerKV = repl.Follower
 
 // OpenFollowerKV connects to a replication primary — a kvserv started
-// with -data-dir, at its base URL — sizes an in-memory replica to the
+// with -data-dir, at its -wire-addr host:port — sizes an in-memory replica to the
 // primary's shard count (each shard guarded by a fresh lock from mkLock),
 // and starts tailing its WAL streams. A fresh follower bootstraps through
 // the stream itself: the primary sends a full-state snapshot frame when
@@ -243,6 +243,6 @@ type FollowerKV = repl.Follower
 // This is the macro form of BRAVO's read bias: reads fan out to replicas
 // for the price of a bounded, explicit write-visibility delay, exactly as
 // biased readers fan out to table slots for the price of revocation.
-func OpenFollowerKV(primaryURL string, mkLock func() RWLock) (*FollowerKV, error) {
-	return repl.Open(repl.Config{Primary: primaryURL, MkLock: mkLock})
+func OpenFollowerKV(primaryAddr string, mkLock func() RWLock) (*FollowerKV, error) {
+	return repl.Open(repl.Config{Primary: primaryAddr, MkLock: mkLock})
 }

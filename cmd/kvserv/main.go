@@ -4,8 +4,8 @@
 // shard lock — socket to lock word with no per-request hashing.
 //
 //	kvserv -addr :7070 -shards 16 -lock bravo-go
-//	kvserv -addr :7070 -data-dir /var/lib/kvserv -sync always
-//	kvserv -addr :7071 -follow http://primary:7070
+//	kvserv -addr :7070 -wire-addr :7071 -data-dir /var/lib/kvserv -sync always
+//	kvserv -addr :7072 -follow primary:7071
 //
 // With -data-dir the engine is durable: every write is logged to a
 // per-shard write-ahead log before it is applied (batches are one record
@@ -15,14 +15,14 @@
 // server shuts down gracefully: stop accepting, then sync and close the
 // logs.
 //
-// A durable kvserv is automatically a replication primary: it serves
-// GET /repl/stream (the per-shard LSN-stamped WAL, live) and /repl/status,
-// and stamps writes with X-Commit-Lsn read-your-writes tokens. With
-// -follow the process is instead a read-only follower: it tails the named
-// primary's streams into an in-memory replica (sized to the primary's
-// shard count; -shards and -data-dir are refused) and serves GET /kv/*,
-// /mget, /stats — honoring ?min_lsn= tokens by waiting or 409ing — while
-// writes answer 403.
+// A durable kvserv is automatically a replication primary: its -wire-addr
+// serves REPL_STREAM (the per-shard LSN-stamped WAL, live) and REPL_STATUS,
+// HTTP serves /repl/status, and writes carry X-Commit-Lsn read-your-writes
+// tokens. With -follow the process is instead a read-only follower: it
+// tails the streams of the primary at that wire address into an in-memory
+// replica (sized to the primary's shard count; -shards and -data-dir are
+// refused) and serves GET /kv/*, /mget, /stats — honoring ?min_lsn= tokens
+// by waiting or 409ing — while writes answer 403.
 //
 // With -wire-addr the process also listens on the pipelined binary wire
 // protocol (internal/wire): length-prefixed CRC-framed requests with
@@ -46,7 +46,7 @@
 //
 // Endpoints: GET/PUT/DELETE /kv/{key} (PUT takes ?ttl=1s),
 // GET /mget?keys=1,2,3, POST /mput, POST /cas, POST /txn, POST /checkpoint,
-// GET /stats, GET /repl/stream, GET /repl/status, and in cluster mode
+// GET /stats, GET /repl/status, and in cluster mode
 // POST /failover/{partition}. See internal/kvserv, internal/repl,
 // internal/cluster, and README's "Serving traffic", "Persistence",
 // "Replication", and "Cluster" sections.
@@ -83,7 +83,7 @@ var (
 	reapBudgetFlag = flag.Int("reapbudget", kvserv.DefaultReapBudget, "TTL entries examined per reap tick")
 	dataDirFlag    = flag.String("data-dir", "", "durable data directory (empty: volatile, lost on exit)")
 	syncFlag       = flag.String("sync", "always", "WAL sync policy with -data-dir: always (fsync per batch) or none")
-	followFlag     = flag.String("follow", "", "primary base URL: run as a read-only replication follower")
+	followFlag     = flag.String("follow", "", "primary's wire address (its -wire-addr, host:port): run as a read-only replication follower")
 
 	clusterFlag          = flag.Int("cluster", 0, "partition count: run as a hash-routed cluster of N primaries (requires -data-dir)")
 	clusterFollowersFlag = flag.Int("cluster-followers", 1, "replicas per partition with -cluster: the failover pool")

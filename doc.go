@@ -47,7 +47,7 @@
 //
 // OpenFollowerKV scales the reads out of the process entirely: every WAL
 // record carries a per-shard LSN, a durable primary streams the log over
-// HTTP, and followers replay it into in-memory replicas — read traffic
+// the wire protocol, and followers replay it into in-memory replicas — read traffic
 // fans out to follower fleets while writes serialize through the primary,
 // with commit LSNs as read-your-writes tokens. See DESIGN.md's
 // "Replication" section and README's failure matrix.

@@ -127,9 +127,9 @@ func ExampleOpenShardedKV() {
 }
 
 // ExampleOpenFollowerKV replicates the engine: a durable primary served
-// over HTTP streams its LSN-stamped write-ahead log, and a follower
-// applies it into an in-memory replica serving the same biased read fast
-// paths. The primary's commit LSN is the read-your-writes token: a
+// over the wire protocol streams its LSN-stamped write-ahead log, and a
+// follower applies it into an in-memory replica serving the same biased
+// read fast paths. The primary's commit LSN is the read-your-writes token: a
 // follower read gated on it never sees an older state.
 func ExampleOpenFollowerKV() {
 	dir, _ := os.MkdirTemp("", "bravo-repl-*")
@@ -139,15 +139,15 @@ func ExampleOpenFollowerKV() {
 	primary, _ := bravo.OpenShardedKV(dir, 4, mk, bravo.SyncNone)
 	defer primary.Close()
 	l, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := kvserv.New(primary, kvserv.Config{}) // durable ⇒ serves /repl/stream
-	go srv.Serve(l)
+	srv := kvserv.New(primary, kvserv.Config{}) // durable ⇒ streams its WAL
+	go srv.ServeWire(l)
 	defer srv.Close()
 
 	primary.Put(1, []byte("replicated"))
 	shard := primary.ShardOf(1)
 	token := primary.ShardLSN(shard) // commit LSN: the read-your-writes token
 
-	follower, _ := bravo.OpenFollowerKV("http://"+l.Addr().String(), mk)
+	follower, _ := bravo.OpenFollowerKV(l.Addr().String(), mk)
 	defer follower.Close()
 	follower.WaitMinLSN(shard, token, 5*time.Second)
 	v, _ := follower.Engine().Get(1)

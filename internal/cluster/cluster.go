@@ -124,7 +124,7 @@ func (c *Cluster) openFollowers(m *Member) ([]*repl.Follower, error) {
 	fs := make([]*repl.Follower, 0, c.cfg.Followers)
 	for i := 0; i < c.cfg.Followers; i++ {
 		f, err := repl.Open(repl.Config{
-			Primary:       m.URL(),
+			Primary:       m.Addr(),
 			MkLock:        c.cfg.MkLock,
 			RetryInterval: c.cfg.RetryInterval,
 		})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +37,6 @@ type Member struct {
 	engine    *kvs.Sharded
 	prim      *repl.Primary
 	ln        net.Listener
-	hsrv      *http.Server
 
 	mu     *sync.RWMutex // the partition's lock
 	fenced atomic.Bool
@@ -46,8 +44,8 @@ type Member struct {
 	closeOnce sync.Once
 }
 
-// newMember opens a durable engine in dir and starts the partition's
-// replication endpoint on a loopback listener. mu is the partition's lock,
+// newMember opens a durable engine in dir and serves the partition's
+// replication ops on a loopback listener. mu is the partition's lock,
 // which fences the member.
 func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Factory, policy kvs.SyncPolicy, mu *sync.RWMutex) (*Member, error) {
 	engine, err := kvs.OpenSharded(dir, shards, mk, policy)
@@ -67,15 +65,12 @@ func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Facto
 		ln:        ln,
 		mu:        mu,
 	}
-	mux := http.NewServeMux()
-	m.prim.Register(mux)
-	m.hsrv = &http.Server{Handler: mux}
-	go m.hsrv.Serve(ln)
+	go m.prim.Serve(ln)
 	return m, nil
 }
 
-// URL returns the member's replication base URL (followers' Config.Primary).
-func (m *Member) URL() string { return "http://" + m.ln.Addr().String() }
+// Addr returns the member's replication address (followers' Config.Primary).
+func (m *Member) Addr() string { return m.ln.Addr().String() }
 
 // Engine returns the member's engine. Reads may go straight at it; writes
 // must go through the cluster or they void the failover proof.
@@ -97,11 +92,12 @@ func (m *Member) Fence() {
 	m.mu.Unlock()
 }
 
-// StopServing closes the replication endpoint — the network half of a
-// kill. Followers lose their streams mid-frame; the engine stays open so a
-// chaos test can keep hammering the corpse and prove the fence holds.
+// StopServing closes the replication listener and its streams — the
+// network half of a kill. Followers lose their streams mid-frame; the
+// engine stays open so a chaos test can keep hammering the corpse and
+// prove the fence holds.
 func (m *Member) StopServing() {
-	m.hsrv.Close()
+	m.prim.Close()
 }
 
 // Close stops serving and closes the engine (syncing its WAL). It commits
@@ -110,7 +106,7 @@ func (m *Member) StopServing() {
 func (m *Member) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
-		m.hsrv.Close()
+		m.prim.Close()
 		err = m.engine.Close()
 	})
 	return err

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/wire"
@@ -29,18 +30,15 @@ func CommitLSN(e *kvs.Sharded, pi int, epoch uint64, key uint64) ShardLSN {
 	return ShardLSN{Shard: uint32(pi*e.NumShards() + sh), LSN: e.ShardLSN(sh), Epoch: epoch}
 }
 
-// CommitLSNs appends CommitLSN for each distinct shard keys touch.
+// CommitLSNs appends CommitLSN for each distinct shard keys touch, but a
+// shard at LSN 0: like a lone write's, its token would wait for nothing.
 func CommitLSNs(dst []ShardLSN, e *kvs.Sharded, pi int, epoch uint64, keys []uint64) []ShardLSN {
 	base := len(dst)
-next:
 	for _, k := range keys {
-		sh := uint32(pi*e.NumShards() + e.ShardOf(k))
-		for _, t := range dst[base:] {
-			if t.Shard == sh {
-				continue next
-			}
+		tok := CommitLSN(e, pi, epoch, k)
+		if tok.LSN > 0 && !slices.ContainsFunc(dst[base:], func(t ShardLSN) bool { return t.Shard == tok.Shard }) {
+			dst = append(dst, tok)
 		}
-		dst = append(dst, CommitLSN(e, pi, epoch, k))
 	}
 	return dst
 }

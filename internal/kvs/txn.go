@@ -32,7 +32,7 @@ import (
 	"time"
 )
 
-// MaxTxnKeys bounds a transaction's declared key set. The bound keeps the
+// MaxTxnKeys bounds a transaction's distinct declared keys. The bound keeps the
 // lock footprint (and the witness record fan-out) small and the lock hold
 // times short; it is a safety rail, not a tuning knob.
 const MaxTxnKeys = 16
@@ -42,7 +42,7 @@ var (
 	// ErrTxnNoKeys reports a transaction declared with an empty key set.
 	ErrTxnNoKeys = errors.New("kvs: transaction declares no keys")
 	// ErrTxnTooManyKeys reports a transaction declaring more than
-	// MaxTxnKeys keys.
+	// MaxTxnKeys distinct keys.
 	ErrTxnTooManyKeys = fmt.Errorf("kvs: transaction declares more than %d keys", MaxTxnKeys)
 )
 
@@ -118,13 +118,13 @@ func (s *Sharded) Txn(keys []uint64, body func(*Tx) error) error {
 	if len(keys) == 0 {
 		return ErrTxnNoKeys
 	}
-	if len(keys) > MaxTxnKeys {
-		return ErrTxnTooManyKeys
-	}
-	// Dedupe, preserving first-declared order for the Tx view.
-	uk := make([]uint64, 0, len(keys))
+	// Dedupe in first-declared order (the Tx view's); the bound is on these.
+	uk := make([]uint64, 0, min(len(keys), MaxTxnKeys))
 	for _, k := range keys {
 		if !slices.Contains(uk, k) {
+			if len(uk) == MaxTxnKeys {
+				return ErrTxnTooManyKeys
+			}
 			uk = append(uk, k)
 		}
 	}

@@ -205,6 +205,11 @@ func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire
 		// not a stream line.
 		resp.Stats = sc.doc[:len(sc.doc)-1]
 
+	case wire.OpReplStatus, wire.OpReplStream:
+		// A durable engine's server hands these to its repl.Primary
+		// (serveWireConn): this store has no log to serve.
+		return &statusError{wire.StatusConflict, "not a replication primary: only a kvserv with -data-dir, and neither -follow nor -cluster, streams its WAL"}
+
 	default:
 		return &statusError{wire.StatusUnsupported, "unknown op"}
 	}

@@ -99,7 +99,7 @@ func newHStore(t *testing.T, kind int, cfg Config) *hstore {
 	case followerStore:
 		st.primary = newHStore(t, durableStore, cfg)
 		st.eng = st.primary.eng
-		st.f, err = repl.Open(repl.Config{Primary: st.primary.http, MkLock: mkMatrixLock, RetryInterval: 5 * time.Millisecond})
+		st.f, err = repl.Open(repl.Config{Primary: st.primary.wire, MkLock: mkMatrixLock, RetryInterval: 5 * time.Millisecond})
 		t.Cleanup(func() { st.f.Close() })
 		// Short, so a token past the log costs little; a client told 409 for
 		// a token it was handed retries (see step).
@@ -379,12 +379,26 @@ var opTable = []struct {
 var oversize = make([]byte, MaxValueBytes+1)
 
 // edges are the ops every sequential client sends once: each value cap,
-// and the transactions every store refuses.
+// the transactions every store refuses, and one within budget once collapsed.
 func (c *client) edges() []wire.Request {
 	k, v := c.key(), []byte("v")
-	over := wire.Request{Op: wire.OpTxn}
-	for range kvs.MaxTxnKeys + 1 {
-		over.TxnOps = append(over.TxnOps, wire.TxnOp{Key: c.key(), Value: v})
+	// Distinct keys, one past the budget and so past the client's span: the
+	// refusal writes nowhere. Then nine keys, each with a condition that
+	// holds and a write: eighteen declarations, nine once they collapse, on
+	// one partition of a cluster when the span has nine there.
+	over, nine, span := wire.Request{Op: wire.OpTxn}, wire.Request{Op: wire.OpTxn}, make([]uint64, kvs.MaxTxnKeys+1)
+	for i := range span {
+		span[i] = c.lo + uint64(i)
+		over.TxnOps = append(over.TxnOps, wire.TxnOp{Key: span[i], Value: v})
+	}
+	span = span[:keySpan]
+	slices.SortStableFunc(span, func(a, b uint64) int { return c.part(a) - c.part(b) })
+	if c.part(span[0]) != c.part(span[8]) {
+		span = span[keySpan-9:]
+	}
+	for _, k := range span[:9] {
+		nine.Conds = append(nine.Conds, wire.TxnCond{Key: k, Value: c.model[k].v})
+		nine.TxnOps = append(nine.TxnOps, wire.TxnOp{Key: k, Value: v})
 	}
 	return []wire.Request{
 		{Op: wire.OpPut, Key: k, Value: oversize},
@@ -393,7 +407,7 @@ func (c *client) edges() []wire.Request {
 		{Op: wire.OpTxn, Conds: []wire.TxnCond{{Key: k, Value: oversize}}, TxnOps: []wire.TxnOp{{Key: k, Value: v}}},
 		{Op: wire.OpTxn, TxnOps: []wire.TxnOp{{Key: k, Value: oversize}}},
 		{Op: wire.OpTxn},
-		over,
+		over, nine,
 	}
 }
 
@@ -423,7 +437,7 @@ var httpOnly = []struct {
 	{"flush", "POST", "/flush", "", [...]int{404, 404, 404, 404}},
 	{"checkpoint", "POST", "/checkpoint", "", [...]int{409, 200, 403, 200}},
 	{"repl", "GET", "/repl/status", "", [...]int{404, 200, 200, 404}},
-	{"repl", "GET", "/repl/stream?shard=0&from=1", "", [...]int{404, 0, 404, 404}},
+	{"repl", "GET", "/repl/stream?shard=0&from=1", "", [...]int{404, 404, 404, 404}},
 	{"failover", "POST", "/failover/9", "", [...]int{404, 404, 404, 400}},
 	{"body", "POST", "/mput", "huge", [...]int{413, 0, 403, 0}},
 	{"body", "POST", "/cas", "huge", [...]int{413, 0, 403, 0}},
@@ -507,7 +521,9 @@ func (c *client) expect(req *wire.Request, kind int, expired bool) (want wire.Re
 			next[req.Key] = entry{v: req.New}
 		}
 	case wire.OpTxn:
-		if len(keys) == 0 || len(keys) > kvs.MaxTxnKeys || slices.ContainsFunc(keys, func(k uint64) bool { return c.part(k) != c.part(keys[0]) }) {
+		uniq := slices.Clone(keys)
+		slices.Sort(uniq)
+		if distinct := len(slices.Compact(uniq)); distinct == 0 || distinct > kvs.MaxTxnKeys || slices.ContainsFunc(keys, func(k uint64) bool { return c.part(k) != c.part(keys[0]) }) {
 			want.Status = wire.StatusBadRequest
 			return want, nil, c.model
 		}
@@ -553,8 +569,8 @@ func (c *client) mismatch(req *wire.Request, kind int, got, want wire.Response, 
 		return fmt.Sprintf("answered %s, want %s", answer(got), answer(want))
 	}
 	// An applied write (a missed delete is logged too) carries a token per
-	// shard it touched, past the floor where it wrote; a volatile engine none.
-	// A lone key's token is dropped while its shard's log is empty.
+	// shard it touched whose log is not empty, past the floor where it
+	// wrote; a volatile engine none. No token is at LSN 0.
 	var wrote []uint32
 	applied := got.Status == wire.StatusOK || req.Op == wire.OpDelete && got.Status == wire.StatusNotFound
 	if kind == volatileStore || !mutates(req.Op) || !applied || req.Op == wire.OpTxn && !got.Committed {
@@ -565,8 +581,7 @@ func (c *client) mismatch(req *wire.Request, kind int, got, want wire.Response, 
 			wrote = append(wrote, g)
 		}
 	}
-	_, g := c.st.shard(req.Key)
-	ok := len(got.LSNs) == len(floor) || req.Op == wire.OpCas && len(got.LSNs) == 0 && !got.Swapped && floor[g] == 0
+	ok, seen := true, map[uint32]bool{}
 	c.st.mu.Lock()
 	defer c.st.mu.Unlock()
 	for _, tok := range got.LSNs {
@@ -578,10 +593,15 @@ func (c *client) mismatch(req *wire.Request, kind int, got, want wire.Response, 
 		if slices.Contains(wrote, tok.Shard) {
 			least++
 		}
-		ok = ok && in && tok.Epoch == c.st.epoch[pi] && tok.LSN >= least
+		ok = ok && in && !seen[tok.Shard] && tok.Epoch == c.st.epoch[pi] && tok.LSN >= max(least, 1)
+		seen[tok.Shard] = true
+	}
+	// Only a shard that may still be at LSN 0 may go without its token.
+	for g, least := range floor {
+		ok = ok && (seen[g] || least == 0 && !slices.Contains(wrote, g))
 	}
 	if !ok {
-		return fmt.Sprintf("tokens %+v, want one per shard of %v at its epoch, past it where it wrote %v", got.LSNs, floor, wrote)
+		return fmt.Sprintf("tokens %+v, want one per shard of %v past LSN 0 at its epoch, past it where it wrote %v", got.LSNs, floor, wrote)
 	}
 	return ""
 }
@@ -597,7 +617,7 @@ func (st *hstore) statsMismatch(doc []byte) string {
 		ok = ok && s.NumShards == 8 && s.HandleCapable && s.SeqReadAttempts > 0 && s.Total.SeqReads > 0 && s.Durable == dur && s.WALError == "" &&
 			(s.SyncPolicy == "none") == dur && (s.Repl != nil && s.Repl.Shards == 8 && s.Repl.Durable) == dur && (s.Total.Checkpoints == 8) == dur
 	case followerStore:
-		ok = ok && s.Follower != nil && s.Follower.Primary == st.primary.http && len(s.Follower.Shards) == 8
+		ok = ok && s.Follower != nil && s.Follower.Primary == st.primary.wire && len(s.Follower.Shards) == 8
 	case clusterStore:
 		ok = ok && s.Durable && s.NumShards == 8 && s.Cluster != nil && s.Cluster.Partitions == 2
 	}

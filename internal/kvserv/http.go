@@ -6,13 +6,12 @@
 // request is buffered. What is decided here is only what HTTP itself adds — framing,
 // bodies read under a size cap, durations and booleans spelled as text, and
 // which 2xx a success is. The routes with no wire counterpart
-// (/checkpoint, /failover, /repl/*) are served directly.
+// (/checkpoint, /failover, /repl/status) are served directly.
 package kvserv
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,13 +33,12 @@ import (
 
 // Slow-client bounds: a connection that trickles header bytes or sits idle
 // is reclaimed rather than pinning a goroutine (and its reader handle).
-// The header timeout is a variable so a test can shorten it.
-var httpReadHeaderTimeout = 10 * time.Second
-
+// A server copies the header timeout, so a test can shorten its own.
 const (
-	httpIdleTimeout = 2 * time.Minute
-	maxHeaderBytes  = 1<<20 + 4<<10 // net/http's default cap, with its slack
-	maxDiscardBytes = 256 << 10     // unread body the loop drains to keep a connection
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+	maxHeaderBytes        = 1<<20 + 4<<10 // net/http's default cap, with its slack
+	maxDiscardBytes       = 256 << 10     // unread body the loop drains to keep a connection
 	// keepBytes bounds the buffers a connection holds between requests: one
 	// grown past it by a large request is dropped, not kept for the
 	// connection's lifetime.
@@ -136,7 +134,7 @@ func (s *Server) serveHTTPConn(nc net.Conn) {
 				return
 			}
 		}
-		nc.SetReadDeadline(time.Now().Add(httpReadHeaderTimeout))
+		nc.SetReadDeadline(time.Now().Add(s.headerTimeout))
 		if err := c.readHead(); err != nil {
 			if r, ok := err.(*refusal); ok {
 				c.refuse(r)
@@ -303,9 +301,14 @@ func (c *httpConn) linger() {
 }
 
 // body returns the request body for a route to read, capped at limit:
-// more reads as limit+1 bytes, which over reports. The 100 Continue a
-// client may be waiting for goes out first.
+// more reads as limit+1 bytes, which over reports. A Content-Length over
+// limit reads as empty and over at once, so it is refused unread. The 100
+// Continue a client may be waiting for goes out first.
 func (c *httpConn) body(limit int64) io.Reader {
+	if c.framed == &c.cl && c.cl.n > limit {
+		c.limit, c.lr = limit, io.LimitedReader{R: c.framed}
+		return &c.lr
+	}
 	if c.cont {
 		c.cont = false
 		c.bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
@@ -421,7 +424,6 @@ var httpRoutes = map[string]httpRoute{
 	"/stats":       {"GET", func(c *httpConn) { c.route(wire.OpStats, nil, renderStats) }},
 	"/checkpoint":  {"POST", (*httpConn).checkpoint},
 	"/repl/status": {"GET", (*httpConn).replStatus},
-	"/repl/stream": {"GET", (*httpConn).stream},
 }
 
 // dispatch routes the request: the path's handler, 405 naming the path's
@@ -463,8 +465,7 @@ func (c *httpConn) dispatch() {
 	case dir == "/failover/" && s.clu != nil:
 		rt, ok = httpRoute{"POST", (*httpConn).failover}, true
 		fallthrough
-	case ok && (c.path != "/repl/stream" || s.primary != nil) &&
-		(c.path != "/repl/status" || s.primary != nil || s.follower != nil):
+	case ok && (c.path != "/repl/status" || s.primary != nil || s.follower != nil):
 		if c.method == rt.method || (rt.method == "GET" && c.method == http.MethodHead) {
 			rt.serve(c)
 		} else if rt.method == "GET" {
@@ -885,54 +886,6 @@ func (c *httpConn) replStatus() {
 	} else {
 		c.json(c.s.primary.Status())
 	}
-}
-
-// stream serves a durable primary's /repl/stream: the head, then
-// repl.Primary.Stream's writes as chunks until the follower goes away or
-// Close cuts the connection, which ends with the stream.
-func (c *httpConn) stream() {
-	q, _ := url.ParseQuery(c.query)
-	shard, from, code, err := c.s.primary.ParseStream(q)
-	if err != nil {
-		c.fail(code, err.Error())
-		return
-	}
-	c.keepAlive = false
-	c.header("Transfer-Encoding", []byte("chunked"))
-	c.header("X-Repl-Shards", strconv.AppendInt(nil, int64(c.s.primary.Status().Shards), 10))
-	c.head(http.StatusOK, "application/octet-stream", -1)
-	if c.bw.Flush() != nil || c.method == http.MethodHead {
-		return
-	}
-	// Nothing more is read from a streaming connection, so a read that
-	// returns is the follower leaving (or Close cutting the socket).
-	ctx, cancel := context.WithCancel(context.Background())
-	left := make(chan struct{})
-	go func() {
-		defer close(left)
-		io.Copy(io.Discard, c.br)
-		cancel()
-	}()
-	c.s.primary.Stream(ctx, shard, from, chunkWriter{c}, nil)
-	c.bw.WriteString("0\r\n\r\n")
-	c.bw.Flush()
-	c.nc.Close() // ends the reader
-	<-left
-}
-
-// chunkWriter writes each write as one HTTP chunk, at once.
-type chunkWriter struct{ c *httpConn }
-
-func (w chunkWriter) Write(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	bw := w.c.bw
-	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(p)), 16))
-	bw.WriteString("\r\n")
-	bw.Write(p)
-	bw.WriteString("\r\n")
-	return len(p), bw.Flush()
 }
 
 func isDigit(b byte) bool { return '0' <= b && b <= '9' }

@@ -15,8 +15,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"github.com/bravolock/bravo/internal/kvs"
 )
 
 // countingListener counts the connections it accepts and, for the latest
@@ -87,6 +85,7 @@ func exchange(t *testing.T, addr, in string, methods ...string) (resps []*http.R
 // besides a plain request: keep-alive, pipelining, 100-continue, chunked
 // bodies, closing, HEAD, and the requests it must refuse.
 func TestHTTPConformance(t *testing.T) {
+	t.Parallel()
 	engine := benchEngine(t)
 	engine.Put(1, []byte("v"))
 	engine.Delete(2)
@@ -205,6 +204,12 @@ func TestHTTPConformance(t *testing.T) {
 			if resps[0].StatusCode != http.StatusRequestEntityTooLarge || bodies[0] != want || !closed {
 				t.Fatalf("oversize body = %d %q, closed %v", resps[0].StatusCode, bodies[0], closed)
 			}
+			// A declared length over the cap is refused unread: no 100 Continue.
+			in = "POST /mput HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(MaxMPutBodyBytes+1) + "\r\n\r\n"
+			resps, bodies, closed = exchange(t, addr, in, "POST")
+			if want = "body exceeds " + strconv.Itoa(MaxMPutBodyBytes) + " bytes\n"; resps[0].StatusCode != http.StatusRequestEntityTooLarge || bodies[0] != want || !closed {
+				t.Fatalf("declared oversize body = %d %q, closed %v", resps[0].StatusCode, bodies[0], closed)
+			}
 		}},
 		{"a body cut short is refused, not stored", func(t *testing.T) {
 			for _, in := range []string{
@@ -270,22 +275,10 @@ func TestHTTPConformance(t *testing.T) {
 			}
 		}},
 		{"a header trickled past the read-header deadline closes the connection", func(t *testing.T) {
-			// Last: the timeout is a package variable, so every server
-			// reading it is closed first and a fresh one serves this case.
-			srv.Close()
-			saved := httpReadHeaderTimeout
-			httpReadHeaderTimeout = 100 * time.Millisecond
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
 			slow := New(engine, Config{ReapInterval: -1})
-			go slow.Serve(l)
-			defer func() {
-				slow.Close()
-				httpReadHeaderTimeout = saved
-			}()
-			nc, err := net.Dial("tcp", l.Addr().String())
+			slow.headerTimeout = 100 * time.Millisecond
+			base, _ := serveBoth(t, slow)
+			nc, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,6 +384,7 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 // TestServeRetriesTemporaryAcceptErrors: running out of file descriptors
 // slows Serve down; it does not stop it.
 func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
+	t.Parallel()
 	engine := benchEngine(t)
 	engine.Put(1, []byte("v"))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -407,21 +401,5 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	srv.Close()
 	if err := <-done; err != http.ErrServerClosed {
 		t.Fatalf("Serve = %v, want http.ErrServerClosed", err)
-	}
-}
-
-// TestHTTPHeadReplStream: a HEAD of the replication stream is its head
-// alone — the connection closes rather than streaming nothing.
-func TestHTTPHeadReplStream(t *testing.T) {
-	engine, err := kvs.OpenSharded(t.TempDir(), 2, mkMatrixLock, kvs.SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { engine.Close() })
-	engine.Put(1, []byte("v"))
-	base, _ := serveBoth(t, New(engine, Config{ReapInterval: -1}))
-	resps, _, closed := exchange(t, strings.TrimPrefix(base, "http://"), "HEAD /repl/stream?shard=0&from=1 HTTP/1.1\r\nHost: x\r\n\r\n", "HEAD")
-	if r := resps[0]; r.StatusCode != 200 || r.Header.Get("X-Repl-Shards") != "2" || !closed {
-		t.Fatalf("HEAD /repl/stream = %d, X-Repl-Shards %q, closed %v", r.StatusCode, r.Header.Get("X-Repl-Shards"), closed)
 	}
 }

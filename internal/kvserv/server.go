@@ -53,10 +53,10 @@
 // "commits" triples; a volatile engine stamps nothing. A read presents a
 // token back as ?min_lsn=[&epoch=]: a follower waits up to MinLSNWait for
 // replication to cover it, a cluster adjudicates it against its failover
-// history. A durable engine's server is also a replication primary (it
-// serves /repl/stream through repl.Primary.Stream, and /repl/status);
-// NewFollower serves a repl.Follower's replica, with /repl/status and
-// /stats reporting lag.
+// history. A durable engine's server is also a replication primary: a wire
+// connection whose first request is a replication op is handed to
+// repl.Primary.ServeConn, and HTTP serves /repl/status. NewFollower serves
+// a repl.Follower's replica, with /repl/status and /stats reporting lag.
 //
 // The per-connection handle relies on a connection's requests being served
 // one after another on its goroutine, which is how both loops work. The
@@ -124,16 +124,17 @@ type Config struct {
 // Server serves one store over HTTP (Serve) and the binary wire protocol
 // (ServeWire).
 type Server struct {
-	store store
-	stats func() statsResponse // assembles the /stats document
-	cfg   Config
-	done  chan struct{}
-	wg    sync.WaitGroup
+	store         store
+	stats         func() statsResponse // assembles the /stats document
+	cfg           Config
+	headerTimeout time.Duration // httpReadHeaderTimeout
+	done          chan struct{}
+	wg            sync.WaitGroup
 
-	// What the HTTP-only routes mount, set by the constructor that applies:
-	// primary is the replication server side of a durable engine (its WAL is
-	// the stream), follower the replica NewFollower serves (its own
-	// /repl/status), clu the cluster NewClusterServer fronts (/failover).
+	// What the constructor that applies sets: primary is the replication
+	// server side of a durable engine (its WAL is the stream, served on the
+	// wire), follower the replica NewFollower serves (its own /repl/status),
+	// clu the cluster NewClusterServer fronts (/failover).
 	primary  *repl.Primary
 	follower *repl.Follower
 	clu      *cluster.Cluster
@@ -141,7 +142,7 @@ type Server struct {
 	// The listeners Serve and ServeWire are accepting on and the
 	// connections being served, so Close can stop the former and end the
 	// latter: true marks a wire connection, which Close drains, where an
-	// HTTP one is cut.
+	// HTTP one, or a wire one handed to the primary, is cut.
 	mu        sync.Mutex
 	lns       map[net.Listener]bool
 	conns     map[net.Conn]bool
@@ -197,10 +198,11 @@ func newServer(cfg Config) *Server {
 		cfg.MinLSNWait = DefaultMinLSNWait
 	}
 	return &Server{
-		cfg:   cfg,
-		done:  make(chan struct{}),
-		lns:   make(map[net.Listener]bool),
-		conns: make(map[net.Conn]bool),
+		cfg:           cfg,
+		headerTimeout: httpReadHeaderTimeout,
+		done:          make(chan struct{}),
+		lns:           make(map[net.Listener]bool),
+		conns:         make(map[net.Conn]bool),
 	}
 }
 
@@ -277,11 +279,12 @@ func (s *Server) accept(l net.Listener, drain bool, serve func(net.Conn), closed
 	}
 }
 
-// Close stops the server: HTTP listeners and connections (replication streams
-// included) close immediately; wire listeners close and each wire connection
-// gets DefaultDrainTimeout to finish answering the pipelined requests its
-// client already sent (the read deadline cuts the stream, buffered frames are
-// still served — see ServeWire). Then the reaper stops. Every write the
+// Close stops the server: HTTP listeners and connections, and wire
+// connections carrying replication streams, close immediately; wire
+// listeners close and each other wire connection gets DefaultDrainTimeout
+// to finish answering the pipelined requests its client already sent (the
+// read deadline cuts the stream, buffered frames are still served — see
+// ServeWire). Then the reaper stops. Every write the
 // server answered was already applied, so there is nothing left to commit.
 // It does not Close the engine or cluster itself — the caller owns that
 // lifecycle (see cmd/kvserv's shutdown path).

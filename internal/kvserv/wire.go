@@ -60,6 +60,17 @@ func (s *Server) serveWireConn(nc net.Conn) {
 			return
 		}
 		req, ok := wire.DecodeRequest(payload)
+		if ok && s.primary != nil && (req.Op == wire.OpReplStatus || req.Op == wire.OpReplStream) {
+			// The connection is the replication primary's from here on, and
+			// Close cuts it rather than drain it.
+			if bw.Flush() == nil {
+				s.mu.Lock()
+				s.conns[nc] = false
+				s.mu.Unlock()
+				s.primary.ServeConn(nc, req)
+			}
+			return
+		}
 		var resp wire.Response
 		if ok {
 			resp = s.execute(reader, &req, sc)

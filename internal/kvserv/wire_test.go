@@ -218,6 +218,7 @@ func TestWireResponseBatching(t *testing.T) {
 // pipelined requests already on the socket when Close begins must all be
 // answered before the connection drops.
 func TestWireCloseDrainsPipelined(t *testing.T) {
+	t.Parallel()
 	addr, _, srv := startWireServer(t, nil, Config{ReapInterval: -1})
 	conn, err := wire.Dial(addr, time.Second)
 	if err != nil {

@@ -50,6 +50,7 @@ func FuzzWireServer(f *testing.F) {
 	f.Add(frameReq(&wire.Request{Op: wire.OpMPut, ID: 3, Keys: []uint64{1, 2}, Values: [][]byte{[]byte("a"), []byte("b")}}))
 	f.Add(frameReq(&wire.Request{Op: wire.OpMGet, ID: 4, Keys: []uint64{1, 2, 3}}))
 	f.Add(frameReq(&wire.Request{Op: wire.OpStats, ID: 5}))
+	f.Add(frameReq(&wire.Request{Op: wire.OpReplStream, ID: 6, From: 1}))        // a volatile server: 409
 	f.Add(frame.Append(nil, []byte{wire.Version, 7, 0, 6, 0, 0, 0, 0, 0, 0, 0})) // the retired FLUSH: refused
 	// Pipelined burst: several valid frames in one write.
 	burst := append(frameReq(&wire.Request{Op: wire.OpPut, ID: 7, Key: 1, Value: []byte("x")}),

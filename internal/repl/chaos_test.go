@@ -9,7 +9,7 @@ package repl
 // reordered record — and every scenario ends converged with the primary.
 
 import (
-	"net/http"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -19,14 +19,14 @@ import (
 	"github.com/bravolock/bravo/internal/xrand"
 )
 
-// streamCutter wraps the primary handler and kills each /repl/stream
-// response after a byte budget drawn from its schedule; once the schedule
-// is exhausted, streams run uncut. Budgets land mid-frame as easily as on
-// boundaries — the cut is bytes, not records.
+// streamCutter wraps the primary's listener and kills each stream after a
+// byte budget drawn from its schedule; once the schedule is exhausted,
+// streams run uncut. Budgets land mid-frame as easily as on boundaries —
+// the cut is bytes, not records.
 type streamCutter struct {
-	inner http.Handler
-	mu    sync.Mutex
-	cuts  []int64
+	net.Listener
+	mu   sync.Mutex
+	cuts []int64
 }
 
 func (c *streamCutter) push(cuts ...int64) {
@@ -46,44 +46,49 @@ func (c *streamCutter) next() (int64, bool) {
 	return n, true
 }
 
-func (c *streamCutter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/repl/stream" {
-		if budget, ok := c.next(); ok {
-			c.inner.ServeHTTP(&cutWriter{ResponseWriter: w, budget: budget}, r)
-			return
+func (c *streamCutter) Accept() (net.Conn, error) {
+	nc, err := c.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &cutConn{Conn: nc, cutter: c, budget: -1}, nil
+}
+
+// cutConn lets the primary's reply through, then delivers at most budget
+// bytes of the stream and closes the connection — the follower (or its
+// network) dying mid-frame, as far as the other side can tell. The reply
+// is the connection's first write; a connection that writes again is a
+// stream, and draws its budget then, so a status fetch spends none.
+type cutConn struct {
+	net.Conn
+	cutter  *streamCutter
+	replied bool
+	budget  int64 // -1: not drawn yet, or the schedule was empty
+}
+
+func (w *cutConn) Write(p []byte) (int, error) {
+	if !w.replied {
+		w.replied = true
+		return w.Conn.Write(p)
+	}
+	if w.budget == -1 {
+		if b, ok := w.cutter.next(); ok {
+			w.budget = b
+		} else {
+			w.budget = -2 // uncut
 		}
 	}
-	c.inner.ServeHTTP(w, r)
-}
-
-// cutWriter delivers at most budget bytes, flushes what it truncated to,
-// and then aborts the connection — the follower (or its network) dying
-// mid-frame, as far as the other side can tell.
-type cutWriter struct {
-	http.ResponseWriter
-	budget int64
-}
-
-func (w *cutWriter) Write(p []byte) (int, error) {
-	if w.budget <= 0 {
-		panic(http.ErrAbortHandler)
+	if w.budget == -2 {
+		return w.Conn.Write(p)
 	}
 	if int64(len(p)) > w.budget {
-		w.ResponseWriter.Write(p[:w.budget])
+		w.Conn.Write(p[:w.budget])
 		w.budget = 0
-		if f, ok := w.ResponseWriter.(http.Flusher); ok {
-			f.Flush()
-		}
-		panic(http.ErrAbortHandler)
+		w.Conn.Close()
+		return 0, net.ErrClosed
 	}
 	w.budget -= int64(len(p))
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *cutWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+	return w.Conn.Write(p)
 }
 
 // TestChaosStreamCutAtEveryBoundaryAndMidFrame kills the follower's
@@ -143,23 +148,17 @@ func TestChaosStreamCutAtEveryBoundaryAndMidFrame(t *testing.T) {
 		cuts = append(cuts, int64(rng.Next()%uint64(len(stream))))
 	}
 
-	cutter := &streamCutter{}
-	ph := &primaryHost{}
-	ph.set(engine, func(h http.Handler) http.Handler { cutter.inner = h; return cutter })
-	srv := newChaosServer(t, ph)
+	var cutter *streamCutter
+	ph := newPrimaryHost(t, func(l net.Listener) net.Listener { cutter = &streamCutter{Listener: l}; return cutter })
+	ph.set(engine)
 
 	extra := uint64(10_000)
 	for _, cut := range cuts {
 		cutter.push(cut)
 		oracle := newLSNOracle(t)
-		f := openFollower(t, srv, func(c *Config) {
+		f := openFollower(t, ph.addr, func(c *Config) {
 			c.RetryInterval = 2 * time.Millisecond
 			c.OnApply = oracle.hook
-			// No keep-alive: the stream GET must not reuse the status fetch's
-			// connection, or net/http transparently retries a GET that died
-			// before its first byte (the cut at 0) and the follower never
-			// sees the cut.
-			c.Client = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 		})
 		if err := f.WaitCaughtUp(10 * time.Second); err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
@@ -181,14 +180,6 @@ func TestChaosStreamCutAtEveryBoundaryAndMidFrame(t *testing.T) {
 		requireConverged(t, engine, f.Engine(), "after cut")
 		f.Close()
 	}
-}
-
-// newChaosServer serves ph on a real TCP socket and returns the base URL.
-func newChaosServer(t *testing.T, ph *primaryHost) string {
-	t.Helper()
-	srv := newTestServer(ph)
-	t.Cleanup(srv.close)
-	return srv.url
 }
 
 // TestChaosFollowerPauseResumeAndRestart exercises both recovery shapes:
@@ -259,10 +250,8 @@ func TestChaosPrimaryRestartUnderActiveFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := &primaryHost{}
-	ph.set(engine, nil)
-	srv := newTestServer(ph)
-	t.Cleanup(srv.close)
+	ph := newPrimaryHost(t, nil)
+	ph.set(engine)
 
 	rng := xrand.NewXorShift64(0xFA11)
 	write := func(n int) {
@@ -272,7 +261,7 @@ func TestChaosPrimaryRestartUnderActiveFollower(t *testing.T) {
 	}
 	write(64)
 	oracle := newLSNOracle(t)
-	f := openFollower(t, srv.url, func(c *Config) { c.OnApply = oracle.hook })
+	f := openFollower(t, ph.addr, func(c *Config) { c.OnApply = oracle.hook })
 	if err := f.WaitCaughtUp(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +270,7 @@ func TestChaosPrimaryRestartUnderActiveFollower(t *testing.T) {
 		write(48)
 		// Crash: host down, connections severed, engine abandoned without
 		// Close (its records are on disk; recovery must find them).
-		ph.set(nil, nil)
-		srv.closeConns()
+		ph.set(nil)
 		write(8) // writes that landed before the crash finished killing it
 		reopened, err := kvs.OpenSharded(dir, 2, mkBravo, kvs.SyncNone)
 		if err != nil {
@@ -294,7 +282,7 @@ func TestChaosPrimaryRestartUnderActiveFollower(t *testing.T) {
 		if err := engine.Checkpoint(); err != nil {
 			t.Fatalf("cycle %d: checkpoint: %v", cycle, err)
 		}
-		ph.set(engine, nil)
+		ph.set(engine)
 		write(32)
 		if err := f.WaitCaughtUp(15 * time.Second); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,17 +22,14 @@ const DefaultRetryInterval = 100 * time.Millisecond
 
 // Config configures a Follower.
 type Config struct {
-	// Primary is the primary's base URL (e.g. "http://10.0.0.1:7070"): a
-	// kvserv started with -data-dir, or anything serving a Primary's
-	// endpoints.
+	// Primary is the primary's wire address (e.g. "10.0.0.1:7071"): a
+	// kvserv started with -data-dir and -wire-addr, a cluster member's
+	// Addr, or anything serving a Primary's ops.
 	Primary string
 	// MkLock builds the follower engine's per-shard locks; nil means
 	// sync.RWMutex. A BRAVO factory gives the follower the same biased
 	// read fast path the primary serves with.
 	MkLock rwl.Factory
-	// Client issues the status fetch and the streams; nil means a fresh
-	// client with no timeout (streams are long-lived by design).
-	Client *http.Client
 	// RetryInterval paces reconnects; 0 means DefaultRetryInterval.
 	RetryInterval time.Duration
 	// OnApply, when set, is called synchronously by the shard's puller
@@ -67,11 +62,9 @@ type Stats struct {
 // is AppliedLSN per shard; WaitMinLSN turns a primary commit LSN into a
 // read-your-writes barrier.
 type Follower struct {
-	cfg     Config
-	primary string
-	client  *http.Client
-	engine  *kvs.Sharded
-	shards  int
+	cfg    Config
+	engine *kvs.Sharded
+	shards int
 
 	applied    []atomic.Uint64
 	records    []atomic.Uint64
@@ -93,17 +86,9 @@ type Follower struct {
 // the stream itself: a fresh follower asks for LSN 1 and the primary
 // decides between full history and a snapshot frame.
 func Open(cfg Config) (*Follower, error) {
-	f := &Follower{
-		cfg:     cfg,
-		primary: strings.TrimRight(cfg.Primary, "/"),
-		client:  cfg.Client,
-		notify:  make(chan struct{}),
-	}
-	if f.primary == "" {
+	f := &Follower{cfg: cfg, notify: make(chan struct{})}
+	if cfg.Primary == "" {
 		return nil, errors.New("repl: Config.Primary is required")
-	}
-	if f.client == nil {
-		f.client = &http.Client{}
 	}
 	if f.cfg.RetryInterval <= 0 {
 		f.cfg.RetryInterval = DefaultRetryInterval
@@ -139,8 +124,8 @@ func Open(cfg Config) (*Follower, error) {
 // and is the caller's bug.
 func (f *Follower) Engine() *kvs.Sharded { return f.engine }
 
-// Primary returns the primary's base URL.
-func (f *Follower) Primary() string { return f.primary }
+// Primary returns the primary's wire address.
+func (f *Follower) Primary() string { return f.cfg.Primary }
 
 // NumShards returns the replicated shard count.
 func (f *Follower) NumShards() int { return f.shards }
@@ -159,7 +144,7 @@ func (f *Follower) AppliedLSNs() []uint64 {
 
 // Stats summarizes the follower's progress.
 func (f *Follower) Stats() Stats {
-	st := Stats{Primary: f.primary, Reconnects: f.reconnects.Load(), Shards: make([]ShardProgress, f.shards)}
+	st := Stats{Primary: f.cfg.Primary, Reconnects: f.reconnects.Load(), Shards: make([]ShardProgress, f.shards)}
 	for i := range st.Shards {
 		st.Shards[i] = ShardProgress{
 			AppliedLSN: f.applied[i].Load(),
@@ -170,26 +155,45 @@ func (f *Follower) Stats() Stats {
 	return st
 }
 
-// PrimaryStatus fetches the primary's /repl/status — the other half of a
-// lag computation (primary LSN minus AppliedLSN, per shard).
+// PrimaryStatus fetches the primary's Status — the other half of a lag
+// computation (primary LSN minus AppliedLSN, per shard).
 func (f *Follower) PrimaryStatus() (Status, error) {
 	var st Status
-	resp, err := f.client.Get(f.primary + "/repl/status")
+	nc, err := net.Dial("tcp", f.cfg.Primary)
 	if err != nil {
 		return st, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return st, fmt.Errorf("repl: status %s from %s/repl/status", resp.Status, f.primary)
+	defer nc.Close()
+	_, resp, err := f.request(nc, wire.Request{Op: wire.OpReplStatus})
+	if err == nil {
+		err = json.Unmarshal(resp.Stats, &st)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, err
+	if err == nil && st.Shards <= 0 {
+		err = fmt.Errorf("repl: primary reports %d shards", st.Shards)
 	}
-	if st.Shards <= 0 {
-		return st, fmt.Errorf("repl: primary reports %d shards", st.Shards)
+	return st, err
+}
+
+// request sends req on nc and reads the primary's answer, returning it and
+// the decoder that read it, which holds whatever followed. A refusal is an
+// error naming the status and the primary's reason.
+func (f *Follower) request(nc net.Conn, req wire.Request) (*wire.StreamDecoder, wire.Response, error) {
+	// A snapshot frame carries a whole shard: the cap is the codec's.
+	dec := wire.NewStreamDecoder(nc, frame.HeaderSize+frame.MaxPayload)
+	_, err := nc.Write(wire.AppendRequest(nil, &req))
+	var payload []byte
+	if err == nil {
+		payload, err = dec.Next()
 	}
-	return st, nil
+	resp, ok := wire.DecodeResponse(payload)
+	switch {
+	case err != nil:
+	case !ok:
+		err = fmt.Errorf("repl: undecodable %v reply from %s", req.Op, f.cfg.Primary)
+	case resp.Status != wire.StatusOK:
+		err = fmt.Errorf("repl: %v %s from %s: %s", req.Op, resp.Status, f.cfg.Primary, resp.Msg)
+	}
+	return dec, resp, err
 }
 
 // Start launches the pullers if they are not running. Open calls it; after
@@ -287,11 +291,10 @@ func (f *Follower) WaitCaughtUp(timeout time.Duration) error {
 func (f *Follower) run(ctx context.Context, shard int) {
 	defer f.wg.Done()
 	for ctx.Err() == nil {
-		err := f.streamOnce(ctx, shard)
+		f.streamOnce(ctx, shard) // every exit from a live stream is a reconnect
 		if ctx.Err() != nil {
 			return
 		}
-		_ = err // every exit from a live stream is a reconnect
 		f.reconnects.Add(1)
 		select {
 		case <-ctx.Done():
@@ -306,31 +309,24 @@ func (f *Follower) run(ctx context.Context, shard int) {
 // applied+1, so the only invariant that matters here is exactly-once
 // apply in LSN order — duplicates skipped, gaps refused.
 func (f *Follower) streamOnce(ctx context.Context, shard int) error {
-	from := f.applied[shard].Load() + 1
-	url := fmt.Sprintf("%s/repl/stream?shard=%d&from=%d", f.primary, shard, from)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	nc, err := new(net.Dialer).DialContext(ctx, "tcp", f.cfg.Primary)
 	if err != nil {
 		return err
 	}
-	resp, err := f.client.Do(req)
+	defer nc.Close()
+	defer context.AfterFunc(ctx, func() { nc.Close() })() // Stop cuts the stream
+	req := wire.Request{Op: wire.OpReplStream, Key: uint64(shard), From: f.applied[shard].Load() + 1}
+	dec, _, err := f.request(nc, req)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("repl: stream status %s", resp.Status)
-	}
-	return f.follow(shard, resp.Body)
+	return f.follow(shard, dec)
 }
 
-// follow decodes shard's stream from r and applies each record in order
+// follow decodes shard's record frames from dec and applies each in order
 // until the stream breaks, returning why: a corrupt frame or payload, a
-// gap, or the reader's error. Frames split through the wire protocol's
-// decoder, capped at the largest frame the codec admits, because a
-// snapshot frame carries a whole shard.
-func (f *Follower) follow(shard int, r io.Reader) error {
-	dec := wire.NewStreamDecoder(r, frame.HeaderSize+frame.MaxPayload)
+// gap, or the reader's error.
+func (f *Follower) follow(shard int, dec *wire.StreamDecoder) error {
 	for {
 		payload, err := dec.Next()
 		if err != nil {

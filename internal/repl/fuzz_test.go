@@ -1,7 +1,7 @@
 package repl
 
 // FuzzReplStream feeds arbitrary bytes through the follower's stream
-// path — the decode-apply loop streamOnce runs over the HTTP body, follow —
+// path — the decode-apply loop streamOnce runs after the primary's reply, follow —
 // into a real engine. Whatever the wire carries (truncated frames, bit
 // flips, bogus LSNs, hostile lengths), the follower must never panic and
 // never corrupt the applied store: only CRC-valid frames whose LSNs
@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/bravolock/bravo/internal/frame"
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/wire"
 )
@@ -94,7 +95,7 @@ func FuzzReplStream(f *testing.F) {
 		}
 		// The puller's own loop: it stops at the first corrupt frame,
 		// gap or end of bytes, where a real follower reconnects.
-		err := fl.follow(0, bytes.NewReader(data))
+		err := fl.follow(0, wire.NewStreamDecoder(bytes.NewReader(data), frame.HeaderSize+frame.MaxPayload))
 		switch {
 		case err == io.EOF, err == io.ErrUnexpectedEOF:
 		case errors.Is(err, wire.ErrCorruptFrame), errors.Is(err, kvs.ErrReplCorruptFrame):

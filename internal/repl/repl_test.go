@@ -6,96 +6,110 @@ package repl
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/bravolock/bravo/internal/core"
+	"github.com/bravolock/bravo/internal/frame"
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/locks/pfq"
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 func mkStd() rwl.RWLock   { return new(stdrw.Lock) }
 func mkBravo() rwl.RWLock { return core.New(new(pfq.Lock)) }
 
-// primaryHost serves a swappable engine's replication endpoints — the
-// "machine" a primary process runs on, which chaos tests can take down
-// and bring back with a recovered engine. While down it answers 503,
-// which followers treat like any other outage: retry.
+// primaryHost serves a swappable engine's replication ops on one TCP
+// address — the "machine" a primary process runs on, which chaos tests can
+// take down and bring back with a recovered engine. While down it hangs up
+// on every connection, which followers treat like any other outage: retry.
 type primaryHost struct {
-	mu sync.Mutex
-	h  http.Handler
+	addr string
+	mu   sync.Mutex
+	p    *Primary
 }
 
-func (ph *primaryHost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	ph.mu.Lock()
-	h := ph.h
-	ph.mu.Unlock()
-	if h == nil {
-		http.Error(w, "primary down", http.StatusServiceUnavailable)
-		return
+// newPrimaryHost serves a host on a loopback listener, passed through wrap
+// when non-nil (the chaos tests' stream cutter).
+func newPrimaryHost(t *testing.T, wrap func(net.Listener) net.Listener) *primaryHost {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.ServeHTTP(w, r)
+	if wrap != nil {
+		l = wrap(l)
+	}
+	ph := &primaryHost{addr: l.Addr().String()}
+	go func() {
+		for {
+			nc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			ph.mu.Lock()
+			if p := ph.p; p != nil {
+				go p.serve(nc)
+			} else {
+				nc.Close()
+			}
+			ph.mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		ph.set(nil)
+	})
+	return ph
 }
 
-// set installs engine as the served primary (nil takes the host down).
-// wrap, when non-nil, wraps the handler (the chaos tests' stream cutter).
-func (ph *primaryHost) set(engine *kvs.Sharded, wrap func(http.Handler) http.Handler) {
+// set installs engine as the served primary; nil takes the host down. The
+// primary it replaces is closed, which severs its established streams.
+func (ph *primaryHost) set(engine *kvs.Sharded) {
 	ph.mu.Lock()
 	defer ph.mu.Unlock()
-	if engine == nil {
-		ph.h = nil
-		return
+	if ph.p != nil {
+		ph.p.Close()
+		ph.p = nil
 	}
-	mux := http.NewServeMux()
-	p := NewPrimary(engine)
-	p.Register(mux)
-	var h http.Handler = mux
-	if wrap != nil {
-		h = wrap(mux)
+	if engine != nil {
+		ph.p = NewPrimary(engine)
 	}
-	ph.h = h
-}
-
-// testServer is a thin handle on an httptest server: its URL, shutdown,
-// and the connection axe the chaos tests swing.
-type testServer struct {
-	url        string
-	close      func()
-	closeConns func()
-}
-
-func newTestServer(h http.Handler) *testServer {
-	srv := httptest.NewServer(h)
-	return &testServer{url: srv.URL, close: srv.Close, closeConns: srv.CloseClientConnections}
 }
 
 // startPrimary opens a durable engine in dir and serves its replication
-// endpoints over a real TCP socket, returning the engine, the base URL,
-// and the host for later swaps.
+// ops over a real TCP socket, returning the engine, the address, and the
+// host for later swaps.
 func startPrimary(t *testing.T, dir string, shards int, mk rwl.Factory) (*kvs.Sharded, string, *primaryHost) {
-	engine, url, ph, _ := startPrimaryHost(t, dir, shards, mk)
-	return engine, url, ph
-}
-
-// startPrimaryHost additionally returns the HTTP server, whose
-// CloseClientConnections is the chaos tests' axe for established streams.
-func startPrimaryHost(t *testing.T, dir string, shards int, mk rwl.Factory) (*kvs.Sharded, string, *primaryHost, *httptest.Server) {
 	t.Helper()
 	engine, err := kvs.OpenSharded(dir, shards, mk, kvs.SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := &primaryHost{}
-	ph.set(engine, nil)
-	srv := httptest.NewServer(ph)
-	t.Cleanup(srv.Close)
 	t.Cleanup(func() { engine.Close() })
-	return engine, srv.URL, ph, srv
+	ph := newPrimaryHost(t, nil)
+	ph.set(engine)
+	return engine, ph.addr, ph
+}
+
+// replDo sends req to the primary at addr and returns its answer.
+func replDo(t *testing.T, addr string, req wire.Request) wire.Response {
+	t.Helper()
+	c, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Do(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // openFollower opens a follower with test-friendly pacing.
@@ -172,7 +186,7 @@ func (o *lsnOracle) snapshots() int {
 // read-your-writes barriers, and rides out a primary outage.
 func TestE2EPrimaryFollowerOverTCP(t *testing.T) {
 	dir := t.TempDir()
-	engine, url, ph, srv := startPrimaryHost(t, dir, 4, mkBravo)
+	engine, url, ph := startPrimary(t, dir, 4, mkBravo)
 	for k := uint64(0); k < 128; k++ {
 		engine.Put(k, kvs.EncodeValue(k))
 	}
@@ -210,13 +224,12 @@ func TestE2EPrimaryFollowerOverTCP(t *testing.T) {
 
 	// Primary outage: the follower retries through it and catches up when
 	// the primary returns — with writes that happened while it was gone.
-	// Taking the host down only affects new requests; the established
-	// streams die with their connections.
-	ph.set(nil, nil)
-	srv.CloseClientConnections()
+	// Taking the host down closes its primary, which severs the
+	// established streams.
+	ph.set(nil)
 	engine.Put(600, []byte("written-during-outage"))
-	time.Sleep(30 * time.Millisecond) // let pullers hit the 503 path
-	ph.set(engine, nil)
+	time.Sleep(30 * time.Millisecond) // let pullers hit the hang-up path
+	ph.set(engine)
 	if err := f.WaitCaughtUp(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -246,35 +259,48 @@ func TestOpenRefusesVolatilePrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := &primaryHost{}
-	ph.set(engine, nil)
-	srv := httptest.NewServer(ph)
-	defer srv.Close()
-	if _, err := Open(Config{Primary: srv.URL}); err == nil {
+	ph := newPrimaryHost(t, nil)
+	ph.set(engine)
+	if _, err := Open(Config{Primary: ph.addr}); err == nil {
 		t.Fatal("Open against a volatile primary succeeded")
 	}
-	// And the stream endpoint itself 409s.
-	resp, err := http.Get(srv.URL + "/repl/stream?shard=0&from=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("volatile stream status %d, want 409", resp.StatusCode)
+	// And the stream op itself 409s.
+	resp := replDo(t, ph.addr, wire.Request{Op: wire.OpReplStream, Key: 0, From: 1})
+	if resp.Status != wire.StatusConflict || !strings.Contains(resp.Msg, "volatile") {
+		t.Fatalf("volatile stream: %v %q, want conflict naming the volatile engine", resp.Status, resp.Msg)
 	}
 }
 
-// TestStreamRejectsBadParams pins the 400s.
+// TestStreamRejectsBadParams pins the 400s: a shard out of range (9, and
+// the -1 a signed parse would take), LSN 0, and a body that does not decode.
 func TestStreamRejectsBadParams(t *testing.T) {
-	_, url, _ := startPrimary(t, t.TempDir(), 2, mkStd)
-	for _, q := range []string{"shard=9&from=1", "shard=-1&from=1", "shard=x&from=1", "shard=0&from=0", "shard=0&from=x"} {
-		resp, err := http.Get(url + "/repl/stream?" + q)
-		if err != nil {
-			t.Fatal(err)
+	_, addr, _ := startPrimary(t, t.TempDir(), 2, mkStd)
+	for _, tc := range []struct {
+		req  wire.Request
+		want string
+	}{
+		{wire.Request{Op: wire.OpReplStream, Key: 9, From: 1}, "bad shard 9"},
+		{wire.Request{Op: wire.OpReplStream, Key: ^uint64(0), From: 1}, "bad shard"},
+		{wire.Request{Op: wire.OpReplStream, Key: 0, From: 0}, "bad from 0"},
+	} {
+		if resp := replDo(t, addr, tc.req); resp.Status != wire.StatusBadRequest || !strings.Contains(resp.Msg, tc.want) {
+			t.Fatalf("stream shard=%d from=%d: %v %q, want bad request %q", tc.req.Key, tc.req.From, resp.Status, resp.Msg, tc.want)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("stream?%s status %d, want 400", q, resp.StatusCode)
-		}
+	}
+	// A stream request cut after its shard: the header parses, the body not.
+	short := wire.AppendRequest(nil, &wire.Request{Op: wire.OpReplStream, ID: 1, Key: 0, From: 1})
+	short = frame.Append(nil, short[frame.HeaderSize:len(short)-8])
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.Write(short)
+	payload, err := wire.NewStreamDecoder(nc, 0).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, ok := wire.DecodeResponse(payload); !ok || resp.Status != wire.StatusBadRequest || resp.Msg != "malformed request body" {
+		t.Fatalf("malformed stream request: %+v (decoded %v), want bad request", resp, ok)
 	}
 }

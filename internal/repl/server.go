@@ -1,7 +1,7 @@
 // Package repl replicates the durable sharded KV engine: a primary streams
-// its per-shard, LSN-stamped write-ahead log over HTTP to read-only
-// followers, which apply it through the engine's ordinary write path into
-// volatile replicas serving the same BRAVO-biased read fast paths.
+// its per-shard, LSN-stamped write-ahead log over the wire protocol to
+// read-only followers, which apply it through the engine's ordinary write
+// path into volatile replicas serving the same BRAVO-biased read fast paths.
 //
 // This is the macro version of BRAVO's bet. BRAVO scales reads by letting
 // them publish into cheap distributed slots while writers pay a bounded
@@ -11,16 +11,11 @@
 // writes: frames on the wire are the WAL's CRC-framed records, verbatim,
 // so the replication encoder/decoder IS the recovery encoder/decoder.
 //
-// Protocol (per shard; shards replicate independently):
-//
-//	GET /repl/stream?shard=S&from=L   chunked octet stream of records with
-//	                                  LSN >= L, then live tailing. If L was
-//	                                  checkpointed out of the log the
-//	                                  primary interposes one snapshot frame
-//	                                  (full shard state at its LSN) and
-//	                                  continues past it.
-//	GET /repl/status                  JSON Status: shard count, per-shard
-//	                                  applied LSNs, durability posture.
+// Protocol: two internal/wire ops, one per connection. REPL_STATUS answers
+// Status as JSON. REPL_STREAM (shard, from=L) answers OK, then writes the
+// shard's record frames with LSN >= L and tails the log live; if L was
+// checkpointed out of the log, one snapshot frame (full shard state at its
+// LSN) comes first.
 //
 // A follower's position is one number per shard: the LSN of the last
 // record it applied. Resume is "from = applied+1"; the primary decides
@@ -33,16 +28,14 @@ package repl
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
-	"strconv"
+	"net"
 	"sync/atomic"
 	"time"
 
 	"github.com/bravolock/bravo/internal/kvs"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 // DefaultPoll is how often a caught-up stream checks the log for new
@@ -58,10 +51,7 @@ import (
 // only if it keeps the wake off the write's critical path on 2 CPUs.
 const DefaultPoll = 2 * time.Millisecond
 
-// DefaultChunk bounds the framed bytes per stream write.
-const DefaultChunk = 256 << 10
-
-// Status is /repl/status: the primary's replication posture. Followers
+// Status is REPL_STATUS's answer: the primary's replication posture. Followers
 // fetch it at Open to size their engine and at runtime to compute lag.
 type Status struct {
 	Shards     int    `json:"shards"`
@@ -77,9 +67,11 @@ type Status struct {
 	BytesShipped     uint64 `json:"bytes_shipped"`
 }
 
-// Primary serves one durable engine's replication endpoints.
+// Primary serves one durable engine's replication ops.
 type Primary struct {
 	engine *kvs.Sharded
+	ctx    context.Context // done once Close runs
+	close  context.CancelFunc
 
 	active    atomic.Int64
 	records   atomic.Uint64
@@ -91,13 +83,46 @@ type Primary struct {
 // should be durable (LSNs come from its WAL); a volatile engine's streams
 // answer 409 so a misconfigured follower fails loudly, not silently empty.
 func NewPrimary(engine *kvs.Sharded) *Primary {
-	return &Primary{engine: engine}
+	p := &Primary{engine: engine}
+	p.ctx, p.close = context.WithCancel(context.Background())
+	return p
 }
 
-// Register mounts the replication endpoints on mux.
-func (p *Primary) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /repl/stream", p.handleStream)
-	mux.HandleFunc("GET /repl/status", p.handleStatus)
+// Close stops Serve's listeners and cuts every connection ServeConn is
+// serving. It leaves the engine open.
+func (p *Primary) Close() { p.close() }
+
+// Serve accepts connections on l until Close, reading one replication
+// request off each and answering it with ServeConn on its own goroutine.
+// It returns nil after Close, else the Accept error that stopped it.
+func (p *Primary) Serve(l net.Listener) error {
+	defer context.AfterFunc(p.ctx, func() { l.Close() })()
+	for {
+		nc, err := l.Accept()
+		switch ne, _ := err.(net.Error); {
+		case err == nil:
+			go p.serve(nc)
+		case p.ctx.Err() != nil:
+			return nil
+		case ne != nil && ne.Temporary():
+			time.Sleep(5 * time.Millisecond) // out of file descriptors, say
+		default:
+			return err
+		}
+	}
+}
+
+// serve reads one request off nc and answers it: ServeConn for a request
+// that decodes, a 400 for a malformed one whose header parses.
+func (p *Primary) serve(nc net.Conn) {
+	defer nc.Close()
+	defer context.AfterFunc(p.ctx, func() { nc.Close() })() // Close cuts it
+	payload, _ := wire.NewStreamDecoder(nc, 1<<10).Next()   // requests are tiny
+	if req, ok := wire.DecodeRequest(payload); ok {
+		p.ServeConn(nc, req)
+	} else if op, id, ok := wire.RequestHeader(payload); ok {
+		nc.Write(wire.AppendResponse(nil, &wire.Response{Op: op, ID: id, Status: wire.StatusBadRequest, Msg: "malformed request body"}))
+	}
 }
 
 // Status summarizes the primary's replication posture.
@@ -120,90 +145,66 @@ func (p *Primary) Status() Status {
 	return st
 }
 
-func (p *Primary) handleStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(p.Status())
-}
-
-// ParseStream validates a /repl/stream query — shard=S&from=L — against
-// the engine: the shard and resume LSN to Stream, or the HTTP status and
-// error that refuse the request (409 for a volatile engine, 400 for a bad
-// shard or LSN).
-func (p *Primary) ParseStream(q url.Values) (shard int, from uint64, status int, err error) {
-	if !p.engine.Durable() {
-		return 0, 0, http.StatusConflict, errors.New("engine is volatile: replication needs a durable primary (-data-dir)")
+// ServeConn answers req, a REPL_STATUS or REPL_STREAM request read off nc,
+// and closes nc. A status is one response. A stream is an OK response and
+// then the shard's frames (Stream) until the follower hangs up or Close
+// runs; a refused one is a 409 for a volatile engine, or a 400 for a bad
+// shard or LSN, each with its reason in Msg.
+func (p *Primary) ServeConn(nc net.Conn, req wire.Request) {
+	defer nc.Close()
+	resp := wire.Response{Op: req.Op, ID: req.ID}
+	switch {
+	case req.Op == wire.OpReplStatus:
+		resp.Stats, _ = json.Marshal(p.Status()) // cannot fail on Status
+	case req.Op != wire.OpReplStream:
+		resp.Status, resp.Msg = wire.StatusUnsupported, req.Op.String()+" is not a replication op"
+	case !p.engine.Durable():
+		resp.Status, resp.Msg = wire.StatusConflict, "engine is volatile: replication needs a durable primary (-data-dir)"
+	case req.Key >= uint64(p.engine.NumShards()):
+		resp.Status, resp.Msg = wire.StatusBadRequest, fmt.Sprintf("bad shard %d: want 0..%d", req.Key, p.engine.NumShards()-1)
+	case req.From == 0:
+		resp.Status, resp.Msg = wire.StatusBadRequest, "bad from 0: want a positive LSN"
 	}
-	shard, err = strconv.Atoi(q.Get("shard"))
-	if err != nil || shard < 0 || shard >= p.engine.NumShards() {
-		return 0, 0, http.StatusBadRequest, fmt.Errorf("bad shard %q: want 0..%d", q.Get("shard"), p.engine.NumShards()-1)
-	}
-	from = 1
-	if fs := q.Get("from"); fs != "" {
-		if from, err = strconv.ParseUint(fs, 10, 64); err != nil || from == 0 {
-			return 0, 0, http.StatusBadRequest, fmt.Errorf("bad from %q: want a positive LSN", fs)
-		}
-	}
-	return shard, from, 0, nil
-}
-
-// handleStream is Stream behind net/http.
-func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
-	shard, from, status, err := p.ParseStream(r.URL.Query())
-	if err != nil {
-		http.Error(w, err.Error(), status)
+	if _, err := nc.Write(wire.AppendResponse(nil, &resp)); err != nil || req.Op != wire.OpReplStream || resp.Status != wire.StatusOK {
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Repl-Shards", strconv.Itoa(p.engine.NumShards()))
-	var flush func()
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	p.Stream(r.Context(), shard, from, w, flush)
+	// Nothing more is read from a stream's connection, so a read that
+	// returns is the follower leaving (or a Close cutting the socket).
+	ctx, cancel := context.WithCancel(p.ctx)
+	defer cancel()
+	go func() { io.Copy(io.Discard, nc); cancel() }()
+	p.Stream(ctx, int(req.Key), req.From, nc)
 }
 
 // Stream writes one shard's record stream from LSN from to w: catch-up (a
 // snapshot frame first if from was checkpointed out of the log), then live
-// tail, calling flush (when non-nil) after each write, until ctx ends or a
-// write fails. It is transport-neutral: handleStream and kvserv's HTTP
-// connection loop each frame it for their own connection.
-func (p *Primary) Stream(ctx context.Context, shard int, from uint64, w io.Writer, flush func()) {
+// tail, until ctx ends or a write fails.
+func (p *Primary) Stream(ctx context.Context, shard int, from uint64, w io.Writer) {
 	p.active.Add(1)
 	defer p.active.Add(-1)
 	var idle *time.Timer // one per stream: a caught-up poll allocates nothing
 	cur := kvs.ReplCursor{Next: from}
 	for {
 		before := cur.Next
-		frames, err := p.engine.ReplRead(shard, &cur, DefaultChunk)
-		if err == kvs.ErrReplSnapshotNeeded {
-			frame, lsn, serr := p.engine.ReplSnapshotFrame(shard)
-			if serr != nil {
-				// Headers may be out already; closing the stream is the
-				// only honest signal left.
-				return
-			}
-			if _, werr := w.Write(frame); werr != nil {
-				return
-			}
-			p.snapshots.Add(1)
-			p.bytes.Add(uint64(len(frame)))
+		frames, err := p.engine.ReplRead(shard, &cur, 256<<10) // bytes per write
+		snapshot := err == kvs.ErrReplSnapshotNeeded
+		if snapshot {
+			var lsn uint64
+			frames, lsn, err = p.engine.ReplSnapshotFrame(shard)
 			cur = kvs.ReplCursor{Next: lsn + 1}
-			if flush != nil {
-				flush()
-			}
-			continue
 		}
 		if err != nil {
-			return
+			return // the OK is out: closing is the only honest signal left
 		}
 		if len(frames) > 0 {
-			if _, werr := w.Write(frames); werr != nil {
+			if _, err := w.Write(frames); err != nil {
 				return
 			}
 			p.bytes.Add(uint64(len(frames)))
-			p.records.Add(cur.Next - before) // one LSN per shipped record
-			if flush != nil {
-				flush()
+			if snapshot {
+				p.snapshots.Add(1)
+			} else {
+				p.records.Add(cur.Next - before) // one LSN per shipped record
 			}
 			continue
 		}

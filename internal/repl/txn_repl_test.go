@@ -17,7 +17,7 @@ import (
 
 func TestE2ETxnWitnessReplication(t *testing.T) {
 	dir := t.TempDir()
-	engine, url, _, _ := startPrimaryHost(t, dir, 8, mkBravo)
+	engine, url, _ := startPrimary(t, dir, 8, mkBravo)
 
 	// Baseline singles so witness frames land mid-sequence on some shards,
 	// at LSN 1 on others.

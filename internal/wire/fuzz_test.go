@@ -33,6 +33,8 @@ func fuzzSeedRequests() []Request {
 		{Op: OpTxn, ID: 15,
 			Conds:  []TxnCond{{Key: 1, Value: []byte("c")}, {Key: 2}},
 			TxnOps: []TxnOp{{Key: 4, Value: []byte("v")}, {Key: 5, Del: true}, {Key: 6, Value: []byte{}, TTL: 1e9}}},
+		{Op: OpReplStatus, ID: 16},
+		{Op: OpReplStream, ID: 17, Key: 2, From: 9},
 	}
 }
 
@@ -68,6 +70,9 @@ func FuzzWireFrame(f *testing.F) {
 		{Op: OpCas, ID: 8, Swapped: true, LSNs: []ShardLSN{{Shard: 1, LSN: 2, Epoch: 3}}},
 		{Op: OpTxn, ID: 9, Committed: true, LSNs: []ShardLSN{{Shard: 0, LSN: 4}}},
 		{Op: OpTxn, ID: 10, Mismatch: 77},
+		{Op: OpReplStatus, ID: 11, Stats: []byte(`{"shards":1}`)},
+		{Op: OpReplStream, ID: 12},
+		{Op: OpReplStream, ID: 13, Status: StatusBadRequest, Msg: "bad shard"},
 	} {
 		f.Add(body(AppendResponse(nil, &resp)))
 	}

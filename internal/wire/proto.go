@@ -24,7 +24,8 @@
 //	            CAS:          u64 key | optval old | optval new
 //	            TXN:          u32 ncond | ncond × (u64 key | optval)
 //	                          | u32 nops | nops × txnop
-//	            STATS:        empty
+//	            STATS, REPL_STATUS: empty
+//	            REPL_STREAM:  u64 shard | u64 from
 //	optval   := u8 present(0|1) | present? (u32 vlen | vlen bytes)
 //	txnop    := u8 kind(1=put 2=putttl 3=delete) | u64 key
 //	            | kind=put:    u32 vlen | vlen bytes
@@ -40,9 +41,10 @@
 //	            MGET:         u32 count | count × (u8 present | present? u32 vlen | vlen bytes)
 //	            MPUT/MDELETE: u32 applied
 //	            STATS:        u32 jlen | jlen bytes (the /stats JSON document)
+//	            REPL_STATUS:  u32 jlen | jlen bytes (the repl.Status JSON document)
 //	            CAS:          u8 swapped(0|1)
 //	            TXN:          u8 committed(0|1) | committed=0: u64 mismatchKey
-//	            PUT/DELETE:   empty
+//	            PUT/DELETE/REPL_STREAM: empty
 //
 // The trailing shard/LSN pairs are the binary form of the HTTP front-end's
 // X-Commit-Shard/X-Commit-Lsn headers (and /mput's "lsns" map): the commit
@@ -96,6 +98,11 @@ const (
 	// HTTP front-end's POST /cas and /txn semantics byte for byte.
 	OpCas Op = 9
 	OpTxn Op = 10
+	// OpReplStatus and OpReplStream are replication's (internal/repl): a
+	// primary's posture, and one shard's WAL from a resume LSN — an OK
+	// response, then the WAL frames verbatim on the same connection.
+	OpReplStatus Op = 11
+	OpReplStream Op = 12
 )
 
 // String names op for errors and stats.
@@ -119,6 +126,10 @@ func (o Op) String() string {
 		return "CAS"
 	case OpTxn:
 		return "TXN"
+	case OpReplStatus:
+		return "REPL_STATUS"
+	case OpReplStream:
+		return "REPL_STREAM"
 	}
 	return "Op(?)"
 }
@@ -210,7 +221,8 @@ type Request struct {
 	// front-end uses it to adjudicate tokens issued before a failover.
 	Epoch uint64
 
-	Key    uint64   // GET/PUT/DELETE/CAS
+	Key    uint64   // GET/PUT/DELETE/CAS, and REPL_STREAM's shard
+	From   uint64   // REPL_STREAM: the first LSN wanted
 	Value  []byte   // PUT (aliases the decode buffer)
 	Keys   []uint64 // MGET/MPUT/MDELETE
 	Values [][]byte // MPUT, parallel to Keys (alias the decode buffer)
@@ -271,7 +283,7 @@ type Response struct {
 	Values [][]byte
 	// Applied is MPUT's applied count or MDELETE's removed count.
 	Applied uint32
-	// Stats is STATS's JSON document (the /stats response body).
+	// Stats is STATS's JSON document (the /stats response body) or REPL_STATUS's.
 	Stats []byte
 	// Swapped answers CAS; Committed answers TXN, with Mismatch carrying
 	// the first failing precondition's key when Committed is false.
@@ -328,6 +340,9 @@ func AppendRequest(dst []byte, req *Request) []byte {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Values[i])))
 			dst = append(dst, req.Values[i]...)
 		}
+	case OpReplStream:
+		dst = binary.LittleEndian.AppendUint64(dst, req.Key)
+		dst = binary.LittleEndian.AppendUint64(dst, req.From)
 	case OpCas:
 		dst = binary.LittleEndian.AppendUint64(dst, req.Key)
 		dst = appendOptValue(dst, req.Old)
@@ -463,6 +478,9 @@ func DecodeRequest(p []byte) (Request, bool) {
 			req.Keys[i] = c.U64()
 			req.Values[i] = c.Bytes(int(c.U32()))
 		}
+	case OpReplStream:
+		req.Key = c.U64()
+		req.From = c.U64()
 	case OpCas:
 		req.Key = c.U64()
 		req.Old = optValue(&c)
@@ -494,7 +512,7 @@ func DecodeRequest(p []byte) (Request, bool) {
 				c.Fail()
 			}
 		}
-	case OpStats:
+	case OpStats, OpReplStatus:
 	default:
 		return req, false
 	}
@@ -540,7 +558,7 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 			}
 		case OpMPut, OpMDelete:
 			dst = binary.LittleEndian.AppendUint32(dst, resp.Applied)
-		case OpStats:
+		case OpStats, OpReplStatus:
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Stats)))
 			dst = append(dst, resp.Stats...)
 		case OpCas:
@@ -603,7 +621,7 @@ func DecodeResponse(p []byte) (Response, bool) {
 			}
 		case OpMPut, OpMDelete:
 			resp.Applied = c.U32()
-		case OpStats:
+		case OpStats, OpReplStatus:
 			resp.Stats = c.Bytes(int(c.U32()))
 		case OpCas:
 			resp.Swapped = bit(&c)
@@ -611,7 +629,7 @@ func DecodeResponse(p []byte) (Response, bool) {
 			if resp.Committed = bit(&c); !resp.Committed {
 				resp.Mismatch = c.U64()
 			}
-		case OpPut, OpDelete:
+		case OpPut, OpDelete, OpReplStream:
 		default:
 			return resp, false
 		}

@@ -33,6 +33,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpMPut, ID: 10, Keys: []uint64{}, Values: [][]byte{}, TTL: time.Minute},
 		{Op: OpMDelete, ID: 11, Keys: []uint64{5}},
 		{Op: OpStats, ID: 13},
+		{Op: OpReplStatus, ID: 14},
+		{Op: OpReplStream, ID: 15, Key: 3, From: 1 << 40},
 	}
 	for _, want := range cases {
 		f := AppendRequest(nil, &want)
@@ -77,6 +79,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Op: OpStats, ID: 9, Stats: []byte(`{"shards":4}`)},
 		{Op: OpPut, ID: 10, Status: StatusReadOnly, Msg: "follower is read-only"},
 		{Op: OpMGet, ID: 11, Status: StatusConflict, Msg: "min_lsn not applied"},
+		{Op: OpReplStatus, ID: 12, Stats: []byte(`{"shards":2}`)},
+		{Op: OpReplStream, ID: 13},
+		{Op: OpReplStream, ID: 14, Status: StatusConflict, Msg: "engine is volatile"},
 	}
 	for _, want := range cases {
 		f := AppendResponse(nil, &want)
