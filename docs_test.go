@@ -201,12 +201,12 @@ var lineCeilings = map[string]int{
 	"internal/core":       180,
 	"internal/frame":      207,
 	"internal/hash":       78,
-	"internal/kvs":        3721,
+	"internal/kvs":        3720,
 	"internal/kvserv":     1903,
 	"internal/lockcheck":  405,
 	"internal/locks":      926,
 	"internal/metis":      331,
-	"internal/repl":       599,
+	"internal/repl":       611,
 	"internal/rwl":        136,
 	"internal/rwsem":      443,
 	"internal/self":       52,
@@ -216,7 +216,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       959,
 	"internal/xrand":      119,
-	"total":               15923,
+	"total":               15934,
 }
 
 // testLineCeilings caps a package's test Go the same way, where a change
@@ -225,7 +225,7 @@ var lineCeilings = map[string]int{
 // end-to-end suites one op table and one model (internal/kvserv/
 // harness_test.go), and a private op loop or state comparer growing back
 // shows here.
-var testLineCeilings = map[string]int{"internal/kvs": 6733, "internal/kvserv": 2442}
+var testLineCeilings = map[string]int{"internal/kvs": 6781, "internal/kvserv": 2442}
 
 // TestLineBudget counts the non-test Go lines of every top-level package
 // (benchmark/, its own module, excluded) and fails naming the package, its

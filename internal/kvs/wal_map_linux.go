@@ -1,7 +1,6 @@
 package kvs
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"runtime/debug"
@@ -12,7 +11,10 @@ import (
 )
 
 // walWindow is the log one reservation maps: about 6,500 records of 160 B.
+// reserve writes its zeros from walZeros, which nothing writes to.
 const walWindow = 1 << 20
+
+var walZeros [64 << 10]byte
 
 // place copies the sealed record b into the mapped window at the log's end,
 // reserving the next window first if this one is full. An I/O error that
@@ -45,23 +47,20 @@ func (w *shardWAL) place(b []byte) (err error) {
 }
 
 // reserve maps at least walWindow (and n) bytes from the log end's page,
-// allocating the blocks first: a full disk fails here, not in place's copy.
+// writing their zeros first: a full disk fails here, and place's copy stores
+// into written blocks, not an unwritten extent that faults on each new page.
 func (w *shardWAL) reserve(n int) error {
 	if err := w.trim(); err != nil {
 		return err
 	}
 	base := w.size &^ int64(os.Getpagesize()-1)
 	length := max(walWindow, w.size-base+int64(n))
-	fd := int(w.f.Fd())
-	err := syscall.Fallocate(fd, 0, base, length)
-	if errors.Is(err, syscall.EOPNOTSUPP) {
-		// Writing the zeros allocates the blocks just the same.
-		_, err = w.f.WriteAt(make([]byte, base+length-w.size), w.size)
+	for at, end := w.size, base+length; at < end; at += int64(len(walZeros)) {
+		if _, err := w.f.WriteAt(walZeros[:min(int64(len(walZeros)), end-at)], at); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
-	}
-	m, err := syscall.Mmap(fd, base, int(length), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	m, err := syscall.Mmap(int(w.f.Fd()), base, int(length), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return err
 	}

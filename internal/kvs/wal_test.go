@@ -1,18 +1,13 @@
 package kvs
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strconv"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -326,83 +321,6 @@ func TestClosedLogIsExactlyItsRecords(t *testing.T) {
 		expectLog("closed", s.walPath(i), framed[i])
 	}
 	expectLog("closed", s.walOldPath(1), old)
-}
-
-// TestSyncNoneSurvivesKill holds SyncNone to its promise: a record is in
-// the file when its write returns, so a process killed without Close loses
-// at most the write in flight. The test re-runs itself as a child that
-// prints each acknowledged key and SIGKILLs itself mid-stream.
-func TestSyncNoneSurvivesKill(t *testing.T) {
-	const marker = "KVS_SYNCNONE_KILL_DIR"
-	if dir := os.Getenv(marker); dir != "" {
-		syncNoneKillChild(dir)
-		return
-	}
-	if runtime.GOOS == "windows" {
-		t.Skip("needs SIGKILL")
-	}
-	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestSyncNoneSurvivesKill$")
-	cmd.Env = append(os.Environ(), marker+"="+dir)
-	out, err := cmd.Output()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("child exited with %v, want death by SIGKILL; output:\n%s", err, out)
-	}
-	if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		t.Fatalf("child ended with %v, want SIGKILL; stderr:\n%s", ee, ee.Stderr)
-	}
-	acked := map[uint64]bool{}
-	for _, line := range strings.Split(string(out), "\n") {
-		if k, err := strconv.ParseUint(line, 10, 64); err == nil {
-			acked[k] = true
-		}
-	}
-	if len(acked) < killAfter {
-		t.Fatalf("child acknowledged %d keys before dying, want at least %d", len(acked), killAfter)
-	}
-	t.Logf("child acknowledged %d keys before the kill", len(acked))
-	r := openTestKV(t, dir, 4, SyncNone)
-	defer r.Close()
-	for k := range acked {
-		if v, ok := r.Get(k); !ok || string(v) != string(EncodeValue(k)) {
-			t.Fatalf("acknowledged key %d = %x (present %v) after the kill", k, v, ok)
-		}
-	}
-	// The one write in flight may or may not have landed; nothing else can.
-	inFlight := uint64(len(acked))
-	for k := range r.Snapshot() {
-		if !acked[k] && k != inFlight {
-			t.Fatalf("recovered key %d, neither acknowledged nor the one in flight (%d)", k, inFlight)
-		}
-	}
-}
-
-// killAfter is how many keys the child acknowledges before it starts its
-// own SIGKILL, which then lands at an arbitrary point of the stream.
-const killAfter = 2000
-
-// syncNoneKillChild is TestSyncNoneSurvivesKill's child: Put keys 0, 1, 2, …
-// into a 4-shard SyncNone engine over dir, printing each once Put returns,
-// and never Close.
-func syncNoneKillChild(dir string) {
-	s, err := OpenSharded(dir, 4, mkStd, SyncNone)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	self, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	for k := uint64(0); ; k++ {
-		if k == killAfter {
-			go self.Kill()
-		}
-		s.Put(k, EncodeValue(k))
-		fmt.Println(k)
-	}
 }
 
 func TestManifestPinsShardCount(t *testing.T) {

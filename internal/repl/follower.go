@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +21,10 @@ import (
 
 // DefaultRetryInterval paces reconnects after a stream drops.
 const DefaultRetryInterval = 100 * time.Millisecond
+
+// statusTimeout bounds PrimaryStatus: a primary answers at once, and an HTTP
+// -addr, which waits 10 s for a request line, must not stall Open.
+const statusTimeout = 2 * time.Second
 
 // Config configures a Follower.
 type Config struct {
@@ -159,12 +165,18 @@ func (f *Follower) Stats() Stats {
 // computation (primary LSN minus AppliedLSN, per shard).
 func (f *Follower) PrimaryStatus() (Status, error) {
 	var st Status
-	nc, err := net.Dial("tcp", f.cfg.Primary)
+	nc, err := net.DialTimeout("tcp", f.cfg.Primary, statusTimeout)
 	if err != nil {
 		return st, err
 	}
 	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(statusTimeout)); err != nil {
+		return st, err
+	}
 	_, resp, err := f.request(nc, wire.Request{Op: wire.OpReplStatus})
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, os.ErrDeadlineExceeded) {
+		err = fmt.Errorf("no wire reply from %s (%w): is it the primary's -wire-addr?", f.cfg.Primary, err)
+	}
 	if err == nil {
 		err = json.Unmarshal(resp.Stats, &st)
 	}

@@ -6,6 +6,7 @@ package repl
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -268,6 +269,29 @@ func TestOpenRefusesVolatilePrimary(t *testing.T) {
 	resp := replDo(t, ph.addr, wire.Request{Op: wire.OpReplStream, Key: 0, From: 1})
 	if resp.Status != wire.StatusConflict || !strings.Contains(resp.Msg, "volatile") {
 		t.Fatalf("volatile stream: %v %q, want conflict naming the volatile engine", resp.Status, resp.Msg)
+	}
+}
+
+// TestOpenFailsFastOnSilentAddress: an address that reads the status
+// request and never answers (kvserv's HTTP -addr waits 10 s for a request
+// line) fails Open within statusTimeout, naming the address and -wire-addr.
+func TestOpenFailsFastOnSilentAddress(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for nc, err := l.Accept(); err == nil; nc, err = l.Accept() {
+			defer nc.Close()
+			go io.Copy(io.Discard, nc)
+		}
+	}()
+	start := time.Now()
+	_, err = Open(Config{Primary: l.Addr().String()})
+	if took := time.Since(start); err == nil || took > statusTimeout+time.Second ||
+		!strings.Contains(err.Error(), l.Addr().String()) || !strings.Contains(err.Error(), "-wire-addr") {
+		t.Fatalf("Open against a silent address: %v after %v, want an error naming it and -wire-addr within %v", err, took, statusTimeout)
 	}
 }
 
