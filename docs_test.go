@@ -197,12 +197,12 @@ var lineCeilings = map[string]int{
 	"internal/bias":       1414,
 	"internal/cliutil":    36,
 	"internal/clock":      19,
-	"internal/cluster":    1038,
+	"internal/cluster":    1033,
 	"internal/core":       180,
 	"internal/frame":      207,
 	"internal/hash":       78,
 	"internal/kvs":        3720,
-	"internal/kvserv":     1903,
+	"internal/kvserv":     1747,
 	"internal/lockcheck":  405,
 	"internal/locks":      926,
 	"internal/metis":      331,
@@ -216,7 +216,7 @@ var lineCeilings = map[string]int{
 	"internal/vm":         230,
 	"internal/wire":       959,
 	"internal/xrand":      119,
-	"total":               15934,
+	"total":               15773,
 }
 
 // testLineCeilings caps a package's test Go the same way, where a change
@@ -225,7 +225,7 @@ var lineCeilings = map[string]int{
 // end-to-end suites one op table and one model (internal/kvserv/
 // harness_test.go), and a private op loop or state comparer growing back
 // shows here.
-var testLineCeilings = map[string]int{"internal/kvs": 6781, "internal/kvserv": 2442}
+var testLineCeilings = map[string]int{"internal/kvs": 6789, "internal/kvserv": 2442}
 
 // TestLineBudget counts the non-test Go lines of every top-level package
 // (benchmark/, its own module, excluded) and fails naming the package, its

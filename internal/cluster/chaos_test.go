@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"github.com/bravolock/bravo/internal/kvs"
+	"github.com/bravolock/bravo/internal/wire"
 	"github.com/bravolock/bravo/internal/xrand"
 )
 
@@ -96,11 +97,12 @@ func (w *chaosWriter) step() {
 	switch w.rng.Intn(10) {
 	case 0, 1: // delete (logged even on a miss)
 		k := w.key()
-		_, tok, err := w.c.Delete(k)
+		resp, err := write(w.c, wire.Request{Op: wire.OpDelete, Key: k})
 		if err != nil {
 			w.t.Errorf("partition %d: Delete(%d): %v", w.pi, k, err)
 			return
 		}
+		tok := resp.LSNs[0]
 		w.journal.append(journalEntry{epoch: tok.Epoch, lsn: tok.LSN, shard: w.shardOf(k), key: k})
 	case 2, 3: // MultiPut within the partition: one record per shard group
 		n := 2 + int(w.rng.Intn(4))
@@ -110,13 +112,13 @@ func (w *chaosWriter) step() {
 			keys[i] = w.key()
 			vals[i] = kvs.EncodeValue(w.rng.Next())
 		}
-		toks, err := w.c.MultiPut(keys, vals, 0)
+		resp, err := write(w.c, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals})
 		if err != nil {
 			w.t.Errorf("partition %d: MultiPut: %v", w.pi, err)
 			return
 		}
 		byShard := map[int]ShardLSN{}
-		for _, tok := range toks {
+		for _, tok := range resp.LSNs {
 			_, sh, ok := w.c.SplitGlobalShard(tok.Shard)
 			if !ok {
 				w.t.Errorf("partition %d: token names global shard %d out of range", w.pi, tok.Shard)
@@ -261,19 +263,7 @@ func captureCorpse(t *testing.T, m *Member) corpseState {
 func (st corpseState) hammer(t *testing.T, rng *xrand.XorShift64) {
 	t.Helper()
 	m := st.corpse
-	k := rng.Next() % 64
-	if _, err := m.put(k, []byte("stale"), 0); err != ErrFenced {
-		t.Errorf("fenced Put: err = %v, want ErrFenced", err)
-	}
-	if _, _, err := m.delete(k); err != ErrFenced {
-		t.Errorf("fenced Delete: err = %v, want ErrFenced", err)
-	}
-	if _, err := m.multiPut([]uint64{k, k + 1}, [][]byte{[]byte("a"), []byte("b")}, 0, nil); err != ErrFenced {
-		t.Errorf("fenced MultiPut: err = %v, want ErrFenced", err)
-	}
-	if _, _, err := m.multiDelete([]uint64{k}, nil); err != ErrFenced {
-		t.Errorf("fenced MultiDelete: err = %v, want ErrFenced", err)
-	}
+	assertFenced(t, m, rng.Next()%64)
 	if _, err := m.reap(128); err != ErrFenced {
 		t.Errorf("fenced Reap: err = %v, want ErrFenced", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/repl"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 // Config sizes a cluster.
@@ -176,7 +177,7 @@ func (c *Cluster) Followers(pi int) []*repl.Follower {
 	return append([]*repl.Follower(nil), p.followers...)
 }
 
-// SplitGlobalShard inverts the global shard CommitLSN stamps: the
+// SplitGlobalShard inverts the global shard CommitLSNs stamps: the
 // partition and local shard a token's Shard names. ok is false when the
 // shard is out of range.
 func (c *Cluster) SplitGlobalShard(g uint32) (pi, shard int, ok bool) {
@@ -234,22 +235,61 @@ func (c *Cluster) MultiGet(h *rwl.Reader, keys []uint64) [][]byte {
 	return out
 }
 
+// Write applies a write request and answers it into resp, its tokens
+// stamped with the epoch of each partition that committed. A point op goes
+// to its key's partition. A batch fans out, one engine call per partition
+// it touches; on a mid-batch fencing error the tokens already earned stay
+// in resp alongside it: partitions are independent failure domains and the
+// applied groups stay applied. A TXN runs on the one partition owning every
+// key it declares; one spanning partitions is refused with
+// ErrCrossPartitionTxn before any lock is taken.
+func (c *Cluster) Write(req *wire.Request, resp *wire.Response) error {
+	switch req.Op {
+	case wire.OpMPut, wire.OpMDelete:
+		sub, vals := *req, make([][]byte, 0, len(req.Values))
+		return c.fanOut(req.Keys, func(m *Member, idx []int, keys []uint64) error {
+			sub.Keys = keys
+			if req.Op == wire.OpMPut {
+				vals = vals[:0]
+				for _, i := range idx {
+					vals = append(vals, req.Values[i])
+				}
+				sub.Values = vals
+			}
+			return m.write(&sub, resp)
+		})
+	case wire.OpTxn:
+		n := len(req.Conds) + len(req.TxnOps)
+		if n == 0 {
+			// The engine's typed error, read from no member: Failover swaps them.
+			return kvs.ErrTxnNoKeys
+		}
+		first := txnKey(req, 0)
+		pi := c.router.Partition(first)
+		for i := 1; i < n; i++ {
+			if k := txnKey(req, i); c.router.Partition(k) != pi {
+				return fmt.Errorf("%w: key %d routes to partition %d, key %d to %d",
+					ErrCrossPartitionTxn, first, pi, k, c.router.Partition(k))
+			}
+		}
+		return c.parts[pi].write(req, resp)
+	}
+	return c.parts[c.router.Partition(req.Key)].write(req, resp)
+}
+
+// write runs req on the partition's member under the partition's read lock.
+func (p *partition) write(req *wire.Request, resp *wire.Response) error {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.member.write(req, resp)
+}
+
 // Put writes key through its partition's primary and returns the
 // read-your-writes token.
 func (c *Cluster) Put(key uint64, value []byte, ttl time.Duration) (ShardLSN, error) {
-	p := c.parts[c.router.Partition(key)]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.member.put(key, value, ttl)
-}
-
-// Delete removes key, reporting presence plus the token (deletes are
-// logged even on a miss).
-func (c *Cluster) Delete(key uint64) (bool, ShardLSN, error) {
-	p := c.parts[c.router.Partition(key)]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.member.delete(key)
+	var tok [1]ShardLSN
+	err := c.Write(&wire.Request{Op: wire.OpPut, Key: key, Value: value, TTL: ttl}, &wire.Response{LSNs: tok[:0]})
+	return tok[0], err
 }
 
 // ErrCrossPartitionTxn rejects a transaction whose keys hash to more than
@@ -260,69 +300,6 @@ func (c *Cluster) Delete(key uint64) (bool, ShardLSN, error) {
 // transactional keys (the router is stable, so a key set that routes
 // together keeps routing together) or split the work.
 var ErrCrossPartitionTxn = errors.New("cluster: transaction keys span multiple partitions (transactions are single-partition)")
-
-// Cas runs a compare-and-swap on key's partition, returning whether it
-// swapped plus the commit token.
-func (c *Cluster) Cas(key uint64, old, new []byte) (bool, ShardLSN, error) {
-	p := c.parts[c.router.Partition(key)]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.member.cas(key, old, new)
-}
-
-// Txn runs fn as a bounded multi-key transaction on the partition owning
-// every key, returning the declared shards' commit tokens. Key sets that
-// span partitions are rejected with ErrCrossPartitionTxn before any lock
-// is taken.
-func (c *Cluster) Txn(keys []uint64, fn func(*kvs.Tx) error) ([]ShardLSN, error) {
-	if len(keys) == 0 {
-		// The engine's typed error, read from no member: Failover swaps them.
-		return nil, kvs.ErrTxnNoKeys
-	}
-	pi := c.router.Partition(keys[0])
-	for _, k := range keys[1:] {
-		if other := c.router.Partition(k); other != pi {
-			return nil, fmt.Errorf("%w: key %d routes to partition %d, key %d to %d",
-				ErrCrossPartitionTxn, keys[0], pi, k, other)
-		}
-	}
-	p := c.parts[pi]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.member.txn(keys, fn)
-}
-
-// MultiPut fans a batch out per partition (one engine call each) and
-// returns the commit token of every global shard the batch touched. On a
-// mid-batch fencing error the tokens already earned are returned alongside
-// it: partitions are independent failure domains and the applied groups
-// stay applied.
-func (c *Cluster) MultiPut(keys []uint64, values [][]byte, ttl time.Duration) ([]ShardLSN, error) {
-	var lsns []ShardLSN
-	subV := make([][]byte, 0, len(values))
-	err := c.fanOut(keys, func(m *Member, idx []int, sub []uint64) error {
-		subV = subV[:0]
-		for _, i := range idx {
-			subV = append(subV, values[i])
-		}
-		var err error
-		lsns, err = m.multiPut(sub, subV, ttl, lsns)
-		return err
-	})
-	return lsns, err
-}
-
-// MultiDelete is MultiPut's removal twin: the removed count plus tokens.
-func (c *Cluster) MultiDelete(keys []uint64) (int, []ShardLSN, error) {
-	var lsns []ShardLSN
-	var removed int
-	err := c.fanOut(keys, func(m *Member, _ []int, sub []uint64) error {
-		n, out, err := m.multiDelete(sub, lsns)
-		removed, lsns = removed+n, out
-		return err
-	})
-	return removed, lsns, err
-}
 
 // Writable reports why the cluster refuses writes wholesale: never — it
 // fronts primaries (a fenced one refuses per write with ErrFenced). The

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/bravolock/bravo/internal/kvs"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 func testConfig(t *testing.T, partitions, followers int) Config {
@@ -32,6 +33,36 @@ func openCluster(t *testing.T, partitions, followers int) *Cluster {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// write runs req through c.Write and returns the response it filled.
+func write(c *Cluster, req wire.Request) (wire.Response, error) {
+	var resp wire.Response
+	err := c.Write(&req, &resp)
+	return resp, err
+}
+
+// everyWrite is one request of each write kind, all on key k (and k+1).
+func everyWrite(k uint64) []wire.Request {
+	return []wire.Request{
+		{Op: wire.OpPut, Key: k, Value: []byte("stale")},
+		{Op: wire.OpDelete, Key: k},
+		{Op: wire.OpMPut, Keys: []uint64{k, k + 1}, Values: [][]byte{[]byte("a"), []byte("b")}},
+		{Op: wire.OpMDelete, Keys: []uint64{k}},
+		{Op: wire.OpCas, Key: k, New: []byte("x")},
+		{Op: wire.OpTxn, TxnOps: []wire.TxnOp{{Key: k, Value: []byte("x")}}},
+	}
+}
+
+// assertFenced drives every write kind into the corpse m and wants each
+// refused at the fence.
+func assertFenced(t *testing.T, m *Member, k uint64) {
+	t.Helper()
+	for _, req := range everyWrite(k) {
+		if err := m.write(&req, new(wire.Response)); err != ErrFenced {
+			t.Errorf("fenced %v: err = %v, want ErrFenced", req.Op, err)
+		}
+	}
 }
 
 func TestClusterPutGetRoundTrip(t *testing.T) {
@@ -70,10 +101,11 @@ func TestClusterMultiOpsFanOut(t *testing.T) {
 		keys[i] = uint64(i * 7)
 		vals[i] = []byte(fmt.Sprintf("batch-%d", i))
 	}
-	lsns, err := c.MultiPut(keys, vals, 0)
-	if err != nil {
-		t.Fatalf("MultiPut: %v", err)
+	resp, err := write(c, wire.Request{Op: wire.OpMPut, Keys: keys, Values: vals})
+	if err != nil || resp.Applied != n {
+		t.Fatalf("MultiPut applied %d of %d: %v", resp.Applied, n, err)
 	}
+	lsns := resp.LSNs
 	if len(lsns) == 0 {
 		t.Fatal("MultiPut returned no tokens on a durable cluster")
 	}
@@ -102,14 +134,14 @@ func TestClusterMultiOpsFanOut(t *testing.T) {
 			t.Fatalf("CheckToken: %v", terr)
 		}
 	}
-	removed, dLsns, err := c.MultiDelete(keys[:50])
+	resp, err = write(c, wire.Request{Op: wire.OpMDelete, Keys: keys[:50]})
 	if err != nil {
 		t.Fatalf("MultiDelete: %v", err)
 	}
-	if removed != 50 {
-		t.Fatalf("MultiDelete removed %d, want 50", removed)
+	if resp.Applied != 50 {
+		t.Fatalf("MultiDelete removed %d, want 50", resp.Applied)
 	}
-	if len(dLsns) == 0 {
+	if len(resp.LSNs) == 0 {
 		t.Fatal("MultiDelete returned no tokens")
 	}
 	for i := 0; i < 50; i++ {
@@ -144,12 +176,7 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 	}
 
 	// The fenced corpse rejects everything, wherever the write enters.
-	if _, err := old.put(1, []byte("zombie"), 0); err != ErrFenced {
-		t.Fatalf("corpse Put: %v, want ErrFenced", err)
-	}
-	if _, _, err := old.delete(1); err != ErrFenced {
-		t.Fatalf("corpse Delete: %v, want ErrFenced", err)
-	}
+	assertFenced(t, old, 1)
 
 	// Caught-up failover loses nothing: every key reads back, every old
 	// token is honored (it survived the cut).
@@ -199,7 +226,7 @@ func TestClusterEmptyTxnDuringFailover(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.Txn(nil, nil); !errors.Is(err, kvs.ErrTxnNoKeys) {
+			if _, err := write(c, wire.Request{Op: wire.OpTxn}); !errors.Is(err, kvs.ErrTxnNoKeys) {
 				done <- err
 				return
 			}
@@ -212,31 +239,40 @@ func TestClusterEmptyTxnDuringFailover(t *testing.T) {
 	}
 	close(stop)
 	if err := <-done; err != nil {
-		t.Fatalf("Txn(nil) = %v, want ErrTxnNoKeys", err)
+		t.Fatalf("empty TXN = %v, want ErrTxnNoKeys", err)
 	}
 }
 
-// TestFenceWaitsForInFlightCommit pins the fence's barrier: a transaction
-// in flight holds Fence off until it commits, and the write after Fence is
-// refused.
+// TestFenceWaitsForInFlightCommit pins the fence's barrier: a write in
+// flight holds Fence off until it commits, and the write after Fence is
+// refused. The write is held in flight by a transaction on the engine
+// itself, which owns its shard's lock until released.
 func TestFenceWaitsForInFlightCommit(t *testing.T) {
 	c := openCluster(t, 1, 1)
+	m, p := c.Member(0), c.parts[0]
 	started, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
-	defer free() // a failing run must not leave the body holding the partition
+	defer free() // a failing run must not leave the shard locked
 	txnErr := make(chan error, 1)
 	go func() {
-		_, err := c.Txn([]uint64{1}, func(tx *kvs.Tx) error {
+		txnErr <- m.Engine().Txn([]uint64{1}, func(*kvs.Tx) error {
 			close(started)
 			<-release
-			tx.Put(1, []byte("in flight"))
 			return nil
 		})
-		txnErr <- err
 	}()
 	<-started
-	m := c.Member(0)
+	putErr := make(chan error, 1)
+	go func() {
+		_, err := c.Put(1, []byte("in flight"), 0)
+		putErr <- err
+	}()
+	// The put holds the partition's read side, then waits on the shard.
+	for p.mu.TryLock() {
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
 	fenced := make(chan struct{})
 	go func() {
 		m.Fence()
@@ -244,19 +280,22 @@ func TestFenceWaitsForInFlightCommit(t *testing.T) {
 	}()
 	select {
 	case <-fenced:
-		t.Fatal("Fence returned while a transaction was committing")
+		t.Fatal("Fence returned while a write was committing")
 	case <-time.After(50 * time.Millisecond):
 	}
 	free()
 	if err := <-txnErr; err != nil {
-		t.Fatalf("in-flight Txn: %v", err)
+		t.Fatalf("engine Txn holding the shard: %v", err)
+	}
+	if err := <-putErr; err != nil {
+		t.Fatalf("in-flight Put: %v", err)
 	}
 	<-fenced
 	if _, err := c.Put(2, []byte("late"), 0); !errors.Is(err, ErrFenced) {
 		t.Fatalf("Put after Fence: %v, want ErrFenced", err)
 	}
 	if v, ok := c.Get(nil, 1, nil); !ok || string(v) != "in flight" {
-		t.Fatalf("Get(1) = %q, %v; want the transaction's value", v, ok)
+		t.Fatalf("Get(1) = %q, %v; want the in-flight write's value", v, ok)
 	}
 }
 
@@ -335,12 +374,12 @@ func TestClusterMaintenanceSurface(t *testing.T) {
 	if _, err := c.Put(3, []byte("doomed"), 0); err != nil {
 		t.Fatal(err)
 	}
-	ok, tok, err := c.Delete(3)
-	if err != nil || !ok || tok.LSN == 0 || tok.Epoch != 1 {
-		t.Fatalf("Delete(3) = %v, %+v, %v", ok, tok, err)
+	resp, err := write(c, wire.Request{Op: wire.OpDelete, Key: 3})
+	if err != nil || resp.Status != wire.StatusOK || len(resp.LSNs) != 1 || resp.LSNs[0].LSN == 0 || resp.LSNs[0].Epoch != 1 {
+		t.Fatalf("Delete(3) = %v, %+v, %v", resp.Status, resp.LSNs, err)
 	}
-	if ok, _, err = c.Delete(3); err != nil || ok {
-		t.Fatalf("second Delete(3) = %v, %v; want a miss", ok, err)
+	if resp, err = write(c, wire.Request{Op: wire.OpDelete, Key: 3}); err != nil || resp.Status != wire.StatusNotFound || len(resp.LSNs) != 1 {
+		t.Fatalf("second Delete(3) = %v, %+v, %v; want a miss, stamped", resp.Status, resp.LSNs, err)
 	}
 
 	// A token error renders a usable message.
@@ -412,29 +451,28 @@ func TestClusterCasAndTxn(t *testing.T) {
 	c := openCluster(t, 2, 1)
 
 	// CAS through the router: install, stale attempt, delete-on-match.
-	if swapped, tok, err := c.Cas(9, nil, []byte("v1")); err != nil || !swapped || tok.Epoch != 1 {
-		t.Fatalf("Cas install = %v/%+v/%v", swapped, tok, err)
+	if resp, err := write(c, wire.Request{Op: wire.OpCas, Key: 9, New: []byte("v1")}); err != nil || !resp.Swapped || resp.LSNs[0].Epoch != 1 {
+		t.Fatalf("Cas install = %v/%+v/%v", resp.Swapped, resp.LSNs, err)
 	}
-	if swapped, _, err := c.Cas(9, []byte("stale"), []byte("v2")); err != nil || swapped {
-		t.Fatalf("stale Cas = %v/%v, want false", swapped, err)
+	if resp, err := write(c, wire.Request{Op: wire.OpCas, Key: 9, Old: []byte("stale"), New: []byte("v2")}); err != nil || resp.Swapped {
+		t.Fatalf("stale Cas = %v/%v, want false", resp.Swapped, err)
 	}
 
 	// A single-partition transaction commits atomically; its tokens carry
 	// one triple per declared shard at the partition's epoch.
 	keys := partitionKeys(c, 0, 3)
-	lsns, err := c.Txn(keys, func(tx *kvs.Tx) error {
-		for i, k := range keys {
-			tx.Put(k, []byte{byte(i)})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Txn: %v", err)
+	txn := wire.Request{Op: wire.OpTxn}
+	for i, k := range keys {
+		txn.TxnOps = append(txn.TxnOps, wire.TxnOp{Key: k, Value: []byte{byte(i)}})
 	}
-	if len(lsns) == 0 {
+	resp, err := write(c, txn)
+	if err != nil || !resp.Committed {
+		t.Fatalf("Txn: committed %v, %v", resp.Committed, err)
+	}
+	if len(resp.LSNs) == 0 {
 		t.Fatal("committed Txn returned no tokens")
 	}
-	for _, l := range lsns {
+	for _, l := range resp.LSNs {
 		if l.Epoch != 1 {
 			t.Fatalf("Txn token epoch = %d, want 1", l.Epoch)
 		}
@@ -448,7 +486,7 @@ func TestClusterCasAndTxn(t *testing.T) {
 	// Keys spanning partitions are rejected with the typed error before
 	// any lock is taken.
 	cross := []uint64{partitionKeys(c, 0, 1)[0], partitionKeys(c, 1, 1)[0]}
-	if _, err := c.Txn(cross, func(*kvs.Tx) error { return nil }); err == nil || !errors.Is(err, ErrCrossPartitionTxn) {
+	if _, err := write(c, wire.Request{Op: wire.OpTxn, Conds: []wire.TxnCond{{Key: cross[0]}, {Key: cross[1]}}}); !errors.Is(err, ErrCrossPartitionTxn) {
 		t.Fatalf("cross-partition Txn: %v, want ErrCrossPartitionTxn", err)
 	}
 
@@ -461,26 +499,17 @@ func TestClusterCasAndTxn(t *testing.T) {
 	if _, err := c.Failover(0); err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
-	if _, err := old.txn(keys[:1], func(*kvs.Tx) error { return nil }); err != ErrFenced {
-		t.Fatalf("corpse Txn: %v, want ErrFenced", err)
-	}
-	if _, _, err := old.cas(keys[0], nil, []byte("x")); err != ErrFenced {
-		t.Fatalf("corpse Cas: %v, want ErrFenced", err)
-	}
+	assertFenced(t, old, keys[0])
 	for i, k := range keys {
 		if v, ok := c.Get(nil, k, nil); !ok || !bytes.Equal(v, []byte{byte(i)}) {
 			t.Fatalf("Get(%d) after failover = %q, %v", k, v, ok)
 		}
 	}
-	lsns, err = c.Txn(keys[:2], func(tx *kvs.Tx) error {
-		tx.Put(keys[0], []byte("post"))
-		tx.Delete(keys[1])
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Txn after failover: %v", err)
+	resp, err = write(c, wire.Request{Op: wire.OpTxn, TxnOps: []wire.TxnOp{{Key: keys[0], Value: []byte("post")}, {Key: keys[1], Del: true}}})
+	if err != nil || !resp.Committed {
+		t.Fatalf("Txn after failover: committed %v, %v", resp.Committed, err)
 	}
-	for _, l := range lsns {
+	for _, l := range resp.LSNs {
 		if l.Epoch != 2 {
 			t.Fatalf("post-failover Txn token epoch = %d, want 2", l.Epoch)
 		}

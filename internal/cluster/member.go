@@ -6,11 +6,11 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/repl"
 	"github.com/bravolock/bravo/internal/rwl"
+	"github.com/bravolock/bravo/internal/wire"
 )
 
 // ErrFenced is returned by every write against a fenced member: the
@@ -22,8 +22,8 @@ var ErrFenced = errors.New("cluster: member is fenced (deposed by failover)")
 // server its followers stream from, and the fenced flag.
 //
 // The fence is the failover proof obligation, and it rests on one lock:
-// the partition's. Every write method is called with mu's read side held
-// and commits only if fenced is clear; Fence (or Failover, which already
+// the partition's. Every write is called with mu's read side held and
+// commits only if fenced is clear; Fence (or Failover, which already
 // holds it) takes mu's write side before setting fenced. RWMutex writer
 // acquisition therefore gives the promotion protocol its key property
 // directly: when the flag is set, every in-flight write has either
@@ -112,83 +112,16 @@ func (m *Member) Close() error {
 	return err
 }
 
-// The write methods below are called with m.mu's read side held: that
+// write applies req through ApplyWrite, stamping this member's partition
+// and epoch on its tokens. It is called with m.mu's read side held: that
 // lock, not the member, is what keeps a commit on one side of the fence.
-// Those that commit return final tokens — global shard, LSN and this
-// member's epoch — stamped by CommitLSN.
-
-func (m *Member) token(key uint64) ShardLSN {
-	return CommitLSN(m.engine, m.partition, m.epoch, key)
-}
-
-func (m *Member) put(key uint64, value []byte, ttl time.Duration) (ShardLSN, error) {
+// A TXN runs its whole two-phase commit inside it, so a transaction either
+// commits on every participant shard before Fence returns, or not at all.
+func (m *Member) write(req *wire.Request, resp *wire.Response) error {
 	if m.Fenced() {
-		return ShardLSN{}, ErrFenced
+		return ErrFenced
 	}
-	if ttl > 0 {
-		m.engine.PutTTL(key, value, ttl)
-	} else {
-		m.engine.Put(key, value)
-	}
-	return m.token(key), nil
-}
-
-// delete stamps its token on a miss too: the delete is logged regardless.
-func (m *Member) delete(key uint64) (bool, ShardLSN, error) {
-	if m.Fenced() {
-		return false, ShardLSN{}, ErrFenced
-	}
-	ok := m.engine.Delete(key)
-	return ok, m.token(key), nil
-}
-
-// multiPut applies a batch (one engine call: one lock acquisition and one
-// group commit per shard touched) and appends each touched shard's token
-// to lsns.
-func (m *Member) multiPut(keys []uint64, values [][]byte, ttl time.Duration, lsns []ShardLSN) ([]ShardLSN, error) {
-	if m.Fenced() {
-		return lsns, ErrFenced
-	}
-	if ttl > 0 {
-		m.engine.MultiPutTTL(keys, values, ttl)
-	} else {
-		m.engine.MultiPut(keys, values)
-	}
-	return CommitLSNs(lsns, m.engine, m.partition, m.epoch, keys), nil
-}
-
-func (m *Member) multiDelete(keys []uint64, lsns []ShardLSN) (int, []ShardLSN, error) {
-	if m.Fenced() {
-		return 0, lsns, ErrFenced
-	}
-	n := m.engine.MultiDelete(keys)
-	return n, CommitLSNs(lsns, m.engine, m.partition, m.epoch, keys), nil
-}
-
-// cas stamps its token on both outcomes: a non-swapping CAS still commits
-// a read-only transaction.
-func (m *Member) cas(key uint64, old, new []byte) (bool, ShardLSN, error) {
-	if m.Fenced() {
-		return false, ShardLSN{}, ErrFenced
-	}
-	swapped, err := m.engine.CompareAndSwap(key, old, new)
-	if err != nil {
-		return false, ShardLSN{}, err
-	}
-	return swapped, m.token(key), nil
-}
-
-// txn runs the whole two-phase commit inside the caller's read lock, so a
-// transaction either commits on every participant shard before Fence
-// returns, or not at all.
-func (m *Member) txn(keys []uint64, fn func(*kvs.Tx) error) ([]ShardLSN, error) {
-	if m.Fenced() {
-		return nil, ErrFenced
-	}
-	if err := m.engine.Txn(keys, fn); err != nil {
-		return nil, err
-	}
-	return CommitLSNs(nil, m.engine, m.partition, m.epoch, keys), nil
+	return ApplyWrite(m.engine, m.partition, m.epoch, req, resp)
 }
 
 // reap runs one bounded TTL sweep. Fenced like any other mutation: expiry

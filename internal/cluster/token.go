@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -19,28 +20,112 @@ import (
 // recorded.
 type ShardLSN = wire.ShardLSN
 
-// CommitLSN is the token of a write to key on e, the engine of partition
-// pi, read after the write applied — so it is at least the write's own
-// record (concurrent writers can only push it later: still a covering
-// token). Its shard is global, pi × e.NumShards() + e's local shard, and
-// it carries epoch. The one place a commit token is stamped: a bare
-// engine is partition 0 at epoch 0.
-func CommitLSN(e *kvs.Sharded, pi int, epoch uint64, key uint64) ShardLSN {
-	sh := e.ShardOf(key)
-	return ShardLSN{Shard: uint32(pi*e.NumShards() + sh), LSN: e.ShardLSN(sh), Epoch: epoch}
-}
-
-// CommitLSNs appends CommitLSN for each distinct shard keys touch, but a
-// shard at LSN 0: like a lone write's, its token would wait for nothing.
+// CommitLSNs appends the token of a write to keys on e, the engine of
+// partition pi, read after the write applied: one per distinct shard keys
+// touch, but a shard at LSN 0, whose token would wait for nothing (a
+// volatile engine's are all 0). Each is at least the write's own record
+// (concurrent writers can only push it later: still a covering token); its
+// shard is global, pi × e.NumShards() + e's local shard, and it carries
+// epoch.
 func CommitLSNs(dst []ShardLSN, e *kvs.Sharded, pi int, epoch uint64, keys []uint64) []ShardLSN {
 	base := len(dst)
 	for _, k := range keys {
-		tok := CommitLSN(e, pi, epoch, k)
+		sh := e.ShardOf(k)
+		tok := ShardLSN{Shard: uint32(pi*e.NumShards() + sh), LSN: e.ShardLSN(sh), Epoch: epoch}
 		if tok.LSN > 0 && !slices.ContainsFunc(dst[base:], func(t ShardLSN) bool { return t.Shard == tok.Shard }) {
 			dst = append(dst, tok)
 		}
 	}
 	return dst
+}
+
+// ApplyWrite is the one place a write request becomes engine calls: it
+// applies req to e, the engine of partition pi at epoch, answers it into
+// resp and appends its commit tokens to resp.LSNs through CommitLSNs. A bare
+// engine is partition 0 at epoch 0. A batch adds to resp.Applied, so a
+// caller fanning one out calls it once per sub-batch with the same resp.
+// A delete stamps its token on a miss too (it is logged regardless), and
+// a CAS whether or not it swapped (it commits a read-only transaction);
+// a TXN whose condition failed stamps none.
+func ApplyWrite(e *kvs.Sharded, pi int, epoch uint64, req *wire.Request, resp *wire.Response) error {
+	one := [1]uint64{req.Key}
+	keys := one[:]
+	switch req.Op {
+	case wire.OpPut:
+		if req.TTL > 0 {
+			e.PutTTL(req.Key, req.Value, req.TTL)
+		} else {
+			e.Put(req.Key, req.Value)
+		}
+	case wire.OpDelete:
+		if !e.Delete(req.Key) {
+			resp.Status = wire.StatusNotFound
+		}
+	case wire.OpCas:
+		swapped, err := e.CompareAndSwap(req.Key, req.Old, req.New)
+		if err != nil {
+			return err
+		}
+		resp.Swapped = swapped
+	case wire.OpMPut:
+		if req.TTL > 0 {
+			e.MultiPutTTL(req.Keys, req.Values, req.TTL)
+		} else {
+			e.MultiPut(req.Keys, req.Values)
+		}
+		resp.Applied += uint32(len(req.Keys))
+		keys = req.Keys
+	case wire.OpMDelete:
+		resp.Applied += uint32(e.MultiDelete(req.Keys))
+		keys = req.Keys
+	case wire.OpTxn:
+		// Applied all-or-nothing while every condition holds (a nil value:
+		// the key is absent); else a read-only commit naming the first that
+		// failed. Every declared key is locked.
+		declared := make([]uint64, len(req.Conds)+len(req.TxnOps))
+		for i := range declared {
+			declared[i] = txnKey(req, i)
+		}
+		committed, mismatch := true, uint64(0)
+		err := e.Txn(declared, func(tx *kvs.Tx) error {
+			for _, c := range req.Conds {
+				if cur, ok := tx.Get(c.Key); ok != (c.Value != nil) || ok && !bytes.Equal(cur, c.Value) {
+					committed, mismatch = false, c.Key
+					return nil
+				}
+			}
+			for _, o := range req.TxnOps {
+				switch {
+				case o.Del:
+					tx.Delete(o.Key)
+				case o.TTL > 0:
+					tx.PutTTL(o.Key, o.Value, o.TTL)
+				default:
+					tx.Put(o.Key, o.Value)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if resp.Committed, resp.Mismatch = committed, mismatch; !committed {
+			return nil
+		}
+		keys = declared
+	default:
+		return fmt.Errorf("cluster: %v is not a write", req.Op)
+	}
+	resp.LSNs = CommitLSNs(resp.LSNs, e, pi, epoch, keys)
+	return nil
+}
+
+// txnKey is a TXN's i-th declared key: its conditions' keys, then its ops'.
+func txnKey(req *wire.Request, i int) uint64 {
+	if i < len(req.Conds) {
+		return req.Conds[i].Key
+	}
+	return req.TxnOps[i-len(req.Conds)].Key
 }
 
 // TokenError is a read token the serving side cannot honor. Conflict

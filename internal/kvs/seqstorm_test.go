@@ -95,7 +95,9 @@ func stormCheck(key uint64, v []byte) error {
 // runSeqStorm drives four harness drivers drawing the read family over the
 // shared stormKeys — every hit checked by stormCheck — against four drawing
 // the write family, plus any engine-specific extra mutator, and asserts the
-// optimistic path actually served traffic.
+// optimistic path actually served traffic. Until a reader has retried, none
+// was inside a write section: the writers draw on, up to 16 more laps of
+// iters/4, which is where one CPU ends.
 func runSeqStorm(t *testing.T, s *Sharded, iters int, extra func(i uint64)) {
 	t.Helper()
 	var stop atomic.Bool
@@ -114,7 +116,13 @@ func runSeqStorm(t *testing.T, s *Sharded, iters int, extra func(i uint64)) {
 		}()
 		wd := newDriver(t, s, 0x5E0+i, 0, stormKeys, false, writeOps)
 		writers.Add(1)
-		go func() { defer writers.Done(); wd.run(iters) }()
+		go func() {
+			defer writers.Done()
+			wd.run(iters)
+			for lap := 0; lap < 16 && s.Stats().Total().SeqRetries == 0; lap++ {
+				wd.run(iters / 4)
+			}
+		}()
 	}
 	if extra != nil {
 		writers.Add(1)

@@ -52,11 +52,11 @@ func BenchmarkHTTPStats(b *testing.B) {
 	benchHTTP(b, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
 }
 
-func BenchmarkWireGet(b *testing.B) {
+// benchWire runs req through the executor on one connection's scratch and
+// encodes each response, as the wire loop does.
+func benchWire(b *testing.B, req wire.Request) {
 	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	reader := rwl.NewReader()
-	sc := new(scratch)
-	req := wire.Request{Op: wire.OpGet, ID: 1, Key: 42}
+	reader, sc := rwl.NewReader(), new(scratch)
 	var out []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -64,62 +64,22 @@ func BenchmarkWireGet(b *testing.B) {
 		resp := srv.execute(reader, &req, sc)
 		out = wire.AppendResponse(out[:0], &resp)
 	}
-	_ = out
 }
 
+// benchKeys is a 16-key batch.
+var benchKeys = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+func BenchmarkWireGet(b *testing.B) { benchWire(b, wire.Request{Op: wire.OpGet, ID: 1, Key: 42}) }
 func BenchmarkWireMGet(b *testing.B) {
-	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	reader := rwl.NewReader()
-	sc := new(scratch)
-	keys := make([]uint64, 16)
-	for i := range keys {
-		keys[i] = uint64(i)
-	}
-	req := wire.Request{Op: wire.OpMGet, ID: 1, Keys: keys}
-	var out []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp := srv.execute(reader, &req, sc)
-		out = wire.AppendResponse(out[:0], &resp)
-	}
-	_ = out
+	benchWire(b, wire.Request{Op: wire.OpMGet, ID: 1, Keys: benchKeys})
 }
-
 func BenchmarkWireMPut(b *testing.B) {
-	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	reader := rwl.NewReader()
-	sc := new(scratch)
-	keys := make([]uint64, 16)
-	vals := make([][]byte, 16)
-	value := make([]byte, 128)
-	for i := range keys {
-		keys[i] = uint64(i)
-		vals[i] = value
+	vals := make([][]byte, len(benchKeys))
+	for i := range vals {
+		vals[i] = make([]byte, 128)
 	}
-	req := wire.Request{Op: wire.OpMPut, ID: 1, Keys: keys, Values: vals}
-	var out []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp := srv.execute(reader, &req, sc)
-		out = wire.AppendResponse(out[:0], &resp)
-	}
-	_ = out
+	benchWire(b, wire.Request{Op: wire.OpMPut, ID: 1, Keys: benchKeys, Values: vals})
 }
 
 // BenchmarkWireStats exercises the wire STATS path (JSON document build).
-func BenchmarkWireStats(b *testing.B) {
-	srv := New(benchEngine(b), Config{ReapInterval: -1})
-	reader := rwl.NewReader()
-	sc := new(scratch)
-	req := wire.Request{Op: wire.OpStats, ID: 1}
-	var out []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp := srv.execute(reader, &req, sc)
-		out = wire.AppendResponse(out[:0], &resp)
-	}
-	_ = out
-}
+func BenchmarkWireStats(b *testing.B) { benchWire(b, wire.Request{Op: wire.OpStats, ID: 1}) }

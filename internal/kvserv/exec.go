@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"github.com/bravolock/bravo/internal/cluster"
-	"github.com/bravolock/bravo/internal/kvs"
 	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/wire"
 )
@@ -15,13 +14,15 @@ import (
 // scratch is a serving goroutine's reusable memory: one per wire connection,
 // pooled across HTTP requests. Responses alias it, which is safe because
 // each front-end renders a response before it executes the next request on
-// the same scratch. It is what makes a steady-state GET allocation-free: the
-// value lands in val, a single write's token in lsns.
+// the same scratch. It is what makes a steady-state GET or PUT
+// allocation-free: the value lands in val, a write's tokens in lsns, and the
+// response the store fills is resp.
 type scratch struct {
-	val  []byte           // GET value buffer, grown to the largest value served
-	key  [1]uint64        // a point read's key, as the slice CheckToken takes
-	lsns [1]wire.ShardLSN // a single-key write's token
-	doc  []byte           // STATS JSON document buffer
+	val  []byte          // GET value buffer, grown to the largest value served
+	key  [1]uint64       // a point read's key, as the slice CheckToken takes
+	lsns []wire.ShardLSN // a write's tokens, grown to the most shards stamped
+	doc  []byte          // STATS JSON document buffer
+	resp wire.Response   // the response being built
 }
 
 // execute performs one operation against the store: the transport-neutral
@@ -29,11 +30,12 @@ type scratch struct {
 // next call. A failure is decided here, once — the status by classify, the
 // message by the error — and carries no partial result.
 func (s *Server) execute(h *rwl.Reader, req *wire.Request, sc *scratch) wire.Response {
-	resp := wire.Response{Op: req.Op, ID: req.ID}
-	if err := s.apply(h, req, sc, &resp); err != nil {
-		resp = wire.Response{Op: req.Op, ID: req.ID, Status: classify(err), Msg: err.Error()}
+	resp := &sc.resp
+	*resp = wire.Response{Op: req.Op, ID: req.ID}
+	if err := s.apply(h, req, sc, resp); err != nil {
+		*resp = wire.Response{Op: req.Op, ID: req.ID, Status: classify(err), Msg: err.Error()}
 	}
-	return resp
+	return *resp
 }
 
 // classify maps an operation's error to its status. Anything unrecognized
@@ -71,6 +73,29 @@ func tooLarge(where string) error {
 	return &statusError{wire.StatusTooLarge, fmt.Sprintf("%svalue exceeds %d bytes", where, MaxValueBytes)}
 }
 
+// capValues rejects a write carrying a value over MaxValueBytes.
+func capValues(req *wire.Request) error {
+	if len(req.Value) > MaxValueBytes || len(req.Old) > MaxValueBytes || len(req.New) > MaxValueBytes {
+		return tooLarge("")
+	}
+	for i, v := range req.Values {
+		if len(v) > MaxValueBytes {
+			return tooLarge(fmt.Sprintf("entry %d: ", i))
+		}
+	}
+	for i, c := range req.Conds {
+		if len(c.Value) > MaxValueBytes {
+			return tooLarge(fmt.Sprintf("condition %d: ", i))
+		}
+	}
+	for i, o := range req.TxnOps {
+		if len(o.Value) > MaxValueBytes {
+			return tooLarge(fmt.Sprintf("op %d: ", i))
+		}
+	}
+	return nil
+}
+
 // checkToken enforces a read's (MinLSN, Epoch) read-your-writes token.
 func (s *Server) checkToken(req *wire.Request, keys []uint64) error {
 	if req.MinLSN == 0 {
@@ -82,21 +107,18 @@ func (s *Server) checkToken(req *wire.Request, keys []uint64) error {
 	return nil
 }
 
-// stamp returns a single-key write's token as the response's LSN list; a
-// store without a log stamps nothing.
-func (sc *scratch) stamp(tok wire.ShardLSN) []wire.ShardLSN {
-	if tok.LSN == 0 {
-		return nil
-	}
-	sc.lsns[0] = tok
-	return sc.lsns[:]
-}
-
 func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire.Response) error {
 	if mutates(req.Op) {
 		if err := s.store.Writable(); err != nil {
 			return err
 		}
+		if err := capValues(req); err != nil {
+			return err
+		}
+		resp.LSNs = sc.lsns[:0]
+		err := s.store.Write(req, resp)
+		sc.lsns = resp.LSNs[:0] // keep the possibly-grown buffer
+		return err
 	}
 	switch req.Op {
 	case wire.OpGet:
@@ -118,80 +140,6 @@ func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire
 		}
 		resp.Values = s.store.MultiGet(h, req.Keys)
 
-	case wire.OpPut:
-		if len(req.Value) > MaxValueBytes {
-			return tooLarge("")
-		}
-		tok, err := s.store.Put(req.Key, req.Value, req.TTL)
-		if err != nil {
-			return err
-		}
-		resp.LSNs = sc.stamp(tok)
-
-	case wire.OpDelete:
-		ok, tok, err := s.store.Delete(req.Key)
-		if err != nil {
-			return err
-		}
-		resp.LSNs = sc.stamp(tok)
-		if !ok {
-			resp.Status = wire.StatusNotFound
-		}
-
-	case wire.OpMPut:
-		for i, v := range req.Values {
-			if len(v) > MaxValueBytes {
-				return tooLarge(fmt.Sprintf("entry %d: ", i))
-			}
-		}
-		// On a mid-batch fencing error the tokens already earned are dropped
-		// with it: the client retries the whole batch (puts are idempotent).
-		toks, err := s.store.MultiPut(req.Keys, req.Values, req.TTL)
-		if err != nil {
-			return err
-		}
-		resp.Applied, resp.LSNs = uint32(len(req.Keys)), toks
-
-	case wire.OpMDelete:
-		removed, toks, err := s.store.MultiDelete(req.Keys)
-		if err != nil {
-			return err
-		}
-		resp.Applied, resp.LSNs = uint32(removed), toks
-
-	case wire.OpCas:
-		if len(req.Old) > MaxValueBytes || len(req.New) > MaxValueBytes {
-			return tooLarge("")
-		}
-		swapped, tok, err := s.store.Cas(req.Key, req.Old, req.New)
-		if err != nil {
-			return err
-		}
-		resp.Swapped, resp.LSNs = swapped, sc.stamp(tok)
-
-	case wire.OpTxn:
-		for i, c := range req.Conds {
-			if len(c.Value) > MaxValueBytes {
-				return tooLarge(fmt.Sprintf("condition %d: ", i))
-			}
-		}
-		for i, o := range req.TxnOps {
-			if len(o.Value) > MaxValueBytes {
-				return tooLarge(fmt.Sprintf("op %d: ", i))
-			}
-		}
-		ct := &condTxn{conds: req.Conds, ops: req.TxnOps}
-		toks, err := s.store.Txn(ct.keys(), ct.body)
-		if err != nil {
-			return err
-		}
-		resp.Committed = ct.committed
-		if ct.committed {
-			resp.LSNs = toks
-		} else {
-			resp.Mismatch = ct.mismatch
-		}
-
 	case wire.OpStats:
 		// Encode into the scratch document buffer: steady-state STATS polling
 		// reuses one allocation instead of re-marshaling ~5KB per request.
@@ -212,57 +160,6 @@ func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire
 
 	default:
 		return &statusError{wire.StatusUnsupported, "unknown op"}
-	}
-	return nil
-}
-
-// condTxn plans one conditional atomic batch — a set of preconditions on
-// current values plus a list of writes, applied all-or-nothing while every
-// condition holds: the remotable form of the engine's callback Txn. The
-// declared key set is the union of condition and op keys (every one is
-// locked, and every one's shard is stamped in the commit tokens); body
-// checks the conditions and stages the ops inside the locked transaction.
-type condTxn struct {
-	conds []wire.TxnCond
-	ops   []wire.TxnOp
-
-	committed bool
-	mismatch  uint64 // the first failing condition's key when !committed
-}
-
-func (ct *condTxn) keys() []uint64 {
-	keys := make([]uint64, 0, len(ct.conds)+len(ct.ops))
-	for _, c := range ct.conds {
-		keys = append(keys, c.Key)
-	}
-	for _, o := range ct.ops {
-		keys = append(keys, o.Key)
-	}
-	return keys
-}
-
-func (ct *condTxn) body(tx *kvs.Tx) error {
-	ct.committed = true
-	for _, c := range ct.conds {
-		cur, ok := tx.Get(c.Key)
-		match := ok && c.Value != nil && bytes.Equal(cur, c.Value)
-		if c.Value == nil {
-			match = !ok
-		}
-		if !match {
-			ct.committed, ct.mismatch = false, c.Key
-			return nil // read-only commit: no writes staged
-		}
-	}
-	for _, o := range ct.ops {
-		switch {
-		case o.Del:
-			tx.Delete(o.Key)
-		case o.TTL > 0:
-			tx.PutTTL(o.Key, o.Value, o.TTL)
-		default:
-			tx.Put(o.Key, o.Value)
-		}
 	}
 	return nil
 }

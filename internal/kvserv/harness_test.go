@@ -61,6 +61,7 @@ type runCfg struct {
 	seq    int           // ops of each cell's sequential client, edges included
 	conc   int           // concurrent clients per cell after it, seq/2 ops each
 	ttl    time.Duration // the TTL deadline, after the stores are up (0: no TTLs)
+	alone  bool          // not beside the other suites, whose load starves its TTL window
 }
 
 func (cfg *runCfg) has(kind string) bool { return cfg.ops == nil || slices.Contains(cfg.ops, kind) }
@@ -101,9 +102,9 @@ func newHStore(t *testing.T, kind int, cfg Config) *hstore {
 		st.eng = st.primary.eng
 		st.f, err = repl.Open(repl.Config{Primary: st.primary.wire, MkLock: mkMatrixLock, RetryInterval: 5 * time.Millisecond})
 		t.Cleanup(func() { st.f.Close() })
-		// Short, so a token past the log costs little; a client told 409 for
-		// a token it was handed retries (see step).
-		cfg.MinLSNWait = 20 * time.Millisecond
+		// Short, so the tokens past the log a client draws cost little; one
+		// told 409 for a token it was handed retries (see step).
+		cfg.MinLSNWait = 5 * time.Millisecond
 		st.srv = NewFollower(st.f, cfg)
 	case clusterStore:
 		st.clu, err = cluster.Open(cluster.Config{Partitions: 2, Shards: 4, Followers: 1, Dir: st.dir,
@@ -861,18 +862,27 @@ func (c *client) sendRaw(i int) {
 	}
 }
 
-// run draws n ops from the suite's kinds, the edge script shuffled in when
-// edges is set, and draws none short of the TTL deadline.
+// run sends n ops: draws from the suite's kinds, none short of the TTL
+// deadline, and when edges is set the edge script, shuffled in. The script's
+// steps over a cap (a value or a body) go last: they write nothing, and on
+// two CPUs their megabytes crowded the draws out of the TTL window.
 func (c *client) run(n int, edges bool) {
-	var script []func()
+	var script, last []func()
+	add := func(overCap bool, step func()) {
+		if overCap {
+			last = append(last, step)
+		} else {
+			script = append(script, step)
+		}
+	}
 	for _, req := range c.edges() {
 		if edges && c.cfg.has(strings.ToLower(req.Op.String())) {
-			script = append(script, func() { c.do(req) })
+			add(capValues(&req) != nil, func() { c.do(req) })
 		}
 	}
 	for i, row := range httpOnly {
 		if edges && c.fr == "HTTP" && c.cfg.has(row.kind) && row.want[c.st.kind] != 0 {
-			script = append(script, func() { c.sendRaw(i) })
+			add(row.kind == "body", func() { c.sendRaw(i) })
 		}
 	}
 	var kinds []int // opTable's rows, each repeated by its weight
@@ -883,16 +893,21 @@ func (c *client) run(n int, edges bool) {
 			}
 		}
 	}
-	// The script shuffled among as many draws, then draws alone; below
-	// len(script) a script step, which is never skipped, else a draw.
+	// The script shuffled among as many draws, draws alone, then last[i] as
+	// -1-i; below len(script) a script step. Only a draw is ever skipped.
 	plan, skipped := c.rng.Perm(2*len(script)), 0
-	for len(plan) < n {
+	for len(plan)+len(last) < n {
 		plan = append(plan, len(script))
+	}
+	for i := range last {
+		plan = append(plan, -1-i)
 	}
 	for _, p := range plan {
 		switch {
 		case c.failed:
 			return
+		case p < 0:
+			last[-1-p]()
 		case p < len(script):
 			script[p]()
 		case !c.deadline.IsZero() && time.Until(c.deadline) < c.cfg.ttl/4:
@@ -936,10 +951,12 @@ func (c *client) settle() {
 
 // runSuite runs the suite named after t (see suites).
 func runSuite(t *testing.T) {
-	t.Parallel()
 	cfg, ok := suites[t.Name()]
 	if !ok {
 		t.Fatalf("no suite %s", t.Name())
+	}
+	if !cfg.alone {
+		t.Parallel()
 	}
 	scfg := Config{ReapInterval: 10 * time.Millisecond, ReapBudget: 64}
 	stores := make([]*hstore, len(cfg.stores))

@@ -2,15 +2,15 @@
 // into a system that answers traffic, in three pieces that each exist once.
 //
 //	store     what an operation needs from whatever holds the data
-//	          (store.go). Two implementations: *cluster.Cluster, and
-//	          engineStore over one *kvs.Sharded — a primary's engine or a
-//	          repl.Follower's read-only replica.
+//	          (store.go): *cluster.Cluster, or engineStore over one
+//	          *kvs.Sharded — a primary's engine or a repl.Follower's
+//	          read-only replica. Both hand a write to cluster.ApplyWrite,
+//	          which maps it onto the engine and stamps its tokens.
 //	executor  Server.execute (exec.go): one wire.Request in, one
-//	          wire.Response out. Every semantic step of every operation —
-//	          write admission, value caps, the read-your-writes token
-//	          check, the store call, conditional-txn planning,
-//	          error→status classification — is written there and nowhere
-//	          else.
+//	          wire.Response out. Every other semantic step of every
+//	          operation — write admission, value caps, the
+//	          read-your-writes token check, the store call, error→status
+//	          classification — is written there and nowhere else.
 //	codecs    HTTP/1.1 (http.go) and the pipelined binary protocol
 //	          (wire.go), each one run-to-completion loop per connection.
 //	          Each parses its transport into a wire.Request and renders the

@@ -12,30 +12,26 @@ import (
 )
 
 // store is what the executor needs from whatever holds the data: the method
-// set *cluster.Cluster already had, so the cluster satisfies it as is, and
+// set *cluster.Cluster already has, so the cluster satisfies it as is, and
 // engineStore is the one implementation written for it.
 //
-// Writes return their read-your-writes tokens: one (epoch, shard, lsn) per
-// shard touched, read after the write applied. A store with no log (a
-// volatile engine) returns none — the zero ShardLSN, whose LSN 0 constrains
-// nothing, or a nil slice. Write errors are the store refusing the write
-// (cluster.ErrFenced mid-failover) or rejecting its shape (transaction key
-// set empty, too large, or spanning partitions).
+// Write applies a write request (PUT, DELETE, MPUT, MDELETE, CAS, TXN) and
+// answers it into resp, both stores through cluster.ApplyWrite: its result,
+// and its read-your-writes tokens appended to resp.LSNs, one (epoch, shard,
+// lsn) per shard touched, read after the write applied. A store with no log
+// (a volatile engine) appends none. An error is the store refusing the
+// write (cluster.ErrFenced mid-failover) or rejecting its shape
+// (transaction key set empty, too large, or spanning partitions).
 type store interface {
 	Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool)
 	MultiGet(h *rwl.Reader, keys []uint64) [][]byte
-	Put(key uint64, value []byte, ttl time.Duration) (wire.ShardLSN, error)
-	Delete(key uint64) (bool, wire.ShardLSN, error)
-	MultiPut(keys []uint64, values [][]byte, ttl time.Duration) ([]wire.ShardLSN, error)
-	MultiDelete(keys []uint64) (int, []wire.ShardLSN, error)
-	Cas(key uint64, old, new []byte) (bool, wire.ShardLSN, error)
-	Txn(keys []uint64, fn func(*kvs.Tx) error) ([]wire.ShardLSN, error)
+	Write(req *wire.Request, resp *wire.Response) error
 	Reap(budget int) int
 	Checkpoint() error
 
 	// Writable is nil when the store takes writes at all; a read-only
 	// replica answers why not. The executor asks before every mutating op,
-	// so the write methods above never run on a store that said no.
+	// so Write never runs on a store that said no.
 	Writable() error
 	// CheckToken adjudicates a read's (epoch, minLSN) token against every
 	// shard keys touch; nil means the read may proceed.
@@ -71,45 +67,9 @@ func (s *engineStore) MultiGet(h *rwl.Reader, keys []uint64) [][]byte {
 	return s.e.MultiGetH(h, keys)
 }
 
-func (s *engineStore) Put(key uint64, value []byte, ttl time.Duration) (wire.ShardLSN, error) {
-	if ttl > 0 {
-		s.e.PutTTL(key, value, ttl)
-	} else {
-		s.e.Put(key, value)
-	}
-	return s.token(key), nil
-}
-
-// Delete stamps its token on a miss too: the delete is logged regardless.
-func (s *engineStore) Delete(key uint64) (bool, wire.ShardLSN, error) {
-	ok := s.e.Delete(key)
-	return ok, s.token(key), nil
-}
-
-func (s *engineStore) MultiPut(keys []uint64, values [][]byte, ttl time.Duration) ([]wire.ShardLSN, error) {
-	if ttl > 0 {
-		s.e.MultiPutTTL(keys, values, ttl)
-	} else {
-		s.e.MultiPut(keys, values)
-	}
-	return s.tokens(keys), nil
-}
-
-func (s *engineStore) MultiDelete(keys []uint64) (int, []wire.ShardLSN, error) {
-	n := s.e.MultiDelete(keys)
-	return n, s.tokens(keys), nil
-}
-
-func (s *engineStore) Cas(key uint64, old, new []byte) (bool, wire.ShardLSN, error) {
-	swapped, err := s.e.CompareAndSwap(key, old, new)
-	return swapped, s.token(key), err
-}
-
-func (s *engineStore) Txn(keys []uint64, fn func(*kvs.Tx) error) ([]wire.ShardLSN, error) {
-	if err := s.e.Txn(keys, fn); err != nil {
-		return nil, err
-	}
-	return s.tokens(keys), nil
+// Write applies req as the engine of partition 0 at epoch 0.
+func (s *engineStore) Write(req *wire.Request, resp *wire.Response) error {
+	return cluster.ApplyWrite(s.e, 0, 0, req, resp)
 }
 
 func (s *engineStore) Reap(budget int) int { return s.e.Reap(budget) }
@@ -157,24 +117,6 @@ func (s *engineStore) CheckToken(_, minLSN uint64, keys []uint64) *cluster.Token
 		}
 	}
 	return nil
-}
-
-// token is key's shard's commit position after a write to it; the zero
-// token on a volatile engine.
-func (s *engineStore) token(key uint64) wire.ShardLSN {
-	if !s.e.Durable() {
-		return wire.ShardLSN{}
-	}
-	return cluster.CommitLSN(s.e, 0, 0, key)
-}
-
-// tokens is token for a batch: one per distinct shard keys touch.
-func (s *engineStore) tokens(keys []uint64) []wire.ShardLSN {
-	if !s.e.Durable() {
-		return nil
-	}
-	toks := make([]wire.ShardLSN, 0, min(len(keys), s.e.NumShards()))
-	return cluster.CommitLSNs(toks, s.e, 0, 0, keys)
 }
 
 // statsResponse is /stats (and wire STATS): per-shard counters plus the

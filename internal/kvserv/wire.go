@@ -2,7 +2,7 @@
 // executor. Frames decode into the wire.Request the executor takes and its
 // wire.Response encodes straight back, so this file is only connection
 // handling. The protocol's point is lock amortization end to end — a client
-// batches N keys into one MPUT/MGET frame, the store's MultiPut/MultiGet
+// batches N keys into one MPUT/MGET frame, the store's Write/MultiGet
 // takes it whole, and the engine's shard-grouping pass makes the network
 // batch cost one write-lock acquisition (one bias revocation, one WAL group
 // commit) per shard it touches.
@@ -50,6 +50,10 @@ func (s *Server) serveWireConn(nc net.Conn) {
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	sc := new(scratch)
 	var out []byte // response encode scratch, reused across requests
+	// The request is handed to the store's Write through an interface, which
+	// the compiler must assume keeps it: one heap request per connection, not
+	// one per frame.
+	var req wire.Request
 
 	for {
 		payload, err := dec.Next()
@@ -59,7 +63,8 @@ func (s *Server) serveWireConn(nc net.Conn) {
 			bw.Flush()
 			return
 		}
-		req, ok := wire.DecodeRequest(payload)
+		var ok bool
+		req, ok = wire.DecodeRequest(payload)
 		if ok && s.primary != nil && (req.Op == wire.OpReplStatus || req.Op == wire.OpReplStream) {
 			// The connection is the replication primary's from here on, and
 			// Close cuts it rather than drain it.
