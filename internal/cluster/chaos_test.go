@@ -150,7 +150,7 @@ func (w *chaosWriter) step() {
 
 // survived reports whether a journaled commit is part of the surviving
 // history: bound by the first promotion cut after its epoch, exactly the
-// rule CheckToken adjudicates client tokens with.
+// rule Read adjudicates client tokens with.
 func survived(e journalEntry, cuts map[uint64][]uint64, finalEpoch uint64) bool {
 	for epoch := e.epoch + 1; epoch <= finalEpoch; epoch++ {
 		if cut, ok := cuts[epoch]; ok {
@@ -460,7 +460,7 @@ func chaosSchedule(t *testing.T, seed uint64) (lost, failovers int) {
 
 	// Adjudicate every partition against the oracles.
 	for pi, w := range writers {
-		finalEpoch := c.Epoch(pi)
+		finalEpoch := c.Member(pi).Epoch()
 		cuts := map[uint64][]uint64{}
 		for e := uint64(2); e <= finalEpoch; e++ {
 			if cut := c.Cut(pi, e); cut != nil {
@@ -478,7 +478,7 @@ func chaosSchedule(t *testing.T, seed uint64) (lost, failovers int) {
 			if i%7 != 0 {
 				continue
 			}
-			terr := c.CheckToken(e.epoch, e.lsn, []uint64{e.key})
+			terr := readToken(t, c, e.epoch, e.lsn, e.key)
 			if survived(e, cuts, finalEpoch) {
 				if terr != nil {
 					t.Errorf("seed %#x: surviving token (epoch %d, lsn %d) rejected: %v", seed, e.epoch, e.lsn, terr)
@@ -559,7 +559,7 @@ func TestChaosGracefulHandoffZeroLoss(t *testing.T) {
 		}
 	}
 	for pi, w := range writers {
-		finalEpoch := c.Epoch(pi)
+		finalEpoch := c.Member(pi).Epoch()
 		cuts := map[uint64][]uint64{}
 		for e := uint64(2); e <= finalEpoch; e++ {
 			cuts[e] = c.Cut(pi, e)

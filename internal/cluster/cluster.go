@@ -149,17 +149,6 @@ func (c *Cluster) ShardsPerPartition() int { return c.cfg.Shards }
 // Partition returns the partition owning key.
 func (c *Cluster) Partition(key uint64) int { return c.router.Partition(key) }
 
-// Router returns the cluster's key router.
-func (c *Cluster) Router() *Router { return c.router }
-
-// Epoch returns partition pi's current fencing epoch.
-func (c *Cluster) Epoch(pi int) uint64 {
-	p := c.parts[pi]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.epoch
-}
-
 // Member returns partition pi's current primary — chaos tests hold it to
 // fence "the process" out from under the cluster and hammer the corpse.
 func (c *Cluster) Member(pi int) *Member {
@@ -195,11 +184,12 @@ func (c *Cluster) Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) {
 }
 
 // fanOut splits keys by owning partition and calls fn once per partition
-// that owns any, under its read lock, with the member, the positions in
+// that owns any, under its read lock, with the partition, the positions in
 // keys of its sub-batch, and the sub-batch itself (reused across calls).
-// It returns the first error fn reports, naming its partition; the other
-// partitions still run: they are independent failure domains.
-func (c *Cluster) fanOut(keys []uint64, fn func(m *Member, idx []int, sub []uint64) error) error {
+// It returns the first error fn reports, naming its partition (a
+// TokenError names it already and passes as is); the other partitions
+// still run: they are independent failure domains.
+func (c *Cluster) fanOut(keys []uint64, fn func(p *partition, idx []int, sub []uint64) error) error {
 	var firstErr error
 	sub := make([]uint64, 0, len(keys))
 	for pi, idx := range c.router.Split(keys) {
@@ -212,27 +202,44 @@ func (c *Cluster) fanOut(keys []uint64, fn func(m *Member, idx []int, sub []uint
 		}
 		p := c.parts[pi]
 		p.mu.RLock()
-		err := fn(p.member, idx, sub)
+		err := fn(p, idx, sub)
 		p.mu.RUnlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: partition %d: %w", pi, err)
+		if _, named := err.(*TokenError); err != nil && !named {
+			err = fmt.Errorf("cluster: partition %d: %w", pi, err)
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// MultiGet fans a batch out per partition — each partition's group is one
-// engine call, riding the shard-grouping pass — and scatters the values
-// back in key order (nil marks absent).
-func (c *Cluster) MultiGet(h *rwl.Reader, keys []uint64) [][]byte {
-	out := make([][]byte, len(keys))
-	c.fanOut(keys, func(m *Member, idx []int, sub []uint64) error {
-		for j, v := range m.engine.MultiGetH(h, sub) {
+// Read answers a GET or MGET through ApplyRead, which checks its token
+// (req.MinLSN, req.Epoch) with checkTokenLocked under the same hold of the
+// owning partition's read lock as the read: no failover can fall between a
+// token's verdict and the read it admits. An MGET fans out, one check and
+// one engine call per partition, and scatters the values back in key order.
+func (c *Cluster) Read(h *rwl.Reader, req *wire.Request, resp *wire.Response) error {
+	if req.MinLSN != 0 && req.Epoch == 0 {
+		return &TokenError{Msg: "cluster read tokens carry an epoch: pass the epoch stamped on the write"}
+	}
+	if req.Op != wire.OpMGet {
+		p := c.parts[c.router.Partition(req.Key)]
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		return ApplyRead(p.member.engine, h, req, resp, p.checkTokenLocked)
+	}
+	out, sub := make([][]byte, len(req.Keys)), *req
+	resp.Values = out
+	return c.fanOut(req.Keys, func(p *partition, idx []int, keys []uint64) error {
+		var part wire.Response
+		sub.Keys = keys
+		err := ApplyRead(p.member.engine, h, &sub, &part, p.checkTokenLocked)
+		for j, v := range part.Values {
 			out[idx[j]] = v
 		}
-		return nil
+		return err
 	})
-	return out
 }
 
 // Write applies a write request and answers it into resp, its tokens
@@ -244,10 +251,11 @@ func (c *Cluster) MultiGet(h *rwl.Reader, keys []uint64) [][]byte {
 // key it declares; one spanning partitions is refused with
 // ErrCrossPartitionTxn before any lock is taken.
 func (c *Cluster) Write(req *wire.Request, resp *wire.Response) error {
+	key := req.Key
 	switch req.Op {
 	case wire.OpMPut, wire.OpMDelete:
 		sub, vals := *req, make([][]byte, 0, len(req.Values))
-		return c.fanOut(req.Keys, func(m *Member, idx []int, keys []uint64) error {
+		return c.fanOut(req.Keys, func(p *partition, idx []int, keys []uint64) error {
 			sub.Keys = keys
 			if req.Op == wire.OpMPut {
 				vals = vals[:0]
@@ -256,7 +264,7 @@ func (c *Cluster) Write(req *wire.Request, resp *wire.Response) error {
 				}
 				sub.Values = vals
 			}
-			return m.write(&sub, resp)
+			return p.member.write(&sub, resp)
 		})
 	case wire.OpTxn:
 		n := len(req.Conds) + len(req.TxnOps)
@@ -264,21 +272,16 @@ func (c *Cluster) Write(req *wire.Request, resp *wire.Response) error {
 			// The engine's typed error, read from no member: Failover swaps them.
 			return kvs.ErrTxnNoKeys
 		}
-		first := txnKey(req, 0)
-		pi := c.router.Partition(first)
+		key = txnKey(req, 0)
+		pi := c.router.Partition(key)
 		for i := 1; i < n; i++ {
 			if k := txnKey(req, i); c.router.Partition(k) != pi {
 				return fmt.Errorf("%w: key %d routes to partition %d, key %d to %d",
-					ErrCrossPartitionTxn, first, pi, k, c.router.Partition(k))
+					ErrCrossPartitionTxn, key, pi, k, c.router.Partition(k))
 			}
 		}
-		return c.parts[pi].write(req, resp)
 	}
-	return c.parts[c.router.Partition(req.Key)].write(req, resp)
-}
-
-// write runs req on the partition's member under the partition's read lock.
-func (p *partition) write(req *wire.Request, resp *wire.Response) error {
+	p := c.parts[c.router.Partition(key)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.member.write(req, resp)

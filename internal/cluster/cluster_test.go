@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +41,23 @@ func write(c *Cluster, req wire.Request) (wire.Response, error) {
 	var resp wire.Response
 	err := c.Write(&req, &resp)
 	return resp, err
+}
+
+// readToken reads keys through c.Read with the token (epoch, lsn), one GET
+// or an MGET, and returns the token error it answered, if any; any other
+// error fails the test.
+func readToken(t *testing.T, c *Cluster, epoch, lsn uint64, keys ...uint64) *TokenError {
+	t.Helper()
+	req := wire.Request{Op: wire.OpMGet, Keys: keys, Epoch: epoch, MinLSN: lsn}
+	if len(keys) == 1 {
+		req = wire.Request{Op: wire.OpGet, Key: keys[0], Epoch: epoch, MinLSN: lsn}
+	}
+	err := c.Read(nil, &req, new(wire.Response))
+	terr, ok := err.(*TokenError)
+	if err != nil && !ok {
+		t.Fatalf("Read(%v) with token (epoch %d, lsn %d): %v", req.Op, epoch, lsn, err)
+	}
+	return terr
 }
 
 // everyWrite is one request of each write kind, all on key k (and k+1).
@@ -92,6 +110,25 @@ func TestClusterPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// Put and Get allocate nothing: Put's token lands in a buffer on its stack
+// and Get's value in the caller's.
+func TestClusterPutGetAllocs(t *testing.T) {
+	c := openCluster(t, 2, 0)
+	val, buf := make([]byte, 128), make([]byte, 0, 128)
+	put := func() {
+		if _, err := c.Put(7, val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put()
+	if n := testing.AllocsPerRun(1000, put); n != 0 {
+		t.Errorf("Put allocates %.1f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { buf, _ = c.Get(nil, 7, buf[:0]) }); n != 0 || len(buf) != len(val) {
+		t.Errorf("Get allocates %.1f times per call and read %d bytes, want 0 and %d", n, len(buf), len(val))
+	}
+}
+
 func TestClusterMultiOpsFanOut(t *testing.T) {
 	c := openCluster(t, 4, 1)
 	const n = 200
@@ -122,16 +159,19 @@ func TestClusterMultiOpsFanOut(t *testing.T) {
 			t.Fatalf("token shard %d out of range", tok.Shard)
 		}
 	}
-	got := c.MultiGet(nil, keys)
-	for i, v := range got {
+	var got wire.Response
+	if err := c.Read(nil, &wire.Request{Op: wire.OpMGet, Keys: keys}, &got); err != nil {
+		t.Fatalf("MultiGet: %v", err)
+	}
+	for i, v := range got.Values {
 		if !bytes.Equal(v, vals[i]) {
 			t.Fatalf("MultiGet[%d] = %q, want %q", i, v, vals[i])
 		}
 	}
 	// Tokens admit the read (all current-epoch).
 	for _, tok := range lsns {
-		if terr := c.CheckToken(tok.Epoch, tok.LSN, keys); terr != nil {
-			t.Fatalf("CheckToken: %v", terr)
+		if terr := readToken(t, c, tok.Epoch, tok.LSN, keys...); terr != nil {
+			t.Fatalf("MGET with token: %v", terr)
 		}
 	}
 	resp, err = write(c, wire.Request{Op: wire.OpMDelete, Keys: keys[:50]})
@@ -171,8 +211,8 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
-	if epoch != 2 || c.Epoch(0) != 2 {
-		t.Fatalf("epoch after failover: returned %d, partition at %d", epoch, c.Epoch(0))
+	if epoch != 2 || c.Member(0).Epoch() != 2 {
+		t.Fatalf("epoch after failover: returned %d, partition at %d", epoch, c.Member(0).Epoch())
 	}
 
 	// The fenced corpse rejects everything, wherever the write enters.
@@ -186,7 +226,7 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 			t.Fatalf("Get(%d) after failover = %q, %v", k, v, ok)
 		}
 		tok := toks[k]
-		if terr := c.CheckToken(tok.Epoch, tok.LSN, []uint64{k}); terr != nil {
+		if terr := readToken(t, c, tok.Epoch, tok.LSN, k); terr != nil {
 			t.Fatalf("old token for key %d rejected: %v", k, terr)
 		}
 	}
@@ -322,10 +362,10 @@ func TestClusterLostTokenConflicts(t *testing.T) {
 	if _, err := c.Failover(0); err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
-	if terr := c.CheckToken(tok0.Epoch, tok0.LSN, []uint64{1}); terr != nil {
+	if terr := readToken(t, c, tok0.Epoch, tok0.LSN, 1); terr != nil {
 		t.Fatalf("replicated token rejected: %v", terr)
 	}
-	terr := c.CheckToken(lost.Epoch, lost.LSN, []uint64{1})
+	terr := readToken(t, c, lost.Epoch, lost.LSN, 1)
 	if terr == nil || !terr.Conflict {
 		t.Fatalf("lost token: got %v, want conflict", terr)
 	}
@@ -335,9 +375,101 @@ func TestClusterLostTokenConflicts(t *testing.T) {
 	}
 	// A token from a future epoch is impossible here: not a conflict, a
 	// bad request.
-	terr = c.CheckToken(99, 1, []uint64{1})
+	terr = readToken(t, c, 99, 1, 1)
 	if terr == nil || terr.Conflict {
 		t.Fatalf("future-epoch token: got %v, want non-conflict error", terr)
+	}
+}
+
+// TestTokenReadsRaceLossyFailovers races token-bearing GETs, and MGETs
+// spanning both partitions, against lossy failovers of both at once. The
+// token names each key's latest write, which the failover loses, so every
+// answer is that write's value or a conflict: a read that passed its check
+// before a failover and read after it would answer the rolled-back value.
+// One shard per partition and the same writes on each keep the token's LSN
+// past both cuts. A reader stops at its first conflict, so the failovers do
+// not compete with readers that can no longer race them.
+func TestTokenReadsRaceLossyFailovers(t *testing.T) {
+	cfg := testConfig(t, 2, 1)
+	cfg.Shards = 1
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var keys []uint64
+	for k := uint64(0); len(keys) < 2; k++ {
+		if c.Partition(k) == len(keys) {
+			keys = append(keys, k)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		lost := fmt.Sprintf("lost-%d", round)
+		for _, k := range keys {
+			if _, err := c.Put(k, []byte("kept"), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WaitCaughtUp(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var tok ShardLSN
+		for pi, k := range keys {
+			c.Followers(pi)[0].Stop()
+			if tok, err = c.Put(k, []byte(lost), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var started, done sync.WaitGroup
+		var stop atomic.Bool // a failover that failed leaves readers no conflict
+		for r := 0; r < 6; r++ {
+			started.Add(1)
+			done.Add(1)
+			go func(r int) {
+				defer done.Done()
+				for i := r; i == r || !stop.Load(); i++ {
+					req := wire.Request{Op: wire.OpMGet, Keys: keys, Epoch: tok.Epoch, MinLSN: tok.LSN}
+					if i%3 < 2 {
+						req = wire.Request{Op: wire.OpGet, Key: keys[i%3], Epoch: tok.Epoch, MinLSN: tok.LSN}
+					}
+					var resp wire.Response
+					err := c.Read(nil, &req, &resp)
+					vals := resp.Values
+					if req.Op == wire.OpGet {
+						vals = [][]byte{resp.Value}
+					}
+					for _, v := range vals {
+						if err == nil && string(v) != lost {
+							t.Errorf("round %d: %v with a lost token answered %q, want %q or a conflict", round, req.Op, v, lost)
+						}
+					}
+					if i == r {
+						started.Done()
+					}
+					if terr, ok := err.(*TokenError); err != nil {
+						if !ok || !terr.Conflict {
+							t.Errorf("round %d: %v with a lost token: %v, want a conflict", round, req.Op, err)
+						}
+						return
+					}
+				}
+			}(r)
+		}
+		started.Wait()
+		errs := make(chan error, len(keys))
+		for pi := range keys {
+			go func(pi int) {
+				_, err := c.Failover(pi)
+				errs <- err
+			}(pi)
+		}
+		for range keys {
+			if err := <-errs; err != nil {
+				t.Errorf("round %d: Failover: %v", round, err)
+			}
+		}
+		stop.Store(true)
+		done.Wait()
 	}
 }
 
@@ -349,11 +481,8 @@ func TestClusterMaintenanceSurface(t *testing.T) {
 	if c.NumPartitions() != 2 || c.ShardsPerPartition() != 4 {
 		t.Fatalf("topology = %d×%d, want 2×4", c.NumPartitions(), c.ShardsPerPartition())
 	}
-	if r := c.Router(); r.NumPartitions() != 2 || len(r.IDs()) != 2 {
-		t.Fatalf("router reports %d partitions, %d ids", r.NumPartitions(), len(r.IDs()))
-	}
-	if c.Epoch(0) != 1 || c.Member(0).Epoch() != 1 {
-		t.Fatalf("fresh cluster epochs = %d/%d, want 1/1", c.Epoch(0), c.Member(0).Epoch())
+	if c.Member(0).Epoch() != 1 || c.Member(1).Epoch() != 1 {
+		t.Fatalf("fresh cluster epochs = %d/%d, want 1/1", c.Member(0).Epoch(), c.Member(1).Epoch())
 	}
 
 	// Expired TTL residue is reapable across every partition.
@@ -383,8 +512,8 @@ func TestClusterMaintenanceSurface(t *testing.T) {
 	}
 
 	// A token error renders a usable message.
-	if terr := c.CheckToken(99, 1, []uint64{1}); terr == nil || terr.Error() == "" {
-		t.Fatalf("future-epoch CheckToken = %v, want a described error", terr)
+	if terr := readToken(t, c, 99, 1, 1); terr == nil || terr.Error() == "" {
+		t.Fatalf("future-epoch token = %v, want a described error", terr)
 	}
 }
 

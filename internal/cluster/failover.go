@@ -66,7 +66,7 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 	// while pullers run, so an eligible follower stays eligible through the
 	// fence below.
 	base := p.base()
-	if !anyEligible(p.followers, base) {
+	if mostCaughtUp(p.followers, base) == nil {
 		return 0, fmt.Errorf("cluster: partition %d: %w", pi, ErrNotReady)
 	}
 
@@ -77,16 +77,7 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 		f.Stop()
 	}
 
-	var best *repl.Follower
-	var bestSum uint64
-	for _, f := range p.followers {
-		if !eligible(f, base) {
-			continue
-		}
-		if s := appliedSum(f); best == nil || s > bestSum {
-			best, bestSum = f, s
-		}
-	}
+	best := mostCaughtUp(p.followers, base)
 	cut := best.AppliedLSNs()
 
 	newEpoch = p.epoch + 1
@@ -118,14 +109,6 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 	return newEpoch, nil
 }
 
-func appliedSum(f *repl.Follower) uint64 {
-	var sum uint64
-	for _, l := range f.AppliedLSNs() {
-		sum += l
-	}
-	return sum
-}
-
 // base returns the partition's promoted base: the latest promotion's cut,
 // or nil (all zeros) in the partition's first epoch. Caller holds p.mu.
 func (p *partition) base() []uint64 {
@@ -135,31 +118,25 @@ func (p *partition) base() []uint64 {
 	return p.promotions[len(p.promotions)-1].cut
 }
 
-// eligible reports whether a follower has applied at least the promoted
-// base on every shard, making its positions a valid next cut.
-func eligible(f *repl.Follower, base []uint64) bool {
-	if base == nil {
-		return true
-	}
-	applied := f.AppliedLSNs()
-	if len(applied) != len(base) {
-		return false
-	}
-	for sh, b := range base {
-		if applied[sh] < b {
-			return false
-		}
-	}
-	return true
-}
-
-func anyEligible(fs []*repl.Follower, base []uint64) bool {
+// mostCaughtUp returns the eligible follower with the highest total applied
+// LSN, or nil when none is eligible. A follower is eligible when it has
+// applied at least base on every shard, making its positions a valid next
+// cut.
+func mostCaughtUp(fs []*repl.Follower, base []uint64) *repl.Follower {
+	var best *repl.Follower
+	var bestSum uint64
 	for _, f := range fs {
-		if eligible(f, base) {
-			return true
+		applied, sum := f.AppliedLSNs(), uint64(0)
+		eligible := base == nil || len(applied) == len(base)
+		for sh, l := range applied {
+			sum += l
+			eligible = eligible && (base == nil || l >= base[sh])
+		}
+		if eligible && (best == nil || sum > bestSum) {
+			best, bestSum = f, sum
 		}
 	}
-	return false
+	return best
 }
 
 // Cut returns the promotion cut that installed epoch on partition pi (per

@@ -44,26 +44,29 @@ func NewRouter(ids []uint64) (*Router, error) {
 	return &Router{ids: append([]uint64(nil), ids...)}, nil
 }
 
-// NumPartitions returns the member count.
-func (r *Router) NumPartitions() int { return len(r.ids) }
-
-// IDs returns a copy of the membership.
-func (r *Router) IDs() []uint64 { return append([]uint64(nil), r.ids...) }
-
 // Partition returns the index (into the ID slice) of the partition owning
 // key.
 func (r *Router) Partition(key uint64) int {
 	return hash.RendezvousOwner(key, r.ids)
 }
 
-// Split groups positions of keys by owning partition: Split(keys)[p] lists
-// the indices i with Partition(keys[i]) == p. The front-ends use it to fan
-// a batch out onto each partition's shard-grouping pass with one engine
-// call per partition.
+// Split groups positions of keys by owning partition: Split(keys)[p] lists,
+// in order, the indices i with Partition(keys[i]) == p. The front-ends use
+// it to fan a batch out onto each partition's shard-grouping pass with one
+// engine call per partition. One array holds each key's owner and every
+// group, cut to the sizes a first pass counts in the groups' lengths.
 func (r *Router) Split(keys []uint64) [][]int {
-	groups := make([][]int, len(r.ids))
+	n := len(keys)
+	all, groups := make([]int, 2*n), make([][]int, len(r.ids))
+	owner, idx := all[:n], all[n:]
 	for i, k := range keys {
-		p := r.Partition(k)
+		owner[i] = r.Partition(k)
+		groups[owner[i]] = idx[:len(groups[owner[i]])+1]
+	}
+	for p, off := 0, 0; p < len(groups); p++ {
+		groups[p], off = idx[off:off:off+len(groups[p])], off+len(groups[p])
+	}
+	for i, p := range owner {
 		groups[p] = append(groups[p], i)
 	}
 	return groups

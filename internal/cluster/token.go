@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/bravolock/bravo/internal/kvs"
+	"github.com/bravolock/bravo/internal/rwl"
 	"github.com/bravolock/bravo/internal/wire"
 )
 
@@ -20,28 +21,36 @@ import (
 // recorded.
 type ShardLSN = wire.ShardLSN
 
-// CommitLSNs appends the token of a write to keys on e, the engine of
-// partition pi, read after the write applied: one per distinct shard keys
-// touch, but a shard at LSN 0, whose token would wait for nothing (a
-// volatile engine's are all 0). Each is at least the write's own record
+// commitLSNs appends to resp.LSNs the token of a write to keys on e, the
+// engine of partition pi, read after the write applied: one per distinct
+// shard keys touch, but a shard at LSN 0, whose token would wait for nothing
+// (a volatile engine's are all 0). Each is at least the write's own record
 // (concurrent writers can only push it later: still a covering token); its
 // shard is global, pi × e.NumShards() + e's local shard, and it carries
-// epoch.
-func CommitLSNs(dst []ShardLSN, e *kvs.Sharded, pi int, epoch uint64, keys []uint64) []ShardLSN {
-	base := len(dst)
+// epoch. It grows resp.LSNs by copying, never by an append stored back: the
+// compiler lets a field re-slice itself through a pointer, but an append's
+// result stored there sends the caller's buffer to the heap, and Cluster.Put's
+// buffer is on its stack.
+func commitLSNs(resp *wire.Response, e *kvs.Sharded, pi int, epoch uint64, keys []uint64) {
+	base := len(resp.LSNs)
 	for _, k := range keys {
 		sh := e.ShardOf(k)
 		tok := ShardLSN{Shard: uint32(pi*e.NumShards() + sh), LSN: e.ShardLSN(sh), Epoch: epoch}
-		if tok.LSN > 0 && !slices.ContainsFunc(dst[base:], func(t ShardLSN) bool { return t.Shard == tok.Shard }) {
-			dst = append(dst, tok)
+		if tok.LSN == 0 || slices.ContainsFunc(resp.LSNs[base:], func(t ShardLSN) bool { return t.Shard == tok.Shard }) {
+			continue
 		}
+		n := len(resp.LSNs)
+		if n == cap(resp.LSNs) {
+			resp.LSNs = append(make([]ShardLSN, 0, 2*n+1), resp.LSNs...)
+		}
+		resp.LSNs = resp.LSNs[:n+1]
+		resp.LSNs[n] = tok
 	}
-	return dst
 }
 
 // ApplyWrite is the one place a write request becomes engine calls: it
 // applies req to e, the engine of partition pi at epoch, answers it into
-// resp and appends its commit tokens to resp.LSNs through CommitLSNs. A bare
+// resp and appends its commit tokens to resp.LSNs through commitLSNs. A bare
 // engine is partition 0 at epoch 0. A batch adds to resp.Applied, so a
 // caller fanning one out calls it once per sub-batch with the same resp.
 // A delete stamps its token on a miss too (it is logged regardless), and
@@ -116,7 +125,7 @@ func ApplyWrite(e *kvs.Sharded, pi int, epoch uint64, req *wire.Request, resp *w
 	default:
 		return fmt.Errorf("cluster: %v is not a write", req.Op)
 	}
-	resp.LSNs = CommitLSNs(resp.LSNs, e, pi, epoch, keys)
+	commitLSNs(resp, e, pi, epoch, keys)
 	return nil
 }
 
@@ -126,6 +135,35 @@ func txnKey(req *wire.Request, i int) uint64 {
 		return req.Conds[i].Key
 	}
 	return req.TxnOps[i-len(req.Conds)].Key
+}
+
+// ApplyRead is the one place a read request becomes engine calls: it reads
+// a GET or MGET from e through h into resp, a GET's value copied into the
+// buffer resp.Value carries. A read carrying a token first hands it to
+// check with the local shard of each key, in order; the first verdict
+// refuses the read.
+func ApplyRead(e *kvs.Sharded, h *rwl.Reader, req *wire.Request, resp *wire.Response, check func(epoch, lsn uint64, shard int) *TokenError) error {
+	keys := req.Keys
+	if req.Op != wire.OpMGet {
+		keys = []uint64{req.Key}
+	}
+	for i := 0; req.MinLSN != 0 && i < len(keys); i++ {
+		if terr := check(req.Epoch, req.MinLSN, e.ShardOf(keys[i])); terr != nil {
+			return terr
+		}
+	}
+	switch req.Op {
+	case wire.OpGet:
+		var ok bool
+		if resp.Value, ok = e.GetIntoH(h, req.Key, resp.Value); !ok {
+			resp.Status = wire.StatusNotFound
+		}
+	case wire.OpMGet:
+		resp.Values = e.MultiGetH(h, req.Keys)
+	default:
+		return fmt.Errorf("cluster: %v is not a read", req.Op)
+	}
+	return nil
 }
 
 // TokenError is a read token the serving side cannot honor. Conflict
@@ -140,8 +178,8 @@ type TokenError struct {
 
 func (e *TokenError) Error() string { return e.Msg }
 
-// CheckToken adjudicates a read's (epoch, minLSN) token against every
-// shard the keys touch. For each touched (partition, shard):
+// checkTokenLocked adjudicates a read's (epoch, lsn) token against one local
+// shard of the partition:
 //
 //   - token epoch == partition epoch: the current primary issued it, so
 //     its log must cover the LSN (it always does for genuine tokens; a
@@ -153,31 +191,9 @@ func (e *TokenError) Error() string { return e.Msg }
 //   - token epoch > partition epoch: impossible here (a fenced partition
 //     cannot have issued it); the token belongs to a different cluster.
 //
-// A nil return means the read may proceed.
-func (c *Cluster) CheckToken(epoch, minLSN uint64, keys []uint64) *TokenError {
-	if minLSN == 0 {
-		return nil
-	}
-	if epoch == 0 {
-		return &TokenError{Msg: "cluster read tokens carry an epoch: pass the epoch stamped on the write"}
-	}
-	for _, k := range keys {
-		pi := c.router.Partition(k)
-		p := c.parts[pi]
-		p.mu.RLock()
-		sh := p.member.engine.ShardOf(k)
-		terr := p.checkTokenLocked(epoch, minLSN, sh)
-		p.mu.RUnlock()
-		if terr != nil {
-			return terr
-		}
-	}
-	return nil
-}
-
-// checkTokenLocked adjudicates one (epoch, lsn) token against one local
-// shard of the partition; the caller holds p.mu (read side suffices — the
-// fields only change under the write side, during failover).
+// The caller holds p.mu's read side (the fields only change under the write
+// side, during failover), and keeps holding it through the read the token
+// guards, so no failover falls between the verdict and the read.
 func (p *partition) checkTokenLocked(epoch, lsn uint64, shard int) *TokenError {
 	switch {
 	case epoch == p.epoch:

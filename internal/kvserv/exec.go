@@ -19,7 +19,6 @@ import (
 // response the store fills is resp.
 type scratch struct {
 	val  []byte          // GET value buffer, grown to the largest value served
-	key  [1]uint64       // a point read's key, as the slice CheckToken takes
 	lsns []wire.ShardLSN // a write's tokens, grown to the most shards stamped
 	doc  []byte          // STATS JSON document buffer
 	resp wire.Response   // the response being built
@@ -96,17 +95,6 @@ func capValues(req *wire.Request) error {
 	return nil
 }
 
-// checkToken enforces a read's (MinLSN, Epoch) read-your-writes token.
-func (s *Server) checkToken(req *wire.Request, keys []uint64) error {
-	if req.MinLSN == 0 {
-		return nil // the hot path carries no token
-	}
-	if terr := s.store.CheckToken(req.Epoch, req.MinLSN, keys); terr != nil {
-		return terr
-	}
-	return nil
-}
-
 func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire.Response) error {
 	if mutates(req.Op) {
 		if err := s.store.Writable(); err != nil {
@@ -121,24 +109,11 @@ func (s *Server) apply(h *rwl.Reader, req *wire.Request, sc *scratch, resp *wire
 		return err
 	}
 	switch req.Op {
-	case wire.OpGet:
-		sc.key[0] = req.Key
-		if err := s.checkToken(req, sc.key[:]); err != nil {
-			return err
-		}
-		v, ok := s.store.Get(h, req.Key, sc.val[:0])
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return nil
-		}
-		sc.val = v // keep the possibly-grown buffer
-		resp.Value = v
-
-	case wire.OpMGet:
-		if err := s.checkToken(req, req.Keys); err != nil {
-			return err
-		}
-		resp.Values = s.store.MultiGet(h, req.Keys)
+	case wire.OpGet, wire.OpMGet:
+		resp.Value = sc.val[:0]
+		err := s.store.Read(h, req, resp)
+		sc.val = resp.Value // keep the possibly-grown buffer
+		return err
 
 	case wire.OpStats:
 		// Encode into the scratch document buffer: steady-state STATS polling

@@ -91,20 +91,22 @@ func TestReplE2EPrimaryAndFollowerServers(t *testing.T)  { runSuite(t) }
 func TestWireE2EFollowerMinLSN(t *testing.T)             { runSuite(t) }
 func TestReplVolatileServerPostures(t *testing.T)        { runSuite(t) }
 
-// allocServers is an engine server over engine and a cluster server over a
-// two-partition cluster holding keys 0–63, 128 bytes each.
-func allocServers(t *testing.T, engine *kvs.Sharded) map[string]*Server {
-	clu, err := cluster.Open(cluster.Config{Partitions: 2, Shards: 4, Dir: t.TempDir(), Policy: kvs.SyncNone})
-	if err != nil {
-		t.Fatal(err)
+// allocServers is an engine server over a durable engine and a cluster
+// server over two partitions, each holding keys 0–63, 128 bytes each.
+func allocServers(t *testing.T) map[string]*Server {
+	eng, err := kvs.OpenSharded(t.TempDir(), 8, mkMatrixLock, kvs.SyncNone)
+	clu, err2 := cluster.Open(cluster.Config{Partitions: 2, Shards: 4, Dir: t.TempDir(), Policy: kvs.SyncNone})
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
 	}
-	t.Cleanup(func() { clu.Close() })
+	t.Cleanup(func() { eng.Close(); clu.Close() })
 	for k := uint64(0); k < 64; k++ {
+		eng.Put(k, make([]byte, 128))
 		if _, err := clu.Put(k, make([]byte, 128), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return map[string]*Server{"engine": New(engine, Config{ReapInterval: -1}), "cluster": NewClusterServer(clu, Config{ReapInterval: -1})}
+	return map[string]*Server{"engine": New(eng, Config{ReapInterval: -1}), "cluster": NewClusterServer(clu, Config{ReapInterval: -1})}
 }
 
 // wireAllocs is what req costs srv per request on one connection's scratch,
@@ -122,35 +124,38 @@ func wireAllocs(srv *Server, req wire.Request, check func(wire.Response, []byte)
 }
 
 // The wire GET path allocates nothing per request, through the executor,
-// for both stores: the value lands in the connection's scratch and the
-// response encodes into a reused buffer.
+// for both stores, with a read token or without: the value lands in the
+// connection's scratch and the response encodes into a reused buffer.
 func TestWireGetZeroAlloc(t *testing.T) {
-	for name, srv := range allocServers(t, benchEngine(t)) {
-		n := wireAllocs(srv, wire.Request{Op: wire.OpGet, ID: 1, Key: 42}, func(_ wire.Response, out []byte) {
-			if len(out) < 128 {
-				t.Fatalf("%s: GET returned no value", name)
+	for name, srv := range allocServers(t) {
+		for _, minLSN := range []uint64{0, 1} {
+			n := wireAllocs(srv, wire.Request{Op: wire.OpGet, ID: 1, Key: 42, MinLSN: minLSN, Epoch: 1}, func(_ wire.Response, out []byte) {
+				if len(out) < 128 {
+					t.Fatalf("%s: GET (min_lsn %d) returned no value", name, minLSN)
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s store: wire GET (min_lsn %d) allocates %.1f times per request, want 0", name, minLSN, n)
 			}
-		})
-		if n != 0 {
-			t.Errorf("%s store: wire GET allocates %.1f times per request, want 0", name, n)
 		}
 	}
 }
 
-// A 16-key wire MGET costs a handful of allocations, not one per key: each
-// engine call copies its values into one arena. The engine store's ceiling
-// is 4; the cluster store, which splits the batch per partition and scatters
-// the values back, must stay below the 32 it cost when every value was its
-// own allocation.
+// A 16-key wire MGET, with a read token or without, costs a handful of
+// allocations, not one per key: each engine call copies its values into one
+// arena. The cluster store also splits the batch per partition (one array for
+// every group) and scatters the values back: 8, to the engine store's 2.
 func TestWireMGetAllocs(t *testing.T) {
-	for name, srv := range allocServers(t, benchEngine(t)) {
-		n := wireAllocs(srv, wire.Request{Op: wire.OpMGet, ID: 1, Keys: benchKeys}, func(_ wire.Response, out []byte) {
-			if len(out) < 16*128 {
-				t.Fatalf("%s: MGET returned %d bytes, want all 16 values", name, len(out))
+	for name, srv := range allocServers(t) {
+		for _, minLSN := range []uint64{0, 1} {
+			n := wireAllocs(srv, wire.Request{Op: wire.OpMGet, ID: 1, Keys: benchKeys, MinLSN: minLSN, Epoch: 1}, func(_ wire.Response, out []byte) {
+				if len(out) < 16*128 {
+					t.Fatalf("%s: MGET (min_lsn %d) returned %d bytes, want all 16 values", name, minLSN, len(out))
+				}
+			})
+			if max := map[string]float64{"engine": 2, "cluster": 8}[name]; n > max {
+				t.Errorf("%s store: 16-key wire MGET (min_lsn %d) allocates %.1f times per request, want at most %.0f", name, minLSN, n, max)
 			}
-		})
-		if max := map[string]float64{"engine": 4, "cluster": 31}[name]; n > max {
-			t.Errorf("%s store: 16-key wire MGET allocates %.1f times per request, want at most %.0f", name, n, max)
 		}
 	}
 }
@@ -158,20 +163,15 @@ func TestWireMGetAllocs(t *testing.T) {
 // The wire write path through the executor: a PUT and a DELETE allocate
 // nothing per request on a durable engine or a cluster, their token landing
 // in the connection's scratch. A 16-key MPUT or MDELETE allocates no more
-// than when this test was written (engine 2 and 2, cluster 18 and 17): the
-// engine's batch entries, and on a cluster the per-partition split besides.
+// than measured here (engine 2 and 2, cluster 6 and 5): the engine's batch
+// entries, and on a cluster the per-partition split besides.
 func TestWireWriteAllocs(t *testing.T) {
-	eng, err := kvs.OpenSharded(t.TempDir(), 8, mkMatrixLock, kvs.SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 	keys, vals := benchKeys, make([][]byte, len(benchKeys))
 	for i := range vals {
 		vals[i] = make([]byte, 128)
 	}
-	ceilings := map[string][4]float64{"engine": {0, 0, 2, 2}, "cluster": {0, 0, 18, 17}}
-	for name, srv := range allocServers(t, eng) {
+	ceilings := map[string][4]float64{"engine": {0, 0, 2, 2}, "cluster": {0, 0, 6, 5}}
+	for name, srv := range allocServers(t) {
 		for i, req := range []wire.Request{
 			{Op: wire.OpPut, ID: 1, Key: 42, Value: vals[0]},
 			{Op: wire.OpDelete, ID: 1, Key: 42},

@@ -4,13 +4,15 @@
 //	store     what an operation needs from whatever holds the data
 //	          (store.go): *cluster.Cluster, or engineStore over one
 //	          *kvs.Sharded — a primary's engine or a repl.Follower's
-//	          read-only replica. Both hand a write to cluster.ApplyWrite,
-//	          which maps it onto the engine and stamps its tokens.
+//	          read-only replica. Both hand a read to cluster.ApplyRead,
+//	          having it check the read-your-writes token first (the
+//	          cluster under the same partition hold as the read), and a
+//	          write to cluster.ApplyWrite, which stamps its tokens.
 //	executor  Server.execute (exec.go): one wire.Request in, one
 //	          wire.Response out. Every other semantic step of every
-//	          operation — write admission, value caps, the
-//	          read-your-writes token check, the store call, error→status
-//	          classification — is written there and nowhere else.
+//	          operation — write admission, value caps, the store call,
+//	          error→status classification — is written there and
+//	          nowhere else.
 //	codecs    HTTP/1.1 (http.go) and the pipelined binary protocol
 //	          (wire.go), each one run-to-completion loop per connection.
 //	          Each parses its transport into a wire.Request and renders the

@@ -13,18 +13,25 @@ import (
 
 // store is what the executor needs from whatever holds the data: the method
 // set *cluster.Cluster already has, so the cluster satisfies it as is, and
-// engineStore is the one implementation written for it.
+// engineStore is the one implementation written for it. Both map a request
+// onto their engine through one function per direction, cluster.ApplyRead
+// and cluster.ApplyWrite.
+//
+// Read answers a GET or MGET into resp: a GET's value copied into the buffer
+// resp.Value carries, an MGET's values in resp.Values. It checks the read's
+// (MinLSN, Epoch) token itself, against every shard the read touches, so no
+// caller can separate a token from the read it guards: a token the store
+// cannot honor is a *cluster.TokenError, and the read does not run.
 //
 // Write applies a write request (PUT, DELETE, MPUT, MDELETE, CAS, TXN) and
-// answers it into resp, both stores through cluster.ApplyWrite: its result,
-// and its read-your-writes tokens appended to resp.LSNs, one (epoch, shard,
-// lsn) per shard touched, read after the write applied. A store with no log
-// (a volatile engine) appends none. An error is the store refusing the
-// write (cluster.ErrFenced mid-failover) or rejecting its shape
-// (transaction key set empty, too large, or spanning partitions).
+// answers it into resp: its result, and its read-your-writes tokens appended
+// to resp.LSNs, one (epoch, shard, lsn) per shard touched, read after the
+// write applied. A store with no log (a volatile engine) appends none. An
+// error is the store refusing the write (cluster.ErrFenced mid-failover) or
+// rejecting its shape (transaction key set empty, too large, or spanning
+// partitions).
 type store interface {
-	Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool)
-	MultiGet(h *rwl.Reader, keys []uint64) [][]byte
+	Read(h *rwl.Reader, req *wire.Request, resp *wire.Response) error
 	Write(req *wire.Request, resp *wire.Response) error
 	Reap(budget int) int
 	Checkpoint() error
@@ -33,9 +40,6 @@ type store interface {
 	// replica answers why not. The executor asks before every mutating op,
 	// so Write never runs on a store that said no.
 	Writable() error
-	// CheckToken adjudicates a read's (epoch, minLSN) token against every
-	// shard keys touch; nil means the read may proceed.
-	CheckToken(epoch, minLSN uint64, keys []uint64) *cluster.TokenError
 }
 
 // statusError is a failure the serving layer itself decided, carrying its
@@ -59,12 +63,34 @@ type engineStore struct {
 	wait     time.Duration  // a follower read's bound on waiting for a token
 }
 
-func (s *engineStore) Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) {
-	return s.e.GetIntoH(h, key, buf)
-}
-
-func (s *engineStore) MultiGet(h *rwl.Reader, keys []uint64) [][]byte {
-	return s.e.MultiGetH(h, keys)
+// Read reads through cluster.ApplyRead, checking a token against the
+// engine first. The epoch is ignored (one engine has one history). A
+// follower waits up to s.wait overall for replication to cover the LSN; a
+// durable primary's position always covers the tokens it handed out, so a
+// lagging one there means a client confused about whom it wrote to. The
+// check needs no lock held through the read: one engine's LSNs only grow.
+func (s *engineStore) Read(h *rwl.Reader, req *wire.Request, resp *wire.Response) error {
+	if req.MinLSN != 0 && s.follower == nil && !s.e.Durable() {
+		return &cluster.TokenError{Msg: "min_lsn on a volatile server: it has no LSNs"}
+	}
+	var deadline time.Time
+	return cluster.ApplyRead(s.e, h, req, resp, func(_, lsn uint64, sh int) *cluster.TokenError {
+		if s.follower == nil {
+			if have := s.e.ShardLSN(sh); have < lsn {
+				return &cluster.TokenError{Conflict: true, Msg: fmt.Sprintf(
+					"shard %d at LSN %d, token says %d: this primary never issued it", sh, have, lsn)}
+			}
+			return nil
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(s.wait)
+		}
+		if !s.follower.WaitMinLSN(sh, lsn, time.Until(deadline)) {
+			return &cluster.TokenError{Conflict: true, Msg: fmt.Sprintf(
+				"replica shard %d at LSN %d, need %d: retry, or read the primary", sh, s.follower.AppliedLSN(sh), lsn)}
+		}
+		return nil
+	})
 }
 
 // Write applies req as the engine of partition 0 at epoch 0.
@@ -90,33 +116,6 @@ func (s *engineStore) Writable() error {
 	}
 	return &statusError{wire.StatusReadOnly,
 		fmt.Sprintf("read-only follower: write to the primary at %s", s.follower.Primary())}
-}
-
-// CheckToken ignores the epoch (one engine has one history). A follower
-// waits up to s.wait overall for replication to cover the LSN; a durable
-// primary's position always covers the tokens it handed out, so a lagging
-// one there means a client confused about whom it wrote to.
-func (s *engineStore) CheckToken(_, minLSN uint64, keys []uint64) *cluster.TokenError {
-	if minLSN == 0 {
-		return nil
-	}
-	if s.follower == nil && !s.e.Durable() {
-		return &cluster.TokenError{Msg: "min_lsn on a volatile server: it has no LSNs"}
-	}
-	deadline := time.Now().Add(s.wait)
-	for _, k := range keys {
-		sh := s.e.ShardOf(k)
-		if s.follower != nil {
-			if !s.follower.WaitMinLSN(sh, minLSN, time.Until(deadline)) {
-				return &cluster.TokenError{Conflict: true, Msg: fmt.Sprintf(
-					"replica shard %d at LSN %d, need %d: retry, or read the primary", sh, s.follower.AppliedLSN(sh), minLSN)}
-			}
-		} else if have := s.e.ShardLSN(sh); have < minLSN {
-			return &cluster.TokenError{Conflict: true, Msg: fmt.Sprintf(
-				"shard %d at LSN %d, token says %d: this primary never issued it", sh, have, minLSN)}
-		}
-	}
-	return nil
 }
 
 // statsResponse is /stats (and wire STATS): per-shard counters plus the
