@@ -113,26 +113,18 @@ func NewFair() RWLock { return new(fairrw.Lock) }
 // lock's admission, FIFO over NewFair), generalizing the paper's static
 // inhibit multiplier into a closed loop with hysteresis — see internal/bias.
 
-// AdaptiveThresholds parameterizes the hysteresis band: the biased mode's
-// enter/exit read ratios (default ≥ 0.90 / < 0.80), the sampling window
-// (4096) and the paper's inhibit multiplier N (9). Zero fields take defaults.
-type AdaptiveThresholds = bias.Thresholds
-
-// NewAdaptive returns under as an adaptive BRAVO lock at default
-// thresholds. A *Lock argument (a bravo.New result) keeps its table, stats
-// and other options and has the adaptive policy installed, so it must not be
-// shared yet; any other lock is wrapped with New first.
+// NewAdaptive returns under as an adaptive BRAVO lock: the biased mode is
+// entered at a read ratio ≥ 0.90 and left below 0.80 over 4096-op windows,
+// with the paper's inhibit multiplier N = 9. A *Lock argument (a bravo.New
+// result) keeps its table, stats and other options and has the adaptive
+// policy installed, so it must not be shared yet; any other lock is wrapped
+// with New first.
 func NewAdaptive(under RWLock) *Lock {
-	return NewAdaptiveWithThresholds(under, AdaptiveThresholds{})
-}
-
-// NewAdaptiveWithThresholds is NewAdaptive with an explicit hysteresis band.
-func NewAdaptiveWithThresholds(under RWLock, th AdaptiveThresholds) *Lock {
 	l, ok := under.(*Lock)
 	if !ok {
 		l = New(under)
 	}
-	l.Engine().SetPolicy(bias.NewAdaptor(th))
+	l.Engine().SetPolicy(bias.NewAdaptor())
 	return l
 }
 
@@ -141,14 +133,11 @@ func NewAdaptiveWithThresholds(under RWLock, th AdaptiveThresholds) *Lock {
 type Topology = topo.Topology
 
 // Reference topologies: the paper's user-space (X5-2) and kernel (X5-4)
-// machines, and the current host.
+// machines.
 var (
 	TopologyX52 = topo.X52
 	TopologyX54 = topo.X54
 )
-
-// HostTopology returns a topology sized to the running process.
-func HostTopology() Topology { return topo.Host() }
 
 // NewPerCPU returns a brlock-style per-CPU distributed lock (large
 // footprint, maximal read scalability, expensive writers).
@@ -192,8 +181,8 @@ func NewShardedKV(shards int, mkLock func() RWLock) (*ShardedKV, error) {
 // own batched-write paths. Committed cross-shard transactions are logged as
 // witness records carried by every participant shard, so recovery,
 // replication, and failover all preserve atomicity (a torn commit is rolled
-// forward from any surviving copy). CompareAndSwap and Update are the
-// common single-key special cases.
+// forward from any surviving copy). CompareAndSwap is the common
+// single-key special case.
 
 // KVTx is the transaction handle passed to a ShardedKV.Txn body: staged
 // reads and writes over the declared key set.

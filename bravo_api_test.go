@@ -17,7 +17,7 @@ func TestPublicAPIBasicRoundTrip(t *testing.T) {
 		"ba":      bravo.NewBA,
 		"pthread": bravo.NewPthread,
 		"go-rw":   bravo.NewGoRW,
-		"per-cpu": func() bravo.RWLock { return bravo.NewPerCPU(bravo.HostTopology()) },
+		"per-cpu": func() bravo.RWLock { return bravo.NewPerCPU(bravo.TopologyX52) },
 		"cohort":  func() bravo.RWLock { return bravo.NewCohortRW(bravo.TopologyX52) },
 	}
 	for name, mk := range substrates {
@@ -62,15 +62,15 @@ func TestNewAdaptiveKeepsTheLockItIsGiven(t *testing.T) {
 	tab, st := bravo.NewTable(64), &bravo.Stats{}
 	in := bravo.New(bravo.NewGoRW(), bravo.WithTable(tab), bravo.WithStats(st))
 	l := bravo.NewAdaptive(in)
-	if l != in || l.TableInUse() != tab || l.Adaptor() == nil {
-		t.Fatalf("NewAdaptive(*Lock): same lock %v, same table %v, adaptor %v", l == in, l.TableInUse() == tab, l.Adaptor())
+	if l != in || l.Engine().Table() != tab || l.Adaptor() == nil {
+		t.Fatalf("NewAdaptive(*Lock): same lock %v, same table %v, adaptor %v", l == in, l.Engine().Table() == tab, l.Adaptor())
 	}
 	l.RUnlock(l.RLock())
 	l.RUnlock(l.RLock())
 	if st.Snapshot().Reads() != 2 || !l.Biased() {
 		t.Fatalf("stats lost reads or bias stayed off: %s", st.Snapshot())
 	}
-	if w := bravo.NewAdaptiveWithThresholds(bravo.NewFair(), bravo.AdaptiveThresholds{Window: 64}); w.Adaptor() == nil {
+	if w := bravo.NewAdaptive(bravo.NewFair()); w.Adaptor() == nil {
 		t.Fatal("NewAdaptive did not wrap a plain lock")
 	}
 }
@@ -125,7 +125,7 @@ func TestPublicAPIConcurrentSmoke(t *testing.T) {
 func TestSharedTableIsProcessWide(t *testing.T) {
 	a := bravo.New(bravo.NewBA())
 	b := bravo.New(bravo.NewPthread())
-	if a.TableInUse() != b.TableInUse() || a.TableInUse() != bravo.SharedTable() {
+	if a.Engine().Table() != b.Engine().Table() || a.Engine().Table() != bravo.SharedTable() {
 		t.Fatal("locks do not share the default table")
 	}
 	if bravo.SharedTable().Size() != bias.DefaultTableSize {
@@ -231,8 +231,5 @@ func TestShardedKVHandleReadsThroughFacade(t *testing.T) {
 func TestTopologyHelpers(t *testing.T) {
 	if bravo.TopologyX52.NumCPUs() != 72 || bravo.TopologyX54.NumCPUs() != 144 {
 		t.Fatal("reference topologies wrong")
-	}
-	if bravo.HostTopology().NumCPUs() < 1 {
-		t.Fatal("host topology empty")
 	}
 }

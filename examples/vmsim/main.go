@@ -56,8 +56,8 @@ func main() {
 	const workers = 4
 	const pages = 20000
 
-	stock := vm.NewAddressSpace(vm.StockSem{S: rwsem.New(rwsem.DefaultConfig())})
-	bravo := vm.NewAddressSpace(vm.BravoSem{S: rwsem.NewBravo(rwsem.DefaultConfig())})
+	stock := vm.NewAddressSpace(rwsem.New(rwsem.DefaultConfig()))
+	bravo := vm.NewAddressSpace(rwsem.NewBravo(rwsem.DefaultConfig()))
 
 	ds := faultStorm(stock, workers, pages)
 	db := faultStorm(bravo, workers, pages)

@@ -26,9 +26,9 @@ func newMMapSem(k Kernel) vm.MMapSem {
 	if k == Bravo {
 		b := rwsem.NewBravo(rwsem.DefaultConfig())
 		b.Engine().SetTable(bias.NewTable(bias.DefaultTableSize))
-		return vm.BravoSem{S: b}
+		return b
 	}
-	return vm.StockSem{S: rwsem.New(rwsem.DefaultConfig())}
+	return rwsem.New(rwsem.DefaultConfig())
 }
 
 // LocktortureResult carries the two curves of Figures 7–8.

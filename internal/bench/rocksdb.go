@@ -20,10 +20,7 @@ func ReadWhileWriting(lockName string, readers int, cfg Config) float64 {
 		panic("bench: unknown lock " + lockName)
 	}
 	return cfg.Median(func() float64 {
-		m, err := kvs.NewMemtable(1, mk)
-		if err != nil {
-			panic(err)
-		}
+		m := kvs.NewMemtable(mk)
 		for k := uint64(0); k < keys; k++ {
 			m.Put(k, kvs.EncodeValue(k))
 		}

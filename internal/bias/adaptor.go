@@ -33,55 +33,22 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Thresholds parameterize the Adaptor's hysteresis band over the observed
-// read fraction r = reads/(reads+writes) of one window. The entry bound is
-// deliberately separated from the exit bound so a shard whose mix sits
-// between them keeps its current mode instead of ping-ponging.
-// Construction-time only: an Adaptor's thresholds never change once built.
-type Thresholds struct {
-	// BiasEnter: flip into ModeBiased when r >= BiasEnter (and revocation
-	// overhead is not already excessive).
-	BiasEnter float64
-	// BiasExit: leave ModeBiased when r < BiasExit.
-	BiasExit float64
-	// Window is the number of operations that closes one observation window.
-	Window uint64
-	// InhibitN is the paper's inhibit multiplier N, used twice: per
-	// revocation, bias may not be re-enabled for N times its duration
-	// (Listing 1 line 49), and per window, a biased shard whose revocation
-	// time exceeds 1/(N+1) of the window's wall time is demoted even if its
-	// read fraction still clears BiasExit — the same "bound the writer
-	// slow-down" budget, enforced over the window as well as the moment.
-	InhibitN int64
-}
-
-// DefaultThresholds returns the default hysteresis configuration. The gap
-// between the Enter and Exit bounds is the no-flip dead zone.
-func DefaultThresholds() Thresholds {
-	return Thresholds{BiasEnter: 0.90, BiasExit: 0.80, Window: 4096, InhibitN: DefaultInhibitN}
-}
-
-// sanitize fills zero fields with defaults and restores the band ordering
-// BiasExit <= BiasEnter where violated.
-func (t Thresholds) sanitize() Thresholds {
-	d := DefaultThresholds()
-	if t.Window == 0 {
-		t.Window = d.Window
-	}
-	if t.InhibitN <= 0 {
-		t.InhibitN = d.InhibitN
-	}
-	if t.BiasEnter <= 0 || t.BiasEnter > 1 {
-		t.BiasEnter = d.BiasEnter
-	}
-	if t.BiasExit <= 0 {
-		t.BiasExit = d.BiasExit
-	}
-	if t.BiasExit > t.BiasEnter {
-		t.BiasExit = t.BiasEnter
-	}
-	return t
-}
+// The Adaptor's hysteresis band over the observed read fraction r =
+// reads/(reads+writes) of one window of adaptWindow operations: flip into
+// ModeBiased when r >= biasEnter (and revocation overhead is not already
+// excessive), leave it when r < biasExit. The gap between the bounds is the
+// dead zone where a shard keeps its current mode instead of ping-ponging.
+// The inhibit multiplier is the paper's N (DefaultInhibitN), used twice: per
+// revocation, bias may not be re-enabled for N times its duration (Listing 1
+// line 49), and per window, a biased shard whose revocation time exceeds
+// 1/(N+1) of the window's wall time is demoted even if its read fraction
+// still clears biasExit — the same "bound the writer slow-down" budget,
+// enforced over the window as well as the moment.
+const (
+	biasEnter   = 0.90
+	biasExit    = 0.80
+	adaptWindow = 4096
+)
 
 // AdaptorSnapshot is a coherent view of an Adaptor: the mode and the window
 // counters it was derived from are read under one seq bracket, so a snapshot
@@ -133,8 +100,6 @@ type Adaptor struct {
 	// validates against it.
 	seqc seq.Count
 
-	th Thresholds // fixed before the lock is shared
-
 	mu sync.Mutex // serializes window evaluation
 	// Window baselines, owned by mu.
 	lastReads   uint64
@@ -146,14 +111,10 @@ type Adaptor struct {
 
 var _ Policy = (*Adaptor)(nil)
 
-// NewAdaptor returns an Adaptor starting in ModeBiased with th (zero fields
-// take defaults).
-func NewAdaptor(th Thresholds) *Adaptor {
-	return &Adaptor{th: th.sanitize(), lastNanos: clock.Nanos()}
+// NewAdaptor returns an Adaptor starting in ModeBiased.
+func NewAdaptor() *Adaptor {
+	return &Adaptor{lastNanos: clock.Nanos()}
 }
-
-// Mode returns the current bias posture.
-func (a *Adaptor) Mode() Mode { return Mode(a.mode.Load()) }
 
 // ShouldEnable implements Policy: the mode is biased and Time() >=
 // InhibitUntil.
@@ -165,7 +126,7 @@ func (a *Adaptor) ShouldEnable() bool {
 // as InhibitPolicy does and accumulates the cost for the window's overload
 // check. Called by the engine with write permission held.
 func (a *Adaptor) RevocationDone(start, end int64) {
-	a.until.revoked(start, end, a.th.InhibitN)
+	a.until.revoked(start, end, DefaultInhibitN)
 	a.revokes.Add(1)
 	a.revokeNanos.Add(end - start)
 }
@@ -186,7 +147,7 @@ func (a *Adaptor) Offer(reads, writes uint64) {
 func (a *Adaptor) offerLocked(reads, writes uint64) {
 	dr := reads - a.lastReads
 	dw := writes - a.lastWrites
-	if dr+dw < a.th.Window {
+	if dr+dw < adaptWindow {
 		return
 	}
 	now := clock.Nanos()
@@ -203,15 +164,15 @@ func (a *Adaptor) offerLocked(reads, writes uint64) {
 	// The generalized inhibit bound: revocation time above 1/(N+1) of the
 	// window's wall time disqualifies (or demotes from) biased mode.
 	// (Divide the elapsed side: the nanos delta could overflow a product.)
-	overloaded := elapsed > 0 && drn > elapsed/(a.th.InhibitN+1)
+	overloaded := elapsed > 0 && drn > elapsed/(DefaultInhibitN+1)
 
-	// The hysteresis band: leave biased below BiasExit (or overloaded),
-	// enter it at BiasEnter, hold the mode in between.
+	// The hysteresis band: leave biased below biasExit (or overloaded),
+	// enter it at biasEnter, hold the mode in between.
 	target := Mode(a.mode.Load())
 	switch {
-	case target == ModeBiased && (overloaded || r < a.th.BiasExit):
+	case target == ModeBiased && (overloaded || r < biasExit):
 		target = ModeNeutral
-	case target == ModeNeutral && r >= a.th.BiasEnter && !overloaded:
+	case target == ModeNeutral && r >= biasEnter && !overloaded:
 		target = ModeBiased
 	}
 

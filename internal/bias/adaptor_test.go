@@ -23,41 +23,41 @@ func (f *feeder) window(dr, dw uint64) {
 }
 
 func TestAdaptorHysteresisFlips(t *testing.T) {
-	a := NewAdaptor(Thresholds{})
-	w := a.th.Window
+	a := NewAdaptor()
+	const w = adaptWindow
 	f := &feeder{a: a}
 
-	if a.Mode() != ModeBiased || !a.ShouldEnable() {
-		t.Fatalf("initial mode = %v, ShouldEnable = %v, want biased/true", a.Mode(), a.ShouldEnable())
+	if a.Snapshot().Mode != ModeBiased || !a.ShouldEnable() {
+		t.Fatalf("initial mode = %v, ShouldEnable = %v, want biased/true", a.Snapshot().Mode, a.ShouldEnable())
 	}
 	// Pure-write window: biased → neutral, and the policy withholds bias.
 	f.window(0, w)
-	if a.Mode() != ModeNeutral || a.ShouldEnable() {
-		t.Fatalf("after write-heavy window: mode = %v, ShouldEnable = %v, want neutral/false", a.Mode(), a.ShouldEnable())
+	if a.Snapshot().Mode != ModeNeutral || a.ShouldEnable() {
+		t.Fatalf("after write-heavy window: mode = %v, ShouldEnable = %v, want neutral/false", a.Snapshot().Mode, a.ShouldEnable())
 	}
-	// Mid-band window (r ≈ 0.85, between BiasExit and BiasEnter): the dead
+	// Mid-band window (r ≈ 0.85, between biasExit and biasEnter): the dead
 	// zone holds the mode (no ping-pong).
 	f.window(w-w*15/100, w*15/100)
-	if a.Mode() != ModeNeutral {
-		t.Fatalf("dead-zone window flipped the mode to %v", a.Mode())
+	if a.Snapshot().Mode != ModeNeutral {
+		t.Fatalf("dead-zone window flipped the mode to %v", a.Snapshot().Mode)
 	}
 	// Read-dominated window: neutral → biased.
 	f.window(w, 0)
-	if a.Mode() != ModeBiased || !a.ShouldEnable() {
-		t.Fatalf("after read-heavy window: mode = %v, ShouldEnable = %v, want biased/true", a.Mode(), a.ShouldEnable())
+	if a.Snapshot().Mode != ModeBiased || !a.ShouldEnable() {
+		t.Fatalf("after read-heavy window: mode = %v, ShouldEnable = %v, want biased/true", a.Snapshot().Mode, a.ShouldEnable())
 	}
 	// The same mid-band mix holds biased too.
 	f.window(w-w*15/100, w*15/100)
-	if a.Mode() != ModeBiased {
-		t.Fatalf("dead-zone window flipped the mode to %v", a.Mode())
+	if a.Snapshot().Mode != ModeBiased {
+		t.Fatalf("dead-zone window flipped the mode to %v", a.Snapshot().Mode)
 	}
 	if got := a.Snapshot().Flips; got != 2 {
 		t.Fatalf("flips = %d, want 2", got)
 	}
 	// There is no third mode to force, and the names are the stats surface.
 	a.ForceMode(ModeNeutral + 1)
-	if a.Mode() != ModeBiased || a.Snapshot().Flips != 2 {
-		t.Fatalf("ForceMode accepted an undefined mode: %v", a.Mode())
+	if a.Snapshot().Mode != ModeBiased || a.Snapshot().Flips != 2 {
+		t.Fatalf("ForceMode accepted an undefined mode: %v", a.Snapshot().Mode)
 	}
 	if ModeBiased.String() != "biased" || ModeNeutral.String() != "neutral" || Mode(2).String() != "unknown" {
 		t.Fatal("mode names changed")
@@ -65,8 +65,8 @@ func TestAdaptorHysteresisFlips(t *testing.T) {
 }
 
 func TestAdaptorOneFlipPerWindow(t *testing.T) {
-	a := NewAdaptor(Thresholds{})
-	w := a.th.Window
+	a := NewAdaptor()
+	const w = adaptWindow
 	f := &feeder{a: a}
 
 	// Below-window deltas never evaluate.
@@ -86,47 +86,35 @@ func TestAdaptorOneFlipPerWindow(t *testing.T) {
 }
 
 func TestAdaptorRevocationOverloadDemotes(t *testing.T) {
-	a := NewAdaptor(Thresholds{})
-	w := a.th.Window
+	a := NewAdaptor()
+	const w = adaptWindow
 	f := &feeder{a: a}
 	now := clock.Nanos()
 
-	// A read fraction above BiasEnter would normally keep biased mode, but
+	// A read fraction above biasEnter would normally keep biased mode, but
 	// revocation time far beyond the window's wall time trips the
 	// generalized inhibit bound and demotes to neutral.
 	a.RevocationDone(now-1<<40, now)
 	f.window(w, w/100)
-	if a.Mode() != ModeNeutral {
-		t.Fatalf("overloaded window: mode = %v, want neutral", a.Mode())
+	if a.Snapshot().Mode != ModeNeutral {
+		t.Fatalf("overloaded window: mode = %v, want neutral", a.Snapshot().Mode)
 	}
 	// And it blocks re-promotion while the overload persists.
 	a.RevocationDone(now-1<<40, now)
 	f.window(w, 0)
-	if a.Mode() != ModeNeutral {
-		t.Fatalf("re-promoted while revocation-overloaded: mode = %v", a.Mode())
+	if a.Snapshot().Mode != ModeNeutral {
+		t.Fatalf("re-promoted while revocation-overloaded: mode = %v", a.Snapshot().Mode)
 	}
 	// With the overload gone, a read-heavy window promotes again — and the
 	// per-revocation deadline (N times the 2^40 ns just reported) still
 	// withholds bias: the two uses of N are independent.
 	f.window(w, 0)
-	if a.Mode() != ModeBiased || a.ShouldEnable() {
-		t.Fatalf("calm window: mode = %v, ShouldEnable = %v, want biased/false", a.Mode(), a.ShouldEnable())
+	if a.Snapshot().Mode != ModeBiased || a.ShouldEnable() {
+		t.Fatalf("calm window: mode = %v, ShouldEnable = %v, want biased/false", a.Snapshot().Mode, a.ShouldEnable())
 	}
 	a.RevocationDone(now, now)
 	if !a.ShouldEnable() {
 		t.Fatal("a zero-length revocation left bias inhibited")
-	}
-}
-
-func TestAdaptorThresholdsSanitize(t *testing.T) {
-	got := Thresholds{}.sanitize()
-	if got != DefaultThresholds() {
-		t.Fatalf("zero thresholds = %+v, want defaults", got)
-	}
-	// An inverted band is repaired into a consistent ordering.
-	bad := Thresholds{BiasEnter: 0.7, BiasExit: 0.9}.sanitize()
-	if bad.BiasExit > bad.BiasEnter {
-		t.Fatalf("sanitize left an inconsistent band: %+v", bad)
 	}
 }
 
@@ -138,8 +126,8 @@ func TestAdaptorThresholdsSanitize(t *testing.T) {
 // from a different bracket than the window count — violates one of the
 // checked equalities.
 func TestAdaptorSnapshotCoherentUnderFlips(t *testing.T) {
-	a := NewAdaptor(Thresholds{})
-	w := a.th.Window
+	a := NewAdaptor()
+	const w = adaptWindow
 	const windows = 4000
 
 	var stop atomic.Bool

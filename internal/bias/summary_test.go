@@ -149,7 +149,7 @@ func TestSummaryGeometries(t *testing.T) {
 				if int(s) >= tc.sectors {
 					t.Fatalf("slot %d maps to sector %d of %d", idx, s, tc.sectors)
 				}
-				if tc.tab.Sectored() && s != idx/tc.tab.rowLen*uint32(tc.sectors)/tc.tab.rows {
+				if tc.tab.rows != 0 && s != idx/tc.tab.rowLen*uint32(tc.sectors)/tc.tab.rows {
 					t.Fatalf("slot %d (row %d) maps to sector %d", idx, idx/tc.tab.rowLen, s)
 				}
 				if summary(e) != 1<<s {

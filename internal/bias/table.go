@@ -116,9 +116,6 @@ func log2(x int) uint32 { return uint32(bits.TrailingZeros(uint(x))) }
 // Size returns the number of slots.
 func (t *Table) Size() int { return len(t.slots) }
 
-// Sectored reports whether the table uses the BRAVO-2D layout.
-func (t *Table) Sectored() bool { return t.rows != 0 }
-
 // Index maps (lock identity, reader identity) to a slot index — the
 // Hash(L, Self) of Listing 1 line 13.
 func (t *Table) Index(lockID uintptr, selfID uint64) uint32 {

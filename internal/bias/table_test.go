@@ -42,8 +42,8 @@ func TestNewTable2DValidation(t *testing.T) {
 		}()
 	}
 	tab := NewTable2D(4, 256)
-	if !tab.Sectored() || tab.Size() != 1024 {
-		t.Errorf("2D table misconfigured: sectored=%v size=%d", tab.Sectored(), tab.Size())
+	if tab.rows == 0 || tab.Size() != 1024 {
+		t.Errorf("2D table misconfigured: rows=%d size=%d", tab.rows, tab.Size())
 	}
 }
 
@@ -51,7 +51,7 @@ func TestSharedTableGeometry(t *testing.T) {
 	if SharedTable().Size() != DefaultTableSize {
 		t.Fatalf("shared table has %d slots, want %d (paper §3)", SharedTable().Size(), DefaultTableSize)
 	}
-	if SharedTable().Sectored() {
+	if SharedTable().rows != 0 {
 		t.Fatal("shared table must use the flat Listing 1 layout")
 	}
 }

@@ -77,7 +77,7 @@ func newChaosWriter(t *testing.T, c *Cluster, pi int, keyspace uint64, seed uint
 		t: t, c: c, pi: pi,
 		rng:     xrand.NewXorShift64(seed),
 		journal: &partitionJournal{},
-		shardOf: c.Member(pi).Engine().ShardOf, // pure in key and shard count
+		shardOf: c.Member(pi).engine.ShardOf, // pure in key and shard count
 	}
 	for k := uint64(0); k < keyspace; k++ {
 		if c.Partition(k) == pi {
@@ -186,7 +186,7 @@ func replay(j *partitionJournal, shards int, cuts map[uint64][]uint64, finalEpoc
 // equal the truncated journal replay, shard by shard, key by key.
 func assertNoDivergence(t *testing.T, c *Cluster, pi int, refs []map[uint64][]byte, label string) {
 	t.Helper()
-	eng := c.Member(pi).Engine()
+	eng := c.Member(pi).engine
 	for sh, want := range refs {
 		got := eng.SnapshotShard(sh)
 		if len(got) != len(want) {
@@ -248,12 +248,12 @@ type corpseState struct {
 
 func captureCorpse(t *testing.T, m *Member) corpseState {
 	t.Helper()
-	if !m.Fenced() {
-		t.Errorf("partition %d epoch %d: deposed member is not fenced", m.partition, m.Epoch())
+	if !m.fenced.Load() {
+		t.Errorf("partition %d epoch %d: deposed member is not fenced", m.partition, m.epoch)
 	}
 	st := corpseState{corpse: m, wal: walAppendedBy(m)}
-	for sh := 0; sh < m.Engine().NumShards(); sh++ {
-		st.lsns = append(st.lsns, m.Engine().ShardLSN(sh))
+	for sh := 0; sh < m.engine.NumShards(); sh++ {
+		st.lsns = append(st.lsns, m.engine.ShardLSN(sh))
 	}
 	return st
 }
@@ -284,12 +284,12 @@ func (st corpseState) drift() []string {
 	m := st.corpse
 	var moved []string
 	for sh, want := range st.lsns {
-		if got := m.Engine().ShardLSN(sh); got != want {
-			moved = append(moved, fmt.Sprintf("partition %d epoch %d shard %d: corpse LSN advanced %d → %d", m.partition, m.Epoch(), sh, want, got))
+		if got := m.engine.ShardLSN(sh); got != want {
+			moved = append(moved, fmt.Sprintf("partition %d epoch %d shard %d: corpse LSN advanced %d → %d", m.partition, m.epoch, sh, want, got))
 		}
 	}
 	if got := walAppendedBy(m); got != st.wal {
-		moved = append(moved, fmt.Sprintf("partition %d epoch %d: corpse WAL appended %+v → %+v", m.partition, m.Epoch(), st.wal, got))
+		moved = append(moved, fmt.Sprintf("partition %d epoch %d: corpse WAL appended %+v → %+v", m.partition, m.epoch, st.wal, got))
 	}
 	return moved
 }
@@ -300,7 +300,7 @@ func (st corpseState) drift() []string {
 type walAppended struct{ records, bytes uint64 }
 
 func walAppendedBy(m *Member) walAppended {
-	tot := m.Engine().Stats().Total()
+	tot := m.engine.Stats().Total()
 	return walAppended{tot.WALRecords, tot.WALBytes}
 }
 
@@ -326,7 +326,7 @@ func TestCorpseCheckSeesACommit(t *testing.T) {
 	if d := st.drift(); len(d) != 0 {
 		t.Fatalf("an untouched corpse drifted: %v", d)
 	}
-	old.Engine().Put(1, []byte("stale"))
+	old.engine.Put(1, []byte("stale"))
 	if d := st.drift(); len(d) != 2 || !strings.Contains(d[1], "corpse WAL appended") {
 		t.Fatalf("a commit on the corpse drifted %v, want its LSN and its WAL", d)
 	}
@@ -460,17 +460,17 @@ func chaosSchedule(t *testing.T, seed uint64) (lost, failovers int) {
 
 	// Adjudicate every partition against the oracles.
 	for pi, w := range writers {
-		finalEpoch := c.Member(pi).Epoch()
+		finalEpoch := c.Member(pi).epoch
 		cuts := map[uint64][]uint64{}
 		for e := uint64(2); e <= finalEpoch; e++ {
 			if cut := c.Cut(pi, e); cut != nil {
 				cuts[e] = cut
 			}
 		}
-		refs, nlost := replay(w.journal, c.ShardsPerPartition(), cuts, finalEpoch)
+		refs, nlost := replay(w.journal, c.cfg.Shards, cuts, finalEpoch)
 		lost += nlost
 		assertNoDivergence(t, c, pi, refs, fmt.Sprintf("seed %#x", seed))
-		assertGaplessLSNs(t, w.journal, pi, c.ShardsPerPartition(), cuts)
+		assertGaplessLSNs(t, w.journal, pi, c.cfg.Shards, cuts)
 
 		// Token adjudication matches the survival rule: a sample of journal
 		// entries presented back as read tokens must pass iff they survived.
@@ -559,16 +559,16 @@ func TestChaosGracefulHandoffZeroLoss(t *testing.T) {
 		}
 	}
 	for pi, w := range writers {
-		finalEpoch := c.Member(pi).Epoch()
+		finalEpoch := c.Member(pi).epoch
 		cuts := map[uint64][]uint64{}
 		for e := uint64(2); e <= finalEpoch; e++ {
 			cuts[e] = c.Cut(pi, e)
 		}
-		refs, lost := replay(w.journal, c.ShardsPerPartition(), cuts, finalEpoch)
+		refs, lost := replay(w.journal, c.cfg.Shards, cuts, finalEpoch)
 		if lost != 0 {
 			t.Errorf("partition %d: graceful handoffs lost %d acknowledged commits", pi, lost)
 		}
 		assertNoDivergence(t, c, pi, refs, "graceful")
-		assertGaplessLSNs(t, w.journal, pi, c.ShardsPerPartition(), cuts)
+		assertGaplessLSNs(t, w.journal, pi, c.cfg.Shards, cuts)
 	}
 }

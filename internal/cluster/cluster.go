@@ -125,7 +125,7 @@ func (c *Cluster) openFollowers(m *Member) ([]*repl.Follower, error) {
 	fs := make([]*repl.Follower, 0, c.cfg.Followers)
 	for i := 0; i < c.cfg.Followers; i++ {
 		f, err := repl.Open(repl.Config{
-			Primary:       m.Addr(),
+			Primary:       m.ln.Addr().String(),
 			MkLock:        c.cfg.MkLock,
 			RetryInterval: c.cfg.RetryInterval,
 		})
@@ -142,9 +142,6 @@ func (c *Cluster) openFollowers(m *Member) ([]*repl.Follower, error) {
 
 // NumPartitions returns the primary count.
 func (c *Cluster) NumPartitions() int { return c.cfg.Partitions }
-
-// ShardsPerPartition returns each partition engine's shard count.
-func (c *Cluster) ShardsPerPartition() int { return c.cfg.Shards }
 
 // Partition returns the partition owning key.
 func (c *Cluster) Partition(key uint64) int { return c.router.Partition(key) }
@@ -183,16 +180,17 @@ func (c *Cluster) Get(h *rwl.Reader, key uint64, buf []byte) ([]byte, bool) {
 	return p.member.engine.GetIntoH(h, key, buf)
 }
 
-// fanOut splits keys by owning partition and calls fn once per partition
-// that owns any, under its read lock, with the partition, the positions in
-// keys of its sub-batch, and the sub-batch itself (reused across calls).
-// It returns the first error fn reports, naming its partition (a
+// fanOut calls fn once per partition owning any of keys, in ascending
+// order, with the partition, the positions in keys of its sub-batch (its
+// entry of groups, router.Split(keys)) and the sub-batch itself (reused
+// across calls), under the partition's read lock unless the caller holds
+// them all. It returns the first error fn reports, naming its partition (a
 // TokenError names it already and passes as is); the other partitions
 // still run: they are independent failure domains.
-func (c *Cluster) fanOut(keys []uint64, fn func(p *partition, idx []int, sub []uint64) error) error {
+func (c *Cluster) fanOut(keys []uint64, groups [][]int, held bool, fn func(p *partition, idx []int, sub []uint64) error) error {
 	var firstErr error
 	sub := make([]uint64, 0, len(keys))
-	for pi, idx := range c.router.Split(keys) {
+	for pi, idx := range groups {
 		if len(idx) == 0 {
 			continue
 		}
@@ -201,9 +199,13 @@ func (c *Cluster) fanOut(keys []uint64, fn func(p *partition, idx []int, sub []u
 			sub = append(sub, keys[i])
 		}
 		p := c.parts[pi]
-		p.mu.RLock()
+		if !held {
+			p.mu.RLock()
+		}
 		err := fn(p, idx, sub)
-		p.mu.RUnlock()
+		if !held {
+			p.mu.RUnlock()
+		}
 		if _, named := err.(*TokenError); err != nil && !named {
 			err = fmt.Errorf("cluster: partition %d: %w", pi, err)
 		}
@@ -214,11 +216,14 @@ func (c *Cluster) fanOut(keys []uint64, fn func(p *partition, idx []int, sub []u
 	return firstErr
 }
 
-// Read answers a GET or MGET through ApplyRead, which checks its token
-// (req.MinLSN, req.Epoch) with checkTokenLocked under the same hold of the
-// owning partition's read lock as the read: no failover can fall between a
-// token's verdict and the read it admits. An MGET fans out, one check and
-// one engine call per partition, and scatters the values back in key order.
+// Read answers a GET or MGET through ApplyRead, its token (req.MinLSN,
+// req.Epoch) checked with checkTokenLocked under the same hold of the owning
+// partition's read lock as the read, so no failover falls between a verdict
+// and the read it admits. An MGET fans out, one engine call per partition,
+// and scatters the values back in key order; one bearing a token first holds
+// every partition it touches, in ascending order, and checks every key, so a
+// refusal reads nothing. Failover, Fence and Close hold one partition at a
+// time, so the holds cannot deadlock.
 func (c *Cluster) Read(h *rwl.Reader, req *wire.Request, resp *wire.Response) error {
 	if req.MinLSN != 0 && req.Epoch == 0 {
 		return &TokenError{Msg: "cluster read tokens carry an epoch: pass the epoch stamped on the write"}
@@ -230,8 +235,27 @@ func (c *Cluster) Read(h *rwl.Reader, req *wire.Request, resp *wire.Response) er
 		return ApplyRead(p.member.engine, h, req, resp, p.checkTokenLocked)
 	}
 	out, sub := make([][]byte, len(req.Keys)), *req
+	groups, held := c.router.Split(req.Keys), req.MinLSN != 0
+	if held {
+		each := func(op func(*sync.RWMutex)) {
+			for pi, idx := range groups {
+				if len(idx) != 0 {
+					op(&c.parts[pi].mu)
+				}
+			}
+		}
+		each((*sync.RWMutex).RLock)
+		defer each((*sync.RWMutex).RUnlock)
+		for _, k := range req.Keys {
+			p := c.parts[c.router.Partition(k)]
+			if terr := p.checkTokenLocked(req.Epoch, req.MinLSN, p.member.engine.ShardOf(k)); terr != nil {
+				return terr
+			}
+		}
+		sub.MinLSN = 0 // checked, under holds that last through the reads
+	}
 	resp.Values = out
-	return c.fanOut(req.Keys, func(p *partition, idx []int, keys []uint64) error {
+	return c.fanOut(req.Keys, groups, held, func(p *partition, idx []int, keys []uint64) error {
 		var part wire.Response
 		sub.Keys = keys
 		err := ApplyRead(p.member.engine, h, &sub, &part, p.checkTokenLocked)
@@ -255,7 +279,7 @@ func (c *Cluster) Write(req *wire.Request, resp *wire.Response) error {
 	switch req.Op {
 	case wire.OpMPut, wire.OpMDelete:
 		sub, vals := *req, make([][]byte, 0, len(req.Values))
-		return c.fanOut(req.Keys, func(p *partition, idx []int, keys []uint64) error {
+		return c.fanOut(req.Keys, c.router.Split(req.Keys), false, func(p *partition, idx []int, keys []uint64) error {
 			sub.Keys = keys
 			if req.Op == wire.OpMPut {
 				vals = vals[:0]
@@ -342,10 +366,7 @@ func (c *Cluster) Checkpoint() error {
 func (c *Cluster) WaitCaughtUp(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, p := range c.parts {
-		p.mu.RLock()
-		fs := append([]*repl.Follower(nil), p.followers...)
-		p.mu.RUnlock()
-		for _, f := range fs {
+		for _, f := range c.Followers(p.idx) {
 			if err := f.WaitCaughtUp(time.Until(deadline)); err != nil {
 				return fmt.Errorf("cluster: partition %d: %w", p.idx, err)
 			}
@@ -380,6 +401,5 @@ func (c *Cluster) Close() error {
 	return c.closeErr
 }
 
-// RemoveData deletes the cluster's data directory tree; call after Close
-// in tests and benches that do not keep state.
-func (c *Cluster) RemoveData() error { return os.RemoveAll(c.cfg.Dir) }
+// removeData deletes the cluster's data directory tree; call after Close.
+func (c *Cluster) removeData() error { return os.RemoveAll(c.cfg.Dir) }

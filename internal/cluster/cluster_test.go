@@ -211,8 +211,8 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
-	if epoch != 2 || c.Member(0).Epoch() != 2 {
-		t.Fatalf("epoch after failover: returned %d, partition at %d", epoch, c.Member(0).Epoch())
+	if epoch != 2 || c.Member(0).epoch != 2 {
+		t.Fatalf("epoch after failover: returned %d, partition at %d", epoch, c.Member(0).epoch)
 	}
 
 	// The fenced corpse rejects everything, wherever the write enters.
@@ -234,11 +234,11 @@ func TestClusterFailoverPromotesAndFences(t *testing.T) {
 	// The promoted primary continues the LSN sequence from the cut — its
 	// seeded snapshots' stamps — and serves writes at the new epoch.
 	cut := c.Cut(0, 2)
-	if len(cut) != c.ShardsPerPartition() {
+	if len(cut) != c.cfg.Shards {
 		t.Fatalf("Cut(0, 2) = %v, want one LSN per shard", cut)
 	}
 	for i, want := range cut {
-		if got := c.Member(0).Engine().ShardLSN(i); got != want || want == 0 {
+		if got := c.Member(0).engine.ShardLSN(i); got != want || want == 0 {
 			t.Fatalf("promoted shard %d resumes at LSN %d, the cut is %d", i, got, want)
 		}
 	}
@@ -296,7 +296,7 @@ func TestFenceWaitsForInFlightCommit(t *testing.T) {
 	defer free() // a failing run must not leave the shard locked
 	txnErr := make(chan error, 1)
 	go func() {
-		txnErr <- m.Engine().Txn([]uint64{1}, func(*kvs.Tx) error {
+		txnErr <- m.engine.Txn([]uint64{1}, func(*kvs.Tx) error {
 			close(started)
 			<-release
 			return nil
@@ -473,16 +473,53 @@ func TestTokenReadsRaceLossyFailovers(t *testing.T) {
 	}
 }
 
+// TestRefusedMGetReadsNothing: an MGET whose token fails on one partition
+// is refused before any partition reads, so no partition's read counters
+// move — not even those of a partition whose own check would pass.
+func TestRefusedMGetReadsNothing(t *testing.T) {
+	c := openCluster(t, 2, 0)
+	var keys []uint64 // keys[pi] is partition pi's first key
+	for k := uint64(0); len(keys) < 2; k++ {
+		if c.Partition(k) == len(keys) {
+			keys = append(keys, k)
+		}
+	}
+	// Partition 0's key sits at LSN 1, partition 1's at LSN 5.
+	for i := 0; i < 5; i++ {
+		if i == 0 {
+			if _, err := c.Put(keys[0], []byte("once"), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Put(keys[1], []byte("often"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := func() (st [2]kvs.ShardStats) {
+		for pi := range st {
+			st[pi] = c.Member(pi).engine.Stats().Total()
+		}
+		return st
+	}
+	before := stats()
+	if terr := readToken(t, c, 1, 3, keys...); terr == nil || !terr.Conflict {
+		t.Fatalf("MGET %v at (epoch 1, lsn 3) = %v, want a conflict on partition 0", keys, terr)
+	}
+	if after := stats(); after != before {
+		t.Fatalf("a refused MGET moved read counters:\n before %+v\n after  %+v", before, after)
+	}
+}
+
 // TestClusterMaintenanceSurface covers the operational methods the
 // failover tests don't route through: topology accessors, TTL reaping,
 // checkpoints, single-key Delete, and data removal after close.
 func TestClusterMaintenanceSurface(t *testing.T) {
 	c := openCluster(t, 2, 1)
-	if c.NumPartitions() != 2 || c.ShardsPerPartition() != 4 {
-		t.Fatalf("topology = %d×%d, want 2×4", c.NumPartitions(), c.ShardsPerPartition())
+	if c.NumPartitions() != 2 || c.cfg.Shards != 4 {
+		t.Fatalf("topology = %d×%d, want 2×4", c.NumPartitions(), c.cfg.Shards)
 	}
-	if c.Member(0).Epoch() != 1 || c.Member(1).Epoch() != 1 {
-		t.Fatalf("fresh cluster epochs = %d/%d, want 1/1", c.Member(0).Epoch(), c.Member(1).Epoch())
+	if c.Member(0).epoch != 1 || c.Member(1).epoch != 1 {
+		t.Fatalf("fresh cluster epochs = %d/%d, want 1/1", c.Member(0).epoch, c.Member(1).epoch)
 	}
 
 	// Expired TTL residue is reapable across every partition.
@@ -529,11 +566,11 @@ func TestClusterRemoveDataAfterClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := c.RemoveData(); err != nil {
-		t.Fatalf("RemoveData: %v", err)
+	if err := c.removeData(); err != nil {
+		t.Fatalf("removeData: %v", err)
 	}
 	if _, err := os.Stat(cfg.Dir); !os.IsNotExist(err) {
-		t.Fatalf("data dir survived RemoveData: %v", err)
+		t.Fatalf("data dir survived removeData: %v", err)
 	}
 }
 

@@ -72,7 +72,7 @@ func (c *Cluster) Failover(pi int) (newEpoch uint64, err error) {
 
 	old := p.member
 	old.fenced.Store(true)
-	old.StopServing()
+	old.prim.Close() // stop serving replication; the engine stays open, a corpse
 	for _, f := range p.followers {
 		f.Stop()
 	}

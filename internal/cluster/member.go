@@ -69,19 +69,6 @@ func newMember(partition int, epoch uint64, dir string, shards int, mk rwl.Facto
 	return m, nil
 }
 
-// Addr returns the member's replication address (followers' Config.Primary).
-func (m *Member) Addr() string { return m.ln.Addr().String() }
-
-// Engine returns the member's engine. Reads may go straight at it; writes
-// must go through the cluster or they void the failover proof.
-func (m *Member) Engine() *kvs.Sharded { return m.engine }
-
-// Epoch returns the fencing epoch this member was installed at.
-func (m *Member) Epoch() uint64 { return m.epoch }
-
-// Fenced reports whether the member has been deposed.
-func (m *Member) Fenced() bool { return m.fenced.Load() }
-
 // Fence deposes the member. It takes the partition lock's write side, so
 // it blocks until every in-flight write has committed; once it returns, no
 // write can ever commit here again, so the caller may read the engine's
@@ -90,14 +77,6 @@ func (m *Member) Fence() {
 	m.mu.Lock()
 	m.fenced.Store(true)
 	m.mu.Unlock()
-}
-
-// StopServing closes the replication listener and its streams — the
-// network half of a kill. Followers lose their streams mid-frame; the
-// engine stays open so a chaos test can keep hammering the corpse and
-// prove the fence holds.
-func (m *Member) StopServing() {
-	m.prim.Close()
 }
 
 // Close stops serving and closes the engine (syncing its WAL). It commits
@@ -118,7 +97,7 @@ func (m *Member) Close() error {
 // A TXN runs its whole two-phase commit inside it, so a transaction either
 // commits on every participant shard before Fence returns, or not at all.
 func (m *Member) write(req *wire.Request, resp *wire.Response) error {
-	if m.Fenced() {
+	if m.fenced.Load() {
 		return ErrFenced
 	}
 	return ApplyWrite(m.engine, m.partition, m.epoch, req, resp)
@@ -127,7 +106,7 @@ func (m *Member) write(req *wire.Request, resp *wire.Response) error {
 // reap runs one bounded TTL sweep. Fenced like any other mutation: expiry
 // removal logs deletes, and a fenced member's log is closed history.
 func (m *Member) reap(budget int) (int, error) {
-	if m.Fenced() {
+	if m.fenced.Load() {
 		return 0, ErrFenced
 	}
 	return m.engine.Reap(budget), nil

@@ -12,7 +12,7 @@ import (
 
 func newAdaptive(under rwl.RWLock) *Lock {
 	return New(under, WithTable(bias.NewTable(bias.DefaultTableSize)),
-		WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
+		WithPolicy(bias.NewAdaptor()))
 }
 
 // countingLock counts substrate write acquisitions.

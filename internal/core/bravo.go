@@ -89,9 +89,6 @@ func New(under rwl.RWLock, opts ...Option) *Lock {
 // Underlying returns the wrapped lock.
 func (l *Lock) Underlying() rwl.RWLock { return l.under }
 
-// TableInUse returns the visible readers table this lock publishes into.
-func (l *Lock) TableInUse() *bias.Table { return l.eng.Table() }
-
 // Engine exposes the embedded biasing engine (diagnostics and tests).
 func (l *Lock) Engine() *bias.Engine { return &l.eng }
 

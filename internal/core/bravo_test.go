@@ -96,7 +96,7 @@ func TestFastPathAfterBias(t *testing.T) {
 	if st.FastRead.Load() != 100 {
 		t.Fatalf("expected 100 fast reads, got %s", st.Snapshot())
 	}
-	if l.TableInUse().Occupancy() != 0 {
+	if l.Engine().Table().Occupancy() != 0 {
 		t.Fatal("table not clean after fast reads")
 	}
 }
@@ -104,11 +104,11 @@ func TestFastPathAfterBias(t *testing.T) {
 func TestFastReaderPublishesAndClears(t *testing.T) {
 	l, _ := newBiased(t)
 	tok := l.RLock()
-	if l.TableInUse().Occupancy() != 1 {
+	if l.Engine().Table().Occupancy() != 1 {
 		t.Fatal("fast reader not visible in the table")
 	}
 	l.RUnlock(tok)
-	if l.TableInUse().Occupancy() != 0 {
+	if l.Engine().Table().Occupancy() != 0 {
 		t.Fatal("slot not cleared at unlock")
 	}
 }

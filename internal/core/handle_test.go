@@ -127,7 +127,7 @@ func TestHandleAndAnonymousReadersCoexist(t *testing.T) {
 	}
 	l.RUnlock(ta)
 	l.RUnlockH(h, th)
-	if l.TableInUse().Occupancy() != 0 {
+	if l.Engine().Table().Occupancy() != 0 {
 		t.Fatal("table dirty")
 	}
 }
@@ -192,7 +192,7 @@ func TestHandleMixedWithAnonymousStorm(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.TableInUse().Occupancy() != 0 {
+	if l.Engine().Table().Occupancy() != 0 {
 		t.Fatal("table dirty after mixed storm")
 	}
 }

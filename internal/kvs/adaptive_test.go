@@ -15,10 +15,6 @@ import (
 	"github.com/bravolock/bravo/internal/xrand"
 )
 
-// smallWindow makes the feedback loop observable in a fast test: mkAdaptive
-// builds its locks with windows that close every 512 ops instead of 4096.
-func smallWindow() bias.Thresholds { return bias.Thresholds{Window: 512} }
-
 func TestShardedAdaptiveCapability(t *testing.T) {
 	plain, err := NewSharded(4, mkBravo)
 	if err != nil {
@@ -62,13 +58,15 @@ func TestShardedAdaptiveAutoFlips(t *testing.T) {
 		s.Put(k, EncodeValue(k))
 	}
 
+	// Each phase fills several of the adaptor's 4096-op windows per shard.
+	const ops = 80000
 	// Write-heavy storm: every shard's windows are write-dominated.
 	rng := xrand.NewXorShift64(1)
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < ops; i++ {
 		s.Put(rng.Intn(keys), EncodeValue(rng.Next()))
 	}
 	for i := 0; i < s.NumShards(); i++ {
-		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeNeutral {
+		if m := s.ShardAdaptor(i).Snapshot().Mode; m != bias.ModeNeutral {
 			t.Fatalf("shard %d after write storm: mode = %v, want neutral", i, m)
 		}
 	}
@@ -78,11 +76,11 @@ func TestShardedAdaptiveAutoFlips(t *testing.T) {
 	}
 
 	// Read-heavy phase: shards promote back to biased.
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < ops; i++ {
 		s.Get(rng.Intn(keys))
 	}
 	for i := 0; i < s.NumShards(); i++ {
-		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeBiased {
+		if m := s.ShardAdaptor(i).Snapshot().Mode; m != bias.ModeBiased {
 			t.Fatalf("shard %d after read phase: mode = %v, want biased", i, m)
 		}
 	}
@@ -116,11 +114,11 @@ func TestShardedPerShardDivergence(t *testing.T) {
 			s.Get(k)
 		}
 	}
-	if m := s.ShardAdaptor(0).Mode(); m != bias.ModeNeutral {
+	if m := s.ShardAdaptor(0).Snapshot().Mode; m != bias.ModeNeutral {
 		t.Fatalf("hot write shard: mode = %v, want neutral", m)
 	}
 	for i := 1; i < 4; i++ {
-		if m := s.ShardAdaptor(i).Mode(); m != bias.ModeBiased {
+		if m := s.ShardAdaptor(i).Snapshot().Mode; m != bias.ModeBiased {
 			t.Fatalf("read shard %d demoted to %v", i, m)
 		}
 	}

@@ -48,9 +48,6 @@ func OpenSharded(dir string, shards int, mkLock rwl.Factory, policy SyncPolicy) 
 // Durable reports whether the engine writes a WAL.
 func (s *Sharded) Durable() bool { return s.durable }
 
-// Dir returns the data directory, empty for volatile engines.
-func (s *Sharded) Dir() string { return s.dir }
-
 // SyncPolicy returns the WAL sync policy; SyncNone for volatile engines.
 func (s *Sharded) SyncPolicy() SyncPolicy { return s.policy }
 

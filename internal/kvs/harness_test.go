@@ -49,7 +49,7 @@ const (
 	opMultiDelete
 	opCAS
 	opCASPoisoned
-	opUpdate
+	opRMW // a one-key Txn read-modify-write
 	opTxn
 	opTxnAbort
 	opReap
@@ -61,7 +61,7 @@ const (
 var (
 	readOps  = []opKind{opGet, opGetInto, opGetIntoH, opMultiGet, opMultiGetH, opRange}
 	writeOps = []opKind{opPut, opPutNever, opPutExpired, opDelete, opMultiPut, opMultiDelete,
-		opCAS, opCASPoisoned, opUpdate, opTxn, opTxnAbort, opReap}
+		opCAS, opCASPoisoned, opRMW, opTxn, opTxnAbort, opReap}
 	// lifeOps need a durable engine that one driver, on the test's own
 	// goroutine, has to itself.
 	lifeOps = []opKind{opCheckpoint, opReopen}
@@ -73,7 +73,7 @@ var (
 var opWeight = [...]int{
 	opGet: 60, opGetInto: 30, opGetIntoH: 30, opMultiGet: 20, opMultiGetH: 20, opRange: 10,
 	opPut: 80, opPutNever: 20, opPutExpired: 20, opDelete: 40, opMultiPut: 20, opMultiDelete: 20,
-	opCAS: 20, opCASPoisoned: 10, opUpdate: 20, opTxn: 20, opTxnAbort: 10, opReap: 20,
+	opCAS: 20, opCASPoisoned: 10, opRMW: 20, opTxn: 20, opTxnAbort: 10, opReap: 20,
 	opCheckpoint: 1, opReopen: 1,
 }
 
@@ -188,7 +188,7 @@ func (d *driver) reopen(label string) {
 	if err := d.s.Close(); err != nil {
 		d.t.Fatalf("%s: Close: %v", label, err)
 	}
-	d.s = openTestKV(d.t, d.s.Dir(), d.s.NumShards(), d.s.SyncPolicy())
+	d.s = openTestKV(d.t, d.s.dir, d.s.NumShards(), d.s.SyncPolicy())
 	d.recheck(label)
 }
 
@@ -334,17 +334,21 @@ func (d *driver) next() op {
 				d.t.Errorf("poisoned CAS(%d) swapped=%v err=%v", k, swapped, err)
 			}
 		}
-	case opUpdate:
+	case opRMW:
 		var nv []byte // nil: the body declines to write, a committed no-op
 		if d.rng.Intn(4) != 0 {
 			nv = d.value(k)
 		}
 		o.apply = func(d *driver) {
-			if err := d.s.Update(k, func(cur []byte, ok bool) ([]byte, bool) {
-				d.check("Update", k, cur, ok)
-				return nv, nv != nil
+			if err := d.s.Txn([]uint64{k}, func(tx *Tx) error {
+				cur, ok := tx.Get(k)
+				d.check("read-modify-write", k, cur, ok)
+				if nv != nil {
+					tx.Put(k, nv)
+				}
+				return nil
 			}); err != nil {
-				d.t.Errorf("Update(%d): %v", k, err)
+				d.t.Errorf("read-modify-write(%d): %v", k, err)
 			}
 		}
 		if nv != nil {

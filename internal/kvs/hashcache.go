@@ -59,11 +59,3 @@ func (c *HashCache) Erase(key uint64) bool {
 	c.lock.Unlock()
 	return ok
 }
-
-// Len returns the entry count under the read lock.
-func (c *HashCache) Len() int {
-	tok := c.lock.RLock()
-	n := len(c.data)
-	c.lock.RUnlock(tok)
-	return n
-}

@@ -19,26 +19,14 @@ func bravoFactory() rwl.RWLock {
 	return core.New(new(pfq.Lock), core.WithTable(bias.NewTable(bias.DefaultTableSize)))
 }
 
-func TestMemtableValidation(t *testing.T) {
-	if _, err := NewMemtable(0, baFactory); err == nil {
-		t.Fatal("zero stripes accepted")
-	}
-	if _, err := NewMemtable(3, baFactory); err == nil {
-		t.Fatal("non-power-of-two stripes accepted")
-	}
-}
-
 func TestMemtableBasicOps(t *testing.T) {
 	for _, mk := range []rwl.Factory{baFactory, bravoFactory} {
-		m, err := NewMemtable(1, mk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := m.Get(1); ok {
+		m := NewMemtable(mk)
+		if _, ok := m.GetInto(1, nil); ok {
 			t.Fatal("phantom key")
 		}
 		m.Put(1, EncodeValue(42))
-		v, ok := m.Get(1)
+		v, ok := m.GetInto(1, nil)
 		if !ok {
 			t.Fatal("key lost")
 		}
@@ -47,10 +35,10 @@ func TestMemtableBasicOps(t *testing.T) {
 		}
 		// In-place update must not change length accounting.
 		m.Put(1, EncodeValue(43))
-		if m.Len() != 1 {
-			t.Fatalf("Len = %d, want 1", m.Len())
+		if m.idx.live != 1 {
+			t.Fatalf("live keys = %d, want 1", m.idx.live)
 		}
-		v, _ = m.Get(1)
+		v, _ = m.GetInto(1, nil)
 		if !bytes.Equal(v, EncodeValue(43)) {
 			t.Fatalf("in-place update lost: %x", v)
 		}
@@ -63,7 +51,7 @@ func TestMemtableReadWhileWriting(t *testing.T) {
 	// one to four words go into cells sized for four, so every write is in
 	// place and a torn length shows too. The readers are bounded by an op
 	// count, as the harness's are, and the writer runs until they finish.
-	m, _ := NewMemtable(1, bravoFactory)
+	m := NewMemtable(bravoFactory)
 	const keys, reads = 8, 200000
 	for k := uint64(0); k < keys; k++ {
 		m.Put(k, stormValue(k, 3))
@@ -86,7 +74,7 @@ func TestMemtableReadWhileWriting(t *testing.T) {
 			rng := xrand.NewXorShift64(seed)
 			for i := 0; i < reads; i++ {
 				k := rng.Intn(keys)
-				if v, ok := m.Get(k); !ok || stormCheck(k, v) != nil {
+				if v, ok := m.GetInto(k, nil); !ok || stormCheck(k, v) != nil {
 					t.Errorf("key %d: missing or torn value %x", k, v)
 					return
 				}
@@ -96,27 +84,8 @@ func TestMemtableReadWhileWriting(t *testing.T) {
 	wg.Wait()
 	done.Store(true)
 	<-wrote
-	if m.Len() != keys {
-		t.Fatalf("Len = %d, want %d", m.Len(), keys)
-	}
-}
-
-func TestMemtableStriping(t *testing.T) {
-	m, _ := NewMemtable(8, baFactory)
-	for k := uint64(0); k < 1000; k++ {
-		m.Put(k, EncodeValue(k))
-	}
-	if m.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", m.Len())
-	}
-	for k := uint64(0); k < 1000; k++ {
-		v, ok := m.Get(k)
-		if !ok {
-			t.Fatalf("key %d lost", k)
-		}
-		if !bytes.Equal(v, EncodeValue(k)) {
-			t.Fatalf("key %d holds %x", k, v)
-		}
+	if m.idx.live != keys {
+		t.Fatalf("live keys = %d, want %d", m.idx.live, keys)
 	}
 }
 
@@ -124,8 +93,8 @@ func TestHashCacheBasicOps(t *testing.T) {
 	for _, mk := range []rwl.Factory{baFactory, bravoFactory} {
 		c := NewHashCache(mk)
 		c.Populate(100, 32)
-		if c.Len() != 100 {
-			t.Fatalf("Len = %d, want 100", c.Len())
+		if len(c.data) != 100 {
+			t.Fatalf("entries = %d, want 100", len(c.data))
 		}
 		e, ok := c.Lookup(50)
 		if !ok || e.Key != 50 || len(e.Data) != 32 {

@@ -99,7 +99,7 @@ func (c *seqCell) expired(now *int64) bool {
 //     wunlock): the write lock excludes other writers, and an optimistic
 //     reader that sees the store half-applied is invalidated by the
 //     section's seq bump.
-//   - Memtable.put, under its stripe's write lock: the stripe's readers take
+//   - Memtable.Put, under the memtable's write lock: its readers take
 //     the same lock for read, so none overlaps the store.
 //   - recovery (recoverShardRecord, rollForwardTxns): the engine is not yet
 //     shared, so there is no other goroutine at all.

@@ -16,8 +16,8 @@ import (
 // pessimistic path exists for.
 const DefaultSeqReadAttempts = 3
 
-// seqStore is the keyed storage shared by a Sharded shard and a Memtable
-// stripe: one key→cell table (seqIndex, probed by locked and lock-free reads
+// seqStore is the keyed storage shared by a Sharded shard and the
+// Memtable: one key→cell table (seqIndex, probed by locked and lock-free reads
 // alike; a key's TTL deadline lives in its cell) and the set of keys that
 // carry one. All mutation goes through
 // putLocked/deleteLocked/removeLocked/replaceLocked under the owner's write
@@ -34,7 +34,7 @@ type seqStore struct {
 // putLocked applies one insert-or-update under the already-held write lock:
 // in-place value reuse plus TTL bookkeeping (deadline 0 = no TTL, clearing
 // any previous one). On a shard its only caller is applyLocked (write.go);
-// a Memtable stripe calls it from put. fresh reports that a new cell was
+// Memtable.Put calls it too. fresh reports that a new cell was
 // allocated (absent key, or a value that outgrew the cell) rather than
 // updated in place.
 func (st *seqStore) putLocked(key uint64, value []byte, deadline int64) (fresh bool) {

@@ -20,7 +20,7 @@ import (
 // Sharded is a sharded key-value engine: the keyspace is striped across a
 // power-of-two number of shards, each an independent hash table guarded by its
 // own reader-writer lock from a caller-supplied factory. It is the
-// scale-out form of the single-stripe Memtable/HashCache substrates: with a
+// scale-out form of the single-lock Memtable/HashCache substrates: with a
 // BRAVO-wrapped lock per shard the read path is one CAS into the shared
 // visible-readers table regardless of shard count, while writers only
 // exclude readers of their own shard.

@@ -18,7 +18,7 @@ import (
 func mkStd() rwl.RWLock   { return new(stdrw.Lock) }
 func mkBravo() rwl.RWLock { return core.New(new(pfq.Lock)) }
 func mkAdaptive() rwl.RWLock {
-	return core.New(new(pfq.Lock), core.WithPolicy(bias.NewAdaptor(smallWindow())))
+	return core.New(new(pfq.Lock), core.WithPolicy(bias.NewAdaptor()))
 }
 
 func TestNewShardedValidatesShardCount(t *testing.T) {

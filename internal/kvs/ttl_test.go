@@ -237,24 +237,6 @@ func TestShardedMultiPutTTL(t *testing.T) {
 	}
 }
 
-func TestMemtablePutTTL(t *testing.T) {
-	m, _ := NewMemtable(1, mkStd)
-	m.PutTTL(1, EncodeValue(1), time.Hour)
-	if _, ok := m.Get(1); !ok {
-		t.Fatal("Memtable.Get missed a TTL key an hour before its deadline")
-	}
-	m.PutTTL(2, EncodeValue(2), 0) // born expired (inclusive deadline)
-	if _, ok := m.Get(2); ok {
-		t.Fatal("Memtable.Get returned a born-expired key")
-	}
-	m.Put(2, EncodeValue(3)) // plain Put clears the TTL
-	if v, ok := m.Get(2); !ok {
-		t.Fatal("Memtable.Get missed a plain-Put key that once carried a TTL")
-	} else if !bytes.Equal(v, EncodeValue(3)) {
-		t.Fatalf("Memtable.Get = %x, want 3", v)
-	}
-}
-
 // shardKeys scans the key space for n keys landing on shard sh.
 func shardKeys(s *Sharded, sh, n int) []uint64 {
 	keys := make([]uint64, 0, n)

@@ -270,17 +270,3 @@ func (s *Sharded) CompareAndSwap(key uint64, old, new []byte) (bool, error) {
 	})
 	return swapped && err == nil, err
 }
-
-// Update atomically applies a read-modify-write to key: body receives the
-// current visible value (nil, false when absent) and returns the new value
-// and whether to write it. No other writer can interleave between the read
-// and the write.
-func (s *Sharded) Update(key uint64, body func(cur []byte, ok bool) ([]byte, bool)) error {
-	return s.Txn([]uint64{key}, func(tx *Tx) error {
-		cur, ok := tx.Get(key)
-		if next, write := body(cur, ok); write {
-			tx.Put(key, next)
-		}
-		return nil
-	})
-}

@@ -160,32 +160,33 @@ func TestCompareAndSwapAndUpdate(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("CAS delete left the key")
 	}
-	// Update observes and replaces atomically; declining the write is a
-	// committed no-op.
-	if err := s.Update(k, func(cur []byte, ok bool) ([]byte, bool) {
-		if ok {
-			t.Fatalf("Update saw %q on an absent key", cur)
+	// A one-key Txn observes and replaces atomically; declining the write
+	// is a committed no-op.
+	if err := s.Txn([]uint64{k}, func(tx *Tx) error {
+		if cur, ok := tx.Get(k); ok {
+			t.Fatalf("read-modify-write saw %q on an absent key", cur)
 		}
-		return []byte("u1"), true
+		tx.Put(k, []byte("u1"))
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update(k, func(cur []byte, ok bool) ([]byte, bool) {
-		if !ok || string(cur) != "u1" {
-			t.Fatalf("Update saw %q/%v", cur, ok)
+	if err := s.Txn([]uint64{k}, func(tx *Tx) error {
+		if cur, ok := tx.Get(k); !ok || string(cur) != "u1" {
+			t.Fatalf("read-modify-write saw %q/%v", cur, ok)
 		}
-		return nil, false
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := s.Get(k); string(v) != "u1" {
-		t.Fatalf("declined Update changed the value to %q", v)
+		t.Fatalf("declined read-modify-write changed the value to %q", v)
 	}
 }
 
 // TestTxnAtomicityStorm is the race certification: concurrent transfers
 // between accounts spread across shards conserve the total balance, and
-// concurrent CAS/Update contenders never lose an increment. Run under
+// concurrent CAS and one-key Txn contenders never lose an increment. Run under
 // -race in CI.
 func TestTxnAtomicityStorm(t *testing.T) {
 	iters := 2000
@@ -233,11 +234,13 @@ func TestTxnAtomicityStorm(t *testing.T) {
 									break
 								}
 							}
-						case 1: // contended Update increment on another hot key
-							if err := s.Update(1, func(cur []byte, ok bool) ([]byte, bool) {
-								return EncodeValue(balance(cur) + 1), true
+						case 1: // contended one-key Txn increment on another hot key
+							if err := s.Txn([]uint64{1}, func(tx *Tx) error {
+								cur, _ := tx.Get(1)
+								tx.Put(1, EncodeValue(balance(cur)+1))
+								return nil
 							}); err != nil {
-								t.Errorf("Update: %v", err)
+								t.Errorf("Txn increment: %v", err)
 								return
 							}
 						default: // transfer between two random accounts

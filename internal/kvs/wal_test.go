@@ -71,7 +71,7 @@ func TestDurableTTLSurvivesRestartAsRemaining(t *testing.T) {
 	// The far-future saturation case: MaxInt64 deadline must not wrap.
 	s2 := openTestKV(t, t.TempDir(), 1, SyncAlways)
 	s2.put(3, []byte("forever"), math.MaxInt64)
-	dir2 := s2.Dir()
+	dir2 := s2.dir
 	s2.Close()
 	r2 := openTestKV(t, dir2, 1, SyncAlways)
 	defer r2.Close()
@@ -371,7 +371,7 @@ func TestVolatileEngineRejectsDurableOps(t *testing.T) {
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a volatile engine succeeded")
 	}
-	if s.Durable() || s.Dir() != "" || s.WALError() != nil {
+	if s.Durable() || s.dir != "" || s.WALError() != nil {
 		t.Fatal("volatile engine claims durability state")
 	}
 	if err := s.Close(); err != nil {

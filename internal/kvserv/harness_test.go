@@ -77,7 +77,7 @@ type hstore struct {
 	dir        string
 	srv        *Server
 	http, wire string
-	eng        *kvs.Sharded // a follower's is its primary's
+	eng        *kvs.Sharded // a follower's is its primary's, a cluster's an empty one shaped like a partition's
 	f          *repl.Follower
 	clu        *cluster.Cluster
 	primary    *hstore // a follower's: where the writes it refuses go
@@ -107,6 +107,7 @@ func newHStore(t *testing.T, kind int, cfg Config) *hstore {
 		cfg.MinLSNWait = 5 * time.Millisecond
 		st.srv = NewFollower(st.f, cfg)
 	case clusterStore:
+		st.eng, _ = kvs.NewSharded(4, mkMatrixLock) // for shard's ShardOf
 		st.clu, err = cluster.Open(cluster.Config{Partitions: 2, Shards: 4, Followers: 1, Dir: st.dir,
 			Policy: kvs.SyncNone, RetryInterval: 5 * time.Millisecond})
 		t.Cleanup(func() { st.clu.Close() })
@@ -171,12 +172,11 @@ func serveBoth(t *testing.T, srv *Server) (base, addr string) {
 }
 
 // shard is key's partition and global shard, the Shard its tokens carry.
-func (st *hstore) shard(k uint64) (int, uint32) {
-	if st.clu == nil {
-		return 0, uint32(st.eng.ShardOf(k))
+func (st *hstore) shard(k uint64) (pi int, g uint32) {
+	if st.clu != nil {
+		pi = st.clu.Partition(k)
 	}
-	pi := st.clu.Partition(k)
-	return pi, uint32(pi*st.clu.ShardsPerPartition() + st.clu.Member(pi).Engine().ShardOf(k))
+	return pi, uint32(pi*st.eng.NumShards() + st.eng.ShardOf(k))
 }
 
 // bounds is the bound of each global shard keys touch.
@@ -1051,7 +1051,7 @@ func (st *hstore) settled(t *testing.T, all []*client) {
 			live += len(c.model)
 		}
 	}
-	for end := time.Now().Add(2 * time.Second); st.eng != nil && st.eng.Len() != live; time.Sleep(5 * time.Millisecond) {
+	for end := time.Now().Add(2 * time.Second); st.clu == nil && st.eng.Len() != live; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(end) {
 			t.Errorf("%s: the reaper left %d resident entries, the models hold %d", storeNames[st.kind], st.eng.Len(), live)
 			break

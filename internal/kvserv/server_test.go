@@ -23,7 +23,7 @@ import (
 // verb) untouched, and a non-adaptive engine omits the fields entirely.
 func TestServerStatsAdaptiveBias(t *testing.T) {
 	engine, err := kvs.NewSharded(4, func() rwl.RWLock {
-		return core.New(new(stdrw.Lock), core.WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
+		return core.New(new(stdrw.Lock), core.WithPolicy(bias.NewAdaptor()))
 	})
 	if err != nil {
 		t.Fatal(err)

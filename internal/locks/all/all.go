@@ -44,9 +44,9 @@ func init() {
 	// while the observed workload (fed by the owner through Offer) is
 	// write-heavy. Over fairrw the unbiased phase is strict FIFO.
 	rwl.Register("adaptive-go", func() rwl.RWLock {
-		return core.New(new(stdrw.Lock), core.WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
+		return core.New(new(stdrw.Lock), core.WithPolicy(bias.NewAdaptor()))
 	})
 	rwl.Register("adaptive-fair", func() rwl.RWLock {
-		return core.New(new(fairrw.Lock), core.WithPolicy(bias.NewAdaptor(bias.Thresholds{})))
+		return core.New(new(fairrw.Lock), core.WithPolicy(bias.NewAdaptor()))
 	})
 }

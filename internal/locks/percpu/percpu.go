@@ -42,12 +42,6 @@ func New(t topo.Topology) *Lock {
 	return &Lock{subs: make([]sub, t.NumCPUs()), top: t}
 }
 
-// Footprint returns the lock's size in bytes (one padded BA lock per CPU),
-// mirroring the paper's footprint accounting.
-func (l *Lock) Footprint() int {
-	return len(l.subs) * int(unsafe.Sizeof(sub{}))
-}
-
 // RLock acquires read permission on the caller's sub-lock. The sub-lock
 // index travels in the token so the release lands on the same sub-lock even
 // if the goroutine migrates.

@@ -3,7 +3,6 @@ package metis
 import (
 	"bytes"
 
-	"github.com/bravolock/bravo/internal/rwsem"
 	"github.com/bravolock/bravo/internal/vm"
 	"github.com/bravolock/bravo/internal/xrand"
 )
@@ -124,15 +123,4 @@ func Wrmem(as *vm.AddressSpace, workers, splits, wordsPerSplit int) *Result {
 		seeds[i] = []byte{byte(i >> 8), byte(i)}
 	}
 	return job.Run(seeds)
-}
-
-// NewStockAS builds an address space over the stock rwsem; NewBravoAS over
-// the BRAVO rwsem. These are the two "kernels" of Tables 1–2.
-func NewStockAS() *vm.AddressSpace {
-	return vm.NewAddressSpace(vm.StockSem{S: rwsem.New(rwsem.DefaultConfig())})
-}
-
-// NewBravoAS builds an address space whose mmap_sem is BRAVO-augmented.
-func NewBravoAS() *vm.AddressSpace {
-	return vm.NewAddressSpace(vm.BravoSem{S: rwsem.NewBravo(rwsem.DefaultConfig())})
 }

@@ -6,7 +6,14 @@ import (
 	"testing"
 
 	"github.com/bravolock/bravo/internal/rwsem"
+	"github.com/bravolock/bravo/internal/vm"
 )
+
+// newStockAS builds an address space over the stock rwsem, newBravoAS one
+// over the BRAVO rwsem: the two "kernels" of Tables 1–2.
+func newStockAS() *vm.AddressSpace { return vm.NewAddressSpace(rwsem.New(rwsem.DefaultConfig())) }
+
+func newBravoAS() *vm.AddressSpace { return vm.NewAddressSpace(rwsem.NewBravo(rwsem.DefaultConfig())) }
 
 func TestGenerateCorpusDeterministic(t *testing.T) {
 	a := GenerateCorpus(1000, 42)
@@ -35,7 +42,7 @@ func TestSplitCorpusPreservesWords(t *testing.T) {
 }
 
 func TestWCCountsExactly(t *testing.T) {
-	as := NewStockAS()
+	as := newStockAS()
 	corpus := []byte("lock reader lock writer lock bias reader")
 	res := WC(as, corpus, 2)
 	if res.Values["lock"] != 3 || res.Values["reader"] != 2 || res.Values["writer"] != 1 || res.Values["bias"] != 1 {
@@ -51,10 +58,10 @@ func TestWCCountsExactly(t *testing.T) {
 
 func TestWCMatchesAcrossKernelsAndParallelism(t *testing.T) {
 	corpus := GenerateCorpus(20000, 99)
-	ref := WC(NewStockAS(), corpus, 1)
+	ref := WC(newStockAS(), corpus, 1)
 	for _, workers := range []int{2, 4, 8} {
-		stock := WC(NewStockAS(), corpus, workers)
-		bravo := WC(NewBravoAS(), corpus, workers)
+		stock := WC(newStockAS(), corpus, workers)
+		bravo := WC(newBravoAS(), corpus, workers)
 		for _, k := range ref.Keys {
 			if stock.Values[k] != ref.Values[k] {
 				t.Fatalf("stock workers=%d: %q = %d, want %d", workers, k, stock.Values[k], ref.Values[k])
@@ -67,7 +74,7 @@ func TestWCMatchesAcrossKernelsAndParallelism(t *testing.T) {
 }
 
 func TestWCGeneratesMMTraffic(t *testing.T) {
-	as := NewStockAS()
+	as := newStockAS()
 	corpus := GenerateCorpus(50000, 3)
 	WC(as, corpus, 4)
 	faults, mmaps, _ := as.Stats()
@@ -85,7 +92,7 @@ func TestWCGeneratesMMTraffic(t *testing.T) {
 
 func TestWrmemTotals(t *testing.T) {
 	const workers, splits, wordsPer = 4, 8, 2000
-	res := Wrmem(NewBravoAS(), workers, splits, wordsPer)
+	res := Wrmem(newBravoAS(), workers, splits, wordsPer)
 	var total uint64
 	for _, k := range res.Keys {
 		total += res.Values[k]
@@ -96,8 +103,8 @@ func TestWrmemTotals(t *testing.T) {
 }
 
 func TestWrmemDeterministicAcrossParallelism(t *testing.T) {
-	a := Wrmem(NewStockAS(), 1, 4, 500)
-	b := Wrmem(NewBravoAS(), 4, 4, 500)
+	a := Wrmem(newStockAS(), 1, 4, 500)
+	b := Wrmem(newBravoAS(), 4, 4, 500)
 	if len(a.Keys) != len(b.Keys) {
 		t.Fatalf("key counts differ: %d vs %d", len(a.Keys), len(b.Keys))
 	}
@@ -109,7 +116,7 @@ func TestWrmemDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestAllocatorFaultsPages(t *testing.T) {
-	as := NewStockAS()
+	as := newStockAS()
 	task := rwsem.NewTask()
 	alloc := NewAllocator(as, task)
 	// Allocate 10 pages' worth in small pieces; every page must fault
@@ -130,7 +137,7 @@ func TestAllocatorFaultsPages(t *testing.T) {
 }
 
 func TestAllocatorGrowsChunks(t *testing.T) {
-	as := NewStockAS()
+	as := newStockAS()
 	alloc := NewAllocator(as, rwsem.NewTask())
 	for i := 0; i < 3; i++ {
 		alloc.Alloc(chunkSize) // each fills a whole chunk
@@ -142,7 +149,7 @@ func TestAllocatorGrowsChunks(t *testing.T) {
 }
 
 func TestAllocatorCopy(t *testing.T) {
-	alloc := NewAllocator(NewStockAS(), rwsem.NewTask())
+	alloc := NewAllocator(newStockAS(), rwsem.NewTask())
 	src := []byte("bravo")
 	dst := alloc.Copy(src)
 	if !bytes.Equal(src, dst) {

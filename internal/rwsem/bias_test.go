@@ -37,11 +37,11 @@ func TestBravoTwoTasksOneSlotDiverts(t *testing.T) {
 	b.DownRead(t1) // slow, enables bias
 	b.UpRead(t1)
 	b.DownRead(t1) // fast: occupies the shared slot
-	if t1.Holds() != 1 {
+	if t1.r.Held() != 1 {
 		t.Fatal("first task not on the fast path")
 	}
 	b.DownRead(t2) // same slot: must divert to the slow path
-	if t2.Holds() != 0 {
+	if t2.r.Held() != 0 {
 		t.Fatal("colliding task took the fast path")
 	}
 	if st.SlowCollision.Load() != 1 {
@@ -65,7 +65,7 @@ func TestBravoSlotCacheAvoidsRehash(t *testing.T) {
 	home := tab.Index(b.Engine().ID(), task.ID)
 	for i := 0; i < 50; i++ {
 		b.DownRead(task)
-		if slot, ok := task.Reader().CachedSlot(b.Engine()); !ok || slot != home {
+		if slot, ok := task.r.CachedSlot(b.Engine()); !ok || slot != home {
 			t.Fatalf("iteration %d: cache entry slot=%d ok=%v, want home %d", i, slot, ok, home)
 		}
 		b.UpRead(task)
@@ -103,7 +103,7 @@ func TestBravoCustomPolicyHonored(t *testing.T) {
 		b.DownRead(task)
 		b.UpRead(task)
 	}
-	if b.Biased() {
+	if b.eng.Enabled() {
 		t.Fatal("NeverPolicy rwsem enabled bias")
 	}
 }
@@ -124,13 +124,13 @@ func TestBravoRecoversAfterTransientCollision(t *testing.T) {
 		t.Fatal("setup publish failed")
 	}
 	b.DownRead(task)
-	if task.Holds() != 0 {
+	if task.r.Held() != 0 {
 		t.Fatal("task took the fast path through an occupied home slot")
 	}
 	b.UpRead(task)
 	tab.Clear(home)
 	b.DownRead(task)
-	if task.Holds() != 1 {
+	if task.r.Held() != 1 {
 		t.Fatal("task still diverted after its home slot emptied")
 	}
 	b.UpRead(task)

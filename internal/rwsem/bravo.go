@@ -38,16 +38,10 @@ func NewBravo(cfg Config) *Bravo {
 	return b
 }
 
-// Inner exposes the wrapped rwsem. Diagnostic.
-func (b *Bravo) Inner() *RWSem { return b.inner }
-
 // Engine exposes the embedded biasing engine: its Set* methods configure the
 // semaphore before first use (a private or 2D table, a policy, stats), and
 // the rest are diagnostics.
 func (b *Bravo) Engine() *bias.Engine { return &b.eng }
-
-// Biased reports whether reader bias is enabled. Diagnostic.
-func (b *Bravo) Biased() bool { return b.eng.Enabled() }
 
 // DownRead acquires read permission for t, preferring the table fast path
 // through t's reader handle (cached home slot, no rehash in steady state).
@@ -55,7 +49,7 @@ func (b *Bravo) DownRead(t *Task) {
 	if _, ok := b.eng.TryFastH(&t.r); ok {
 		return
 	}
-	b.inner.DownRead(t.ID)
+	b.inner.DownRead(t)
 	b.eng.SlowLockedH(&t.r)
 	b.eng.MaybeEnable()
 }
@@ -68,16 +62,16 @@ func (b *Bravo) UpRead(t *Task) {
 		return
 	}
 	b.eng.SlowUnlockedH(&t.r)
-	b.inner.UpRead(t.ID)
+	b.inner.UpRead(t)
 }
 
 // DownWrite acquires write permission, revoking reader bias if set.
 func (b *Bravo) DownWrite(t *Task) {
-	b.inner.DownWrite(t.ID)
+	b.inner.DownWrite(t)
 	b.eng.RevokeIfEnabled()
 }
 
 // UpWrite releases write permission.
 func (b *Bravo) UpWrite(t *Task) {
-	b.inner.UpWrite(t.ID)
+	b.inner.UpWrite(t)
 }

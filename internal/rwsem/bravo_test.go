@@ -21,20 +21,20 @@ func TestBravoFastPathRoundTrip(t *testing.T) {
 	task := NewTask()
 	// First read is slow and enables bias.
 	b.DownRead(task)
-	if task.Holds() != 0 {
+	if task.r.Held() != 0 {
 		t.Fatal("slow read recorded as fast")
 	}
 	b.UpRead(task)
-	if !b.Biased() {
+	if !b.eng.Enabled() {
 		t.Fatal("bias not enabled after slow read")
 	}
 	// Second read takes the fast path.
 	b.DownRead(task)
-	if task.Holds() != 1 {
+	if task.r.Held() != 1 {
 		t.Fatal("fast read not recorded on the task")
 	}
 	b.UpRead(task)
-	if task.Holds() != 0 {
+	if task.r.Held() != 0 {
 		t.Fatal("fast record not consumed at release")
 	}
 }
@@ -46,7 +46,7 @@ func TestBravoWriterRevokes(t *testing.T) {
 	b.UpRead(task)
 	w := NewTask()
 	b.DownWrite(w)
-	if b.Biased() {
+	if b.eng.Enabled() {
 		t.Fatal("bias survived DownWrite")
 	}
 	b.UpWrite(w)
@@ -84,13 +84,13 @@ func TestBravoSameTaskMultipleSems(t *testing.T) {
 	for _, s := range sems {
 		s.DownRead(task)
 	}
-	if task.Holds() == 0 {
+	if task.r.Held() == 0 {
 		t.Fatal("no fast acquisitions recorded")
 	}
 	for _, s := range sems {
 		s.UpRead(task)
 	}
-	if task.Holds() != 0 {
+	if task.r.Held() != 0 {
 		t.Fatal("held records leaked")
 	}
 	if tab.Occupancy() != 0 {
@@ -121,14 +121,14 @@ func TestBravoHeldOverflowDivertsToSlowPath(t *testing.T) {
 	for _, s := range sems {
 		s.DownRead(task)
 	}
-	if task.Holds() != maxHeld {
-		t.Fatalf("held records = %d, want %d", task.Holds(), maxHeld)
+	if task.r.Held() != maxHeld {
+		t.Fatalf("held records = %d, want %d", task.r.Held(), maxHeld)
 	}
 	// The overflowed acquisitions went slow; all releases must still pair.
 	for _, s := range sems {
 		s.UpRead(task)
 	}
-	if task.Holds() != 0 || tab.Occupancy() != 0 {
+	if task.r.Held() != 0 || tab.Occupancy() != 0 {
 		t.Fatal("release pairing broken under overflow")
 	}
 }
@@ -185,7 +185,7 @@ func TestBravoInhibitAfterRevocation(t *testing.T) {
 	b.UpWrite(w)
 	b.DownRead(task)
 	b.UpRead(task)
-	if b.Biased() {
+	if b.eng.Enabled() {
 		t.Fatal("bias re-enabled inside the inhibit window")
 	}
 }

@@ -79,14 +79,14 @@ func New(cfg Config) *RWSem {
 	return &RWSem{cfg: cfg}
 }
 
-// DownRead acquires the semaphore in read (shared) mode on behalf of task.
-func (s *RWSem) DownRead(task uint64) {
+// DownRead acquires the semaphore in read (shared) mode on behalf of t.
+func (s *RWSem) DownRead(t *Task) {
 	c := s.count.Add(readerBias)
 	if c&(writerLocked|hasWaiters) == 0 {
-		s.setReaderOwner(task)
+		s.setReaderOwner(t.ID)
 		return
 	}
-	s.downReadSlow(task)
+	s.downReadSlow(t.ID)
 }
 
 func (s *RWSem) downReadSlow(task uint64) {
@@ -130,7 +130,7 @@ func (s *RWSem) downReadSlow(task uint64) {
 }
 
 // UpRead releases a read acquisition.
-func (s *RWSem) UpRead(task uint64) {
+func (s *RWSem) UpRead(*Task) {
 	c := s.count.Add(-readerBias)
 	if c&hasWaiters != 0 && c>>readerShift == 0 && c&writerLocked == 0 {
 		s.waitLock.lock()
@@ -139,13 +139,13 @@ func (s *RWSem) UpRead(task uint64) {
 	}
 }
 
-// DownWrite acquires the semaphore in write (exclusive) mode.
-func (s *RWSem) DownWrite(task uint64) {
+// DownWrite acquires the semaphore in write (exclusive) mode on behalf of t.
+func (s *RWSem) DownWrite(t *Task) {
 	if s.count.CompareAndSwap(0, writerLocked) {
-		s.owner.Store(task << ownerShift)
+		s.owner.Store(t.ID << ownerShift)
 		return
 	}
-	s.downWriteSlow(task)
+	s.downWriteSlow(t.ID)
 }
 
 func (s *RWSem) downWriteSlow(task uint64) {
@@ -180,7 +180,7 @@ func (s *RWSem) downWriteSlow(task uint64) {
 }
 
 // UpWrite releases a write acquisition.
-func (s *RWSem) UpWrite(task uint64) {
+func (s *RWSem) UpWrite(*Task) {
 	s.owner.Store(0)
 	c := s.count.Add(-writerLocked)
 	if c&hasWaiters != 0 && c>>readerShift == 0 {
@@ -278,14 +278,8 @@ func (s *RWSem) setReaderOwner(task uint64) {
 	}
 }
 
-// ReaderOwned reports whether the owner field carries the reader-owned bits.
-func (s *RWSem) ReaderOwned() bool { return s.owner.Load()&ownerReader != 0 }
-
 // WriterPresent reports whether a writer holds the semaphore. Diagnostic.
 func (s *RWSem) WriterPresent() bool { return s.count.Load()&writerLocked != 0 }
-
-// ActiveReaders returns the current reader count. Diagnostic.
-func (s *RWSem) ActiveReaders() int64 { return s.count.Load() >> readerShift }
 
 // spinLock is a minimal test-and-test-and-set spinlock guarding the wait
 // queue (the kernel's wait_lock).

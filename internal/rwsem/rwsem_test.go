@@ -16,13 +16,16 @@ import (
 type semLock struct{ s *RWSem }
 
 func (a semLock) RLock() rwl.Token {
-	a.s.DownRead(self.ID())
+	a.s.DownRead(tk(self.ID()))
 	return 0
 }
-func (a semLock) RUnlock(rwl.Token)   { a.s.UpRead(self.ID()) }
-func (a semLock) Lock()               { a.s.DownWrite(self.ID()) }
-func (a semLock) Unlock()             { a.s.UpWrite(self.ID()) }
+func (a semLock) RUnlock(rwl.Token)   { a.s.UpRead(tk(self.ID())) }
+func (a semLock) Lock()               { a.s.DownWrite(tk(self.ID())) }
+func (a semLock) Unlock()             { a.s.UpWrite(tk(self.ID())) }
 func (a semLock) WriterPresent() bool { return a.s.WriterPresent() }
+
+// tk is a task with identity id: the stock semaphore reads only its ID.
+func tk(id uint64) *Task { return &Task{ID: id} }
 
 func mkStock() rwl.RWLock { return semLock{New(DefaultConfig())} }
 
@@ -52,29 +55,29 @@ func TestWriterExcludesReaders(t *testing.T) {
 
 func TestReaderCountTracksAcquisitions(t *testing.T) {
 	s := New(DefaultConfig())
-	s.DownRead(1)
-	s.DownRead(2)
-	if got := s.ActiveReaders(); got != 2 {
-		t.Fatalf("ActiveReaders = %d, want 2", got)
+	s.DownRead(tk(1))
+	s.DownRead(tk(2))
+	if got := s.count.Load() >> readerShift; got != 2 {
+		t.Fatalf("active readers = %d, want 2", got)
 	}
-	s.UpRead(1)
-	s.UpRead(2)
-	if got := s.ActiveReaders(); got != 0 {
-		t.Fatalf("ActiveReaders = %d, want 0", got)
+	s.UpRead(tk(1))
+	s.UpRead(tk(2))
+	if got := s.count.Load() >> readerShift; got != 0 {
+		t.Fatalf("active readers = %d, want 0", got)
 	}
 }
 
 func TestWriterHandoffToQueuedWriter(t *testing.T) {
 	s := New(Config{SpinOnOwner: false})
-	s.DownWrite(1)
+	s.DownWrite(tk(1))
 	var got atomic.Bool
 	go func() {
-		s.DownWrite(2)
+		s.DownWrite(tk(2))
 		got.Store(true)
-		s.UpWrite(2)
+		s.UpWrite(tk(2))
 	}()
 	lockcheck.Never(t, got.Load, 30*time.Millisecond, "second writer admitted concurrently")
-	s.UpWrite(1)
+	s.UpWrite(tk(1))
 	lockcheck.Eventually(t, got.Load, "queued writer never woken")
 }
 
@@ -82,7 +85,7 @@ func TestReaderGroupWakeup(t *testing.T) {
 	// Several readers blocked behind a writer must all be admitted together
 	// when the writer departs (reader grouping in wakeLocked).
 	s := New(Config{SpinOnOwner: false})
-	s.DownWrite(1)
+	s.DownWrite(tk(1))
 	const readers = 6
 	var admitted atomic.Int32
 	var wg sync.WaitGroup
@@ -90,17 +93,17 @@ func TestReaderGroupWakeup(t *testing.T) {
 		wg.Add(1)
 		go func(task uint64) {
 			defer wg.Done()
-			s.DownRead(task)
+			s.DownRead(tk(task))
 			admitted.Add(1)
 			for admitted.Load() < readers {
 				time.Sleep(time.Millisecond)
 			}
-			s.UpRead(task)
+			s.UpRead(tk(task))
 		}(uint64(10 + i))
 	}
 	// Let the readers reach the queue, then release the writer.
 	time.Sleep(20 * time.Millisecond)
-	s.UpWrite(1)
+	s.UpWrite(tk(1))
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -114,12 +117,12 @@ func TestQueuedWriterBlocksNewReaders(t *testing.T) {
 	// hasWaiters diverts arriving readers to the queue, so a queued writer
 	// is not starved by a reader stream (kernel-style fairness).
 	s := New(Config{SpinOnOwner: false})
-	s.DownRead(1)
+	s.DownRead(tk(1))
 	var wGot atomic.Bool
 	go func() {
-		s.DownWrite(2)
+		s.DownWrite(tk(2))
 		wGot.Store(true)
-		s.UpWrite(2)
+		s.UpWrite(tk(2))
 	}()
 	// Wait for the writer to queue.
 	lockcheck.Eventually(t, func() bool {
@@ -127,57 +130,57 @@ func TestQueuedWriterBlocksNewReaders(t *testing.T) {
 	}, "writer never queued")
 	var r2Got atomic.Bool
 	go func() {
-		s.DownRead(3)
+		s.DownRead(tk(3))
 		r2Got.Store(true)
-		s.UpRead(3)
+		s.UpRead(tk(3))
 	}()
 	lockcheck.Never(t, r2Got.Load, 30*time.Millisecond, "reader barged past queued writer")
-	s.UpRead(1)
+	s.UpRead(tk(1))
 	lockcheck.Eventually(t, wGot.Load, "queued writer never admitted")
 	lockcheck.Eventually(t, r2Got.Load, "queued reader never admitted")
 }
 
 func TestStockOwnerWrites(t *testing.T) {
 	s := New(Config{StockOwnerWrites: true})
-	s.DownRead(7)
-	if !s.ReaderOwned() {
+	s.DownRead(tk(7))
+	if s.owner.Load()&ownerReader == 0 {
 		t.Fatal("reader-owned bits not set")
 	}
 	if s.owner.Load()>>ownerShift != 7 {
 		t.Fatal("stock mode must record the reader's task ID")
 	}
-	s.UpRead(7)
+	s.UpRead(tk(7))
 }
 
 func TestOptimizedOwnerWrites(t *testing.T) {
 	// §4: "a reader [sets] only the control bits in the owner field, and
 	// only if those bits were not set before".
 	s := New(Config{StockOwnerWrites: false})
-	s.DownRead(7)
-	if !s.ReaderOwned() {
+	s.DownRead(tk(7))
+	if s.owner.Load()&ownerReader == 0 {
 		t.Fatal("reader-owned bits not set by first reader")
 	}
 	if s.owner.Load()>>ownerShift != 0 {
 		t.Fatal("optimized mode must not record task IDs")
 	}
 	before := s.owner.Load()
-	s.DownRead(8) // subsequent reader must not write
+	s.DownRead(tk(8)) // subsequent reader must not write
 	if s.owner.Load() != before {
 		t.Fatal("subsequent reader rewrote the owner field")
 	}
-	s.UpRead(7)
-	s.UpRead(8)
+	s.UpRead(tk(7))
+	s.UpRead(tk(8))
 	// After a writer, the first reader sets the bits again.
-	s.DownWrite(9)
-	if s.ReaderOwned() {
+	s.DownWrite(tk(9))
+	if s.owner.Load()&ownerReader != 0 {
 		t.Fatal("reader bits survived a writer")
 	}
-	s.UpWrite(9)
-	s.DownRead(10)
-	if !s.ReaderOwned() {
+	s.UpWrite(tk(9))
+	s.DownRead(tk(10))
+	if s.owner.Load()&ownerReader == 0 {
 		t.Fatal("reader bits not restored after writer")
 	}
-	s.UpRead(10)
+	s.UpRead(tk(10))
 }
 
 // Two writers trading the semaphore with no readers: a writer that enqueues
@@ -192,14 +195,14 @@ func TestTwoWriterPingPongNoLostWakeup(t *testing.T) {
 			var wg sync.WaitGroup
 			for task := uint64(1); task <= 2; task++ {
 				wg.Add(1)
-				go func(task uint64) {
+				go func(task *Task) {
 					defer wg.Done()
 					<-start
 					for i := 0; i < 1000000; i++ {
 						s.DownWrite(task)
 						s.UpWrite(task)
 					}
-				}(task)
+				}(tk(task))
 			}
 			close(start)
 			wg.Wait()

@@ -24,7 +24,7 @@ const maxHeld = bias.ReaderSlots
 // concurrent use.
 type Task struct {
 	// ID is the task identity hashed with the semaphore identity to choose
-	// a visible-readers-table slot, and passed to the underlying rwsem.
+	// a visible-readers-table slot, and the owner an rwsem records.
 	ID uint64
 	// r is the task's reader handle (held-slot record + slot cache).
 	r bias.Reader
@@ -41,9 +41,3 @@ func NewTask() *Task {
 func NewTaskWithID(id uint64) *Task {
 	return &Task{ID: id, r: bias.MakeReader(id)}
 }
-
-// Reader exposes the task's reader handle. Diagnostic.
-func (t *Task) Reader() *bias.Reader { return &t.r }
-
-// Holds reports how many fast-path read acquisitions are outstanding.
-func (t *Task) Holds() int { return t.r.Held() }

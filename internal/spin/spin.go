@@ -64,8 +64,8 @@ func (b *Backoff) Once() {
 	}
 }
 
-// Until spins politely until cond reports true.
-func Until(cond func() bool) {
+// until spins politely until cond reports true.
+func until(cond func() bool) {
 	var b Backoff
 	for !cond() {
 		b.Once()

@@ -14,18 +14,18 @@ func TestUntilReturnsWhenConditionHolds(t *testing.T) {
 	}()
 	done := make(chan struct{})
 	go func() {
-		Until(flag.Load)
+		until(flag.Load)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Until did not return after condition became true")
+		t.Fatal("until did not return after condition became true")
 	}
 }
 
 func TestUntilImmediate(t *testing.T) {
-	Until(func() bool { return true }) // must not block
+	until(func() bool { return true }) // must not block
 }
 
 func TestBackoffEscalates(t *testing.T) {
@@ -60,7 +60,7 @@ func TestManySpinnersMakeProgressOnOneP(t *testing.T) {
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		go func(my int64) {
-			Until(func() bool { return turn.Load() == my })
+			until(func() bool { return turn.Load() == my })
 			turn.Add(1)
 			done <- struct{}{}
 		}(int64(w))

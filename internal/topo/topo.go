@@ -41,11 +41,6 @@ func (t Topology) NumCPUs() int {
 	return t.Sockets * t.CoresPerSocket * t.ThreadsPerCore
 }
 
-// NumCores returns the number of physical cores.
-func (t Topology) NumCores() int {
-	return t.Sockets * t.CoresPerSocket
-}
-
 // SocketOf returns the NUMA node of a logical CPU. CPUs are numbered the way
 // Linux numbers them on these machines: socket-major, then core, then SMT
 // sibling — CPU c lives on socket c / (CoresPerSocket·ThreadsPerCore).
@@ -53,9 +48,9 @@ func (t Topology) SocketOf(cpu int) int {
 	return (cpu / (t.CoresPerSocket * t.ThreadsPerCore)) % t.Sockets
 }
 
-// CoreOf returns the global physical-core index of a logical CPU.
-func (t Topology) CoreOf(cpu int) int {
-	return (cpu / t.ThreadsPerCore) % t.NumCores()
+// coreOf returns the global physical-core index of a logical CPU.
+func (t Topology) coreOf(cpu int) int {
+	return (cpu / t.ThreadsPerCore) % (t.Sockets * t.CoresPerSocket)
 }
 
 // CPUOf maps an arbitrary identity (e.g. a goroutine ID) to a logical CPU.

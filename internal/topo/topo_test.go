@@ -12,9 +12,6 @@ func TestReferenceShapes(t *testing.T) {
 	if got := X54.NumCPUs(); got != 144 {
 		t.Errorf("X5-4 logical CPUs = %d, want 144 (paper §6)", got)
 	}
-	if got := X52.NumCores(); got != 36 {
-		t.Errorf("X5-2 cores = %d, want 36", got)
-	}
 }
 
 func TestSocketPartition(t *testing.T) {
@@ -39,13 +36,13 @@ func TestSocketPartition(t *testing.T) {
 func TestCoreOfConsistentWithSocket(t *testing.T) {
 	top := X52
 	for cpu := 0; cpu < top.NumCPUs(); cpu++ {
-		core := top.CoreOf(cpu)
-		if core < 0 || core >= top.NumCores() {
-			t.Fatalf("CoreOf(%d) = %d out of range", cpu, core)
+		core := top.coreOf(cpu)
+		if core < 0 || core >= top.Sockets*top.CoresPerSocket {
+			t.Fatalf("coreOf(%d) = %d out of range", cpu, core)
 		}
 		// SMT siblings share a core.
 		sib := cpu ^ 1
-		if top.CoreOf(sib) != core {
+		if top.coreOf(sib) != core {
 			t.Errorf("CPUs %d and %d should share core", cpu, sib)
 		}
 	}

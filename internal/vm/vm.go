@@ -35,45 +35,16 @@ var (
 	ErrOverlap    = errors.New("vm: mapping overlaps an existing VMA")
 )
 
-// MMapSem is the semaphore guarding an address space. Both the stock rwsem
-// and the BRAVO-augmented rwsem satisfy it via the adapters below, which is
-// how the benchmarks switch between the "stock" and "BRAVO" kernels.
+// MMapSem is the semaphore guarding an address space. The stock rwsem
+// (*rwsem.RWSem) and the BRAVO-augmented one (*rwsem.Bravo) both satisfy it,
+// which is how the benchmarks switch between the "stock" and "BRAVO"
+// kernels.
 type MMapSem interface {
 	DownRead(t *rwsem.Task)
 	UpRead(t *rwsem.Task)
 	DownWrite(t *rwsem.Task)
 	UpWrite(t *rwsem.Task)
 }
-
-// StockSem adapts the plain rwsem to MMapSem.
-type StockSem struct{ S *rwsem.RWSem }
-
-// DownRead acquires mmap_sem for read.
-func (s StockSem) DownRead(t *rwsem.Task) { s.S.DownRead(t.ID) }
-
-// UpRead releases a read acquisition.
-func (s StockSem) UpRead(t *rwsem.Task) { s.S.UpRead(t.ID) }
-
-// DownWrite acquires mmap_sem for write.
-func (s StockSem) DownWrite(t *rwsem.Task) { s.S.DownWrite(t.ID) }
-
-// UpWrite releases a write acquisition.
-func (s StockSem) UpWrite(t *rwsem.Task) { s.S.UpWrite(t.ID) }
-
-// BravoSem adapts the BRAVO-augmented rwsem to MMapSem.
-type BravoSem struct{ S *rwsem.Bravo }
-
-// DownRead acquires mmap_sem for read (fast path eligible).
-func (s BravoSem) DownRead(t *rwsem.Task) { s.S.DownRead(t) }
-
-// UpRead releases a read acquisition.
-func (s BravoSem) UpRead(t *rwsem.Task) { s.S.UpRead(t) }
-
-// DownWrite acquires mmap_sem for write (revoking bias if set).
-func (s BravoSem) DownWrite(t *rwsem.Task) { s.S.DownWrite(t) }
-
-// UpWrite releases a write acquisition.
-func (s BravoSem) UpWrite(t *rwsem.Task) { s.S.UpWrite(t) }
 
 // VMA is one virtual memory area: [Start, End), page-aligned, with a flat
 // "page table" of present bits.
@@ -86,20 +57,6 @@ type VMA struct {
 	pages  []atomic.Uint32
 	// backing is the shared-file reference word for Shared mappings.
 	backing *atomic.Uint64
-}
-
-// Pages returns the number of pages spanned by the VMA.
-func (v *VMA) Pages() int { return int((v.End - v.Start) >> PageShift) }
-
-// Populated counts present pages.
-func (v *VMA) Populated() int {
-	n := 0
-	for i := range v.pages {
-		if v.pages[i].Load() != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // AddressSpace models a process's mm_struct.
@@ -211,20 +168,4 @@ func (as *AddressSpace) findLocked(addr uint64) *VMA {
 		return nil
 	}
 	return as.vmas[i]
-}
-
-// Find returns the VMA containing addr, taking mmap_sem for read.
-func (as *AddressSpace) Find(t *rwsem.Task, addr uint64) *VMA {
-	as.sem.DownRead(t)
-	v := as.findLocked(addr)
-	as.sem.UpRead(t)
-	return v
-}
-
-// VMACount returns the number of live mappings, taking mmap_sem for read.
-func (as *AddressSpace) VMACount(t *rwsem.Task) int {
-	as.sem.DownRead(t)
-	n := len(as.vmas)
-	as.sem.UpRead(t)
-	return n
 }

@@ -9,13 +9,24 @@ import (
 )
 
 func newStockAS() *AddressSpace {
-	return NewAddressSpace(StockSem{S: rwsem.New(rwsem.DefaultConfig())})
+	return NewAddressSpace(rwsem.New(rwsem.DefaultConfig()))
 }
 
 func newBravoAS() *AddressSpace {
 	b := rwsem.NewBravo(rwsem.DefaultConfig())
 	b.Engine().SetTable(bias.NewTable(bias.DefaultTableSize))
-	return NewAddressSpace(BravoSem{S: b})
+	return NewAddressSpace(b)
+}
+
+// populated counts v's present pages.
+func populated(v *VMA) int {
+	n := 0
+	for i := range v.pages {
+		if v.pages[i].Load() != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestMmapTouchMunmap(t *testing.T) {
@@ -30,14 +41,14 @@ func TestMmapTouchMunmap(t *testing.T) {
 		if err := as.Touch(task, addr, length); err != nil {
 			t.Fatal(err)
 		}
-		v := as.Find(task, addr)
-		if v == nil || v.Populated() != 64 {
+		v := as.findLocked(addr)
+		if v == nil || populated(v) != 64 {
 			t.Fatalf("expected 64 populated pages, got %v", v)
 		}
 		if err := as.Munmap(task, addr); err != nil {
 			t.Fatal(err)
 		}
-		if as.VMACount(task) != 0 {
+		if len(as.vmas) != 0 {
 			t.Fatal("VMA leaked after munmap")
 		}
 		faults, mmaps, munmaps := as.Stats()
@@ -115,13 +126,13 @@ func TestVMAOrderingManyMappings(t *testing.T) {
 	for i, a := range addrs {
 		length := PageSize * uint64(i+1)
 		for _, off := range []uint64{0, length / 2, length - 1} {
-			if v := as.Find(task, a+off); v == nil || v.Start != a {
+			if v := as.findLocked(a + off); v == nil || v.Start != a {
 				t.Fatalf("lookup failed for mapping %d at offset %d", i, off)
 			}
 		}
 	}
 	// Guard gaps must not resolve.
-	if v := as.Find(task, addrs[0]+PageSize); v != nil {
+	if v := as.findLocked(addrs[0] + PageSize); v != nil {
 		t.Fatal("guard page resolved to a VMA")
 	}
 }
